@@ -48,7 +48,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "timeout": (float, 30.0),
         "max_retries": (int, 3),
         "backoff": (float, 0.5),
-        "max_in_flight": (int, 4),
         "replay_path": (str, ""),
         "record_path": (str, ""),
         "scenario": (str, "music streaming"),
@@ -88,7 +87,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "epsilon": (float, 0.1),
     },
     "harness": {
-        "out_dir": (str, "runs"),
         "run_id": (str, "run"),
         "seeds": (_int_list, [0, 1, 2, 3, 4]),
         "episodes_per_epoch": (int, 50),

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import AgentBundle, init_agent
-from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint, save_tensors
+from .agent import AgentBundle
+from .checkpoint import (CheckpointError, load_checkpoint, read_checkpoint, save_checkpoint,
+                         save_tensors)
 from .config import AppConfig, ConfigError, dump_full
 from .data import (InteractionLog, ItemCatalog, SyntheticGroundTruth, generate_synthetic,
                    load_catalog, load_interactions, split_log, write_catalog,
@@ -28,8 +29,10 @@ from .environment import (EnvConfig, LatentPreferenceModel, MatrixFactorizationM
 from .metrics import MetricMeans, smooth_curve
 from .nn import ParamSet
 from .oracle import LLMOracle, PromptSpec, RemoteEndpoint, SyntheticOracle, load_replay
-from .training import (ActorPolicy, ExplorationStrategy, QGreedyPolicy, TrainConfig,
-                       derive_seed, evaluate, online_phase, pretrain, run_baseline)
+from .training import (KEY_EVAL, KEY_TEST_ENV, KEY_TRAIN_ENV,
+                       ExplorationStrategy, QGreedyPolicy, RunResult, TrainConfig,
+                       derive_seed, evaluate, online_phase, pretrain, run_baseline,
+                       scratch_agent)
 
 __all__ = [
     "World",
@@ -45,10 +48,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_KEY_TRAIN_ENV = 10
-_KEY_TEST_ENV = 11
-_METHOD_INIT_KEYS = {"dqn": 21, "pg": 22, "a2c": 23}
 
 STRATEGY_ALIASES = {"greedy": "greedy", "egreedy": "epsilon_greedy",
                     "epsilon_greedy": "epsilon_greedy", "categorical": "categorical"}
@@ -116,9 +115,16 @@ def make_env(cfg: AppConfig, model, log_: InteractionLog, seed: int) -> UserEnvi
 
 
 def build_envs(cfg: AppConfig, model, world: World, seed: int):
-    train_env = make_env(cfg, model, world.train_log, derive_seed(seed, _KEY_TRAIN_ENV))
-    test_env = make_env(cfg, model, world.test_log, derive_seed(seed, _KEY_TEST_ENV))
+    train_env = make_env(cfg, model, world.train_log, derive_seed(seed, KEY_TRAIN_ENV))
+    test_env = make_env(cfg, model, world.test_log, derive_seed(seed, KEY_TEST_ENV))
     return train_env, test_env
+
+
+def evaluate_on_test(cfg: AppConfig, policy, test_env, seed: int) -> MetricMeans:
+    """Greedy test metrics on the evaluation stream the online snapshots use,
+    so a policy's row here equals its epoch-0 snapshot."""
+    return evaluate(policy, test_env, cfg["harness"]["eval_episodes"],
+                    derive_seed(seed, KEY_EVAL)).means
 
 
 def build_oracle(cfg: AppConfig, world: World):
@@ -275,21 +281,18 @@ def pretrain_with_checkpoints(cfg: AppConfig, world: World, oracle, seed: int,
     start_epoch = 0
     rng = None
     if resume and ckpt_path.exists():
+        agent = load_checkpoint(ckpt_path)
         data = read_checkpoint(ckpt_path)
-        agent = AgentBundle(ParamSet(data.tensors),
-                            EncoderConfig(num_items=data.config["num_items"],
-                                          embed_dim=data.config["embed_dim"],
-                                          max_seq_len=data.config["max_seq_len"]),
-                            data.config["gamma"])
-        start_epoch = data.config["extra"]["epoch"] + 1
+        extra = data.config.get("extra") or {}
+        if "epoch" not in extra:
+            raise CheckpointError(f"{ckpt_path}: no finished epoch recorded to resume from")
+        start_epoch = extra["epoch"] + 1
         if data.rng_state is not None:
             rng = np.random.default_rng()
             rng.bit_generator.state = data.rng_state
         log.info("resuming pre-training at epoch %d", start_epoch)
     else:
-        agent = init_agent(world.catalog.num_items, cfg["encoder"]["embed_dim"],
-                           cfg["encoder"]["max_seq_len"], tconf.gamma,
-                           derive_seed(seed, 1))
+        agent = scratch_agent(tconf, encoder_config_from(cfg, world.catalog.num_items))
         log_path.write_text("", encoding="utf-8")
 
     def on_epoch(epoch, bundle, record, rng_state):
@@ -344,9 +347,9 @@ def cmd_pretrain(cfg: AppConfig, out, resume: bool = False) -> int:
     _write_config_snapshot(cfg, directory)
     agent = pretrain_with_checkpoints(cfg, world, oracle, seed, directory, resume)
     _, test_env = build_envs(cfg, model, world, seed)
-    result = evaluate(agent, test_env, cfg["harness"]["eval_episodes"], seed)
-    print(f"pretrained agent: test return {result.means.episode_return:.3f}, "
-          f"len {result.means.length:.2f}, avg {result.means.avg_reward:.3f}")
+    means = evaluate_on_test(cfg, agent, test_env, seed)
+    print(f"pretrained agent: test return {means.episode_return:.3f}, "
+          f"len {means.length:.2f}, avg {means.avg_reward:.3f}")
     return 0
 
 
@@ -357,53 +360,21 @@ def _load_agent(directory: Path, agent_path) -> AgentBundle:
     return load_checkpoint(path)
 
 
-def cmd_online(cfg: AppConfig, out, agent_path=None) -> int:
+def cmd_online(cfg: AppConfig, out, method: str, agent_path=None) -> int:
+    """One online run: an adaptation scheme (ft|ap) of the pre-trained agent
+    or a scratch baseline, with its summary written next to its curve."""
     world, model = _world_and_model(cfg)
     seed = cfg["training"]["seed"]
-    scheme = cfg["training"]["scheme"]
-    if scheme not in ("ft", "ap"):
-        raise ConfigError(f"unknown scheme {scheme!r} (ft|ap)")
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
     _write_config_snapshot(cfg, directory)
-    agent = _load_agent(directory, agent_path)
-    train_env, test_env = build_envs(cfg, model, world, seed)
-    started = time.perf_counter()
-    result = online_phase(scheme, agent, train_env, train_config_from(cfg, seed),
-                          strategy_from(cfg), eval_env=test_env,
-                          episodes_per_epoch=cfg["harness"]["episodes_per_epoch"],
-                          eval_episodes=cfg["harness"]["eval_episodes"])
-    wall = time.perf_counter() - started
-    write_curve(directory / f"curve_{scheme}.jsonl", result.episodes)
-    save_checkpoint(result.agent, directory / f"agent_{scheme}.ckpt")
-    write_summary(directory / f"summary_{scheme}.tsv",
-                  _summary_rows(scheme, seed, result.snapshots, wall))
+    pretrained = _load_agent(directory, agent_path) if method in ("ft", "ap") else None
+    result, wall = _run_method(cfg, world, model, seed, directory, method,
+                               strategy_from(cfg), pretrained)
+    write_summary(directory / f"summary_{method}.tsv",
+                  _summary_rows(method, seed, result.snapshots, wall))
     final = result.snapshots["final"]
-    print(f"{scheme}: final test return {final.episode_return:.3f} over "
+    print(f"{method}: final test return {final.episode_return:.3f} over "
           f"{len(result.episodes)} episodes ({wall:.1f}s)")
-    return 0
-
-
-def cmd_baseline(cfg: AppConfig, out, kind: str) -> int:
-    world, model = _world_and_model(cfg)
-    seed = cfg["training"]["seed"]
-    directory = run_dir(out, cfg["harness"]["run_id"], seed)
-    _write_config_snapshot(cfg, directory)
-    train_env, test_env = build_envs(cfg, model, world, seed)
-    oracle = build_oracle(cfg, world) if kind == "llm_online" else None
-    started = time.perf_counter()
-    result = run_baseline(kind, train_env, train_config_from(cfg, seed),
-                          encoder_config_from(cfg, world.catalog.num_items),
-                          strategy_from(cfg) if kind != "dqn" else None,
-                          oracle=oracle, eval_env=test_env,
-                          episodes_per_epoch=cfg["harness"]["episodes_per_epoch"],
-                          eval_episodes=cfg["harness"]["eval_episodes"])
-    wall = time.perf_counter() - started
-    write_curve(directory / f"curve_{kind}.jsonl", result.episodes)
-    save_checkpoint(result.agent, directory / f"agent_{kind}.ckpt")
-    write_summary(directory / f"summary_{kind}.tsv",
-                  _summary_rows(kind, seed, result.snapshots, wall))
-    final = result.snapshots["final"]
-    print(f"{kind}: final test return {final.episode_return:.3f} ({wall:.1f}s)")
     return 0
 
 
@@ -413,11 +384,10 @@ def cmd_eval(cfg: AppConfig, out, agent_path=None) -> int:
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
     agent = _load_agent(directory, agent_path)
     _, test_env = build_envs(cfg, model, world, seed)
-    result = evaluate(agent, test_env, cfg["harness"]["eval_episodes"], seed)
-    write_summary(directory / "eval.tsv",
-                  _summary_rows("eval", seed, {"final": result.means}, 0.0))
-    print(f"return {result.means.episode_return:.3f}\tlen {result.means.length:.2f}\t"
-          f"avg {result.means.avg_reward:.3f}")
+    means = evaluate_on_test(cfg, agent, test_env, seed)
+    write_summary(directory / "eval.tsv", _summary_rows("eval", seed, {"final": means}, 0.0))
+    print(f"return {means.episode_return:.3f}\tlen {means.length:.2f}\t"
+          f"avg {means.avg_reward:.3f}")
     return 0
 
 
@@ -440,8 +410,9 @@ def _aggregate(rows: list[dict]) -> list[dict]:
 
 
 def cmd_rq1(cfg: AppConfig, out) -> int:
-    """Initial performance: pre-trained agent versus untrained scratch
-    baselines, all evaluated greedily on the test environment (epoch 0)."""
+    """Initial performance: pre-trained agent versus the untrained agent the
+    scratch baselines start from, all evaluated greedily on the test
+    environment (epoch 0)."""
     world, model = _world_and_model(cfg)
     oracle = build_oracle(cfg, world)
     enc = encoder_config_from(cfg, world.catalog.num_items)
@@ -453,15 +424,11 @@ def cmd_rq1(cfg: AppConfig, out) -> int:
         started = time.perf_counter()
         agent = pretrain_with_checkpoints(cfg, world, oracle, seed, directory)
         wall = time.perf_counter() - started
-        gamma = cfg["training"]["gamma"]
-        n_eval = cfg["harness"]["eval_episodes"]
-        policies = {"pretrained": ActorPolicy(agent)}
-        for kind in ("dqn", "pg", "a2c"):
-            scratch = init_agent(enc.num_items, enc.embed_dim, enc.max_seq_len,
-                                 gamma, derive_seed(seed, _METHOD_INIT_KEYS[kind]))
-            policies[kind] = QGreedyPolicy(scratch) if kind == "dqn" else ActorPolicy(scratch)
+        scratch = scratch_agent(train_config_from(cfg, seed), enc)
+        policies = {"pretrained": agent, "dqn": QGreedyPolicy(scratch),
+                    "pg": scratch, "a2c": scratch}
         for method, policy in policies.items():
-            means = evaluate(policy, test_env, n_eval, seed).means
+            means = evaluate_on_test(cfg, policy, test_env, seed)
             rows += _summary_rows(method, seed, {"0": means},
                                   wall if method == "pretrained" else 0.0)
     rows += _aggregate(rows)
@@ -471,37 +438,45 @@ def cmd_rq1(cfg: AppConfig, out) -> int:
     return 0
 
 
+def _run_method(cfg: AppConfig, world, model, seed, directory, method, strategy,
+                pretrained=None, suffix="") -> tuple[RunResult, float]:
+    """Run one online method on fresh environments and write its curve and
+    final agent; returns the result and its wall-clock seconds.  dqn keeps
+    its own epsilon-greedy default instead of ``strategy``."""
+    train_env, test_env = build_envs(cfg, model, world, seed)
+    tconf = train_config_from(cfg, seed)
+    evaluation = dict(eval_env=test_env, episodes_per_epoch=cfg["harness"]["episodes_per_epoch"],
+                      eval_episodes=cfg["harness"]["eval_episodes"])
+    started = time.perf_counter()
+    if method in ("ft", "ap"):
+        result = online_phase(method, pretrained, train_env, tconf, strategy, **evaluation)
+    else:
+        oracle = build_oracle(cfg, world) if method == "llm_online" else None
+        result = run_baseline(method, train_env, tconf,
+                              encoder_config_from(cfg, world.catalog.num_items),
+                              strategy if method != "dqn" else None, oracle=oracle,
+                              **evaluation)
+    wall = time.perf_counter() - started
+    write_curve(directory / f"curve_{method}{suffix}.jsonl", result.episodes)
+    save_checkpoint(result.agent, directory / f"agent_{method}{suffix}.ckpt")
+    return result, wall
+
+
 def _online_methods(cfg: AppConfig, world, model, seed, directory, methods,
                     strategy=None, pretrained=None) -> list[dict]:
     """Run a set of online methods for one seed and emit curves + rows."""
     rows = []
-    train_env, test_env = build_envs(cfg, model, world, seed)
-    enc = encoder_config_from(cfg, world.catalog.num_items)
-    tconf = train_config_from(cfg, seed)
-    epp = cfg["harness"]["episodes_per_epoch"]
-    n_eval = cfg["harness"]["eval_episodes"]
     suffix = f"_{strategy.kind}" if strategy is not None else ""
     for method in methods:
-        started = time.perf_counter()
         if method == "pretrained":
-            means = evaluate(pretrained, test_env, n_eval, seed).means
+            started = time.perf_counter()
+            _, test_env = build_envs(cfg, model, world, seed)
+            means = evaluate_on_test(cfg, pretrained, test_env, seed)
             rows += _summary_rows(method, seed, {"0": means, "final": means},
                                   time.perf_counter() - started)
             continue
-        train_env, test_env = build_envs(cfg, model, world, seed)  # fresh reset streams
-        if method in ("ft", "ap"):
-            result = online_phase(method, pretrained, train_env, tconf,
-                                  strategy or strategy_from(cfg), eval_env=test_env,
-                                  episodes_per_epoch=epp, eval_episodes=n_eval)
-        else:
-            oracle_ = build_oracle(cfg, world) if method == "llm_online" else None
-            result = run_baseline(method, train_env, tconf, enc,
-                                  strategy if method != "dqn" else None,
-                                  oracle=oracle_, eval_env=test_env,
-                                  episodes_per_epoch=epp, eval_episodes=n_eval)
-        wall = time.perf_counter() - started
-        write_curve(directory / f"curve_{method}{suffix}.jsonl", result.episodes)
-        save_checkpoint(result.agent, directory / f"agent_{method}{suffix}.ckpt")
+        result, wall = _run_method(cfg, world, model, seed, directory, method,
+                                   strategy or strategy_from(cfg), pretrained, suffix)
         rows += _summary_rows(method, seed, result.snapshots, wall)
     return rows
 
@@ -564,9 +539,12 @@ COMMANDS = {
 def run_experiment(cfg: AppConfig, command: str, out, **kwargs) -> int:
     """Dispatch one experiment command; returns a process exit code."""
     if command == "online":
-        return cmd_online(cfg, out, kwargs.get("agent_path"))
+        scheme = cfg["training"]["scheme"]
+        if scheme not in ("ft", "ap"):
+            raise ConfigError(f"unknown scheme {scheme!r} (ft|ap)")
+        return cmd_online(cfg, out, scheme, kwargs.get("agent_path"))
     if command == "baseline":
-        return cmd_baseline(cfg, out, kwargs["kind"])
+        return cmd_online(cfg, out, kwargs["kind"])
     if command == "eval":
         return cmd_eval(cfg, out, kwargs.get("agent_path"))
     if command == "pretrain":

@@ -203,7 +203,9 @@ def llm_choice(prompt: str, endpoint: RemoteEndpoint) -> str:
 
     Transient failures (connection errors, timeouts, HTTP 429/5xx) are
     retried with exponential backoff up to ``endpoint.max_retries`` times;
-    the three failure modes surface as distinct exceptions.
+    the three failure modes surface as distinct exceptions.  A 200 reply
+    that is not JSON or lacks ``choices[0].message.content`` raises
+    OracleError naming the URL.
     """
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -232,8 +234,17 @@ def llm_choice(prompt: str, endpoint: RemoteEndpoint) -> str:
             continue
         if resp.status_code != 200:
             raise OracleHTTPError(resp.status_code, resp.text)
-        data = resp.json()
-        return data["choices"][0]["message"]["content"]
+        try:
+            data = resp.json()
+        except ValueError:
+            raise OracleError(f"judge reply from {url} is not JSON: {resp.text[:200]!r}") from None
+        try:
+            content = data["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise OracleError(f"judge reply from {url} lacks choices[0].message.content")
+        return content
     assert last_error is not None
     raise last_error
 

@@ -11,11 +11,29 @@ with a learnable policy under a weight that anneals to 1 ("ap").  Scratch
 baselines (dqn, pg, a2c) and the judge-in-the-loop baseline (llm_online)
 run against the same environments for comparison.
 
-Every loop owns a single rng derived from the config seed, so runs are
-bitwise reproducible at the metrics level.
+Both schemes and all four baselines run one online loop (reset, act, step,
+learn, track, snapshot); they differ only in how an action is picked
+(``act(history)``) and how a transition is learned from (a replay-buffer TD
+step, or an episodic REINFORCE step).
+
+Every phase owns a single rng derived from the config seed, so runs are
+bitwise reproducible at the metrics level.  Each purpose draws from its own
+stream, spawned from the seed under one key (``derive_rng``/``derive_seed``):
+
+    ===  ===========================================================
+    key  stream
+    ===  ===========================================================
+    1    agent initialisation (pre-training and scratch baselines)
+    2    pre-training: candidates, judge None draws, minibatches
+    3    online acting and minibatches
+    4    evaluation resets (snapshots and every harness evaluation)
+    10   training-environment resets
+    11   test-environment resets
+    ===  ===========================================================
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,9 +60,9 @@ __all__ = [
     "online_phase",
     "run_baseline",
     "evaluate",
+    "scratch_agent",
     "ActorPolicy",
     "QGreedyPolicy",
-    "MixturePolicy",
     "EvalResult",
     "RunResult",
 ]
@@ -54,11 +72,13 @@ log = logging.getLogger(__name__)
 STRATEGY_KINDS = ("greedy", "categorical", "epsilon_greedy")
 BASELINE_KINDS = ("dqn", "pg", "a2c", "llm_online")
 
-# spawn keys for per-purpose rng streams derived from one config seed
-_KEY_AGENT_INIT = 1
-_KEY_PRETRAIN = 2
-_KEY_ONLINE = 3
-_KEY_EVAL = 4
+# spawn keys of the per-purpose rng streams (the module docstring's table)
+KEY_AGENT_INIT = 1
+KEY_PRETRAIN = 2
+KEY_ONLINE = 3
+KEY_EVAL = 4
+KEY_TRAIN_ENV = 10
+KEY_TEST_ENV = 11
 
 
 def derive_rng(seed: int, key: int) -> np.random.Generator:
@@ -177,6 +197,26 @@ class _BootstrapTarget:
             self.snapshot = bundle.clone()
 
 
+def _replay_td(step, model, agent: AgentBundle, config: TrainConfig,
+               rng: np.random.Generator):
+    """Learner that buffers each transition and, once a minibatch is
+    buffered, takes one TD step ``step(batch, model, lr, momentum, target)``
+    on a fresh sample of it; ``learn`` returns that step's losses, or None."""
+    buffer = ReplayBuffer(config.buffer_capacity)
+    boot = _BootstrapTarget(agent, config.target_update)
+
+    def learn(transition: Transition):
+        buffer.push(transition)
+        if len(buffer) < config.batch_size:
+            return None
+        losses = step(buffer.sample(config.batch_size, rng), model, config.lr,
+                      config.momentum, boot.snapshot)
+        boot.tick(agent)
+        return losses
+
+    return learn
+
+
 def alpha_at(step: int, config: TrainConfig) -> float:
     """Linear ramp from alpha_init to 1 over alpha_anneal_steps, then clamped."""
     if step < 0:
@@ -197,6 +237,9 @@ class MixPolicy:
             raise ValueError("alpha must lie in [0, 1]")
         if self.frozen.num_items != self.learnable.num_items:
             raise ValueError("mixed policies must share the item space")
+
+    def probs(self, items) -> np.ndarray:
+        return mix_action_distribution(self, items)
 
 
 def mix_action_distribution(mix: MixPolicy, items) -> np.ndarray:
@@ -242,10 +285,9 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig,
     rng_state)`` supports checkpoint-and-resume.
     """
     if rng is None:
-        rng = derive_rng(config.seed, _KEY_PRETRAIN)
+        rng = derive_rng(config.seed, KEY_PRETRAIN)
     agent.gamma = config.gamma  # the phase's discount is authoritative
-    buffer = ReplayBuffer(config.buffer_capacity)
-    boot = _BootstrapTarget(agent, config.target_update)
+    learn = _replay_td(update, agent, agent, config, rng)
     records = []
     for epoch in range(start_epoch, config.pretrain_epochs):
         if log_ is not None and log_.num_sequences > 0:
@@ -259,16 +301,12 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig,
             candidates = sample_candidates(dist, config.k, config.candidate_sampling, rng)
             outcome = distill(history, candidates, oracle, rng)
             next_history = history + (outcome.action,)
-            buffer.push(Transition(history, outcome.action, outcome.reward,
-                                   next_history, t == config.pretrain_horizon))
+            losses = learn(Transition(history, outcome.action, outcome.reward,
+                                      next_history, t == config.pretrain_horizon))
             rewards.append(outcome.reward)
-            if len(buffer) >= config.batch_size:
-                batch = buffer.sample(config.batch_size, rng)
-                a_loss, c_loss = update(batch, agent, config.lr, config.momentum,
-                                        boot.snapshot)
-                boot.tick(agent)
-                actor_losses.append(a_loss)
-                critic_losses.append(c_loss)
+            if losses is not None:
+                actor_losses.append(losses[0])
+                critic_losses.append(losses[1])
             history = next_history
         record = {
             "epoch": epoch,
@@ -303,24 +341,6 @@ class QGreedyPolicy:
         return softmax(q_for(self.bundle, items))
 
 
-class MixturePolicy:
-    def __init__(self, mix: MixPolicy):
-        self.mix = mix
-
-    def probs(self, items) -> np.ndarray:
-        return mix_action_distribution(self.mix, items)
-
-
-def as_policy(obj):
-    if isinstance(obj, AgentBundle):
-        return ActorPolicy(obj)
-    if isinstance(obj, MixPolicy):
-        return MixturePolicy(obj)
-    if hasattr(obj, "probs"):
-        return obj
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a policy")
-
-
 @dataclass
 class EvalResult:
     episodes: list[EpisodeRecord]
@@ -328,11 +348,15 @@ class EvalResult:
 
 
 def evaluate(policy, env, num_episodes: int, seed: int) -> EvalResult:
-    """Greedy rollouts of a frozen policy; deterministic given the seed."""
+    """Greedy rollouts of a frozen policy, deterministic given the seed.
+
+    An AgentBundle acts by its actor; anything else (a MixPolicy, an
+    ActorPolicy, a QGreedyPolicy) by its ``probs``.
+    """
     if num_episodes <= 0:
         raise ValueError("num_episodes must be positive")
-    pol = as_policy(policy)
-    rng = derive_rng(seed, _KEY_EVAL)
+    pol = ActorPolicy(policy) if isinstance(policy, AgentBundle) else policy
+    rng = derive_rng(seed, KEY_EVAL)
     episodes = []
     global_step = 0
     for i in range(num_episodes):
@@ -417,42 +441,76 @@ def _critic_update(batch: list[Transition], bundle: AgentBundle, lr: float,
     return total * inv_b
 
 
-class _EpisodeTracker:
-    """Collects per-episode returns and the trailing-window learning curve."""
-
-    def __init__(self):
-        self.episodes: list[EpisodeRecord] = []
-        self.ret = 0.0
-        self.length = 0
-
-    def step(self, reward: float) -> None:
-        self.ret += reward
-        self.length += 1
-
-    def finish(self, global_step: int) -> None:
-        self.episodes.append(EpisodeRecord.create(len(self.episodes), global_step,
-                                                  self.ret, self.length))
-        self.ret = 0.0
-        self.length = 0
 
 
-def _snapshot_hook(eval_env, env, config, episodes_per_epoch, eval_episodes, eval_epochs):
-    """Returns (hook(step, policy, snapshots), final(policy, snapshots))."""
-    if eval_env is None:
-        return (lambda *a: None), (lambda *a: None)
-    epoch_steps = env.config.max_steps * episodes_per_epoch
-    points = {e * epoch_steps: str(e) for e in eval_epochs}
-    eval_seed = derive_seed(config.seed, _KEY_EVAL)
+def _reinforce(agent: AgentBundle, config: TrainConfig):
+    """Learner that collects an episode and, when it ends, takes one
+    actor-only step on the per-step discounted return-to-go (REINFORCE)."""
+    episode: list[Transition] = []
 
-    def hook(step, policy, snapshots):
-        key = points.get(step)
-        if key is not None and key not in snapshots:
-            snapshots[key] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
+    def learn(transition: Transition) -> None:
+        episode.append(transition)
+        if not transition.done:
+            return
+        returns = np.zeros(len(episode))
+        g = 0.0
+        for i in range(len(episode) - 1, -1, -1):
+            g = episode[i].reward + config.gamma * g
+            returns[i] = g
+        inv_t = 1.0 / len(episode)
+        for t, g_t in zip(episode, returns):
+            s, cache = encode_with_cache(t.state_items, agent.params, agent.encoder_config)
+            pi = action_distribution(s, agent)
+            one_hot = np.zeros(agent.num_items)
+            one_hot[t.action] = 1.0
+            backprop_heads(agent, s, cache, g_t * (pi - one_hot) * inv_t, None)
+        optimizer_step(agent.params, config.lr, config.momentum)
+        episode.clear()
 
-    def final(policy, snapshots):
+    return learn
+
+
+def _explore(policy, strategy: ExplorationStrategy, rng: np.random.Generator):
+    """act(history): an item drawn from ``policy.probs`` under the strategy."""
+    return lambda history: choose_action(policy.probs(history), strategy, rng)
+
+
+def _rollout(env, config: TrainConfig, act, learn, policy, eval_env,
+             episodes_per_epoch: int, eval_episodes: int, eval_epochs):
+    """The online loop of every scheme and baseline.
+
+    Each step snapshots ``policy`` on ``eval_env`` at the requested epoch
+    boundaries, acts with ``act(history)``, steps the environment, hands the
+    transition to ``learn`` and closes the episode on done.  Returns the
+    episode curve and the snapshots (epoch index plus 'final'; none without
+    an ``eval_env``).
+    """
+    points: dict[int, str] = {}
+    if eval_env is not None:
+        epoch_steps = env.config.max_steps * episodes_per_epoch
+        points = {e * epoch_steps: str(e) for e in eval_epochs}
+    eval_seed = derive_seed(config.seed, KEY_EVAL)
+    snapshots: dict[str, MetricMeans] = {}
+    episodes: list[EpisodeRecord] = []
+    ret, length = 0.0, 0
+    state = env.reset()
+    for step in range(config.online_steps):
+        if step in points:
+            snapshots[points[step]] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
+        action = act(state.history)
+        reward, next_state, done = env.step(state, action)
+        learn(Transition(state.history, action, reward, next_state.history, done))
+        ret += reward
+        length += 1
+        if done:
+            episodes.append(EpisodeRecord.create(len(episodes), step + 1, ret, length))
+            ret, length = 0.0, 0
+            state = env.reset()
+        else:
+            state = next_state
+    if eval_env is not None:
         snapshots["final"] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
-
-    return hook, final
+    return episodes, snapshots
 
 
 def online_phase(scheme: str, pretrained: AgentBundle, env, config: TrainConfig,
@@ -470,189 +528,71 @@ def online_phase(scheme: str, pretrained: AgentBundle, env, config: TrainConfig,
     if scheme not in ("ft", "ap"):
         raise ValueError(f"unknown scheme {scheme!r}")
     strategy = strategy or CATEGORICAL
-    rng = derive_rng(config.seed, _KEY_ONLINE)
+    rng = derive_rng(config.seed, KEY_ONLINE)
     work = pretrained.clone()
     work.gamma = config.gamma  # the phase's discount is authoritative
-    mix = MixPolicy(pretrained, work, config.alpha_init) if scheme == "ap" else None
-    buffer = ReplayBuffer(config.buffer_capacity)
-    boot = _BootstrapTarget(work, config.target_update)
-    tracker = _EpisodeTracker()
-    snapshots: dict[str, MetricMeans] = {}
-    hook, final = _snapshot_hook(eval_env, env, config, episodes_per_epoch,
-                                 eval_episodes, eval_epochs)
+    if scheme == "ft":
+        mix, policy = None, ActorPolicy(work)
+        act = _explore(policy, strategy, rng)
+        learn = _replay_td(update, work, work, config, rng)
+    else:
+        mix = policy = MixPolicy(pretrained, work, config.alpha_init)
+        steps = itertools.count()
 
-    def current_policy():
-        return MixturePolicy(mix) if scheme == "ap" else ActorPolicy(work)
+        def act(history):
+            # alpha moves only here, so the step's snapshot (taken before
+            # acting) still sees the previous step's mixture
+            mix.alpha = alpha_at(next(steps), config)
+            return choose_action(mix.probs(history), strategy, rng)
 
-    state = env.reset()
-    for step in range(config.online_steps):
-        hook(step, current_policy(), snapshots)
-        if scheme == "ap":
-            mix.alpha = alpha_at(step, config)
-            dist = mix_action_distribution(mix, state.history)
-        else:
-            dist = policy_for(work, state.history)
-        action = choose_action(dist, strategy, rng)
-        reward, next_state, done = env.step(state, action)
-        buffer.push(Transition(state.history, action, reward, next_state.history, done))
-        tracker.step(reward)
-        if len(buffer) >= config.batch_size:
-            batch = buffer.sample(config.batch_size, rng)
-            if scheme == "ap":
-                _mixture_update(batch, mix, config.lr, config.momentum, boot.snapshot)
-            else:
-                update(batch, work, config.lr, config.momentum, boot.snapshot)
-            boot.tick(work)
-        if done:
-            tracker.finish(step + 1)
-            state = env.reset()
-        else:
-            state = next_state
-    final(current_policy(), snapshots)
-    return RunResult(work, tracker.episodes, snapshots, mix)
+        learn = _replay_td(_mixture_update, mix, work, config, rng)
+    episodes, snapshots = _rollout(env, config, act, learn, policy, eval_env,
+                                   episodes_per_epoch, eval_episodes, eval_epochs)
+    return RunResult(work, episodes, snapshots, mix)
 
 
-def _run_dqn(env, config, strategy, eval_env, episodes_per_epoch, eval_episodes,
-             eval_epochs, encoder_config: EncoderConfig) -> RunResult:
-    strategy = strategy or ExplorationStrategy("epsilon_greedy", 0.1)
-    agent = init_agent(encoder_config.num_items, encoder_config.embed_dim,
-                       encoder_config.max_seq_len, config.gamma,
-                       derive_seed(config.seed, _KEY_AGENT_INIT))
-    rng = derive_rng(config.seed, _KEY_ONLINE)
-    buffer = ReplayBuffer(config.buffer_capacity)
-    boot = _BootstrapTarget(agent, config.target_update)
-    tracker = _EpisodeTracker()
-    snapshots: dict[str, MetricMeans] = {}
-    hook, final = _snapshot_hook(eval_env, env, config, episodes_per_epoch,
-                                 eval_episodes, eval_epochs)
-    state = env.reset()
-    for step in range(config.online_steps):
-        hook(step, QGreedyPolicy(agent), snapshots)
-        dist = softmax(q_for(agent, state.history))
-        action = choose_action(dist, strategy, rng)
-        reward, next_state, done = env.step(state, action)
-        buffer.push(Transition(state.history, action, reward, next_state.history, done))
-        tracker.step(reward)
-        if len(buffer) >= config.batch_size:
-            _critic_update(buffer.sample(config.batch_size, rng), agent,
-                           config.lr, config.momentum, boot.snapshot)
-            boot.tick(agent)
-        if done:
-            tracker.finish(step + 1)
-            state = env.reset()
-        else:
-            state = next_state
-    final(QGreedyPolicy(agent), snapshots)
-    return RunResult(agent, tracker.episodes, snapshots)
-
-
-def _run_pg(env, config, strategy, eval_env, episodes_per_epoch, eval_episodes,
-            eval_epochs, encoder_config: EncoderConfig) -> RunResult:
-    """REINFORCE: actor-only updates from per-episode discounted return-to-go."""
-    strategy = strategy or CATEGORICAL
-    agent = init_agent(encoder_config.num_items, encoder_config.embed_dim,
-                       encoder_config.max_seq_len, config.gamma,
-                       derive_seed(config.seed, _KEY_AGENT_INIT))
-    rng = derive_rng(config.seed, _KEY_ONLINE)
-    tracker = _EpisodeTracker()
-    snapshots: dict[str, MetricMeans] = {}
-    hook, final = _snapshot_hook(eval_env, env, config, episodes_per_epoch,
-                                 eval_episodes, eval_epochs)
-    state = env.reset()
-    trajectory: list[tuple[tuple[int, ...], int, float]] = []
-    for step in range(config.online_steps):
-        hook(step, ActorPolicy(agent), snapshots)
-        dist = policy_for(agent, state.history)
-        action = choose_action(dist, strategy, rng)
-        reward, next_state, done = env.step(state, action)
-        trajectory.append((state.history, action, reward))
-        tracker.step(reward)
-        if done:
-            tracker.finish(step + 1)
-            returns = np.zeros(len(trajectory))
-            g = 0.0
-            for i in range(len(trajectory) - 1, -1, -1):
-                g = trajectory[i][2] + config.gamma * g
-                returns[i] = g
-            inv_t = 1.0 / len(trajectory)
-            for (items, act, _), g_t in zip(trajectory, returns):
-                s, cache = encode_with_cache(items, agent.params, agent.encoder_config)
-                pi = action_distribution(s, agent)
-                one_hot = np.zeros(agent.num_items)
-                one_hot[act] = 1.0
-                d_logits = g_t * (pi - one_hot) * inv_t
-                backprop_heads(agent, s, cache, d_logits, None)
-            optimizer_step(agent.params, config.lr, config.momentum)
-            trajectory = []
-            state = env.reset()
-        else:
-            state = next_state
-    final(ActorPolicy(agent), snapshots)
-    return RunResult(agent, tracker.episodes, snapshots)
-
-
-def _run_llm_online(env, config, strategy, eval_env, episodes_per_epoch,
-                    eval_episodes, eval_epochs, encoder_config: EncoderConfig,
-                    oracle) -> RunResult:
-    """Actor-critic trained on environment reward, with each action picked by
-    the judge from k actor-proposed candidates."""
-    if oracle is None:
-        raise ValueError("llm_online requires an oracle")
-    agent = init_agent(encoder_config.num_items, encoder_config.embed_dim,
-                       encoder_config.max_seq_len, config.gamma,
-                       derive_seed(config.seed, _KEY_AGENT_INIT))
-    rng = derive_rng(config.seed, _KEY_ONLINE)
-    buffer = ReplayBuffer(config.buffer_capacity)
-    boot = _BootstrapTarget(agent, config.target_update)
-    tracker = _EpisodeTracker()
-    snapshots: dict[str, MetricMeans] = {}
-    hook, final = _snapshot_hook(eval_env, env, config, episodes_per_epoch,
-                                 eval_episodes, eval_epochs)
-    state = env.reset()
-    for step in range(config.online_steps):
-        hook(step, ActorPolicy(agent), snapshots)
-        dist = policy_for(agent, state.history)
-        candidates = sample_candidates(dist, config.k, config.candidate_sampling, rng)
-        outcome = distill(state.history, candidates, oracle, rng)
-        reward, next_state, done = env.step(state, outcome.action)
-        buffer.push(Transition(state.history, outcome.action, reward,
-                               next_state.history, done))
-        tracker.step(reward)
-        if len(buffer) >= config.batch_size:
-            update(buffer.sample(config.batch_size, rng), agent, config.lr,
-                   config.momentum, boot.snapshot)
-            boot.tick(agent)
-        if done:
-            tracker.finish(step + 1)
-            state = env.reset()
-        else:
-            state = next_state
-    final(ActorPolicy(agent), snapshots)
-    return RunResult(agent, tracker.episodes, snapshots)
+def scratch_agent(config: TrainConfig, encoder_config: EncoderConfig) -> AgentBundle:
+    """The randomly initialised agent every scratch baseline starts from."""
+    return init_agent(encoder_config.num_items, encoder_config.embed_dim,
+                      encoder_config.max_seq_len, config.gamma,
+                      derive_seed(config.seed, KEY_AGENT_INIT))
 
 
 def run_baseline(kind: str, env, config: TrainConfig, encoder_config: EncoderConfig,
                  strategy: ExplorationStrategy | None = None, oracle=None,
                  eval_env=None, episodes_per_epoch: int = 50,
                  eval_episodes: int = 20, eval_epochs=(0, 1, 2)) -> RunResult:
-    """Run one scratch baseline.
+    """Run one baseline from :func:`scratch_agent`.
 
-    a2c is by construction identical to the ft scheme started from a
-    randomly initialized agent (same seed derivation, same loop).
+    a2c is by construction the ft scheme started from that agent.  dqn
+    trains the critic alone and acts on softmax(Q) (epsilon-greedy 0.1 by
+    default); pg is episodic REINFORCE; llm_online trains actor-critic on
+    environment reward while the judge picks each action from k
+    actor-proposed candidates.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
+    if kind == "llm_online" and oracle is None:
+        raise ValueError("llm_online requires an oracle")
+    agent = scratch_agent(config, encoder_config)
     if kind == "a2c":
-        agent = init_agent(encoder_config.num_items, encoder_config.embed_dim,
-                           encoder_config.max_seq_len, config.gamma,
-                           derive_seed(config.seed, _KEY_AGENT_INIT))
         return online_phase("ft", agent, env, config, strategy, eval_env,
                             episodes_per_epoch, eval_episodes, eval_epochs)
+    rng = derive_rng(config.seed, KEY_ONLINE)
+    policy = QGreedyPolicy(agent) if kind == "dqn" else ActorPolicy(agent)
     if kind == "dqn":
-        return _run_dqn(env, config, strategy, eval_env, episodes_per_epoch,
-                        eval_episodes, eval_epochs, encoder_config)
-    if kind == "pg":
-        return _run_pg(env, config, strategy, eval_env, episodes_per_epoch,
-                       eval_episodes, eval_epochs, encoder_config)
-    return _run_llm_online(env, config, strategy, eval_env, episodes_per_epoch,
-                           eval_episodes, eval_epochs, encoder_config, oracle)
+        act = _explore(policy, strategy or ExplorationStrategy("epsilon_greedy", 0.1), rng)
+        learn = _replay_td(_critic_update, agent, agent, config, rng)
+    elif kind == "pg":
+        act = _explore(policy, strategy or CATEGORICAL, rng)
+        learn = _reinforce(agent, config)
+    else:
+        def act(history):
+            candidates = sample_candidates(policy.probs(history), config.k,
+                                           config.candidate_sampling, rng)
+            return distill(history, candidates, oracle, rng).action
+
+        learn = _replay_td(update, agent, agent, config, rng)
+    episodes, snapshots = _rollout(env, config, act, learn, policy, eval_env,
+                                   episodes_per_epoch, eval_episodes, eval_epochs)
+    return RunResult(agent, episodes, snapshots)

@@ -62,7 +62,8 @@ def critic_loss_check(transition: Transition, bundle):
 
 class StubChatServer:
     """Local chat-completion endpoint whose behavior is a callable
-    (prompt, request_count) -> (status, text)."""
+    (prompt, request_count) -> (status, text).  A str ``text`` is wrapped in
+    a chat-completion body; bytes are sent as the raw body."""
 
     def __init__(self, behavior):
         self.behavior = behavior
@@ -80,7 +81,7 @@ class StubChatServer:
                     count = len(stub.requests)
                 prompt = body["messages"][0]["content"]
                 status, text = stub.behavior(prompt, count)
-                payload = json.dumps(
+                payload = text if isinstance(text, bytes) else json.dumps(
                     {"choices": [{"message": {"role": "assistant", "content": text}}]}
                 ).encode()
                 self.send_response(status)

@@ -9,9 +9,11 @@ from prefrl.checkpoint import (CheckpointError, load_checkpoint, read_checkpoint
 from prefrl.config import ConfigError, DEFAULTS, dump_full, load_config
 from prefrl.data import generate_synthetic
 from prefrl.environment import LatentPreferenceModel, fit_reward_model
-from prefrl.harness import (build_oracle, build_reward_model, build_world, load_reward_model,
-                            save_reward_model, write_curve)
+from prefrl.harness import (build_envs, build_oracle, build_reward_model, build_world,
+                            encoder_config_from, load_reward_model, pretrain_with_checkpoints,
+                            save_reward_model, train_config_from, write_curve)
 from prefrl.metrics import EpisodeRecord, compute_metrics, smooth_curve
+from prefrl.training import run_baseline
 from prefrl import cli
 
 
@@ -154,9 +156,12 @@ class TestConfig:
 
     def test_unknown_key_is_named(self, tmp_path):
         p = tmp_path / "c.ini"
-        p.write_text("[training]\nfoo = 1\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="foo"):
-            load_config(p)
+        # keys that configure nothing are rejected like any unknown key
+        for section, key in (("training", "foo"), ("harness", "out_dir"),
+                             ("oracle", "max_in_flight")):
+            p.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=key):
+                load_config(p)
 
     def test_unknown_section_is_named(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -325,6 +330,12 @@ def tiny_config(tmp_path):
     return p
 
 
+def summary_metrics(path) -> dict:
+    """(method, seed, epoch) -> the (return, length, avg_reward) cells."""
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return {tuple(cells[:3]): cells[3:6] for cells in (line.split("\t") for line in lines)}
+
+
 class TestCli:
     def run(self, *args):
         return cli.main(list(args))
@@ -383,6 +394,46 @@ class TestCli:
         text = (out / "summary.tsv").read_text()
         for method in ("pretrained", "dqn", "pg", "a2c"):
             assert f"\n{method}\t" in text or text.startswith(f"{method}\t")
+
+    def test_rq1_scratch_rows_are_the_baselines_epoch_zero(self, tiny_config, tmp_path):
+        out = tmp_path / "rq1"
+        assert self.run("--config", str(tiny_config), "--out", str(out), "rq1") == 0
+        rows = summary_metrics(out / "summary.tsv")
+        cfg = load_config(tiny_config)
+        world = build_world(cfg)
+        model = build_reward_model(cfg, world)
+        for kind in ("dqn", "pg", "a2c"):
+            train_env, test_env = build_envs(cfg, model, world, 0)
+            result = run_baseline(kind, train_env, train_config_from(cfg, 0),
+                                  encoder_config_from(cfg, world.catalog.num_items),
+                                  eval_env=test_env,
+                                  episodes_per_epoch=cfg["harness"]["episodes_per_epoch"],
+                                  eval_episodes=cfg["harness"]["eval_episodes"])
+            snapshot = [f"{v:.6g}" for v in result.snapshots["0"]]
+            assert rows[(kind, "0", "0")] == snapshot, kind
+
+    def test_rq2_pretrained_row_is_ft_epoch_zero(self, tiny_config, tmp_path):
+        out = tmp_path / "rq2"
+        assert self.run("--config", str(tiny_config), "--out", str(out), "rq2") == 0
+        rows = summary_metrics(out / "summary.tsv")
+        assert rows[("pretrained", "0", "0")] == rows[("ft", "0", "0")]
+
+    @pytest.mark.parametrize("slot, message", [("reward_model", "not an agent checkpoint"),
+                                               ("final_agent", "no finished epoch")])
+    def test_resume_rejects_a_checkpoint_it_cannot_resume(self, tiny_config, tmp_path,
+                                                          slot, message):
+        cfg = load_config(tiny_config)
+        world = build_world(cfg)
+        run = tmp_path / "run"
+        run.mkdir()
+        if slot == "reward_model":
+            save_reward_model(build_reward_model(cfg, world), run / "pretrain_latest.ckpt")
+        else:  # a valid agent, but not an epoch checkpoint
+            save_checkpoint(init_agent(14, embed_dim=6, max_seq_len=5),
+                            run / "pretrain_latest.ckpt")
+        with pytest.raises(CheckpointError, match=message):
+            pretrain_with_checkpoints(cfg, world, build_oracle(cfg, world), 0, run,
+                                      resume=True)
 
     def test_rq4_strategy_curves(self, tiny_config, tmp_path):
         out = tmp_path / "rq4"

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import StubChatServer
 from prefrl.data import SyntheticGroundTruth, generate_synthetic
-from prefrl.oracle import (LLMOracle, OracleHTTPError, OracleNetworkError,
+from prefrl.oracle import (LLMOracle, OracleError, OracleHTTPError, OracleNetworkError,
                            OracleTimeoutError, PromptSpec, RemoteEndpoint, append_record,
                            build_prompt, distill, llm_choice, llm_choices, load_replay,
                            parse_response, synthetic_choice, SyntheticOracle)
@@ -194,6 +194,14 @@ class TestLLMClient:
             with pytest.raises(OracleHTTPError, match="404"):
                 llm_choice("x", endpoint(stub.base_url))
             assert len(stub.requests) == 1
+
+    @pytest.mark.parametrize("body, what", [(b"<html>busy</html>", "not JSON"),
+                                            (b'{"error": "quota"}', "choices")])
+    def test_malformed_reply_is_a_named_oracle_error(self, body, what):
+        with StubChatServer(lambda prompt, n: (200, body)) as stub:
+            with pytest.raises(OracleError, match=what) as info:
+                llm_choice("x", endpoint(stub.base_url))
+        assert stub.base_url in str(info.value)
 
     def test_connection_failure(self):
         with pytest.raises(OracleNetworkError):
