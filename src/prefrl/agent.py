@@ -7,6 +7,11 @@ difference scheme: the TD error doubles as the advantage that scales the
 actor's log-probability loss, and is treated as a constant in actor
 gradients.  The bootstrap target is likewise held constant in critic
 gradients (semi-gradient TD); terminal transitions drop the bootstrap term.
+
+:func:`update` is the one learner.  Besides that actor-critic step it takes
+the critic's TD term alone (dqn), the actor term of a frozen/learnable
+mixture with gradients into the learnable side only (ap), and REINFORCE on
+given returns with no critic term (pg).
 """
 from __future__ import annotations
 
@@ -162,35 +167,52 @@ def backprop_heads(bundle: AgentBundle, state: np.ndarray, cache: dict,
 
 
 def update(batch: list[Transition], bundle: AgentBundle, lr: float,
-           momentum: float = 0.0, target_bundle: AgentBundle | None = None
-           ) -> tuple[float, float]:
-    """One combined actor+critic step on a minibatch.
+           momentum: float = 0.0, target_bundle: AgentBundle | None = None, *,
+           actor: bool = True, frozen: AgentBundle | None = None, alpha: float = 1.0,
+           returns=None) -> tuple[float, float]:
+    """One optimizer step on a minibatch, the learner of every training loop.
 
-    Averages both losses over the batch, accumulates the analytic gradients,
+    Averages the losses over the batch, accumulates the analytic gradients,
     applies a single optimizer step, and returns (mean actor loss, mean
-    critic loss) for logging.  ``target_bundle`` optionally supplies the
+    critic loss); a term that is off reports 0.0.  By default an actor-critic
+    step; ``actor=False`` keeps the critic's TD term alone; ``frozen`` and
+    ``alpha`` make the actor term read the mixture ``(1 - alpha) * frozen +
+    alpha * pi`` with gradients into ``bundle`` only; ``returns`` gives
+    REINFORCE, one return per transition and no critic term.  Per transition
+    the logit gradient is ``c * (pi - one_hot) / B`` with c the TD error, the
+    return, or for the mixture the TD error times ``alpha * pi(a) / p_mix(a)``
+    (0 where p_mix(a) underflows).  ``target_bundle`` optionally supplies the
     frozen bootstrap critic.
     """
     if not batch:
         raise ValueError("update requires a nonempty batch")
+    if returns is not None and len(returns) != len(batch):
+        raise ValueError("returns must give one value per transition")
     inv_b = 1.0 / len(batch)
     actor_total = 0.0
     critic_total = 0.0
-    for t in batch:
+    for i, t in enumerate(batch):
         state, cache = encode_with_cache(t.state_items, bundle.params, bundle.encoder_config)
-        dist = action_distribution(state, bundle)
-        q = q_values(state, bundle)
-        target = td_target(t, bundle, target_bundle)
-        delta = target - float(q[t.action])
-
-        actor_total += -log_prob(dist, t.action) * delta
-        critic_total += delta * delta
-
-        one_hot = np.zeros(bundle.num_items)
-        one_hot[t.action] = 1.0
-        d_logits = delta * (dist - one_hot) * inv_b
-        d_q = np.zeros(bundle.num_items)
-        d_q[t.action] = -2.0 * delta * inv_b
+        d_logits = d_q = None
+        if returns is None:
+            q = q_values(state, bundle)
+            c = td_target(t, bundle, target_bundle) - float(q[t.action])
+            critic_total += c * c
+            d_q = np.zeros(bundle.num_items)
+            d_q[t.action] = -2.0 * c * inv_b
+        else:
+            c = float(returns[i])
+        if actor:
+            dist = action_distribution(state, bundle)
+            p = dist if frozen is None else (
+                (1.0 - alpha) * policy_for(frozen, t.state_items) + alpha * dist)
+            actor_total += -log_prob(p, t.action) * c
+            if frozen is not None:
+                p_a = float(p[t.action])
+                c = 0.0 if p_a <= 1e-300 else c * alpha * float(dist[t.action]) / p_a
+            one_hot = np.zeros(bundle.num_items)
+            one_hot[t.action] = 1.0
+            d_logits = c * (dist - one_hot) * inv_b
         backprop_heads(bundle, state, cache, d_logits, d_q)
 
     actor_mean = actor_total * inv_b

@@ -64,6 +64,29 @@ def save_tensors(path, tensors: dict[str, np.ndarray], config: dict,
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _parse_header(path, raw: bytes) -> dict:
+    """The JSON header, checked to be an object with a config object, an
+    optional rng-state object and a manifest of ``{name, shape}`` entries."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("config", {}), dict)
+            and isinstance(header.get("rng_state", {}), (dict, type(None)))):
+        raise CheckpointError(f"{path}: corrupt header: expected a tensor manifest list, "
+                              "a config object and an optional rng_state object")
+    for i, entry in enumerate(header["tensors"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise CheckpointError(f"{path}: corrupt header: manifest entry {i} is not "
+                                  "{name: string, shape: [nonnegative integers]}")
+    if len({entry["name"] for entry in header["tensors"]}) != len(header["tensors"]):
+        raise CheckpointError(f"{path}: corrupt header: duplicate tensor names")
+    return header
+
+
 def read_checkpoint(path) -> CheckpointData:
     """Parse a checkpoint file, validating magic, version, and sizes."""
     with open(path, "rb") as fh:
@@ -76,10 +99,7 @@ def read_checkpoint(path) -> CheckpointData:
     (header_len,) = struct.unpack("<Q", blob[8:16])
     if len(blob) < 16 + header_len:
         raise CheckpointError(f"{path}: truncated file (header)")
-    try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+    header = _parse_header(path, blob[16:16 + header_len])
     offset = 16 + header_len
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
@@ -119,8 +139,15 @@ def load_checkpoint(path) -> AgentBundle:
     cfg = data.config
     if cfg.get("kind") != "agent":
         raise CheckpointError(f"{path}: not an agent checkpoint (kind={cfg.get('kind')!r})")
-    enc = EncoderConfig(num_items=cfg["num_items"], embed_dim=cfg["embed_dim"],
-                        max_seq_len=cfg["max_seq_len"])
+    sizes = [cfg.get(key) for key in ("num_items", "embed_dim", "max_seq_len")]
+    gamma = cfg.get("gamma")
+    if not (all(type(n) is int for n in sizes) and type(gamma) in (int, float)):
+        raise CheckpointError(f"{path}: agent config needs integer num_items, embed_dim "
+                              "and max_seq_len and a numeric gamma")
+    try:
+        enc = EncoderConfig(*sizes)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     expected = {
         "item_emb": (enc.num_items + 1, enc.embed_dim),
         "pos_emb": (enc.max_seq_len, enc.embed_dim),
@@ -138,4 +165,7 @@ def load_checkpoint(path) -> AgentBundle:
         if data.tensors[name].shape != shape:
             raise CheckpointError(
                 f"{path}: shape mismatch for {name!r}: file {data.tensors[name].shape}, expected {shape}")
-    return AgentBundle(ParamSet(data.tensors), enc, cfg["gamma"])
+    try:
+        return AgentBundle(ParamSet(data.tensors), enc, gamma)
+    except ValueError as exc:  # non-finite tensor or gamma outside [0, 1]
+        raise CheckpointError(f"{path}: {exc}") from None

@@ -265,11 +265,18 @@ def load_replay(path) -> dict[str, str]:
     """Load a record/replay fixture: JSON-lines of {prompt_hash, response_text}."""
     cache: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            entry = json.loads(line)
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise OracleError(f"{path}:{lineno}: replay line is not JSON ({exc})") from None
+            if not (isinstance(entry, dict) and isinstance(entry.get("prompt_hash"), str)
+                    and isinstance(entry.get("response_text"), str)):
+                raise OracleError(f"{path}:{lineno}: replay line needs string "
+                                  "prompt_hash and response_text")
             cache[entry["prompt_hash"]] = entry["response_text"]
     return cache
 

@@ -13,8 +13,10 @@ run against the same environments for comparison.
 
 Both schemes and all four baselines run one online loop (reset, act, step,
 learn, track, snapshot); they differ only in how an action is picked
-(``act(history)``) and how a transition is learned from (a replay-buffer TD
-step, or an episodic REINFORCE step).
+(``act(history)``) and how a transition is learned from: a replay-buffer TD
+step or an episodic REINFORCE step.  Both learners call :func:`agent.update`,
+in one of its four settings: actor-critic (pre-training, ft, a2c,
+llm_online), critic only (dqn), mixture actor term (ap) or REINFORCE (pg).
 
 Every phase owns a single rng derived from the config seed, so runs are
 bitwise reproducible at the metrics level.  Each purpose draws from its own
@@ -40,11 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import (AgentBundle, Transition, action_distribution, backprop_heads,
-                    init_agent, log_prob, policy_for, q_for, td_target, update)
-from .encoder import EncoderConfig, encode_with_cache
+from .agent import AgentBundle, Transition, init_agent, policy_for, q_for, update
+from .encoder import EncoderConfig
 from .metrics import EpisodeRecord, MetricMeans, compute_metrics
-from .nn import _check_probs, optimizer_step, sample_categorical, softmax
+from .nn import _check_probs, sample_categorical, softmax
 from .oracle import distill
 
 __all__ = [
@@ -197,11 +198,12 @@ class _BootstrapTarget:
             self.snapshot = bundle.clone()
 
 
-def _replay_td(step, model, agent: AgentBundle, config: TrainConfig,
-               rng: np.random.Generator):
+def _replay_td(agent: AgentBundle, config: TrainConfig, rng: np.random.Generator,
+               actor: bool = True, mix: MixPolicy | None = None):
     """Learner that buffers each transition and, once a minibatch is
-    buffered, takes one TD step ``step(batch, model, lr, momentum, target)``
-    on a fresh sample of it; ``learn`` returns that step's losses, or None."""
+    buffered, takes one :func:`update` step on a fresh sample of it (on
+    ``mix`` at its current alpha, if given); ``learn`` returns the losses, or
+    None."""
     buffer = ReplayBuffer(config.buffer_capacity)
     boot = _BootstrapTarget(agent, config.target_update)
 
@@ -209,8 +211,9 @@ def _replay_td(step, model, agent: AgentBundle, config: TrainConfig,
         buffer.push(transition)
         if len(buffer) < config.batch_size:
             return None
-        losses = step(buffer.sample(config.batch_size, rng), model, config.lr,
-                      config.momentum, boot.snapshot)
+        mixture = {} if mix is None else {"frozen": mix.frozen, "alpha": mix.alpha}
+        losses = update(buffer.sample(config.batch_size, rng), agent, config.lr,
+                        config.momentum, boot.snapshot, actor=actor, **mixture)
         boot.tick(agent)
         return losses
 
@@ -287,7 +290,7 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig,
     if rng is None:
         rng = derive_rng(config.seed, KEY_PRETRAIN)
     agent.gamma = config.gamma  # the phase's discount is authoritative
-    learn = _replay_td(update, agent, agent, config, rng)
+    learn = _replay_td(agent, config, rng)
     records = []
     for epoch in range(start_epoch, config.pretrain_epochs):
         if log_ is not None and log_.num_sequences > 0:
@@ -384,88 +387,24 @@ class RunResult:
     mix: MixPolicy | None = None
 
 
-def _mixture_update(batch: list[Transition], mix: MixPolicy, lr: float,
-                    momentum: float, target: AgentBundle | None = None
-                    ) -> tuple[float, float]:
-    """One step on the learnable policy of a mixture.
-
-    The actor term uses the mixed probability of the taken action but
-    gradients flow only through the learnable side; the critic and encoder
-    update exactly as in plain fine-tuning.  The frozen bundle is never
-    touched.
-    """
-    beta = mix.learnable
-    inv_b = 1.0 / len(batch)
-    actor_total, critic_total = 0.0, 0.0
-    for t in batch:
-        state, cache = encode_with_cache(t.state_items, beta.params, beta.encoder_config)
-        q_dist = action_distribution(state, beta)
-        q_vals = state @ beta.params["critic_w"] + beta.params["critic_b"]
-        delta = td_target(t, beta, target) - float(q_vals[t.action])
-        mixed = (1.0 - mix.alpha) * policy_for(mix.frozen, t.state_items) + mix.alpha * q_dist
-
-        actor_total += -log_prob(mixed, t.action) * delta
-        critic_total += delta * delta
-
-        one_hot = np.zeros(beta.num_items)
-        one_hot[t.action] = 1.0
-        mixed_a = float(mixed[t.action])
-        coeff = 0.0 if mixed_a <= 1e-300 else -delta * mix.alpha * float(q_dist[t.action]) / mixed_a
-        d_logits = coeff * (one_hot - q_dist) * inv_b
-        d_q = np.zeros(beta.num_items)
-        d_q[t.action] = -2.0 * delta * inv_b
-        backprop_heads(beta, state, cache, d_logits, d_q)
-    actor_mean, critic_mean = actor_total * inv_b, critic_total * inv_b
-    if not (np.isfinite(actor_mean) and np.isfinite(critic_mean)):
-        raise ValueError("non-finite loss in mixture update")
-    optimizer_step(beta.params, lr, momentum)
-    return actor_mean, critic_mean
-
-
-def _critic_update(batch: list[Transition], bundle: AgentBundle, lr: float,
-                   momentum: float, target: AgentBundle | None = None) -> float:
-    """TD-only step (the dqn baseline): no actor gradient."""
-    inv_b = 1.0 / len(batch)
-    total = 0.0
-    for t in batch:
-        state, cache = encode_with_cache(t.state_items, bundle.params, bundle.encoder_config)
-        q_vals = state @ bundle.params["critic_w"] + bundle.params["critic_b"]
-        delta = td_target(t, bundle, target) - float(q_vals[t.action])
-        total += delta * delta
-        d_q = np.zeros(bundle.num_items)
-        d_q[t.action] = -2.0 * delta * inv_b
-        backprop_heads(bundle, state, cache, None, d_q)
-    if not np.isfinite(total):
-        raise ValueError("non-finite loss in critic update")
-    optimizer_step(bundle.params, lr, momentum)
-    return total * inv_b
-
-
-
-
 def _reinforce(agent: AgentBundle, config: TrainConfig):
     """Learner that collects an episode and, when it ends, takes one
-    actor-only step on the per-step discounted return-to-go (REINFORCE)."""
+    REINFORCE :func:`update` step on the per-step discounted return-to-go;
+    ``learn`` returns that step's losses, or None mid-episode."""
     episode: list[Transition] = []
 
-    def learn(transition: Transition) -> None:
+    def learn(transition: Transition):
         episode.append(transition)
         if not transition.done:
-            return
+            return None
         returns = np.zeros(len(episode))
         g = 0.0
         for i in range(len(episode) - 1, -1, -1):
             g = episode[i].reward + config.gamma * g
             returns[i] = g
-        inv_t = 1.0 / len(episode)
-        for t, g_t in zip(episode, returns):
-            s, cache = encode_with_cache(t.state_items, agent.params, agent.encoder_config)
-            pi = action_distribution(s, agent)
-            one_hot = np.zeros(agent.num_items)
-            one_hot[t.action] = 1.0
-            backprop_heads(agent, s, cache, g_t * (pi - one_hot) * inv_t, None)
-        optimizer_step(agent.params, config.lr, config.momentum)
+        losses = update(episode, agent, config.lr, config.momentum, returns=returns)
         episode.clear()
+        return losses
 
     return learn
 
@@ -534,7 +473,7 @@ def online_phase(scheme: str, pretrained: AgentBundle, env, config: TrainConfig,
     if scheme == "ft":
         mix, policy = None, ActorPolicy(work)
         act = _explore(policy, strategy, rng)
-        learn = _replay_td(update, work, work, config, rng)
+        learn = _replay_td(work, config, rng)
     else:
         mix = policy = MixPolicy(pretrained, work, config.alpha_init)
         steps = itertools.count()
@@ -545,7 +484,7 @@ def online_phase(scheme: str, pretrained: AgentBundle, env, config: TrainConfig,
             mix.alpha = alpha_at(next(steps), config)
             return choose_action(mix.probs(history), strategy, rng)
 
-        learn = _replay_td(_mixture_update, mix, work, config, rng)
+        learn = _replay_td(work, config, rng, mix=mix)
     episodes, snapshots = _rollout(env, config, act, learn, policy, eval_env,
                                    episodes_per_epoch, eval_episodes, eval_epochs)
     return RunResult(work, episodes, snapshots, mix)
@@ -582,7 +521,7 @@ def run_baseline(kind: str, env, config: TrainConfig, encoder_config: EncoderCon
     policy = QGreedyPolicy(agent) if kind == "dqn" else ActorPolicy(agent)
     if kind == "dqn":
         act = _explore(policy, strategy or ExplorationStrategy("epsilon_greedy", 0.1), rng)
-        learn = _replay_td(_critic_update, agent, agent, config, rng)
+        learn = _replay_td(agent, config, rng, actor=False)
     elif kind == "pg":
         act = _explore(policy, strategy or CATEGORICAL, rng)
         learn = _reinforce(agent, config)
@@ -592,7 +531,7 @@ def run_baseline(kind: str, env, config: TrainConfig, encoder_config: EncoderCon
                                            config.candidate_sampling, rng)
             return distill(history, candidates, oracle, rng).action
 
-        learn = _replay_td(update, agent, agent, config, rng)
+        learn = _replay_td(agent, config, rng)
     episodes, snapshots = _rollout(env, config, act, learn, policy, eval_env,
                                    episodes_per_epoch, eval_episodes, eval_epochs)
     return RunResult(agent, episodes, snapshots)

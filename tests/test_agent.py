@@ -5,8 +5,8 @@ import pytest
 
 from helpers import actor_loss_check, critic_loss_check, max_rel_err
 from prefrl.agent import (AgentBundle, Transition, action_distribution, actor_loss,
-                          advantage, critic_loss, init_agent, policy_for, q_for,
-                          q_values, selected_q, update)
+                          advantage, critic_loss, init_agent, log_prob, policy_for, q_for,
+                          q_values, selected_q, td_target, update)
 from prefrl.nn import finite_diff_grad
 
 
@@ -177,6 +177,49 @@ class TestUpdate:
                 assert p_after > p_before
             else:
                 assert p_after < p_before
+
+    @pytest.mark.parametrize("setting", [
+        "actor_critic", "target_bundle", "critic_only",
+        "mixture_0.3", "mixture_0.7", "mixture_1.0", "returns"])
+    def test_applied_step_matches_finite_differences(self, setting):
+        # at lr 1 without momentum the step update applies is its gradient;
+        # compare it with finite differences of the batch-mean loss, TD
+        # targets and advantages held at their pre-step values
+        agent = toy_agent(seed=24)
+        rng = np.random.default_rng(25)
+        batch = [random_transition(agent, rng, done=(i == 2)) for i in range(3)]
+        target = toy_agent(seed=26) if setting == "target_bundle" else None
+        kwargs = {}
+        if setting == "critic_only":
+            kwargs["actor"] = False
+        elif setting.startswith("mixture"):
+            kwargs.update(frozen=toy_agent(seed=27), alpha=float(setting.split("_")[1]))
+        elif setting == "returns":
+            kwargs["returns"] = rng.normal(size=len(batch))
+        targets = [td_target(t, agent, target) for t in batch]
+        deltas = [y - selected_q(t, agent) for t, y in zip(batch, targets)]
+
+        def loss_fn(_params):
+            total = 0.0
+            for i, t in enumerate(batch):
+                if setting == "returns":
+                    pi = policy_for(agent, t.state_items)
+                    total += -log_prob(pi, t.action) * kwargs["returns"][i]
+                    continue
+                total += (targets[i] - selected_q(t, agent)) ** 2
+                if setting != "critic_only":
+                    p = policy_for(agent, t.state_items)
+                    if "frozen" in kwargs:
+                        alpha = kwargs["alpha"]
+                        p = (1 - alpha) * policy_for(kwargs["frozen"], t.state_items) + alpha * p
+                    total += -log_prob(p, t.action) * deltas[i]
+            return total / len(batch)
+
+        numeric = finite_diff_grad(loss_fn, agent.params)
+        before = agent.params.copy()
+        update(batch, agent, 1.0, 0.0, target, **kwargs)
+        applied = {n: before[n] - agent.params[n] for n in agent.params}
+        assert max_rel_err(applied, numeric) < 1e-4
 
     def test_clone_is_independent(self):
         agent = toy_agent(seed=23)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,49 @@ class TestCheckpoint:
                       "max_seq_len": 5, "gamma": 0.9})
         with pytest.raises(CheckpointError, match="missing tensor|shape mismatch"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("header,data_bytes", [
+        ([], 0), ({}, 0), ({"tensors": 3}, 0), ({"tensors": [{"name": "x"}]}, 0),
+        ({"tensors": [{"name": "x", "shape": ["a"]}]}, 0),
+        ({"tensors": [{"name": "x", "shape": [-1]}]}, 0),
+        ({"tensors": [{"shape": [1]}]}, 4),
+        ({"tensors": [{"name": "x", "shape": []}, {"name": "x", "shape": []}]}, 8),
+        ({"tensors": [], "config": []}, 0), ({"tensors": [], "rng_state": 5}, 0),
+        ({"tensors": [], "rng_state": []}, 0),
+    ], ids=["list", "empty", "manifest_not_list", "no_shape", "string_shape",
+            "negative_shape", "no_name", "duplicate_name", "config_list", "rng_state_int",
+            "rng_state_list"])
+    def test_malformed_header_is_a_checkpoint_error(self, tmp_path, header, data_bytes):
+        p = tmp_path / "x.ckpt"
+        raw = json.dumps(header).encode()
+        p.write_bytes(b"PRFL" + (1).to_bytes(4, "little") + len(raw).to_bytes(8, "little")
+                      + raw + b"\0" * data_bytes)
+        for read in (read_checkpoint, load_checkpoint):
+            with pytest.raises(CheckpointError, match=re.escape(str(p))):
+                read(p)
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "agent"},
+        {"kind": "agent", "num_items": "6", "embed_dim": 4, "max_seq_len": 5, "gamma": 0.9},
+        {"kind": "agent", "num_items": 1, "embed_dim": 4, "max_seq_len": 5, "gamma": 0.9},
+        {"kind": "agent", "num_items": 6, "embed_dim": 4, "max_seq_len": 5, "gamma": 1.5},
+    ], ids=["no_sizes", "string_size", "one_item", "gamma_above_one"])
+    def test_malformed_agent_config_is_a_checkpoint_error(self, tmp_path, trained_agent,
+                                                          config):
+        p = tmp_path / "x.ckpt"
+        save_tensors(p, trained_agent.params.params, config)
+        with pytest.raises(CheckpointError, match=re.escape(str(p))):
+            load_checkpoint(p)
+
+    def test_every_truncation_is_a_checkpoint_error(self, tmp_path, trained_agent):
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(trained_agent, p, rng_state=np.random.default_rng(0).bit_generator.state)
+        blob = p.read_bytes()
+        for n in range(len(blob)):
+            p.write_bytes(blob[:n])
+            for read in (read_checkpoint, load_checkpoint):
+                with pytest.raises(CheckpointError):
+                    read(p)
 
 
 class TestConfig:

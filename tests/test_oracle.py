@@ -1,4 +1,5 @@
 import json
+import re
 import string
 from pathlib import Path
 
@@ -87,6 +88,16 @@ class TestParseResponse:
 
     def test_keeps_raw_response(self):
         assert parse_response("b", 10).raw_response == "b"
+
+    def test_fuzz_never_raises_and_stays_in_range(self):
+        pieces = (list(string.ascii_letters + string.punctuation + " \n")
+                  + ["None", "the user will select"])
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            k = int(rng.integers(2, 26))
+            text = "".join(pieces[i] for i in rng.integers(len(pieces), size=rng.integers(0, 30)))
+            label = parse_response(text, k).label_index
+            assert label is None or 0 <= label < k, (text, k, label)
 
 
 class TestSyntheticChoice:
@@ -265,3 +276,17 @@ class TestRecordReplay:
         append_record(p, "prompt two", "resp two")
         cache = load_replay(p)
         assert len(cache) == 2
+
+    def test_bad_replay_line_is_named(self, tmp_path):
+        p = tmp_path / "rec.jsonl"
+        append_record(p, "prompt one", "resp one")
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        with pytest.raises(OracleError, match=re.escape(f"{p}:2: replay line is not JSON")):
+            load_replay(p)
+
+    def test_replay_line_without_response_text_is_named(self, tmp_path):
+        p = tmp_path / "rec.jsonl"
+        p.write_text(json.dumps({"prompt_hash": "abc"}) + "\n", encoding="utf-8")
+        with pytest.raises(OracleError, match=re.escape(f"{p}:1: ") + ".*response_text"):
+            load_replay(p)
