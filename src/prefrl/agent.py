@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, encode, encode_backward, encode_with_cache, init_encoder_params
+from .encoder import (EncoderConfig, encode, encode_backward, encode_batch,
+                      encode_batch_with_cache, encode_with_cache, init_encoder_params)
 from .nn import ParamSet, optimizer_step, softmax
 
 __all__ = [
@@ -151,19 +152,47 @@ def backprop_heads(bundle: AgentBundle, state: np.ndarray, cache: dict,
                    d_actor_logits: np.ndarray | None = None,
                    d_q: np.ndarray | None = None) -> None:
     """Accumulate head gradients and push the combined state gradient
-    through the encoder."""
+    through the encoder.  ``state`` and the logit gradients are one row each
+    or a (B, .) batch of rows matching ``cache``."""
     params = bundle.params
     grads = params.grads
-    d_state = np.zeros_like(state)
-    if d_actor_logits is not None:
-        grads["actor_w"] += np.outer(state, d_actor_logits)
-        grads["actor_b"] += d_actor_logits
-        d_state += params["actor_w"] @ d_actor_logits
-    if d_q is not None:
-        grads["critic_w"] += np.outer(state, d_q)
-        grads["critic_b"] += d_q
-        d_state += params["critic_w"] @ d_q
+    states = np.atleast_2d(state)
+    d_state = np.zeros_like(states)
+    for head, d_out in (("actor", d_actor_logits), ("critic", d_q)):
+        if d_out is None:
+            continue
+        d_out = np.atleast_2d(d_out)
+        grads[f"{head}_w"] += np.dot(states.T, d_out)
+        grads[f"{head}_b"] += np.add.reduce(d_out, axis=0)
+        d_state += (d_out[:, None] @ params[f"{head}_w"].T)[:, 0]
     encode_backward(cache, d_state, params)
+
+
+def _head(states: np.ndarray, bundle: AgentBundle, head: str) -> np.ndarray:
+    """(B, num_items) head outputs; stacked one-row products keep each row's
+    bits independent of B."""
+    return (states[:, None] @ bundle.params[f"{head}_w"])[:, 0] + bundle.params[f"{head}_b"]
+
+
+def _critic(states: np.ndarray, bundle: AgentBundle) -> np.ndarray:
+    q = _head(states, bundle, "critic")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("critic produced non-finite values")
+    return q
+
+
+def _td_targets(batch: list[Transition], bundle: AgentBundle,
+                target: AgentBundle | None) -> np.ndarray:
+    """:func:`td_target` of every transition, with one batched encode of the
+    non-terminal next states."""
+    y = np.array([t.reward for t in batch], dtype=np.float64)
+    live = [i for i, t in enumerate(batch) if not t.done]
+    if live:
+        critic = target if target is not None else bundle
+        next_states = encode_batch([batch[i].next_state_items for i in live],
+                                   critic.params, critic.encoder_config)
+        y[live] += bundle.gamma * _critic(next_states, critic).max(axis=1)
+    return y
 
 
 def update(batch: list[Transition], bundle: AgentBundle, lr: float,
@@ -183,41 +212,48 @@ def update(batch: list[Transition], bundle: AgentBundle, lr: float,
     return, or for the mixture the TD error times ``alpha * pi(a) / p_mix(a)``
     (0 where p_mix(a) underflows).  ``target_bundle`` optionally supplies the
     frozen bootstrap critic.
+
+    The whole batch goes through one forward and one backward: one batched
+    encode each of the states, of the non-terminal next states and, for the
+    mixture, of the states under ``frozen``.  Each row's forward products are
+    its own, and each transition adds one rank-one term to each weight
+    gradient, so a batch of two equal transitions takes exactly the step of
+    one.
     """
     if not batch:
         raise ValueError("update requires a nonempty batch")
     if returns is not None and len(returns) != len(batch):
         raise ValueError("returns must give one value per transition")
     inv_b = 1.0 / len(batch)
-    actor_total = 0.0
-    critic_total = 0.0
-    for i, t in enumerate(batch):
-        state, cache = encode_with_cache(t.state_items, bundle.params, bundle.encoder_config)
-        d_logits = d_q = None
-        if returns is None:
-            q = q_values(state, bundle)
-            c = td_target(t, bundle, target_bundle) - float(q[t.action])
-            critic_total += c * c
-            d_q = np.zeros(bundle.num_items)
-            d_q[t.action] = -2.0 * c * inv_b
-        else:
-            c = float(returns[i])
-        if actor:
-            dist = action_distribution(state, bundle)
-            p = dist if frozen is None else (
-                (1.0 - alpha) * policy_for(frozen, t.state_items) + alpha * dist)
-            actor_total += -log_prob(p, t.action) * c
-            if frozen is not None:
-                p_a = float(p[t.action])
-                c = 0.0 if p_a <= 1e-300 else c * alpha * float(dist[t.action]) / p_a
-            one_hot = np.zeros(bundle.num_items)
-            one_hot[t.action] = 1.0
-            d_logits = c * (dist - one_hot) * inv_b
-        backprop_heads(bundle, state, cache, d_logits, d_q)
-
-    actor_mean = actor_total * inv_b
-    critic_mean = critic_total * inv_b
+    rows = np.arange(len(batch))
+    actions = np.array([t.action for t in batch], dtype=np.int64)
+    one_hot = np.zeros((len(batch), bundle.num_items))
+    one_hot[rows, actions] = 1.0
+    histories = [t.state_items for t in batch]
+    states, cache = encode_batch_with_cache(histories, bundle.params, bundle.encoder_config)
+    actor_mean = critic_mean = 0.0
+    d_logits = d_q = None
+    if returns is None:
+        c = _td_targets(batch, bundle, target_bundle) - _critic(states, bundle)[rows, actions]
+        critic_mean = float(np.sum(c * c)) * inv_b
+        d_q = one_hot * (-2.0 * c * inv_b)[:, None]
+    else:
+        c = np.asarray(returns, dtype=np.float64)
+    if actor:
+        pi = softmax(_head(states, bundle, "actor"))
+        p = pi
+        if frozen is not None:
+            frozen_states = encode_batch(histories, frozen.params, frozen.encoder_config)
+            p = (1.0 - alpha) * softmax(_head(frozen_states, frozen, "actor")) + alpha * pi
+        p_a = p[rows, actions]
+        log_p = np.maximum(np.log(np.maximum(p_a, np.finfo(np.float64).tiny)), LOG_PROB_FLOOR)
+        actor_mean = float(np.sum(-log_p * c)) * inv_b
+        if frozen is not None:
+            live = p_a > 1e-300
+            c = np.where(live, c * alpha * pi[rows, actions] / np.where(live, p_a, 1.0), 0.0)
+        d_logits = c[:, None] * (pi - one_hot) * inv_b
     if not (np.isfinite(actor_mean) and np.isfinite(critic_mean)):
         raise ValueError("non-finite loss in update")
+    backprop_heads(bundle, states, cache, d_logits, d_q)
     optimizer_step(bundle.params, lr, momentum)
     return actor_mean, critic_mean

@@ -1,13 +1,19 @@
 """Sequence state encoder: item + position embeddings through one block of
-causal single-head self-attention with a residual connection.
+single-head self-attention with a residual connection, read at the last slot.
 
 The encoder maps an interacted-item sequence to a fixed-size state vector.
-Sequences longer than ``max_seq_len`` keep only their most recent items.
-Conceptually shorter sequences are left-padded with a reserved padding id
-(``num_items``) that is masked out of attention; because masked positions
-contribute nothing, the implementation simply computes over the real items,
-placing them in the trailing position slots (the most recent item always
-occupies the last slot).  The state is the block output at that last slot.
+Sequences longer than ``max_seq_len`` keep only their most recent items;
+shorter ones are left-padded with a reserved padding id (``num_items``), so
+the most recent item always occupies the last of the ``max_seq_len`` position
+slots.  The padding id is masked out of attention as a key (the SASRec scheme,
+Kang & McAuley 2018, arXiv:1808.09781).  The state is the block output at the
+last slot, and since that slot's query may see every key, only that one query
+row is computed: there is no causal mask and no output for the other slots.
+
+Every entry point runs the same batched forward over a ``(B, max_seq_len, d)``
+tensor; :func:`encode` and :func:`encode_with_cache` are its B=1 case.  Each
+batch row is computed by its own small matrix products, so a state has the
+same bits whatever batch the sequence is encoded in.
 
 Projection matrices are initialized to identity plus small noise so that
 tiny instances can be checked by hand; gradients are derived analytically
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +37,7 @@ __all__ = [
     "encode_with_cache",
     "encode_backward",
     "encode_batch",
+    "encode_batch_with_cache",
 ]
 
 ENCODER_PARAM_NAMES = ("item_emb", "pos_emb", "w_q", "w_k", "w_v")
@@ -69,82 +77,107 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
     }
 
 
-def _prepare_ids(sequence, config: EncoderConfig) -> np.ndarray:
-    ids = np.asarray(sequence, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
+def _pad_ids(sequences, config: EncoderConfig) -> np.ndarray:
+    """The ``(B, max_seq_len)`` id array of a batch of sequences: each row the
+    sequence's last ``max_seq_len`` items, left-padded with the padding id.
+    Every id of the batch, inside the window or not, is validated at once."""
+    n, pad = config.max_seq_len, config.padding_id
+    lengths = list(map(len, sequences))
+    if not lengths:
+        raise ValueError("cannot encode an empty batch")
+    if min(lengths) == 0:
         raise ValueError("cannot encode an empty sequence")
-    bad = (ids < 0) | (ids >= config.num_items)
-    if bad.any():
-        raise ValueError(f"item id {int(ids[bad][0])} out of range [0, {config.num_items})")
-    if ids.size > config.max_seq_len:
-        ids = ids[-config.max_seq_len:]
-    return ids
+    flat = np.fromiter(chain.from_iterable(sequences), np.int64, sum(lengths))
+    if flat.min() < 0 or flat.max() >= config.num_items:
+        bad = flat[(flat < 0) | (flat >= config.num_items)][0]
+        raise ValueError(f"item id {int(bad)} out of range [0, {config.num_items})")
+    pieces = []
+    for seq, length in zip(sequences, lengths):
+        pieces.append((pad,) * (n - length))
+        pieces.append(seq[-n:])
+    return np.fromiter(chain.from_iterable(pieces), np.int64, n * len(lengths)).reshape(-1, n)
 
 
 def _forward(ids: np.ndarray, params: ParamSet, config: EncoderConfig):
-    n, d = config.max_seq_len, config.embed_dim
-    L = ids.size
-    # real items occupy the trailing slots n-L .. n-1
-    x = params["item_emb"][ids] + params["pos_emb"][n - L:]
-    scale = 1.0 / math.sqrt(d)
-    q = x @ params["w_q"]
-    k = x @ params["w_k"]
-    v = x @ params["w_v"]
-    scores = (q @ k.T) * scale
-    causal = np.triu(np.ones((L, L), dtype=bool), k=1)  # True where key is in the future
-    scores = np.where(causal, -np.inf, scores)
-    scores -= scores.max(axis=1, keepdims=True)
+    """States (B, d) and backward cache for a padded (B, n) id array.
+
+    With the one query row q of the last slot, the keys and values enter only
+    as ``q @ w_k.T @ x_j`` and ``(attn @ x) @ w_v``, so neither K nor V is
+    formed.  Every product is a stacked (B, 1, .) one, one small product per
+    row, so no row's bits depend on B (a (B, d) @ (d, d) GEMM rounds
+    differently at B = 1).
+    """
+    x = params["item_emb"][ids]
+    x += params["pos_emb"]                                   # (B, n, d)
+    x_last = x[:, -1:]
+    q = x_last @ params["w_q"]                               # (B, 1, d)
+    qk = q @ params["w_k"].T
+    scores = (qk @ x.transpose(0, 2, 1)) * (1.0 / math.sqrt(config.embed_dim))
+    scores[(ids == config.padding_id)[:, None, :]] = -np.inf
+    scores -= scores.max(axis=2, keepdims=True)              # the last slot is never padding
     attn = np.exp(scores)
-    attn /= attn.sum(axis=1, keepdims=True)
-    out = attn @ v
-    h = x + out
-    cache = {"ids": ids, "x": x, "q": q, "k": k, "v": v, "attn": attn,
-             "scale": scale, "pos_start": n - L}
-    return h[-1], cache
+    attn /= attn.sum(axis=2, keepdims=True)                  # (B, 1, n)
+    ctx = attn @ x
+    h = x_last + ctx @ params["w_v"]
+    return h[:, 0], {"ids": ids, "x": x, "q": q, "qk": qk, "attn": attn, "ctx": ctx}
 
 
 def encode(sequence, params: ParamSet, config: EncoderConfig) -> np.ndarray:
     """State vector for one item-id sequence (most recent item last)."""
-    ids = _prepare_ids(sequence, config)
-    state, _ = _forward(ids, params, config)
-    return state
+    return _forward(_pad_ids([sequence], config), params, config)[0][0]
 
 
 def encode_with_cache(sequence, params: ParamSet, config: EncoderConfig):
     """Like :func:`encode` but also returns the forward cache needed by
     :func:`encode_backward`."""
-    ids = _prepare_ids(sequence, config)
-    return _forward(ids, params, config)
+    states, cache = _forward(_pad_ids([sequence], config), params, config)
+    return states[0], cache
+
+
+def encode_batch(sequences, params: ParamSet, config: EncoderConfig) -> np.ndarray:
+    """States (B, d) of a nonempty batch of sequences in one forward; row b
+    is bitwise equal to ``encode(sequences[b], ...)``."""
+    return _forward(_pad_ids(sequences, config), params, config)[0]
+
+
+def encode_batch_with_cache(sequences, params: ParamSet, config: EncoderConfig):
+    """Like :func:`encode_batch` but also returns the forward cache needed by
+    :func:`encode_backward`."""
+    return _forward(_pad_ids(sequences, config), params, config)
 
 
 def encode_backward(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
-    """Accumulate gradients of ``dot(d_state, encode(...))`` into ``params.grads``."""
-    x, q, k, v, attn = cache["x"], cache["q"], cache["k"], cache["v"], cache["attn"]
-    scale = cache["scale"]
-    L = x.shape[0]
-
-    d_h = np.zeros_like(x)
-    d_h[-1] = d_state
-    d_x = d_h.copy()          # residual branch
-    d_out = d_h               # attention branch
-
-    d_attn = d_out @ v.T
-    d_v = attn.T @ d_out
-    # softmax rows: masked entries have attn == 0, so their dS vanishes
-    d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=1, keepdims=True))
-    d_q = (d_scores @ k) * scale
-    d_k = (d_scores.T @ q) * scale
-
-    d_x += d_q @ params["w_q"].T + d_k @ params["w_k"].T + d_v @ params["w_v"].T
-
+    """Accumulate gradients of ``sum_b dot(d_state[b], state[b])`` into
+    ``params.grads``; ``d_state`` is (B, d), or (d,) for a cache of one."""
+    x, q, qk, attn, ctx = (cache[name] for name in ("x", "q", "qk", "attn", "ctx"))
+    B, n, d = x.shape
+    g = d_state.reshape(B, 1, d)
+    # h = x_last + ctx @ w_v, ctx = attn @ x, attn = softmax(scale * qk @ x^T)
+    d_ctx = g @ params["w_v"].T
+    d_attn = d_ctx @ x.transpose(0, 2, 1)                        # (B, 1, n)
+    # masked keys have attn == 0, so their score gradient vanishes
+    scale = 1.0 / math.sqrt(d)
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True)) * scale
+    d_qk = d_scores @ x
+    d_q = d_qk @ params["w_k"]
+    # each weight gradient is one (d, B) @ (B, d) product, one rank-one term
+    # per row (np.dot: matmul takes a slow path at B = 1)
     grads = params.grads
-    grads["w_q"] += x.T @ d_q
-    grads["w_k"] += x.T @ d_k
-    grads["w_v"] += x.T @ d_v
-    grads["pos_emb"][cache["pos_start"]:] += d_x
-    np.add.at(grads["item_emb"], cache["ids"], d_x)
-
-
-def encode_batch(sequences, params: ParamSet, config: EncoderConfig) -> list[np.ndarray]:
-    """Elementwise identical to mapping :func:`encode` over the list."""
-    return [encode(seq, params, config) for seq in sequences]
+    grads["w_q"] += np.dot(x[:, -1].T, d_q[:, 0])
+    grads["w_k"] += np.dot(d_qk[:, 0].T, q[:, 0])
+    grads["w_v"] += np.dot(ctx[:, 0].T, g[:, 0])
+    # x's gradient is d_scores[b, j] qk[b] + attn[b, j] d_ctx[b], plus d_last[b]
+    # at the last slot: three (B, n) slot weights times a (B, d) row each.  Per
+    # position slot, and per item id with each row's slot weights summed per
+    # id, every term's batch sum is one (., B) @ (B, d) product, and no
+    # (B, n, d) gradient is formed; the per-id weights are (B, num_items + 1),
+    # the size of the heads' logit gradients.  Padding slots have zero weight.
+    num_ids = params["item_emb"].shape[0]
+    cells = (cache["ids"] + num_ids * np.arange(B)[:, None]).reshape(-1)
+    last = np.zeros((B, n))
+    last[:, -1] = 1.0
+    for weight, row in ((d_scores[:, 0], qk[:, 0]), (attn[:, 0], d_ctx[:, 0]),
+                        (last, (d_q @ params["w_q"].T + g)[:, 0])):
+        per_item = np.bincount(cells, weight.reshape(-1), B * num_ids).reshape(B, num_ids)
+        grads["pos_emb"] += np.dot(weight.T, row)
+        grads["item_emb"] += np.dot(per_item.T, row)

@@ -284,12 +284,21 @@ def pretrain_with_checkpoints(cfg: AppConfig, world: World, oracle, seed: int,
         agent = load_checkpoint(ckpt_path)
         data = read_checkpoint(ckpt_path)
         extra = data.config.get("extra") or {}
-        if "epoch" not in extra:
+        epoch = extra.get("epoch") if isinstance(extra, dict) else None
+        if epoch is None:
             raise CheckpointError(f"{ckpt_path}: no finished epoch recorded to resume from")
-        start_epoch = extra["epoch"] + 1
+        if type(epoch) is not int or epoch < 0:
+            raise CheckpointError(f"{ckpt_path}: recorded epoch {epoch!r} is not a "
+                                  "nonnegative integer")
+        start_epoch = epoch + 1
         if data.rng_state is not None:
             rng = np.random.default_rng()
-            rng.bit_generator.state = data.rng_state
+            try:
+                rng.bit_generator.state = data.rng_state
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise CheckpointError(f"{ckpt_path}: rng_state is not a "
+                                      f"{type(rng.bit_generator).__name__} state "
+                                      f"({type(exc).__name__}: {exc})") from None
         log.info("resuming pre-training at epoch %d", start_epoch)
     else:
         agent = scratch_agent(tconf, encoder_config_from(cfg, world.catalog.num_items))

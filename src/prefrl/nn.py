@@ -19,24 +19,38 @@ __all__ = [
 ]
 
 
+class _Grads(dict):
+    """Gradient accumulators, each a zero array allocated on first access."""
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        super().__init__()
+        self._params = params
+
+    def __missing__(self, name: str) -> np.ndarray:
+        grad = self[name] = np.zeros(self._params[name].shape)
+        return grad
+
+
 class ParamSet:
     """Named parameter tensors plus matching gradient accumulators.
 
     Parameters are stored float64 and mutated in place by
     :func:`optimizer_step`.  Gradient arrays always share the shape of their
-    parameter.  Insertion order is preserved and is the canonical tensor
-    order for checkpointing.
+    parameter; each starts at zero on first access and :meth:`zero_grads`
+    releases them, so a bundle that is not training (a frozen policy, a
+    target snapshot, a finished run's result) holds no gradient memory.
+    Insertion order is preserved and is the canonical tensor order for
+    checkpointing.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = _Grads(self.params)
         for name, value in params.items():
             arr = np.array(value, dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"parameter {name!r} contains non-finite values")
             self.params[name] = arr
-            self.grads[name] = np.zeros_like(arr)
         # velocity buffers, created lazily when momentum is used
         self._velocity: dict[str, np.ndarray] = {}
 
@@ -56,8 +70,7 @@ class ParamSet:
         return sum(p.size for p in self.params.values())
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.grads.clear()
 
     def copy(self) -> "ParamSet":
         """Deep copy of the parameters with fresh zero gradients."""
@@ -70,14 +83,15 @@ class ParamSet:
 
 
 def softmax(logits) -> np.ndarray:
-    """Exp-normalize a vector of logits with max-subtraction for stability."""
+    """Exp-normalize logits along the last axis (a vector, or a batch of row
+    vectors) with max-subtraction for stability."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("softmax expects a nonempty 1-d vector")
+    if z.ndim not in (1, 2) or z.size == 0:
+        raise ValueError("softmax expects a nonempty vector or batch of row vectors")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax requires finite logits")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_probs(probs) -> np.ndarray:
@@ -112,7 +126,7 @@ def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamS
     any gradient is non-finite, naming the offending parameter.
     """
     for name, g in params.grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for parameter {name!r}")
     for name, p in params.params.items():
         g = params.grads[name]

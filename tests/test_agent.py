@@ -7,6 +7,7 @@ from helpers import actor_loss_check, critic_loss_check, max_rel_err
 from prefrl.agent import (AgentBundle, Transition, action_distribution, actor_loss,
                           advantage, critic_loss, init_agent, log_prob, policy_for, q_for,
                           q_values, selected_q, td_target, update)
+from prefrl import encoder
 from prefrl.nn import finite_diff_grad
 
 
@@ -220,6 +221,68 @@ class TestUpdate:
         update(batch, agent, 1.0, 0.0, target, **kwargs)
         applied = {n: before[n] - agent.params[n] for n in agent.params}
         assert max_rel_err(applied, numeric) < 1e-4
+
+    SETTINGS = ["actor_critic", "target_bundle", "critic_only", "mixture_0.3", "returns"]
+
+    @staticmethod
+    def _setting_kwargs(setting, returns):
+        kwargs = {}
+        if setting == "target_bundle":
+            kwargs["target_bundle"] = toy_agent(seed=31)
+        elif setting == "critic_only":
+            kwargs["actor"] = False
+        elif setting == "mixture_0.3":
+            kwargs.update(frozen=toy_agent(seed=32), alpha=0.3)
+        elif setting == "returns":
+            kwargs["returns"] = returns
+        return kwargs
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_batch_step_is_the_mean_of_single_steps(self, setting):
+        # the batched learner takes the mean of what update([t]) applies,
+        # with histories of mixed lengths (past max_seq_len too) and some
+        # terminal transitions
+        rng = np.random.default_rng(30)
+        batch = []
+        for i in range(6):
+            items = tuple(int(j) for j in rng.integers(0, 5, size=1 + (3 * i) % 7))
+            action = int(rng.integers(5))
+            batch.append(Transition(items, action, float(rng.normal()), items + (action,),
+                                    i % 3 == 1))
+        returns = rng.normal(size=len(batch))
+
+        def applied(transitions, rets):
+            agent = toy_agent(seed=33)
+            before = agent.params.copy()
+            update(transitions, agent, 1.0, 0.0, **self._setting_kwargs(setting, rets))
+            return {n: before[n] - agent.params[n] for n in agent.params}
+
+        whole = applied(batch, returns)
+        singles = [applied([t], returns[i:i + 1]) for i, t in enumerate(batch)]
+        for name, step in whole.items():
+            mean = sum(single[name] for single in singles) / len(batch)
+            assert np.abs(step - mean).max() < 1e-10, name
+
+    @pytest.mark.parametrize("setting, encodes", [
+        ("actor_critic", 2), ("target_bundle", 2), ("critic_only", 2), ("mixture_0.3", 3),
+        ("returns", 1)])
+    def test_one_encoder_forward_per_role(self, setting, encodes, monkeypatch):
+        # one batched forward each for the states, the non-terminal next
+        # states and (mixture) the frozen policy, whatever the batch size
+        calls = []
+        forward = encoder._forward
+
+        def counted(ids, *args):
+            calls.append(len(ids))
+            return forward(ids, *args)
+
+        monkeypatch.setattr(encoder, "_forward", counted)
+        agent = toy_agent(seed=34)
+        rng = np.random.default_rng(35)
+        batch = [random_transition(agent, rng, done=(i % 4 == 0)) for i in range(64)]
+        update(batch, agent, 0.01, 0.0,
+               **self._setting_kwargs(setting, rng.normal(size=len(batch))))
+        assert len(calls) == encodes
 
     def test_clone_is_independent(self):
         agent = toy_agent(seed=23)

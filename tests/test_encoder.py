@@ -3,7 +3,7 @@ import pytest
 
 from helpers import max_rel_err
 from prefrl.encoder import (EncoderConfig, encode, encode_backward, encode_batch,
-                            encode_with_cache, init_encoder_params)
+                            encode_batch_with_cache, encode_with_cache, init_encoder_params)
 from prefrl.nn import ParamSet, finite_diff_grad
 
 
@@ -109,6 +109,36 @@ class TestBatch:
             assert np.array_equal(state, encode(seq, params, config))
 
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 64])
+    def test_encode_is_its_row_of_every_batch(self, size):
+        # embed_dim >= 8, where a (B, d) @ (d, d) GEMM rounds differently at
+        # B = 1 than at B >= 2; every row must come out with encode's bits
+        config = EncoderConfig(num_items=12, embed_dim=16, max_seq_len=5)
+        params = make_params(config, seed=9, proj_noise=0.1)
+        rng = np.random.default_rng(10 + size)
+        seqs = [tuple(int(i) for i in rng.integers(0, 12, size=rng.integers(1, 9)))
+                for _ in range(size)]
+        batch = encode_batch(seqs, params, config)
+        assert batch.shape == (size, config.embed_dim)
+        for position, seq in enumerate(seqs):
+            assert np.array_equal(batch[position], encode(seq, params, config))
+
+    def test_empty_batch_rejected(self):
+        config = EncoderConfig(num_items=5, embed_dim=3, max_seq_len=4)
+        with pytest.raises(ValueError, match="empty"):
+            encode_batch([], make_params(config), config)
+
+    def test_ids_outside_the_window_are_validated(self):
+        # the encoder reads only the last max_seq_len items, but a bad id
+        # anywhere in any sequence of the batch is still an error
+        config = EncoderConfig(num_items=5, embed_dim=3, max_seq_len=4)
+        params = make_params(config)
+        with pytest.raises(ValueError, match="item id 9 out of range"):
+            encode_batch([[1], [9, 0, 1, 2, 3]], params, config)
+        with pytest.raises(ValueError, match="empty"):
+            encode_batch([[1], []], params, config)
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_backward_matches_finite_differences(self, seed):
@@ -126,3 +156,31 @@ class TestGradients:
 
         numeric = finite_diff_grad(lambda p: float(w @ encode(seq, p, config)), params)
         assert max_rel_err(analytic, numeric) < 1e-4
+
+    def _batch_case(self, seed=11):
+        # lengths 1, max_seq_len, longer than max_seq_len, and 2
+        config = EncoderConfig(num_items=6, embed_dim=4, max_seq_len=3)
+        params = make_params(config, seed=seed, proj_noise=0.3)
+        rng = np.random.default_rng(seed)
+        seqs = [tuple(int(i) for i in rng.integers(0, 6, size=n)) for n in (1, 3, 5, 2)]
+        return config, params, seqs, rng.normal(size=(len(seqs), config.embed_dim))
+
+    def test_batched_backward_matches_finite_differences(self):
+        config, params, seqs, w = self._batch_case()
+        _, cache = encode_batch_with_cache(seqs, params, config)
+        params.zero_grads()
+        encode_backward(cache, w, params)
+        analytic = {k: v.copy() for k, v in params.grads.items()}
+        params.zero_grads()
+
+        numeric = finite_diff_grad(
+            lambda p: float(np.sum(w * encode_batch(seqs, p, config))), params)
+        assert max_rel_err(analytic, numeric) < 1e-4
+
+    def test_padding_row_gets_no_gradient(self):
+        config, params, seqs, w = self._batch_case(seed=12)
+        _, cache = encode_batch_with_cache(seqs, params, config)
+        params.zero_grads()
+        encode_backward(cache, w, params)
+        assert np.any(params.grads["item_emb"][:config.num_items] != 0.0)
+        assert np.all(params.grads["item_emb"][config.padding_id] == 0.0)

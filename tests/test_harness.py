@@ -479,6 +479,44 @@ class TestCli:
             pretrain_with_checkpoints(cfg, world, build_oracle(cfg, world), 0, run,
                                       resume=True)
 
+    def _pretrain_then_rewrite_latest(self, tiny_config, tmp_path, extra=None, rng_state=None):
+        """Pre-train, then rewrite ``pretrain_latest.ckpt`` with the given
+        ``config.extra`` and/or ``rng_state``; returns the checkpoint path."""
+        out = tmp_path / "out"
+        assert self.run("--config", str(tiny_config), "--out", str(out), "pretrain") == 0
+        ckpt = out / "t-s0" / "pretrain_latest.ckpt"
+        data = read_checkpoint(ckpt)
+        config = dict(data.config) if extra is None else dict(data.config, extra=extra)
+        save_tensors(ckpt, data.tensors, config,
+                     data.rng_state if rng_state is None else rng_state)
+        return ckpt
+
+    def _resume_error(self, tiny_config, tmp_path, capsys) -> str:
+        capsys.readouterr()
+        assert self.run("--config", str(tiny_config), "--out", str(tmp_path / "out"),
+                        "pretrain", "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("extra", [{"epoch": "x"}, ["epoch"], True, {"epoch": -1},
+                                       {"epoch": True}, {"epoch": 1.5}, {"epoch": None}])
+    def test_resume_rejects_a_bad_recorded_epoch(self, tiny_config, tmp_path, capsys, extra):
+        ckpt = self._pretrain_then_rewrite_latest(tiny_config, tmp_path, extra=extra)
+        err = self._resume_error(tiny_config, tmp_path, capsys)
+        assert str(ckpt) in err and "epoch" in err
+
+    @pytest.mark.parametrize("kind", ["no_state", "mt19937"])
+    def test_resume_rejects_a_bad_rng_state(self, tiny_config, tmp_path, capsys, kind):
+        if kind == "no_state":
+            state = {"bit_generator": "PCG64"}
+        else:
+            state = np.random.MT19937(0).state
+            state["state"]["key"] = state["state"]["key"].tolist()
+        ckpt = self._pretrain_then_rewrite_latest(tiny_config, tmp_path, rng_state=state)
+        err = self._resume_error(tiny_config, tmp_path, capsys)
+        assert str(ckpt) in err and "rng_state" in err
+
     def test_rq4_strategy_curves(self, tiny_config, tmp_path):
         out = tmp_path / "rq4"
         assert self.run("--config", str(tiny_config), "--out", str(out), "rq4") == 0
