@@ -15,7 +15,6 @@ given returns with no critic term (pg).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +81,22 @@ def init_agent(num_items: int, embed_dim: int = 64, max_seq_len: int = 10,
     return AgentBundle(ParamSet(tensors), config, gamma)
 
 
+def _head(state: np.ndarray, bundle: AgentBundle, head: str) -> np.ndarray:
+    """Affine head outputs for one (d,) state or a (B, d) batch.  Each row is
+    its own one-row product, so its bits do not depend on B."""
+    params = bundle.params
+    return (state[..., None, :] @ params[f"{head}_w"])[..., 0, :] + params[f"{head}_b"]
+
+
 def action_distribution(state: np.ndarray, bundle: AgentBundle) -> np.ndarray:
-    """Softmax of the actor logits for one state vector."""
-    logits = state @ bundle.params["actor_w"] + bundle.params["actor_b"]
-    return softmax(logits)
+    """Softmax of the actor logits for one state vector, or a (B, d) batch."""
+    return softmax(_head(state, bundle, "actor"))
 
 
 def q_values(state: np.ndarray, bundle: AgentBundle) -> np.ndarray:
-    """Raw per-item critic outputs for one state vector (no squashing)."""
-    q = state @ bundle.params["critic_w"] + bundle.params["critic_b"]
+    """Raw per-item critic outputs for one state vector, or a (B, d) batch
+    (no squashing)."""
+    q = _head(state, bundle, "critic")
     if not np.all(np.isfinite(q)):
         raise ValueError("critic produced non-finite values")
     return q
@@ -105,12 +111,15 @@ def q_for(bundle: AgentBundle, items) -> np.ndarray:
     return q_values(encode(items, bundle.params, bundle.encoder_config), bundle)
 
 
+def _clamped_log(p):
+    """log p, elementwise, clamped at LOG_PROB_FLOOR (so p == 0 gives the
+    floor rather than -inf)."""
+    return np.maximum(np.log(np.maximum(p, np.finfo(np.float64).tiny)), LOG_PROB_FLOOR)
+
+
 def log_prob(dist: np.ndarray, action: int) -> float:
     """log pi(a|s) clamped at LOG_PROB_FLOOR to avoid -inf on collapsed policies."""
-    p = float(dist[action])
-    if p <= 0.0:
-        return LOG_PROB_FLOOR
-    return max(math.log(p), LOG_PROB_FLOOR)
+    return float(_clamped_log(dist[action]))
 
 
 def td_target(transition: Transition, bundle: AgentBundle,
@@ -168,19 +177,6 @@ def backprop_heads(bundle: AgentBundle, state: np.ndarray, cache: dict,
     encode_backward(cache, d_state, params)
 
 
-def _head(states: np.ndarray, bundle: AgentBundle, head: str) -> np.ndarray:
-    """(B, num_items) head outputs; stacked one-row products keep each row's
-    bits independent of B."""
-    return (states[:, None] @ bundle.params[f"{head}_w"])[:, 0] + bundle.params[f"{head}_b"]
-
-
-def _critic(states: np.ndarray, bundle: AgentBundle) -> np.ndarray:
-    q = _head(states, bundle, "critic")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("critic produced non-finite values")
-    return q
-
-
 def _td_targets(batch: list[Transition], bundle: AgentBundle,
                 target: AgentBundle | None) -> np.ndarray:
     """:func:`td_target` of every transition, with one batched encode of the
@@ -191,7 +187,7 @@ def _td_targets(batch: list[Transition], bundle: AgentBundle,
         critic = target if target is not None else bundle
         next_states = encode_batch([batch[i].next_state_items for i in live],
                                    critic.params, critic.encoder_config)
-        y[live] += bundle.gamma * _critic(next_states, critic).max(axis=1)
+        y[live] += bundle.gamma * q_values(next_states, critic).max(axis=1)
     return y
 
 
@@ -234,19 +230,19 @@ def update(batch: list[Transition], bundle: AgentBundle, lr: float,
     actor_mean = critic_mean = 0.0
     d_logits = d_q = None
     if returns is None:
-        c = _td_targets(batch, bundle, target_bundle) - _critic(states, bundle)[rows, actions]
+        c = _td_targets(batch, bundle, target_bundle) - q_values(states, bundle)[rows, actions]
         critic_mean = float(np.sum(c * c)) * inv_b
         d_q = one_hot * (-2.0 * c * inv_b)[:, None]
     else:
         c = np.asarray(returns, dtype=np.float64)
     if actor:
-        pi = softmax(_head(states, bundle, "actor"))
+        pi = action_distribution(states, bundle)
         p = pi
         if frozen is not None:
             frozen_states = encode_batch(histories, frozen.params, frozen.encoder_config)
-            p = (1.0 - alpha) * softmax(_head(frozen_states, frozen, "actor")) + alpha * pi
+            p = (1.0 - alpha) * action_distribution(frozen_states, frozen) + alpha * pi
         p_a = p[rows, actions]
-        log_p = np.maximum(np.log(np.maximum(p_a, np.finfo(np.float64).tiny)), LOG_PROB_FLOOR)
+        log_p = _clamped_log(p_a)
         actor_mean = float(np.sum(-log_p * c)) * inv_b
         if frozen is not None:
             live = p_a > 1e-300

@@ -8,6 +8,8 @@ from the modules whose gradients it verifies.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 __all__ = [
@@ -19,33 +21,61 @@ __all__ = [
 ]
 
 
-class _Grads(dict):
-    """Gradient accumulators, each a zero array allocated on first access."""
+class _Grads(Mapping):
+    """Gradient accumulators keyed by parameter name.
+
+    Every parameter name is a key, as with eager buffers, but a name's zero
+    array is allocated only when it is first read, and :meth:`clear` releases
+    them all.  :meth:`accumulated` holds just the allocated ones.
+    """
 
     def __init__(self, params: dict[str, np.ndarray]):
-        super().__init__()
         self._params = params
+        self._arrays: dict[str, np.ndarray] = {}
 
-    def __missing__(self, name: str) -> np.ndarray:
-        grad = self[name] = np.zeros(self._params[name].shape)
+    def __getitem__(self, name: str) -> np.ndarray:
+        grad = self._arrays.get(name)
+        if grad is None:
+            grad = self._arrays[name] = np.zeros(self._params[name].shape)
         return grad
+
+    def __setitem__(self, name: str, grad: np.ndarray) -> None:
+        if name not in self._params:
+            raise KeyError(name)
+        self._arrays[name] = grad
+
+    def __contains__(self, name) -> bool:
+        return name in self._params
+
+    def __iter__(self):
+        return iter(self._params)
+
+    def __len__(self) -> int:
+        return len(self._params)
+
+    def accumulated(self) -> dict[str, np.ndarray]:
+        return self._arrays
+
+    def clear(self) -> None:
+        self._arrays.clear()
 
 
 class ParamSet:
     """Named parameter tensors plus matching gradient accumulators.
 
     Parameters are stored float64 and mutated in place by
-    :func:`optimizer_step`.  Gradient arrays always share the shape of their
-    parameter; each starts at zero on first access and :meth:`zero_grads`
-    releases them, so a bundle that is not training (a frozen policy, a
-    target snapshot, a finished run's result) holds no gradient memory.
+    :func:`optimizer_step`.  Every parameter has a gradient array of its
+    shape in ``grads``; each is allocated as zeros on first access and
+    :meth:`zero_grads` releases them, so a bundle that is not training (a
+    frozen policy, a target snapshot, a finished run's result) holds no
+    gradient memory.
     Insertion order is preserved and is the canonical tensor order for
     checkpointing.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = _Grads(self.params)
+        self.grads = _Grads(self.params)
         for name, value in params.items():
             arr = np.array(value, dtype=np.float64)
             if not np.all(np.isfinite(arr)):
@@ -125,17 +155,23 @@ def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamS
     in place of the raw gradient.  Aborts (before touching any parameter) if
     any gradient is non-finite, naming the offending parameter.
     """
-    for name, g in params.grads.items():
+    grads = params.grads.accumulated()
+    for name, g in grads.items():
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for parameter {name!r}")
     for name, p in params.params.items():
-        g = params.grads[name]
+        g = grads.get(name)  # None: never read since the last step, so zero
         if momentum > 0.0:
             v = params._velocity.get(name)
-            v = g.copy() if v is None else momentum * v + g
+            if g is None:
+                if v is None:
+                    continue
+                v = momentum * v
+            else:
+                v = g.copy() if v is None else momentum * v + g
             params._velocity[name] = v
             p -= lr * v
-        else:
+        elif g is not None:
             p -= lr * g
     params.zero_grads()
     return params

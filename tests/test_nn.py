@@ -3,6 +3,8 @@ import pytest
 
 from prefrl.nn import ParamSet, finite_diff_grad, optimizer_step, sample_categorical, softmax
 
+from helpers import max_rel_err
+
 # exp-normalize of [1, 2, 3] evaluated at 50 decimal digits
 SOFTMAX_123 = (0.090030573170380457998, 0.24472847105479765247, 0.66524095577482188953)
 
@@ -119,6 +121,25 @@ class TestOptimizerStep:
             optimizer_step(ps, lr=0.1)
         assert ps["ok"][0] == 1.0  # nothing was touched
 
+    def test_momentum_decays_the_velocity_of_an_untouched_parameter(self):
+        ps = ParamSet({"a": np.array([0.0]), "b": np.array([0.0])})
+        ps.grads["a"][0] = 1.0
+        ps.grads["b"][0] = 1.0
+        optimizer_step(ps, lr=0.1, momentum=0.5)
+        ps.grads["a"][0] = 1.0  # "b" gets no gradient on this step
+        optimizer_step(ps, lr=0.1, momentum=0.5)
+        # a: v = 1 then 1.5; b: v = 1 then 0.5
+        assert ps["a"][0] == pytest.approx(-0.25)
+        assert ps["b"][0] == pytest.approx(-0.15)
+
+    def test_parameter_never_given_a_gradient_does_not_move(self):
+        ps = ParamSet({"a": np.array([1.0]), "b": np.array([2.0])})
+        for momentum in (0.0, 0.9):
+            ps.grads["a"][0] = 1.0
+            optimizer_step(ps, lr=0.1, momentum=momentum)
+        assert ps["b"][0] == 2.0
+        assert ps["a"][0] == pytest.approx(0.8)
+
 
 class TestFiniteDiff:
     def test_quadratic_derivative(self):
@@ -160,3 +181,25 @@ class TestParamSet:
         assert ps.names() == ["a", "b"]
         assert ps.num_scalars() == 10
         assert ps.grads["a"].shape == (2, 3)
+
+    def test_every_parameter_has_a_zero_gradient(self):
+        ps = ParamSet({"a": np.ones((2, 3)), "b": np.ones(4)})
+        for _ in range(2):
+            assert list(ps.grads) == ["a", "b"]
+            assert len(ps.grads) == 2 and "b" in ps.grads and "c" not in ps.grads
+            assert all(np.array_equal(g, np.zeros_like(ps[name]))
+                       for name, g in ps.grads.items())
+            ps.grads["a"][0, 0] = 1.0
+            optimizer_step(ps, lr=0.1)
+            assert not ps.grads.accumulated()  # buffers released by the step
+
+    def test_missing_accumulation_fails_the_gradient_check(self):
+        # the finite-difference checks build the analytic side from every
+        # entry of grads; a parameter whose gradient is never accumulated
+        # must show up there as zeros and fail, not be skipped
+        ps = ParamSet({"a": np.array([1.0, 2.0]), "b": np.array([3.0])})
+        ps.grads["a"] += 2.0 * ps["a"]  # the gradient of b is "forgotten"
+        analytic = {k: v.copy() for k, v in ps.grads.items()}
+        numeric = finite_diff_grad(lambda q: float((q["a"] ** 2).sum() + q["b"][0] ** 2), ps)
+        assert sorted(analytic) == ["a", "b"]
+        assert max_rel_err(analytic, numeric) > 0.5
