@@ -23,7 +23,7 @@ from .config import AppConfig, ConfigError, dump_full
 from .data import (InteractionLog, ItemCatalog, SyntheticGroundTruth, generate_synthetic,
                    load_catalog, load_interactions, split_log, write_catalog,
                    write_interactions)
-from .encoder import EncoderConfig
+from .encoder import ENCODER_PARAM_NAMES, EncoderConfig
 from .environment import (EnvConfig, LatentPreferenceModel, MatrixFactorizationModel,
                           SequentialModel, UserEnvironment, fit_reward_model)
 from .metrics import MetricMeans, smooth_curve
@@ -242,22 +242,50 @@ def save_reward_model(model, path) -> None:
         raise TypeError(f"cannot save reward model of type {type(model).__name__}")
 
 
+_NUMBER = ("a numeric", lambda v: type(v) in (int, float))
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_STRINGS = ("a string list", lambda v: isinstance(v, list) and all(isinstance(u, str) for u in v))
+# per kind: the checked config keys and the tensor names
+_REWARD_MODEL_LAYOUT = {
+    "latent": ({"r_max": _NUMBER, "scale": _NUMBER}, ("item_latents",)),
+    "matrix_factorization": ({"r_max": _NUMBER, "user_ids": _STRINGS},
+                             ("user_factors", "item_factors", "user_bias", "item_bias",
+                              "global_bias")),
+    "sequential": ({"r_max": _NUMBER, "num_items": _INTEGER, "embed_dim": _INTEGER,
+                    "max_seq_len": _INTEGER}, ENCODER_PARAM_NAMES),
+}
+
+
 def load_reward_model(path):
+    """Rebuild a reward model written by :func:`save_reward_model`.  A header
+    or tensor set that does not describe one raises a CheckpointError naming
+    the path."""
     data = read_checkpoint(path)
     cfg, tensors = data.config, data.tensors
     kind = cfg.get("kind")
-    if kind == "latent":
-        return LatentPreferenceModel(tensors["item_latents"], cfg["r_max"], cfg["scale"])
-    if kind == "matrix_factorization":
-        return MatrixFactorizationModel(
-            cfg["user_ids"], tensors["user_factors"], tensors["item_factors"],
-            tensors["user_bias"], tensors["item_bias"],
-            float(tensors["global_bias"][0]), cfg["r_max"])
-    if kind == "sequential":
+    if kind not in _REWARD_MODEL_LAYOUT:
+        raise ConfigError(f"{path}: unknown reward model kind {kind!r}")
+    fields, names = _REWARD_MODEL_LAYOUT[kind]
+    for key, (what, valid) in fields.items():
+        if not valid(cfg.get(key)):
+            raise CheckpointError(f"{path}: {kind} reward model needs {what} {key!r}, "
+                                  f"got {cfg.get(key)!r}")
+    for name in names:
+        if name not in tensors:
+            raise CheckpointError(f"{path}: {kind} reward model has no tensor {name!r}")
+    try:
+        if kind == "latent":
+            return LatentPreferenceModel(tensors["item_latents"], cfg["r_max"], cfg["scale"])
+        if kind == "matrix_factorization":
+            return MatrixFactorizationModel(
+                cfg["user_ids"], tensors["user_factors"], tensors["item_factors"],
+                tensors["user_bias"], tensors["item_bias"],
+                float(tensors["global_bias"][0]), cfg["r_max"])
         enc = EncoderConfig(num_items=cfg["num_items"], embed_dim=cfg["embed_dim"],
                             max_seq_len=cfg["max_seq_len"])
         return SequentialModel(ParamSet(tensors), enc, cfg["r_max"])
-    raise ConfigError(f"{path}: unknown reward model kind {kind!r}")
+    except (ValueError, IndexError) as exc:  # a bad size, an empty bias, a non-finite tensor
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def run_dir(out, run_id: str, seed: int) -> Path:

@@ -18,6 +18,14 @@ step or an episodic REINFORCE step.  Both learners call :func:`agent.update`,
 in one of its four settings: actor-critic (pre-training, ft, a2c,
 llm_online), critic only (dqn), mixture actor term (ap) or REINFORCE (pg).
 
+Test-environment snapshots and every harness evaluation go through
+:func:`evaluate`, which plays its greedy episodes in lockstep: each time step
+makes one batched policy forward (one per bundle; two for the ap mixture)
+over the histories of the episodes still running, and steps each episode
+with ``env.step``.  The evaluation views (``ActorPolicy``, ``QGreedyPolicy``,
+``MixPolicy``) define that forward as ``probs_batch``; their single-history
+``probs`` is its one-row case.
+
 Every phase owns a single rng derived from the config seed, so runs are
 bitwise reproducible at the metrics level.  Each purpose draws from its own
 stream, spawned from the seed under one key (``derive_rng``/``derive_seed``):
@@ -42,8 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import AgentBundle, Transition, init_agent, policy_for, q_for, update
-from .encoder import EncoderConfig
+from .agent import (AgentBundle, Transition, action_distribution, init_agent, policy_for,
+                    q_values, update)
+from .encoder import EncoderConfig, encode_batch
 from .metrics import EpisodeRecord, MetricMeans, compute_metrics
 from .nn import _check_probs, sample_categorical, softmax
 from .oracle import distill
@@ -228,8 +237,23 @@ def alpha_at(step: int, config: TrainConfig) -> float:
     return config.alpha_init + (1.0 - config.alpha_init) * frac
 
 
+def _actor_probs(bundle: AgentBundle, histories) -> np.ndarray:
+    """(B, n) actor distributions of a batch of histories, one batched encode."""
+    return action_distribution(encode_batch(histories, bundle.params, bundle.encoder_config),
+                               bundle)
+
+
+class _PolicyView:
+    """An action distribution per history.  A view defines only the batched
+    ``probs_batch(histories) -> (B, n)``; ``probs`` is its one-row case, and
+    a row's bits do not depend on the batch it is computed in."""
+
+    def probs(self, items) -> np.ndarray:
+        return self.probs_batch([items])[0]
+
+
 @dataclass
-class MixPolicy:
+class MixPolicy(_PolicyView):
     """Frozen pre-trained policy plus a learnable one, blended by alpha."""
     frozen: AgentBundle
     learnable: AgentBundle
@@ -241,16 +265,18 @@ class MixPolicy:
         if self.frozen.num_items != self.learnable.num_items:
             raise ValueError("mixed policies must share the item space")
 
-    def probs(self, items) -> np.ndarray:
-        return mix_action_distribution(self, items)
+    def probs_batch(self, histories) -> np.ndarray:
+        """(1 - alpha) * frozen + alpha * learnable per history, each side
+        encoding the batch with its own parameters (one forward per side)."""
+        p = _actor_probs(self.frozen, histories)
+        q = _actor_probs(self.learnable, histories)
+        return (1.0 - self.alpha) * p + self.alpha * q
 
 
 def mix_action_distribution(mix: MixPolicy, items) -> np.ndarray:
     """(1 - alpha) * frozen + alpha * learnable, each encoding the history
     with its own parameters."""
-    p = policy_for(mix.frozen, items)
-    q = policy_for(mix.learnable, items)
-    return (1.0 - mix.alpha) * p + mix.alpha * q
+    return mix.probs(items)
 
 
 def sample_candidates(dist, k: int, mode: str, rng: np.random.Generator) -> list[int]:
@@ -323,25 +349,26 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig,
     return agent, records
 
 
-class ActorPolicy:
+class ActorPolicy(_PolicyView):
     """Evaluation-time view of an actor-critic agent: actor distribution."""
 
     def __init__(self, bundle: AgentBundle):
         self.bundle = bundle
 
-    def probs(self, items) -> np.ndarray:
-        return policy_for(self.bundle, items)
+    def probs_batch(self, histories) -> np.ndarray:
+        return _actor_probs(self.bundle, histories)
 
 
-class QGreedyPolicy:
+class QGreedyPolicy(_PolicyView):
     """Evaluation-time view of a critic-only agent: softmax over Q-values
     (argmax matches the greedy Q action; categorical gives Boltzmann draws)."""
 
     def __init__(self, bundle: AgentBundle):
         self.bundle = bundle
 
-    def probs(self, items) -> np.ndarray:
-        return softmax(q_for(self.bundle, items))
+    def probs_batch(self, histories) -> np.ndarray:
+        b = self.bundle
+        return softmax(q_values(encode_batch(histories, b.params, b.encoder_config), b))
 
 
 @dataclass
@@ -354,26 +381,36 @@ def evaluate(policy, env, num_episodes: int, seed: int) -> EvalResult:
     """Greedy rollouts of a frozen policy, deterministic given the seed.
 
     An AgentBundle acts by its actor; anything else (a MixPolicy, an
-    ActorPolicy, a QGreedyPolicy) by its ``probs``.
+    ActorPolicy, a QGreedyPolicy) by its ``probs_batch``.  The episodes run
+    in lockstep: every reset seed is drawn up front, in episode order, and
+    each time step makes one batched policy forward (one per bundle) over
+    the histories of the episodes still running, then steps each of them
+    with ``env.step`` and drops those that finish.  Since a row's
+    distribution does not depend on its batch, the records equal those of
+    playing the episodes one after another: in episode order, with
+    ``global_step`` the running sum of the lengths.
     """
     if num_episodes <= 0:
         raise ValueError("num_episodes must be positive")
     pol = ActorPolicy(policy) if isinstance(policy, AgentBundle) else policy
     rng = derive_rng(seed, KEY_EVAL)
-    episodes = []
-    global_step = 0
-    for i in range(num_episodes):
-        state = env.reset(seed=int(rng.integers(2 ** 31)))
-        ret, length = 0.0, 0
-        while True:
-            action = int(np.argmax(pol.probs(state.history)))
-            reward, state, done = env.step(state, action)
-            ret += reward
-            length += 1
-            global_step += 1
-            if done:
-                break
-        episodes.append(EpisodeRecord.create(i, global_step, ret, length))
+    states = [env.reset(seed=int(rng.integers(2 ** 31))) for _ in range(num_episodes)]
+    returns = [0.0] * num_episodes
+    lengths = [0] * num_episodes
+    live = list(range(num_episodes))
+    while live:
+        actions = np.argmax(pol.probs_batch([states[i].history for i in live]), axis=1)
+        running = []
+        for i, action in zip(live, actions.tolist()):
+            reward, states[i], done = env.step(states[i], action)
+            returns[i] += reward
+            lengths[i] += 1
+            if not done:
+                running.append(i)
+        live = running
+    global_steps = itertools.accumulate(lengths)
+    episodes = [EpisodeRecord.create(i, step, ret, length) for i, (step, ret, length)
+                in enumerate(zip(global_steps, returns, lengths))]
     return EvalResult(episodes, compute_metrics(episodes))
 
 
@@ -422,8 +459,14 @@ def _rollout(env, config: TrainConfig, act, learn, policy, eval_env,
     boundaries, acts with ``act(history)``, steps the environment, hands the
     transition to ``learn`` and closes the episode on done.  Returns the
     episode curve and the snapshots (epoch index plus 'final'; none without
-    an ``eval_env``).
+    an ``eval_env``).  An ``episodes_per_epoch`` below 1 (which would put
+    every epoch at step 0 or before it) or, with an ``eval_env``, an
+    ``eval_episodes`` below 1 raises ValueError before the first step.
     """
+    if episodes_per_epoch < 1:
+        raise ValueError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
+    if eval_env is not None and eval_episodes < 1:
+        raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
     points: dict[int, str] = {}
     if eval_env is not None:
         epoch_steps = env.config.max_steps * episodes_per_epoch

@@ -264,6 +264,29 @@ class TestRewardModelPersistence:
         assert loaded.kind == "sequential"
         assert abs(loaded.score([1, 2], 3) - model.score([1, 2], 3)) < 1e-4
 
+    @pytest.mark.parametrize("kind, edit, named", [
+        ("latent", lambda cfg, tensors: cfg.pop("r_max"), "r_max"),
+        ("latent", lambda cfg, tensors: tensors.pop("item_latents"), "item_latents"),
+        ("matrix_factorization", lambda cfg, tensors: cfg.pop("user_ids"), "user_ids"),
+        ("sequential", lambda cfg, tensors: cfg.update(num_items="3"), "num_items"),
+        ("latent", lambda cfg, tensors: cfg.update(r_max="x"), "r_max"),
+    ], ids=["no_r_max", "no_item_latents", "no_user_ids", "string_num_items", "string_r_max"])
+    def test_bad_header_is_a_checkpoint_error(self, tmp_path, kind, edit, named):
+        _, log, truth = generate_synthetic(6, 10, 4, 2, seed=1)
+        if kind == "latent":
+            model = LatentPreferenceModel(truth.item_latents, r_max=5.0)
+        else:
+            model = fit_reward_model(log, kind, 10, d_rm=2, epochs=1, max_seq_len=5, seed=0)
+        p = tmp_path / "rm.ckpt"
+        save_reward_model(model, p)
+        data = read_checkpoint(p)
+        cfg, tensors = dict(data.config), dict(data.tensors)
+        edit(cfg, tensors)
+        save_tensors(p, tensors, cfg)
+        with pytest.raises(CheckpointError, match=named) as info:
+            load_reward_model(p)
+        assert str(info.value).startswith(f"{p}: ")
+
 
 class TestWorldBuilding:
     def test_synthetic_world_split(self):
@@ -408,6 +431,20 @@ class TestCli:
         assert (run / "curve_ft.jsonl").exists()
         assert self.run("--config", str(tiny_config), "--out", str(out), "eval") == 0
         assert (run / "eval.tsv").exists()
+
+    def test_online_with_no_episodes_per_epoch_fails_cleanly(self, tiny_config, tmp_path,
+                                                             capsys):
+        out = tmp_path / "out"
+        assert self.run("--config", str(tiny_config), "--out", str(out), "pretrain") == 0
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_INI.replace("episodes_per_epoch = 2", "episodes_per_epoch = 0"),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert self.run("--config", str(bad), "--out", str(out), "online") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "episodes_per_epoch" in err
+        assert not (out / "t-s0" / "curve_ft.jsonl").exists()
 
     def test_online_without_pretrain_fails_cleanly(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "fresh"

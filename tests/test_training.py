@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from prefrl.agent import Transition, init_agent, policy_for
+from prefrl.agent import AgentBundle, Transition, init_agent, policy_for, q_for
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic, split_log
 from prefrl.encoder import EncoderConfig
+from prefrl import encoder
 from prefrl.environment import (EnvConfig, LatentPreferenceModel, MatrixFactorizationModel,
-                                UserEnvironment)
+                                UserEnvironment, fit_reward_model)
+from prefrl.metrics import EpisodeRecord
 from prefrl.oracle import SyntheticOracle
 from prefrl.training import (CATEGORICAL, GREEDY, ExplorationStrategy, MixPolicy,
                              ReplayBuffer, TrainConfig, alpha_at, choose_action,
                              derive_rng, derive_seed, evaluate, mix_action_distribution,
                              online_phase, pretrain, run_baseline,
                              sample_candidates, ActorPolicy, QGreedyPolicy)
-from prefrl.nn import sample_categorical
+from prefrl.nn import sample_categorical, softmax
 
 
 @pytest.fixture(scope="module")
@@ -469,6 +471,56 @@ class TestBaselines:
                    for e in result.episodes)
 
 
+@pytest.fixture(scope="module")
+def reward_models(world):
+    """The three reward models (the MF model keys episodes by user id, the
+    others by item history), fitted so rewards straddle the quit threshold."""
+    full = InteractionLog(world["train"].sequences + world["test"].sequences)
+    return {"latent": world["model"],
+            "matrix_factorization": fit_reward_model(full, "matrix_factorization", 24,
+                                                     d_rm=4, epochs=5, seed=0),
+            "sequential": fit_reward_model(world["train"], "sequential", 24, d_rm=8,
+                                           epochs=40, lr=0.1, max_seq_len=5, seed=0)}
+
+
+def evaluation_env(world, model, quit_threshold=0.75, max_steps=12):
+    return UserEnvironment(model, world["test"], EnvConfig(
+        max_steps=max_steps, quit_threshold=quit_threshold, r_max=5.0, seed=11))
+
+
+def policy_view(world, view):
+    """The policy evaluated as ``view``: a bare bundle or one of the three
+    evaluation views."""
+    a = agent_for(world, seed=42)
+    return {"bundle": a, "actor": ActorPolicy(a), "q_greedy": QGreedyPolicy(a),
+            "mix": MixPolicy(a, agent_for(world, seed=43), 0.3)}[view]
+
+
+def episode_by_episode(policy, env, num_episodes, seed):
+    """The evaluation loop before lockstep: one greedy episode after
+    another, one single-history forward per step."""
+    pol = ActorPolicy(policy) if isinstance(policy, AgentBundle) else policy
+    rng = derive_rng(seed, 4)
+    episodes = []
+    global_step = 0
+    for i in range(num_episodes):
+        state = env.reset(seed=int(rng.integers(2 ** 31)))
+        ret, length = 0.0, 0
+        while True:
+            action = int(np.argmax(pol.probs(state.history)))
+            reward, state, done = env.step(state, action)
+            ret += reward
+            length += 1
+            global_step += 1
+            if done:
+                break
+        episodes.append(EpisodeRecord.create(i, global_step, ret, length))
+    return episodes
+
+
+VIEWS = ("bundle", "actor", "q_greedy", "mix")
+
+
 class TestEvaluate:
     def test_deterministic(self, world):
         agent = agent_for(world, seed=13)
@@ -500,3 +552,99 @@ class TestEvaluate:
                 total += reward
             totals.append(total)
         assert random_return < np.mean(totals)
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("kind", ["latent", "matrix_factorization", "sequential"])
+    def test_equals_the_episode_by_episode_loop(self, world, reward_models, view, kind):
+        env = evaluation_env(world, reward_models[kind])
+        policy = policy_view(world, view)
+        for num_episodes in (1, 9):
+            got = evaluate(policy, env, num_episodes, seed=6).episodes
+            assert got == episode_by_episode(policy, env, num_episodes, seed=6)
+        # the quit rule ends episodes at different steps, so the live batch shrinks
+        assert len({e.length for e in got}) > 1
+
+    @pytest.mark.parametrize("view", ["actor", "q_greedy", "mix"])
+    def test_probs_is_its_row_of_probs_batch(self, world, view):
+        policy = policy_view(world, view)
+        rng = np.random.default_rng(17)
+        # lengths 1 up to past max_seq_len (6)
+        histories = [tuple(int(i) for i in rng.integers(24, size=1 + b % 9)) for b in range(20)]
+        for size in (1, 2, 3, 20):
+            batch = policy.probs_batch(histories[:size])
+            assert batch.shape == (size, 24)
+            for row, history in zip(batch, histories):
+                assert np.array_equal(policy.probs(history), row)
+
+    def test_views_match_their_single_history_definitions(self, world):
+        a = agent_for(world, seed=40)
+        b = agent_for(world, seed=41)
+        history = (3, 1, 4, 1, 5, 9, 2, 6)
+        assert np.array_equal(ActorPolicy(a).probs(history), policy_for(a, history))
+        assert np.array_equal(QGreedyPolicy(a).probs(history), softmax(q_for(a, history)))
+        assert np.array_equal(MixPolicy(a, b, 0.3).probs(history),
+                              0.7 * policy_for(a, history) + 0.3 * policy_for(b, history))
+
+    @pytest.mark.parametrize("view, per_step", [("bundle", 1), ("actor", 1), ("q_greedy", 1),
+                                                ("mix", 2)])
+    def test_one_encoder_forward_per_bundle_per_time_step(self, world, view, per_step,
+                                                          monkeypatch):
+        calls = []
+        forward = encoder._forward
+
+        def counted(ids, *args):
+            calls.append(len(ids))
+            return forward(ids, *args)
+
+        monkeypatch.setattr(encoder, "_forward", counted)
+        horizon = 7
+        env = evaluation_env(world, world["model"], quit_threshold=0.0, max_steps=horizon)
+        policy = policy_view(world, view)
+        for num_episodes in (1, 5, 20):
+            calls.clear()
+            evaluate(policy, env, num_episodes, seed=3)
+            assert calls == [num_episodes] * (per_step * horizon)
+
+
+class CountingEnv(UserEnvironment):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.steps = 0
+
+    def step(self, state, action):
+        self.steps += 1
+        return super().step(state, action)
+
+
+class TestEpochArguments:
+    def run(self, world, method, env, **kw):
+        cfg = TrainConfig(online_steps=40, seed=0)
+        if method in ("ft", "ap"):
+            return online_phase(method, agent_for(world), env, cfg, **kw)
+        return run_baseline(method, env, cfg,
+                            EncoderConfig(num_items=24, embed_dim=8, max_seq_len=6), **kw)
+
+    @pytest.mark.parametrize("method", ["pg", "ap"])
+    @pytest.mark.parametrize("episodes_per_epoch", [0, -1])
+    def test_episodes_per_epoch_below_one_is_refused_before_any_step(self, world, method,
+                                                                     episodes_per_epoch):
+        # every eval epoch would map to step 0 (0) or before it (-1), so the
+        # snapshots would be mislabelled or silently dropped
+        env = CountingEnv(world["model"], world["train"], EnvConfig(max_steps=5))
+        with pytest.raises(ValueError, match="episodes_per_epoch"):
+            self.run(world, method, env, eval_env=make_env(world, "test"),
+                     episodes_per_epoch=episodes_per_epoch)
+        assert env.steps == 0
+
+    @pytest.mark.parametrize("method", ["pg", "ft"])
+    @pytest.mark.parametrize("eval_episodes", [0, -2])
+    def test_eval_episodes_below_one_is_refused_before_any_step(self, world, method,
+                                                                eval_episodes):
+        env = CountingEnv(world["model"], world["train"], EnvConfig(max_steps=5))
+        with pytest.raises(ValueError, match="eval_episodes"):
+            self.run(world, method, env, eval_env=make_env(world, "test"),
+                     eval_episodes=eval_episodes)
+        assert env.steps == 0
+        # without an evaluation environment the count is never used
+        result = self.run(world, method, make_env(world), eval_episodes=eval_episodes)
+        assert result.snapshots == {}
