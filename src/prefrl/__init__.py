@@ -10,7 +10,7 @@ from .metrics import EpisodeRecord, compute_metrics
 from .nn import ParamSet, finite_diff_grad, optimizer_step, sample_categorical, softmax
 from .oracle import OracleOutcome, PromptSpec, build_prompt, distill, parse_response
 from .training import (ExplorationStrategy, MixPolicy, ReplayBuffer, TrainConfig,
-                       alpha_at, choose_action, evaluate, mix_action_distribution,
-                       online_phase, pretrain, run_baseline)
+                       alpha_at, choose_action, evaluate, online_phase, pretrain,
+                       run_baseline)
 
 __version__ = "0.1.0"

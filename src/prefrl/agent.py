@@ -11,7 +11,10 @@ gradients (semi-gradient TD); terminal transitions drop the bootstrap term.
 :func:`update` is the one learner.  Besides that actor-critic step it takes
 the critic's TD term alone (dqn), the actor term of a frozen/learnable
 mixture with gradients into the learnable side only (ap), and REINFORCE on
-given returns with no critic term (pg).
+given returns with no critic term (pg).  The mixture reads the frozen
+policy's probability of each action from its transition
+(``Transition.frozen_prob``, stored when the action was taken), so the
+frozen policy takes no part in the update.
 """
 from __future__ import annotations
 
@@ -40,11 +43,15 @@ LOG_PROB_FLOOR = -30.0
 
 @dataclass(frozen=True)
 class Transition:
+    """One step of experience.  ``frozen_prob`` is the frozen policy's
+    probability of ``action`` in the state, computed when the action was
+    taken; only the mixture setting of :func:`update` reads it."""
     state_items: tuple[int, ...]
     action: int
     reward: float
     next_state_items: tuple[int, ...]
     done: bool
+    frozen_prob: float | None = None
 
 
 @dataclass
@@ -193,40 +200,43 @@ def _td_targets(batch: list[Transition], bundle: AgentBundle,
 
 def update(batch: list[Transition], bundle: AgentBundle, lr: float,
            momentum: float = 0.0, target_bundle: AgentBundle | None = None, *,
-           actor: bool = True, frozen: AgentBundle | None = None, alpha: float = 1.0,
+           actor: bool = True, alpha: float | None = None,
            returns=None) -> tuple[float, float]:
     """One optimizer step on a minibatch, the learner of every training loop.
 
     Averages the losses over the batch, accumulates the analytic gradients,
     applies a single optimizer step, and returns (mean actor loss, mean
     critic loss); a term that is off reports 0.0.  By default an actor-critic
-    step; ``actor=False`` keeps the critic's TD term alone; ``frozen`` and
-    ``alpha`` make the actor term read the mixture ``(1 - alpha) * frozen +
-    alpha * pi`` with gradients into ``bundle`` only; ``returns`` gives
-    REINFORCE, one return per transition and no critic term.  Per transition
-    the logit gradient is ``c * (pi - one_hot) / B`` with c the TD error, the
-    return, or for the mixture the TD error times ``alpha * pi(a) / p_mix(a)``
-    (0 where p_mix(a) underflows).  ``target_bundle`` optionally supplies the
-    frozen bootstrap critic.
+    step; ``actor=False`` keeps the critic's TD term alone; ``alpha`` makes
+    the actor term read the mixture ``p_mix(a) = (1 - alpha) *
+    t.frozen_prob + alpha * pi(a)`` with gradients into ``bundle`` only;
+    ``returns`` gives REINFORCE, one return per transition and no critic
+    term.  Per transition the logit gradient is ``c * (pi - one_hot) / B``
+    with c the TD error, the return, or for the mixture the TD error times
+    ``alpha * pi(a) / p_mix(a)`` (0 where p_mix(a) underflows).
+    ``target_bundle`` optionally supplies the frozen bootstrap critic.
 
     The whole batch goes through one forward and one backward: one batched
-    encode each of the states, of the non-terminal next states and, for the
-    mixture, of the states under ``frozen``.  Each row's forward products are
-    its own, and each transition adds one rank-one term to each weight
-    gradient, so a batch of two equal transitions takes exactly the step of
-    one.
+    encode each of the states and of the non-terminal next states.  Each
+    row's forward products are its own, and each transition adds one
+    rank-one term to each weight gradient, so a batch of two equal
+    transitions takes exactly the step of one.  A mixture batch with a
+    transition that lacks ``frozen_prob`` raises ValueError.
     """
     if not batch:
         raise ValueError("update requires a nonempty batch")
     if returns is not None and len(returns) != len(batch):
         raise ValueError("returns must give one value per transition")
+    mixture = alpha is not None and actor
+    if mixture and any(t.frozen_prob is None for t in batch):
+        raise ValueError("a mixture update needs frozen_prob on every transition")
     inv_b = 1.0 / len(batch)
     rows = np.arange(len(batch))
     actions = np.array([t.action for t in batch], dtype=np.int64)
     one_hot = np.zeros((len(batch), bundle.num_items))
     one_hot[rows, actions] = 1.0
-    histories = [t.state_items for t in batch]
-    states, cache = encode_batch_with_cache(histories, bundle.params, bundle.encoder_config)
+    states, cache = encode_batch_with_cache([t.state_items for t in batch], bundle.params,
+                                            bundle.encoder_config)
     actor_mean = critic_mean = 0.0
     d_logits = d_q = None
     if returns is None:
@@ -237,14 +247,13 @@ def update(batch: list[Transition], bundle: AgentBundle, lr: float,
         c = np.asarray(returns, dtype=np.float64)
     if actor:
         pi = action_distribution(states, bundle)
-        p = pi
-        if frozen is not None:
-            frozen_states = encode_batch(histories, frozen.params, frozen.encoder_config)
-            p = (1.0 - alpha) * action_distribution(frozen_states, frozen) + alpha * pi
-        p_a = p[rows, actions]
+        p_a = pi[rows, actions]
+        if mixture:
+            frozen_a = np.array([t.frozen_prob for t in batch], dtype=np.float64)
+            p_a = (1.0 - alpha) * frozen_a + alpha * p_a
         log_p = _clamped_log(p_a)
         actor_mean = float(np.sum(-log_p * c)) * inv_b
-        if frozen is not None:
+        if mixture:
             live = p_a > 1e-300
             c = np.where(live, c * alpha * pi[rows, actions] / np.where(live, p_a, 1.0), 0.0)
         d_logits = c[:, None] * (pi - one_hot) * inv_b

@@ -10,10 +10,18 @@ Three reward models are available:
   dot(mean history latent, action latent).  This is the oracle-aligned
   environment used for directional experiments and tests.
 
+Each model scores a batch, ``score_batch(contexts, actions) -> (B,)``, with
+one gather and stacked row-wise products (one ``encode_batch`` for the
+sequential kind); ``score`` is its one-row case, and a row's bits do not
+depend on the batch it is scored in.
+
 Episodes start from a logged user (MF) or a logged initial item (the other
 kinds), append the agent's action to the history each step, and end when the
 reward falls below the quit threshold (the user abandons the session) or the
 step horizon is reached.  Rewards are clipped to [0, r_max].
+:meth:`UserEnvironment.step_batch` steps a batch of episodes with one
+``score_batch`` call (lockstep evaluation uses it); ``step`` is its one-row
+case.
 """
 from __future__ import annotations
 
@@ -23,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionLog
-from .encoder import EncoderConfig, encode, encode_backward, encode_with_cache, init_encoder_params
+from .encoder import (EncoderConfig, encode_backward, encode_batch, encode_with_cache,
+                      init_encoder_params)
 from .nn import ParamSet, optimizer_step, softmax
 
 __all__ = [
@@ -33,7 +42,6 @@ __all__ = [
     "SequentialModel",
     "LatentPreferenceModel",
     "fit_reward_model",
-    "score",
     "UserEnvironment",
 ]
 
@@ -63,7 +71,22 @@ class EnvState:
     done: bool
 
 
-class MatrixFactorizationModel:
+class _RewardModel:
+    """A reward for each (context, action) pair.  A model defines only the
+    batched ``score_batch(contexts, actions) -> (B,)``; ``score`` is its
+    one-row case."""
+
+    def score(self, context, action: int) -> float:
+        return float(self.score_batch([context], [action])[0])
+
+
+def _row_dots(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """dot(rows[b], cols[b]) for each b, as stacked (1, d) @ (d, 1) products:
+    each row is its own dot, so its bits do not depend on the batch."""
+    return (rows[:, None, :] @ cols[:, :, None])[:, 0, 0]
+
+
+class MatrixFactorizationModel(_RewardModel):
     """Biased MF over (user, item): dot(U_u, V_i) + b_u + b_i + b0, clipped."""
 
     kind = "matrix_factorization"
@@ -85,16 +108,19 @@ class MatrixFactorizationModel:
     def num_items(self) -> int:
         return self.item_factors.shape[0]
 
-    def score(self, user_id: str, action: int) -> float:
-        if user_id not in self.user_index:
-            raise KeyError(f"unknown user {user_id!r}")
-        u = self.user_index[user_id]
-        raw = (self.user_factors[u] @ self.item_factors[action]
-               + self.user_bias[u] + self.item_bias[action] + self.global_bias)
-        return float(np.clip(raw, 0.0, self.r_max))
+    def score_batch(self, user_ids, actions) -> np.ndarray:
+        """One row gather of the users' and the actions' factors and biases."""
+        try:
+            u = np.array([self.user_index[user_id] for user_id in user_ids], dtype=np.int64)
+        except KeyError as exc:
+            raise KeyError(f"unknown user {exc.args[0]!r}") from None
+        a = np.asarray(actions, dtype=np.int64)
+        raw = (_row_dots(self.user_factors[u], self.item_factors[a])
+               + self.user_bias[u] + self.item_bias[a] + self.global_bias)
+        return raw.clip(0.0, self.r_max)
 
 
-class SequentialModel:
+class SequentialModel(_RewardModel):
     """Frozen next-item encoder; scores dot(encode(history), item embedding)."""
 
     kind = "sequential"
@@ -110,13 +136,14 @@ class SequentialModel:
     def num_items(self) -> int:
         return self.encoder_config.num_items
 
-    def score(self, history, action: int) -> float:
-        state = encode(history, self.params, self.encoder_config)
-        raw = state @ self.params["item_emb"][action]
-        return float(np.clip(raw, 0.0, self.r_max))
+    def score_batch(self, histories, actions) -> np.ndarray:
+        """One ``encode_batch`` of the histories."""
+        states = encode_batch(histories, self.params, self.encoder_config)
+        raw = _row_dots(states, self.params["item_emb"][np.asarray(actions, dtype=np.int64)])
+        return raw.clip(0.0, self.r_max)
 
 
-class LatentPreferenceModel:
+class LatentPreferenceModel(_RewardModel):
     """Ground-truth scorer: dot(mean history latent, action latent), clipped.
 
     Aligned by construction with the synthetic judge, which ranks candidates
@@ -134,16 +161,21 @@ class LatentPreferenceModel:
     def num_items(self) -> int:
         return self.item_latents.shape[0]
 
-    def score(self, history, action: int) -> float:
-        profile = self.item_latents[np.asarray(history, dtype=np.int64)].mean(axis=0)
-        raw = self.scale * float(profile @ self.item_latents[action])
-        return float(np.clip(raw, 0.0, self.r_max))
-
-
-def score(reward_model, context, action: int) -> float:
-    """Uniform scoring entry point: context is a user id for MF models and an
-    item-id history for the other kinds."""
-    return reward_model.score(context, action)
+    def score_batch(self, histories, actions) -> np.ndarray:
+        """One gather and mean of the history latents when the histories have
+        equal lengths, as in lockstep evaluation, and one per history
+        otherwise.  Each mean is summed in history order and divided by the
+        length, as ``mean`` does."""
+        latents = self.item_latents
+        lengths = {len(history) for history in histories}
+        if len(lengths) == 1:
+            ids = np.array(histories, dtype=np.int64)
+            profiles = np.add.reduce(latents[ids], axis=1) / lengths.pop()
+        else:
+            profiles = np.array([np.add.reduce(latents[np.asarray(h, dtype=np.int64)], axis=0)
+                                 / len(h) for h in histories])
+        raw = self.scale * _row_dots(profiles, latents[np.asarray(actions, dtype=np.int64)])
+        return raw.clip(0.0, self.r_max)
 
 
 def _fit_matrix_factorization(log_: InteractionLog, num_items: int, d_rm: int,
@@ -271,16 +303,32 @@ class UserEnvironment:
         return EnvState(history=(seq.items[0],), user_id=user_id,
                         steps_taken=0, done=False)
 
+    def step_batch(self, states, actions) -> tuple[list[float], list[EnvState], list[bool]]:
+        """Step a batch of episodes: score every (state, action) pair with one
+        ``score_batch`` call, append each action to its history, and apply the
+        quit rule.  Returns the rewards, next states and done flags in batch
+        order; row b equals ``step(states[b], actions[b])``."""
+        if len(states) != len(actions):
+            raise ValueError(f"{len(states)} states but {len(actions)} actions")
+        for state, action in zip(states, actions):
+            if state.done:
+                raise RuntimeError("cannot step a finished episode")
+            if not 0 <= action < self.num_items:
+                raise ValueError(f"action {action} out of range [0, {self.num_items})")
+        by_user = self.reward_model.kind == "matrix_factorization"
+        contexts = [state.user_id if by_user else state.history for state in states]
+        rewards = self.reward_model.score_batch(contexts, actions).tolist()
+        quit_threshold, max_steps = self.config.quit_threshold, self.config.max_steps
+        next_states, dones = [], []
+        for state, action, reward in zip(states, actions, rewards):
+            steps = state.steps_taken + 1
+            done = reward < quit_threshold or steps >= max_steps
+            next_states.append(EnvState(history=state.history + (action,),
+                                        user_id=state.user_id, steps_taken=steps, done=done))
+            dones.append(done)
+        return rewards, next_states, dones
+
     def step(self, state: EnvState, action: int) -> tuple[float, EnvState, bool]:
         """Score the action, append it to the history, and apply the quit rule."""
-        if state.done:
-            raise RuntimeError("cannot step a finished episode")
-        if not 0 <= action < self.num_items:
-            raise ValueError(f"action {action} out of range [0, {self.num_items})")
-        context = state.user_id if self.reward_model.kind == "matrix_factorization" else state.history
-        reward = self.reward_model.score(context, action)
-        steps = state.steps_taken + 1
-        done = reward < self.config.quit_threshold or steps >= self.config.max_steps
-        next_state = EnvState(history=state.history + (action,), user_id=state.user_id,
-                              steps_taken=steps, done=done)
-        return reward, next_state, done
+        rewards, next_states, dones = self.step_batch([state], [action])
+        return rewards[0], next_states[0], dones[0]

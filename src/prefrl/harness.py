@@ -23,7 +23,7 @@ from .config import AppConfig, ConfigError, dump_full
 from .data import (InteractionLog, ItemCatalog, SyntheticGroundTruth, generate_synthetic,
                    load_catalog, load_interactions, split_log, write_catalog,
                    write_interactions)
-from .encoder import ENCODER_PARAM_NAMES, EncoderConfig
+from .encoder import EncoderConfig
 from .environment import (EnvConfig, LatentPreferenceModel, MatrixFactorizationModel,
                           SequentialModel, UserEnvironment, fit_reward_model)
 from .metrics import MetricMeans, smooth_curve
@@ -245,21 +245,48 @@ def save_reward_model(model, path) -> None:
 _NUMBER = ("a numeric", lambda v: type(v) in (int, float))
 _INTEGER = ("an integer", lambda v: type(v) is int)
 _STRINGS = ("a string list", lambda v: isinstance(v, list) and all(isinstance(u, str) for u in v))
-# per kind: the checked config keys and the tensor names
+# per kind: the checked config keys and each tensor's shape, as sizes or as
+# named dimensions that must agree across tensors and with the header
 _REWARD_MODEL_LAYOUT = {
-    "latent": ({"r_max": _NUMBER, "scale": _NUMBER}, ("item_latents",)),
-    "matrix_factorization": ({"r_max": _NUMBER, "user_ids": _STRINGS},
-                             ("user_factors", "item_factors", "user_bias", "item_bias",
-                              "global_bias")),
+    "latent": ({"r_max": _NUMBER, "scale": _NUMBER}, {"item_latents": ("items", "dim")}),
+    "matrix_factorization": ({"r_max": _NUMBER, "user_ids": _STRINGS}, {
+        "user_factors": ("users", "dim"), "item_factors": ("items", "dim"),
+        "user_bias": ("users",), "item_bias": ("items",), "global_bias": (1,)}),
     "sequential": ({"r_max": _NUMBER, "num_items": _INTEGER, "embed_dim": _INTEGER,
-                    "max_seq_len": _INTEGER}, ENCODER_PARAM_NAMES),
+                    "max_seq_len": _INTEGER}, {
+        "item_emb": ("ids", "embed_dim"), "pos_emb": ("max_seq_len", "embed_dim"),
+        "w_q": ("embed_dim", "embed_dim"), "w_k": ("embed_dim", "embed_dim"),
+        "w_v": ("embed_dim", "embed_dim")}),
 }
 
 
+def _check_reward_model_shapes(path, kind: str, cfg: dict, tensors: dict) -> None:
+    """Every tensor's shape against the header and the other tensors; a
+    dimension the header does not fix is set by the first tensor that has it."""
+    if kind == "matrix_factorization":
+        dims = {"users": len(cfg["user_ids"])}
+    elif kind == "sequential":
+        dims = {"ids": cfg["num_items"] + 1, "embed_dim": cfg["embed_dim"],
+                "max_seq_len": cfg["max_seq_len"]}
+    else:
+        dims = {}
+    for name, axes in _REWARD_MODEL_LAYOUT[kind][1].items():
+        shape = tensors[name].shape
+        if len(shape) == len(axes):
+            for axis, size in zip(axes, shape):
+                if isinstance(axis, str):
+                    dims.setdefault(axis, size)
+        expected = tuple(dims.get(axis, axis) for axis in axes)
+        if shape != expected:
+            shown = ", ".join(map(str, expected)) + ("," if len(expected) == 1 else "")
+            raise CheckpointError(f"{path}: {kind} reward model tensor {name!r} has shape "
+                                  f"{shape}, expected ({shown})")
+
+
 def load_reward_model(path):
-    """Rebuild a reward model written by :func:`save_reward_model`.  A header
-    or tensor set that does not describe one raises a CheckpointError naming
-    the path."""
+    """Rebuild a reward model written by :func:`save_reward_model`.  A header,
+    tensor set or tensor shape that does not describe one raises a
+    CheckpointError naming the path."""
     data = read_checkpoint(path)
     cfg, tensors = data.config, data.tensors
     kind = cfg.get("kind")
@@ -273,6 +300,7 @@ def load_reward_model(path):
     for name in names:
         if name not in tensors:
             raise CheckpointError(f"{path}: {kind} reward model has no tensor {name!r}")
+    _check_reward_model_shapes(path, kind, cfg, tensors)
     try:
         if kind == "latent":
             return LatentPreferenceModel(tensors["item_latents"], cfg["r_max"], cfg["scale"])

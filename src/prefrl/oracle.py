@@ -198,10 +198,13 @@ class RemoteEndpoint:
     backoff: float = 0.5
 
 
-def llm_choice(prompt: str, endpoint: RemoteEndpoint) -> str:
+def llm_choice(prompt: str, endpoint: RemoteEndpoint,
+               session: requests.Session | None = None) -> str:
     """POST one chat-completion request and return the first choice's text.
 
-    Transient failures (connection errors, timeouts, HTTP 429/5xx) are
+    With a ``session`` the request goes over its kept-alive connection
+    (opened on first use, reopened after a drop); without one each call
+    opens and closes its own.  Transient failures (connection errors, timeouts, HTTP 429/5xx) are
     retried with exponential backoff up to ``endpoint.max_retries`` times;
     the three failure modes surface as distinct exceptions.  A 200 reply
     that is not JSON or lacks ``choices[0].message.content`` raises
@@ -217,12 +220,13 @@ def llm_choice(prompt: str, endpoint: RemoteEndpoint) -> str:
         "messages": [{"role": "user", "content": prompt}],
         "temperature": endpoint.temperature,
     }
+    post = requests.post if session is None else session.post
     last_error: OracleError | None = None
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
             time.sleep(endpoint.backoff * 2 ** (attempt - 1))
         try:
-            resp = requests.post(url, json=body, headers=headers, timeout=endpoint.timeout)
+            resp = post(url, json=body, headers=headers, timeout=endpoint.timeout)
         except requests.Timeout:
             last_error = OracleTimeoutError(f"timed out after {endpoint.timeout}s: {url}")
             continue
@@ -319,7 +323,8 @@ class LLMOracle:
     Builds the prompt from catalog records, queries the endpoint, parses the
     label.  With ``replay`` set, responses come from the fixture and the
     network is never touched; with ``record_path`` set, live responses are
-    appended to the fixture.
+    appended to the fixture.  Live calls share one ``requests.Session``, so
+    consecutive calls reuse one connection.
     """
 
     def __init__(self, endpoint: RemoteEndpoint, catalog: ItemCatalog,
@@ -330,6 +335,7 @@ class LLMOracle:
         self.prompt_spec = prompt_spec
         self.replay = replay
         self.record_path = record_path
+        self.session = requests.Session() if replay is None else None
 
     def choose(self, history: list[int], candidates: list[int]) -> OracleChoice:
         prompt = build_prompt(
@@ -343,10 +349,15 @@ class LLMOracle:
                 raise OracleError(f"prompt hash {key[:12]}... missing from replay fixture")
             text = self.replay[key]
         else:
-            text = llm_choice(prompt, self.endpoint)
+            text = llm_choice(prompt, self.endpoint, self.session)
             if self.record_path is not None:
                 append_record(self.record_path, prompt, text)
         return parse_response(text, self.prompt_spec.k)
+
+    def close(self) -> None:
+        """Close the kept-alive connection (a later live call opens a new one)."""
+        if self.session is not None:
+            self.session.close()
 
 
 def distill(history: list[int], candidate_ids: list[int], oracle,

@@ -17,14 +17,18 @@ learn, track, snapshot); they differ only in how an action is picked
 step or an episodic REINFORCE step.  Both learners call :func:`agent.update`,
 in one of its four settings: actor-critic (pre-training, ft, a2c,
 llm_online), critic only (dqn), mixture actor term (ap) or REINFORCE (pg).
+The ap act computes the frozen policy's distribution anyway, so it stores
+the acted item's frozen probability in the transition
+(``Transition.frozen_prob``) and the mixture learner reads it from there.
 
 Test-environment snapshots and every harness evaluation go through
 :func:`evaluate`, which plays its greedy episodes in lockstep: each time step
 makes one batched policy forward (one per bundle; two for the ap mixture)
-over the histories of the episodes still running, and steps each episode
-with ``env.step``.  The evaluation views (``ActorPolicy``, ``QGreedyPolicy``,
-``MixPolicy``) define that forward as ``probs_batch``; their single-history
-``probs`` is its one-row case.
+over the histories of the episodes still running, and steps all of them with
+one ``env.step_batch`` call, so one reward-model ``score_batch``.  The
+evaluation views (``ActorPolicy``, ``QGreedyPolicy``, ``MixPolicy``) define
+that forward as ``probs_batch``; their single-history ``probs`` is its
+one-row case.
 
 Every phase owns a single rng derived from the config seed, so runs are
 bitwise reproducible at the metrics level.  Each purpose draws from its own
@@ -64,7 +68,6 @@ __all__ = [
     "MixPolicy",
     "choose_action",
     "alpha_at",
-    "mix_action_distribution",
     "sample_candidates",
     "pretrain",
     "online_phase",
@@ -220,7 +223,7 @@ def _replay_td(agent: AgentBundle, config: TrainConfig, rng: np.random.Generator
         buffer.push(transition)
         if len(buffer) < config.batch_size:
             return None
-        mixture = {} if mix is None else {"frozen": mix.frozen, "alpha": mix.alpha}
+        mixture = {} if mix is None else {"alpha": mix.alpha}
         losses = update(buffer.sample(config.batch_size, rng), agent, config.lr,
                         config.momentum, boot.snapshot, actor=actor, **mixture)
         boot.tick(agent)
@@ -268,15 +271,13 @@ class MixPolicy(_PolicyView):
     def probs_batch(self, histories) -> np.ndarray:
         """(1 - alpha) * frozen + alpha * learnable per history, each side
         encoding the batch with its own parameters (one forward per side)."""
-        p = _actor_probs(self.frozen, histories)
-        q = _actor_probs(self.learnable, histories)
-        return (1.0 - self.alpha) * p + self.alpha * q
+        return self._sides(histories)[0]
 
-
-def mix_action_distribution(mix: MixPolicy, items) -> np.ndarray:
-    """(1 - alpha) * frozen + alpha * learnable, each encoding the history
-    with its own parameters."""
-    return mix.probs(items)
+    def _sides(self, histories) -> tuple[np.ndarray, np.ndarray]:
+        """The mixture and its frozen side, (B, n) each."""
+        frozen = _actor_probs(self.frozen, histories)
+        learnable = _actor_probs(self.learnable, histories)
+        return (1.0 - self.alpha) * frozen + self.alpha * learnable, frozen
 
 
 def sample_candidates(dist, k: int, mode: str, rng: np.random.Generator) -> list[int]:
@@ -384,11 +385,11 @@ def evaluate(policy, env, num_episodes: int, seed: int) -> EvalResult:
     ActorPolicy, a QGreedyPolicy) by its ``probs_batch``.  The episodes run
     in lockstep: every reset seed is drawn up front, in episode order, and
     each time step makes one batched policy forward (one per bundle) over
-    the histories of the episodes still running, then steps each of them
-    with ``env.step`` and drops those that finish.  Since a row's
-    distribution does not depend on its batch, the records equal those of
-    playing the episodes one after another: in episode order, with
-    ``global_step`` the running sum of the lengths.
+    the histories of the episodes still running, then steps all of them
+    with one ``env.step_batch`` call and drops those that finish.  Since
+    neither a row's distribution nor its reward depends on its batch, the
+    records equal those of playing the episodes one after another: in
+    episode order, with ``global_step`` the running sum of the lengths.
     """
     if num_episodes <= 0:
         raise ValueError("num_episodes must be positive")
@@ -400,9 +401,11 @@ def evaluate(policy, env, num_episodes: int, seed: int) -> EvalResult:
     live = list(range(num_episodes))
     while live:
         actions = np.argmax(pol.probs_batch([states[i].history for i in live]), axis=1)
+        rewards, next_states, dones = env.step_batch([states[i] for i in live],
+                                                     actions.tolist())
         running = []
-        for i, action in zip(live, actions.tolist()):
-            reward, states[i], done = env.step(states[i], action)
+        for i, reward, next_state, done in zip(live, rewards, next_states, dones):
+            states[i] = next_state
             returns[i] += reward
             lengths[i] += 1
             if not done:
@@ -447,8 +450,9 @@ def _reinforce(agent: AgentBundle, config: TrainConfig):
 
 
 def _explore(policy, strategy: ExplorationStrategy, rng: np.random.Generator):
-    """act(history): an item drawn from ``policy.probs`` under the strategy."""
-    return lambda history: choose_action(policy.probs(history), strategy, rng)
+    """act(history): an item drawn from ``policy.probs`` under the strategy,
+    and no frozen probability."""
+    return lambda history: (choose_action(policy.probs(history), strategy, rng), None)
 
 
 def _rollout(env, config: TrainConfig, act, learn, policy, eval_env,
@@ -456,8 +460,9 @@ def _rollout(env, config: TrainConfig, act, learn, policy, eval_env,
     """The online loop of every scheme and baseline.
 
     Each step snapshots ``policy`` on ``eval_env`` at the requested epoch
-    boundaries, acts with ``act(history)``, steps the environment, hands the
-    transition to ``learn`` and closes the episode on done.  Returns the
+    boundaries, acts with ``act(history) -> (action, frozen_prob)``, steps
+    the environment with ``env.step``, hands the transition (carrying
+    ``frozen_prob``) to ``learn`` and closes the episode on done.  Returns the
     episode curve and the snapshots (epoch index plus 'final'; none without
     an ``eval_env``).  An ``episodes_per_epoch`` below 1 (which would put
     every epoch at step 0 or before it) or, with an ``eval_env``, an
@@ -479,9 +484,10 @@ def _rollout(env, config: TrainConfig, act, learn, policy, eval_env,
     for step in range(config.online_steps):
         if step in points:
             snapshots[points[step]] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
-        action = act(state.history)
+        action, frozen_prob = act(state.history)
         reward, next_state, done = env.step(state, action)
-        learn(Transition(state.history, action, reward, next_state.history, done))
+        learn(Transition(state.history, action, reward, next_state.history, done,
+                         frozen_prob))
         ret += reward
         length += 1
         if done:
@@ -504,8 +510,11 @@ def online_phase(scheme: str, pretrained: AgentBundle, env, config: TrainConfig,
     scheme "ft" fine-tunes a copy of the pre-trained agent directly on
     environment reward.  scheme "ap" freezes the given agent, clones it into
     a learnable policy, and acts from the alpha-weighted mixture while only
-    the learnable side trains; alpha ramps linearly to 1.  The caller's
-    bundle is never mutated by either scheme.
+    the learnable side trains; alpha ramps linearly to 1.  Each ap
+    transition carries the frozen policy's probability of its action, which
+    the learner's mixture term reads instead of re-encoding the state under
+    the frozen policy.  The caller's bundle is never mutated by either
+    scheme.
     """
     if scheme not in ("ft", "ap"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -525,7 +534,9 @@ def online_phase(scheme: str, pretrained: AgentBundle, env, config: TrainConfig,
             # alpha moves only here, so the step's snapshot (taken before
             # acting) still sees the previous step's mixture
             mix.alpha = alpha_at(next(steps), config)
-            return choose_action(mix.probs(history), strategy, rng)
+            probs, frozen = mix._sides([history])
+            action = choose_action(probs[0], strategy, rng)
+            return action, float(frozen[0, action])
 
         learn = _replay_td(work, config, rng, mix=mix)
     episodes, snapshots = _rollout(env, config, act, learn, policy, eval_env,
@@ -572,7 +583,7 @@ def run_baseline(kind: str, env, config: TrainConfig, encoder_config: EncoderCon
         def act(history):
             candidates = sample_candidates(policy.probs(history), config.k,
                                            config.candidate_sampling, rng)
-            return distill(history, candidates, oracle, rng).action
+            return distill(history, candidates, oracle, rng).action, None
 
         learn = _replay_td(agent, config, rng)
     episodes, snapshots = _rollout(env, config, act, learn, policy, eval_env,

@@ -10,6 +10,24 @@ import numpy as np
 
 from prefrl.agent import (Transition, action_distribution, advantage, backprop_heads,
                           encode_with_cache, log_prob, policy_for, selected_q, td_target)
+from prefrl.encoder import encode
+
+
+def reference_score(model, context, action: int) -> float:
+    """A reward model's score of one (context, action) pair by its per-row
+    formula, as each model computed it before batched scoring: a user id for
+    matrix factorization, an item-id history for the other kinds."""
+    if model.kind == "matrix_factorization":
+        u = model.user_index[context]
+        raw = (model.user_factors[u] @ model.item_factors[action]
+               + model.user_bias[u] + model.item_bias[action] + model.global_bias)
+    elif model.kind == "sequential":
+        state = encode(context, model.params, model.encoder_config)
+        raw = state @ model.params["item_emb"][action]
+    else:
+        profile = model.item_latents[np.asarray(context, dtype=np.int64)].mean(axis=0)
+        raw = model.scale * float(profile @ model.item_latents[action])
+    return float(np.clip(raw, 0.0, model.r_max))
 
 
 def max_rel_err(analytic: dict, numeric: dict, floor: float = 1e-6) -> float:
@@ -63,21 +81,29 @@ def critic_loss_check(transition: Transition, bundle):
 class StubChatServer:
     """Local chat-completion endpoint whose behavior is a callable
     (prompt, request_count) -> (status, text).  A str ``text`` is wrapped in
-    a chat-completion body; bytes are sent as the raw body."""
+    a chat-completion body; bytes are sent as the raw body.
 
-    def __init__(self, behavior):
+    Each request is recorded with the client's port (``peer``), one per
+    connection.  With ``keep_alive`` the stub speaks HTTP/1.1 and keeps a
+    connection open across requests, except that after the requests counted
+    in ``drop_after`` it closes the connection without notice."""
+
+    def __init__(self, behavior, keep_alive: bool = False, drop_after=()):
         self.behavior = behavior
         self.requests: list[dict] = []
         self.lock = threading.Lock()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length))
                 with stub.lock:
                     stub.requests.append({"body": body,
-                                          "auth": self.headers.get("Authorization")})
+                                          "auth": self.headers.get("Authorization"),
+                                          "peer": self.client_address[1]})
                     count = len(stub.requests)
                 prompt = body["messages"][0]["content"]
                 status, text = stub.behavior(prompt, count)
@@ -89,6 +115,8 @@ class StubChatServer:
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
+                if count in drop_after:
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass

@@ -26,8 +26,7 @@ from prefrl.nn import finite_diff_grad, sample_categorical
 from prefrl.oracle import SyntheticOracle, distill, parse_response
 from prefrl.training import (ActorPolicy, ExplorationStrategy, MixPolicy, QGreedyPolicy,
                              TrainConfig, choose_action, derive_seed, evaluate,
-                             mix_action_distribution, online_phase, pretrain,
-                             run_baseline)
+                             online_phase, pretrain, run_baseline)
 from prefrl.data import InteractionLog, UserSequence
 
 CORPUS = json.loads((Path(__file__).parent / "fixtures" / "response_corpus.json").read_text())
@@ -138,7 +137,7 @@ def test_criterion_03_mixture_limits():
 
     for alpha, reference in ((0.0, frozen), (1.0, learnable)):
         mix = MixPolicy(frozen, learnable, alpha)
-        mix_dist = mix_action_distribution(mix, history)
+        mix_dist = mix.probs(history)
         ref_dist = policy_for(reference, history)
         assert np.abs(mix_dist - ref_dist).max() < 1e-12
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,13 @@ def random_transition(agent, rng, done=False):
     items = tuple(int(i) for i in rng.integers(0, n, size=rng.integers(1, 4)))
     action = int(rng.integers(n))
     return Transition(items, action, float(rng.normal()), items + (action,), done)
+
+
+def with_frozen_probs(batch, frozen):
+    """The batch with each transition's frozen_prob set to frozen's
+    probability of its action, as the ap act stores it."""
+    return [dataclasses.replace(t, frozen_prob=float(policy_for(frozen, t.state_items)[t.action]))
+            for t in batch]
 
 
 class TestHeads:
@@ -191,10 +199,12 @@ class TestUpdate:
         batch = [random_transition(agent, rng, done=(i == 2)) for i in range(3)]
         target = toy_agent(seed=26) if setting == "target_bundle" else None
         kwargs = {}
+        frozen = toy_agent(seed=27)
         if setting == "critic_only":
             kwargs["actor"] = False
         elif setting.startswith("mixture"):
-            kwargs.update(frozen=toy_agent(seed=27), alpha=float(setting.split("_")[1]))
+            kwargs["alpha"] = float(setting.split("_")[1])
+            batch = with_frozen_probs(batch, frozen)
         elif setting == "returns":
             kwargs["returns"] = rng.normal(size=len(batch))
         targets = [td_target(t, agent, target) for t in batch]
@@ -210,9 +220,9 @@ class TestUpdate:
                 total += (targets[i] - selected_q(t, agent)) ** 2
                 if setting != "critic_only":
                     p = policy_for(agent, t.state_items)
-                    if "frozen" in kwargs:
+                    if "alpha" in kwargs:
                         alpha = kwargs["alpha"]
-                        p = (1 - alpha) * policy_for(kwargs["frozen"], t.state_items) + alpha * p
+                        p = (1 - alpha) * policy_for(frozen, t.state_items) + alpha * p
                     total += -log_prob(p, t.action) * deltas[i]
             return total / len(batch)
 
@@ -232,10 +242,16 @@ class TestUpdate:
         elif setting == "critic_only":
             kwargs["actor"] = False
         elif setting == "mixture_0.3":
-            kwargs.update(frozen=toy_agent(seed=32), alpha=0.3)
+            kwargs["alpha"] = 0.3
         elif setting == "returns":
             kwargs["returns"] = returns
         return kwargs
+
+    @staticmethod
+    def _setting_batch(setting, batch):
+        """The mixture reads each transition's frozen_prob, here from an
+        independent frozen bundle."""
+        return with_frozen_probs(batch, toy_agent(seed=32)) if setting == "mixture_0.3" else batch
 
     @pytest.mark.parametrize("setting", SETTINGS)
     def test_batch_step_is_the_mean_of_single_steps(self, setting):
@@ -250,6 +266,7 @@ class TestUpdate:
             batch.append(Transition(items, action, float(rng.normal()), items + (action,),
                                     i % 3 == 1))
         returns = rng.normal(size=len(batch))
+        batch = self._setting_batch(setting, batch)
 
         def applied(transitions, rets):
             agent = toy_agent(seed=33)
@@ -264,11 +281,12 @@ class TestUpdate:
             assert np.abs(step - mean).max() < 1e-10, name
 
     @pytest.mark.parametrize("setting, encodes", [
-        ("actor_critic", 2), ("target_bundle", 2), ("critic_only", 2), ("mixture_0.3", 3),
+        ("actor_critic", 2), ("target_bundle", 2), ("critic_only", 2), ("mixture_0.3", 2),
         ("returns", 1)])
     def test_one_encoder_forward_per_role(self, setting, encodes, monkeypatch):
-        # one batched forward each for the states, the non-terminal next
-        # states and (mixture) the frozen policy, whatever the batch size
+        # one batched forward each for the states and the non-terminal next
+        # states, whatever the batch size; the mixture reads the frozen
+        # policy from the transitions and encodes nothing under it
         calls = []
         forward = encoder._forward
 
@@ -280,9 +298,22 @@ class TestUpdate:
         agent = toy_agent(seed=34)
         rng = np.random.default_rng(35)
         batch = [random_transition(agent, rng, done=(i % 4 == 0)) for i in range(64)]
+        batch = self._setting_batch(setting, batch)
+        calls.clear()
         update(batch, agent, 0.01, 0.0,
                **self._setting_kwargs(setting, rng.normal(size=len(batch))))
         assert len(calls) == encodes
+
+    def test_mixture_needs_frozen_prob_on_every_transition(self):
+        agent = toy_agent(seed=36)
+        rng = np.random.default_rng(37)
+        batch = with_frozen_probs([random_transition(agent, rng) for _ in range(3)],
+                                  toy_agent(seed=38))
+        batch[1] = dataclasses.replace(batch[1], frozen_prob=None)
+        before = agent.params.copy()
+        with pytest.raises(ValueError, match="frozen_prob"):
+            update(batch, agent, 0.01, alpha=0.3)
+        assert before.allclose(agent.params)
 
     def test_clone_is_independent(self):
         agent = toy_agent(seed=23)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import reference_score
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic
 from prefrl.encoder import encode
 from prefrl.environment import (EnvConfig, LatentPreferenceModel,
                                 MatrixFactorizationModel, UserEnvironment,
-                                fit_reward_model, score)
+                                fit_reward_model)
 
 
 def tiny_log(*seqs):
@@ -34,8 +35,8 @@ class ScriptedModel:
         self.num_items = num_items
         self.r_max = r_max
 
-    def score(self, history, action):
-        return self.rewards[len(history) - 1]
+    def score_batch(self, histories, actions):
+        return np.array([self.rewards[len(history) - 1] for history in histories])
 
 
 class TestEnvConfig:
@@ -51,7 +52,7 @@ class TestEnvConfig:
 class TestScore:
     def test_zero_factors_score_zero(self):
         m = handmade_mf(np.zeros((2, 3)), np.zeros((4, 3)))
-        assert score(m, "u0", 2) == 0.0
+        assert m.score("u0", 2) == 0.0
 
     def test_orthogonal_factors_score_zero_before_bias(self):
         m = handmade_mf([[1.0, 0.0]], [[0.0, 1.0]], item_bias=[0.25])
@@ -85,6 +86,45 @@ class TestScore:
         for a in range(8):
             raw = latents[history].mean(axis=0) @ latents[a]
             assert m.score(history, a) == pytest.approx(np.clip(raw, 0, 50.0))
+
+
+def reward_models():
+    """One model of each kind, over 12 items."""
+    _, log, truth = generate_synthetic(6, 12, 5, 3, seed=2, noise_scale=0.05)
+    return {
+        "latent": LatentPreferenceModel(truth.item_latents, r_max=5.0, scale=1.7),
+        "matrix_factorization": fit_reward_model(log, "matrix_factorization", 12, d_rm=3,
+                                                 epochs=3, seed=0),
+        "sequential": fit_reward_model(log, "sequential", 12, d_rm=4, epochs=2,
+                                       max_seq_len=4, seed=0),
+    }
+
+
+class TestScoreBatch:
+    @pytest.mark.parametrize("lengths", [(1, 3, 3, 4, 5, 7, 1, 9, 5), (6,) * 9],
+                             ids=["mixed", "equal"])
+    @pytest.mark.parametrize("kind", ["latent", "matrix_factorization", "sequential"])
+    def test_rows_equal_the_per_row_formula_bitwise(self, kind, lengths):
+        # histories of mixed or equal lengths, past the sequential model's
+        # window of 4
+        model = reward_models()[kind]
+        rng = np.random.default_rng(3)
+        if kind == "matrix_factorization":
+            contexts = [f"u{int(u)}" for u in rng.integers(0, 6, size=9)]
+        else:
+            contexts = [tuple(int(i) for i in rng.integers(0, 12, size=n)) for n in lengths]
+        actions = [int(a) for a in rng.integers(0, 12, size=9)]
+        got = model.score_batch(contexts, actions)
+        assert got.shape == (9,)
+        for b, (context, action) in enumerate(zip(contexts, actions)):
+            want = reference_score(model, context, action)
+            assert got[b] == want
+            assert model.score(context, action) == want
+
+    def test_unknown_user_raises_key_error(self):
+        model = reward_models()["matrix_factorization"]
+        with pytest.raises(KeyError, match="stranger"):
+            model.score_batch(["u0", "stranger"], [1, 2])
 
 
 class TestFitMatrixFactorization:
@@ -262,6 +302,39 @@ class TestEpisodeLifecycle:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
             UserEnvironment(ScriptedModel([1.0]), InteractionLog(()), EnvConfig(seed=0))
+
+
+class TestStepBatch:
+    @pytest.mark.parametrize("kind", ["latent", "matrix_factorization", "sequential"])
+    def test_rows_equal_single_steps(self, kind):
+        _, log, _ = generate_synthetic(6, 12, 5, 3, seed=2, noise_scale=0.05)
+        env = UserEnvironment(reward_models()[kind], log,
+                              EnvConfig(max_steps=2, quit_threshold=0.0, r_max=5.0))
+        rng = np.random.default_rng(4)
+        states = [env.reset(seed=s) for s in range(5)]
+        for _ in range(2):  # a second step from histories of length 2, which ends
+            actions = [int(a) for a in rng.integers(0, 12, size=len(states))]
+            rewards, next_states, dones = env.step_batch(states, actions)
+            singles = [env.step(s, a) for s, a in zip(states, actions)]
+            assert list(zip(rewards, next_states, dones)) == singles
+            assert all(type(r) is float for r in rewards)
+            states = next_states
+        assert all(s.done for s in states)
+
+    def test_finished_state_is_refused(self):
+        env = TestEpisodeLifecycle().make_env(max_steps=1)
+        live = env.reset(seed=0)
+        _, finished, _ = env.step(live, 0)
+        with pytest.raises(RuntimeError, match="cannot step a finished episode"):
+            env.step_batch([live, finished], [0, 0])
+
+    def test_action_out_of_range_is_refused(self):
+        env = TestEpisodeLifecycle().make_env()
+        state = env.reset(seed=0)
+        with pytest.raises(ValueError, match=r"action 99 out of range \[0, 4\)"):
+            env.step_batch([state, state], [1, 99])
+        with pytest.raises(ValueError, match=r"action -1 out of range"):
+            env.step_batch([state], [-1])
 
 
 class TestEpisodeProperties:

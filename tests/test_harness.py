@@ -287,6 +287,45 @@ class TestRewardModelPersistence:
             load_reward_model(p)
         assert str(info.value).startswith(f"{p}: ")
 
+    @pytest.mark.parametrize("kind, edit, named", [
+        ("matrix_factorization", lambda cfg, t: cfg["user_ids"].append("extra"),
+         r"'user_factors' has shape \(6, 2\), expected \(7, 2\)"),
+        ("matrix_factorization", lambda cfg, t: t.update(item_factors=t["item_factors"][:5]),
+         r"'item_bias' has shape \(10,\), expected \(5,\)"),
+        ("matrix_factorization", lambda cfg, t: t.update(user_bias=t["user_bias"][:-1]),
+         r"'user_bias' has shape \(5,\), expected \(6,\)"),
+        ("matrix_factorization", lambda cfg, t: t.update(global_bias=np.zeros(0)),
+         r"'global_bias' has shape \(0,\), expected \(1,\)"),
+        ("sequential", lambda cfg, t: cfg.update(num_items=12),
+         r"'item_emb' has shape \(11, 2\), expected \(13, 2\)"),
+        ("sequential", lambda cfg, t: cfg.update(embed_dim=3),
+         r"'item_emb' has shape \(11, 2\), expected \(11, 3\)"),
+        ("sequential", lambda cfg, t: cfg.update(max_seq_len=4),
+         r"'pos_emb' has shape \(5, 2\), expected \(4, 2\)"),
+        ("sequential", lambda cfg, t: t.update(w_v=t["w_v"][:, :1]),
+         r"'w_v' has shape \(2, 1\), expected \(2, 2\)"),
+        ("latent", lambda cfg, t: t.update(item_latents=t["item_latents"][:, 0]),
+         r"'item_latents' has shape \(10,\), expected \(items, dim\)"),
+    ], ids=["extra_user_id", "cut_item_factors", "cut_user_bias", "empty_global_bias",
+            "num_items", "embed_dim", "max_seq_len", "w_v", "flat_item_latents"])
+    def test_bad_shape_is_a_checkpoint_error(self, tmp_path, kind, edit, named):
+        # shapes are checked against the header and each other at load, not
+        # left to fail at the first score
+        _, log, truth = generate_synthetic(6, 10, 4, 2, seed=1)
+        if kind == "latent":
+            model = LatentPreferenceModel(truth.item_latents, r_max=5.0)
+        else:
+            model = fit_reward_model(log, kind, 10, d_rm=2, epochs=1, max_seq_len=5, seed=0)
+        p = tmp_path / "rm.ckpt"
+        save_reward_model(model, p)
+        data = read_checkpoint(p)
+        cfg, tensors = dict(data.config), dict(data.tensors)
+        edit(cfg, tensors)
+        save_tensors(p, tensors, cfg)
+        with pytest.raises(CheckpointError, match=named) as info:
+            load_reward_model(p)
+        assert str(info.value).startswith(f"{p}: {kind} reward model tensor ")
+
 
 class TestWorldBuilding:
     def test_synthetic_world_split(self):

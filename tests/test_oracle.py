@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 from helpers import StubChatServer
 from prefrl.data import SyntheticGroundTruth, generate_synthetic
@@ -233,6 +234,78 @@ class TestLLMClient:
             prompts = [f"p{i}" for i in range(12)]
             out = llm_choices(prompts, endpoint(stub.base_url), max_in_flight=4)
         assert out == [f"echo:{p}" for p in prompts]
+
+
+class TestKeepAlive:
+    """Calls over one requests.Session, as LLMOracle makes them, reuse one
+    connection and keep every retry path of a fresh connection."""
+
+    def test_oracle_calls_share_one_connection(self, world):
+        catalog, _, _ = world
+        with StubChatServer(lambda prompt, n: (200, "the user will select a"),
+                            keep_alive=True) as stub:
+            oracle = LLMOracle(endpoint(stub.base_url), catalog, spec(k=2))
+            labels = [oracle.choose([h], [1, 2]).label_index for h in range(8)]
+            oracle.close()
+            labels.append(oracle.choose([0], [1, 2]).label_index)
+            oracle.close()
+        assert labels == [0] * 9
+        assert len(stub.requests) == 9
+        peers = [r["peer"] for r in stub.requests]
+        assert len(set(peers[:8])) == 1 and peers[8] != peers[0]
+
+    def test_without_a_session_each_call_opens_a_connection(self):
+        with StubChatServer(lambda prompt, n: (200, "ok"), keep_alive=True) as stub:
+            for _ in range(3):
+                llm_choice("x", endpoint(stub.base_url))
+        assert len({r["peer"] for r in stub.requests}) == 3
+
+    def test_retries_a_503_on_the_same_connection(self):
+        behavior = lambda prompt, n: (503, "busy") if n == 2 else (200, f"ok{n}")
+        with StubChatServer(behavior, keep_alive=True) as stub, requests.Session() as session:
+            out = [llm_choice("x", endpoint(stub.base_url), session) for _ in range(3)]
+        assert out == ["ok1", "ok3", "ok4"]
+        assert len({r["peer"] for r in stub.requests}) == 1
+
+    def test_exhausts_retries_on_500(self):
+        with StubChatServer(lambda prompt, n: (500, "boom"), keep_alive=True) as stub, \
+                requests.Session() as session:
+            with pytest.raises(OracleHTTPError, match="500"):
+                llm_choice("x", endpoint(stub.base_url, max_retries=2), session)
+            assert len(stub.requests) == 3
+
+    def test_recovers_after_a_timeout(self):
+        import time
+
+        def first_slow(prompt, n):
+            if n == 1:
+                time.sleep(0.5)
+            return 200, f"reply{n}"
+        with StubChatServer(first_slow, keep_alive=True) as stub, requests.Session() as session:
+            ep = endpoint(stub.base_url, timeout=0.2, max_retries=1)
+            assert llm_choice("x", ep, session) == "reply2"
+            assert llm_choice("x", ep, session) == "reply3"
+
+    def test_timeout(self):
+        import time
+
+        def slow(prompt, n):
+            time.sleep(0.5)
+            return 200, "late"
+        with StubChatServer(slow, keep_alive=True) as stub, requests.Session() as session:
+            with pytest.raises(OracleTimeoutError):
+                llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1), session)
+
+    def test_reconnects_after_the_server_drops_the_connection(self):
+        with StubChatServer(lambda prompt, n: (200, f"reply{n}"), keep_alive=True,
+                            drop_after=(1,)) as stub, requests.Session() as session:
+            out = [llm_choice("x", endpoint(stub.base_url), session) for _ in range(3)]
+        assert out == ["reply1", "reply2", "reply3"]
+        assert len({r["peer"] for r in stub.requests}) == 2
+
+    def test_connection_failure(self):
+        with requests.Session() as session, pytest.raises(OracleNetworkError):
+            llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1), session)
 
 
 class TestRecordReplay:

@@ -11,7 +11,7 @@ from prefrl.metrics import EpisodeRecord
 from prefrl.oracle import SyntheticOracle
 from prefrl.training import (CATEGORICAL, GREEDY, ExplorationStrategy, MixPolicy,
                              ReplayBuffer, TrainConfig, alpha_at, choose_action,
-                             derive_rng, derive_seed, evaluate, mix_action_distribution,
+                             derive_rng, derive_seed, evaluate,
                              online_phase, pretrain, run_baseline,
                              sample_candidates, ActorPolicy, QGreedyPolicy)
 from prefrl.nn import sample_categorical, softmax
@@ -140,14 +140,14 @@ class TestMixture:
 
     def test_alpha_limits_are_exact(self):
         a, b = self.two_fixed_bundles()
-        assert np.allclose(mix_action_distribution(MixPolicy(a, b, 0.0), [0]),
+        assert np.allclose(MixPolicy(a, b, 0.0).probs([0]),
                            [0.8, 0.2], atol=1e-12)
-        assert np.allclose(mix_action_distribution(MixPolicy(a, b, 1.0), [0]),
+        assert np.allclose(MixPolicy(a, b, 1.0).probs([0]),
                            [0.2, 0.8], atol=1e-12)
 
     def test_even_blend(self):
         a, b = self.two_fixed_bundles()
-        assert np.allclose(mix_action_distribution(MixPolicy(a, b, 0.5), [0]),
+        assert np.allclose(MixPolicy(a, b, 0.5).probs([0]),
                            [0.5, 0.5], atol=1e-12)
 
     def test_blend_matches_formula_on_real_policies(self, world):
@@ -155,7 +155,7 @@ class TestMixture:
         mix = MixPolicy(a, b, 0.3)
         items = [1, 4]
         expected = 0.7 * policy_for(a, items) + 0.3 * policy_for(b, items)
-        got = mix_action_distribution(mix, items)
+        got = mix.probs(items)
         assert np.allclose(got, expected, atol=1e-15)
         assert got.min() >= 0 and abs(got.sum() - 1.0) < 1e-9
 
@@ -182,7 +182,7 @@ class TestMixtureGradient:
         delta0 = target0 - selected_q(t, learnable)
 
         def loss_fn(_params):
-            mixed = mix_action_distribution(mix, t.state_items)
+            mixed = mix.probs(t.state_items)
             q_sel = selected_q(t, learnable)
             return -log_prob(mixed, t.action) * delta0 + (target0 - q_sel) ** 2
 
@@ -191,7 +191,7 @@ class TestMixtureGradient:
         state, cache = encode_with_cache(t.state_items, learnable.params,
                                          learnable.encoder_config)
         q_dist = action_distribution(state, learnable)
-        mixed = mix_action_distribution(mix, t.state_items)
+        mixed = mix.probs(t.state_items)
         one_hot = np.zeros(24)
         one_hot[t.action] = 1.0
         coeff = -delta0 * alpha * float(q_dist[t.action]) / float(mixed[t.action])
@@ -335,13 +335,34 @@ class TestOnlinePhase:
         assert before.allclose(result.mix.frozen.params)
         assert not before.allclose(result.mix.learnable.params)
 
+    @pytest.mark.parametrize("scheme", ["ap", "ft"])
+    def test_transitions_carry_the_frozen_probability(self, world, scheme, monkeypatch):
+        # the ap act stores pi_frozen(a|s) in each transition; ft stores none
+        pushed = []
+        push = ReplayBuffer.push
+
+        def spy(buffer, transition):
+            pushed.append(transition)
+            push(buffer, transition)
+
+        monkeypatch.setattr(ReplayBuffer, "push", spy)
+        agent = agent_for(world, seed=12)
+        online_phase(scheme, agent, make_env(world, seed=5),
+                     self.cfg(online_steps=60, alpha_anneal_steps=40))
+        assert len(pushed) == 60
+        for t in pushed:
+            if scheme == "ft":
+                assert t.frozen_prob is None
+            else:
+                assert t.frozen_prob == float(policy_for(agent, t.state_items)[t.action])
+
     def test_ap_mixture_equals_learnable_after_anneal(self, world):
         agent = agent_for(world, seed=9)
         result = online_phase("ap", agent, make_env(world, seed=3),
                               self.cfg(online_steps=100, alpha_anneal_steps=40))
         assert result.mix.alpha == 1.0
         items = [2, 5, 1]
-        assert np.allclose(mix_action_distribution(result.mix, items),
+        assert np.allclose(result.mix.probs(items),
                            policy_for(result.mix.learnable, items), atol=1e-15)
 
     def test_zero_lr_is_pure_rollout_of_the_frozen_policy(self, world):
@@ -563,6 +584,23 @@ class TestEvaluate:
             assert got == episode_by_episode(policy, env, num_episodes, seed=6)
         # the quit rule ends episodes at different steps, so the live batch shrinks
         assert len({e.length for e in got}) > 1
+
+    @pytest.mark.parametrize("kind", ["latent", "matrix_factorization", "sequential"])
+    def test_one_score_batch_per_time_step(self, world, reward_models, kind, monkeypatch):
+        # every time step scores all the live episodes in one call
+        model = reward_models[kind]
+        calls = []
+        score_batch = model.score_batch
+
+        def counted(contexts, actions):
+            calls.append(len(contexts))
+            return score_batch(contexts, actions)
+
+        monkeypatch.setattr(model, "score_batch", counted)
+        lengths = [e.length for e in evaluate(policy_view(world, "mix"),
+                                              evaluation_env(world, model), 9, seed=6).episodes]
+        assert len(set(lengths)) > 1
+        assert calls == [sum(n > t for n in lengths) for t in range(max(lengths))]
 
     @pytest.mark.parametrize("view", ["actor", "q_greedy", "mix"])
     def test_probs_is_its_row_of_probs_batch(self, world, view):
