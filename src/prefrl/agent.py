@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (EncoderConfig, encode, encode_backward, encode_batch,
-                      encode_batch_with_cache, encode_with_cache, init_encoder_params)
+                      encode_batch_with_cache, init_encoder_params)
 from .nn import ParamSet, optimizer_step, softmax
 
 __all__ = [

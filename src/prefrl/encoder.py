@@ -31,7 +31,6 @@ from .nn import ParamSet
 
 __all__ = [
     "EncoderConfig",
-    "ENCODER_PARAM_NAMES",
     "init_encoder_params",
     "encode",
     "encode_with_cache",
@@ -39,9 +38,6 @@ __all__ = [
     "encode_batch",
     "encode_batch_with_cache",
 ]
-
-ENCODER_PARAM_NAMES = ("item_emb", "pos_emb", "w_q", "w_k", "w_v")
-
 
 @dataclass(frozen=True)
 class EncoderConfig:

@@ -4,7 +4,9 @@ the preset experiments (rq1..rq4).
 
 Outputs per run directory: ``config.full`` (effective configuration),
 ``*.jsonl`` learning curves (one episode per line, append-only, ordered by
-global step), ``summary.tsv``, and ``*.ckpt`` checkpoints.
+global step), ``summary.tsv``, and ``*.ckpt`` checkpoints.  Checkpoint and
+reward-model files are written and checked by :mod:`prefrl.checkpoint`;
+``fit-env`` writes ``reward_model.ckpt`` there.
 """
 from __future__ import annotations
 
@@ -18,16 +20,14 @@ import numpy as np
 
 from .agent import AgentBundle
 from .checkpoint import (CheckpointError, load_checkpoint, read_checkpoint, save_checkpoint,
-                         save_tensors)
+                         save_reward_model)
 from .config import AppConfig, ConfigError, dump_full
 from .data import (InteractionLog, ItemCatalog, SyntheticGroundTruth, generate_synthetic,
                    load_catalog, load_interactions, split_log, write_catalog,
                    write_interactions)
 from .encoder import EncoderConfig
-from .environment import (EnvConfig, LatentPreferenceModel, MatrixFactorizationModel,
-                          SequentialModel, UserEnvironment, fit_reward_model)
+from .environment import EnvConfig, LatentPreferenceModel, UserEnvironment, fit_reward_model
 from .metrics import MetricMeans, smooth_curve
-from .nn import ParamSet
 from .oracle import LLMOracle, PromptSpec, RemoteEndpoint, SyntheticOracle, load_replay
 from .training import (KEY_EVAL, KEY_TEST_ENV, KEY_TRAIN_ENV,
                        ExplorationStrategy, QGreedyPolicy, RunResult, TrainConfig,
@@ -42,8 +42,6 @@ __all__ = [
     "make_env",
     "write_curve",
     "write_summary",
-    "save_reward_model",
-    "load_reward_model",
     "run_experiment",
 ]
 
@@ -189,12 +187,6 @@ def write_curve(path, episodes) -> None:
             }, sort_keys=True) + "\n")
 
 
-def write_jsonl(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 SUMMARY_COLUMNS = ("method", "seed", "epoch", "return", "length", "avg_reward", "wall_clock")
 
 
@@ -219,101 +211,6 @@ def _summary_rows(method: str, seed, snapshots: dict[str, MetricMeans],
                      "return": means.episode_return, "length": means.length,
                      "avg_reward": means.avg_reward, "wall_clock": round(wall_clock, 3)})
     return rows
-
-
-def save_reward_model(model, path) -> None:
-    if isinstance(model, LatentPreferenceModel):
-        save_tensors(path, {"item_latents": model.item_latents},
-                     {"kind": model.kind, "r_max": model.r_max, "scale": model.scale})
-    elif isinstance(model, MatrixFactorizationModel):
-        save_tensors(path, {
-            "user_factors": model.user_factors, "item_factors": model.item_factors,
-            "user_bias": model.user_bias, "item_bias": model.item_bias,
-            "global_bias": np.array([model.global_bias]),
-        }, {"kind": model.kind, "r_max": model.r_max, "user_ids": model.user_ids})
-    elif isinstance(model, SequentialModel):
-        save_tensors(path, dict(model.params.params), {
-            "kind": model.kind, "r_max": model.r_max,
-            "num_items": model.encoder_config.num_items,
-            "embed_dim": model.encoder_config.embed_dim,
-            "max_seq_len": model.encoder_config.max_seq_len,
-        })
-    else:
-        raise TypeError(f"cannot save reward model of type {type(model).__name__}")
-
-
-_NUMBER = ("a numeric", lambda v: type(v) in (int, float))
-_INTEGER = ("an integer", lambda v: type(v) is int)
-_STRINGS = ("a string list", lambda v: isinstance(v, list) and all(isinstance(u, str) for u in v))
-# per kind: the checked config keys and each tensor's shape, as sizes or as
-# named dimensions that must agree across tensors and with the header
-_REWARD_MODEL_LAYOUT = {
-    "latent": ({"r_max": _NUMBER, "scale": _NUMBER}, {"item_latents": ("items", "dim")}),
-    "matrix_factorization": ({"r_max": _NUMBER, "user_ids": _STRINGS}, {
-        "user_factors": ("users", "dim"), "item_factors": ("items", "dim"),
-        "user_bias": ("users",), "item_bias": ("items",), "global_bias": (1,)}),
-    "sequential": ({"r_max": _NUMBER, "num_items": _INTEGER, "embed_dim": _INTEGER,
-                    "max_seq_len": _INTEGER}, {
-        "item_emb": ("ids", "embed_dim"), "pos_emb": ("max_seq_len", "embed_dim"),
-        "w_q": ("embed_dim", "embed_dim"), "w_k": ("embed_dim", "embed_dim"),
-        "w_v": ("embed_dim", "embed_dim")}),
-}
-
-
-def _check_reward_model_shapes(path, kind: str, cfg: dict, tensors: dict) -> None:
-    """Every tensor's shape against the header and the other tensors; a
-    dimension the header does not fix is set by the first tensor that has it."""
-    if kind == "matrix_factorization":
-        dims = {"users": len(cfg["user_ids"])}
-    elif kind == "sequential":
-        dims = {"ids": cfg["num_items"] + 1, "embed_dim": cfg["embed_dim"],
-                "max_seq_len": cfg["max_seq_len"]}
-    else:
-        dims = {}
-    for name, axes in _REWARD_MODEL_LAYOUT[kind][1].items():
-        shape = tensors[name].shape
-        if len(shape) == len(axes):
-            for axis, size in zip(axes, shape):
-                if isinstance(axis, str):
-                    dims.setdefault(axis, size)
-        expected = tuple(dims.get(axis, axis) for axis in axes)
-        if shape != expected:
-            shown = ", ".join(map(str, expected)) + ("," if len(expected) == 1 else "")
-            raise CheckpointError(f"{path}: {kind} reward model tensor {name!r} has shape "
-                                  f"{shape}, expected ({shown})")
-
-
-def load_reward_model(path):
-    """Rebuild a reward model written by :func:`save_reward_model`.  A header,
-    tensor set or tensor shape that does not describe one raises a
-    CheckpointError naming the path."""
-    data = read_checkpoint(path)
-    cfg, tensors = data.config, data.tensors
-    kind = cfg.get("kind")
-    if kind not in _REWARD_MODEL_LAYOUT:
-        raise ConfigError(f"{path}: unknown reward model kind {kind!r}")
-    fields, names = _REWARD_MODEL_LAYOUT[kind]
-    for key, (what, valid) in fields.items():
-        if not valid(cfg.get(key)):
-            raise CheckpointError(f"{path}: {kind} reward model needs {what} {key!r}, "
-                                  f"got {cfg.get(key)!r}")
-    for name in names:
-        if name not in tensors:
-            raise CheckpointError(f"{path}: {kind} reward model has no tensor {name!r}")
-    _check_reward_model_shapes(path, kind, cfg, tensors)
-    try:
-        if kind == "latent":
-            return LatentPreferenceModel(tensors["item_latents"], cfg["r_max"], cfg["scale"])
-        if kind == "matrix_factorization":
-            return MatrixFactorizationModel(
-                cfg["user_ids"], tensors["user_factors"], tensors["item_factors"],
-                tensors["user_bias"], tensors["item_bias"],
-                float(tensors["global_bias"][0]), cfg["r_max"])
-        enc = EncoderConfig(num_items=cfg["num_items"], embed_dim=cfg["embed_dim"],
-                            max_seq_len=cfg["max_seq_len"])
-        return SequentialModel(ParamSet(tensors), enc, cfg["r_max"])
-    except (ValueError, IndexError) as exc:  # a bad size, an empty bias, a non-finite tensor
-        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def run_dir(out, run_id: str, seed: int) -> Path:

@@ -15,7 +15,6 @@ import os
 import re
 import string
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "build_prompt",
     "parse_response",
     "llm_choice",
-    "llm_choices",
     "synthetic_choice",
     "distill",
     "SyntheticOracle",
@@ -251,14 +249,6 @@ def llm_choice(prompt: str, endpoint: RemoteEndpoint,
         return content
     assert last_error is not None
     raise last_error
-
-
-def llm_choices(prompts: list[str], endpoint: RemoteEndpoint,
-                max_in_flight: int = 4) -> list[str]:
-    """Issue up to ``max_in_flight`` concurrent requests; results come back
-    in prompt order regardless of completion order."""
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(lambda p: llm_choice(p, endpoint), prompts))
 
 
 def prompt_hash(prompt: str) -> str:

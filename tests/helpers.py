@@ -9,8 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from prefrl.agent import (Transition, action_distribution, advantage, backprop_heads,
-                          encode_with_cache, log_prob, policy_for, selected_q, td_target)
-from prefrl.encoder import encode
+                          log_prob, policy_for, selected_q, td_target)
+from prefrl.encoder import encode, encode_with_cache
 
 
 def reference_score(model, context, action: int) -> float:

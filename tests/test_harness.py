@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from prefrl.agent import init_agent, policy_for
-from prefrl.checkpoint import (CheckpointError, load_checkpoint, read_checkpoint,
-                               save_checkpoint, save_tensors)
+from prefrl.checkpoint import (LAYOUTS, CheckpointError, load_checkpoint, load_reward_model,
+                               read_checkpoint, save_checkpoint, save_reward_model,
+                               save_tensors)
 from prefrl.config import ConfigError, DEFAULTS, dump_full, load_config
 from prefrl.data import generate_synthetic
+from prefrl.encoder import init_encoder_params
 from prefrl.environment import LatentPreferenceModel, fit_reward_model
 from prefrl.harness import (build_envs, build_oracle, build_reward_model, build_world,
-                            encoder_config_from, load_reward_model, pretrain_with_checkpoints,
-                            save_reward_model, train_config_from, write_curve)
+                            encoder_config_from, pretrain_with_checkpoints, train_config_from,
+                            write_curve)
 from prefrl.metrics import EpisodeRecord, compute_metrics, smooth_curve
 from prefrl.training import run_baseline
 from prefrl import cli
@@ -147,9 +149,10 @@ class TestCheckpoint:
         ({"tensors": [{"name": "x", "shape": []}, {"name": "x", "shape": []}]}, 8),
         ({"tensors": [], "config": []}, 0), ({"tensors": [], "rng_state": 5}, 0),
         ({"tensors": [], "rng_state": []}, 0),
+        ({"tensors": [{"name": "x", "shape": [2**32, 2**32]}]}, 0),
     ], ids=["list", "empty", "manifest_not_list", "no_shape", "string_shape",
             "negative_shape", "no_name", "duplicate_name", "config_list", "rng_state_int",
-            "rng_state_list"])
+            "rng_state_list", "int64_overflowing_shape"])
     def test_malformed_header_is_a_checkpoint_error(self, tmp_path, header, data_bytes):
         p = tmp_path / "x.ckpt"
         raw = json.dumps(header).encode()
@@ -181,6 +184,34 @@ class TestCheckpoint:
             for read in (read_checkpoint, load_checkpoint):
                 with pytest.raises(CheckpointError):
                     read(p)
+
+    @pytest.mark.parametrize("name", ["item_emb", "pos_emb", "w_q", "w_k", "w_v",
+                                      "actor_w", "actor_b", "critic_w", "critic_b"])
+    def test_every_agent_tensor_is_shape_checked(self, tmp_path, trained_agent, name):
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(trained_agent, p)
+        config = read_checkpoint(p).config
+        for axis in range(trained_agent.params[name].ndim):
+            tensors = dict(trained_agent.params.params)
+            grown = list(tensors[name].shape)
+            grown[axis] += 1
+            tensors[name] = np.zeros(grown)
+            save_tensors(p, tensors, config)
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(p)
+            assert str(info.value).startswith(f"{p}: agent checkpoint tensor {name!r} has shape "
+                                              f"{tuple(grown)}, expected ")
+
+    def test_layout_matches_initialised_tensors(self):
+        # a non-square config, so a swapped or mislabelled axis shows
+        dims = {"items": 7, "ids": 8, "embed_dim": 3, "max_seq_len": 5}
+        agent = init_agent(7, embed_dim=3, max_seq_len=5, seed=0)
+        encoder = init_encoder_params(agent.encoder_config, np.random.default_rng(0))
+        for kind, params in (("agent", agent.params.params), ("sequential", encoder)):
+            shapes = LAYOUTS[kind][1]
+            assert {name: tuple(dims[axis] for axis in axes)
+                    for name, axes in shapes.items()} == \
+                   {name: arr.shape for name, arr in params.items()}, kind
 
 
 class TestConfig:
@@ -264,13 +295,31 @@ class TestRewardModelPersistence:
         assert loaded.kind == "sequential"
         assert abs(loaded.score([1, 2], 3) - model.score([1, 2], 3)) < 1e-4
 
+    @pytest.mark.parametrize("kind", ["latent", "matrix_factorization", "sequential"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, kind):
+        _, log, truth = generate_synthetic(6, 10, 4, 2, seed=1)
+        if kind == "latent":
+            model = LatentPreferenceModel(truth.item_latents, r_max=5.0, scale=1.5)
+        else:
+            model = fit_reward_model(log, kind, 10, d_rm=2, epochs=1, max_seq_len=5, seed=0)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_reward_model(model, p1)
+        save_reward_model(load_reward_model(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     @pytest.mark.parametrize("kind, edit, named", [
         ("latent", lambda cfg, tensors: cfg.pop("r_max"), "r_max"),
         ("latent", lambda cfg, tensors: tensors.pop("item_latents"), "item_latents"),
         ("matrix_factorization", lambda cfg, tensors: cfg.pop("user_ids"), "user_ids"),
         ("sequential", lambda cfg, tensors: cfg.update(num_items="3"), "num_items"),
         ("latent", lambda cfg, tensors: cfg.update(r_max="x"), "r_max"),
-    ], ids=["no_r_max", "no_item_latents", "no_user_ids", "string_num_items", "string_r_max"])
+        ("matrix_factorization",
+         lambda cfg, tensors: cfg.update(user_ids=cfg["user_ids"][:-1] + cfg["user_ids"][:1]),
+         "distinct strings 'user_ids'"),
+        ("latent", lambda cfg, tensors: cfg.update(kind="bandit"), "not a reward model"),
+        ("latent", lambda cfg, tensors: cfg.update(kind="agent"), "not a reward model"),
+    ], ids=["no_r_max", "no_item_latents", "no_user_ids", "string_num_items", "string_r_max",
+            "duplicate_user_ids", "unknown_kind", "agent_kind"])
     def test_bad_header_is_a_checkpoint_error(self, tmp_path, kind, edit, named):
         _, log, truth = generate_synthetic(6, 10, 4, 2, seed=1)
         if kind == "latent":

@@ -11,7 +11,7 @@ from helpers import StubChatServer
 from prefrl.data import SyntheticGroundTruth, generate_synthetic
 from prefrl.oracle import (LLMOracle, OracleError, OracleHTTPError, OracleNetworkError,
                            OracleTimeoutError, PromptSpec, RemoteEndpoint, append_record,
-                           build_prompt, distill, llm_choice, llm_choices, load_replay,
+                           build_prompt, distill, llm_choice, load_replay,
                            parse_response, synthetic_choice, SyntheticOracle)
 
 CORPUS = json.loads((Path(__file__).parent / "fixtures" / "response_corpus.json").read_text())
@@ -228,12 +228,6 @@ class TestLLMClient:
         with StubChatServer(slow) as stub:
             with pytest.raises(OracleTimeoutError):
                 llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1))
-
-    def test_concurrent_choices_preserve_order(self):
-        with StubChatServer(lambda prompt, n: (200, f"echo:{prompt}")) as stub:
-            prompts = [f"p{i}" for i in range(12)]
-            out = llm_choices(prompts, endpoint(stub.base_url), max_in_flight=4)
-        assert out == [f"echo:{p}" for p in prompts]
 
 
 class TestKeepAlive:
