@@ -32,9 +32,6 @@ __all__ = [
     "init_agent",
     "action_distribution",
     "q_values",
-    "critic_loss",
-    "advantage",
-    "actor_loss",
     "update",
 ]
 
@@ -114,56 +111,6 @@ def policy_for(bundle: AgentBundle, items) -> np.ndarray:
     return action_distribution(encode(items, bundle.params, bundle.encoder_config), bundle)
 
 
-def q_for(bundle: AgentBundle, items) -> np.ndarray:
-    return q_values(encode(items, bundle.params, bundle.encoder_config), bundle)
-
-
-def _clamped_log(p):
-    """log p, elementwise, clamped at LOG_PROB_FLOOR (so p == 0 gives the
-    floor rather than -inf)."""
-    return np.maximum(np.log(np.maximum(p, np.finfo(np.float64).tiny)), LOG_PROB_FLOOR)
-
-
-def log_prob(dist: np.ndarray, action: int) -> float:
-    """log pi(a|s) clamped at LOG_PROB_FLOOR to avoid -inf on collapsed policies."""
-    return float(_clamped_log(dist[action]))
-
-
-def td_target(transition: Transition, bundle: AgentBundle,
-              target: AgentBundle | None = None) -> float:
-    """r + gamma * max_a' Q(s', a'), with a zero bootstrap on terminal transitions.
-
-    The value is treated as a constant in all gradients.  By default the live
-    critic evaluates the bootstrap; passing ``target`` (a frozen snapshot)
-    evaluates it there instead, which tames the bootstrap feedback loop on
-    long runs.
-    """
-    if transition.done:
-        return float(transition.reward)
-    q_next = q_for(target if target is not None else bundle, transition.next_state_items)
-    return float(transition.reward) + bundle.gamma * float(q_next.max())
-
-
-def selected_q(transition: Transition, bundle: AgentBundle) -> float:
-    return float(q_for(bundle, transition.state_items)[transition.action])
-
-
-def advantage(transition: Transition, bundle: AgentBundle) -> float:
-    """TD error r + gamma * max Q(s', .) - Q(s, a)."""
-    return td_target(transition, bundle) - selected_q(transition, bundle)
-
-
-def critic_loss(transition: Transition, bundle: AgentBundle) -> float:
-    """Squared one-step TD error."""
-    return advantage(transition, bundle) ** 2
-
-
-def actor_loss(transition: Transition, bundle: AgentBundle) -> float:
-    """-log pi(a|s) scaled by the advantage (advantage held constant)."""
-    dist = policy_for(bundle, transition.state_items)
-    return -log_prob(dist, transition.action) * advantage(transition, bundle)
-
-
 def backprop_heads(bundle: AgentBundle, state: np.ndarray, cache: dict,
                    d_actor_logits: np.ndarray | None = None,
                    d_q: np.ndarray | None = None) -> None:
@@ -186,8 +133,9 @@ def backprop_heads(bundle: AgentBundle, state: np.ndarray, cache: dict,
 
 def _td_targets(batch: list[Transition], bundle: AgentBundle,
                 target: AgentBundle | None) -> np.ndarray:
-    """:func:`td_target` of every transition, with one batched encode of the
-    non-terminal next states."""
+    """r + gamma * max_a' Q(s', a') of every transition, with a zero bootstrap
+    on terminal ones, evaluated by ``target`` when given; one batched encode
+    of the non-terminal next states."""
     y = np.array([t.reward for t in batch], dtype=np.float64)
     live = [i for i, t in enumerate(batch) if not t.done]
     if live:
@@ -251,7 +199,8 @@ def update(batch: list[Transition], bundle: AgentBundle, lr: float,
         if mixture:
             frozen_a = np.array([t.frozen_prob for t in batch], dtype=np.float64)
             p_a = (1.0 - alpha) * frozen_a + alpha * p_a
-        log_p = _clamped_log(p_a)
+        # clamped at LOG_PROB_FLOOR, so p == 0 gives the floor rather than -inf
+        log_p = np.maximum(np.log(np.maximum(p_a, np.finfo(np.float64).tiny)), LOG_PROB_FLOOR)
         actor_mean = float(np.sum(-log_p * c)) * inv_b
         if mixture:
             live = p_a > 1e-300

@@ -158,8 +158,9 @@ def read_checkpoint(path) -> CheckpointData:
 
 def _read_model(path, kinds: tuple[str, ...], what: str) -> tuple[str, dict, dict]:
     """Read ``path`` as a model file of one of ``kinds`` and check it against
-    :data:`LAYOUTS`: the kind, each config field, the tensor set and every
-    tensor's shape.  Returns the kind, the config and the tensors."""
+    :data:`LAYOUTS`: the kind, each config field, the tensor set (no tensor
+    missing, none unknown) and every tensor's shape.  Returns the kind, the
+    config and the tensors."""
     data = read_checkpoint(path)
     cfg, tensors = data.config, data.tensors
     kind = cfg.get("kind")
@@ -173,6 +174,9 @@ def _read_model(path, kinds: tuple[str, ...], what: str) -> tuple[str, dict, dic
     for name in shapes:
         if name not in tensors:
             raise CheckpointError(f"{path}: {label} is missing tensor {name!r}")
+    for name in tensors:
+        if name not in shapes:
+            raise CheckpointError(f"{path}: {label} has unknown tensor {name!r}")
     dims = {"users": len(cfg["user_ids"])} if "user_ids" in fields else {}
     if "num_items" in fields:
         dims.update(items=cfg["num_items"], ids=cfg["num_items"] + 1,

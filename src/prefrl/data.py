@@ -91,10 +91,6 @@ class InteractionLog:
     def num_sequences(self) -> int:
         return len(self.sequences)
 
-    @property
-    def num_interactions(self) -> int:
-        return sum(len(s) for s in self.sequences)
-
 
 @dataclass(frozen=True)
 class SyntheticGroundTruth:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,9 +65,33 @@ def save_truth(truth: SyntheticGroundTruth, path) -> None:
     np.savez(path, user_latents=truth.user_latents, item_latents=truth.item_latents)
 
 
-def load_truth(path) -> SyntheticGroundTruth:
-    with np.load(path) as data:
-        return SyntheticGroundTruth(data["user_latents"].copy(), data["item_latents"].copy())
+def load_truth(path, num_items: int) -> SyntheticGroundTruth:
+    """The ground truth written by :func:`save_truth`, checked against a
+    catalog of ``num_items`` items; any fault is one ConfigError naming
+    ``path``."""
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read truth file ({exc.strerror or exc})") from None
+    except (EOFError, ValueError, zipfile.BadZipFile):
+        raise ConfigError(f"{path}: not an .npz truth file") from None
+    for name in ("user_latents", "item_latents"):
+        if name not in arrays:
+            raise ConfigError(f"{path}: truth file has no array {name!r}")
+        if arrays[name].ndim != 2 or arrays[name].dtype.kind not in "fiu":
+            raise ConfigError(f"{path}: {name} is not a 2-D numeric array")
+    rows = len(arrays["item_latents"])
+    if rows != num_items:
+        raise ConfigError(f"{path}: item_latents has {rows} rows, "
+                          f"but the catalog has {num_items} items")
+    try:
+        return SyntheticGroundTruth(arrays["user_latents"], arrays["item_latents"])
+    except ValueError as exc:  # non-finite latents, or latent dimensions that differ
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def build_world(cfg: AppConfig) -> World:
@@ -76,7 +101,7 @@ def build_world(cfg: AppConfig) -> World:
     if d["catalog_path"] and d["interactions_path"]:
         catalog = load_catalog(d["catalog_path"])
         log_ = load_interactions(d["interactions_path"], catalog)
-        truth = load_truth(d["truth_path"]) if d["truth_path"] else None
+        truth = load_truth(d["truth_path"], catalog.num_items) if d["truth_path"] else None
     else:
         catalog, log_, truth = generate_synthetic(
             d["num_users"], d["num_items"], d["seq_len"], d["d_lat"],

@@ -164,6 +164,10 @@ class TrainConfig:
         if min(self.pretrain_horizon, self.online_steps, self.batch_size,
                self.buffer_capacity, self.k, self.alpha_anneal_steps) < 1:
             raise ValueError("all counts in TrainConfig must be positive")
+        if self.batch_size > self.buffer_capacity:
+            raise ValueError(f"batch_size ({self.batch_size}) exceeds buffer_capacity "
+                             f"({self.buffer_capacity}): the replay buffer could never "
+                             "hold a minibatch")
         if self.pretrain_epochs < 0:
             raise ValueError("pretrain_epochs must be >= 0")
         if not 0.0 <= self.gamma <= 1.0:

@@ -1,5 +1,5 @@
-"""Shared test machinery: gradient-check scaffolding and a stub
-chat-completion server."""
+"""Shared test machinery: the per-transition reference spec of the learner's
+losses, gradient-check scaffolding and a stub chat-completion server."""
 from __future__ import annotations
 
 import json
@@ -8,9 +8,55 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from prefrl.agent import (Transition, action_distribution, advantage, backprop_heads,
-                          log_prob, policy_for, selected_q, td_target)
+from prefrl.agent import (LOG_PROB_FLOOR, AgentBundle, Transition, action_distribution,
+                          backprop_heads, policy_for, q_values)
 from prefrl.encoder import encode, encode_with_cache
+
+
+# The learner's losses one transition at a time, written from the definitions
+# rather than from ``update``: the tests check the batched step against them.
+
+def q_for(bundle: AgentBundle, items) -> np.ndarray:
+    return q_values(encode(items, bundle.params, bundle.encoder_config), bundle)
+
+
+def log_prob(dist: np.ndarray, action: int) -> float:
+    """log pi(a|s) clamped at LOG_PROB_FLOOR to avoid -inf on collapsed policies."""
+    return float(max(np.log(max(dist[action], np.finfo(np.float64).tiny)), LOG_PROB_FLOOR))
+
+
+def td_target(transition: Transition, bundle: AgentBundle,
+              target: AgentBundle | None = None) -> float:
+    """r + gamma * max_a' Q(s', a'), with a zero bootstrap on terminal transitions.
+
+    The value is treated as a constant in all gradients.  By default the live
+    critic evaluates the bootstrap; passing ``target`` (a frozen snapshot)
+    evaluates it there instead.
+    """
+    if transition.done:
+        return float(transition.reward)
+    q_next = q_for(target if target is not None else bundle, transition.next_state_items)
+    return float(transition.reward) + bundle.gamma * float(q_next.max())
+
+
+def selected_q(transition: Transition, bundle: AgentBundle) -> float:
+    return float(q_for(bundle, transition.state_items)[transition.action])
+
+
+def advantage(transition: Transition, bundle: AgentBundle) -> float:
+    """TD error r + gamma * max Q(s', .) - Q(s, a)."""
+    return td_target(transition, bundle) - selected_q(transition, bundle)
+
+
+def critic_loss(transition: Transition, bundle: AgentBundle) -> float:
+    """Squared one-step TD error."""
+    return advantage(transition, bundle) ** 2
+
+
+def actor_loss(transition: Transition, bundle: AgentBundle) -> float:
+    """-log pi(a|s) scaled by the advantage (advantage held constant)."""
+    dist = policy_for(bundle, transition.state_items)
+    return -log_prob(dist, transition.action) * advantage(transition, bundle)
 
 
 def reference_score(model, context, action: int) -> float:

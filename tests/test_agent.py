@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import actor_loss_check, critic_loss_check, max_rel_err
-from prefrl.agent import (AgentBundle, Transition, action_distribution, actor_loss,
-                          advantage, critic_loss, init_agent, log_prob, policy_for, q_for,
-                          q_values, selected_q, td_target, update)
+from helpers import (actor_loss, actor_loss_check, advantage, critic_loss, critic_loss_check,
+                     log_prob, max_rel_err, q_for, selected_q, td_target)
+from prefrl.agent import (AgentBundle, Transition, action_distribution, init_agent,
+                          policy_for, q_values, update)
 from prefrl import encoder
 from prefrl.nn import finite_diff_grad
 

@@ -175,6 +175,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(str(p))):
             load_checkpoint(p)
 
+    def test_unknown_tensor_is_a_checkpoint_error(self, tmp_path, trained_agent):
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(trained_agent, p)
+        tensors = {**trained_agent.params.params, "junk": np.zeros(1000)}
+        save_tensors(p, tensors, read_checkpoint(p).config)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(p)
+        assert str(info.value) == f"{p}: agent checkpoint has unknown tensor 'junk'"
+
     def test_every_truncation_is_a_checkpoint_error(self, tmp_path, trained_agent):
         p = tmp_path / "x.ckpt"
         save_checkpoint(trained_agent, p, rng_state=np.random.default_rng(0).bit_generator.state)
@@ -318,8 +327,15 @@ class TestRewardModelPersistence:
          "distinct strings 'user_ids'"),
         ("latent", lambda cfg, tensors: cfg.update(kind="bandit"), "not a reward model"),
         ("latent", lambda cfg, tensors: cfg.update(kind="agent"), "not a reward model"),
+        ("latent", lambda cfg, tensors: tensors.update(junk=np.zeros(1000)),
+         "latent reward model has unknown tensor 'junk'"),
+        ("matrix_factorization", lambda cfg, tensors: tensors.update(junk=np.zeros(1000)),
+         "matrix_factorization reward model has unknown tensor 'junk'"),
+        ("sequential", lambda cfg, tensors: tensors.update(junk=np.zeros(1000)),
+         "sequential reward model has unknown tensor 'junk'"),
     ], ids=["no_r_max", "no_item_latents", "no_user_ids", "string_num_items", "string_r_max",
-            "duplicate_user_ids", "unknown_kind", "agent_kind"])
+            "duplicate_user_ids", "unknown_kind", "agent_kind", "latent_unknown_tensor",
+            "matrix_factorization_unknown_tensor", "sequential_unknown_tensor"])
     def test_bad_header_is_a_checkpoint_error(self, tmp_path, kind, edit, named):
         _, log, truth = generate_synthetic(6, 10, 4, 2, seed=1)
         if kind == "latent":
@@ -533,6 +549,45 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "episodes_per_epoch" in err
         assert not (out / "t-s0" / "curve_ft.jsonl").exists()
+
+    def test_online_with_a_batch_larger_than_the_buffer_fails_cleanly(self, tiny_config,
+                                                                      tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run("--config", str(tiny_config), "--out", str(out), "pretrain") == 0
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_INI.replace("buffer_capacity = 300", "buffer_capacity = 4"),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert self.run("--config", str(bad), "--out", str(out), "online") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "batch_size" in err and "buffer_capacity" in err
+        assert not (out / "t-s0" / "curve_ft.jsonl").exists()
+
+    @pytest.mark.parametrize("arrays", [
+        lambda users, items: {"user_latents": users, "item_latents": items[:-3]},
+        lambda users, items: {"user_latents": users},
+        lambda users, items: {"user_latents": users, "item_latents": items[:, :2]},
+        None,
+    ], ids=["cut_item_rows", "no_item_latents", "latent_dims_differ", "not_npz"])
+    def test_bad_truth_file_is_one_error_naming_it(self, tiny_config, tmp_path, capsys,
+                                                   arrays):
+        world = tmp_path / "world"
+        assert self.run("--config", str(tiny_config), "--out", str(world), "gen-data") == 0
+        truth = tmp_path / "truth.npz"
+        if arrays is None:
+            truth.write_text("not an archive", encoding="utf-8")
+        else:
+            with np.load(world / "truth.npz") as data:
+                np.savez(truth, **arrays(data["user_latents"], data["item_latents"]))
+        files = (f"[data]\ncatalog_path = {world / 'catalog.csv'}\n"
+                 f"interactions_path = {world / 'interactions.csv'}\ntruth_path = {truth}\n")
+        cfg = tmp_path / "files.ini"
+        cfg.write_text(TINY_INI.replace("[data]\n", files), encoding="utf-8")
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--out", str(tmp_path / "out"), "pretrain") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truth}: ") and err.count("\n") == 1, err
 
     def test_online_without_pretrain_fails_cleanly(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "fresh"

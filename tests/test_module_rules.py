@@ -1,0 +1,70 @@
+"""Rules about how the package's modules import each other, checked on their
+source: every ``__all__`` name resolves, ``nn`` (the finite-difference
+oracle) imports nothing from the package it verifies, and the reference spec
+in ``tests/helpers.py`` shares no private helper with the code it checks."""
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "prefrl"
+
+
+def _imports(path: Path) -> list[tuple[str, str | None, str]]:
+    """(module, name, local name) for each import in ``path``: ``import m``
+    gives ``(m, None, m's first part)``; ``from m import x as y`` gives
+    ``(m, x, y)``, with a relative ``m`` resolved inside ``prefrl``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None, alias.asname or alias.name.split(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(["prefrl"] + ([module] if module else []))
+            found += [(module, alias.name, alias.asname or alias.name) for alias in node.names]
+    return found
+
+
+def _in_package(module: str) -> bool:
+    return module.split(".")[0] == "prefrl"
+
+
+MODULES_WITH_ALL = sorted(path.stem for path in PACKAGE.glob("*.py")
+                          if "__all__" in path.read_text(encoding="utf-8"))
+
+
+def test_the_scan_sees_the_modules():
+    assert {"agent", "nn", "checkpoint", "training"} <= set(MODULES_WITH_ALL)
+    assert ("prefrl.encoder", "encode", "encode") in _imports(PACKAGE / "agent.py")
+
+
+@pytest.mark.parametrize("module", MODULES_WITH_ALL)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"prefrl.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"prefrl.{module}.__all__ lists undefined {missing}"
+
+
+def test_nn_imports_nothing_from_the_package():
+    imported = [module for module, _, _ in _imports(PACKAGE / "nn.py") if _in_package(module)]
+    assert not imported, f"nn.py imports {imported}"
+
+
+def test_helpers_use_no_private_package_name():
+    path = Path(__file__).resolve().parent / "helpers.py"
+    package_imports = [(name, local) for module, name, local in _imports(path)
+                       if _in_package(module)]
+    assert package_imports, "the scan found no prefrl import in tests/helpers.py"
+    private = [name for name, _ in package_imports if name and name.startswith("_")]
+    assert not private, f"tests/helpers.py imports private {private}"
+    # a private name read through an imported name counts too (``agent._x``)
+    bound = {local for _, local in package_imports}
+    through = [node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and isinstance(node.value, ast.Name) and node.value.id in bound]
+    assert not through, f"tests/helpers.py reads private {through}"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prefrl.agent import AgentBundle, Transition, init_agent, policy_for, q_for
+from helpers import q_for
+from prefrl.agent import AgentBundle, Transition, init_agent, policy_for
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic, split_log
 from prefrl.encoder import EncoderConfig
 from prefrl import encoder
@@ -35,6 +36,13 @@ def make_env(world, which="train", seed=0, max_steps=12):
 def agent_for(world, seed=0, gamma=0.9):
     return init_agent(world["catalog"].num_items, embed_dim=8, max_seq_len=6,
                       gamma=gamma, seed=seed)
+
+
+class TestTrainConfig:
+    def test_batch_larger_than_the_buffer_is_refused(self):
+        with pytest.raises(ValueError, match=r"batch_size \(8\).*buffer_capacity \(4\)"):
+            TrainConfig(batch_size=8, buffer_capacity=4)
+        assert TrainConfig(batch_size=4, buffer_capacity=4).batch_size == 4
 
 
 class TestReplayBuffer:
@@ -168,8 +176,7 @@ class TestMixture:
 class TestMixtureGradient:
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_learnable_side_gradient_matches_finite_differences(self, world, alpha):
-        from helpers import max_rel_err
-        from prefrl.agent import log_prob, selected_q, td_target
+        from helpers import log_prob, max_rel_err, selected_q, td_target
         from prefrl.nn import finite_diff_grad
 
         frozen = agent_for(world, seed=30)
