@@ -1,5 +1,5 @@
 """Portable binary checkpoints, and the one place that knows the on-disk
-layout of every model kind.
+layout of an agent file.
 
 Layout: 4-byte magic ``PRFL``, uint32 little-endian format version, uint64
 little-endian header length, a UTF-8 JSON header, then the raw tensor data.
@@ -8,12 +8,10 @@ manifest (name + shape, in order); tensor data is float32 little-endian,
 concatenated in manifest order.  Headers are serialized with sorted keys so
 save -> load -> save is byte-identical.
 
-Four kinds of model file are written here: ``agent`` (the actor-critic
-bundle) and the reward models ``latent``, ``matrix_factorization`` and
-``sequential``.  :data:`LAYOUTS` gives each kind's checked config fields and
-tensor shapes; :func:`load_checkpoint` and :func:`load_reward_model` both
-check a file against it and raise one :class:`CheckpointError` naming the
-path for any file that does not describe its kind.
+An ``agent`` file holds the actor-critic bundle.  :data:`AGENT_TENSORS` gives
+its tensor shapes; :func:`load_checkpoint` checks a file against them and its
+config fields, and raises one :class:`CheckpointError` naming the path for any
+file that does not describe an agent.
 """
 from __future__ import annotations
 
@@ -26,51 +24,35 @@ import numpy as np
 
 from .agent import AgentBundle
 from .encoder import EncoderConfig
-from .environment import LatentPreferenceModel, MatrixFactorizationModel, SequentialModel
 from .nn import ParamSet
 
 __all__ = [
     "CheckpointError",
     "CheckpointData",
-    "LAYOUTS",
+    "AGENT_TENSORS",
     "save_tensors",
     "read_checkpoint",
     "save_checkpoint",
     "load_checkpoint",
-    "save_reward_model",
-    "load_reward_model",
 ]
 
 MAGIC = b"PRFL"
 FORMAT_VERSION = 1
 
-# a checked config field: what it must be, and the test of its value
-_NUMBER = ("a numeric", lambda v: type(v) in (int, float))
+# each checked config field of an agent file: what it must be, and the test of its value
 _INTEGER = ("an integer", lambda v: type(v) is int)
-_DISTINCT_STRINGS = ("a list of distinct strings", lambda v: isinstance(v, list)
-                     and all(isinstance(u, str) for u in v) and len(set(v)) == len(v))
-
-_ENCODER_FIELDS = {"num_items": _INTEGER, "embed_dim": _INTEGER, "max_seq_len": _INTEGER}
-_ENCODER_TENSORS = {
+_AGENT_FIELDS = {"num_items": _INTEGER, "embed_dim": _INTEGER, "max_seq_len": _INTEGER,
+                 "gamma": ("a numeric", lambda v: type(v) in (int, float))}
+# each agent tensor's shape in named dimensions, all fixed by the header:
+# ``items`` (num_items), ``ids`` (one more, for the padding id), ``embed_dim``
+# and ``max_seq_len``
+AGENT_TENSORS = {
     "item_emb": ("ids", "embed_dim"), "pos_emb": ("max_seq_len", "embed_dim"),
     "w_q": ("embed_dim", "embed_dim"), "w_k": ("embed_dim", "embed_dim"),
     "w_v": ("embed_dim", "embed_dim"),
+    "actor_w": ("embed_dim", "items"), "actor_b": ("items",),
+    "critic_w": ("embed_dim", "items"), "critic_b": ("items",),
 }
-# per kind: the checked config fields and each tensor's shape, as sizes or as
-# named dimensions.  The header fixes ``items`` (num_items), ``ids`` (one more,
-# for the padding id), ``embed_dim``, ``max_seq_len`` and ``users``
-# (len(user_ids)); any other dimension is set by the first tensor that has it.
-LAYOUTS = {
-    "agent": ({**_ENCODER_FIELDS, "gamma": _NUMBER}, {
-        **_ENCODER_TENSORS, "actor_w": ("embed_dim", "items"), "actor_b": ("items",),
-        "critic_w": ("embed_dim", "items"), "critic_b": ("items",)}),
-    "latent": ({"r_max": _NUMBER, "scale": _NUMBER}, {"item_latents": ("items", "dim")}),
-    "matrix_factorization": ({"r_max": _NUMBER, "user_ids": _DISTINCT_STRINGS}, {
-        "user_factors": ("users", "dim"), "item_factors": ("items", "dim"),
-        "user_bias": ("users",), "item_bias": ("items",), "global_bias": (1,)}),
-    "sequential": ({"r_max": _NUMBER, **_ENCODER_FIELDS}, _ENCODER_TENSORS),
-}
-_REWARD_MODEL_KINDS = ("latent", "matrix_factorization", "sequential")
 
 
 class CheckpointError(Exception):
@@ -156,45 +138,6 @@ def read_checkpoint(path) -> CheckpointData:
     return CheckpointData(version, tensors, header.get("config", {}), header.get("rng_state"))
 
 
-def _read_model(path, kinds: tuple[str, ...], what: str) -> tuple[str, dict, dict]:
-    """Read ``path`` as a model file of one of ``kinds`` and check it against
-    :data:`LAYOUTS`: the kind, each config field, the tensor set (no tensor
-    missing, none unknown) and every tensor's shape.  Returns the kind, the
-    config and the tensors."""
-    data = read_checkpoint(path)
-    cfg, tensors = data.config, data.tensors
-    kind = cfg.get("kind")
-    if kind not in kinds:
-        raise CheckpointError(f"{path}: not {what} (kind={kind!r})")
-    label = "agent checkpoint" if kind == "agent" else f"{kind} reward model"
-    fields, shapes = LAYOUTS[kind]
-    for key, (needs, valid) in fields.items():
-        if not valid(cfg.get(key)):
-            raise CheckpointError(f"{path}: {label} needs {needs} {key!r}, got {cfg.get(key)!r}")
-    for name in shapes:
-        if name not in tensors:
-            raise CheckpointError(f"{path}: {label} is missing tensor {name!r}")
-    for name in tensors:
-        if name not in shapes:
-            raise CheckpointError(f"{path}: {label} has unknown tensor {name!r}")
-    dims = {"users": len(cfg["user_ids"])} if "user_ids" in fields else {}
-    if "num_items" in fields:
-        dims.update(items=cfg["num_items"], ids=cfg["num_items"] + 1,
-                    embed_dim=cfg["embed_dim"], max_seq_len=cfg["max_seq_len"])
-    for name, axes in shapes.items():
-        shape = tensors[name].shape
-        if len(shape) == len(axes):
-            for axis, size in zip(axes, shape):
-                if isinstance(axis, str):
-                    dims.setdefault(axis, size)
-        expected = tuple(dims.get(axis, axis) for axis in axes)
-        if shape != expected:
-            shown = ", ".join(map(str, expected)) + ("," if len(expected) == 1 else "")
-            raise CheckpointError(f"{path}: {label} tensor {name!r} has shape {shape}, "
-                                  f"expected ({shown})")
-    return kind, cfg, tensors
-
-
 def save_checkpoint(bundle: AgentBundle, path, rng_state: dict | None = None,
                     extra: dict | None = None) -> None:
     """Persist an agent bundle (tensors at 32-bit) with its config snapshot."""
@@ -211,49 +154,33 @@ def save_checkpoint(bundle: AgentBundle, path, rng_state: dict | None = None,
 
 
 def load_checkpoint(path) -> AgentBundle:
-    """Rebuild an agent bundle from a checkpoint written by :func:`save_checkpoint`."""
-    _, cfg, tensors = _read_model(path, ("agent",), "an agent checkpoint")
+    """Rebuild an agent bundle from a checkpoint written by
+    :func:`save_checkpoint`, checked in this order: the kind, each config
+    field, the tensor set (no tensor missing, none unknown) and every tensor's
+    shape."""
+    data = read_checkpoint(path)
+    cfg, tensors = data.config, data.tensors
+    if cfg.get("kind") != "agent":
+        raise CheckpointError(f"{path}: not an agent checkpoint (kind={cfg.get('kind')!r})")
+    for key, (needs, valid) in _AGENT_FIELDS.items():
+        if not valid(cfg.get(key)):
+            raise CheckpointError(f"{path}: agent checkpoint needs {needs} {key!r}, "
+                                  f"got {cfg.get(key)!r}")
+    for name in AGENT_TENSORS:
+        if name not in tensors:
+            raise CheckpointError(f"{path}: agent checkpoint is missing tensor {name!r}")
+    for name in tensors:
+        if name not in AGENT_TENSORS:
+            raise CheckpointError(f"{path}: agent checkpoint has unknown tensor {name!r}")
+    dims = {"items": cfg["num_items"], "ids": cfg["num_items"] + 1,
+            "embed_dim": cfg["embed_dim"], "max_seq_len": cfg["max_seq_len"]}
+    for name, axes in AGENT_TENSORS.items():
+        expected = tuple(dims[axis] for axis in axes)
+        if tensors[name].shape != expected:
+            raise CheckpointError(f"{path}: agent checkpoint tensor {name!r} has shape "
+                                  f"{tensors[name].shape}, expected {expected}")
     try:
         enc = EncoderConfig(cfg["num_items"], cfg["embed_dim"], cfg["max_seq_len"])
         return AgentBundle(ParamSet(tensors), enc, cfg["gamma"])
     except ValueError as exc:  # a size below its minimum, a non-finite tensor, gamma outside [0, 1]
-        raise CheckpointError(f"{path}: {exc}") from None
-
-
-def save_reward_model(model, path) -> None:
-    if isinstance(model, LatentPreferenceModel):
-        save_tensors(path, {"item_latents": model.item_latents},
-                     {"kind": model.kind, "r_max": model.r_max, "scale": model.scale})
-    elif isinstance(model, MatrixFactorizationModel):
-        save_tensors(path, {
-            "user_factors": model.user_factors, "item_factors": model.item_factors,
-            "user_bias": model.user_bias, "item_bias": model.item_bias,
-            "global_bias": np.array([model.global_bias]),
-        }, {"kind": model.kind, "r_max": model.r_max, "user_ids": model.user_ids})
-    elif isinstance(model, SequentialModel):
-        save_tensors(path, dict(model.params.params), {
-            "kind": model.kind, "r_max": model.r_max,
-            "num_items": model.encoder_config.num_items,
-            "embed_dim": model.encoder_config.embed_dim,
-            "max_seq_len": model.encoder_config.max_seq_len,
-        })
-    else:
-        raise TypeError(f"cannot save reward model of type {type(model).__name__}")
-
-
-def load_reward_model(path):
-    """Rebuild a reward model written by :func:`save_reward_model`."""
-    kind, cfg, tensors = _read_model(path, _REWARD_MODEL_KINDS, "a reward model")
-    try:
-        if kind == "latent":
-            return LatentPreferenceModel(tensors["item_latents"], cfg["r_max"], cfg["scale"])
-        if kind == "matrix_factorization":
-            return MatrixFactorizationModel(
-                cfg["user_ids"], tensors["user_factors"], tensors["item_factors"],
-                tensors["user_bias"], tensors["item_bias"],
-                float(tensors["global_bias"][0]), cfg["r_max"])
-        enc = EncoderConfig(num_items=cfg["num_items"], embed_dim=cfg["embed_dim"],
-                            max_seq_len=cfg["max_seq_len"])
-        return SequentialModel(ParamSet(tensors), enc, cfg["r_max"])
-    except ValueError as exc:  # a size below its minimum or a non-finite tensor
         raise CheckpointError(f"{path}: {exc}") from None

@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Subcommands: gen-data, fit-env, pretrain, online, baseline, eval, rq1..rq4.
+Subcommands: gen-data, pretrain, online, baseline, eval, rq1, rq2, rq3, rq4.
 Shared flags: --config PATH, --seed N, --out DIR, --oracle synthetic|llm,
 --scheme ft|ap, --strategy greedy|egreedy|categorical.  LLM mode reads its
 auth token from the ORACLE_API_KEY environment variable.  Exit code 0 on
@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen-data", parents=[common],
                    help="generate a seeded synthetic catalog/log/latents")
-    sub.add_parser("fit-env", parents=[common],
-                   help="fit the configured reward model and save it")
     p = sub.add_parser("pretrain", parents=[common],
                        help="pre-train the agent against the preference judge")
     p.add_argument("--resume", action="store_true", default=False,

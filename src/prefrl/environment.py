@@ -95,7 +95,6 @@ class MatrixFactorizationModel(_RewardModel):
                  user_bias, item_bias, global_bias: float, r_max: float,
                  loss_history: list[float] | None = None):
         self.user_index = {u: i for i, u in enumerate(user_ids)}
-        self.user_ids = list(user_ids)
         self.user_factors = np.asarray(user_factors, dtype=np.float64)
         self.item_factors = np.asarray(item_factors, dtype=np.float64)
         self.user_bias = np.asarray(user_bias, dtype=np.float64)

@@ -4,9 +4,9 @@ the preset experiments (rq1..rq4).
 
 Outputs per run directory: ``config.full`` (effective configuration),
 ``*.jsonl`` learning curves (one episode per line, append-only, ordered by
-global step), ``summary.tsv``, and ``*.ckpt`` checkpoints.  Checkpoint and
-reward-model files are written and checked by :mod:`prefrl.checkpoint`;
-``fit-env`` writes ``reward_model.ckpt`` there.
+global step), ``summary.tsv``, and ``*.ckpt`` agent checkpoints, written and
+checked by :mod:`prefrl.checkpoint`.  Each command builds its reward model
+afresh from the world; none is written to disk.
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .agent import AgentBundle
-from .checkpoint import (CheckpointError, load_checkpoint, read_checkpoint, save_checkpoint,
-                         save_reward_model)
+from .checkpoint import CheckpointError, load_checkpoint, read_checkpoint, save_checkpoint
 from .config import AppConfig, ConfigError, dump_full
 from .data import (InteractionLog, ItemCatalog, SyntheticGroundTruth, generate_synthetic,
                    load_catalog, load_interactions, split_log, write_catalog,
@@ -98,10 +97,14 @@ def build_world(cfg: AppConfig) -> World:
     """Load catalog/interactions from the configured paths, or generate the
     seeded synthetic world, then apply the train/test split."""
     d = cfg["data"]
+    given = [key for key in ("catalog_path", "interactions_path", "truth_path") if d[key]]
     if d["catalog_path"] and d["interactions_path"]:
         catalog = load_catalog(d["catalog_path"])
         log_ = load_interactions(d["interactions_path"], catalog)
         truth = load_truth(d["truth_path"], catalog.num_items) if d["truth_path"] else None
+    elif given:
+        raise ConfigError(f"[data] {' and '.join(given)} set, but files are loaded only "
+                          "when catalog_path and interactions_path are both set")
     else:
         catalog, log_, truth = generate_synthetic(
             d["num_users"], d["num_items"], d["seq_len"], d["d_lat"],
@@ -259,7 +262,7 @@ def pretrain_with_checkpoints(cfg: AppConfig, world: World, oracle, seed: int,
     start_epoch = 0
     rng = None
     if resume and ckpt_path.exists():
-        agent = load_checkpoint(ckpt_path)
+        agent = _load_agent(ckpt_path, world.catalog.num_items)
         data = read_checkpoint(ckpt_path)
         extra = data.config.get("extra") or {}
         epoch = extra.get("epoch") if isinstance(extra, dict) else None
@@ -314,18 +317,6 @@ def cmd_gen_data(cfg: AppConfig, out) -> int:
     return 0
 
 
-def cmd_fit_env(cfg: AppConfig, out) -> int:
-    world, model = _world_and_model(cfg)
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_reward_model(model, out / "reward_model.ckpt")
-    _write_config_snapshot(cfg, out)
-    losses = getattr(model, "loss_history", [])
-    tail = f", final fit loss {losses[-1]:.4f}" if losses else ""
-    print(f"fitted {model.kind} reward model over {model.num_items} items{tail}")
-    return 0
-
-
 def cmd_pretrain(cfg: AppConfig, out, resume: bool = False) -> int:
     world, model = _world_and_model(cfg)
     oracle = build_oracle(cfg, world)
@@ -340,11 +331,16 @@ def cmd_pretrain(cfg: AppConfig, out, resume: bool = False) -> int:
     return 0
 
 
-def _load_agent(directory: Path, agent_path) -> AgentBundle:
-    path = Path(agent_path) if agent_path else directory / "agent_pretrained.ckpt"
-    if not path.exists():
+def _load_agent(path, num_items: int) -> AgentBundle:
+    """The agent checkpoint at ``path``, checked to act on a catalog of
+    ``num_items`` items."""
+    if not Path(path).exists():
         raise FileNotFoundError(f"agent checkpoint not found: {path}")
-    return load_checkpoint(path)
+    agent = load_checkpoint(path)
+    if agent.num_items != num_items:
+        raise CheckpointError(f"{path}: agent has {agent.num_items} items, "
+                              f"the catalog has {num_items}")
+    return agent
 
 
 def cmd_online(cfg: AppConfig, out, method: str, agent_path=None) -> int:
@@ -354,7 +350,10 @@ def cmd_online(cfg: AppConfig, out, method: str, agent_path=None) -> int:
     seed = cfg["training"]["seed"]
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
     _write_config_snapshot(cfg, directory)
-    pretrained = _load_agent(directory, agent_path) if method in ("ft", "ap") else None
+    pretrained = None
+    if method in ("ft", "ap"):
+        pretrained = _load_agent(agent_path or directory / "agent_pretrained.ckpt",
+                                 world.catalog.num_items)
     result, wall = _run_method(cfg, world, model, seed, directory, method,
                                strategy_from(cfg), pretrained)
     write_summary(directory / f"summary_{method}.tsv",
@@ -369,7 +368,8 @@ def cmd_eval(cfg: AppConfig, out, agent_path=None) -> int:
     world, model = _world_and_model(cfg)
     seed = cfg["training"]["seed"]
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
-    agent = _load_agent(directory, agent_path)
+    agent = _load_agent(agent_path or directory / "agent_pretrained.ckpt",
+                        world.catalog.num_items)
     _, test_env = build_envs(cfg, model, world, seed)
     means = evaluate_on_test(cfg, agent, test_env, seed)
     write_summary(directory / "eval.tsv", _summary_rows("eval", seed, {"final": means}, 0.0))
@@ -514,7 +514,6 @@ def cmd_rq4(cfg: AppConfig, out) -> int:
 
 COMMANDS = {
     "gen-data": cmd_gen_data,
-    "fit-env": cmd_fit_env,
     "pretrain": cmd_pretrain,
     "rq1": cmd_rq1,
     "rq2": cmd_rq2,

@@ -195,6 +195,14 @@ class RemoteEndpoint:
     max_retries: int = 3
     backoff: float = 0.5
 
+    def __post_init__(self):
+        for key, valid, needs in (("max_retries", self.max_retries >= 0, ">= 0"),
+                                  ("timeout", self.timeout > 0, "> 0"),
+                                  ("backoff", self.backoff >= 0, ">= 0")):
+            if not valid:
+                raise ValueError(f"[oracle] {key} must be {needs}, "
+                                 f"got {getattr(self, key)!r}")
+
 
 def llm_choice(prompt: str, endpoint: RemoteEndpoint,
                session: requests.Session | None = None) -> str:

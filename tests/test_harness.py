@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from prefrl.agent import init_agent, policy_for
-from prefrl.checkpoint import (LAYOUTS, CheckpointError, load_checkpoint, load_reward_model,
-                               read_checkpoint, save_checkpoint, save_reward_model,
-                               save_tensors)
+from prefrl.checkpoint import (AGENT_TENSORS, CheckpointError, load_checkpoint,
+                               read_checkpoint, save_checkpoint, save_tensors)
 from prefrl.config import ConfigError, DEFAULTS, dump_full, load_config
 from prefrl.data import generate_synthetic
-from prefrl.encoder import init_encoder_params
-from prefrl.environment import LatentPreferenceModel, fit_reward_model
 from prefrl.harness import (build_envs, build_oracle, build_reward_model, build_world,
                             encoder_config_from, pretrain_with_checkpoints, train_config_from,
                             write_curve)
@@ -215,12 +212,9 @@ class TestCheckpoint:
         # a non-square config, so a swapped or mislabelled axis shows
         dims = {"items": 7, "ids": 8, "embed_dim": 3, "max_seq_len": 5}
         agent = init_agent(7, embed_dim=3, max_seq_len=5, seed=0)
-        encoder = init_encoder_params(agent.encoder_config, np.random.default_rng(0))
-        for kind, params in (("agent", agent.params.params), ("sequential", encoder)):
-            shapes = LAYOUTS[kind][1]
-            assert {name: tuple(dims[axis] for axis in axes)
-                    for name, axes in shapes.items()} == \
-                   {name: arr.shape for name, arr in params.items()}, kind
+        assert {name: tuple(dims[axis] for axis in axes)
+                for name, axes in AGENT_TENSORS.items()} == \
+               {name: arr.shape for name, arr in agent.params.params.items()}
 
 
 class TestConfig:
@@ -271,125 +265,6 @@ class TestConfig:
         p = tmp_path / "full.ini"
         p.write_text(dump_full(cfg), encoding="utf-8")
         assert load_config(p).values == cfg.values
-
-
-class TestRewardModelPersistence:
-    def test_latent_roundtrip(self, tmp_path):
-        _, _, truth = generate_synthetic(4, 8, 3, 2, seed=0)
-        model = LatentPreferenceModel(truth.item_latents, r_max=5.0, scale=1.5)
-        p = tmp_path / "rm.ckpt"
-        save_reward_model(model, p)
-        loaded = load_reward_model(p)
-        assert loaded.kind == "latent"
-        assert loaded.scale == 1.5
-        assert abs(loaded.score([1, 2], 3) - model.score([1, 2], 3)) < 1e-5
-
-    def test_mf_roundtrip(self, tmp_path):
-        _, log, _ = generate_synthetic(6, 10, 4, 2, seed=1)
-        model = fit_reward_model(log, "matrix_factorization", 10, d_rm=2,
-                                 epochs=5, seed=0)
-        p = tmp_path / "rm.ckpt"
-        save_reward_model(model, p)
-        loaded = load_reward_model(p)
-        assert loaded.kind == "matrix_factorization"
-        assert abs(loaded.score("u0", 3) - model.score("u0", 3)) < 1e-5
-
-    def test_sequential_roundtrip(self, tmp_path):
-        _, log, _ = generate_synthetic(6, 10, 4, 2, seed=2)
-        model = fit_reward_model(log, "sequential", 10, d_rm=4, epochs=2,
-                                 lr=0.05, max_seq_len=5, seed=0)
-        p = tmp_path / "rm.ckpt"
-        save_reward_model(model, p)
-        loaded = load_reward_model(p)
-        assert loaded.kind == "sequential"
-        assert abs(loaded.score([1, 2], 3) - model.score([1, 2], 3)) < 1e-4
-
-    @pytest.mark.parametrize("kind", ["latent", "matrix_factorization", "sequential"])
-    def test_save_load_save_is_byte_identical(self, tmp_path, kind):
-        _, log, truth = generate_synthetic(6, 10, 4, 2, seed=1)
-        if kind == "latent":
-            model = LatentPreferenceModel(truth.item_latents, r_max=5.0, scale=1.5)
-        else:
-            model = fit_reward_model(log, kind, 10, d_rm=2, epochs=1, max_seq_len=5, seed=0)
-        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_reward_model(model, p1)
-        save_reward_model(load_reward_model(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    @pytest.mark.parametrize("kind, edit, named", [
-        ("latent", lambda cfg, tensors: cfg.pop("r_max"), "r_max"),
-        ("latent", lambda cfg, tensors: tensors.pop("item_latents"), "item_latents"),
-        ("matrix_factorization", lambda cfg, tensors: cfg.pop("user_ids"), "user_ids"),
-        ("sequential", lambda cfg, tensors: cfg.update(num_items="3"), "num_items"),
-        ("latent", lambda cfg, tensors: cfg.update(r_max="x"), "r_max"),
-        ("matrix_factorization",
-         lambda cfg, tensors: cfg.update(user_ids=cfg["user_ids"][:-1] + cfg["user_ids"][:1]),
-         "distinct strings 'user_ids'"),
-        ("latent", lambda cfg, tensors: cfg.update(kind="bandit"), "not a reward model"),
-        ("latent", lambda cfg, tensors: cfg.update(kind="agent"), "not a reward model"),
-        ("latent", lambda cfg, tensors: tensors.update(junk=np.zeros(1000)),
-         "latent reward model has unknown tensor 'junk'"),
-        ("matrix_factorization", lambda cfg, tensors: tensors.update(junk=np.zeros(1000)),
-         "matrix_factorization reward model has unknown tensor 'junk'"),
-        ("sequential", lambda cfg, tensors: tensors.update(junk=np.zeros(1000)),
-         "sequential reward model has unknown tensor 'junk'"),
-    ], ids=["no_r_max", "no_item_latents", "no_user_ids", "string_num_items", "string_r_max",
-            "duplicate_user_ids", "unknown_kind", "agent_kind", "latent_unknown_tensor",
-            "matrix_factorization_unknown_tensor", "sequential_unknown_tensor"])
-    def test_bad_header_is_a_checkpoint_error(self, tmp_path, kind, edit, named):
-        _, log, truth = generate_synthetic(6, 10, 4, 2, seed=1)
-        if kind == "latent":
-            model = LatentPreferenceModel(truth.item_latents, r_max=5.0)
-        else:
-            model = fit_reward_model(log, kind, 10, d_rm=2, epochs=1, max_seq_len=5, seed=0)
-        p = tmp_path / "rm.ckpt"
-        save_reward_model(model, p)
-        data = read_checkpoint(p)
-        cfg, tensors = dict(data.config), dict(data.tensors)
-        edit(cfg, tensors)
-        save_tensors(p, tensors, cfg)
-        with pytest.raises(CheckpointError, match=named) as info:
-            load_reward_model(p)
-        assert str(info.value).startswith(f"{p}: ")
-
-    @pytest.mark.parametrize("kind, edit, named", [
-        ("matrix_factorization", lambda cfg, t: cfg["user_ids"].append("extra"),
-         r"'user_factors' has shape \(6, 2\), expected \(7, 2\)"),
-        ("matrix_factorization", lambda cfg, t: t.update(item_factors=t["item_factors"][:5]),
-         r"'item_bias' has shape \(10,\), expected \(5,\)"),
-        ("matrix_factorization", lambda cfg, t: t.update(user_bias=t["user_bias"][:-1]),
-         r"'user_bias' has shape \(5,\), expected \(6,\)"),
-        ("matrix_factorization", lambda cfg, t: t.update(global_bias=np.zeros(0)),
-         r"'global_bias' has shape \(0,\), expected \(1,\)"),
-        ("sequential", lambda cfg, t: cfg.update(num_items=12),
-         r"'item_emb' has shape \(11, 2\), expected \(13, 2\)"),
-        ("sequential", lambda cfg, t: cfg.update(embed_dim=3),
-         r"'item_emb' has shape \(11, 2\), expected \(11, 3\)"),
-        ("sequential", lambda cfg, t: cfg.update(max_seq_len=4),
-         r"'pos_emb' has shape \(5, 2\), expected \(4, 2\)"),
-        ("sequential", lambda cfg, t: t.update(w_v=t["w_v"][:, :1]),
-         r"'w_v' has shape \(2, 1\), expected \(2, 2\)"),
-        ("latent", lambda cfg, t: t.update(item_latents=t["item_latents"][:, 0]),
-         r"'item_latents' has shape \(10,\), expected \(items, dim\)"),
-    ], ids=["extra_user_id", "cut_item_factors", "cut_user_bias", "empty_global_bias",
-            "num_items", "embed_dim", "max_seq_len", "w_v", "flat_item_latents"])
-    def test_bad_shape_is_a_checkpoint_error(self, tmp_path, kind, edit, named):
-        # shapes are checked against the header and each other at load, not
-        # left to fail at the first score
-        _, log, truth = generate_synthetic(6, 10, 4, 2, seed=1)
-        if kind == "latent":
-            model = LatentPreferenceModel(truth.item_latents, r_max=5.0)
-        else:
-            model = fit_reward_model(log, kind, 10, d_rm=2, epochs=1, max_seq_len=5, seed=0)
-        p = tmp_path / "rm.ckpt"
-        save_reward_model(model, p)
-        data = read_checkpoint(p)
-        cfg, tensors = dict(data.config), dict(data.tensors)
-        edit(cfg, tensors)
-        save_tensors(p, tensors, cfg)
-        with pytest.raises(CheckpointError, match=named) as info:
-            load_reward_model(p)
-        assert str(info.value).startswith(f"{p}: {kind} reward model tensor ")
 
 
 class TestWorldBuilding:
@@ -519,11 +394,6 @@ class TestCli:
         assert (out / "truth.npz").exists()
         assert (out / "config.full").exists()
 
-    def test_fit_env_saves_model(self, tiny_config, tmp_path):
-        out = tmp_path / "out"
-        assert self.run("--config", str(tiny_config), "--out", str(out), "fit-env") == 0
-        assert load_reward_model(out / "reward_model.ckpt").kind == "latent"
-
     def test_pretrain_online_eval_chain(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "out"
         assert self.run("--config", str(tiny_config), "--out", str(out), "pretrain") == 0
@@ -589,6 +459,58 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {truth}: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("key", ["catalog_path", "interactions_path", "truth_path"])
+    def test_partial_data_paths_are_one_error_naming_them(self, tiny_config, tmp_path, capsys,
+                                                          key):
+        world = tmp_path / "world"
+        assert self.run("--config", str(tiny_config), "--out", str(world), "gen-data") == 0
+        name = {"catalog_path": "catalog.csv", "interactions_path": "interactions.csv",
+                "truth_path": "truth.npz"}[key]
+        cfg = tmp_path / "partial.ini"
+        cfg.write_text(TINY_INI.replace("[data]\n", f"[data]\n{key} = {world / name}\n"),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--out", str(tmp_path / "out"), "pretrain") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [data] {key} set, ") and err.count("\n") == 1, err
+        assert "catalog_path and interactions_path" in err
+
+    @pytest.mark.parametrize("key, value", [("max_retries", "-1"), ("timeout", "0"),
+                                            ("backoff", "-1")])
+    def test_bad_oracle_retry_setting_is_one_error_naming_it(self, tiny_config, tmp_path,
+                                                             capsys, key, value):
+        # the endpoint is never contacted: the setting fails when the judge is built
+        llm = f"[oracle]\nkind = llm\nbase_url = http://127.0.0.1:9\n{key} = {value}\n"
+        cfg = tmp_path / "llm.ini"
+        cfg.write_text(TINY_INI.replace("[oracle]\n", llm), encoding="utf-8")
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--out", str(tmp_path / "out"), "pretrain") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [oracle] {key} must be ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("num_items", [10, 20])
+    @pytest.mark.parametrize("command, checkpoint", [
+        (("--scheme", "ap", "online"), "agent_pretrained.ckpt"),
+        (("eval",), "agent_pretrained.ckpt"),
+        (("pretrain", "--resume"), "pretrain_latest.ckpt"),
+    ], ids=["online", "eval", "pretrain_resume"])
+    def test_agent_for_another_catalog_is_one_error(self, tiny_config, tmp_path, capsys,
+                                                    command, checkpoint, num_items):
+        out = tmp_path / "out"
+        assert self.run("--config", str(tiny_config), "--out", str(out), "pretrain") == 0
+        other = tmp_path / "other.ini"
+        other.write_text(TINY_INI.replace("num_items = 14", f"num_items = {num_items}"),
+                         encoding="utf-8")
+        before = sorted(p.name for p in (out / "t-s0").iterdir())
+        log_text = (out / "t-s0" / "pretrain_log.jsonl").read_text()
+        capsys.readouterr()
+        assert self.run("--config", str(other), "--out", str(out), *command) == 1
+        path = out / "t-s0" / checkpoint
+        assert capsys.readouterr().err == \
+            f"error: {path}: agent has 14 items, the catalog has {num_items}\n"
+        assert sorted(p.name for p in (out / "t-s0").iterdir()) == before
+        assert (out / "t-s0" / "pretrain_log.jsonl").read_text() == log_text
+
     def test_online_without_pretrain_fails_cleanly(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "fresh"
         code = self.run("--config", str(tiny_config), "--out", str(out), "online")
@@ -650,8 +572,9 @@ class TestCli:
         world = build_world(cfg)
         run = tmp_path / "run"
         run.mkdir()
-        if slot == "reward_model":
-            save_reward_model(build_reward_model(cfg, world), run / "pretrain_latest.ckpt")
+        if slot == "reward_model":  # a model file of another kind
+            save_tensors(run / "pretrain_latest.ckpt", {"item_latents": world.truth.item_latents},
+                         {"kind": "latent", "r_max": 5.0, "scale": 1.0})
         else:  # a valid agent, but not an epoch checkpoint
             save_checkpoint(init_agent(14, embed_dim=6, max_seq_len=5),
                             run / "pretrain_latest.ckpt")

@@ -1,16 +1,23 @@
 """Rules about how the package's modules import each other, checked on their
 source: every ``__all__`` name resolves, ``nn`` (the finite-difference
 oracle) imports nothing from the package it verifies, and the reference spec
-in ``tests/helpers.py`` shares no private helper with the code it checks."""
+in ``tests/helpers.py`` shares no private helper with the code it checks.
+Also: the subcommands the README and ``cli.py`` name are the parser's."""
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from prefrl import cli
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "prefrl"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def _imports(path: Path) -> list[tuple[str, str | None, str]]:
@@ -68,3 +75,30 @@ def test_helpers_use_no_private_package_name():
                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                and isinstance(node.value, ast.Name) and node.value.id in bound]
     assert not through, f"tests/helpers.py reads private {through}"
+
+
+def _subcommands() -> set[str]:
+    parser = cli.build_parser()
+    return {choice for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction) for choice in action.choices}
+
+
+def test_readme_command_block_names_every_subcommand():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S)
+    assert block, "README.md has no sh block under '## Command line'"
+    named = set()
+    for line in block.group(1).splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[:1] == ["prefrl"], line
+        try:
+            named.add(cli.build_parser().parse_args(argv[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README.md command does not parse: {line}")
+    assert named == _subcommands()
+
+
+def test_cli_docstring_names_every_subcommand():
+    found = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__)
+    assert found, "cli.py's docstring has no 'Subcommands: ...' sentence"
+    assert {name.strip() for name in found.group(1).split(",")} == _subcommands()
