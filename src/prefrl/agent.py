@@ -131,25 +131,31 @@ def backprop_heads(bundle: AgentBundle, state: np.ndarray, cache: dict,
     encode_backward(cache, d_state, params)
 
 
-def _td_targets(batch: list[Transition], bundle: AgentBundle,
-                target: AgentBundle | None) -> np.ndarray:
+def _td_targets(batch: list[Transition], bundle: AgentBundle, target: AgentBundle | None,
+                memo: dict | None) -> np.ndarray:
     """r + gamma * max_a' Q(s', a') of every transition, with a zero bootstrap
-    on terminal ones, evaluated by ``target`` when given; one batched encode
-    of the non-terminal next states."""
+    on terminal ones, evaluated by ``target`` when given.  One batched encode
+    covers the distinct non-terminal next states, less those ``memo`` (next
+    state -> max_a' Q) already holds, whose values are added to it; with
+    every next state in it nothing is encoded."""
     y = np.array([t.reward for t in batch], dtype=np.float64)
     live = [i for i, t in enumerate(batch) if not t.done]
     if live:
         critic = target if target is not None else bundle
-        next_states = encode_batch([batch[i].next_state_items for i in live],
-                                   critic.params, critic.encoder_config)
-        y[live] += bundle.gamma * q_values(next_states, critic).max(axis=1)
+        memo = {} if memo is None else memo
+        next_items = [batch[i].next_state_items for i in live]
+        missing = [s for s in dict.fromkeys(next_items) if s not in memo]
+        if missing:
+            next_states = encode_batch(missing, critic.params, critic.encoder_config)
+            memo.update(zip(missing, q_values(next_states, critic).max(axis=1).tolist()))
+        y[live] += bundle.gamma * np.array([memo[s] for s in next_items])
     return y
 
 
 def update(batch: list[Transition], bundle: AgentBundle, lr: float,
            momentum: float = 0.0, target_bundle: AgentBundle | None = None, *,
            actor: bool = True, alpha: float | None = None,
-           returns=None) -> tuple[float, float]:
+           returns=None, target_memo: dict | None = None) -> tuple[float, float]:
     """One optimizer step on a minibatch, the learner of every training loop.
 
     Averages the losses over the batch, accumulates the analytic gradients,
@@ -162,17 +168,25 @@ def update(batch: list[Transition], bundle: AgentBundle, lr: float,
     term.  Per transition the logit gradient is ``c * (pi - one_hot) / B``
     with c the TD error, the return, or for the mixture the TD error times
     ``alpha * pi(a) / p_mix(a)`` (0 where p_mix(a) underflows).
-    ``target_bundle`` optionally supplies the frozen bootstrap critic.
+    ``target_bundle`` optionally supplies the frozen bootstrap critic, and
+    ``target_memo`` a dict of its bootstrap ``max_a' Q(s', a')`` per
+    ``next_state_items`` that the step reads and extends: the caller keeps
+    one per snapshot and starts a new one when the snapshot changes.  A memo
+    without a ``target_bundle`` (a live critic, which every step moves)
+    raises ValueError.
 
     The whole batch goes through one forward and one backward: one batched
-    encode each of the states and of the non-terminal next states.  Each
-    row's forward products are its own, and each transition adds one
-    rank-one term to each weight gradient, so a batch of two equal
-    transitions takes exactly the step of one.  A mixture batch with a
+    encode each of the states and of the distinct non-terminal next states
+    (none when the memo holds them all).  Each row's forward products are
+    its own, so a memoised bootstrap has the bits a fresh encode would give,
+    and each transition adds one rank-one term to each weight gradient, so a
+    batch of two equal transitions takes exactly the step of one.  A mixture batch with a
     transition that lacks ``frozen_prob`` raises ValueError.
     """
     if not batch:
         raise ValueError("update requires a nonempty batch")
+    if target_memo is not None and target_bundle is None:
+        raise ValueError("a target_memo needs the target_bundle its values come from")
     if returns is not None and len(returns) != len(batch):
         raise ValueError("returns must give one value per transition")
     mixture = alpha is not None and actor
@@ -188,7 +202,8 @@ def update(batch: list[Transition], bundle: AgentBundle, lr: float,
     actor_mean = critic_mean = 0.0
     d_logits = d_q = None
     if returns is None:
-        c = _td_targets(batch, bundle, target_bundle) - q_values(states, bundle)[rows, actions]
+        c = (_td_targets(batch, bundle, target_bundle, target_memo)
+             - q_values(states, bundle)[rows, actions])
         critic_mean = float(np.sum(c * c)) * inv_b
         d_q = one_hot * (-2.0 * c * inv_b)[:, None]
     else:

@@ -253,9 +253,12 @@ def _write_config_snapshot(cfg: AppConfig, out) -> None:
 
 
 def pretrain_with_checkpoints(cfg: AppConfig, world: World, oracle, seed: int,
-                              directory: Path, resume: bool = False) -> AgentBundle:
+                              directory: Path, resume: bool = False,
+                              on_start=None) -> AgentBundle:
     """Pre-train with an every-epoch checkpoint so interrupted runs (for
-    example on oracle failures) can resume from the last finished epoch."""
+    example on oracle failures) can resume from the last finished epoch.
+    ``on_start()`` runs once the checkpoint to resume from has passed every
+    check, before the first epoch."""
     tconf = train_config_from(cfg, seed)
     ckpt_path = directory / "pretrain_latest.ckpt"
     log_path = directory / "pretrain_log.jsonl"
@@ -284,6 +287,8 @@ def pretrain_with_checkpoints(cfg: AppConfig, world: World, oracle, seed: int,
     else:
         agent = scratch_agent(tconf, encoder_config_from(cfg, world.catalog.num_items))
         log_path.write_text("", encoding="utf-8")
+    if on_start is not None:
+        on_start()
 
     def on_epoch(epoch, bundle, record, rng_state):
         save_checkpoint(bundle, ckpt_path, rng_state=rng_state, extra={"epoch": epoch})
@@ -322,8 +327,10 @@ def cmd_pretrain(cfg: AppConfig, out, resume: bool = False) -> int:
     oracle = build_oracle(cfg, world)
     seed = cfg["training"]["seed"]
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
-    _write_config_snapshot(cfg, directory)
-    agent = pretrain_with_checkpoints(cfg, world, oracle, seed, directory, resume)
+    # the snapshot is written only once a resumed checkpoint has passed its
+    # checks, so a refused command leaves the directory's run as it was
+    agent = pretrain_with_checkpoints(cfg, world, oracle, seed, directory, resume,
+                                      on_start=lambda: _write_config_snapshot(cfg, directory))
     _, test_env = build_envs(cfg, model, world, seed)
     means = evaluate_on_test(cfg, agent, test_env, seed)
     print(f"pretrained agent: test return {means.episode_return:.3f}, "
@@ -349,11 +356,11 @@ def cmd_online(cfg: AppConfig, out, method: str, agent_path=None) -> int:
     world, model = _world_and_model(cfg)
     seed = cfg["training"]["seed"]
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
-    _write_config_snapshot(cfg, directory)
     pretrained = None
     if method in ("ft", "ap"):
         pretrained = _load_agent(agent_path or directory / "agent_pretrained.ckpt",
                                  world.catalog.num_items)
+    _write_config_snapshot(cfg, directory)
     result, wall = _run_method(cfg, world, model, seed, directory, method,
                                strategy_from(cfg), pretrained)
     write_summary(directory / f"summary_{method}.tsv",

@@ -21,6 +21,14 @@ The ap act computes the frozen policy's distribution anyway, so it stores
 the acted item's frozen probability in the transition
 (``Transition.frozen_prob``) and the mixture learner reads it from there.
 
+With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
+from a critic snapshot frozen for N learner steps, so within a period it is
+a fixed function of the next state.  The snapshot keeps a memo of it per
+next state (``_BootstrapTarget.memo``), emptied at each refresh; a learner
+step encodes only the next states the memo lacks.  Memoised values keep
+every bit, because a row's encoding does not depend on its batch.  With
+``target_update = 0`` the live critic bootstraps and there is no memo.
+
 Test-environment snapshots and every harness evaluation go through
 :func:`evaluate`, which plays its greedy episodes in lockstep: each time step
 makes one batched policy forward (one per bundle; two for the ap mixture)
@@ -189,11 +197,11 @@ def choose_action(dist, strategy: ExplorationStrategy, rng: np.random.Generator)
     distribution; epsilon_greedy takes a uniform random item with probability
     epsilon and the argmax otherwise.
     """
+    if strategy.kind == "categorical":
+        return sample_categorical(dist, rng)  # which validates dist
     p = _check_probs(dist)
     if strategy.kind == "greedy":
         return int(np.argmax(p))
-    if strategy.kind == "categorical":
-        return sample_categorical(p, rng)
     if rng.random() < strategy.epsilon:
         return int(rng.integers(p.size))
     return int(np.argmax(p))
@@ -201,17 +209,28 @@ def choose_action(dist, strategy: ExplorationStrategy, rng: np.random.Generator)
 
 class _BootstrapTarget:
     """Frozen critic snapshot for TD bootstraps, refreshed every ``period``
-    optimizer steps; period 0 means the live critic is used (no snapshot)."""
+    optimizer steps; period 0 means the live critic is used (no snapshot).
+
+    Next to the snapshot lives its memo: ``next_state_items`` -> the
+    snapshot's ``max_a' Q(s', a')``, filled by :func:`agent.update` as it
+    scores next states, so each distinct next state is encoded once per
+    period.  A refresh starts an empty memo with the new snapshot.  A memo
+    value is the row a fresh encode of that state would give, bit for bit,
+    since a row's encoder and head outputs do not depend on the batch it is
+    computed in.  With period 0 there is no memo (``None``): the live critic
+    moves every step."""
 
     def __init__(self, bundle: AgentBundle, period: int):
         self.period = period
         self.count = 0
         self.snapshot = bundle.clone() if period > 0 else None
+        self.memo = {} if period > 0 else None
 
     def tick(self, bundle: AgentBundle) -> None:
         self.count += 1
         if self.period > 0 and self.count % self.period == 0:
             self.snapshot = bundle.clone()
+            self.memo = {}
 
 
 def _replay_td(agent: AgentBundle, config: TrainConfig, rng: np.random.Generator,
@@ -229,7 +248,8 @@ def _replay_td(agent: AgentBundle, config: TrainConfig, rng: np.random.Generator
             return None
         mixture = {} if mix is None else {"alpha": mix.alpha}
         losses = update(buffer.sample(config.batch_size, rng), agent, config.lr,
-                        config.momentum, boot.snapshot, actor=actor, **mixture)
+                        config.momentum, boot.snapshot, actor=actor,
+                        target_memo=boot.memo, **mixture)
         boot.tick(agent)
         return losses
 

@@ -232,13 +232,18 @@ class TestUpdate:
         applied = {n: before[n] - agent.params[n] for n in agent.params}
         assert max_rel_err(applied, numeric) < 1e-4
 
-    SETTINGS = ["actor_critic", "target_bundle", "critic_only", "mixture_0.3", "returns"]
+    SETTINGS = ["actor_critic", "target_bundle", "target_memo", "critic_only", "mixture_0.3",
+                "returns"]
 
     @staticmethod
-    def _setting_kwargs(setting, returns):
+    def _setting_kwargs(setting, returns, memo=None):
+        """Keyword arguments of a setting; "target_memo" bootstraps from the
+        target_bundle through ``memo`` (a fresh one if None)."""
         kwargs = {}
-        if setting == "target_bundle":
+        if setting.startswith("target"):
             kwargs["target_bundle"] = toy_agent(seed=31)
+        if setting == "target_memo":
+            kwargs["target_memo"] = {} if memo is None else memo
         elif setting == "critic_only":
             kwargs["actor"] = False
         elif setting == "mixture_0.3":
@@ -257,7 +262,8 @@ class TestUpdate:
     def test_batch_step_is_the_mean_of_single_steps(self, setting):
         # the batched learner takes the mean of what update([t]) applies,
         # with histories of mixed lengths (past max_seq_len too) and some
-        # terminal transitions
+        # terminal transitions; with a memo the single steps read the
+        # bootstraps the whole batch stored
         rng = np.random.default_rng(30)
         batch = []
         for i in range(6):
@@ -267,11 +273,12 @@ class TestUpdate:
                                     i % 3 == 1))
         returns = rng.normal(size=len(batch))
         batch = self._setting_batch(setting, batch)
+        memo = {}
 
         def applied(transitions, rets):
             agent = toy_agent(seed=33)
             before = agent.params.copy()
-            update(transitions, agent, 1.0, 0.0, **self._setting_kwargs(setting, rets))
+            update(transitions, agent, 1.0, 0.0, **self._setting_kwargs(setting, rets, memo))
             return {n: before[n] - agent.params[n] for n in agent.params}
 
         whole = applied(batch, returns)
@@ -281,8 +288,8 @@ class TestUpdate:
             assert np.abs(step - mean).max() < 1e-10, name
 
     @pytest.mark.parametrize("setting, encodes", [
-        ("actor_critic", 2), ("target_bundle", 2), ("critic_only", 2), ("mixture_0.3", 2),
-        ("returns", 1)])
+        ("actor_critic", 2), ("target_bundle", 2), ("target_memo", 2), ("critic_only", 2),
+        ("mixture_0.3", 2), ("returns", 1)])
     def test_one_encoder_forward_per_role(self, setting, encodes, monkeypatch):
         # one batched forward each for the states and the non-terminal next
         # states, whatever the batch size; the mixture reads the frozen
@@ -303,6 +310,64 @@ class TestUpdate:
         update(batch, agent, 0.01, 0.0,
                **self._setting_kwargs(setting, rng.normal(size=len(batch))))
         assert len(calls) == encodes
+
+    def test_memo_encodes_only_the_distinct_missing_next_states(self, monkeypatch):
+        # a cold memo takes one next-state forward over the distinct
+        # non-terminal next states, a partly warm one over those it lacks,
+        # a warm one none; the states forward is one per step throughout
+        calls = []
+        forward = encoder._forward
+
+        def counted(ids, *args):
+            calls.append(len(ids))
+            return forward(ids, *args)
+
+        monkeypatch.setattr(encoder, "_forward", counted)
+        agent, target = toy_agent(seed=34), toy_agent(seed=39)
+        rng = np.random.default_rng(35)
+        pool = [random_transition(agent, rng, done=(i % 4 == 0)) for i in range(24)]
+        batch = [pool[int(i)] for i in rng.integers(len(pool), size=64)]
+        live = {t.next_state_items for t in batch if not t.done}
+        assert len(live) < sum(not t.done for t in batch)  # repeats to dedupe
+        memo = {}
+        for warm in (batch[:20], batch, batch):
+            missing = {t.next_state_items for t in warm if not t.done} - set(memo)
+            calls.clear()
+            update(warm, agent, 0.01, 0.0, target, target_memo=memo)
+            assert calls == [len(warm)] + ([len(missing)] if missing else [])
+        assert set(memo) == live
+
+    @pytest.mark.parametrize("setting", ["target_memo", "critic_only", "mixture_0.3"])
+    def test_memoised_stream_is_bitwise_the_plain_stream(self, setting):
+        # a run of steps on one snapshot, then a refresh (a new snapshot and
+        # an empty memo) and more steps: the memo changes no bit of any loss
+        # or parameter
+        rng = np.random.default_rng(40)
+        frozen = toy_agent(seed=41)
+        pool = with_frozen_probs([random_transition(frozen, rng, done=(i % 5 == 0))
+                                  for i in range(12)], frozen)
+        batches = [[pool[int(i)] for i in rng.integers(len(pool), size=8)] for _ in range(12)]
+        kwargs = self._setting_kwargs(setting, None)
+        kwargs.pop("target_bundle", None)
+        kwargs.pop("target_memo", None)
+        plain, memoised = toy_agent(seed=42), toy_agent(seed=42)
+        target, memo = plain.clone(), {}
+        for step, batch in enumerate(batches):
+            if step == 6:
+                target, memo = plain.clone(), {}
+            losses = update(batch, plain, 0.05, 0.5, target, **kwargs)
+            assert update(batch, memoised, 0.05, 0.5, target, target_memo=memo,
+                          **kwargs) == losses
+            for name in plain.params:
+                assert np.array_equal(plain.params[name], memoised.params[name]), name
+        assert memo
+
+    def test_memo_without_a_target_is_refused(self):
+        agent = toy_agent(seed=43)
+        before = agent.params.copy()
+        with pytest.raises(ValueError, match="target_memo"):
+            update([Transition((0,), 1, 1.0, (0, 1), False)], agent, 0.01, target_memo={})
+        assert before.allclose(agent.params)
 
     def test_mixture_needs_frozen_prob_on_every_transition(self):
         agent = toy_agent(seed=36)

@@ -503,6 +503,9 @@ class TestCli:
                          encoding="utf-8")
         before = sorted(p.name for p in (out / "t-s0").iterdir())
         log_text = (out / "t-s0" / "pretrain_log.jsonl").read_text()
+        # the refused command leaves the snapshot of the run that is there
+        snapshot = (out / "t-s0" / "config.full").read_bytes()
+        assert b"num_items = 14\n" in snapshot
         capsys.readouterr()
         assert self.run("--config", str(other), "--out", str(out), *command) == 1
         path = out / "t-s0" / checkpoint
@@ -510,6 +513,7 @@ class TestCli:
             f"error: {path}: agent has 14 items, the catalog has {num_items}\n"
         assert sorted(p.name for p in (out / "t-s0").iterdir()) == before
         assert (out / "t-s0" / "pretrain_log.jsonl").read_text() == log_text
+        assert (out / "t-s0" / "config.full").read_bytes() == snapshot
 
     def test_online_without_pretrain_fails_cleanly(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "fresh"

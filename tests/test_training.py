@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from helpers import q_for
-from prefrl.agent import AgentBundle, Transition, init_agent, policy_for
+from prefrl.agent import AgentBundle, Transition, init_agent, policy_for, update
+from prefrl.checkpoint import save_checkpoint
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic, split_log
 from prefrl.encoder import EncoderConfig
 from prefrl import encoder
+from prefrl import training
 from prefrl.environment import (EnvConfig, LatentPreferenceModel, MatrixFactorizationModel,
                                 UserEnvironment, fit_reward_model)
+from prefrl.harness import write_curve
 from prefrl.metrics import EpisodeRecord
 from prefrl.oracle import SyntheticOracle
 from prefrl.training import (CATEGORICAL, GREEDY, ExplorationStrategy, MixPolicy,
@@ -107,8 +110,10 @@ class TestChooseAction:
         assert a == b
 
     def test_invalid_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            choose_action([0.5, 0.6], GREEDY, np.random.default_rng(0))
+        for strategy in (GREEDY, CATEGORICAL, ExplorationStrategy("epsilon_greedy", 0.5)):
+            for dist in ([0.5, 0.6], [1.5, -0.5], [0.5, np.nan], [], [[0.5, 0.5]]):
+                with pytest.raises(ValueError):
+                    choose_action(dist, strategy, np.random.default_rng(0))
 
 
 class TestAlphaSchedule:
@@ -497,6 +502,70 @@ class TestBaselines:
         assert result.episodes  # at least one finished episode
         assert all(e.avg_reward * e.length == pytest.approx(e.episode_return)
                    for e in result.episodes)
+
+
+class TestBootstrapMemo:
+    """With target_update > 0 the learner memoises the frozen critic's
+    bootstrap per next state for the snapshot's period."""
+
+    def cfg(self, target_update=10):
+        return TrainConfig(online_steps=240, batch_size=16, buffer_capacity=200, lr=0.002,
+                           alpha_anneal_steps=100, target_update=target_update, seed=0)
+
+    def run(self, world, method, cfg):
+        env = make_env(world, seed=9, max_steps=8)
+        if method == "ap":
+            return online_phase("ap", agent_for(world, seed=13), env, cfg)
+        return run_baseline(method, env, cfg, EncoderConfig(24, embed_dim=8, max_seq_len=6))
+
+    @pytest.mark.parametrize("method", ["ap", "dqn"])
+    def test_runs_are_byte_identical_without_the_memo(self, world, method, tmp_path,
+                                                      monkeypatch):
+        rows = []
+        forward = encoder._forward
+
+        def counted(ids, *args):
+            rows.append(len(ids))
+            return forward(ids, *args)
+
+        def without_memo(*args, target_memo=None, **kwargs):
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "_forward", counted)
+        outputs = {}
+        for side in ("memo", "plain"):
+            if side == "plain":
+                monkeypatch.setattr(training, "update", without_memo)
+            rows.clear()
+            result = self.run(world, method, self.cfg())
+            write_curve(tmp_path / f"curve_{side}.jsonl", result.episodes)
+            save_checkpoint(result.agent, tmp_path / f"agent_{side}.ckpt")
+            outputs[side] = (sum(rows), (tmp_path / f"curve_{side}.jsonl").read_bytes(),
+                             (tmp_path / f"agent_{side}.ckpt").read_bytes())
+        assert outputs["memo"][1:] == outputs["plain"][1:]
+        assert outputs["memo"][0] < outputs["plain"][0]  # the memo was read
+
+    @pytest.mark.parametrize("target_update", [0, 10])
+    def test_one_memo_per_snapshot_and_none_without_one(self, world, target_update,
+                                                        monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((args[4], kwargs["target_memo"]))
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(training, "update", spy)
+        self.run(world, "a2c", self.cfg(target_update))
+        updates = 240 - 16 + 1
+        assert len(seen) == updates
+        if target_update == 0:
+            assert all(target is None and memo is None for target, memo in seen)
+            return
+        periods = -(-updates // target_update)
+        assert len({id(target) for target, _ in seen}) == periods
+        assert len({id(memo) for _, memo in seen}) == periods
+        for step, (target, memo) in enumerate(seen):
+            assert (target, memo) == seen[step - step % target_update]  # refreshed together
 
 
 @pytest.fixture(scope="module")
