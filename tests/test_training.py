@@ -565,7 +565,8 @@ class TestBootstrapMemo:
         assert len({id(target) for target, _ in seen}) == periods
         assert len({id(memo) for _, memo in seen}) == periods
         for step, (target, memo) in enumerate(seen):
-            assert (target, memo) == seen[step - step % target_update]  # refreshed together
+            first_target, first_memo = seen[step - step % target_update]
+            assert target is first_target and memo is first_memo  # refreshed together
 
 
 @pytest.fixture(scope="module")
