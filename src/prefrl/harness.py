@@ -95,7 +95,8 @@ def load_truth(path, num_items: int) -> SyntheticGroundTruth:
 
 def build_world(cfg: AppConfig) -> World:
     """Load catalog/interactions from the configured paths, or generate the
-    seeded synthetic world, then apply the train/test split."""
+    seeded synthetic world, then apply the train/test split.  A train split
+    with no sequences is a ConfigError naming ``[data] train_fraction``."""
     d = cfg["data"]
     given = [key for key in ("catalog_path", "interactions_path", "truth_path") if d[key]]
     if d["catalog_path"] and d["interactions_path"]:
@@ -110,6 +111,9 @@ def build_world(cfg: AppConfig) -> World:
             d["num_users"], d["num_items"], d["seq_len"], d["d_lat"],
             d["seed"], d["noise_scale"])
     train_log, test_log = split_log(log_, d["train_fraction"], d["seed"])
+    if train_log.num_sequences == 0:
+        raise ConfigError(f"[data] train_fraction = {d['train_fraction']} puts none of the "
+                          f"{log_.num_sequences} sequences in the train split")
     return World(catalog, log_, truth, train_log, test_log)
 
 

@@ -11,15 +11,24 @@ with a learnable policy under a weight that anneals to 1 ("ap").  Scratch
 baselines (dqn, pg, a2c) and the judge-in-the-loop baseline (llm_online)
 run against the same environments for comparison.
 
-Both schemes and all four baselines run one online loop (reset, act, step,
-learn, track, snapshot); they differ only in how an action is picked
-(``act(history)``) and how a transition is learned from: a replay-buffer TD
-step or an episodic REINFORCE step.  Both learners call :func:`agent.update`,
-in one of its four settings: actor-critic (pre-training, ft, a2c,
-llm_online), critic only (dqn), mixture actor term (ap) or REINFORCE (pg).
-The ap act computes the frozen policy's distribution anyway, so it stores
-the acted item's frozen probability in the transition
-(``Transition.frozen_prob``) and the mixture learner reads it from there.
+Pre-training, both schemes and all four baselines run one loop,
+:func:`_rollout` (reset, act, step, learn, track, snapshot); they differ only
+in the environment, in how an action is picked (``act(history)``) and in how
+a transition is learned from: a replay-buffer TD step or an episodic
+REINFORCE step.  Pre-training's environment is the judge (``_JudgeEnv``): its
+act proposes k candidates and its step appends the judge's pick, so each
+transition carries the item the step appended.  Both learners call
+:func:`agent.update`, in one of its four settings: actor-critic
+(pre-training, ft, a2c, llm_online), critic only (dqn), mixture actor term
+(ap) or REINFORCE (pg).  The ap act computes the frozen policy's
+distribution anyway, so it stores the acted item's frozen probability in the
+transition (``Transition.frozen_prob``) and the mixture learner reads it
+from there.
+
+The loop runs with numpy's overflow and invalid-value errors raised, so the
+first value of a run that overflows or turns NaN, in acting, stepping,
+learning or a snapshot, stops it with one :class:`DivergenceError` naming
+the method, the step, ``lr`` and ``target_update``.
 
 With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
 from a critic snapshot frozen for N learner steps, so within a period it is
@@ -46,7 +55,8 @@ stream, spawned from the seed under one key (``derive_rng``/``derive_seed``):
     key  stream
     ===  ===========================================================
     1    agent initialisation (pre-training and scratch baselines)
-    2    pre-training: candidates, judge None draws, minibatches
+    2    pre-training: episode starts, candidates, judge None draws,
+         minibatches
     3    online acting and minibatches
     4    evaluation resets (snapshots and every harness evaluation)
     10   training-environment resets
@@ -58,13 +68,14 @@ from __future__ import annotations
 import itertools
 import logging
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import (AgentBundle, Transition, action_distribution, init_agent, policy_for,
-                    q_values, update)
+from .agent import AgentBundle, Transition, action_distribution, init_agent, q_values, update
 from .encoder import EncoderConfig, encode_batch
+from .environment import EnvState
 from .metrics import EpisodeRecord, MetricMeans, compute_metrics
 from .nn import _check_probs, sample_categorical, softmax
 from .oracle import distill
@@ -78,6 +89,7 @@ __all__ = [
     "alpha_at",
     "sample_candidates",
     "pretrain",
+    "DivergenceError",
     "online_phase",
     "run_baseline",
     "evaluate",
@@ -323,54 +335,87 @@ def sample_candidates(dist, k: int, mode: str, rng: np.random.Generator) -> list
     return [int(i) for i in idx]
 
 
-def pretrain(agent: AgentBundle, oracle, config: TrainConfig,
-             log_=None, epoch_callback=None, start_epoch: int = 0,
+class _JudgeEnv:
+    """Pre-training's environment: the judge stands in for the user.
+
+    A reset draws a logged sequence's first item; a step hands the acted
+    candidates to the judge (:func:`distill`) and appends its pick, with
+    reward 1, or 0 on a None answer.  Episodes end after ``horizon`` steps.
+    Every draw comes from ``rng``, the one pre-training stream."""
+
+    def __init__(self, oracle, log_, horizon: int, rng: np.random.Generator):
+        if log_.num_sequences == 0:
+            raise ValueError("environment needs a nonempty log for initial states")
+        self.oracle = oracle
+        self.log = log_
+        self.horizon = horizon
+        self.rng = rng
+
+    def reset(self) -> EnvState:
+        seq = self.log.sequences[int(self.rng.integers(self.log.num_sequences))]
+        return EnvState(history=(seq.items[0],), user_id=None, steps_taken=0, done=False)
+
+    def step(self, state: EnvState, candidates: list[int]) -> tuple[float, EnvState, bool]:
+        outcome = distill(state.history, candidates, self.oracle, self.rng)
+        steps = state.steps_taken + 1
+        done = steps >= self.horizon
+        return outcome.reward, EnvState(history=state.history + (outcome.action,),
+                                        user_id=None, steps_taken=steps, done=done), done
+
+
+def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
+             epoch_callback=None, start_epoch: int = 0,
              rng: np.random.Generator | None = None):
     """Pre-train an agent against a preference judge.
 
-    Per epoch one episode of ``pretrain_horizon`` steps is rolled out: the
-    actor proposes k candidates, the judge answers, the chosen action extends
-    the sequence, the transition lands in the replay buffer, and one
-    minibatch update runs once the buffer is warm.  Initial items come from
-    the given log's sequence heads, or uniformly when no log is given.
+    Each epoch is one episode of ``pretrain_horizon`` steps of the rollout
+    loop on the judge's environment, starting from a sequence head of
+    ``log_``: the actor proposes k candidates, the judge answers, its pick
+    extends the sequence, the transition lands in the replay buffer, and one
+    minibatch update runs once the buffer is warm.
 
     Returns the (mutated) agent and a list of per-epoch records with mean
     losses and mean judge reward.  ``epoch_callback(epoch, agent, record,
-    rng_state)`` supports checkpoint-and-resume.
+    rng_state)`` supports checkpoint-and-resume: it runs as the epoch's last
+    transition is learned, before the next epoch's start is drawn, so
+    ``rng_state`` is the state a resumed run starts from.
     """
     if rng is None:
         rng = derive_rng(config.seed, KEY_PRETRAIN)
     agent.gamma = config.gamma  # the phase's discount is authoritative
-    learn = _replay_td(agent, config, rng)
+    env = _JudgeEnv(oracle, log_, config.pretrain_horizon, rng)
+    policy = ActorPolicy(agent)
+
+    def act(history):
+        return sample_candidates(policy.probs(history), config.k,
+                                 config.candidate_sampling, rng), None
+
+    td_step = _replay_td(agent, config, rng)
     records = []
-    for epoch in range(start_epoch, config.pretrain_epochs):
-        if log_ is not None and log_.num_sequences > 0:
-            seq = log_.sequences[int(rng.integers(log_.num_sequences))]
-            history = (seq.items[0],)
-        else:
-            history = (int(rng.integers(agent.num_items)),)
-        rewards, actor_losses, critic_losses = [], [], []
-        for t in range(1, config.pretrain_horizon + 1):
-            dist = policy_for(agent, history)
-            candidates = sample_candidates(dist, config.k, config.candidate_sampling, rng)
-            outcome = distill(history, candidates, oracle, rng)
-            next_history = history + (outcome.action,)
-            losses = learn(Transition(history, outcome.action, outcome.reward,
-                                      next_history, t == config.pretrain_horizon))
-            rewards.append(outcome.reward)
-            if losses is not None:
-                actor_losses.append(losses[0])
-                critic_losses.append(losses[1])
-            history = next_history
+    rewards, losses = [], []  # the epoch's so far
+
+    def learn(transition: Transition):
+        step_losses = td_step(transition)
+        rewards.append(transition.reward)
+        if step_losses is not None:
+            losses.append(step_losses)
+        if not transition.done:
+            return
         record = {
-            "epoch": epoch,
+            "epoch": start_epoch + len(records),
             "mean_reward": float(np.mean(rewards)),
-            "mean_actor_loss": float(np.mean(actor_losses)) if actor_losses else None,
-            "mean_critic_loss": float(np.mean(critic_losses)) if critic_losses else None,
+            "mean_actor_loss": float(np.mean([a for a, _ in losses])) if losses else None,
+            "mean_critic_loss": float(np.mean([c for _, c in losses])) if losses else None,
         }
         records.append(record)
+        rewards.clear()
+        losses.clear()
         if epoch_callback is not None:
-            epoch_callback(epoch, agent, record, rng.bit_generator.state)
+            epoch_callback(record["epoch"], agent, record, rng.bit_generator.state)
+
+    steps = (config.pretrain_epochs - start_epoch) * config.pretrain_horizon
+    with _named("pretrain"):
+        _rollout(env, config, steps, act, learn)
     return agent, records
 
 
@@ -479,18 +524,44 @@ def _explore(policy, strategy: ExplorationStrategy, rng: np.random.Generator):
     return lambda history: (choose_action(policy.probs(history), strategy, rng), None)
 
 
-def _rollout(env, config: TrainConfig, act, learn, policy, eval_env,
-             episodes_per_epoch: int, eval_episodes: int, eval_epochs):
-    """The online loop of every scheme and baseline.
+class DivergenceError(ValueError):
+    """A training run's values overflowed or turned NaN.  The message starts
+    with the run's method as the command line names it (``pretrain`` for
+    pre-training), set by the entry point that ran it."""
 
-    Each step snapshots ``policy`` on ``eval_env`` at the requested epoch
-    boundaries, acts with ``act(history) -> (action, frozen_prob)``, steps
-    the environment with ``env.step``, hands the transition (carrying
-    ``frozen_prob``) to ``learn`` and closes the episode on done.  Returns the
-    episode curve and the snapshots (epoch index plus 'final'; none without
-    an ``eval_env``).  An ``episodes_per_epoch`` below 1 (which would put
-    every epoch at step 0 or before it) or, with an ``eval_env``, an
-    ``eval_episodes`` below 1 raises ValueError before the first step.
+    method = "run"
+
+    def __str__(self) -> str:
+        return f"{self.method} {self.args[0]}"
+
+
+@contextmanager
+def _named(method: str):
+    """Name ``method`` in a DivergenceError raised inside; the outermost
+    name wins, so a2c (run as the ft scheme) is named a2c."""
+    try:
+        yield
+    except DivergenceError as exc:
+        exc.method = method
+        raise
+
+
+def _rollout(env, config: TrainConfig, steps: int, act, learn, policy=None, eval_env=None,
+             episodes_per_epoch: int = 1, eval_episodes: int = 1, eval_epochs=()):
+    """The loop of pre-training and of every online scheme and baseline.
+
+    For ``steps`` steps it snapshots ``policy`` on ``eval_env`` at the
+    requested epoch boundaries, acts with ``act(history) -> (action,
+    frozen_prob)``, steps the environment with ``env.step(state, action)``,
+    hands the transition (carrying the item the step appended and
+    ``frozen_prob``) to ``learn`` and closes the episode on done.  An action
+    is whatever the environment steps on: an item for a user environment,
+    the candidates for the judge's.  Returns the episode curve and the
+    snapshots (epoch index plus 'final'; none without an ``eval_env``).  An
+    ``episodes_per_epoch`` below 1 (which would put every epoch at step 0 or
+    before it) or, with an ``eval_env``, an ``eval_episodes`` below 1 raises
+    ValueError before the first step; a value that overflows or turns NaN
+    raises DivergenceError.
     """
     if episodes_per_epoch < 1:
         raise ValueError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
@@ -505,23 +576,29 @@ def _rollout(env, config: TrainConfig, act, learn, policy, eval_env,
     episodes: list[EpisodeRecord] = []
     ret, length = 0.0, 0
     state = env.reset()
-    for step in range(config.online_steps):
-        if step in points:
-            snapshots[points[step]] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
-        action, frozen_prob = act(state.history)
-        reward, next_state, done = env.step(state, action)
-        learn(Transition(state.history, action, reward, next_state.history, done,
-                         frozen_prob))
-        ret += reward
-        length += 1
-        if done:
-            episodes.append(EpisodeRecord.create(len(episodes), step + 1, ret, length))
-            ret, length = 0.0, 0
-            state = env.reset()
-        else:
-            state = next_state
-    if eval_env is not None:
-        snapshots["final"] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for step in range(steps):
+                if step in points:
+                    snapshots[points[step]] = evaluate(policy, eval_env, eval_episodes,
+                                                       eval_seed).means
+                action, frozen_prob = act(state.history)
+                reward, next_state, done = env.step(state, action)
+                learn(Transition(state.history, next_state.history[-1], reward,
+                                 next_state.history, done, frozen_prob))
+                ret += reward
+                length += 1
+                if done:
+                    episodes.append(EpisodeRecord.create(len(episodes), step + 1, ret, length))
+                    ret, length = 0.0, 0
+                    state = env.reset()
+                else:
+                    state = next_state
+            if eval_env is not None:
+                snapshots["final"] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
+        except FloatingPointError as exc:
+            raise DivergenceError(f"diverged in step {step + 1} of {steps} ({exc}) at lr "
+                                  f"{config.lr}, target_update {config.target_update}") from None
     return episodes, snapshots
 
 
@@ -563,8 +640,10 @@ def online_phase(scheme: str, pretrained: AgentBundle, env, config: TrainConfig,
             return action, float(frozen[0, action])
 
         learn = _replay_td(work, config, rng, mix=mix)
-    episodes, snapshots = _rollout(env, config, act, learn, policy, eval_env,
-                                   episodes_per_epoch, eval_episodes, eval_epochs)
+    with _named(scheme):
+        episodes, snapshots = _rollout(env, config, config.online_steps, act, learn, policy,
+                                       eval_env, episodes_per_epoch, eval_episodes,
+                                       eval_epochs)
     return RunResult(work, episodes, snapshots, mix)
 
 
@@ -593,8 +672,9 @@ def run_baseline(kind: str, env, config: TrainConfig, encoder_config: EncoderCon
         raise ValueError("llm_online requires an oracle")
     agent = scratch_agent(config, encoder_config)
     if kind == "a2c":
-        return online_phase("ft", agent, env, config, strategy, eval_env,
-                            episodes_per_epoch, eval_episodes, eval_epochs)
+        with _named(kind):
+            return online_phase("ft", agent, env, config, strategy, eval_env,
+                                episodes_per_epoch, eval_episodes, eval_epochs)
     rng = derive_rng(config.seed, KEY_ONLINE)
     policy = QGreedyPolicy(agent) if kind == "dqn" else ActorPolicy(agent)
     if kind == "dqn":
@@ -610,6 +690,8 @@ def run_baseline(kind: str, env, config: TrainConfig, encoder_config: EncoderCon
             return distill(history, candidates, oracle, rng).action, None
 
         learn = _replay_td(agent, config, rng)
-    episodes, snapshots = _rollout(env, config, act, learn, policy, eval_env,
-                                   episodes_per_epoch, eval_episodes, eval_epochs)
+    with _named(kind):
+        episodes, snapshots = _rollout(env, config, config.online_steps, act, learn, policy,
+                                       eval_env, episodes_per_epoch, eval_episodes,
+                                       eval_epochs)
     return RunResult(agent, episodes, snapshots)

@@ -1,5 +1,6 @@
 """Shared test machinery: the per-transition reference spec of the learner's
-losses, gradient-check scaffolding and a stub chat-completion server."""
+losses, a reference pre-training loop, gradient-check scaffolding and a stub
+chat-completion server."""
 from __future__ import annotations
 
 import json
@@ -9,8 +10,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from prefrl.agent import (LOG_PROB_FLOOR, AgentBundle, Transition, action_distribution,
-                          backprop_heads, policy_for, q_values)
+                          backprop_heads, policy_for, q_values, update)
 from prefrl.encoder import encode, encode_with_cache
+from prefrl.oracle import distill
+from prefrl.training import KEY_PRETRAIN, ReplayBuffer, derive_rng, sample_candidates
 
 
 # The learner's losses one transition at a time, written from the definitions
@@ -57,6 +60,53 @@ def actor_loss(transition: Transition, bundle: AgentBundle) -> float:
     """-log pi(a|s) scaled by the advantage (advantage held constant)."""
     dist = policy_for(bundle, transition.state_items)
     return -log_prob(dist, transition.action) * advantage(transition, bundle)
+
+
+def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: int = 0,
+                       rng=None, epoch_callback=None) -> list[dict]:
+    """Pre-training as one plain loop per epoch, fixing the order of the
+    draws from the pre-training stream: the epoch's start (a logged
+    sequence's first item), then per step the candidates, the judge's None
+    draw and, once the buffer holds a minibatch, the minibatch; the frozen
+    target critic is refreshed every ``target_update`` updates.  Mutates
+    ``agent`` and returns the per-epoch records."""
+    rng = derive_rng(config.seed, KEY_PRETRAIN) if rng is None else rng
+    agent.gamma = config.gamma
+    buffer = ReplayBuffer(config.buffer_capacity)
+    target = agent.clone() if config.target_update > 0 else None
+    updates = 0
+    records = []
+    for epoch in range(start_epoch, config.pretrain_epochs):
+        seq = log_.sequences[int(rng.integers(log_.num_sequences))]
+        history = (seq.items[0],)
+        rewards, actor_losses, critic_losses = [], [], []
+        for t in range(1, config.pretrain_horizon + 1):
+            candidates = sample_candidates(policy_for(agent, history), config.k,
+                                           config.candidate_sampling, rng)
+            outcome = distill(history, candidates, oracle, rng)
+            next_history = history + (outcome.action,)
+            buffer.push(Transition(history, outcome.action, outcome.reward, next_history,
+                                   t == config.pretrain_horizon))
+            rewards.append(outcome.reward)
+            if len(buffer) >= config.batch_size:
+                actor, critic = update(buffer.sample(config.batch_size, rng), agent,
+                                       config.lr, config.momentum, target)
+                actor_losses.append(actor)
+                critic_losses.append(critic)
+                updates += 1
+                if target is not None and updates % config.target_update == 0:
+                    target = agent.clone()
+            history = next_history
+        record = {
+            "epoch": epoch,
+            "mean_reward": float(np.mean(rewards)),
+            "mean_actor_loss": float(np.mean(actor_losses)) if actor_losses else None,
+            "mean_critic_loss": float(np.mean(critic_losses)) if critic_losses else None,
+        }
+        records.append(record)
+        if epoch_callback is not None:
+            epoch_callback(epoch, agent, record, rng.bit_generator.state)
+    return records
 
 
 def reference_score(model, context, action: int) -> float:

@@ -475,6 +475,19 @@ class TestCli:
         assert err.startswith(f"error: [data] {key} set, ") and err.count("\n") == 1, err
         assert "catalog_path and interactions_path" in err
 
+    @pytest.mark.parametrize("command", [("pretrain",), ("baseline", "dqn")],
+                             ids=["pretrain", "baseline_dqn"])
+    def test_empty_train_split_is_one_error_before_any_work(self, tmp_path, capsys, command):
+        cfg = tmp_path / "small_split.ini"
+        cfg.write_text(TINY_INI.replace("[data]\n", "[data]\ntrain_fraction = 0.05\n"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--out", str(out), *command) == 1
+        assert capsys.readouterr().err == ("error: [data] train_fraction = 0.05 puts none "
+                                           "of the 14 sequences in the train split\n")
+        assert not list(out.rglob("*.ckpt")) and not list(out.rglob("*.jsonl"))
+
     @pytest.mark.parametrize("key, value", [("max_retries", "-1"), ("timeout", "0"),
                                             ("backoff", "-1")])
     def test_bad_oracle_retry_setting_is_one_error_naming_it(self, tiny_config, tmp_path,

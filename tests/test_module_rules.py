@@ -2,7 +2,8 @@
 source: every ``__all__`` name resolves, ``nn`` (the finite-difference
 oracle) imports nothing from the package it verifies, and the reference spec
 in ``tests/helpers.py`` shares no private helper with the code it checks.
-Also: the subcommands the README and ``cli.py`` name are the parser's."""
+Also: the subcommands the README and ``cli.py`` name are the parser's, and
+every training step is taken by the one rollout loop."""
 from __future__ import annotations
 
 import argparse
@@ -75,6 +76,26 @@ def test_helpers_use_no_private_package_name():
                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                and isinstance(node.value, ast.Name) and node.value.id in bound]
     assert not through, f"tests/helpers.py reads private {through}"
+
+
+def _transition_builders() -> list[str]:
+    """``module.name`` of the top-level function or class around each call
+    that builds a ``Transition`` (``Transition(...)`` or ``x.Transition(...)``)
+    in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "Transition" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_transitions_are_built_only_by_the_rollout_loop():
+    # one loop takes every training step: pre-training, the schemes and the
+    # baselines all learn from the transitions ``training._rollout`` builds
+    assert _transition_builders() == ["training._rollout"]
 
 
 def _subcommands() -> set[str]:

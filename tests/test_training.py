@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from helpers import q_for
+from helpers import q_for, reference_pretrain
 from prefrl.agent import AgentBundle, Transition, init_agent, policy_for, update
 from prefrl.checkpoint import save_checkpoint
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic, split_log
@@ -13,8 +15,8 @@ from prefrl.environment import (EnvConfig, LatentPreferenceModel, MatrixFactoriz
 from prefrl.harness import write_curve
 from prefrl.metrics import EpisodeRecord
 from prefrl.oracle import SyntheticOracle
-from prefrl.training import (CATEGORICAL, GREEDY, ExplorationStrategy, MixPolicy,
-                             ReplayBuffer, TrainConfig, alpha_at, choose_action,
+from prefrl.training import (CATEGORICAL, GREEDY, DivergenceError, ExplorationStrategy,
+                             MixPolicy, ReplayBuffer, TrainConfig, alpha_at, choose_action,
                              derive_rng, derive_seed, evaluate,
                              online_phase, pretrain, run_baseline,
                              sample_candidates, ActorPolicy, QGreedyPolicy)
@@ -314,6 +316,63 @@ class TestPretrain:
                       epoch_callback=lambda e, a, rec, state: seen.append((e, rec["epoch"])))
         assert seen == [(0, 0), (1, 1), (2, 2)]
 
+    def test_empty_log_is_refused(self, world):
+        with pytest.raises(ValueError, match="nonempty log"):
+            pretrain(agent_for(world), SyntheticOracle(world["truth"], 3.0), self.cfg(),
+                     InteractionLog(()))
+
+    @pytest.mark.parametrize("target_update", [0, 5])
+    @pytest.mark.parametrize("sampling", ["topk", "categorical"])
+    def test_matches_the_reference_loop_bit_for_bit(self, world, sampling, target_update):
+        # the rollout loop keeps the reference loop's draw order: the same
+        # records, epoch-end rng states and parameters, bit for bit
+        oracle = SyntheticOracle(world["truth"], 3.0)
+        cfg = self.cfg(candidate_sampling=sampling, target_update=target_update, gamma=0.9)
+        ours, ref = agent_for(world, seed=6), agent_for(world, seed=6)
+        states, ref_states = [], []
+        _, records = pretrain(ours, oracle, cfg, world["train"],
+                              epoch_callback=lambda e, a, rec, state: states.append(state))
+        expected = reference_pretrain(ref, oracle, cfg, world["train"],
+                                      epoch_callback=lambda e, a, rec, s: ref_states.append(s))
+        assert 0.0 < np.mean([r["mean_reward"] for r in records]) < 1.0  # both judge branches
+        assert records == expected
+        assert states == ref_states
+        assert ours.params.allclose(ref.params)
+
+    @pytest.mark.parametrize("sampling", ["topk", "categorical"])
+    def test_resume_from_a_recorded_rng_state_matches_the_reference_loop(self, world,
+                                                                          sampling):
+        oracle = SyntheticOracle(world["truth"], 3.0)
+        cfg = self.cfg(candidate_sampling=sampling, target_update=5, gamma=0.9)
+        saved = {}
+
+        def keep(epoch, agent, record, state):
+            if epoch == 3:
+                saved["params"], saved["state"] = agent.params.copy(), state
+
+        pretrain(agent_for(world, seed=7), oracle, cfg, world["train"], epoch_callback=keep)
+
+        def resumed():
+            rng = np.random.default_rng()
+            rng.bit_generator.state = saved["state"]
+            return AgentBundle(saved["params"].copy(), agent_for(world).encoder_config, 0.9), rng
+
+        agent, rng = resumed()
+        _, records = pretrain(agent, oracle, cfg, world["train"], start_epoch=4, rng=rng)
+        ref, rng = resumed()
+        expected = reference_pretrain(ref, oracle, cfg, world["train"], start_epoch=4, rng=rng)
+        assert [r["epoch"] for r in records] == [4, 5, 6, 7]
+        assert records == expected
+        assert agent.params.allclose(ref.params)
+
+    def test_divergence_is_one_error_naming_the_run(self, world):
+        cfg = self.cfg(lr=3.0, gamma=0.9, pretrain_epochs=20)
+        with pytest.raises(DivergenceError) as caught:
+            pretrain(agent_for(world), SyntheticOracle(world["truth"], 2.5), cfg,
+                     world["train"])
+        assert re.fullmatch(r"pretrain diverged in step \d+ of 200 \(overflow encountered "
+                            r"in \w+\) at lr 3\.0, target_update 0", str(caught.value))
+
 
 class TestOnlinePhase:
     def cfg(self, **kw):
@@ -502,6 +561,21 @@ class TestBaselines:
         assert result.episodes  # at least one finished episode
         assert all(e.avg_reward * e.length == pytest.approx(e.episode_return)
                    for e in result.episodes)
+
+    @pytest.mark.parametrize("method", ["a2c", "dqn", "ft"])
+    def test_divergence_is_one_error_naming_the_run(self, world, method):
+        # without the check this a2c run fails in acting with "softmax
+        # requires finite logits", naming neither the run nor its settings
+        cfg = TrainConfig(online_steps=400, batch_size=16, buffer_capacity=200, lr=0.3,
+                          target_update=0)
+        env = make_env(world, seed=9, max_steps=8)
+        with pytest.raises(DivergenceError) as caught:
+            if method == "ft":
+                online_phase("ft", agent_for(world, seed=13), env, cfg)
+            else:
+                run_baseline(method, env, cfg, self.enc(world))
+        assert re.fullmatch(rf"{method} diverged in step \d+ of 400 \(overflow encountered "
+                            r"in \w+\) at lr 0\.3, target_update 0", str(caught.value))
 
 
 class TestBootstrapMemo:
