@@ -423,10 +423,11 @@ def cmd_rq1(cfg: AppConfig, out) -> int:
         agent = pretrain_with_checkpoints(cfg, world, oracle, seed, directory)
         wall = time.perf_counter() - started
         scratch = scratch_agent(train_config_from(cfg, seed), enc)
-        policies = {"pretrained": agent, "dqn": QGreedyPolicy(scratch),
-                    "pg": scratch, "a2c": scratch}
-        for method, policy in policies.items():
-            means = evaluate_on_test(cfg, policy, test_env, seed)
+        actor = evaluate_on_test(cfg, scratch, test_env, seed)  # pg and a2c start here
+        evaluations = {"pretrained": evaluate_on_test(cfg, agent, test_env, seed),
+                       "dqn": evaluate_on_test(cfg, QGreedyPolicy(scratch), test_env, seed),
+                       "pg": actor, "a2c": actor}
+        for method, means in evaluations.items():
             rows += _summary_rows(method, seed, {"0": means},
                                   wall if method == "pretrained" else 0.0)
     rows += _aggregate(rows)

@@ -39,13 +39,15 @@ every bit, because a row's encoding does not depend on its batch.  With
 ``target_update = 0`` the live critic bootstraps and there is no memo.
 
 Test-environment snapshots and every harness evaluation go through
-:func:`evaluate`, which plays its greedy episodes in lockstep: each time step
-makes one batched policy forward (one per bundle; two for the ap mixture)
-over the histories of the episodes still running, and steps all of them with
-one ``env.step_batch`` call, so one reward-model ``score_batch``.  The
-evaluation views (``ActorPolicy``, ``QGreedyPolicy``, ``MixPolicy``) define
-that forward as ``probs_batch``; their single-history ``probs`` is its
-one-row case.
+:func:`evaluate`.  A greedy episode is a deterministic function of its start
+state, so it plays each distinct start of its reset stream once, and the
+episodes that share a start share its return and length.  It plays the
+distinct starts in lockstep: each time step makes one batched policy forward
+(one per bundle; two for the ap mixture) over the histories of those still
+running, and steps all of them with one ``env.step_batch`` call, so one
+reward-model ``score_batch``.  The evaluation views (``ActorPolicy``,
+``QGreedyPolicy``, ``MixPolicy``) define that forward as ``probs_batch``;
+their single-history ``probs`` is its one-row case.
 
 Every phase owns a single rng derived from the config seed, so runs are
 bitwise reproducible at the metrics level.  Each purpose draws from its own
@@ -451,23 +453,29 @@ def evaluate(policy, env, num_episodes: int, seed: int) -> EvalResult:
     """Greedy rollouts of a frozen policy, deterministic given the seed.
 
     An AgentBundle acts by its actor; anything else (a MixPolicy, an
-    ActorPolicy, a QGreedyPolicy) by its ``probs_batch``.  The episodes run
-    in lockstep: every reset seed is drawn up front, in episode order, and
-    each time step makes one batched policy forward (one per bundle) over
-    the histories of the episodes still running, then steps all of them
-    with one ``env.step_batch`` call and drops those that finish.  Since
-    neither a row's distribution nor its reward depends on its batch, the
-    records equal those of playing the episodes one after another: in
-    episode order, with ``global_step`` the running sum of the lengths.
+    ActorPolicy, a QGreedyPolicy) by its ``probs_batch``.  Every reset seed
+    is drawn up front, in episode order, and episodes that start from equal
+    states are played once: a greedy action is the argmax of a row that does
+    not depend on its batch, and ``env.step_batch`` is a deterministic
+    function of (state, action), so an episode's trajectory is a function of
+    its start.  The distinct starts run in lockstep: each time step makes one
+    batched policy forward (one per bundle) over the histories of those
+    still running, then steps all of them with one ``env.step_batch`` call
+    and drops those that finish.  Each episode takes the return and length
+    of its start's, so the records equal those of playing every episode one
+    after another: in episode order, with ``global_step`` the running sum of
+    the lengths.
     """
     if num_episodes <= 0:
         raise ValueError("num_episodes must be positive")
     pol = ActorPolicy(policy) if isinstance(policy, AgentBundle) else policy
     rng = derive_rng(seed, KEY_EVAL)
-    states = [env.reset(seed=int(rng.integers(2 ** 31))) for _ in range(num_episodes)]
-    returns = [0.0] * num_episodes
-    lengths = [0] * num_episodes
-    live = list(range(num_episodes))
+    starts = [env.reset(seed=int(rng.integers(2 ** 31))) for _ in range(num_episodes)]
+    played = {start: i for i, start in enumerate(dict.fromkeys(starts))}
+    states = list(played)
+    returns = [0.0] * len(states)
+    lengths = [0] * len(states)
+    live = list(range(len(states)))
     while live:
         actions = np.argmax(pol.probs_batch([states[i].history for i in live]), axis=1)
         rewards, next_states, dones = env.step_batch([states[i] for i in live],
@@ -480,9 +488,10 @@ def evaluate(policy, env, num_episodes: int, seed: int) -> EvalResult:
             if not done:
                 running.append(i)
         live = running
-    global_steps = itertools.accumulate(lengths)
-    episodes = [EpisodeRecord.create(i, step, ret, length) for i, (step, ret, length)
-                in enumerate(zip(global_steps, returns, lengths))]
+    slots = [played[start] for start in starts]
+    global_steps = itertools.accumulate(lengths[j] for j in slots)
+    episodes = [EpisodeRecord.create(i, step, returns[j], lengths[j])
+                for i, (step, j) in enumerate(zip(global_steps, slots))]
     return EvalResult(episodes, compute_metrics(episodes))
 
 
@@ -554,7 +563,9 @@ def _rollout(env, config: TrainConfig, steps: int, act, learn, policy=None, eval
     requested epoch boundaries, acts with ``act(history) -> (action,
     frozen_prob)``, steps the environment with ``env.step(state, action)``,
     hands the transition (carrying the item the step appended and
-    ``frozen_prob``) to ``learn`` and closes the episode on done.  An action
+    ``frozen_prob``) to ``learn`` and closes the episode on done.  An
+    episode's start is drawn (``env.reset()``) by its first step, so there is
+    one reset per episode played and none after the last.  An action
     is whatever the environment steps on: an item for a user environment,
     the candidates for the judge's.  Returns the episode curve and the
     snapshots (epoch index plus 'final'; none without an ``eval_env``).  An
@@ -575,10 +586,12 @@ def _rollout(env, config: TrainConfig, steps: int, act, learn, policy=None, eval
     snapshots: dict[str, MetricMeans] = {}
     episodes: list[EpisodeRecord] = []
     ret, length = 0.0, 0
-    state = env.reset()
+    state = None  # the next episode's start is drawn when a step needs it
     with np.errstate(over="raise", invalid="raise"):
         try:
             for step in range(steps):
+                if state is None:
+                    state = env.reset()
                 if step in points:
                     snapshots[points[step]] = evaluate(policy, eval_env, eval_episodes,
                                                        eval_seed).means
@@ -591,7 +604,7 @@ def _rollout(env, config: TrainConfig, steps: int, act, learn, policy=None, eval
                 if done:
                     episodes.append(EpisodeRecord.create(len(episodes), step + 1, ret, length))
                     ret, length = 0.0, 0
-                    state = env.reset()
+                    state = None
                 else:
                     state = next_state
             if eval_env is not None:

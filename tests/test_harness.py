@@ -14,7 +14,7 @@ from prefrl.harness import (build_envs, build_oracle, build_reward_model, build_
                             write_curve)
 from prefrl.metrics import EpisodeRecord, compute_metrics, smooth_curve
 from prefrl.training import run_baseline
-from prefrl import cli
+from prefrl import cli, harness
 
 
 class TestEpisodeRecord:
@@ -574,6 +574,26 @@ class TestCli:
                                   eval_episodes=cfg["harness"]["eval_episodes"])
             snapshot = [f"{v:.6g}" for v in result.snapshots["0"]]
             assert rows[(kind, "0", "0")] == snapshot, kind
+
+    def test_rq1_evaluates_the_scratch_actor_once_per_seed(self, tmp_path, monkeypatch):
+        # pg and a2c start from the same scratch agent, so one evaluation
+        # gives both rows: three evaluations per seed, not four
+        config = tmp_path / "two_seeds.ini"
+        config.write_text(TINY_INI.replace("seeds = 0", "seeds = 0 1"), encoding="utf-8")
+        calls = []
+        evaluate = harness.evaluate
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(harness, "evaluate", counted)
+        out = tmp_path / "rq1"
+        assert self.run("--config", str(config), "--out", str(out), "rq1") == 0
+        assert len(calls) == 3 * 2
+        rows = summary_metrics(out / "summary.tsv")
+        for seed in ("0", "1", "mean", "std"):
+            assert rows[("pg", seed, "0")] == rows[("a2c", seed, "0")]
 
     def test_rq2_pretrained_row_is_ft_epoch_zero(self, tiny_config, tmp_path):
         out = tmp_path / "rq2"

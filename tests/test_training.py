@@ -316,6 +316,32 @@ class TestPretrain:
                       epoch_callback=lambda e, a, rec, state: seen.append((e, rec["epoch"])))
         assert seen == [(0, 0), (1, 1), (2, 2)]
 
+    def test_one_start_drawn_per_epoch(self, world, monkeypatch):
+        # the loop draws an epoch's start when its first step comes: none
+        # after the last epoch, so the last callback's rng state is the
+        # stream's final state, and none for a resume with no epoch left
+        resets = []
+        reset = training._JudgeEnv.reset
+
+        def counted(env):
+            resets.append(env)
+            return reset(env)
+
+        monkeypatch.setattr(training._JudgeEnv, "reset", counted)
+        oracle = SyntheticOracle(world["truth"], 3.0)
+        cfg = self.cfg(pretrain_epochs=3)
+        rng = derive_rng(cfg.seed, training.KEY_PRETRAIN)
+        states = []
+        pretrain(agent_for(world, seed=4), oracle, cfg, world["train"], rng=rng,
+                 epoch_callback=lambda e, a, rec, state: states.append(state))
+        assert len(resets) == 3
+        assert states[-1] == rng.bit_generator.state
+        resets.clear()
+        _, records = pretrain(agent_for(world, seed=4), oracle, cfg, world["train"],
+                              start_epoch=3)
+        assert records == []
+        assert resets == []
+
     def test_empty_log_is_refused(self, world):
         with pytest.raises(ValueError, match="nonempty log"):
             pretrain(agent_for(world), SyntheticOracle(world["truth"], 3.0), self.cfg(),
@@ -461,6 +487,27 @@ class TestOnlinePhase:
         got = [(round(e.episode_return, 12), e.length, e.global_step)
                for e in result.episodes]
         assert got == episodes
+
+    @pytest.mark.parametrize("steps, resets", [(30, 6), (32, 7)])
+    def test_one_train_env_reset_per_episode_played(self, world, steps, resets,
+                                                    monkeypatch):
+        # fixed 5-step episodes: 30 steps play 6 whole episodes, 32 start a 7th
+        env = UserEnvironment(world["model"], world["train"], EnvConfig(
+            max_steps=5, quit_threshold=0.0, r_max=5.0, seed=6))
+        drawn = []
+        reset = env.reset
+
+        def counted():
+            drawn.append(None)
+            return reset()
+
+        monkeypatch.setattr(env, "reset", counted)
+        result = online_phase("ft", agent_for(world, seed=12), env,
+                              self.cfg(online_steps=steps),
+                              eval_env=make_env(world, "test", seed=7, max_steps=5),
+                              episodes_per_epoch=2, eval_episodes=4)
+        assert len(result.episodes) == 6
+        assert len(drawn) == resets
 
     def test_identical_seeds_reproduce_runs(self, world):
         r1 = online_phase("ap", agent_for(world, seed=11), make_env(world, seed=5),
@@ -668,6 +715,20 @@ def policy_view(world, view):
             "mix": MixPolicy(a, agent_for(world, seed=43), 0.3)}[view]
 
 
+def eval_starts(env, num_episodes, seed):
+    """The start states of evaluate's reset stream, in episode order."""
+    rng = derive_rng(seed, 4)  # evaluate's reset stream key
+    return [env.reset(seed=int(rng.integers(2 ** 31))) for _ in range(num_episodes)]
+
+
+def distinct_lengths(env, episodes, seed):
+    """The length of each distinct start's episode, in first-seen order."""
+    lengths = {}
+    for start, episode in zip(eval_starts(env, len(episodes), seed), episodes):
+        lengths.setdefault(start, episode.length)
+    return list(lengths.values())
+
+
 def episode_by_episode(policy, env, num_episodes, seed):
     """The evaluation loop before lockstep: one greedy episode after
     another, one single-history forward per step."""
@@ -730,15 +791,41 @@ class TestEvaluate:
     def test_equals_the_episode_by_episode_loop(self, world, reward_models, view, kind):
         env = evaluation_env(world, reward_models[kind])
         policy = policy_view(world, view)
-        for num_episodes in (1, 9):
+        for num_episodes in (1, 9, 40):
             got = evaluate(policy, env, num_episodes, seed=6).episodes
             assert got == episode_by_episode(policy, env, num_episodes, seed=6)
+        # the test split has 5 sequences, so 40 episodes repeat starts and
+        # most records are copies of a played episode's
+        assert len(set(eval_starts(env, 40, seed=6))) < 40
         # the quit rule ends episodes at different steps, so the live batch shrinks
         assert len({e.length for e in got}) > 1
 
     @pytest.mark.parametrize("kind", ["latent", "matrix_factorization", "sequential"])
+    def test_distinct_starts_are_all_played_in_one_batch(self, world, reward_models, kind,
+                                                         monkeypatch):
+        model = reward_models[kind]
+        env = UserEnvironment(model, world["train"], EnvConfig(
+            max_steps=12, quit_threshold=0.75, r_max=5.0, seed=11))
+        num_episodes, seed = 6, 6
+        assert len(set(eval_starts(env, num_episodes, seed))) == num_episodes
+        policy = policy_view(world, "actor")
+        calls = []
+        score_batch = model.score_batch
+
+        def counted(contexts, actions):
+            calls.append(len(contexts))
+            return score_batch(contexts, actions)
+
+        monkeypatch.setattr(model, "score_batch", counted)
+        got = evaluate(policy, env, num_episodes, seed).episodes
+        assert calls[0] == num_episodes
+        monkeypatch.undo()
+        assert got == episode_by_episode(policy, env, num_episodes, seed)
+
+    @pytest.mark.parametrize("kind", ["latent", "matrix_factorization", "sequential"])
     def test_one_score_batch_per_time_step(self, world, reward_models, kind, monkeypatch):
-        # every time step scores all the live episodes in one call
+        # every time step scores the live episodes of the distinct starts in
+        # one call
         model = reward_models[kind]
         calls = []
         score_batch = model.score_batch
@@ -748,9 +835,11 @@ class TestEvaluate:
             return score_batch(contexts, actions)
 
         monkeypatch.setattr(model, "score_batch", counted)
-        lengths = [e.length for e in evaluate(policy_view(world, "mix"),
-                                              evaluation_env(world, model), 9, seed=6).episodes]
+        env = evaluation_env(world, model)
+        episodes = evaluate(policy_view(world, "mix"), env, 9, seed=6).episodes
+        lengths = distinct_lengths(env, episodes, seed=6)
         assert len(set(lengths)) > 1
+        assert len(lengths) < 9
         assert calls == [sum(n > t for n in lengths) for t in range(max(lengths))]
 
     @pytest.mark.parametrize("view", ["actor", "q_greedy", "mix"])
@@ -792,7 +881,9 @@ class TestEvaluate:
         for num_episodes in (1, 5, 20):
             calls.clear()
             evaluate(policy, env, num_episodes, seed=3)
-            assert calls == [num_episodes] * (per_step * horizon)
+            distinct = len(set(eval_starts(env, num_episodes, seed=3)))
+            assert calls == [distinct] * (per_step * horizon)
+        assert distinct < 20
 
 
 class CountingEnv(UserEnvironment):
