@@ -721,14 +721,6 @@ def eval_starts(env, num_episodes, seed):
     return [env.reset(seed=int(rng.integers(2 ** 31))) for _ in range(num_episodes)]
 
 
-def distinct_lengths(env, episodes, seed):
-    """The length of each distinct start's episode, in first-seen order."""
-    lengths = {}
-    for start, episode in zip(eval_starts(env, len(episodes), seed), episodes):
-        lengths.setdefault(start, episode.length)
-    return list(lengths.values())
-
-
 def episode_by_episode(policy, env, num_episodes, seed):
     """The evaluation loop before lockstep: one greedy episode after
     another, one single-history forward per step."""
@@ -837,7 +829,9 @@ class TestEvaluate:
         monkeypatch.setattr(model, "score_batch", counted)
         env = evaluation_env(world, model)
         episodes = evaluate(policy_view(world, "mix"), env, 9, seed=6).episodes
-        lengths = distinct_lengths(env, episodes, seed=6)
+        # each distinct start's length (equal starts play equal episodes)
+        starts = eval_starts(env, 9, seed=6)
+        lengths = list(dict(zip(starts, (e.length for e in episodes))).values())
         assert len(set(lengths)) > 1
         assert len(lengths) < 9
         assert calls == [sum(n > t for n in lengths) for t in range(max(lengths))]
