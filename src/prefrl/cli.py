@@ -16,6 +16,7 @@ from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
 from .harness import run_experiment
 from .oracle import OracleError
+from .training import BASELINE_KINDS, SCHEMES
 
 PRESETS = ("rq1", "rq2", "rq3", "rq4")
 
@@ -29,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="N", help="override the run seed (and the preset seed list)")
     common.add_argument("--out", metavar="DIR", help="output directory (default: runs)")
     common.add_argument("--oracle", choices=("synthetic", "llm"), help="preference judge backend")
-    common.add_argument("--scheme", choices=("ft", "ap"), help="online adaptation scheme")
+    common.add_argument("--scheme", choices=SCHEMES, help="online adaptation scheme")
     common.add_argument("--strategy", choices=("greedy", "egreedy", "categorical"),
                         help="exploration strategy for online runs")
     common.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="adapt a pre-trained agent online (ft or ap)")
     p.add_argument("--agent", metavar="PATH", default=None, help="pre-trained agent checkpoint")
     p = sub.add_parser("baseline", parents=[common], help="run a scratch baseline online")
-    p.add_argument("kind", choices=("dqn", "pg", "a2c", "llm_online"))
+    p.add_argument("kind", choices=BASELINE_KINDS)
     p = sub.add_parser("eval", parents=[common],
                        help="greedy evaluation of an agent checkpoint on the test environment")
     p.add_argument("--agent", metavar="PATH", default=None, help="agent checkpoint to evaluate")

@@ -52,14 +52,13 @@ log = logging.getLogger(__name__)
 class EnvConfig:
     max_steps: int = 30
     quit_threshold: float = 0.75
-    r_max: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not 0.0 <= self.quit_threshold < self.r_max:
-            raise ValueError("quit_threshold must lie in [0, r_max)")
+        if self.quit_threshold < 0.0:
+            raise ValueError("quit_threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -278,12 +277,18 @@ class UserEnvironment:
 
     The environment object is immutable apart from its reset rng; states are
     value objects, so parallel rollouts can share one environment as long as
-    each worker owns its own states (or passes explicit reset seeds).
+    each worker owns its own states (or passes explicit reset seeds).  The
+    quit threshold must lie below the reward model's ``r_max``, the bound its
+    rewards are clipped to; at or above it every step would quit.
     """
 
     def __init__(self, reward_model, log_: InteractionLog, config: EnvConfig):
         if log_.num_sequences == 0:
             raise ValueError("environment needs a nonempty log for initial states")
+        if config.quit_threshold >= reward_model.r_max:
+            raise ValueError(f"quit_threshold {config.quit_threshold} must lie below the "
+                             f"reward model's r_max {reward_model.r_max}: rewards are "
+                             "clipped to r_max, so every step would quit")
         self.reward_model = reward_model
         self.log = log_
         self.config = config

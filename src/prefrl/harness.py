@@ -29,7 +29,7 @@ from .encoder import EncoderConfig
 from .environment import EnvConfig, LatentPreferenceModel, UserEnvironment, fit_reward_model
 from .metrics import MetricMeans, smooth_curve
 from .oracle import LLMOracle, PromptSpec, RemoteEndpoint, SyntheticOracle, load_replay
-from .training import (KEY_EVAL, KEY_TEST_ENV, KEY_TRAIN_ENV,
+from .training import (KEY_EVAL, KEY_TEST_ENV, KEY_TRAIN_ENV, SCHEMES,
                        ExplorationStrategy, QGreedyPolicy, RunResult, TrainConfig,
                        derive_seed, evaluate, online_phase, pretrain, run_baseline,
                        scratch_agent)
@@ -140,8 +140,7 @@ def build_reward_model(cfg: AppConfig, world: World):
 def make_env(cfg: AppConfig, model, log_: InteractionLog, seed: int) -> UserEnvironment:
     e = cfg["environment"]
     return UserEnvironment(model, log_, EnvConfig(
-        max_steps=e["max_steps"], quit_threshold=e["quit_threshold"],
-        r_max=e["r_max"], seed=seed))
+        max_steps=e["max_steps"], quit_threshold=e["quit_threshold"], seed=seed))
 
 
 def build_envs(cfg: AppConfig, model, world: World, seed: int):
@@ -361,7 +360,7 @@ def cmd_online(cfg: AppConfig, out, method: str, agent_path=None) -> int:
     seed = cfg["training"]["seed"]
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
     pretrained = None
-    if method in ("ft", "ap"):
+    if method in SCHEMES:
         pretrained = _load_agent(agent_path or directory / "agent_pretrained.ckpt",
                                  world.catalog.num_items)
     _write_config_snapshot(cfg, directory)
@@ -447,7 +446,7 @@ def _run_method(cfg: AppConfig, world, model, seed, directory, method, strategy,
     evaluation = dict(eval_env=test_env, episodes_per_epoch=cfg["harness"]["episodes_per_epoch"],
                       eval_episodes=cfg["harness"]["eval_episodes"])
     started = time.perf_counter()
-    if method in ("ft", "ap"):
+    if method in SCHEMES:
         result = online_phase(method, pretrained, train_env, tconf, strategy, **evaluation)
     else:
         oracle = build_oracle(cfg, world) if method == "llm_online" else None
@@ -483,7 +482,7 @@ def _online_methods(cfg: AppConfig, world, model, seed, directory, methods,
 def _run_preset(cfg: AppConfig, out, methods, strategies=None) -> int:
     world, model = _world_and_model(cfg)
     rows = []
-    needs_pretrain = any(m in ("pretrained", "ft", "ap") for m in methods)
+    needs_pretrain = any(m in ("pretrained", *SCHEMES) for m in methods)
     for seed in cfg["harness"]["seeds"]:
         directory = run_dir(out, cfg["harness"]["run_id"], seed)
         _write_config_snapshot(cfg, directory)
@@ -538,8 +537,8 @@ def run_experiment(cfg: AppConfig, command: str, out, **kwargs) -> int:
     """Dispatch one experiment command; returns a process exit code."""
     if command == "online":
         scheme = cfg["training"]["scheme"]
-        if scheme not in ("ft", "ap"):
-            raise ConfigError(f"unknown scheme {scheme!r} (ft|ap)")
+        if scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme {scheme!r} ({'|'.join(SCHEMES)})")
         return cmd_online(cfg, out, scheme, kwargs.get("agent_path"))
     if command == "baseline":
         return cmd_online(cfg, out, kwargs["kind"])

@@ -15,9 +15,12 @@ Pre-training, both schemes and all four baselines run one loop,
 :func:`_rollout` (reset, act, step, learn, track, snapshot); they differ only
 in the environment, in how an action is picked (``act(history)``) and in how
 a transition is learned from: a replay-buffer TD step or an episodic
-REINFORCE step.  Pre-training's environment is the judge (``_JudgeEnv``): its
-act proposes k candidates and its step appends the judge's pick, so each
-transition carries the item the step appended.  Both learners call
+REINFORCE step.  It has two callers: :func:`pretrain`, and
+:func:`online_phase`, which builds the act and the learner of any online
+method; :func:`run_baseline` is ``online_phase`` started from
+:func:`scratch_agent`.  Pre-training's environment is the judge
+(``_JudgeEnv``): its act proposes k candidates and its step appends the
+judge's pick, so each transition carries the item the step appended.  Both learners call
 :func:`agent.update`, in one of its four settings: actor-critic
 (pre-training, ft, a2c, llm_online), critic only (dqn), mixture actor term
 (ap) or REINFORCE (pg).  The ap act computes the frozen policy's
@@ -27,8 +30,9 @@ from there.
 
 The loop runs with numpy's overflow and invalid-value errors raised, so the
 first value of a run that overflows or turns NaN, in acting, stepping,
-learning or a snapshot, stops it with one :class:`DivergenceError` naming
-the method, the step, ``lr`` and ``target_update``.
+learning or a snapshot, stops it with one :class:`DivergenceError`; the loop
+is handed the run's method and names it, the step, ``lr`` and
+``target_update`` in the message.
 
 With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
 from a critic snapshot frozen for N learner steps, so within a period it is
@@ -70,7 +74,6 @@ from __future__ import annotations
 import itertools
 import logging
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +108,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 STRATEGY_KINDS = ("greedy", "categorical", "epsilon_greedy")
+SCHEMES = ("ft", "ap")
 BASELINE_KINDS = ("dqn", "pg", "a2c", "llm_online")
+ONLINE_METHODS = SCHEMES + BASELINE_KINDS
 
 # spawn keys of the per-purpose rng streams (the module docstring's table)
 KEY_AGENT_INIT = 1
@@ -416,8 +421,7 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
             epoch_callback(record["epoch"], agent, record, rng.bit_generator.state)
 
     steps = (config.pretrain_epochs - start_epoch) * config.pretrain_horizon
-    with _named("pretrain"):
-        _rollout(env, config, steps, act, learn)
+    _rollout("pretrain", env, config, steps, act, learn)
     return agent, records
 
 
@@ -534,29 +538,14 @@ def _explore(policy, strategy: ExplorationStrategy, rng: np.random.Generator):
 
 
 class DivergenceError(ValueError):
-    """A training run's values overflowed or turned NaN.  The message starts
-    with the run's method as the command line names it (``pretrain`` for
-    pre-training), set by the entry point that ran it."""
-
-    method = "run"
-
-    def __str__(self) -> str:
-        return f"{self.method} {self.args[0]}"
+    """A training run's values overflowed or turned NaN.  The message, which
+    :func:`_rollout` writes, starts with the run's method as the command line
+    names it (``pretrain`` for pre-training)."""
 
 
-@contextmanager
-def _named(method: str):
-    """Name ``method`` in a DivergenceError raised inside; the outermost
-    name wins, so a2c (run as the ft scheme) is named a2c."""
-    try:
-        yield
-    except DivergenceError as exc:
-        exc.method = method
-        raise
-
-
-def _rollout(env, config: TrainConfig, steps: int, act, learn, policy=None, eval_env=None,
-             episodes_per_epoch: int = 1, eval_episodes: int = 1, eval_epochs=()):
+def _rollout(method: str, env, config: TrainConfig, steps: int, act, learn, policy=None,
+             eval_env=None, episodes_per_epoch: int = 1, eval_episodes: int = 1,
+             eval_epochs=()):
     """The loop of pre-training and of every online scheme and baseline.
 
     For ``steps`` steps it snapshots ``policy`` on ``eval_env`` at the
@@ -572,7 +561,7 @@ def _rollout(env, config: TrainConfig, steps: int, act, learn, policy=None, eval
     ``episodes_per_epoch`` below 1 (which would put every epoch at step 0 or
     before it) or, with an ``eval_env``, an ``eval_episodes`` below 1 raises
     ValueError before the first step; a value that overflows or turns NaN
-    raises DivergenceError.
+    raises DivergenceError, naming ``method``.
     """
     if episodes_per_epoch < 1:
         raise ValueError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
@@ -610,37 +599,42 @@ def _rollout(env, config: TrainConfig, steps: int, act, learn, policy=None, eval
             if eval_env is not None:
                 snapshots["final"] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
         except FloatingPointError as exc:
-            raise DivergenceError(f"diverged in step {step + 1} of {steps} ({exc}) at lr "
-                                  f"{config.lr}, target_update {config.target_update}") from None
+            raise DivergenceError(f"{method} diverged in step {step + 1} of {steps} ({exc}) "
+                                  f"at lr {config.lr}, target_update "
+                                  f"{config.target_update}") from None
     return episodes, snapshots
 
 
-def online_phase(scheme: str, pretrained: AgentBundle, env, config: TrainConfig,
+def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
                  strategy: ExplorationStrategy | None = None, eval_env=None,
                  episodes_per_epoch: int = 50, eval_episodes: int = 20,
-                 eval_epochs=(0, 1, 2)) -> RunResult:
-    """Adapt a pre-trained agent online for ``config.online_steps`` steps.
+                 eval_epochs=(0, 1, 2), *, oracle=None) -> RunResult:
+    """Run any of ``ONLINE_METHODS`` online for ``config.online_steps``
+    steps, starting from a copy of ``pretrained``.
 
-    scheme "ft" fine-tunes a copy of the pre-trained agent directly on
-    environment reward.  scheme "ap" freezes the given agent, clones it into
-    a learnable policy, and acts from the alpha-weighted mixture while only
-    the learnable side trains; alpha ramps linearly to 1.  Each ap
-    transition carries the frozen policy's probability of its action, which
-    the learner's mixture term reads instead of re-encoding the state under
-    the frozen policy.  The caller's bundle is never mutated by either
-    scheme.
+    ft fine-tunes the copy directly on environment reward; a2c is ft under
+    its baseline name.  ap freezes the given agent, trains the copy as the
+    learnable policy, and acts from the alpha-weighted mixture; alpha ramps
+    linearly to 1.  Each ap transition carries the frozen policy's
+    probability of its action, which the learner's mixture term reads
+    instead of re-encoding the state under the frozen policy.  dqn trains
+    the critic alone and acts on softmax(Q) (epsilon-greedy 0.1 by default);
+    pg is episodic REINFORCE; llm_online trains actor-critic on environment
+    reward while ``oracle`` picks each action from k actor-proposed
+    candidates.  The others explore by ``strategy``, categorical by default.
+    The caller's bundle is never mutated.
     """
-    if scheme not in ("ft", "ap"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    strategy = strategy or CATEGORICAL
+    if method not in ONLINE_METHODS:
+        raise ValueError(f"unknown online method {method!r} ({'|'.join(ONLINE_METHODS)})")
+    if method == "llm_online" and oracle is None:
+        raise ValueError("llm_online requires an oracle")
+    if strategy is None:
+        strategy = ExplorationStrategy("epsilon_greedy", 0.1) if method == "dqn" else CATEGORICAL
     rng = derive_rng(config.seed, KEY_ONLINE)
     work = pretrained.clone()
     work.gamma = config.gamma  # the phase's discount is authoritative
-    if scheme == "ft":
-        mix, policy = None, ActorPolicy(work)
-        act = _explore(policy, strategy, rng)
-        learn = _replay_td(work, config, rng)
-    else:
+    mix = None
+    if method == "ap":
         mix = policy = MixPolicy(pretrained, work, config.alpha_init)
         steps = itertools.count()
 
@@ -651,12 +645,23 @@ def online_phase(scheme: str, pretrained: AgentBundle, env, config: TrainConfig,
             probs, frozen = mix._sides([history])
             action = choose_action(probs[0], strategy, rng)
             return action, float(frozen[0, action])
+    elif method == "llm_online":
+        policy = ActorPolicy(work)
 
-        learn = _replay_td(work, config, rng, mix=mix)
-    with _named(scheme):
-        episodes, snapshots = _rollout(env, config, config.online_steps, act, learn, policy,
-                                       eval_env, episodes_per_epoch, eval_episodes,
-                                       eval_epochs)
+        def act(history):
+            candidates = sample_candidates(policy.probs(history), config.k,
+                                           config.candidate_sampling, rng)
+            return distill(history, candidates, oracle, rng).action, None
+    else:
+        policy = QGreedyPolicy(work) if method == "dqn" else ActorPolicy(work)
+        act = _explore(policy, strategy, rng)
+    if method == "pg":
+        learn = _reinforce(work, config)
+    else:
+        learn = _replay_td(work, config, rng, actor=method != "dqn", mix=mix)
+    episodes, snapshots = _rollout(method, env, config, config.online_steps, act, learn,
+                                   policy, eval_env, episodes_per_epoch, eval_episodes,
+                                   eval_epochs)
     return RunResult(work, episodes, snapshots, mix)
 
 
@@ -671,40 +676,10 @@ def run_baseline(kind: str, env, config: TrainConfig, encoder_config: EncoderCon
                  strategy: ExplorationStrategy | None = None, oracle=None,
                  eval_env=None, episodes_per_epoch: int = 50,
                  eval_episodes: int = 20, eval_epochs=(0, 1, 2)) -> RunResult:
-    """Run one baseline from :func:`scratch_agent`.
-
-    a2c is by construction the ft scheme started from that agent.  dqn
-    trains the critic alone and acts on softmax(Q) (epsilon-greedy 0.1 by
-    default); pg is episodic REINFORCE; llm_online trains actor-critic on
-    environment reward while the judge picks each action from k
-    actor-proposed candidates.
-    """
+    """Run one of ``BASELINE_KINDS`` with :func:`online_phase`, started from
+    :func:`scratch_agent`."""
     if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline {kind!r}")
-    if kind == "llm_online" and oracle is None:
-        raise ValueError("llm_online requires an oracle")
-    agent = scratch_agent(config, encoder_config)
-    if kind == "a2c":
-        with _named(kind):
-            return online_phase("ft", agent, env, config, strategy, eval_env,
-                                episodes_per_epoch, eval_episodes, eval_epochs)
-    rng = derive_rng(config.seed, KEY_ONLINE)
-    policy = QGreedyPolicy(agent) if kind == "dqn" else ActorPolicy(agent)
-    if kind == "dqn":
-        act = _explore(policy, strategy or ExplorationStrategy("epsilon_greedy", 0.1), rng)
-        learn = _replay_td(agent, config, rng, actor=False)
-    elif kind == "pg":
-        act = _explore(policy, strategy or CATEGORICAL, rng)
-        learn = _reinforce(agent, config)
-    else:
-        def act(history):
-            candidates = sample_candidates(policy.probs(history), config.k,
-                                           config.candidate_sampling, rng)
-            return distill(history, candidates, oracle, rng).action, None
-
-        learn = _replay_td(agent, config, rng)
-    with _named(kind):
-        episodes, snapshots = _rollout(env, config, config.online_steps, act, learn, policy,
-                                       eval_env, episodes_per_epoch, eval_episodes,
-                                       eval_epochs)
-    return RunResult(agent, episodes, snapshots)
+        raise ValueError(f"unknown baseline {kind!r} ({'|'.join(BASELINE_KINDS)})")
+    return online_phase(kind, scratch_agent(config, encoder_config), env, config, strategy,
+                        eval_env, episodes_per_epoch, eval_episodes, eval_epochs,
+                        oracle=oracle)

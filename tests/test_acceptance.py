@@ -72,7 +72,7 @@ def world_envs(world, seed, *, max_steps=12, quit_threshold=0.2):
     def mk(log_, key):
         return UserEnvironment(world["model"], log_,
                                EnvConfig(max_steps=max_steps, quit_threshold=quit_threshold,
-                                         r_max=1.0, seed=derive_seed(seed, key)))
+                                         seed=derive_seed(seed, key)))
     return mk(world["train"], 10), mk(world["test"], 11)
 
 
@@ -157,8 +157,7 @@ def test_criterion_04_frozen_policy_survives_full_run():
     train_log, _ = split_log(log, 0.8, seed=2)
     model = LatentPreferenceModel(truth.item_latents, r_max=1.0, scale=0.25)
     env = UserEnvironment(model, train_log,
-                          EnvConfig(max_steps=8, quit_threshold=0.15, r_max=1.0,
-                                    seed=derive_seed(0, 10)))
+                          EnvConfig(max_steps=8, quit_threshold=0.15, seed=derive_seed(0, 10)))
     agent = pretrain_agent(truth, train_log, 16, 0, epochs=5, threshold=2.0,
                            max_seq_len=4, k=4, horizon=10)
     before = agent.params.copy()
@@ -302,8 +301,7 @@ def test_criterion_09_policy_gradient_bandit():
     model = MatrixFactorizationModel(["u0"], np.array([[1.0]]), np.array([[1.0], [0.0]]),
                                      np.zeros(1), np.zeros(2), 0.0, r_max=1.0)
     log = InteractionLog((UserSequence("u0", (0, 0), (0, 1)),))
-    env = UserEnvironment(model, log, EnvConfig(max_steps=10, quit_threshold=0.15,
-                                                r_max=1.0, seed=0))
+    env = UserEnvironment(model, log, EnvConfig(max_steps=10, quit_threshold=0.15, seed=0))
     cfg = TrainConfig(online_steps=2000, batch_size=8, buffer_capacity=500,
                       lr=0.05, gamma=0.9, seed=0)
     result = run_baseline("pg", env, cfg, EncoderConfig(num_items=2, embed_dim=4,

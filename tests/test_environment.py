@@ -44,8 +44,6 @@ class TestEnvConfig:
         with pytest.raises(ValueError):
             EnvConfig(max_steps=0)
         with pytest.raises(ValueError):
-            EnvConfig(quit_threshold=5.0, r_max=5.0)
-        with pytest.raises(ValueError):
             EnvConfig(quit_threshold=-0.1)
 
 
@@ -229,10 +227,19 @@ class TestEpisodeLifecycle:
     def make_env(self, model=None, seqs=((0, 1, 2), (2, 3, 1)), **cfg):
         cfg.setdefault("max_steps", 5)
         cfg.setdefault("quit_threshold", 0.2)
-        cfg.setdefault("r_max", 1.0)
         cfg.setdefault("seed", 0)
-        model = model or ScriptedModel([1.0] * 10, r_max=cfg["r_max"])
+        model = model or ScriptedModel([1.0] * 10, r_max=1.0)
         return UserEnvironment(model, tiny_log(*seqs), EnvConfig(**cfg))
+
+    def test_quit_threshold_must_lie_below_the_models_r_max(self):
+        # rewards are clipped to the model's r_max, so a threshold at or above
+        # it would end every episode on its first step
+        with pytest.raises(ValueError, match=r"quit_threshold 2\.0 .* r_max 1\.0"):
+            UserEnvironment(LatentPreferenceModel(np.eye(4), r_max=1.0), tiny_log((0, 1, 2)),
+                            EnvConfig(quit_threshold=2.0))
+        with pytest.raises(ValueError, match=r"quit_threshold 1\.0 .* r_max 1\.0"):
+            self.make_env(quit_threshold=1.0)
+        assert self.make_env(quit_threshold=0.99).config.quit_threshold == 0.99
 
     def test_reset_is_seeded(self):
         env = self.make_env()
@@ -248,7 +255,7 @@ class TestEpisodeLifecycle:
     def test_mf_reset_keeps_user(self):
         model = handmade_mf(np.ones((2, 2)), np.ones((4, 2)), r_max=5.0)
         env = UserEnvironment(model, tiny_log([0, 1], [2, 3]),
-                              EnvConfig(max_steps=3, quit_threshold=0.1, r_max=5.0, seed=0))
+                              EnvConfig(max_steps=3, quit_threshold=0.1, seed=0))
         state = env.reset(seed=2)
         assert state.user_id in ("u0", "u1")
         assert len(state.history) == 1
@@ -309,7 +316,7 @@ class TestStepBatch:
     def test_rows_equal_single_steps(self, kind):
         _, log, _ = generate_synthetic(6, 12, 5, 3, seed=2, noise_scale=0.05)
         env = UserEnvironment(reward_models()[kind], log,
-                              EnvConfig(max_steps=2, quit_threshold=0.0, r_max=5.0))
+                              EnvConfig(max_steps=2, quit_threshold=0.0))
         rng = np.random.default_rng(4)
         states = [env.reset(seed=s) for s in range(5)]
         for _ in range(2):  # a second step from histories of length 2, which ends
@@ -350,7 +357,7 @@ class TestEpisodeProperties:
 
     def test_identical_seeds_and_actions_give_identical_episodes(self):
         _, log, truth = generate_synthetic(6, 12, 4, 3, seed=0)
-        cfg = EnvConfig(max_steps=8, quit_threshold=0.3, r_max=5.0, seed=4)
+        cfg = EnvConfig(max_steps=8, quit_threshold=0.3, seed=4)
         rng = np.random.default_rng(2)
         actions = list(rng.integers(0, 12, size=8))
         a = self.rollout(UserEnvironment(LatentPreferenceModel(truth.item_latents, 5.0), log, cfg), actions, 3)
@@ -360,7 +367,7 @@ class TestEpisodeProperties:
     def test_rewards_bounded_and_termination_consistent(self):
         _, log, truth = generate_synthetic(6, 12, 4, 3, seed=1)
         model = LatentPreferenceModel(truth.item_latents, r_max=5.0)
-        cfg = EnvConfig(max_steps=6, quit_threshold=0.5, r_max=5.0, seed=9)
+        cfg = EnvConfig(max_steps=6, quit_threshold=0.5, seed=9)
         env = UserEnvironment(model, log, cfg)
         rng = np.random.default_rng(5)
         for ep in range(30):

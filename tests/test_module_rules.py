@@ -2,8 +2,10 @@
 source: every ``__all__`` name resolves, ``nn`` (the finite-difference
 oracle) imports nothing from the package it verifies, and the reference spec
 in ``tests/helpers.py`` shares no private helper with the code it checks.
-Also: the subcommands the README and ``cli.py`` name are the parser's, and
-every training step is taken by the one rollout loop."""
+Also: the subcommands the README and ``cli.py`` name are the parser's, its
+method choices are the training module's, every training step is taken by
+the one rollout loop, and ``online_phase`` is that loop's one online
+caller."""
 from __future__ import annotations
 
 import argparse
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from prefrl import cli
+from prefrl import cli, training
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "prefrl"
 README = PACKAGE.parents[1] / "README.md"
@@ -78,15 +80,14 @@ def test_helpers_use_no_private_package_name():
     assert not through, f"tests/helpers.py reads private {through}"
 
 
-def _transition_builders() -> list[str]:
+def _callers(name: str) -> list[str]:
     """``module.name`` of the top-level function or class around each call
-    that builds a ``Transition`` (``Transition(...)`` or ``x.Transition(...)``)
-    in the package."""
+    of ``name`` (``name(...)`` or ``x.name(...)``) in the package."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "Transition" in (
+                if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     return found
@@ -95,7 +96,23 @@ def _transition_builders() -> list[str]:
 def test_transitions_are_built_only_by_the_rollout_loop():
     # one loop takes every training step: pre-training, the schemes and the
     # baselines all learn from the transitions ``training._rollout`` builds
-    assert _transition_builders() == ["training._rollout"]
+    assert _callers("Transition") == ["training._rollout"]
+
+
+def test_the_rollout_loop_has_one_online_caller():
+    # every online method, schemes and baselines alike, is built and run by
+    # ``online_phase``; ``run_baseline`` only starts it from the scratch agent
+    assert _callers("_rollout") == ["training.pretrain", "training.online_phase"]
+
+
+def test_parser_choices_are_the_training_method_names():
+    parser = cli.build_parser()
+    scheme = next(a for a in parser._actions if "--scheme" in a.option_strings)
+    assert tuple(scheme.choices) == training.SCHEMES
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in sub.choices["baseline"]._actions if a.dest == "kind")
+    assert tuple(kind.choices) == training.BASELINE_KINDS
+    assert training.ONLINE_METHODS == training.SCHEMES + training.BASELINE_KINDS
 
 
 def _subcommands() -> set[str]:

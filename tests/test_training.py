@@ -34,8 +34,7 @@ def world():
 
 def make_env(world, which="train", seed=0, max_steps=12):
     return UserEnvironment(world["model"], world[which],
-                           EnvConfig(max_steps=max_steps, quit_threshold=0.75,
-                                     r_max=5.0, seed=seed))
+                           EnvConfig(max_steps=max_steps, quit_threshold=0.75, seed=seed))
 
 
 def agent_for(world, seed=0, gamma=0.9):
@@ -493,7 +492,7 @@ class TestOnlinePhase:
                                                     monkeypatch):
         # fixed 5-step episodes: 30 steps play 6 whole episodes, 32 start a 7th
         env = UserEnvironment(world["model"], world["train"], EnvConfig(
-            max_steps=5, quit_threshold=0.0, r_max=5.0, seed=6))
+            max_steps=5, quit_threshold=0.0, seed=6))
         drawn = []
         reset = env.reset
 
@@ -566,6 +565,37 @@ class TestBaselines:
         assert baseline.episodes == direct.episodes
         assert baseline.agent.params.allclose(direct.agent.params)
 
+    @pytest.mark.parametrize("kind", training.BASELINE_KINDS)
+    def test_baseline_is_online_phase_from_the_scratch_agent(self, world, kind):
+        # lr 0.002: at this class's lr 0.01 the llm_online run overflows
+        # within 80 steps on this world (the live-critic instability)
+        cfg = self.cfg(online_steps=80, k=5, lr=0.002)
+        oracle = SyntheticOracle(world["truth"], 3.0) if kind == "llm_online" else None
+        runs = []
+        for start in ("baseline", "direct"):
+            env = make_env(world, seed=8, max_steps=8)
+            evaluation = dict(eval_env=make_env(world, "test", seed=7, max_steps=8),
+                              episodes_per_epoch=2, eval_episodes=3)
+            if start == "baseline":
+                runs.append(run_baseline(kind, env, cfg, self.enc(world), oracle=oracle,
+                                         **evaluation))
+            else:
+                scratch = training.scratch_agent(cfg, self.enc(world))
+                runs.append(online_phase(kind, scratch, env, cfg, oracle=oracle, **evaluation))
+        baseline, direct = runs
+        assert baseline.episodes and baseline.episodes == direct.episodes
+        assert set(baseline.snapshots) == {"0", "1", "2", "final"}
+        assert baseline.snapshots == direct.snapshots
+        assert baseline.agent.params.allclose(direct.agent.params)
+
+    def test_llm_online_needs_oracle_in_online_phase(self, world):
+        with pytest.raises(ValueError, match="llm_online requires an oracle"):
+            online_phase("llm_online", agent_for(world), make_env(world), self.cfg())
+
+    def test_unknown_online_method_is_named(self, world):
+        with pytest.raises(ValueError, match="'sarsa'"):
+            online_phase("sarsa", agent_for(world), make_env(world), self.cfg())
+
     def test_dqn_with_full_epsilon_is_uniform(self, world):
         class RecordingEnv(UserEnvironment):
             actions = []
@@ -575,7 +605,7 @@ class TestBaselines:
                 return super().step(state, action)
 
         env = RecordingEnv(world["model"], world["train"],
-                           EnvConfig(max_steps=30, quit_threshold=0.75, r_max=5.0, seed=9))
+                           EnvConfig(max_steps=30, quit_threshold=0.75, seed=9))
         cfg = self.cfg(online_steps=6000, lr=0.0, batch_size=8)
         run_baseline("dqn", env, cfg, self.enc(world),
                      strategy=ExplorationStrategy("epsilon_greedy", 1.0))
@@ -588,8 +618,7 @@ class TestBaselines:
             ["u0"], np.array([[1.0]]), np.array([[1.0], [0.0]]),
             np.zeros(1), np.zeros(2), 0.0, r_max=1.0)
         log = InteractionLog((UserSequence("u0", (0, 0), (0, 1)),))
-        env = UserEnvironment(model, log, EnvConfig(max_steps=10, quit_threshold=0.15,
-                                                    r_max=1.0, seed=0))
+        env = UserEnvironment(model, log, EnvConfig(max_steps=10, quit_threshold=0.15, seed=0))
         cfg = TrainConfig(online_steps=2000, batch_size=8, lr=0.05, gamma=0.9,
                           seed=0, buffer_capacity=500)
         result = run_baseline("pg", env, cfg, EncoderConfig(num_items=2, embed_dim=4,
@@ -704,7 +733,7 @@ def reward_models(world):
 
 def evaluation_env(world, model, quit_threshold=0.75, max_steps=12):
     return UserEnvironment(model, world["test"], EnvConfig(
-        max_steps=max_steps, quit_threshold=quit_threshold, r_max=5.0, seed=11))
+        max_steps=max_steps, quit_threshold=quit_threshold, seed=11))
 
 
 def policy_view(world, view):
@@ -797,7 +826,7 @@ class TestEvaluate:
                                                          monkeypatch):
         model = reward_models[kind]
         env = UserEnvironment(model, world["train"], EnvConfig(
-            max_steps=12, quit_threshold=0.75, r_max=5.0, seed=11))
+            max_steps=12, quit_threshold=0.75, seed=11))
         num_episodes, seed = 6, 6
         assert len(set(eval_starts(env, num_episodes, seed))) == num_episodes
         policy = policy_view(world, "actor")
