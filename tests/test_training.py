@@ -571,18 +571,16 @@ class TestBaselines:
         # within 80 steps on this world (the live-critic instability)
         cfg = self.cfg(online_steps=80, k=5, lr=0.002)
         oracle = SyntheticOracle(world["truth"], 3.0) if kind == "llm_online" else None
-        runs = []
-        for start in ("baseline", "direct"):
-            env = make_env(world, seed=8, max_steps=8)
-            evaluation = dict(eval_env=make_env(world, "test", seed=7, max_steps=8),
-                              episodes_per_epoch=2, eval_episodes=3)
-            if start == "baseline":
-                runs.append(run_baseline(kind, env, cfg, self.enc(world), oracle=oracle,
-                                         **evaluation))
-            else:
-                scratch = training.scratch_agent(cfg, self.enc(world))
-                runs.append(online_phase(kind, scratch, env, cfg, oracle=oracle, **evaluation))
-        baseline, direct = runs
+
+        def envs():
+            return dict(env=make_env(world, seed=8, max_steps=8),
+                        eval_env=make_env(world, "test", seed=7, max_steps=8),
+                        episodes_per_epoch=2, eval_episodes=3)
+
+        baseline = run_baseline(kind, config=cfg, encoder_config=self.enc(world), oracle=oracle,
+                                **envs())
+        direct = online_phase(kind, training.scratch_agent(cfg, self.enc(world)), config=cfg,
+                              oracle=oracle, **envs())
         assert baseline.episodes and baseline.episodes == direct.episodes
         assert set(baseline.snapshots) == {"0", "1", "2", "final"}
         assert baseline.snapshots == direct.snapshots
