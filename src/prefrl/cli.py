@@ -2,9 +2,10 @@
 
 Subcommands: gen-data, pretrain, online, baseline, eval, rq1, rq2, rq3, rq4.
 Shared flags: --config PATH, --seed N, --out DIR, --oracle synthetic|llm,
---scheme ft|ap, --strategy greedy|egreedy|categorical.  LLM mode reads its
-auth token from the ORACLE_API_KEY environment variable.  Exit code 0 on
-success; failures print one ``error: ...`` line on stderr and exit nonzero.
+--scheme ft|ap, --strategy egreedy|epsilon_greedy|categorical|greedy.  LLM
+mode reads its auth token from the ORACLE_API_KEY environment variable.  Exit
+code 0 on success; failures print one ``error: ...`` line on stderr and exit
+nonzero.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import sys
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
-from .harness import run_experiment
+from .harness import STRATEGY_ALIASES, run_experiment
 from .oracle import OracleError
 from .training import BASELINE_KINDS, SCHEMES
 
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", help="output directory (default: runs)")
     common.add_argument("--oracle", choices=("synthetic", "llm"), help="preference judge backend")
     common.add_argument("--scheme", choices=SCHEMES, help="online adaptation scheme")
-    common.add_argument("--strategy", choices=("greedy", "egreedy", "categorical"),
+    common.add_argument("--strategy", choices=tuple(STRATEGY_ALIASES),
                         help="exploration strategy for online runs")
     common.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
 
@@ -49,20 +50,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="continue from the last epoch checkpoint")
     p = sub.add_parser("online", parents=[common],
                        help="adapt a pre-trained agent online (ft or ap)")
-    p.add_argument("--agent", metavar="PATH", default=None, help="pre-trained agent checkpoint")
+    p.add_argument("--agent", dest="agent_path", metavar="PATH", help="pre-trained agent checkpoint")
     p = sub.add_parser("baseline", parents=[common], help="run a scratch baseline online")
     p.add_argument("kind", choices=BASELINE_KINDS)
     p = sub.add_parser("eval", parents=[common],
                        help="greedy evaluation of an agent checkpoint on the test environment")
-    p.add_argument("--agent", metavar="PATH", default=None, help="agent checkpoint to evaluate")
+    p.add_argument("--agent", dest="agent_path", metavar="PATH", help="agent checkpoint to evaluate")
     for preset in PRESETS:
         sub.add_parser(preset, parents=[common], help=f"run the {preset} experiment preset")
     return parser
 
 
-def _overrides(args) -> dict:
+def _overrides(options: dict) -> dict:
+    """The config overrides the shared flags give, each flag popped from
+    ``options``."""
     overrides = {}
-    seed = getattr(args, "seed", None)
+    seed = options.pop("seed", None)
     if seed is not None:
         overrides[("training", "seed")] = str(seed)
         overrides[("environment", "seed")] = str(seed)
@@ -70,27 +73,21 @@ def _overrides(args) -> dict:
     for attr, target in (("oracle", ("oracle", "kind")),
                          ("scheme", ("training", "scheme")),
                          ("strategy", ("training", "strategy"))):
-        value = getattr(args, attr, None)
+        value = options.pop(attr, None)
         if value is not None:
             overrides[target] = value
     return overrides
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    verbose = getattr(args, "verbose", False)
-    logging.basicConfig(level=logging.INFO if verbose else logging.WARNING,
+    # what is left of the parsed options once the shared flags are taken
+    # out is the subcommand's own: resume, kind or agent_path
+    options = vars(build_parser().parse_args(argv))
+    logging.basicConfig(level=logging.INFO if options.pop("verbose", False) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = load_config(getattr(args, "config", None), _overrides(args))
-        kwargs = {}
-        if args.command == "baseline":
-            kwargs["kind"] = args.kind
-        if args.command in ("online", "eval"):
-            kwargs["agent_path"] = args.agent
-        if args.command == "pretrain":
-            kwargs["resume"] = args.resume
-        return run_experiment(cfg, args.command, getattr(args, "out", "runs"), **kwargs)
+        cfg = load_config(options.pop("config", None), _overrides(options))
+        return run_experiment(cfg, options.pop("command"), options.pop("out", "runs"), **options)
     except (ConfigError, CheckpointError, OracleError, FileNotFoundError,
             ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

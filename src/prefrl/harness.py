@@ -6,7 +6,18 @@ Outputs per run directory: ``config.full`` (effective configuration),
 ``*.jsonl`` learning curves (one episode per line, append-only, ordered by
 global step), ``summary.tsv``, and ``*.ckpt`` agent checkpoints, written and
 checked by :mod:`prefrl.checkpoint`.  Each command builds its reward model
-afresh from the world; none is written to disk.
+afresh from the world; none is written to disk.  A command builds its judge
+and strategies before it writes anything, so a refused command leaves its
+output directory as it was.
+
+Every online run is one :func:`training.online_phase` call (``_run_method``),
+from the pre-trained agent for ft/ap and from the scratch agent for the
+baselines.  The presets share one per-seed loop (``_run_preset``): pre-train,
+then give each method its rows.  The ``pretrained`` row is the pre-trained
+agent's greedy test metrics, with the seed's pre-training seconds as its
+``wall_clock``; rq1's other rows are the epoch-0 test metrics of the agent
+each baseline starts from.  Each preset writes ``<out>/summary.tsv``, with
+mean/std rows over seeds, and prints ``wrote <out>/summary.tsv``.
 """
 from __future__ import annotations
 
@@ -31,8 +42,7 @@ from .metrics import MetricMeans, smooth_curve
 from .oracle import LLMOracle, PromptSpec, RemoteEndpoint, SyntheticOracle, load_replay
 from .training import (KEY_EVAL, KEY_TEST_ENV, KEY_TRAIN_ENV, SCHEMES,
                        ExplorationStrategy, QGreedyPolicy, RunResult, TrainConfig,
-                       derive_seed, evaluate, online_phase, pretrain, run_baseline,
-                       scratch_agent)
+                       derive_seed, evaluate, online_phase, pretrain, scratch_agent)
 
 __all__ = [
     "World",
@@ -47,8 +57,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-STRATEGY_ALIASES = {"greedy": "greedy", "egreedy": "epsilon_greedy",
-                    "epsilon_greedy": "epsilon_greedy", "categorical": "categorical"}
+# the names ``[training] strategy`` and ``--strategy`` accept, in rq4's order
+STRATEGY_ALIASES = {"egreedy": "epsilon_greedy", "epsilon_greedy": "epsilon_greedy",
+                    "categorical": "categorical", "greedy": "greedy"}
 
 
 @dataclass
@@ -149,9 +160,11 @@ def build_envs(cfg: AppConfig, model, world: World, seed: int):
     return train_env, test_env
 
 
-def evaluate_on_test(cfg: AppConfig, policy, test_env, seed: int) -> MetricMeans:
-    """Greedy test metrics on the evaluation stream the online snapshots use,
-    so a policy's row here equals its epoch-0 snapshot."""
+def _test_means(cfg: AppConfig, model, world: World, seed: int, policy) -> MetricMeans:
+    """Greedy metrics of ``policy`` on the seed's test environment and the
+    evaluation stream the online snapshots use, so a policy's row here
+    equals its epoch-0 snapshot."""
+    _, test_env = build_envs(cfg, model, world, seed)
     return evaluate(policy, test_env, cfg["harness"]["eval_episodes"],
                     derive_seed(seed, KEY_EVAL)).means
 
@@ -195,7 +208,7 @@ def encoder_config_from(cfg: AppConfig, num_items: int) -> EncoderConfig:
 def strategy_from(cfg: AppConfig, name: str | None = None) -> ExplorationStrategy:
     raw = name or cfg["training"]["strategy"]
     if raw not in STRATEGY_ALIASES:
-        raise ConfigError(f"unknown strategy {raw!r} (greedy|egreedy|categorical)")
+        raise ConfigError(f"unknown strategy {raw!r} ({'|'.join(STRATEGY_ALIASES)})")
     kind = STRATEGY_ALIASES[raw]
     eps = cfg["training"]["epsilon"] if kind == "epsilon_greedy" else None
     return ExplorationStrategy(kind, eps)
@@ -334,8 +347,7 @@ def cmd_pretrain(cfg: AppConfig, out, resume: bool = False) -> int:
     # checks, so a refused command leaves the directory's run as it was
     agent = pretrain_with_checkpoints(cfg, world, oracle, seed, directory, resume,
                                       on_start=lambda: _write_config_snapshot(cfg, directory))
-    _, test_env = build_envs(cfg, model, world, seed)
-    means = evaluate_on_test(cfg, agent, test_env, seed)
+    means = _test_means(cfg, model, world, seed, agent)
     print(f"pretrained agent: test return {means.episode_return:.3f}, "
           f"len {means.length:.2f}, avg {means.avg_reward:.3f}")
     return 0
@@ -353,19 +365,27 @@ def _load_agent(path, num_items: int) -> AgentBundle:
     return agent
 
 
-def cmd_online(cfg: AppConfig, out, method: str, agent_path=None) -> int:
-    """One online run: an adaptation scheme (ft|ap) of the pre-trained agent
-    or a scratch baseline, with its summary written next to its curve."""
+def cmd_online(cfg: AppConfig, out, kind: str | None = None, agent_path=None) -> int:
+    """One online run: the configured adaptation scheme (ft|ap) of the
+    pre-trained agent, or the scratch baseline ``kind``, with its summary
+    written next to its curve."""
+    method = kind or cfg["training"]["scheme"]
+    if kind is None and method not in SCHEMES:
+        raise ConfigError(f"unknown scheme {method!r} ({'|'.join(SCHEMES)})")
     world, model = _world_and_model(cfg)
+    strategy = strategy_from(cfg)
+    oracle = build_oracle(cfg, world) if method == "llm_online" else None
     seed = cfg["training"]["seed"]
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
-    pretrained = None
     if method in SCHEMES:
-        pretrained = _load_agent(agent_path or directory / "agent_pretrained.ckpt",
-                                 world.catalog.num_items)
+        start = _load_agent(agent_path or directory / "agent_pretrained.ckpt",
+                            world.catalog.num_items)
+    else:
+        start = scratch_agent(train_config_from(cfg, seed),
+                              encoder_config_from(cfg, world.catalog.num_items))
     _write_config_snapshot(cfg, directory)
-    result, wall = _run_method(cfg, world, model, seed, directory, method,
-                               strategy_from(cfg), pretrained)
+    result, wall = _run_method(cfg, world, model, seed, directory, method, start, strategy,
+                               oracle)
     write_summary(directory / f"summary_{method}.tsv",
                   _summary_rows(method, seed, result.snapshots, wall))
     final = result.snapshots["final"]
@@ -380,8 +400,7 @@ def cmd_eval(cfg: AppConfig, out, agent_path=None) -> int:
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
     agent = _load_agent(agent_path or directory / "agent_pretrained.ckpt",
                         world.catalog.num_items)
-    _, test_env = build_envs(cfg, model, world, seed)
-    means = evaluate_on_test(cfg, agent, test_env, seed)
+    means = _test_means(cfg, model, world, seed, agent)
     write_summary(directory / "eval.tsv", _summary_rows("eval", seed, {"final": means}, 0.0))
     print(f"return {means.episode_return:.3f}\tlen {means.length:.2f}\t"
           f"avg {means.avg_reward:.3f}")
@@ -406,103 +425,73 @@ def _aggregate(rows: list[dict]) -> list[dict]:
     return out
 
 
-def cmd_rq1(cfg: AppConfig, out) -> int:
-    """Initial performance: pre-trained agent versus the untrained agent the
-    scratch baselines start from, all evaluated greedily on the test
-    environment (epoch 0)."""
-    world, model = _world_and_model(cfg)
-    oracle = build_oracle(cfg, world)
-    enc = encoder_config_from(cfg, world.catalog.num_items)
-    rows = []
-    for seed in cfg["harness"]["seeds"]:
-        directory = run_dir(out, cfg["harness"]["run_id"], seed)
-        _write_config_snapshot(cfg, directory)
-        _, test_env = build_envs(cfg, model, world, seed)
-        started = time.perf_counter()
-        agent = pretrain_with_checkpoints(cfg, world, oracle, seed, directory)
-        wall = time.perf_counter() - started
-        scratch = scratch_agent(train_config_from(cfg, seed), enc)
-        actor = evaluate_on_test(cfg, scratch, test_env, seed)  # pg and a2c start here
-        evaluations = {"pretrained": evaluate_on_test(cfg, agent, test_env, seed),
-                       "dqn": evaluate_on_test(cfg, QGreedyPolicy(scratch), test_env, seed),
-                       "pg": actor, "a2c": actor}
-        for method, means in evaluations.items():
-            rows += _summary_rows(method, seed, {"0": means},
-                                  wall if method == "pretrained" else 0.0)
-    rows += _aggregate(rows)
-    _write_config_snapshot(cfg, out)
-    write_summary(Path(out) / "summary.tsv", rows)
-    print(f"rq1: wrote {Path(out) / 'summary.tsv'}")
-    return 0
-
-
-def _run_method(cfg: AppConfig, world, model, seed, directory, method, strategy,
-                pretrained=None, suffix="") -> tuple[RunResult, float]:
-    """Run one online method on fresh environments and write its curve and
-    final agent; returns the result and its wall-clock seconds.  dqn keeps
-    its own epsilon-greedy default instead of ``strategy``."""
+def _run_method(cfg: AppConfig, world, model, seed, directory, method, start, strategy,
+                oracle=None, suffix="") -> tuple[RunResult, float]:
+    """Run one online method from the agent ``start`` on fresh environments
+    and write its curve and final agent; returns the result and its
+    wall-clock seconds.  dqn keeps its own epsilon-greedy default instead of
+    ``strategy``; llm_online picks with ``oracle``."""
     train_env, test_env = build_envs(cfg, model, world, seed)
-    tconf = train_config_from(cfg, seed)
-    evaluation = dict(eval_env=test_env, episodes_per_epoch=cfg["harness"]["episodes_per_epoch"],
-                      eval_episodes=cfg["harness"]["eval_episodes"])
     started = time.perf_counter()
-    if method in SCHEMES:
-        result = online_phase(method, pretrained, train_env, tconf, strategy, **evaluation)
-    else:
-        oracle = build_oracle(cfg, world) if method == "llm_online" else None
-        result = run_baseline(method, train_env, tconf,
-                              encoder_config_from(cfg, world.catalog.num_items),
-                              strategy if method != "dqn" else None, oracle=oracle,
-                              **evaluation)
+    result = online_phase(method, start, train_env, train_config_from(cfg, seed),
+                          None if method == "dqn" else strategy, test_env,
+                          cfg["harness"]["episodes_per_epoch"],
+                          cfg["harness"]["eval_episodes"], oracle=oracle)
     wall = time.perf_counter() - started
     write_curve(directory / f"curve_{method}{suffix}.jsonl", result.episodes)
     save_checkpoint(result.agent, directory / f"agent_{method}{suffix}.ckpt")
     return result, wall
 
 
-def _online_methods(cfg: AppConfig, world, model, seed, directory, methods,
-                    strategy=None, pretrained=None) -> list[dict]:
-    """Run a set of online methods for one seed and emit curves + rows."""
-    rows = []
-    suffix = f"_{strategy.kind}" if strategy is not None else ""
-    for method in methods:
-        if method == "pretrained":
-            started = time.perf_counter()
-            _, test_env = build_envs(cfg, model, world, seed)
-            means = evaluate_on_test(cfg, pretrained, test_env, seed)
-            rows += _summary_rows(method, seed, {"0": means, "final": means},
-                                  time.perf_counter() - started)
-            continue
-        result, wall = _run_method(cfg, world, model, seed, directory, method,
-                                   strategy or strategy_from(cfg), pretrained, suffix)
-        rows += _summary_rows(method, seed, result.snapshots, wall)
-    return rows
-
-
-def _run_preset(cfg: AppConfig, out, methods, strategies=None) -> int:
+def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -> int:
+    """The per-seed loop of every preset.  Each seed pre-trains its agent,
+    then gives each method its rows under each strategy (curves and agents
+    suffixed by the strategy when ``strategies`` names any).  ``pretrained``
+    and, unless ``online``, every method gets its starting agent's test
+    metrics as epoch 0; with ``online`` every other method runs online.
+    The judge and the strategies are built before anything is written."""
     world, model = _world_and_model(cfg)
+    oracle = build_oracle(cfg, world)
+    runs = {name: strategy_from(cfg, name) for name in strategies}
+    enc = encoder_config_from(cfg, world.catalog.num_items)
     rows = []
-    needs_pretrain = any(m in ("pretrained", *SCHEMES) for m in methods)
     for seed in cfg["harness"]["seeds"]:
         directory = run_dir(out, cfg["harness"]["run_id"], seed)
         _write_config_snapshot(cfg, directory)
-        pretrained = None
-        if needs_pretrain:
-            oracle = build_oracle(cfg, world)
-            pretrained = pretrain_with_checkpoints(cfg, world, oracle, seed, directory)
-        if strategies is None:
-            rows += _online_methods(cfg, world, model, seed, directory, methods,
-                                    pretrained=pretrained)
-        else:
-            for name in strategies:
-                strat = strategy_from(cfg, name)
-                rows += _online_methods(cfg, world, model, seed, directory,
-                                        methods, strategy=strat, pretrained=pretrained)
+        started = time.perf_counter()
+        pretrained = pretrain_with_checkpoints(cfg, world, oracle, seed, directory)
+        pretrain_wall = time.perf_counter() - started
+        scratch = scratch_agent(train_config_from(cfg, seed), enc)
+        tested = {}  # one evaluation per starting view: pg and a2c share the scratch actor
+        for name, strategy in runs.items():
+            suffix = f"_{strategy.kind}" if name else ""
+            for method in methods:
+                start = pretrained if method in ("pretrained", *SCHEMES) else scratch
+                if online and method != "pretrained":
+                    result, wall = _run_method(cfg, world, model, seed, directory, method,
+                                               start, strategy, oracle, suffix)
+                    rows += _summary_rows(method, seed, result.snapshots, wall)
+                    continue
+                view = (start is pretrained, method == "dqn")
+                if view not in tested:
+                    tested[view] = _test_means(cfg, model, world, seed,
+                                               QGreedyPolicy(start) if method == "dqn" else start)
+                means = tested[view]
+                rows += _summary_rows(method, seed,
+                                      {"0": means, "final": means} if online else {"0": means},
+                                      pretrain_wall if method == "pretrained" else 0.0)
     rows += _aggregate(rows)
     _write_config_snapshot(cfg, out)
     write_summary(Path(out) / "summary.tsv", rows)
     print(f"wrote {Path(out) / 'summary.tsv'}")
     return 0
+
+
+def cmd_rq1(cfg: AppConfig, out) -> int:
+    """Initial performance: pre-trained agent versus the untrained agents the
+    scratch baselines start from, all evaluated greedily on the test
+    environment (epoch 0)."""
+    return _run_preset(cfg, out, ("pretrained", "dqn", "pg", "a2c"), online=False)
 
 
 def cmd_rq2(cfg: AppConfig, out) -> int:
@@ -518,14 +507,17 @@ def cmd_rq3(cfg: AppConfig, out) -> int:
 
 def cmd_rq4(cfg: AppConfig, out) -> int:
     """Exploration strategies: the adaptive scheme versus scratch
-    actor-critic under egreedy, categorical, and greedy selection."""
+    actor-critic under each strategy kind (egreedy, categorical, greedy)."""
     return _run_preset(cfg, out, ("ap", "a2c"),
-                       strategies=("egreedy", "categorical", "greedy"))
+                       strategies=tuple(dict.fromkeys(STRATEGY_ALIASES.values())))
 
 
 COMMANDS = {
     "gen-data": cmd_gen_data,
     "pretrain": cmd_pretrain,
+    "online": cmd_online,
+    "baseline": cmd_online,
+    "eval": cmd_eval,
     "rq1": cmd_rq1,
     "rq2": cmd_rq2,
     "rq3": cmd_rq3,
@@ -533,19 +525,9 @@ COMMANDS = {
 }
 
 
-def run_experiment(cfg: AppConfig, command: str, out, **kwargs) -> int:
-    """Dispatch one experiment command; returns a process exit code."""
-    if command == "online":
-        scheme = cfg["training"]["scheme"]
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {scheme!r} ({'|'.join(SCHEMES)})")
-        return cmd_online(cfg, out, scheme, kwargs.get("agent_path"))
-    if command == "baseline":
-        return cmd_online(cfg, out, kwargs["kind"])
-    if command == "eval":
-        return cmd_eval(cfg, out, kwargs.get("agent_path"))
-    if command == "pretrain":
-        return cmd_pretrain(cfg, out, kwargs.get("resume", False))
-    if command in COMMANDS:
-        return COMMANDS[command](cfg, out)
-    raise ConfigError(f"unknown command {command!r}")
+def run_experiment(cfg: AppConfig, command: str, out, **options) -> int:
+    """Run one command of ``COMMANDS`` with its subcommand's options
+    (``resume``, ``kind``, ``agent_path``); returns a process exit code."""
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    return COMMANDS[command](cfg, out, **options)

@@ -1,0 +1,43 @@
+"""``tools/cli_chain.py`` runs every subcommand of the command line in
+process, and two runs of it at the same seeds give byte-identical outputs:
+the north star's "same seed, byte-identical" rule, checked across every
+command.  The tool is loaded by its path, as a script."""
+from __future__ import annotations
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+from prefrl import cli
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_chain.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("cli_chain", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_chain_runs_every_subcommand_byte_for_byte(tmp_path):
+    chain = _load_tool()
+    ran = chain.run_chain(tmp_path / "a", kinds=("latent",))
+    chain.run_chain(tmp_path / "b", kinds=("latent",))
+    first = chain.digests(tmp_path / "a")
+    assert first == chain.digests(tmp_path / "b")
+    assert any(line.endswith("  latent/rq4/summary.tsv") for line in first)
+    parser = cli.build_parser()
+    subcommands = {choice for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)
+                   for choice in action.choices}
+    assert {parser.parse_args(argv).command for argv in ran} == subcommands
+
+
+def test_a_tsv_digest_leaves_out_the_wall_clock_column(tmp_path):
+    chain = _load_tool()
+    paths = [tmp_path / name for name in ("a.tsv", "b.tsv", "c.tsv")]
+    for path, row in zip(paths, ("ft\t1.5\t0.25", "ft\t1.5\t9.75", "ft\t2.5\t0.25")):
+        path.write_text(f"method\treturn\twall_clock\n{row}\n", encoding="utf-8")
+    a, b, c = (chain.file_digest(path) for path in paths)
+    assert a == b != c

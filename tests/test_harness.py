@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 
@@ -9,11 +10,14 @@ from prefrl.checkpoint import (AGENT_TENSORS, CheckpointError, load_checkpoint,
                                read_checkpoint, save_checkpoint, save_tensors)
 from prefrl.config import ConfigError, DEFAULTS, dump_full, load_config
 from prefrl.data import generate_synthetic
+from prefrl.encoder import EncoderConfig
+from prefrl.environment import EnvConfig, LatentPreferenceModel, fit_reward_model
 from prefrl.harness import (build_envs, build_oracle, build_reward_model, build_world,
                             encoder_config_from, pretrain_with_checkpoints, train_config_from,
                             write_curve)
 from prefrl.metrics import EpisodeRecord, compute_metrics, smooth_curve
-from prefrl.training import run_baseline
+from prefrl.oracle import PromptSpec, RemoteEndpoint, SyntheticOracle
+from prefrl.training import TrainConfig, run_baseline
 from prefrl import cli, harness
 
 
@@ -260,6 +264,31 @@ class TestConfig:
             for key in keys:
                 assert f"{key} = " in text
 
+    @pytest.mark.parametrize("api, section, keys", [
+        (TrainConfig, "training", {}),
+        (EnvConfig, "environment", {}),
+        (EncoderConfig, "encoder", {}),
+        (RemoteEndpoint, "oracle", {}),
+        (fit_reward_model, "environment", {"epochs": "fit_epochs", "lr": "fit_lr",
+                                           "max_seq_len": ("encoder", "max_seq_len")}),
+        (init_agent, "encoder", {"gamma": ("training", "gamma"), "seed": ("training", "seed")}),
+        (LatentPreferenceModel, "environment", {"scale": "latent_scale"}),
+        (SyntheticOracle, "oracle", {}),
+        (PromptSpec, "training", {}),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_api_defaults_are_the_config_defaults(self, api, section, keys):
+        # every keyword default of the API repeats the default of the config
+        # key the harness feeds it from, so the CLI and the API start equal
+        defaults = {name: param.default
+                    for name, param in inspect.signature(api).parameters.items()
+                    if param.default is not inspect.Parameter.empty}
+        assert defaults
+        for name, default in defaults.items():
+            key = keys.get(name, name)
+            where, key = key if isinstance(key, tuple) else (section, key)
+            assert default == DEFAULTS[where][key], \
+                f"{api.__name__}({name}={default!r}), but [{where}] {key} = {DEFAULTS[where][key]!r}"
+
     def test_dump_reloads_identically(self, tmp_path):
         cfg = load_config(None, {("training", "lr"): "0.123"})
         p = tmp_path / "full.ini"
@@ -501,6 +530,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: [oracle] {key} must be ") and err.count("\n") == 1, err
 
+    def _assert_refused(self, out, config, *command):
+        """Run ``command``, which must exit 1, and assert that it leaves every
+        file and directory under ``out`` as it was."""
+        def tree():
+            return {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+        before = tree()
+        assert self.run("--config", str(config), "--out", str(out), *command) == 1
+        assert tree() == before
+
     @pytest.mark.parametrize("num_items", [10, 20])
     @pytest.mark.parametrize("command, checkpoint", [
         (("--scheme", "ap", "online"), "agent_pretrained.ckpt"),
@@ -514,19 +553,33 @@ class TestCli:
         other = tmp_path / "other.ini"
         other.write_text(TINY_INI.replace("num_items = 14", f"num_items = {num_items}"),
                          encoding="utf-8")
-        before = sorted(p.name for p in (out / "t-s0").iterdir())
-        log_text = (out / "t-s0" / "pretrain_log.jsonl").read_text()
         # the refused command leaves the snapshot of the run that is there
-        snapshot = (out / "t-s0" / "config.full").read_bytes()
-        assert b"num_items = 14\n" in snapshot
+        assert b"num_items = 14\n" in (out / "t-s0" / "config.full").read_bytes()
         capsys.readouterr()
-        assert self.run("--config", str(other), "--out", str(out), *command) == 1
+        self._assert_refused(out, other, *command)
         path = out / "t-s0" / checkpoint
         assert capsys.readouterr().err == \
             f"error: {path}: agent has 14 items, the catalog has {num_items}\n"
-        assert sorted(p.name for p in (out / "t-s0").iterdir()) == before
-        assert (out / "t-s0" / "pretrain_log.jsonl").read_text() == log_text
-        assert (out / "t-s0" / "config.full").read_bytes() == snapshot
+
+    @pytest.mark.parametrize("command, setting, message", [
+        (("--scheme", "ft", "online"), "[training]\nstrategy = bogus\n",
+         "unknown strategy 'bogus' (egreedy|epsilon_greedy|categorical|greedy)"),
+        (("baseline", "llm_online"), "[oracle]\nkind = llm\n",
+         "oracle kind 'llm' requires [oracle] base_url"),
+        (("rq4",), "[training]\nepsilon = 2.0\n", "epsilon_greedy requires epsilon in [0, 1]"),
+    ], ids=["online_bad_strategy", "llm_online_without_base_url", "rq4_bad_epsilon"])
+    def test_a_refused_command_writes_nothing(self, tiny_config, tmp_path, capsys, command,
+                                              setting, message):
+        # the judge and the strategies are built before the first config.full
+        # and the first pre-training epoch
+        out = tmp_path / "out"
+        assert self.run("--config", str(tiny_config), "--out", str(out), "pretrain") == 0
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_INI.replace(setting.split("\n")[0] + "\n", setting),
+                       encoding="utf-8")
+        capsys.readouterr()
+        self._assert_refused(out, bad, *command)
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_online_without_pretrain_fails_cleanly(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "fresh"

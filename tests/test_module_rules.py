@@ -4,8 +4,9 @@ oracle) imports nothing from the package it verifies, and the reference spec
 in ``tests/helpers.py`` shares no private helper with the code it checks.
 Also: the subcommands the README and ``cli.py`` name are the parser's, its
 method choices are the training module's, every training step is taken by
-the one rollout loop, and ``online_phase`` is that loop's one online
-caller."""
+the one rollout loop, ``online_phase`` is that loop's one online
+caller, and the harness runs every online method from one call site and
+every preset from one per-seed loop."""
 from __future__ import annotations
 
 import argparse
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from prefrl import cli, training
+from prefrl import cli, harness, training
+from prefrl.config import ConfigError, load_config
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "prefrl"
 README = PACKAGE.parents[1] / "README.md"
@@ -113,6 +115,34 @@ def test_parser_choices_are_the_training_method_names():
     kind = next(a for a in sub.choices["baseline"]._actions if a.dest == "kind")
     assert tuple(kind.choices) == training.BASELINE_KINDS
     assert training.ONLINE_METHODS == training.SCHEMES + training.BASELINE_KINDS
+
+
+def test_strategy_choices_are_the_harness_aliases():
+    # the flag accepts what ``[training] strategy`` accepts, and a bad name
+    # is refused with the same list
+    parser = cli.build_parser()
+    strategy = next(a for a in parser._actions if "--strategy" in a.option_strings)
+    assert tuple(strategy.choices) == tuple(harness.STRATEGY_ALIASES)
+    with pytest.raises(ConfigError, match=re.escape(f"({'|'.join(harness.STRATEGY_ALIASES)})")):
+        harness.strategy_from(load_config(None), "bogus")
+
+
+def test_the_harness_has_one_online_call_and_one_seed_loop():
+    # every online run, scheme or baseline, is ``_run_method``'s one
+    # ``online_phase`` call, and every preset runs ``_run_preset``'s loop
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    assert [c for c in _callers("online_phase") if c.startswith("harness.")] == \
+        ["harness._run_method"]
+    named = {name for node in ast.walk(tree)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None))}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "run_baseline" not in named
+    seeds = [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+             and isinstance(node.slice, ast.Constant) and node.slice.value == "seeds"]
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and ast.unparse(node.iter) == "cfg['harness']['seeds']"]
+    assert len(seeds) == 1 and len(loops) == 1, [ast.unparse(node) for node in seeds]
 
 
 def _subcommands() -> set[str]:
