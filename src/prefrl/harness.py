@@ -447,12 +447,14 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
     """The per-seed loop of every preset.  Each seed pre-trains its agent,
     then gives each method its rows under each strategy (curves and agents
     suffixed by the strategy when ``strategies`` names any).  ``pretrained``
-    and, unless ``online``, every method gets its starting agent's test
-    metrics as epoch 0; with ``online`` every other method runs online.
-    The judge and the strategies are built before anything is written."""
+    gets the pre-trained agent's test metrics; with ``online`` every other
+    method runs online, and without it (rq1) each gets the epoch-0 test
+    metrics of the agent it starts from.  The judge and the strategies are
+    built before anything is written."""
     world, model = _world_and_model(cfg)
     oracle = build_oracle(cfg, world)
-    runs = {name: strategy_from(cfg, name) for name in strategies}
+    runs = {name: strategy_from(cfg, name) for name in strategies} if online else {None: None}
+    epochs = ("0", "final") if online else ("0",)
     enc = encoder_config_from(cfg, world.catalog.num_items)
     rows = []
     for seed in cfg["harness"]["seeds"]:
@@ -462,24 +464,24 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
         pretrained = pretrain_with_checkpoints(cfg, world, oracle, seed, directory)
         pretrain_wall = time.perf_counter() - started
         scratch = scratch_agent(train_config_from(cfg, seed), enc)
-        tested = {}  # one evaluation per starting view: pg and a2c share the scratch actor
+        # pg and a2c start from the same actor, so rq1 evaluates it once
+        actor = None if online else _test_means(cfg, model, world, seed, scratch)
         for name, strategy in runs.items():
             suffix = f"_{strategy.kind}" if name else ""
             for method in methods:
-                start = pretrained if method in ("pretrained", *SCHEMES) else scratch
-                if online and method != "pretrained":
+                if method == "pretrained":
+                    means = _test_means(cfg, model, world, seed, pretrained)
+                    rows += _summary_rows(method, seed, dict.fromkeys(epochs, means),
+                                          pretrain_wall)
+                elif online:
+                    start = pretrained if method in SCHEMES else scratch
                     result, wall = _run_method(cfg, world, model, seed, directory, method,
                                                start, strategy, oracle, suffix)
                     rows += _summary_rows(method, seed, result.snapshots, wall)
-                    continue
-                view = (start is pretrained, method == "dqn")
-                if view not in tested:
-                    tested[view] = _test_means(cfg, model, world, seed,
-                                               QGreedyPolicy(start) if method == "dqn" else start)
-                means = tested[view]
-                rows += _summary_rows(method, seed,
-                                      {"0": means, "final": means} if online else {"0": means},
-                                      pretrain_wall if method == "pretrained" else 0.0)
+                else:
+                    means = (_test_means(cfg, model, world, seed, QGreedyPolicy(scratch))
+                             if method == "dqn" else actor)
+                    rows += _summary_rows(method, seed, {"0": means}, 0.0)
     rows += _aggregate(rows)
     _write_config_snapshot(cfg, out)
     write_summary(Path(out) / "summary.tsv", rows)
@@ -516,7 +518,7 @@ COMMANDS = {
     "gen-data": cmd_gen_data,
     "pretrain": cmd_pretrain,
     "online": cmd_online,
-    "baseline": cmd_online,
+    "baseline": lambda cfg, out, kind: cmd_online(cfg, out, kind),
     "eval": cmd_eval,
     "rq1": cmd_rq1,
     "rq2": cmd_rq2,

@@ -718,6 +718,37 @@ class TestCli:
             for method in ("ap", "a2c"):
                 assert (run / f"curve_{method}_{strat}.jsonl").exists()
 
+    def test_rq4_arms_are_each_strategy_kind_in_order(self, tiny_config, tmp_path,
+                                                      monkeypatch):
+        # rq4's arms read the alias table: each kind once, in this order
+        arms = []
+        run_method = harness._run_method
+
+        def recorded(*args):
+            arms.append((args[5], args[-1]))  # method, curve suffix
+            return run_method(*args)
+
+        monkeypatch.setattr(harness, "_run_method", recorded)
+        assert self.run("--config", str(tiny_config), "--out", str(tmp_path / "rq4"),
+                        "rq4") == 0
+        assert arms == [(method, f"_{kind}") for kind in ("epsilon_greedy", "categorical",
+                                                           "greedy")
+                        for method in ("ap", "a2c")]
+
+    @pytest.mark.parametrize("setting", ["[training]\nstrategy = bogus\n",
+                                         "[training]\nstrategy = egreedy\nepsilon = 2.0\n"],
+                             ids=["bad_strategy", "bad_epsilon"])
+    def test_rq1_uses_no_strategy(self, tmp_path, setting):
+        # rq1 runs nothing online, so a strategy it never uses cannot refuse it
+        config = tmp_path / "rq1.ini"
+        config.write_text(TINY_INI.replace("[training]\n", setting), encoding="utf-8")
+        assert self.run("--config", str(config), "--out", str(tmp_path / "rq1"), "rq1") == 0
+
+    def test_baseline_without_a_kind_is_refused(self, tiny_config, tmp_path):
+        with pytest.raises(TypeError):
+            harness.run_experiment(load_config(tiny_config), "baseline", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[training]\nfoo = 1\n", encoding="utf-8")

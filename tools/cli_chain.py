@@ -2,7 +2,6 @@
 ``sha256  path`` line per output file, so that two checkouts, or two runs of
 one checkout, can be compared byte for byte.
 
-    python tools/cli_chain.py --out DIR [--kinds latent sequential]
     python tools/cli_chain.py --out A > a.txt    # in one checkout
     python tools/cli_chain.py --out B > b.txt    # in another
     diff a.txt b.txt
@@ -125,10 +124,8 @@ def digests(out) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    parser.add_argument("--kinds", nargs="+", choices=KINDS, default=list(KINDS),
-                        help="environment kinds to run (default: all three)")
     args = parser.parse_args(argv)
-    run_chain(args.out, args.kinds)
+    run_chain(args.out)
     print("\n".join(digests(args.out)))
     return 0
 
