@@ -15,6 +15,9 @@ given returns with no critic term (pg).  The mixture reads the frozen
 policy's probability of each action from its transition
 (``Transition.frozen_prob``, stored when the action was taken), so the
 frozen policy takes no part in the update.
+
+A bundle is weights plus shape: the discount belongs to the phase being run,
+so :func:`update` takes it as ``gamma``, next to ``lr`` and ``momentum``.
 """
 from __future__ import annotations
 
@@ -53,26 +56,21 @@ class Transition:
 
 @dataclass
 class AgentBundle:
-    """Encoder + actor head + critic head and the discount factor."""
+    """Encoder + actor head + critic head."""
 
     params: ParamSet
     encoder_config: EncoderConfig
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
 
     @property
     def num_items(self) -> int:
         return self.encoder_config.num_items
 
     def clone(self) -> "AgentBundle":
-        return AgentBundle(self.params.copy(), self.encoder_config, self.gamma)
+        return AgentBundle(self.params.copy(), self.encoder_config)
 
 
 def init_agent(num_items: int, embed_dim: int = 64, max_seq_len: int = 10,
-               gamma: float = 0.9, seed: int = 0) -> AgentBundle:
+               seed: int = 0) -> AgentBundle:
     """Seeded agent: encoder init per the encoder module, heads uniform(-0.1, 0.1)
     with zero biases."""
     rng = np.random.default_rng(seed)
@@ -82,7 +80,7 @@ def init_agent(num_items: int, embed_dim: int = 64, max_seq_len: int = 10,
     tensors["actor_b"] = np.zeros(num_items)
     tensors["critic_w"] = rng.uniform(-0.1, 0.1, size=(embed_dim, num_items))
     tensors["critic_b"] = np.zeros(num_items)
-    return AgentBundle(ParamSet(tensors), config, gamma)
+    return AgentBundle(ParamSet(tensors), config)
 
 
 def _head(state: np.ndarray, bundle: AgentBundle, head: str) -> np.ndarray:
@@ -132,7 +130,7 @@ def backprop_heads(bundle: AgentBundle, state: np.ndarray, cache: dict,
 
 
 def _td_targets(batch: list[Transition], bundle: AgentBundle, target: AgentBundle | None,
-                memo: dict | None) -> np.ndarray:
+                memo: dict | None, gamma: float) -> np.ndarray:
     """r + gamma * max_a' Q(s', a') of every transition, with a zero bootstrap
     on terminal ones, evaluated by ``target`` when given.  One batched encode
     covers the distinct non-terminal next states, less those ``memo`` (next
@@ -148,21 +146,23 @@ def _td_targets(batch: list[Transition], bundle: AgentBundle, target: AgentBundl
         if missing:
             next_states = encode_batch(missing, critic.params, critic.encoder_config)
             memo.update(zip(missing, q_values(next_states, critic).max(axis=1).tolist()))
-        y[live] += bundle.gamma * np.array([memo[s] for s in next_items])
+        y[live] += gamma * np.array([memo[s] for s in next_items])
     return y
 
 
 def update(batch: list[Transition], bundle: AgentBundle, lr: float,
            momentum: float = 0.0, target_bundle: AgentBundle | None = None, *,
            actor: bool = True, alpha: float | None = None,
-           returns=None, target_memo: dict | None = None) -> tuple[float, float]:
+           returns=None, target_memo: dict | None = None,
+           gamma: float = 0.9) -> tuple[float, float]:
     """One optimizer step on a minibatch, the learner of every training loop.
 
     Averages the losses over the batch, accumulates the analytic gradients,
     applies a single optimizer step, and returns (mean actor loss, mean
-    critic loss); a term that is off reports 0.0.  By default an actor-critic
-    step; ``actor=False`` keeps the critic's TD term alone; ``alpha`` makes
-    the actor term read the mixture ``p_mix(a) = (1 - alpha) *
+    critic loss); a term that is off reports 0.0.  ``gamma`` discounts the
+    TD target's bootstrap.  By default an actor-critic step; ``actor=False``
+    keeps the critic's TD term alone; ``alpha`` makes the actor term read the
+    mixture ``p_mix(a) = (1 - alpha) *
     t.frozen_prob + alpha * pi(a)`` with gradients into ``bundle`` only;
     ``returns`` gives REINFORCE, one return per transition and no critic
     term.  Per transition the logit gradient is ``c * (pi - one_hot) / B``
@@ -202,7 +202,7 @@ def update(batch: list[Transition], bundle: AgentBundle, lr: float,
     actor_mean = critic_mean = 0.0
     d_logits = d_q = None
     if returns is None:
-        c = (_td_targets(batch, bundle, target_bundle, target_memo)
+        c = (_td_targets(batch, bundle, target_bundle, target_memo, gamma)
              - q_values(states, bundle)[rows, actions])
         critic_mean = float(np.sum(c * c)) * inv_b
         d_q = one_hot * (-2.0 * c * inv_b)[:, None]

@@ -6,12 +6,16 @@ little-endian header length, a UTF-8 JSON header, then the raw tensor data.
 The header carries a config snapshot, an optional rng state, and the tensor
 manifest (name + shape, in order); tensor data is float32 little-endian,
 concatenated in manifest order.  Headers are serialized with sorted keys so
-save -> load -> save is byte-identical.
+save -> load -> save is byte-identical.  The format version lives in the
+binary prefix only; the reader ignores header and config keys it does not
+use, so files whose header repeats the version, or whose config carries a
+``gamma``, still load.
 
-An ``agent`` file holds the actor-critic bundle.  :data:`AGENT_TENSORS` gives
-its tensor shapes; :func:`load_checkpoint` checks a file against them and its
-config fields, and raises one :class:`CheckpointError` naming the path for any
-file that does not describe an agent.
+An ``agent`` file holds the actor-critic bundle, weights plus shape: its
+config fields are the sizes, and :data:`AGENT_TENSORS` gives its tensor
+shapes in them.  :func:`load_checkpoint` checks a file against both, and
+raises one :class:`CheckpointError` naming the path for any file that does
+not describe an agent.
 """
 from __future__ import annotations
 
@@ -39,10 +43,8 @@ __all__ = [
 MAGIC = b"PRFL"
 FORMAT_VERSION = 1
 
-# each checked config field of an agent file: what it must be, and the test of its value
-_INTEGER = ("an integer", lambda v: type(v) is int)
-_AGENT_FIELDS = {"num_items": _INTEGER, "embed_dim": _INTEGER, "max_seq_len": _INTEGER,
-                 "gamma": ("a numeric", lambda v: type(v) in (int, float))}
+# the config fields of an agent file, each an integer size
+_AGENT_FIELDS = ("num_items", "embed_dim", "max_seq_len")
 # each agent tensor's shape in named dimensions, all fixed by the header:
 # ``items`` (num_items), ``ids`` (one more, for the padding id), ``embed_dim``
 # and ``max_seq_len``
@@ -61,7 +63,6 @@ class CheckpointError(Exception):
 
 @dataclass
 class CheckpointData:
-    format_version: int
     tensors: dict[str, np.ndarray]   # float64, widened from the float32 storage
     config: dict
     rng_state: dict | None
@@ -71,12 +72,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray], config: dict,
                  rng_state: dict | None = None) -> None:
     """Write named tensors plus a JSON config snapshot to ``path``."""
     manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in tensors.items()]
-    header = {
-        "format_version": FORMAT_VERSION,
-        "config": config,
-        "rng_state": rng_state,
-        "tensors": manifest,
-    }
+    header = {"config": config, "rng_state": rng_state, "tensors": manifest}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -135,7 +131,7 @@ def read_checkpoint(path) -> CheckpointData:
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
-    return CheckpointData(version, tensors, header.get("config", {}), header.get("rng_state"))
+    return CheckpointData(tensors, header.get("config", {}), header.get("rng_state"))
 
 
 def save_checkpoint(bundle: AgentBundle, path, rng_state: dict | None = None,
@@ -146,7 +142,6 @@ def save_checkpoint(bundle: AgentBundle, path, rng_state: dict | None = None,
         "num_items": bundle.encoder_config.num_items,
         "embed_dim": bundle.encoder_config.embed_dim,
         "max_seq_len": bundle.encoder_config.max_seq_len,
-        "gamma": bundle.gamma,
     }
     if extra:
         config["extra"] = extra
@@ -162,9 +157,9 @@ def load_checkpoint(path) -> AgentBundle:
     cfg, tensors = data.config, data.tensors
     if cfg.get("kind") != "agent":
         raise CheckpointError(f"{path}: not an agent checkpoint (kind={cfg.get('kind')!r})")
-    for key, (needs, valid) in _AGENT_FIELDS.items():
-        if not valid(cfg.get(key)):
-            raise CheckpointError(f"{path}: agent checkpoint needs {needs} {key!r}, "
+    for key in _AGENT_FIELDS:
+        if type(cfg.get(key)) is not int:
+            raise CheckpointError(f"{path}: agent checkpoint needs an integer {key!r}, "
                                   f"got {cfg.get(key)!r}")
     for name in AGENT_TENSORS:
         if name not in tensors:
@@ -181,6 +176,6 @@ def load_checkpoint(path) -> AgentBundle:
                                   f"{tensors[name].shape}, expected {expected}")
     try:
         enc = EncoderConfig(cfg["num_items"], cfg["embed_dim"], cfg["max_seq_len"])
-        return AgentBundle(ParamSet(tensors), enc, cfg["gamma"])
-    except ValueError as exc:  # a size below its minimum, a non-finite tensor, gamma outside [0, 1]
+        return AgentBundle(ParamSet(tensors), enc)
+    except ValueError as exc:  # a size below its minimum, a non-finite tensor
         raise CheckpointError(f"{path}: {exc}") from None

@@ -17,7 +17,8 @@ then give each method its rows.  The ``pretrained`` row is the pre-trained
 agent's greedy test metrics, with the seed's pre-training seconds as its
 ``wall_clock``; rq1's other rows are the epoch-0 test metrics of the agent
 each baseline starts from.  Each preset writes ``<out>/summary.tsv``, with
-mean/std rows over seeds, and prints ``wrote <out>/summary.tsv``.
+mean/std rows over seeds, and prints ``wrote <out>/summary.tsv``; rq4's rows
+are named by method and strategy kind (``ap_greedy``), as its curves are.
 """
 from __future__ import annotations
 
@@ -104,6 +105,13 @@ def load_truth(path, num_items: int) -> SyntheticGroundTruth:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _synthetic_world(cfg: AppConfig):
+    """The seeded synthetic (catalog, log, truth) that ``[data]`` describes."""
+    d = cfg["data"]
+    return generate_synthetic(d["num_users"], d["num_items"], d["seq_len"], d["d_lat"],
+                              d["seed"], d["noise_scale"])
+
+
 def build_world(cfg: AppConfig) -> World:
     """Load catalog/interactions from the configured paths, or generate the
     seeded synthetic world, then apply the train/test split.  A train split
@@ -118,9 +126,7 @@ def build_world(cfg: AppConfig) -> World:
         raise ConfigError(f"[data] {' and '.join(given)} set, but files are loaded only "
                           "when catalog_path and interactions_path are both set")
     else:
-        catalog, log_, truth = generate_synthetic(
-            d["num_users"], d["num_items"], d["seq_len"], d["d_lat"],
-            d["seed"], d["noise_scale"])
+        catalog, log_, truth = _synthetic_world(cfg)
     train_log, test_log = split_log(log_, d["train_fraction"], d["seed"])
     if train_log.num_sequences == 0:
         raise ConfigError(f"[data] train_fraction = {d['train_fraction']} puts none of the "
@@ -324,10 +330,7 @@ def _world_and_model(cfg: AppConfig):
 
 
 def cmd_gen_data(cfg: AppConfig, out) -> int:
-    d = cfg["data"]
-    catalog, log_, truth = generate_synthetic(
-        d["num_users"], d["num_items"], d["seq_len"], d["d_lat"],
-        d["seed"], d["noise_scale"])
+    catalog, log_, truth = _synthetic_world(cfg)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     write_catalog(catalog, out / "catalog.csv")
@@ -445,8 +448,8 @@ def _run_method(cfg: AppConfig, world, model, seed, directory, method, start, st
 
 def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -> int:
     """The per-seed loop of every preset.  Each seed pre-trains its agent,
-    then gives each method its rows under each strategy (curves and agents
-    suffixed by the strategy when ``strategies`` names any).  ``pretrained``
+    then gives each method its rows under each strategy (rows, curves and
+    agents named ``<method>_<strategy kind>`` when ``strategies`` names any).  ``pretrained``
     gets the pre-trained agent's test metrics; with ``online`` every other
     method runs online, and without it (rq1) each gets the epoch-0 test
     metrics of the agent it starts from.  The judge and the strategies are
@@ -469,19 +472,20 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
         for name, strategy in runs.items():
             suffix = f"_{strategy.kind}" if name else ""
             for method in methods:
+                label = method + suffix
                 if method == "pretrained":
                     means = _test_means(cfg, model, world, seed, pretrained)
-                    rows += _summary_rows(method, seed, dict.fromkeys(epochs, means),
+                    rows += _summary_rows(label, seed, dict.fromkeys(epochs, means),
                                           pretrain_wall)
                 elif online:
                     start = pretrained if method in SCHEMES else scratch
                     result, wall = _run_method(cfg, world, model, seed, directory, method,
                                                start, strategy, oracle, suffix)
-                    rows += _summary_rows(method, seed, result.snapshots, wall)
+                    rows += _summary_rows(label, seed, result.snapshots, wall)
                 else:
                     means = (_test_means(cfg, model, world, seed, QGreedyPolicy(scratch))
                              if method == "dqn" else actor)
-                    rows += _summary_rows(method, seed, {"0": means}, 0.0)
+                    rows += _summary_rows(label, seed, {"0": means}, 0.0)
     rows += _aggregate(rows)
     _write_config_snapshot(cfg, out)
     write_summary(Path(out) / "summary.tsv", rows)

@@ -1,5 +1,6 @@
-"""Episode-level metrics: Return, Length, and Average Reward, plus the
-recent-window smoothing used for learning curves."""
+"""Episode-level metrics: Return, Length, and Average Reward (the ratio of
+the first two, computed from them), plus the recent-window smoothing used for
+learning curves."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,24 +13,21 @@ SMOOTH_WINDOW = 20
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    """One finished episode: cumulative return, length, and their ratio."""
+    """One finished episode: cumulative return and length.  Its average
+    reward is derived from them, never stored."""
     episode_index: int
     global_step: int
     episode_return: float
     length: int
-    avg_reward: float
 
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("episode length must be >= 1")
-        if abs(self.avg_reward * self.length - self.episode_return) > 1e-9:
-            raise ValueError("avg_reward * length must equal episode_return")
 
-    @classmethod
-    def create(cls, episode_index: int, global_step: int,
-               episode_return: float, length: int) -> "EpisodeRecord":
-        return cls(episode_index, global_step, episode_return, length,
-                   episode_return / length)
+    @property
+    def avg_reward(self) -> float:
+        """The per-step reward of the episode, ``episode_return / length``."""
+        return self.episode_return / self.length
 
 
 class MetricMeans(NamedTuple):

@@ -268,7 +268,7 @@ def _replay_td(agent: AgentBundle, config: TrainConfig, rng: np.random.Generator
         mixture = {} if mix is None else {"alpha": mix.alpha}
         losses = update(buffer.sample(config.batch_size, rng), agent, config.lr,
                         config.momentum, boot.snapshot, actor=actor,
-                        target_memo=boot.memo, **mixture)
+                        target_memo=boot.memo, gamma=config.gamma, **mixture)
         boot.tick(agent)
         return losses
 
@@ -389,7 +389,6 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
     """
     if rng is None:
         rng = derive_rng(config.seed, KEY_PRETRAIN)
-    agent.gamma = config.gamma  # the phase's discount is authoritative
     env = _JudgeEnv(oracle, log_, config.pretrain_horizon, rng)
     policy = ActorPolicy(agent)
 
@@ -494,7 +493,7 @@ def evaluate(policy, env, num_episodes: int, seed: int) -> EvalResult:
         live = running
     slots = [played[start] for start in starts]
     global_steps = itertools.accumulate(lengths[j] for j in slots)
-    episodes = [EpisodeRecord.create(i, step, returns[j], lengths[j])
+    episodes = [EpisodeRecord(i, step, returns[j], lengths[j])
                 for i, (step, j) in enumerate(zip(global_steps, slots))]
     return EvalResult(episodes, compute_metrics(episodes))
 
@@ -591,7 +590,7 @@ def _rollout(method: str, env, config: TrainConfig, steps: int, act, learn, poli
                 ret += reward
                 length += 1
                 if done:
-                    episodes.append(EpisodeRecord.create(len(episodes), step + 1, ret, length))
+                    episodes.append(EpisodeRecord(len(episodes), step + 1, ret, length))
                     ret, length = 0.0, 0
                     state = None
                 else:
@@ -632,7 +631,6 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
         strategy = ExplorationStrategy("epsilon_greedy", 0.1) if method == "dqn" else CATEGORICAL
     rng = derive_rng(config.seed, KEY_ONLINE)
     work = pretrained.clone()
-    work.gamma = config.gamma  # the phase's discount is authoritative
     mix = None
     if method == "ap":
         mix = policy = MixPolicy(pretrained, work, config.alpha_init)
@@ -668,8 +666,7 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
 def scratch_agent(config: TrainConfig, encoder_config: EncoderConfig) -> AgentBundle:
     """The randomly initialised agent every scratch baseline starts from."""
     return init_agent(encoder_config.num_items, encoder_config.embed_dim,
-                      encoder_config.max_seq_len, config.gamma,
-                      derive_seed(config.seed, KEY_AGENT_INIT))
+                      encoder_config.max_seq_len, derive_seed(config.seed, KEY_AGENT_INIT))
 
 
 def run_baseline(kind: str, env, config: TrainConfig, encoder_config: EncoderConfig,

@@ -29,26 +29,26 @@ def log_prob(dist: np.ndarray, action: int) -> float:
 
 
 def td_target(transition: Transition, bundle: AgentBundle,
-              target: AgentBundle | None = None) -> float:
+              target: AgentBundle | None = None, gamma: float = 0.9) -> float:
     """r + gamma * max_a' Q(s', a'), with a zero bootstrap on terminal transitions.
 
     The value is treated as a constant in all gradients.  By default the live
     critic evaluates the bootstrap; passing ``target`` (a frozen snapshot)
-    evaluates it there instead.
+    evaluates it there instead.  ``gamma`` defaults to ``update``'s.
     """
     if transition.done:
         return float(transition.reward)
     q_next = q_for(target if target is not None else bundle, transition.next_state_items)
-    return float(transition.reward) + bundle.gamma * float(q_next.max())
+    return float(transition.reward) + gamma * float(q_next.max())
 
 
 def selected_q(transition: Transition, bundle: AgentBundle) -> float:
     return float(q_for(bundle, transition.state_items)[transition.action])
 
 
-def advantage(transition: Transition, bundle: AgentBundle) -> float:
+def advantage(transition: Transition, bundle: AgentBundle, gamma: float = 0.9) -> float:
     """TD error r + gamma * max Q(s', .) - Q(s, a)."""
-    return td_target(transition, bundle) - selected_q(transition, bundle)
+    return td_target(transition, bundle, gamma=gamma) - selected_q(transition, bundle)
 
 
 def critic_loss(transition: Transition, bundle: AgentBundle) -> float:
@@ -71,7 +71,6 @@ def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: in
     target critic is refreshed every ``target_update`` updates.  Mutates
     ``agent`` and returns the per-epoch records."""
     rng = derive_rng(config.seed, KEY_PRETRAIN) if rng is None else rng
-    agent.gamma = config.gamma
     buffer = ReplayBuffer(config.buffer_capacity)
     target = agent.clone() if config.target_update > 0 else None
     updates = 0
@@ -90,7 +89,7 @@ def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: in
             rewards.append(outcome.reward)
             if len(buffer) >= config.batch_size:
                 actor, critic = update(buffer.sample(config.batch_size, rng), agent,
-                                       config.lr, config.momentum, target)
+                                       config.lr, config.momentum, target, gamma=config.gamma)
                 actor_losses.append(actor)
                 critic_losses.append(critic)
                 updates += 1

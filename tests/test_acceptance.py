@@ -37,7 +37,7 @@ EGREEDY = ExplorationStrategy("epsilon_greedy", 0.1)
 def pretrain_agent(truth, train_log, num_items, seed, *, epochs, threshold,
                    embed_dim=8, max_seq_len=6, k=5, horizon=20):
     oracle = SyntheticOracle(truth, threshold=threshold)
-    agent = init_agent(num_items, embed_dim, max_seq_len, 0.0, derive_seed(seed, 1))
+    agent = init_agent(num_items, embed_dim, max_seq_len, derive_seed(seed, 1))
     cfg = TrainConfig(pretrain_epochs=epochs, pretrain_horizon=horizon, batch_size=16,
                       lr=0.02, gamma=0.0, k=k, candidate_sampling="categorical",
                       seed=seed, buffer_capacity=2000)
@@ -83,7 +83,7 @@ def test_criterion_01_gradients_match_finite_differences():
     checked = 0
     for seed in range(8):
         rng = np.random.default_rng(1000 + seed)
-        agent = init_agent(5, embed_dim=3, max_seq_len=4, gamma=0.9, seed=seed)
+        agent = init_agent(5, embed_dim=3, max_seq_len=4, seed=seed)
         for _ in range(3):
             items = tuple(int(i) for i in rng.integers(0, 5, size=rng.integers(1, 4)))
             action = int(rng.integers(5))
@@ -119,10 +119,10 @@ def test_criterion_02_metric_identity():
     for _ in range(100):
         length = int(rng.integers(1, 30))
         ret = float(rng.normal() * 10)
-        rec = EpisodeRecord.create(0, length, ret, length)
+        rec = EpisodeRecord(0, length, ret, length)
         assert abs(rec.avg_reward * rec.length - rec.episode_return) <= 1e-9
 
-    single = compute_metrics([EpisodeRecord.create(0, 6, 4.92, 6)])
+    single = compute_metrics([EpisodeRecord(0, 6, 4.92, 6)])
     assert abs(single.avg_reward - 0.82) < 0.01
     assert abs(5.11 / 6.21 - 0.82) < 0.01
 
@@ -131,8 +131,8 @@ def test_criterion_03_mixture_limits():
     """alpha=0 rollouts are distribution-identical to the frozen policy and
     alpha=1 to the learnable one (10k-action frequency comparison, max
     per-item deviation < 0.01 on a <= 20-item catalog)."""
-    frozen = init_agent(18, 8, 6, 0.9, seed=100)
-    learnable = init_agent(18, 8, 6, 0.9, seed=200)
+    frozen = init_agent(18, 8, 6, seed=100)
+    learnable = init_agent(18, 8, 6, seed=200)
     history = [2, 7, 11]
 
     for alpha, reference in ((0.0, frozen), (1.0, learnable)):
@@ -183,7 +183,7 @@ def test_criterion_05_pretrained_beats_scratch_at_epoch_zero(aligned_world):
         r_pretrained = evaluate(agent, test_env, 20, seed).means.episode_return
         scratch_returns = []
         for key, kind in ((21, "dqn"), (22, "pg"), (23, "a2c")):
-            bundle = init_agent(24, 8, 6, 0.9, derive_seed(seed, key))
+            bundle = init_agent(24, 8, 6, derive_seed(seed, key))
             policy = QGreedyPolicy(bundle) if kind == "dqn" else ActorPolicy(bundle)
             scratch_returns.append(evaluate(policy, test_env, 20, seed).means.episode_return)
         wins += all(r_pretrained > r for r in scratch_returns)

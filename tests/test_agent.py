@@ -6,15 +6,14 @@ import pytest
 
 from helpers import (actor_loss, actor_loss_check, advantage, critic_loss, critic_loss_check,
                      log_prob, max_rel_err, q_for, selected_q, td_target)
-from prefrl.agent import (AgentBundle, Transition, action_distribution, init_agent,
-                          policy_for, q_values, update)
+from prefrl.agent import (Transition, action_distribution, init_agent, policy_for, q_values,
+                          update)
 from prefrl import encoder
 from prefrl.nn import finite_diff_grad
 
 
-def toy_agent(num_items=5, embed_dim=3, seed=0, gamma=0.9):
-    return init_agent(num_items, embed_dim=embed_dim, max_seq_len=4,
-                      gamma=gamma, seed=seed)
+def toy_agent(num_items=5, embed_dim=3, seed=0):
+    return init_agent(num_items, embed_dim=embed_dim, max_seq_len=4, seed=seed)
 
 
 def random_transition(agent, rng, done=False):
@@ -85,10 +84,10 @@ class TestTdQuantities:
         assert critic_loss(t, agent) == pytest.approx(0.25)
 
     def test_bootstrap_formula(self):
-        agent = toy_agent(seed=7, gamma=0.5)
+        agent = toy_agent(seed=7)
         t = Transition((1,), 3, 1.0, (1, 3), False)
         expected = 1.0 + 0.5 * q_for(agent, (1, 3)).max() - selected_q(t, agent)
-        assert advantage(t, agent) == pytest.approx(expected, abs=1e-12)
+        assert advantage(t, agent, gamma=0.5) == pytest.approx(expected, abs=1e-12)
 
     def test_consistent_values_give_zero(self):
         agent = toy_agent(seed=8)
@@ -163,6 +162,23 @@ class TestUpdate:
         a_loss, c_loss = update([Transition((0,), 1, 1.0, (0, 1), False)], agent, lr=0.0)
         assert np.isfinite(a_loss) and np.isfinite(c_loss)
         assert before.allclose(agent.params)
+
+    @pytest.mark.parametrize("target", [False, True], ids=["live_critic", "target_bundle"])
+    def test_td_target_uses_the_gamma_it_is_passed(self, target):
+        # at lr 0 the critic loss is the mean squared TD error, so it reads
+        # the TD targets; every toy agent elsewhere runs at the default 0.9
+        agent = toy_agent(seed=36)
+        frozen = toy_agent(seed=37) if target else None
+        rng = np.random.default_rng(38)
+        batch = [random_transition(agent, rng, done=(i == 0)) for i in range(5)]
+
+        def critic_loss_at(gamma):
+            return update(batch, agent, 0.0, 0.0, frozen, actor=False, gamma=gamma)[1]
+
+        expected = np.mean([(td_target(t, agent, frozen, gamma=0.5) - selected_q(t, agent)) ** 2
+                            for t in batch])
+        assert critic_loss_at(0.5) == pytest.approx(expected, rel=1e-12)
+        assert critic_loss_at(0.5) != pytest.approx(critic_loss_at(0.9), rel=1e-6)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -386,8 +402,3 @@ class TestUpdate:
         update([Transition((0,), 1, 1.0, (0, 1), False)], agent, lr=0.05)
         assert not twin.params.allclose(agent.params)
 
-
-class TestBundle:
-    def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            AgentBundle(toy_agent().params, toy_agent().encoder_config, gamma=1.5)

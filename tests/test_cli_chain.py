@@ -9,6 +9,8 @@ import importlib.util
 from pathlib import Path
 
 from prefrl import cli
+from prefrl.agent import init_agent
+from prefrl.checkpoint import read_checkpoint, save_checkpoint, save_tensors
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_chain.py"
 
@@ -27,6 +29,11 @@ def test_the_chain_runs_every_subcommand_byte_for_byte(tmp_path):
     first = chain.digests(tmp_path / "a")
     assert first == chain.digests(tmp_path / "b")
     assert any(line.endswith("  latent/rq4/summary.tsv") for line in first)
+    paths = [line.split("  ", 1)[1] for line in first]
+    checkpoints = [path for path in paths if path.endswith(".ckpt")]
+    assert checkpoints
+    for path in checkpoints:
+        assert paths[paths.index(path) + 1] == f"{path}#tensors"
     parser = cli.build_parser()
     subcommands = {choice for action in parser._actions
                    if isinstance(action, argparse._SubParsersAction)
@@ -41,3 +48,19 @@ def test_a_tsv_digest_leaves_out_the_wall_clock_column(tmp_path):
         path.write_text(f"method\treturn\twall_clock\n{row}\n", encoding="utf-8")
     a, b, c = (chain.file_digest(path) for path in paths)
     assert a == b != c
+
+
+def test_a_checkpoint_tensor_digest_leaves_out_the_header(tmp_path):
+    # a.ckpt and b.ckpt differ in their config only, a.ckpt and c.ckpt in
+    # one tensor value only
+    chain = _load_tool()
+    save_checkpoint(init_agent(4, embed_dim=2, max_seq_len=3, seed=0), tmp_path / "a.ckpt")
+    data = read_checkpoint(tmp_path / "a.ckpt")
+    save_tensors(tmp_path / "b.ckpt", data.tensors, {**data.config, "gamma": 0.9})
+    changed = dict(data.tensors, actor_b=data.tensors["actor_b"] + 1.0)
+    save_tensors(tmp_path / "c.ckpt", changed, data.config)
+    digest = {path: sha for sha, path in (line.split("  ") for line in chain.digests(tmp_path))}
+    assert list(digest) == ["a.ckpt", "a.ckpt#tensors", "b.ckpt", "b.ckpt#tensors",
+                            "c.ckpt", "c.ckpt#tensors"]
+    assert digest["a.ckpt"] != digest["b.ckpt"]
+    assert digest["a.ckpt#tensors"] == digest["b.ckpt#tensors"] != digest["c.ckpt#tensors"]

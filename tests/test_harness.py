@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from prefrl.agent import init_agent, policy_for
+from prefrl.agent import init_agent, policy_for, update
 from prefrl.checkpoint import (AGENT_TENSORS, CheckpointError, load_checkpoint,
                                read_checkpoint, save_checkpoint, save_tensors)
 from prefrl.config import ConfigError, DEFAULTS, dump_full, load_config
@@ -22,21 +22,20 @@ from prefrl import cli, harness
 
 
 class TestEpisodeRecord:
-    def test_create_computes_ratio(self):
-        rec = EpisodeRecord.create(0, 10, 4.92, 6)
+    def test_avg_reward_is_the_ratio(self):
+        rec = EpisodeRecord(0, 10, 4.92, 6)
+        assert rec.avg_reward == 4.92 / 6
         assert rec.avg_reward == pytest.approx(0.82)
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
-            EpisodeRecord(0, 1, 5.0, 4, 0.9)
-        with pytest.raises(ValueError):
-            EpisodeRecord(0, 1, 5.0, 0, 0.0)
+            EpisodeRecord(0, 1, 5.0, 0)
 
 
 class TestComputeMetrics:
     def test_single_constructed_episode(self):
         # a 6-step episode with return 4.92 reproduces the 0.82 ratio
-        means = compute_metrics([EpisodeRecord.create(0, 6, 4.92, 6)])
+        means = compute_metrics([EpisodeRecord(0, 6, 4.92, 6)])
         assert means.avg_reward == pytest.approx(0.82)
 
     def test_reported_ratio_consistency(self):
@@ -45,12 +44,12 @@ class TestComputeMetrics:
         assert abs(5.11 / 6.21 - 0.82) < 0.01
 
     def test_identical_episodes(self):
-        eps = [EpisodeRecord.create(i, i, 2.0, 4) for i in range(1, 6)]
+        eps = [EpisodeRecord(i, i, 2.0, 4) for i in range(1, 6)]
         means = compute_metrics(eps)
         assert means == (2.0, 4.0, 0.5)
 
     def test_avg_reward_is_mean_of_ratios(self):
-        eps = [EpisodeRecord.create(0, 1, 1.0, 1), EpisodeRecord.create(1, 3, 1.0, 2)]
+        eps = [EpisodeRecord(0, 1, 1.0, 1), EpisodeRecord(1, 3, 1.0, 2)]
         means = compute_metrics(eps)
         assert means.avg_reward == pytest.approx((1.0 + 0.5) / 2)
         assert means.episode_return == pytest.approx(1.0)
@@ -63,16 +62,30 @@ class TestComputeMetrics:
 
 class TestSmoothCurve:
     def test_trailing_window(self):
-        eps = [EpisodeRecord.create(i, i + 1, float(i), 1) for i in range(30)]
+        eps = [EpisodeRecord(i, i + 1, float(i), 1) for i in range(30)]
         sm = smooth_curve(eps, window=20)
         assert sm[0].episode_return == 0.0
         assert sm[4].episode_return == pytest.approx(2.0)  # mean of 0..4
         assert sm[29].episode_return == pytest.approx(np.mean(range(10, 30)))
 
 
+def older_layout(src, dst, gamma=0.9):
+    """Rewrite the agent file ``src`` at ``dst`` in the layout agent files
+    had while the agent carried its discount: the config holds a ``gamma``
+    and the JSON header repeats the binary prefix's ``format_version``."""
+    data = read_checkpoint(src)
+    save_tensors(dst, data.tensors, {**data.config, "gamma": gamma}, data.rng_state)
+    blob = dst.read_bytes()
+    size = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + size])
+    header["format_version"] = 1
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    dst.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + size:])
+
+
 @pytest.fixture
 def trained_agent():
-    return init_agent(6, embed_dim=4, max_seq_len=5, gamma=0.8, seed=42)
+    return init_agent(6, embed_dim=4, max_seq_len=5, seed=42)
 
 
 class TestCheckpoint:
@@ -80,7 +93,6 @@ class TestCheckpoint:
         p = tmp_path / "agent.ckpt"
         save_checkpoint(trained_agent, p)
         loaded = load_checkpoint(p)
-        assert loaded.gamma == trained_agent.gamma
         assert loaded.encoder_config == trained_agent.encoder_config
         for seq in ([0], [1, 2, 3], [5, 5, 0, 4]):
             a = policy_for(trained_agent, seq)
@@ -92,6 +104,29 @@ class TestCheckpoint:
         save_checkpoint(trained_agent, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_header_holds_no_discount_and_no_second_version(self, tmp_path, trained_agent):
+        p = tmp_path / "agent.ckpt"
+        save_checkpoint(trained_agent, p)
+        size = int.from_bytes(p.read_bytes()[8:16], "little")
+        header = json.loads(p.read_bytes()[16:16 + size])
+        assert set(header) == {"config", "rng_state", "tensors"}
+        assert set(header["config"]) == {"kind", "num_items", "embed_dim", "max_seq_len"}
+
+    def test_a_file_in_the_older_layout_loads_to_the_same_bundle(self, tmp_path,
+                                                                  trained_agent):
+        new, old, again = (tmp_path / name for name in ("new.ckpt", "old.ckpt", "again.ckpt"))
+        save_checkpoint(trained_agent, new)
+        older_layout(new, old)
+        assert b'"format_version":1' in old.read_bytes() and b'"gamma":0.9' in old.read_bytes()
+        loaded, fresh = load_checkpoint(old), load_checkpoint(new)
+        assert loaded.encoder_config == fresh.encoder_config
+        assert list(loaded.params.params) == list(fresh.params.params)
+        for name in AGENT_TENSORS:
+            assert np.array_equal(loaded.params[name], fresh.params[name]), name
+        # saving it again writes the current layout
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == new.read_bytes()
 
     def test_greedy_actions_survive_roundtrip(self, tmp_path, trained_agent):
         p = tmp_path / "agent.ckpt"
@@ -137,8 +172,7 @@ class TestCheckpoint:
     def test_shape_mismatch_on_load(self, tmp_path):
         p = tmp_path / "x.ckpt"
         save_tensors(p, {"item_emb": np.zeros((3, 2))},
-                     {"kind": "agent", "num_items": 6, "embed_dim": 4,
-                      "max_seq_len": 5, "gamma": 0.9})
+                     {"kind": "agent", "num_items": 6, "embed_dim": 4, "max_seq_len": 5})
         with pytest.raises(CheckpointError, match="missing tensor|shape mismatch"):
             load_checkpoint(p)
 
@@ -165,10 +199,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("config", [
         {"kind": "agent"},
-        {"kind": "agent", "num_items": "6", "embed_dim": 4, "max_seq_len": 5, "gamma": 0.9},
-        {"kind": "agent", "num_items": 1, "embed_dim": 4, "max_seq_len": 5, "gamma": 0.9},
-        {"kind": "agent", "num_items": 6, "embed_dim": 4, "max_seq_len": 5, "gamma": 1.5},
-    ], ids=["no_sizes", "string_size", "one_item", "gamma_above_one"])
+        {"kind": "agent", "num_items": "6", "embed_dim": 4, "max_seq_len": 5},
+        {"kind": "agent", "num_items": 1, "embed_dim": 4, "max_seq_len": 5},
+    ], ids=["no_sizes", "string_size", "one_item"])
     def test_malformed_agent_config_is_a_checkpoint_error(self, tmp_path, trained_agent,
                                                           config):
         p = tmp_path / "x.ckpt"
@@ -271,20 +304,25 @@ class TestConfig:
         (RemoteEndpoint, "oracle", {}),
         (fit_reward_model, "environment", {"epochs": "fit_epochs", "lr": "fit_lr",
                                            "max_seq_len": ("encoder", "max_seq_len")}),
-        (init_agent, "encoder", {"gamma": ("training", "gamma"), "seed": ("training", "seed")}),
+        (init_agent, "encoder", {"seed": ("training", "seed")}),
         (LatentPreferenceModel, "environment", {"scale": "latent_scale"}),
         (SyntheticOracle, "oracle", {}),
         (PromptSpec, "training", {}),
+        (update, "training", {"target_bundle": None, "actor": None, "alpha": None,
+                              "returns": None, "target_memo": None}),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_api_defaults_are_the_config_defaults(self, api, section, keys):
         # every keyword default of the API repeats the default of the config
-        # key the harness feeds it from, so the CLI and the API start equal
+        # key the harness feeds it from, so the CLI and the API start equal;
+        # a key mapped to None has no config key (one of update's settings)
         defaults = {name: param.default
                     for name, param in inspect.signature(api).parameters.items()
                     if param.default is not inspect.Parameter.empty}
         assert defaults
         for name, default in defaults.items():
             key = keys.get(name, name)
+            if key is None:
+                continue
             where, key = key if isinstance(key, tuple) else (section, key)
             assert default == DEFAULTS[where][key], \
                 f"{api.__name__}({name}={default!r}), but [{where}] {key} = {DEFAULTS[where][key]!r}"
@@ -345,7 +383,7 @@ class TestWorldBuilding:
 
 class TestCurveFiles:
     def test_ordered_json_lines(self, tmp_path):
-        eps = [EpisodeRecord.create(i, (i + 1) * 3, float(i), 3) for i in range(25)]
+        eps = [EpisodeRecord(i, (i + 1) * 3, float(i), 3) for i in range(25)]
         p = tmp_path / "curve.jsonl"
         write_curve(p, eps)
         rows = [json.loads(line) for line in p.read_text().splitlines()]
@@ -748,6 +786,64 @@ class TestCli:
         with pytest.raises(TypeError):
             harness.run_experiment(load_config(tiny_config), "baseline", tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_pretrain_resumes_from_a_checkpoint_in_the_older_layout(self, tmp_path):
+        # stop after epoch 1 of 3, then resume from the epoch checkpoint as
+        # written and from the same checkpoint in the older layout
+        short = tmp_path / "short.ini"
+        short.write_text(TINY_INI.replace("pretrain_epochs = 3", "pretrain_epochs = 2"),
+                         encoding="utf-8")
+        full = tmp_path / "full.ini"
+        full.write_text(TINY_INI, encoding="utf-8")
+        runs = {}
+        for layout in ("current", "older"):
+            out = tmp_path / layout
+            assert self.run("--config", str(short), "--out", str(out), "pretrain") == 0
+            latest = out / "t-s0" / "pretrain_latest.ckpt"
+            if layout == "older":
+                older_layout(latest, latest)
+            assert self.run("--config", str(full), "--out", str(out), "pretrain", "--resume") == 0
+            runs[layout] = {name: (out / "t-s0" / name).read_bytes()
+                            for name in ("pretrain_log.jsonl", "pretrain_latest.ckpt",
+                                         "agent_pretrained.ckpt")}
+        assert runs["older"] == runs["current"]
+        assert len(runs["older"]["pretrain_log.jsonl"].splitlines()) == 3
+
+    @pytest.mark.parametrize("gamma", ["-0.1", "1.5"])
+    def test_gamma_outside_the_unit_interval_is_one_error(self, tmp_path, capsys, gamma):
+        config = tmp_path / "gamma.ini"
+        config.write_text(TINY_INI.replace("gamma = 0.5", f"gamma = {gamma}"), encoding="utf-8")
+        capsys.readouterr()
+        assert self.run("--config", str(config), "--out", str(tmp_path / "out"), "pretrain") == 1
+        assert capsys.readouterr().err == "error: gamma must lie in [0, 1]\n"
+
+    def test_rq4_rows_are_per_method_and_strategy(self, tmp_path):
+        config = tmp_path / "two_seeds.ini"
+        config.write_text(TINY_INI.replace("seeds = 0", "seeds = 0 1"), encoding="utf-8")
+        out = tmp_path / "rq4"
+        assert self.run("--config", str(config), "--out", str(out), "rq4") == 0
+        lines = (out / "summary.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        keys = [tuple(line.split("\t")[:3]) for line in lines]
+        arms = [f"{method}_{kind}" for kind in ("epsilon_greedy", "categorical", "greedy")
+                for method in ("ap", "a2c")]
+        assert sorted(keys) == sorted((arm, seed, epoch) for arm in arms
+                                      for seed in ("0", "1", "mean", "std")
+                                      for epoch in ("0", "1", "2", "final"))
+        rows = summary_metrics(out / "summary.tsv")
+        for arm in arms:
+            seeds = [float(rows[(arm, seed, "final")][0]) for seed in ("0", "1")]
+            assert float(rows[(arm, "mean", "final")][0]) == pytest.approx(np.mean(seeds),
+                                                                             rel=1e-5)
+
+    def test_strategy_does_not_reach_dqn(self, tiny_config, tmp_path):
+        # dqn keeps its own epsilon-greedy 0.1 whatever --strategy says
+        for out, flags in ((tmp_path / "default", ()), (tmp_path / "greedy",
+                                                        ("--strategy", "greedy"))):
+            assert self.run("--config", str(tiny_config), "--out", str(out), *flags,
+                            "baseline", "dqn") == 0
+        for name in ("curve_dqn.jsonl", "agent_dqn.ckpt"):
+            assert (tmp_path / "greedy" / "t-s0" / name).read_bytes() == \
+                   (tmp_path / "default" / "t-s0" / name).read_bytes(), name
 
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -37,9 +37,8 @@ def make_env(world, which="train", seed=0, max_steps=12):
                            EnvConfig(max_steps=max_steps, quit_threshold=0.75, seed=seed))
 
 
-def agent_for(world, seed=0, gamma=0.9):
-    return init_agent(world["catalog"].num_items, embed_dim=8, max_seq_len=6,
-                      gamma=gamma, seed=seed)
+def agent_for(world, seed=0):
+    return init_agent(world["catalog"].num_items, embed_dim=8, max_seq_len=6, seed=seed)
 
 
 class TestTrainConfig:
@@ -47,6 +46,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=r"batch_size \(8\).*buffer_capacity \(4\)"):
             TrainConfig(batch_size=8, buffer_capacity=4)
         assert TrainConfig(batch_size=4, buffer_capacity=4).batch_size == 4
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5])
+    def test_gamma_outside_the_unit_interval_is_refused(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+            TrainConfig(gamma=gamma)
+        assert [TrainConfig(gamma=g).gamma for g in (0.0, 1.0)] == [0.0, 1.0]
 
 
 class TestReplayBuffer:
@@ -145,8 +150,8 @@ class TestMixture:
     def two_fixed_bundles(self):
         # zero actor weights + bias = log target distribution, so the policy
         # is state-independent and exactly controllable
-        a = init_agent(2, embed_dim=4, max_seq_len=3, gamma=0.9, seed=0)
-        b = init_agent(2, embed_dim=4, max_seq_len=3, gamma=0.9, seed=1)
+        a = init_agent(2, embed_dim=4, max_seq_len=3, seed=0)
+        b = init_agent(2, embed_dim=4, max_seq_len=3, seed=1)
         for bundle, probs in ((a, [0.8, 0.2]), (b, [0.2, 0.8])):
             bundle.params["actor_w"][...] = 0.0
             bundle.params["actor_b"][...] = np.log(probs)
@@ -298,8 +303,7 @@ class TestPretrain:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_judge_reward_improves_on_aligned_world(self, world, seed):
         oracle = SyntheticOracle(world["truth"], 2.5)
-        agent = init_agent(24, embed_dim=8, max_seq_len=6, gamma=0.0,
-                           seed=derive_seed(seed, 1))
+        agent = init_agent(24, embed_dim=8, max_seq_len=6, seed=derive_seed(seed, 1))
         cfg = self.cfg(pretrain_epochs=60, pretrain_horizon=20, batch_size=16,
                        buffer_capacity=2000, seed=seed)
         _, records = pretrain(agent, oracle, cfg, world["train"])
@@ -380,7 +384,7 @@ class TestPretrain:
         def resumed():
             rng = np.random.default_rng()
             rng.bit_generator.state = saved["state"]
-            return AgentBundle(saved["params"].copy(), agent_for(world).encoder_config, 0.9), rng
+            return AgentBundle(saved["params"].copy(), agent_for(world).encoder_config), rng
 
         agent, rng = resumed()
         _, records = pretrain(agent, oracle, cfg, world["train"], start_epoch=4, rng=rng)
@@ -559,8 +563,7 @@ class TestBaselines:
     def test_a2c_is_ft_from_scratch(self, world):
         cfg = self.cfg(online_steps=80)
         baseline = run_baseline("a2c", make_env(world, seed=8), cfg, self.enc(world))
-        scratch = init_agent(24, embed_dim=8, max_seq_len=6, gamma=cfg.gamma,
-                             seed=derive_seed(cfg.seed, 1))
+        scratch = init_agent(24, embed_dim=8, max_seq_len=6, seed=derive_seed(cfg.seed, 1))
         direct = online_phase("ft", scratch, make_env(world, seed=8), cfg)
         assert baseline.episodes == direct.episodes
         assert baseline.agent.params.allclose(direct.agent.params)
@@ -766,7 +769,7 @@ def episode_by_episode(policy, env, num_episodes, seed):
             global_step += 1
             if done:
                 break
-        episodes.append(EpisodeRecord.create(i, global_step, ret, length))
+        episodes.append(EpisodeRecord(i, global_step, ret, length))
     return episodes
 
 

@@ -10,8 +10,11 @@ For each environment kind the chain runs, under ``DIR/<kind>``: ``gen-data``;
 ``pretrain``, ``pretrain --resume``, ``online --scheme ft|ap``,
 ``baseline dqn|pg|a2c|llm_online`` and ``eval`` at ``--seed 3``; and the
 presets ``rq1`` to ``rq4`` over seeds 0 and 1.  A ``.tsv`` file's digest
-leaves out its ``wall_clock`` column, the one timed value.  Paths are
-relative to ``DIR``.  The commands' own output goes to stderr.  The tool
+leaves out its ``wall_clock`` column, the one timed value.  Each ``.ckpt``
+file gets a second line, ``sha256  path#tensors``, over the tensors
+``prefrl.checkpoint.read_checkpoint`` returns (name, shape and values, in
+manifest order), so a change to a checkpoint's header alone shows as a
+changed file with unchanged tensors.  Paths are relative to ``DIR``.  The commands' own output goes to stderr.  The tool
 imports ``prefrl`` from the ``src/`` next to it.
 """
 from __future__ import annotations
@@ -114,11 +117,30 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def tensor_digest(path: Path) -> str:
+    """sha256 of a checkpoint's tensors as ``read_checkpoint`` returns them:
+    each one's name, shape and float64 values, in manifest order."""
+    from prefrl.checkpoint import read_checkpoint
+
+    h = hashlib.sha256()
+    for name, arr in read_checkpoint(path).tensors.items():
+        h.update(f"{name}{list(arr.shape)}".encode("utf-8"))
+        h.update(arr.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
 def digests(out) -> list[str]:
-    """One ``sha256  path`` line per file under ``out``, sorted by path."""
+    """One ``sha256  path`` line per file under ``out``, sorted by path, and
+    after each checkpoint's a ``sha256  path#tensors`` line."""
     out = Path(out)
-    return [f"{file_digest(path)}  {path.relative_to(out).as_posix()}"
-            for path in sorted(out.rglob("*")) if path.is_file()]
+    lines = []
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            rel = path.relative_to(out).as_posix()
+            lines.append(f"{file_digest(path)}  {rel}")
+            if path.suffix == ".ckpt":
+                lines.append(f"{tensor_digest(path)}  {rel}#tensors")
+    return lines
 
 
 def main(argv=None) -> int:
