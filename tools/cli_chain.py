@@ -14,8 +14,9 @@ leaves out its ``wall_clock`` column, the one timed value.  Each ``.ckpt``
 file gets a second line, ``sha256  path#tensors``, over the tensors
 ``prefrl.checkpoint.read_checkpoint`` returns (name, shape and values, in
 manifest order), so a change to a checkpoint's header alone shows as a
-changed file with unchanged tensors.  Paths are relative to ``DIR``.  The commands' own output goes to stderr.  The tool
-imports ``prefrl`` from the ``src/`` next to it.
+changed file with unchanged tensors.  Paths are relative to ``DIR``.  The
+commands' own output goes to stderr.  The tool imports ``prefrl`` from the
+``src/`` next to it.
 """
 from __future__ import annotations
 
