@@ -145,7 +145,7 @@ def _td_targets(batch: list[Transition], bundle: AgentBundle, target: AgentBundl
         missing = [s for s in dict.fromkeys(next_items) if s not in memo]
         if missing:
             next_states = encode_batch(missing, critic.params, critic.encoder_config)
-            memo.update(zip(missing, q_values(next_states, critic).max(axis=1).tolist()))
+            memo |= zip(missing, q_values(next_states, critic).max(axis=1).tolist())
         y[live] += gamma * np.array([memo[s] for s in next_items])
     return y
 

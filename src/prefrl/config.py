@@ -18,7 +18,10 @@ class ConfigError(ValueError):
 
 
 def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+    values = [int(tok) for tok in raw.replace(",", " ").split()]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 # section -> key -> (parser, default)
@@ -135,9 +138,12 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
             raise ConfigError(f"config file not found: {path}") from None
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        if parser.defaults():
+            # configparser would copy its keys into every section
+            raise ConfigError(f"{path}: a [DEFAULT] section is not supported; "
+                              "put each key in its module's section")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                values.setdefault(section, {})
                 values[section][key] = _parse_value(section, key, raw)
     for (section, key), raw in (overrides or {}).items():
         values[section][key] = _parse_value(section, key, raw)

@@ -63,10 +63,11 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    """Immutable per-episode state; step() returns a new one."""
+    """Immutable per-episode state; step() returns a new one.  A start holds
+    one item and each step appends one, so ``len(history) - 1`` steps have
+    been taken."""
     history: tuple[int, ...]
     user_id: str | None
-    steps_taken: int
     done: bool
 
 
@@ -304,8 +305,7 @@ class UserEnvironment:
         rng = self._rng if seed is None else np.random.default_rng(seed)
         seq = self.log.sequences[int(rng.integers(self.log.num_sequences))]
         user_id = seq.user_id if self.reward_model.kind == "matrix_factorization" else None
-        return EnvState(history=(seq.items[0],), user_id=user_id,
-                        steps_taken=0, done=False)
+        return EnvState(history=(seq.items[0],), user_id=user_id, done=False)
 
     def step_batch(self, states, actions) -> tuple[list[float], list[EnvState], list[bool]]:
         """Step a batch of episodes: score every (state, action) pair with one
@@ -325,10 +325,9 @@ class UserEnvironment:
         quit_threshold, max_steps = self.config.quit_threshold, self.config.max_steps
         next_states, dones = [], []
         for state, action, reward in zip(states, actions, rewards):
-            steps = state.steps_taken + 1
-            done = reward < quit_threshold or steps >= max_steps
+            done = reward < quit_threshold or len(state.history) >= max_steps
             next_states.append(EnvState(history=state.history + (action,),
-                                        user_id=state.user_id, steps_taken=steps, done=done))
+                                        user_id=state.user_id, done=done))
             dones.append(done)
         return rewards, next_states, dones
 

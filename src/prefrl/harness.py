@@ -176,6 +176,10 @@ def _test_means(cfg: AppConfig, model, world: World, seed: int, policy) -> Metri
 
 
 def build_oracle(cfg: AppConfig, world: World):
+    k, num_items = cfg["training"]["k"], world.catalog.num_items
+    if k > num_items:  # refused here, before any command that asks a judge writes
+        raise ConfigError(f"[training] k = {k} exceeds the catalog's {num_items} items: "
+                          f"the actor cannot propose {k} distinct candidates")
     o = cfg["oracle"]
     if o["kind"] == "synthetic":
         if world.truth is None:

@@ -13,9 +13,12 @@ run against the same environments for comparison.
 
 Pre-training, both schemes and all four baselines run one loop,
 :func:`_rollout` (reset, act, step, learn, track, snapshot); they differ only
-in the environment, in how an action is picked (``act(history)``) and in how
-a transition is learned from: a replay-buffer TD step or an episodic
-REINFORCE step.  It has two callers: :func:`pretrain`, and
+in the environment, in how an action is picked (``act(history)``) and in the
+learner object a transition is handed to: ``_ReplayTD`` (a replay-buffer TD
+step) or ``_Reinforce`` (an episodic REINFORCE step).  The loop keeps the
+losses the learner returns and hands each finished episode's record and
+losses to one hook, ``on_episode``; pre-training builds its per-epoch record
+there.  The loop has two callers: :func:`pretrain`, and
 :func:`online_phase`, which builds the act and the learner of any online
 method; :func:`run_baseline` is ``online_phase`` started from
 :func:`scratch_agent`.  Pre-training's environment is the judge
@@ -36,11 +39,12 @@ is handed the run's method and names it, the step, ``lr`` and
 
 With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
 from a critic snapshot frozen for N learner steps, so within a period it is
-a fixed function of the next state.  The snapshot keeps a memo of it per
-next state (``_BootstrapTarget.memo``), emptied at each refresh; a learner
-step encodes only the next states the memo lacks.  Memoised values keep
-every bit, because a row's encoding does not depend on its batch.  With
-``target_update = 0`` the live critic bootstraps and there is no memo.
+a fixed function of the next state.  ``_ReplayTD`` keeps the snapshot
+(``target``) and a memo of that value per next state (``memo``), both
+replaced at each refresh; a learner step encodes only the next states the
+memo lacks.  Memoised values keep every bit, because a row's encoding does
+not depend on its batch.  With ``target_update = 0`` the live critic
+bootstraps and there is no memo.
 
 Test-environment snapshots and every harness evaluation go through
 :func:`evaluate`.  A greedy episode is a deterministic function of its start
@@ -226,53 +230,41 @@ def choose_action(dist, strategy: ExplorationStrategy, rng: np.random.Generator)
     return int(np.argmax(p))
 
 
-class _BootstrapTarget:
-    """Frozen critic snapshot for TD bootstraps, refreshed every ``period``
-    optimizer steps; period 0 means the live critic is used (no snapshot).
+class _ReplayTD:
+    """Learner that pushes each transition into ``buffer`` and, once a
+    minibatch is buffered, takes one :func:`update` step on a fresh sample of
+    it (on ``mix`` at its current alpha, if given); ``learn`` returns the
+    losses, or None.  ``updates`` counts the steps taken.
 
-    Next to the snapshot lives its memo: ``next_state_items`` -> the
-    snapshot's ``max_a' Q(s', a')``, filled by :func:`agent.update` as it
+    With ``target_update = N > 0`` the TD bootstrap reads ``target``, a
+    critic snapshot taken every N updates, and ``memo``: ``next_state_items``
+    -> the snapshot's ``max_a' Q(s', a')``, filled by :func:`update` as it
     scores next states, so each distinct next state is encoded once per
-    period.  A refresh starts an empty memo with the new snapshot.  A memo
-    value is the row a fresh encode of that state would give, bit for bit,
-    since a row's encoder and head outputs do not depend on the batch it is
-    computed in.  With period 0 there is no memo (``None``): the live critic
-    moves every step."""
+    snapshot.  Each snapshot starts an empty memo.  A memo value is the row a
+    fresh encode of that state would give, bit for bit, since a row's encoder
+    and head outputs do not depend on the batch it is computed in.  With
+    N = 0 both are None: the live critic bootstraps and moves every step."""
 
-    def __init__(self, bundle: AgentBundle, period: int):
-        self.period = period
-        self.count = 0
-        self.snapshot = bundle.clone() if period > 0 else None
-        self.memo = {} if period > 0 else None
+    def __init__(self, agent: AgentBundle, config: TrainConfig, rng: np.random.Generator,
+                 actor: bool = True, mix: MixPolicy | None = None):
+        self.agent, self.config, self.rng, self.actor, self.mix = agent, config, rng, actor, mix
+        self.buffer = ReplayBuffer(config.buffer_capacity)
+        self.updates = 0
+        self.target, self.memo = (agent.clone(), {}) if config.target_update > 0 else (None, None)
 
-    def tick(self, bundle: AgentBundle) -> None:
-        self.count += 1
-        if self.period > 0 and self.count % self.period == 0:
-            self.snapshot = bundle.clone()
-            self.memo = {}
-
-
-def _replay_td(agent: AgentBundle, config: TrainConfig, rng: np.random.Generator,
-               actor: bool = True, mix: MixPolicy | None = None):
-    """Learner that buffers each transition and, once a minibatch is
-    buffered, takes one :func:`update` step on a fresh sample of it (on
-    ``mix`` at its current alpha, if given); ``learn`` returns the losses, or
-    None."""
-    buffer = ReplayBuffer(config.buffer_capacity)
-    boot = _BootstrapTarget(agent, config.target_update)
-
-    def learn(transition: Transition):
-        buffer.push(transition)
-        if len(buffer) < config.batch_size:
+    def learn(self, transition: Transition):
+        config = self.config
+        self.buffer.push(transition)
+        if len(self.buffer) < config.batch_size:
             return None
-        mixture = {} if mix is None else {"alpha": mix.alpha}
-        losses = update(buffer.sample(config.batch_size, rng), agent, config.lr,
-                        config.momentum, boot.snapshot, actor=actor,
-                        target_memo=boot.memo, gamma=config.gamma, **mixture)
-        boot.tick(agent)
+        mixture = {} if self.mix is None else {"alpha": self.mix.alpha}
+        losses = update(self.buffer.sample(config.batch_size, self.rng), self.agent, config.lr,
+                        config.momentum, self.target, actor=self.actor,
+                        target_memo=self.memo, gamma=config.gamma, **mixture)
+        self.updates += 1
+        if self.target is not None and self.updates % config.target_update == 0:
+            self.target, self.memo = self.agent.clone(), {}
         return losses
-
-    return learn
 
 
 def alpha_at(step: int, config: TrainConfig) -> float:
@@ -360,14 +352,13 @@ class _JudgeEnv:
 
     def reset(self) -> EnvState:
         seq = self.log.sequences[int(self.rng.integers(self.log.num_sequences))]
-        return EnvState(history=(seq.items[0],), user_id=None, steps_taken=0, done=False)
+        return EnvState(history=(seq.items[0],), user_id=None, done=False)
 
     def step(self, state: EnvState, candidates: list[int]) -> tuple[float, EnvState, bool]:
         outcome = distill(state.history, candidates, self.oracle, self.rng)
-        steps = state.steps_taken + 1
-        done = steps >= self.horizon
+        done = len(state.history) >= self.horizon
         return outcome.reward, EnvState(history=state.history + (outcome.action,),
-                                        user_id=None, steps_taken=steps, done=done), done
+                                        user_id=None, done=done), done
 
 
 def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
@@ -383,9 +374,10 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
 
     Returns the (mutated) agent and a list of per-epoch records with mean
     losses and mean judge reward.  ``epoch_callback(epoch, agent, record,
-    rng_state)`` supports checkpoint-and-resume: it runs as the epoch's last
-    transition is learned, before the next epoch's start is drawn, so
-    ``rng_state`` is the state a resumed run starts from.
+    rng_state)`` supports checkpoint-and-resume: it runs from the loop's
+    episode hook, after the epoch's last transition is learned and before the
+    next epoch's start is drawn, so ``rng_state`` is the state a resumed run
+    starts from.
     """
     if rng is None:
         rng = derive_rng(config.seed, KEY_PRETRAIN)
@@ -396,31 +388,23 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
         return sample_candidates(policy.probs(history), config.k,
                                  config.candidate_sampling, rng), None
 
-    td_step = _replay_td(agent, config, rng)
     records = []
-    rewards, losses = [], []  # the epoch's so far
 
-    def learn(transition: Transition):
-        step_losses = td_step(transition)
-        rewards.append(transition.reward)
-        if step_losses is not None:
-            losses.append(step_losses)
-        if not transition.done:
-            return
+    def on_episode(episode: EpisodeRecord, losses):
+        # judge rewards are 0 or 1, so the episode's average is their exact mean
         record = {
-            "epoch": start_epoch + len(records),
-            "mean_reward": float(np.mean(rewards)),
+            "epoch": start_epoch + episode.episode_index,
+            "mean_reward": episode.avg_reward,
             "mean_actor_loss": float(np.mean([a for a, _ in losses])) if losses else None,
             "mean_critic_loss": float(np.mean([c for _, c in losses])) if losses else None,
         }
         records.append(record)
-        rewards.clear()
-        losses.clear()
         if epoch_callback is not None:
             epoch_callback(record["epoch"], agent, record, rng.bit_generator.state)
 
     steps = (config.pretrain_epochs - start_epoch) * config.pretrain_horizon
-    _rollout("pretrain", env, config, steps, act, learn)
+    _rollout("pretrain", env, config, steps, act, _ReplayTD(agent, config, rng),
+             on_episode=on_episode)
     return agent, records
 
 
@@ -508,13 +492,17 @@ class RunResult:
     mix: MixPolicy | None = None
 
 
-def _reinforce(agent: AgentBundle, config: TrainConfig):
-    """Learner that collects an episode and, when it ends, takes one
+class _Reinforce:
+    """Learner that collects ``episode`` and, when it ends, takes one
     REINFORCE :func:`update` step on the per-step discounted return-to-go;
     ``learn`` returns that step's losses, or None mid-episode."""
-    episode: list[Transition] = []
 
-    def learn(transition: Transition):
+    def __init__(self, agent: AgentBundle, config: TrainConfig):
+        self.agent, self.config = agent, config
+        self.episode: list[Transition] = []
+
+    def learn(self, transition: Transition):
+        episode, config = self.episode, self.config
         episode.append(transition)
         if not transition.done:
             return None
@@ -523,17 +511,9 @@ def _reinforce(agent: AgentBundle, config: TrainConfig):
         for i in range(len(episode) - 1, -1, -1):
             g = episode[i].reward + config.gamma * g
             returns[i] = g
-        losses = update(episode, agent, config.lr, config.momentum, returns=returns)
+        losses = update(episode, self.agent, config.lr, config.momentum, returns=returns)
         episode.clear()
         return losses
-
-    return learn
-
-
-def _explore(policy, strategy: ExplorationStrategy, rng: np.random.Generator):
-    """act(history): an item drawn from ``policy.probs`` under the strategy,
-    and no frozen probability."""
-    return lambda history: (choose_action(policy.probs(history), strategy, rng), None)
 
 
 class DivergenceError(ValueError):
@@ -542,25 +522,29 @@ class DivergenceError(ValueError):
     names it (``pretrain`` for pre-training)."""
 
 
-def _rollout(method: str, env, config: TrainConfig, steps: int, act, learn, policy=None,
+def _rollout(method: str, env, config: TrainConfig, steps: int, act, learner, policy=None,
              eval_env=None, episodes_per_epoch: int = 1, eval_episodes: int = 1,
-             eval_epochs=()):
+             eval_epochs=(), on_episode=None):
     """The loop of pre-training and of every online scheme and baseline.
 
     For ``steps`` steps it snapshots ``policy`` on ``eval_env`` at the
     requested epoch boundaries, acts with ``act(history) -> (action,
     frozen_prob)``, steps the environment with ``env.step(state, action)``,
     hands the transition (carrying the item the step appended and
-    ``frozen_prob``) to ``learn`` and closes the episode on done.  An
-    episode's start is drawn (``env.reset()``) by its first step, so there is
-    one reset per episode played and none after the last.  An action
-    is whatever the environment steps on: an item for a user environment,
-    the candidates for the judge's.  Returns the episode curve and the
-    snapshots (epoch index plus 'final'; none without an ``eval_env``).  An
-    ``episodes_per_epoch`` below 1 (which would put every epoch at step 0 or
-    before it) or, with an ``eval_env``, an ``eval_episodes`` below 1 raises
-    ValueError before the first step; a value that overflows or turns NaN
-    raises DivergenceError, naming ``method``.
+    ``frozen_prob``) to ``learner.learn`` and closes the episode on done.
+    ``on_episode(record, losses)`` gets each finished episode's
+    :class:`EpisodeRecord` and the losses ``learn`` returned during it (the
+    Nones left out), after its last transition is learned and before the
+    next start is drawn.  An episode's start is drawn (``env.reset()``) by
+    its first step, so there is one reset per episode played and none after
+    the last.  An action is whatever the environment steps on: an item for a
+    user environment, the candidates for the judge's.  Returns the episode
+    curve and the snapshots (epoch index plus 'final'; none without an
+    ``eval_env``).  An ``episodes_per_epoch`` below 1 (which would put every
+    epoch at step 0 or before it) or, with an ``eval_env``, an
+    ``eval_episodes`` below 1 raises ValueError before the first step; a
+    value that overflows or turns NaN raises DivergenceError, naming
+    ``method``.
     """
     if episodes_per_epoch < 1:
         raise ValueError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
@@ -573,7 +557,7 @@ def _rollout(method: str, env, config: TrainConfig, steps: int, act, learn, poli
     eval_seed = derive_seed(config.seed, KEY_EVAL)
     snapshots: dict[str, MetricMeans] = {}
     episodes: list[EpisodeRecord] = []
-    ret, length = 0.0, 0
+    ret, length, losses = 0.0, 0, []
     state = None  # the next episode's start is drawn when a step needs it
     with np.errstate(over="raise", invalid="raise"):
         try:
@@ -585,13 +569,18 @@ def _rollout(method: str, env, config: TrainConfig, steps: int, act, learn, poli
                                                        eval_seed).means
                 action, frozen_prob = act(state.history)
                 reward, next_state, done = env.step(state, action)
-                learn(Transition(state.history, next_state.history[-1], reward,
-                                 next_state.history, done, frozen_prob))
+                step_losses = learner.learn(Transition(state.history, next_state.history[-1],
+                                                       reward, next_state.history, done,
+                                                       frozen_prob))
+                if step_losses is not None:
+                    losses.append(step_losses)
                 ret += reward
                 length += 1
                 if done:
                     episodes.append(EpisodeRecord(len(episodes), step + 1, ret, length))
-                    ret, length = 0.0, 0
+                    if on_episode is not None:
+                        on_episode(episodes[-1], losses)
+                    ret, length, losses = 0.0, 0, []
                     state = None
                 else:
                     state = next_state
@@ -652,12 +641,12 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
             return distill(history, candidates, oracle, rng).action, None
     else:
         policy = QGreedyPolicy(work) if method == "dqn" else ActorPolicy(work)
-        act = _explore(policy, strategy, rng)
-    if method == "pg":
-        learn = _reinforce(work, config)
-    else:
-        learn = _replay_td(work, config, rng, actor=method != "dqn", mix=mix)
-    episodes, snapshots = _rollout(method, env, config, config.online_steps, act, learn,
+
+        def act(history):
+            return choose_action(policy.probs(history), strategy, rng), None
+    learner = (_Reinforce(work, config) if method == "pg"
+               else _ReplayTD(work, config, rng, actor=method != "dqn", mix=mix))
+    episodes, snapshots = _rollout(method, env, config, config.online_steps, act, learner,
                                    policy, eval_env, episodes_per_epoch, eval_episodes,
                                    eval_epochs)
     return RunResult(work, episodes, snapshots, mix)

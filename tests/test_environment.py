@@ -250,7 +250,7 @@ class TestEpisodeLifecycle:
         state = env.reset(seed=1)
         assert len(state.history) == 1
         assert state.user_id is None  # non-MF kinds keep only the item
-        assert state.steps_taken == 0 and not state.done
+        assert not state.done
 
     def test_mf_reset_keeps_user(self):
         model = handmade_mf(np.ones((2, 2)), np.ones((4, 2)), r_max=5.0)
@@ -272,7 +272,7 @@ class TestEpisodeLifecycle:
         for s in range(4):
             state = env.reset(seed=s)
             _, state, done = env.step(state, 0)
-            assert done and state.steps_taken == 1
+            assert done and len(state.history) == 2
 
     def test_hand_simulated_rollout(self):
         # rewards 1, 1, 1, 0.1 with threshold 0.2: quits at step 4

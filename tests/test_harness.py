@@ -284,6 +284,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cluster"):
             load_config(p)
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nlr = 0.5\n",
+                                      "[DEFAULT]\nlr = 0.5\n[training]\nseed = 9\n"],
+                             ids=["alone", "next_to_training"])
+    def test_a_default_section_is_refused(self, tmp_path, text):
+        # configparser would drop its keys, or copy them into every section
+        p = tmp_path / "c.ini"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: a [DEFAULT] section")):
+            load_config(p)
+
     def test_bad_value(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[training]\nlr = fast\n", encoding="utf-8")
@@ -618,6 +628,27 @@ class TestCli:
         capsys.readouterr()
         self._assert_refused(out, bad, *command)
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_empty_seeds_are_one_error_and_write_nothing(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_INI.replace("seeds = 0\n", "seeds =\n"), encoding="utf-8")
+        self._assert_refused(out, bad, "rq2")
+        assert capsys.readouterr().err == "error: bad value for [harness] seeds: ''\n"
+
+    @pytest.mark.parametrize("command", [("pretrain",), ("baseline", "llm_online"), ("rq3",)],
+                             ids=["pretrain", "llm_online", "rq3"])
+    def test_k_above_the_catalog_is_one_error_and_writes_nothing(self, tiny_config, tmp_path,
+                                                                 capsys, command):
+        # the tiny world has 14 items
+        out = tmp_path / "out"
+        out.mkdir()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_INI.replace("k = 4\n", "k = 15\n"), encoding="utf-8")
+        self._assert_refused(out, bad, *command)
+        assert capsys.readouterr().err.startswith("error: [training] k = 15 exceeds the "
+                                                  "catalog's 14 items")
 
     def test_online_without_pretrain_fails_cleanly(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "fresh"

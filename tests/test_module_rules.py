@@ -5,7 +5,7 @@ in ``tests/helpers.py`` shares no private helper with the code it checks.
 Also: the subcommands the README and ``cli.py`` name are the parser's, its
 method choices are the training module's, every training step is taken by
 the one rollout loop, ``online_phase`` is that loop's one online
-caller, and the harness runs every online method from one call site and
+caller, the one learner is stepped by the two learner classes, and the harness runs every online method from one call site and
 every preset from one per-seed loop."""
 from __future__ import annotations
 
@@ -105,6 +105,12 @@ def test_the_rollout_loop_has_one_online_caller():
     # every online method, schemes and baselines alike, is built and run by
     # ``online_phase``; ``run_baseline`` only starts it from the scratch agent
     assert _callers("_rollout") == ["training.pretrain", "training.online_phase"]
+
+
+def test_the_learner_is_reached_from_the_two_learner_classes():
+    # one batched learner, ``agent.update``, stepped by the replay TD learner
+    # and the episodic REINFORCE learner the rollout loop is handed
+    assert _callers("update") == ["training._ReplayTD", "training._Reinforce"]
 
 
 def test_parser_choices_are_the_training_method_names():
