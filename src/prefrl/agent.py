@@ -16,22 +16,29 @@ policy's probability of each action from its transition
 (``Transition.frozen_prob``, stored when the action was taken), so the
 frozen policy takes no part in the update.
 
+:func:`update` reads a minibatch as columns (:class:`TransitionBatch`): the
+encoder windows of the states and next states, already padded, and one array
+per field.  A replay buffer stores its transitions that way; a plain list of
+transitions is turned into one at the top of the step.
+
 A bundle is weights plus shape: the discount belongs to the phase being run,
 so :func:`update` takes it as ``gamma``, next to ``lr`` and ``momentum``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .encoder import (EncoderConfig, encode, encode_backward, encode_batch,
-                      encode_batch_with_cache, init_encoder_params)
+from .encoder import (EncoderConfig, encode, encode_backward, encode_windows,
+                      encode_windows_with_cache, init_encoder_params, window_ids)
 from .nn import ParamSet, optimizer_step, softmax
 
 __all__ = [
     "AgentBundle",
     "Transition",
+    "TransitionBatch",
     "init_agent",
     "action_distribution",
     "q_values",
@@ -52,6 +59,52 @@ class Transition:
     next_state_items: tuple[int, ...]
     done: bool
     frozen_prob: float | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionBatch:
+    """A minibatch as the columns :func:`update` reads, row b being
+    ``transitions[b]``: the state's encoder window (``windows``, from
+    :func:`encoder.window_ids`), the next state's (``next_windows``), each
+    ``next_state_items`` (``next_items``, the key of a target memo),
+    ``actions``, ``rewards``, ``done`` and ``frozen_probs`` (NaN where a
+    transition has none).  The windows are for ``encoder_config``'s item
+    space and window length.  It iterates as its transitions."""
+    transitions: np.ndarray     # (B,) object
+    windows: np.ndarray         # (B, max_seq_len) int64
+    next_windows: np.ndarray    # (B, max_seq_len) int64
+    next_items: np.ndarray      # (B,) object
+    actions: np.ndarray         # (B,) int64
+    rewards: np.ndarray         # (B,) float64
+    done: np.ndarray            # (B,) bool
+    frozen_probs: np.ndarray    # (B,) float64
+    encoder_config: EncoderConfig
+
+    def __len__(self) -> int:
+        return len(self.transitions)
+
+    def __iter__(self):
+        return iter(self.transitions)
+
+    def __getitem__(self, b: int) -> Transition:
+        return self.transitions[b]
+
+    @classmethod
+    def of(cls, transitions, config: EncoderConfig) -> "TransitionBatch":
+        """The columns of a nonempty sequence of transitions, every state and
+        next state padded by one :func:`encoder.window_ids` call (which
+        validates their ids)."""
+        rows = np.fromiter(transitions, object, len(transitions))
+        b = len(rows)
+        ids = window_ids([t.state_items for t in rows] + [t.next_state_items for t in rows],
+                         config)
+        frozen = [np.nan if t.frozen_prob is None else t.frozen_prob for t in rows]
+        return cls(rows, ids[:b], ids[b:],
+                   np.fromiter((t.next_state_items for t in rows), object, b),
+                   np.array([t.action for t in rows], dtype=np.int64),
+                   np.array([t.reward for t in rows], dtype=np.float64),
+                   np.array([t.done for t in rows], dtype=bool),
+                   np.array(frozen, dtype=np.float64), config)
 
 
 @dataclass
@@ -129,40 +182,48 @@ def backprop_heads(bundle: AgentBundle, state: np.ndarray, cache: dict,
     encode_backward(cache, d_state, params)
 
 
-def _td_targets(batch: list[Transition], bundle: AgentBundle, target: AgentBundle | None,
+def _td_targets(batch: TransitionBatch, bundle: AgentBundle, target: AgentBundle | None,
                 memo: dict | None, gamma: float) -> np.ndarray:
     """r + gamma * max_a' Q(s', a') of every transition, with a zero bootstrap
     on terminal ones, evaluated by ``target`` when given.  One batched encode
-    covers the distinct non-terminal next states, less those ``memo`` (next
-    state -> max_a' Q) already holds, whose values are added to it; with
-    every next state in it nothing is encoded."""
-    y = np.array([t.reward for t in batch], dtype=np.float64)
-    live = [i for i, t in enumerate(batch) if not t.done]
-    if live:
+    of ``next_windows`` covers the distinct non-terminal next states, less
+    those ``memo`` (next state -> max_a' Q) already holds, whose values are
+    added to it; with every next state in it nothing is encoded."""
+    y = batch.rewards.copy()
+    live = np.flatnonzero(~batch.done)
+    if live.size:
         critic = target if target is not None else bundle
         memo = {} if memo is None else memo
-        next_items = [batch[i].next_state_items for i in live]
-        missing = [s for s in dict.fromkeys(next_items) if s not in memo]
-        if missing:
-            next_states = encode_batch(missing, critic.params, critic.encoder_config)
-            memo |= zip(missing, q_values(next_states, critic).max(axis=1).tolist())
-        y[live] += gamma * np.array([memo[s] for s in next_items])
+        keys = batch.next_items[live]
+        # memo values are finite (q_values refuses others), so NaN marks a miss
+        boot = np.fromiter(map(memo.get, keys, repeat(np.nan)), np.float64, live.size)
+        cold = np.isnan(boot)
+        if cold.any():
+            fresh = dict(zip(keys[cold], live[cold]))   # distinct next state -> a row of it
+            next_states = encode_windows(batch.next_windows[list(fresh.values())],
+                                         critic.params, critic.encoder_config)
+            memo |= zip(fresh, q_values(next_states, critic).max(axis=1).tolist())
+            boot[cold] = np.fromiter(map(memo.__getitem__, keys[cold]), np.float64,
+                                     int(cold.sum()))
+        y[live] += gamma * boot
     return y
 
 
-def update(batch: list[Transition], bundle: AgentBundle, lr: float,
+def update(batch, bundle: AgentBundle, lr: float,
            momentum: float = 0.0, target_bundle: AgentBundle | None = None, *,
            actor: bool = True, alpha: float | None = None,
            returns=None, target_memo: dict | None = None,
            gamma: float = 0.9) -> tuple[float, float]:
     """One optimizer step on a minibatch, the learner of every training loop.
 
-    Averages the losses over the batch, accumulates the analytic gradients,
-    applies a single optimizer step, and returns (mean actor loss, mean
-    critic loss); a term that is off reports 0.0.  ``gamma`` discounts the
-    TD target's bootstrap.  By default an actor-critic step; ``actor=False``
-    keeps the critic's TD term alone; ``alpha`` makes the actor term read the
-    mixture ``p_mix(a) = (1 - alpha) *
+    ``batch`` is a :class:`TransitionBatch` (a replay buffer's sample, whose
+    windows were padded when the transitions were stored) or a sequence of
+    :class:`Transition`, turned into one here.  Averages the losses over the
+    batch, accumulates the analytic gradients, applies a single optimizer
+    step, and returns (mean actor loss, mean critic loss); a term that is off
+    reports 0.0.  ``gamma`` discounts the TD target's bootstrap.  By default
+    an actor-critic step; ``actor=False`` keeps the critic's TD term alone;
+    ``alpha`` makes the actor term read the mixture ``p_mix(a) = (1 - alpha) *
     t.frozen_prob + alpha * pi(a)`` with gradients into ``bundle`` only;
     ``returns`` gives REINFORCE, one return per transition and no critic
     term.  Per transition the logit gradient is ``c * (pi - one_hot) / B``
@@ -176,29 +237,36 @@ def update(batch: list[Transition], bundle: AgentBundle, lr: float,
     raises ValueError.
 
     The whole batch goes through one forward and one backward: one batched
-    encode each of the states and of the distinct non-terminal next states
-    (none when the memo holds them all).  Each row's forward products are
-    its own, so a memoised bootstrap has the bits a fresh encode would give,
-    and each transition adds one rank-one term to each weight gradient, so a
-    batch of two equal transitions takes exactly the step of one.  A mixture batch with a
-    transition that lacks ``frozen_prob`` raises ValueError.
+    encode each of the state windows and of the windows of the distinct
+    non-terminal next states (none when the memo holds them all); nothing is
+    padded.  Each row's forward products are its own, so a memoised bootstrap
+    has the bits a fresh encode would give, and each transition adds one
+    rank-one term to each weight gradient, so a batch of two equal
+    transitions takes exactly the step of one.  A mixture batch with a
+    transition that lacks ``frozen_prob``, or a batch padded for another item
+    space or window length, raises ValueError.
     """
-    if not batch:
+    if not len(batch):
         raise ValueError("update requires a nonempty batch")
     if target_memo is not None and target_bundle is None:
         raise ValueError("a target_memo needs the target_bundle its values come from")
     if returns is not None and len(returns) != len(batch):
         raise ValueError("returns must give one value per transition")
+    config = bundle.encoder_config
+    if not isinstance(batch, TransitionBatch):
+        batch = TransitionBatch.of(batch, config)
+    elif ((batch.encoder_config.num_items, batch.encoder_config.max_seq_len)
+          != (config.num_items, config.max_seq_len)):
+        raise ValueError("the batch was padded for another item space or window length")
     mixture = alpha is not None and actor
-    if mixture and any(t.frozen_prob is None for t in batch):
+    if mixture and np.isnan(batch.frozen_probs).any():
         raise ValueError("a mixture update needs frozen_prob on every transition")
     inv_b = 1.0 / len(batch)
     rows = np.arange(len(batch))
-    actions = np.array([t.action for t in batch], dtype=np.int64)
+    actions = batch.actions
     one_hot = np.zeros((len(batch), bundle.num_items))
     one_hot[rows, actions] = 1.0
-    states, cache = encode_batch_with_cache([t.state_items for t in batch], bundle.params,
-                                            bundle.encoder_config)
+    states, cache = encode_windows_with_cache(batch.windows, bundle.params, config)
     actor_mean = critic_mean = 0.0
     d_logits = d_q = None
     if returns is None:
@@ -212,8 +280,7 @@ def update(batch: list[Transition], bundle: AgentBundle, lr: float,
         pi = action_distribution(states, bundle)
         p_a = pi[rows, actions]
         if mixture:
-            frozen_a = np.array([t.frozen_prob for t in batch], dtype=np.float64)
-            p_a = (1.0 - alpha) * frozen_a + alpha * p_a
+            p_a = (1.0 - alpha) * batch.frozen_probs + alpha * p_a
         # clamped at LOG_PROB_FLOOR, so p == 0 gives the floor rather than -inf
         log_p = np.maximum(np.log(np.maximum(p_a, np.finfo(np.float64).tiny)), LOG_PROB_FLOOR)
         actor_mean = float(np.sum(-log_p * c)) * inv_b

@@ -1,9 +1,10 @@
 """Flat ``key = value`` configuration with one section per module.
 
 Every knob has a default recorded here; loading validates section and key
-names against the schema and parses values to their declared types.  The
-full effective configuration can be dumped back out (``config.full``) so
-every run records its provenance.
+names against the schema (a section with no keys too) and parses values to
+their declared types.  Seeds, and the ``[harness] seeds`` list, are
+non-negative integers.  The full effective configuration can be dumped back
+out (``config.full``) so every run records its provenance.
 """
 from __future__ import annotations
 
@@ -17,8 +18,15 @@ class ConfigError(ValueError):
     pass
 
 
-def _int_list(raw: str) -> list[int]:
-    values = [int(tok) for tok in raw.replace(",", " ").split()]
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("negative seed")
+    return value
+
+
+def _seed_list(raw: str) -> list[int]:
+    values = [_seed(tok) for tok in raw.replace(",", " ").split()]
     if not values:
         raise ValueError("empty list")
     return values
@@ -32,7 +40,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "seq_len": (int, 6),
         "d_lat": (int, 4),
         "noise_scale": (float, 0.05),
-        "seed": (int, 0),
+        "seed": (_seed, 0),
         "train_fraction": (float, 0.8),
         "catalog_path": (str, ""),
         "interactions_path": (str, ""),
@@ -62,7 +70,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "max_steps": (int, 30),
         "quit_threshold": (float, 0.75),
         "r_max": (float, 5.0),
-        "seed": (int, 0),
+        "seed": (_seed, 0),
         "d_rm": (int, 8),
         "fit_epochs": (int, 40),
         "fit_lr": (float, 0.01),
@@ -84,14 +92,14 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "alpha_init": (float, 0.2),
         "alpha_anneal_steps": (int, 20_000),
         "target_update": (int, 0),
-        "seed": (int, 0),
+        "seed": (_seed, 0),
         "scheme": (str, "ft"),
         "strategy": (str, "categorical"),
         "epsilon": (float, 0.1),
     },
     "harness": {
         "run_id": (str, "run"),
-        "seeds": (_int_list, [0, 1, 2, 3, 4]),
+        "seeds": (_seed_list, [0, 1, 2, 3, 4]),
         "episodes_per_epoch": (int, 50),
         "eval_episodes": (int, 20),
     },
@@ -143,6 +151,8 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
             raise ConfigError(f"{path}: a [DEFAULT] section is not supported; "
                               "put each key in its module's section")
         for section in parser.sections():
+            if section not in SCHEMA:
+                raise ConfigError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
                 values[section][key] = _parse_value(section, key, raw)
     for (section, key), raw in (overrides or {}).items():

@@ -11,7 +11,11 @@ last slot, and since that slot's query may see every key, only that one query
 row is computed: there is no causal mask and no output for the other slots.
 
 Every entry point runs the same batched forward over a ``(B, max_seq_len, d)``
-tensor; :func:`encode` and :func:`encode_with_cache` are its B=1 case.  Each
+tensor.  Its input is the ``(B, max_seq_len)`` id array of the sequences'
+windows, :func:`window_ids`; :func:`encode_windows` encodes such an array
+directly, so a caller that keeps its windows (the replay buffer pads each
+transition once, when it is stored) never pads again.  :func:`encode_batch`
+is ``encode_windows(window_ids(...))`` and :func:`encode` its B=1 case.  Each
 batch row is computed by its own small matrix products, so a state has the
 same bits whatever batch the sequence is encoded in.
 
@@ -36,7 +40,9 @@ __all__ = [
     "encode_with_cache",
     "encode_backward",
     "encode_batch",
-    "encode_batch_with_cache",
+    "window_ids",
+    "encode_windows",
+    "encode_windows_with_cache",
 ]
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
     }
 
 
-def _pad_ids(sequences, config: EncoderConfig) -> np.ndarray:
+def window_ids(sequences, config: EncoderConfig) -> np.ndarray:
     """The ``(B, max_seq_len)`` id array of a batch of sequences: each row the
     sequence's last ``max_seq_len`` items, left-padded with the padding id.
     Every id of the batch, inside the window or not, is validated at once."""
@@ -120,26 +126,32 @@ def _forward(ids: np.ndarray, params: ParamSet, config: EncoderConfig):
 
 def encode(sequence, params: ParamSet, config: EncoderConfig) -> np.ndarray:
     """State vector for one item-id sequence (most recent item last)."""
-    return _forward(_pad_ids([sequence], config), params, config)[0][0]
+    return _forward(window_ids([sequence], config), params, config)[0][0]
 
 
 def encode_with_cache(sequence, params: ParamSet, config: EncoderConfig):
     """Like :func:`encode` but also returns the forward cache needed by
     :func:`encode_backward`."""
-    states, cache = _forward(_pad_ids([sequence], config), params, config)
+    states, cache = _forward(window_ids([sequence], config), params, config)
     return states[0], cache
+
+
+def encode_windows(ids: np.ndarray, params: ParamSet, config: EncoderConfig) -> np.ndarray:
+    """States (B, d) of a (B, max_seq_len) id array from :func:`window_ids`
+    (or rows of one), in one forward."""
+    return _forward(ids, params, config)[0]
+
+
+def encode_windows_with_cache(ids: np.ndarray, params: ParamSet, config: EncoderConfig):
+    """Like :func:`encode_windows` but also returns the forward cache needed
+    by :func:`encode_backward`."""
+    return _forward(ids, params, config)
 
 
 def encode_batch(sequences, params: ParamSet, config: EncoderConfig) -> np.ndarray:
     """States (B, d) of a nonempty batch of sequences in one forward; row b
     is bitwise equal to ``encode(sequences[b], ...)``."""
-    return _forward(_pad_ids(sequences, config), params, config)[0]
-
-
-def encode_batch_with_cache(sequences, params: ParamSet, config: EncoderConfig):
-    """Like :func:`encode_batch` but also returns the forward cache needed by
-    :func:`encode_backward`."""
-    return _forward(_pad_ids(sequences, config), params, config)
+    return encode_windows(window_ids(sequences, config), params, config)
 
 
 def encode_backward(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:

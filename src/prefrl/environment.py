@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionLog
-from .encoder import (EncoderConfig, encode_backward, encode_batch, encode_with_cache,
-                      init_encoder_params)
+from .encoder import (EncoderConfig, encode_backward, encode_batch, encode_windows_with_cache,
+                      init_encoder_params, window_ids)
 from .nn import ParamSet, optimizer_step, softmax
 
 __all__ = [
@@ -237,13 +237,17 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
     for seq in log_.sequences:
         for t in range(1, len(seq.items)):
             pairs.append((seq.items[:t], seq.items[t]))
+    # the prefixes are fixed, so each is padded once; a (1, n) row slice
+    # encodes as encode_with_cache(prefix) does
+    windows = window_ids([prefix for prefix, _ in pairs], config) if pairs else None
     loss_history = []
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
         total = 0.0
         for idx in order:
-            prefix, target = pairs[idx]
-            state, cache = encode_with_cache(prefix, params, config)
+            target = pairs[idx][1]
+            states, cache = encode_windows_with_cache(windows[idx:idx + 1], params, config)
+            state = states[0]
             item_emb = params["item_emb"][:num_items]
             probs = softmax(item_emb @ state)
             total += -float(np.log(max(probs[target], 1e-12)))

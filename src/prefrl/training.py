@@ -37,6 +37,12 @@ learning or a snapshot, stops it with one :class:`DivergenceError`; the loop
 is handed the run's method and names it, the step, ``lr`` and
 ``target_update`` in the message.
 
+``_ReplayTD``'s :class:`ReplayBuffer` holds each transition once, as the
+columns :func:`agent.update` reads: its state and next state are padded to
+encoder windows when it is pushed, and a sample hands ``update`` those rows
+(a :class:`agent.TransitionBatch`), so a transition is padded once however
+often it is sampled.
+
 With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
 from a critic snapshot frozen for N learner steps, so within a period it is
 a fixed function of the next state.  ``_ReplayTD`` keeps the snapshot
@@ -77,13 +83,13 @@ from __future__ import annotations
 
 import itertools
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import AgentBundle, Transition, action_distribution, init_agent, q_values, update
-from .encoder import EncoderConfig, encode_batch
+from .agent import (AgentBundle, Transition, TransitionBatch, action_distribution, init_agent,
+                    q_values, update)
+from .encoder import EncoderConfig, encode_batch, encode_windows, window_ids
 from .environment import EnvState
 from .metrics import EpisodeRecord, MetricMeans, compute_metrics
 from .nn import _check_probs, sample_categorical, softmax
@@ -134,25 +140,77 @@ def derive_seed(seed: int, key: int) -> int:
 
 
 class ReplayBuffer:
-    """Bounded FIFO of transitions with seeded uniform minibatch sampling."""
+    """Bounded FIFO of transitions with seeded uniform minibatch sampling,
+    held as the columns :func:`update` reads (:class:`TransitionBatch`).
 
-    def __init__(self, capacity: int):
+    :meth:`push` validates and pads each transition once: the state's
+    encoder window (:func:`encoder.window_ids`, for ``encoder_config``), and
+    the next state's, which is that window shifted left with the action
+    appended, so the next state must be the state plus the action.  Every
+    other column is the transition's own value (``frozen_prob`` None as NaN).
+    The columns grow by doubling up to ``capacity``; once full, a push
+    overwrites the oldest row.  :meth:`sample` draws
+    ``rng.choice(len(self), batch_size, replace=False)``, indices counted
+    from the oldest transition, and returns those rows."""
+
+    def __init__(self, capacity: int, encoder_config: EncoderConfig):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: deque[Transition] = deque(maxlen=capacity)
+        self.encoder_config = encoder_config
+        self._size = 0
+        self._oldest = 0   # the row of the oldest transition, once full
+        n = encoder_config.max_seq_len
+        self._columns = {
+            "transitions": np.empty(0, object), "windows": np.empty((0, n), np.int64),
+            "next_windows": np.empty((0, n), np.int64), "next_items": np.empty(0, object),
+            "actions": np.empty(0, np.int64), "rewards": np.empty(0, np.float64),
+            "done": np.empty(0, bool), "frozen_probs": np.empty(0, np.float64),
+        }
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
     def push(self, transition: Transition) -> None:
-        self._items.append(transition)
+        t, config = transition, self.encoder_config
+        window = window_ids([t.state_items], config)[0]
+        if not 0 <= t.action < config.num_items:
+            raise ValueError(f"action {t.action} out of range [0, {config.num_items})")
+        if t.next_state_items[:-1] != t.state_items or t.next_state_items[-1:] != (t.action,):
+            raise ValueError("a buffered transition's next state must be its state plus "
+                             "its action")
+        columns = self._columns
+        if self._size < self.capacity:
+            row = self._size
+            if row == len(columns["actions"]):
+                self._grow(min(2 * row, self.capacity) or 1)
+            self._size += 1
+        else:
+            row = self._oldest
+            self._oldest = (row + 1) % self.capacity
+        columns["transitions"][row] = t
+        columns["windows"][row] = window
+        columns["next_windows"][row, :-1] = window[1:]
+        columns["next_windows"][row, -1] = t.action
+        columns["next_items"][row] = t.next_state_items
+        columns["actions"][row] = t.action
+        columns["rewards"][row] = t.reward
+        columns["done"][row] = t.done
+        columns["frozen_probs"][row] = np.nan if t.frozen_prob is None else t.frozen_prob
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if batch_size > len(self._items):
+    def _grow(self, rows: int) -> None:
+        for name, column in self._columns.items():
+            grown = np.empty((rows,) + column.shape[1:], column.dtype)
+            grown[:len(column)] = column
+            self._columns[name] = grown
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
+        if batch_size > self._size:
             raise ValueError("not enough transitions buffered to sample a batch")
-        idx = rng.choice(len(self._items), size=batch_size, replace=False)
-        return [self._items[int(i)] for i in idx]
+        idx = rng.choice(self._size, size=batch_size, replace=False)
+        rows = (idx + self._oldest) % self.capacity
+        return TransitionBatch(**{name: column[rows] for name, column in self._columns.items()},
+                               encoder_config=self.encoder_config)
 
 
 @dataclass(frozen=True)
@@ -248,7 +306,7 @@ class _ReplayTD:
     def __init__(self, agent: AgentBundle, config: TrainConfig, rng: np.random.Generator,
                  actor: bool = True, mix: MixPolicy | None = None):
         self.agent, self.config, self.rng, self.actor, self.mix = agent, config, rng, actor, mix
-        self.buffer = ReplayBuffer(config.buffer_capacity)
+        self.buffer = ReplayBuffer(config.buffer_capacity, agent.encoder_config)
         self.updates = 0
         self.target, self.memo = (agent.clone(), {}) if config.target_update > 0 else (None, None)
 
@@ -275,9 +333,10 @@ def alpha_at(step: int, config: TrainConfig) -> float:
     return config.alpha_init + (1.0 - config.alpha_init) * frac
 
 
-def _actor_probs(bundle: AgentBundle, histories) -> np.ndarray:
-    """(B, n) actor distributions of a batch of histories, one batched encode."""
-    return action_distribution(encode_batch(histories, bundle.params, bundle.encoder_config),
+def _actor_probs(bundle: AgentBundle, ids: np.ndarray) -> np.ndarray:
+    """(B, n) actor distributions of a batch of history windows
+    (:func:`encoder.window_ids`), one batched encode."""
+    return action_distribution(encode_windows(ids, bundle.params, bundle.encoder_config),
                                bundle)
 
 
@@ -300,8 +359,9 @@ class MixPolicy(_PolicyView):
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.frozen.num_items != self.learnable.num_items:
-            raise ValueError("mixed policies must share the item space")
+        if ((self.frozen.num_items, self.frozen.encoder_config.max_seq_len)
+                != (self.learnable.num_items, self.learnable.encoder_config.max_seq_len)):
+            raise ValueError("mixed policies must share the item space and window length")
 
     def probs_batch(self, histories) -> np.ndarray:
         """(1 - alpha) * frozen + alpha * learnable per history, each side
@@ -309,9 +369,11 @@ class MixPolicy(_PolicyView):
         return self._sides(histories)[0]
 
     def _sides(self, histories) -> tuple[np.ndarray, np.ndarray]:
-        """The mixture and its frozen side, (B, n) each."""
-        frozen = _actor_probs(self.frozen, histories)
-        learnable = _actor_probs(self.learnable, histories)
+        """The mixture and its frozen side, (B, n) each; the histories are
+        padded once, for both sides."""
+        ids = window_ids(histories, self.learnable.encoder_config)
+        frozen = _actor_probs(self.frozen, ids)
+        learnable = _actor_probs(self.learnable, ids)
         return (1.0 - self.alpha) * frozen + self.alpha * learnable, frozen
 
 
@@ -415,7 +477,7 @@ class ActorPolicy(_PolicyView):
         self.bundle = bundle
 
     def probs_batch(self, histories) -> np.ndarray:
-        return _actor_probs(self.bundle, histories)
+        return _actor_probs(self.bundle, window_ids(histories, self.bundle.encoder_config))
 
 
 class QGreedyPolicy(_PolicyView):

@@ -71,7 +71,7 @@ def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: in
     target critic is refreshed every ``target_update`` updates.  Mutates
     ``agent`` and returns the per-epoch records."""
     rng = derive_rng(config.seed, KEY_PRETRAIN) if rng is None else rng
-    buffer = ReplayBuffer(config.buffer_capacity)
+    buffer = ReplayBuffer(config.buffer_capacity, agent.encoder_config)
     target = agent.clone() if config.target_update > 0 else None
     updates = 0
     records = []

@@ -10,6 +10,7 @@ from prefrl.agent import (Transition, action_distribution, init_agent, policy_fo
                           update)
 from prefrl import encoder
 from prefrl.nn import finite_diff_grad
+from prefrl.training import ReplayBuffer
 
 
 def toy_agent(num_items=5, embed_dim=3, seed=0):
@@ -302,6 +303,66 @@ class TestUpdate:
         for name, step in whole.items():
             mean = sum(single[name] for single in singles) / len(batch)
             assert np.abs(step - mean).max() < 1e-10, name
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_a_sampled_batch_steps_as_its_transitions(self, setting):
+        # update on a replay buffer's columns, padded once at push, is
+        # bitwise update on the same transitions as a plain list
+        rng = np.random.default_rng(44)
+        agent = toy_agent(seed=45)
+        buffer = ReplayBuffer(16, agent.encoder_config)
+        items = (0,)
+        for i in range(24):
+            action = int(rng.integers(5))
+            t = Transition(items, action, float(rng.normal()), items + (action,), i % 5 == 4)
+            buffer.push(self._setting_batch(setting, [t])[0])
+            items = (int(rng.integers(5)),) if t.done else t.next_state_items
+        returns = rng.normal(size=12)
+        sampled, plain = toy_agent(seed=46), toy_agent(seed=46)
+        memos = ({}, {})
+        for step in range(3):
+            batch = buffer.sample(12, np.random.default_rng(step))
+            losses = update(batch, sampled, 0.05, 0.5,
+                            **self._setting_kwargs(setting, returns, memos[0]))
+            assert update(list(batch), plain, 0.05, 0.5,
+                          **self._setting_kwargs(setting, returns, memos[1])) == losses
+            for name in plain.params:
+                assert np.array_equal(sampled.params[name], plain.params[name]), name
+        assert memos[0] == memos[1]
+
+    def test_a_sampled_batch_is_not_padded_again(self, monkeypatch):
+        # the buffer pads at push; update reads its windows, and only a
+        # plain list is padded, once, in update
+        from prefrl import agent as agent_module
+
+        calls = []
+        pad = encoder.window_ids
+
+        def counted(sequences, config):
+            calls.append(len(sequences))
+            return pad(sequences, config)
+
+        agent = toy_agent(seed=47)
+        rng = np.random.default_rng(48)
+        buffer = ReplayBuffer(64, agent.encoder_config)
+        for i in range(64):
+            buffer.push(random_transition(agent, rng, done=(i % 4 == 0)))
+        batch = buffer.sample(32, rng)
+        for module in (encoder, agent_module):
+            monkeypatch.setattr(module, "window_ids", counted)
+        update(batch, agent, 0.01, 0.0, toy_agent(seed=49), target_memo={})
+        assert calls == []
+        update(list(batch), agent, 0.01, 0.0, toy_agent(seed=49), target_memo={})
+        assert calls == [64]
+
+    def test_a_batch_padded_for_another_window_is_refused(self):
+        agent = toy_agent(seed=50)
+        buffer = ReplayBuffer(4, encoder.EncoderConfig(num_items=5, embed_dim=3, max_seq_len=6))
+        buffer.push(Transition((0,), 1, 1.0, (0, 1), False))
+        before = agent.params.copy()
+        with pytest.raises(ValueError, match="window length"):
+            update(buffer.sample(1, np.random.default_rng(0)), agent, 0.01)
+        assert before.allclose(agent.params)
 
     @pytest.mark.parametrize("setting, encodes", [
         ("actor_critic", 2), ("target_bundle", 2), ("target_memo", 2), ("critic_only", 2),

@@ -3,7 +3,8 @@ import pytest
 
 from helpers import max_rel_err
 from prefrl.encoder import (EncoderConfig, encode, encode_backward, encode_batch,
-                            encode_batch_with_cache, encode_with_cache, init_encoder_params)
+                            encode_windows_with_cache, encode_with_cache, init_encoder_params,
+                            window_ids)
 from prefrl.nn import ParamSet, finite_diff_grad
 
 
@@ -157,6 +158,12 @@ class TestGradients:
         numeric = finite_diff_grad(lambda p: float(w @ encode(seq, p, config)), params)
         assert max_rel_err(analytic, numeric) < 1e-4
 
+    def test_window_ids_left_pad_and_keep_the_last_items(self):
+        config = EncoderConfig(num_items=6, embed_dim=2, max_seq_len=3)
+        ids = window_ids([(1,), (2, 3, 4), (0, 1, 2, 3, 5)], config)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [[6, 6, 1], [2, 3, 4], [2, 3, 5]]
+
     def _batch_case(self, seed=11):
         # lengths 1, max_seq_len, longer than max_seq_len, and 2
         config = EncoderConfig(num_items=6, embed_dim=4, max_seq_len=3)
@@ -167,7 +174,7 @@ class TestGradients:
 
     def test_batched_backward_matches_finite_differences(self):
         config, params, seqs, w = self._batch_case()
-        _, cache = encode_batch_with_cache(seqs, params, config)
+        _, cache = encode_windows_with_cache(window_ids(seqs, config), params, config)
         params.zero_grads()
         encode_backward(cache, w, params)
         analytic = {k: v.copy() for k, v in params.grads.items()}
@@ -179,7 +186,7 @@ class TestGradients:
 
     def test_padding_row_gets_no_gradient(self):
         config, params, seqs, w = self._batch_case(seed=12)
-        _, cache = encode_batch_with_cache(seqs, params, config)
+        _, cache = encode_windows_with_cache(window_ids(seqs, config), params, config)
         params.zero_grads()
         encode_backward(cache, w, params)
         assert np.any(params.grads["item_emb"][:config.num_items] != 0.0)

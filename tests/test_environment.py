@@ -209,6 +209,41 @@ class TestFitSequential:
         numeric = finite_diff_grad(loss_fn, params)
         assert max_rel_err(analytic, numeric) < 1e-4
 
+    def test_fit_is_bitwise_the_loop_that_pads_every_step(self):
+        # the fit pads each fixed prefix once; a reference that pads the
+        # prefix at every step, as encode_with_cache does, gives every bit
+        from prefrl.encoder import (EncoderConfig, encode_backward, encode_with_cache,
+                                    init_encoder_params)
+        from prefrl.nn import ParamSet, optimizer_step, softmax
+
+        _, log, _ = generate_synthetic(12, 15, 6, 3, seed=6, noise_scale=0.05)
+        num_items, d_rm, max_seq_len, epochs, lr, seed = 15, 4, 3, 3, 0.05, 2
+        rng = np.random.default_rng(seed)
+        config = EncoderConfig(num_items=num_items, embed_dim=d_rm, max_seq_len=max_seq_len)
+        params = ParamSet(init_encoder_params(config, rng))
+        pairs = [(seq.items[:t], seq.items[t]) for seq in log.sequences
+                 for t in range(1, len(seq.items))]
+        losses = []
+        for _ in range(epochs):
+            total = 0.0
+            for idx in rng.permutation(len(pairs)):
+                prefix, target = pairs[idx]
+                state, cache = encode_with_cache(prefix, params, config)
+                item_emb = params["item_emb"][:num_items]
+                probs = softmax(item_emb @ state)
+                total += -float(np.log(max(probs[target], 1e-12)))
+                d_logits = probs.copy()
+                d_logits[target] -= 1.0
+                params.grads["item_emb"][:num_items] += np.outer(d_logits, state)
+                encode_backward(cache, item_emb.T @ d_logits, params)
+                optimizer_step(params, lr)
+            losses.append(total / len(pairs))
+        m = fit_reward_model(log, "sequential", num_items, d_rm=d_rm, epochs=epochs, lr=lr,
+                             max_seq_len=max_seq_len, seed=seed)
+        assert m.loss_history == losses
+        for name in params:
+            assert np.array_equal(m.params[name], params[name]), name
+
     def test_learns_next_item_structure(self):
         _, log, _ = generate_synthetic(20, 25, 6, 4, seed=3, noise_scale=0.05)
         m = fit_reward_model(log, "sequential", 25, d_rm=8, epochs=8, lr=0.05,

@@ -284,6 +284,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cluster"):
             load_config(p)
 
+    @pytest.mark.parametrize("text", ["[cluster]\n", "[training]\nseed = 9\n[cluster]\n"],
+                             ids=["alone", "next_to_training"])
+    def test_a_section_with_no_keys_is_named(self, tmp_path, text):
+        # a section outside the schema is refused even when it sets nothing
+        p = tmp_path / "c.ini"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape("unknown config section [cluster]")):
+            load_config(p)
+
+    @pytest.mark.parametrize("section, key, raw", [
+        ("training", "seed", "-1"), ("environment", "seed", "-2"), ("data", "seed", "-3"),
+        ("harness", "seeds", "0, -1"), ("harness", "seeds", "-4")])
+    def test_a_negative_seed_is_named(self, tmp_path, section, key, raw):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+        message = re.escape(f"bad value for [{section}] {key}: {raw!r}")
+        with pytest.raises(ConfigError, match=message):
+            load_config(p)
+        with pytest.raises(ConfigError, match=message):
+            load_config(None, {(section, key): raw})
+        assert load_config(None, {(section, key): "0"})[section][key] in (0, [0])
+
     @pytest.mark.parametrize("text", ["[DEFAULT]\nlr = 0.5\n",
                                       "[DEFAULT]\nlr = 0.5\n[training]\nseed = 9\n"],
                              ids=["alone", "next_to_training"])
@@ -628,6 +650,24 @@ class TestCli:
         capsys.readouterr()
         self._assert_refused(out, bad, *command)
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [("pretrain",), ("rq2",)], ids=["pretrain", "rq2"])
+    def test_a_negative_seed_is_one_error_and_writes_nothing(self, tiny_config, tmp_path,
+                                                            capsys, command):
+        # the seed is refused by name before any run directory is made
+        out = tmp_path / "out"
+        out.mkdir()
+        self._assert_refused(out, tiny_config, "--seed", "-1", *command)
+        assert capsys.readouterr().err == "error: bad value for [training] seed: '-1'\n"
+        assert not list(out.iterdir())
+
+    def test_a_section_outside_the_schema_is_one_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[cluster]\n", encoding="utf-8")
+        self._assert_refused(out, bad, "gen-data")
+        assert capsys.readouterr().err == "error: unknown config section [cluster]\n"
 
     def test_empty_seeds_are_one_error_and_write_nothing(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -37,6 +37,9 @@ def make_env(world, which="train", seed=0, max_steps=12):
                            EnvConfig(max_steps=max_steps, quit_threshold=0.75, seed=seed))
 
 
+WINDOW = EncoderConfig(num_items=5, embed_dim=2, max_seq_len=3)
+
+
 def agent_for(world, seed=0):
     return init_agent(world["catalog"].num_items, embed_dim=8, max_seq_len=6, seed=seed)
 
@@ -55,22 +58,65 @@ class TestTrainConfig:
 
 
 class TestReplayBuffer:
+    # the buffer pads each state to the encoder window when it is stored
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=3)
+        buf = ReplayBuffer(capacity=3, encoder_config=WINDOW)
         for i in range(5):
             buf.push(Transition((i,), 0, 0.0, (i, 0), False))
         assert len(buf) == 3
         assert buf.sample(3, np.random.default_rng(0))[0].state_items[0] in (2, 3, 4)
 
     def test_sampling_needs_enough_items(self):
-        buf = ReplayBuffer(capacity=10)
+        buf = ReplayBuffer(capacity=10, encoder_config=WINDOW)
         buf.push(Transition((0,), 0, 0.0, (0, 0), False))
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(0)
+            ReplayBuffer(0, WINDOW)
+
+    @pytest.mark.parametrize("capacity", [1, 5, 8])
+    def test_columns_match_a_deque_reference_across_wraparound(self, capacity):
+        # after every push, a full-size sample's rows are the rows of the
+        # same draw from a deque of the transitions, padded afresh; the
+        # histories run past the window (3) and the pushes past the capacity
+        from collections import deque
+
+        from prefrl.agent import TransitionBatch
+
+        rng = np.random.default_rng(50)
+        buf, reference = ReplayBuffer(capacity, WINDOW), deque(maxlen=capacity)
+        history = (0,)
+        for step in range(3 * capacity + 7):
+            action = int(rng.integers(5))
+            done = bool(rng.random() < 0.2) or len(history) > 5
+            frozen_prob = None if step % 3 else float(rng.random())
+            t = Transition(history, action, float(rng.normal()), history + (action,), done,
+                           frozen_prob)
+            buf.push(t)
+            reference.append(t)
+            history = (int(rng.integers(5)),) if done else t.next_state_items
+            size = len(reference)
+            assert len(buf) == size
+            sample = buf.sample(size, np.random.default_rng(step))
+            idx = np.random.default_rng(step).choice(size, size=size, replace=False)
+            expected = TransitionBatch.of([reference[int(i)] for i in idx], WINDOW)
+            assert list(sample) == list(expected)
+            for name in ("windows", "next_windows", "actions", "rewards", "done"):
+                assert np.array_equal(getattr(sample, name), getattr(expected, name)), name
+            assert np.array_equal(sample.frozen_probs, expected.frozen_probs, equal_nan=True)
+            assert list(sample.next_items) == [t.next_state_items for t in expected]
+
+    def test_a_push_validates_the_transition(self):
+        buf = ReplayBuffer(4, WINDOW)
+        for bad, match in ((Transition((0, 5), 1, 0.0, (0, 5, 1), False), "item id 5"),
+                           (Transition((0,), 5, 0.0, (0, 5), False), "action 5"),
+                           (Transition((0,), 1, 0.0, (0, 2), False), "state plus its action"),
+                           (Transition((0,), 1, 0.0, (1,), True), "state plus its action")):
+            with pytest.raises(ValueError, match=match):
+                buf.push(bad)
+        assert len(buf) == 0
 
 
 class TestExplorationStrategy:
@@ -908,6 +954,27 @@ class TestEvaluate:
             distinct = len(set(eval_starts(env, num_episodes, seed=3)))
             assert calls == [distinct] * (per_step * horizon)
         assert distinct < 20
+
+    def test_the_mixture_pads_once_for_both_sides(self, world, monkeypatch):
+        calls = []
+        pad = encoder.window_ids
+
+        def counted(sequences, config):
+            calls.append(len(sequences))
+            return pad(sequences, config)
+
+        monkeypatch.setattr(training, "window_ids", counted)
+        mix = policy_view(world, "mix")
+        histories = [(1,), (2, 3), tuple(range(9))]
+        expected = [mix.probs(h) for h in histories]
+        calls.clear()
+        assert np.array_equal(mix.probs_batch(histories), expected)
+        assert calls == [3]
+
+    def test_mixed_policies_must_share_the_window_length(self, world):
+        other = init_agent(world["catalog"].num_items, embed_dim=8, max_seq_len=5, seed=0)
+        with pytest.raises(ValueError, match="window length"):
+            MixPolicy(agent_for(world), other, 0.3)
 
 
 class CountingEnv(UserEnvironment):
