@@ -17,8 +17,9 @@ policy's probability of each action from its transition
 frozen policy takes no part in the update.
 
 :func:`update` reads a minibatch as columns (:class:`TransitionBatch`): the
-encoder windows of the states and next states, already padded, and one array
-per field.  A replay buffer stores its transitions that way; a plain list of
+encoder windows of the states, already padded, and one array per field; a
+next state is its state plus its action, so its window is the state's
+shifted in by the action.  A replay buffer stores its transitions that way; a plain list of
 transitions is turned into one at the top of the step.
 
 A bundle is weights plus shape: the discount belongs to the phase being run,
@@ -39,6 +40,7 @@ __all__ = [
     "AgentBundle",
     "Transition",
     "TransitionBatch",
+    "check_successor",
     "init_agent",
     "action_distribution",
     "q_values",
@@ -61,18 +63,30 @@ class Transition:
     frozen_prob: float | None = None
 
 
+def check_successor(transition: Transition, num_items: int) -> None:
+    """Refuse a transition whose action lies outside ``[0, num_items)`` or
+    whose next state is not its state plus its action, the only shape a
+    rollout makes and the one :attr:`TransitionBatch.next_windows` assumes."""
+    t = transition
+    if not 0 <= t.action < num_items:
+        raise ValueError(f"action {t.action} out of range [0, {num_items})")
+    if t.next_state_items[:-1] != t.state_items or t.next_state_items[-1:] != (t.action,):
+        raise ValueError("a transition's next state must be its state plus its action")
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionBatch:
     """A minibatch as the columns :func:`update` reads, row b being
     ``transitions[b]``: the state's encoder window (``windows``, from
-    :func:`encoder.window_ids`), the next state's (``next_windows``), each
-    ``next_state_items`` (``next_items``, the key of a target memo),
-    ``actions``, ``rewards``, ``done`` and ``frozen_probs`` (NaN where a
-    transition has none).  The windows are for ``encoder_config``'s item
-    space and window length.  It iterates as its transitions."""
+    :func:`encoder.window_ids`), each ``next_state_items`` (``next_items``,
+    the key of a target memo), ``actions``, ``rewards``, ``done`` and
+    ``frozen_probs`` (NaN where a transition has none).  The windows are for
+    ``encoder_config``'s item space and window length.  Every transition
+    passed :func:`check_successor`, so a next state's window is its state's
+    shifted in by the action (:attr:`next_windows`).  It iterates as its
+    transitions."""
     transitions: np.ndarray     # (B,) object
     windows: np.ndarray         # (B, max_seq_len) int64
-    next_windows: np.ndarray    # (B, max_seq_len) int64
     next_items: np.ndarray      # (B,) object
     actions: np.ndarray         # (B,) int64
     rewards: np.ndarray         # (B,) float64
@@ -89,18 +103,25 @@ class TransitionBatch:
     def __getitem__(self, b: int) -> Transition:
         return self.transitions[b]
 
+    @property
+    def next_windows(self) -> np.ndarray:
+        """The next states' windows: each state window shifted left one
+        place with its action appended, as :func:`encoder.window_ids` would
+        pad the next state."""
+        return np.concatenate((self.windows[:, 1:], self.actions[:, None]), axis=1)
+
     @classmethod
     def of(cls, transitions, config: EncoderConfig) -> "TransitionBatch":
-        """The columns of a nonempty sequence of transitions, every state and
-        next state padded by one :func:`encoder.window_ids` call (which
-        validates their ids)."""
+        """The columns of a nonempty sequence of transitions, each checked by
+        :func:`check_successor` and the states padded by one
+        :func:`encoder.window_ids` call (which validates their ids)."""
         rows = np.fromiter(transitions, object, len(transitions))
         b = len(rows)
-        ids = window_ids([t.state_items for t in rows] + [t.next_state_items for t in rows],
-                         config)
+        windows = window_ids([t.state_items for t in rows], config)
+        for t in rows:
+            check_successor(t, config.num_items)
         frozen = [np.nan if t.frozen_prob is None else t.frozen_prob for t in rows]
-        return cls(rows, ids[:b], ids[b:],
-                   np.fromiter((t.next_state_items for t in rows), object, b),
+        return cls(rows, windows, np.fromiter((t.next_state_items for t in rows), object, b),
                    np.array([t.action for t in rows], dtype=np.int64),
                    np.array([t.reward for t in rows], dtype=np.float64),
                    np.array([t.done for t in rows], dtype=bool),
@@ -243,8 +264,9 @@ def update(batch, bundle: AgentBundle, lr: float,
     has the bits a fresh encode would give, and each transition adds one
     rank-one term to each weight gradient, so a batch of two equal
     transitions takes exactly the step of one.  A mixture batch with a
-    transition that lacks ``frozen_prob``, or a batch padded for another item
-    space or window length, raises ValueError.
+    transition that lacks ``frozen_prob``, a batch padded for another item
+    space or window length, or a listed transition that fails
+    :func:`check_successor`, raises ValueError.
     """
     if not len(batch):
         raise ValueError("update requires a nonempty batch")

@@ -87,8 +87,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import (AgentBundle, Transition, TransitionBatch, action_distribution, init_agent,
-                    q_values, update)
+from .agent import (AgentBundle, Transition, TransitionBatch, action_distribution,
+                    check_successor, init_agent, q_values, update)
 from .encoder import EncoderConfig, encode_batch, encode_windows, window_ids
 from .environment import EnvState
 from .metrics import EpisodeRecord, MetricMeans, compute_metrics
@@ -143,15 +143,15 @@ class ReplayBuffer:
     """Bounded FIFO of transitions with seeded uniform minibatch sampling,
     held as the columns :func:`update` reads (:class:`TransitionBatch`).
 
-    :meth:`push` validates and pads each transition once: the state's
-    encoder window (:func:`encoder.window_ids`, for ``encoder_config``), and
-    the next state's, which is that window shifted left with the action
-    appended, so the next state must be the state plus the action.  Every
-    other column is the transition's own value (``frozen_prob`` None as NaN).
-    The columns grow by doubling up to ``capacity``; once full, a push
-    overwrites the oldest row.  :meth:`sample` draws
-    ``rng.choice(len(self), batch_size, replace=False)``, indices counted
-    from the oldest transition, and returns those rows."""
+    :meth:`push` validates each transition (:func:`agent.check_successor`)
+    and pads its state's encoder window once (:func:`encoder.window_ids`,
+    for ``encoder_config``); the next state's window is derived from it and
+    the action when a batch reads it.  Every other column is the
+    transition's own value (``frozen_prob`` None as NaN).  The columns grow
+    by doubling up to ``capacity``; once full, a push overwrites the oldest
+    row.  :meth:`sample` draws ``rng.choice(len(self), batch_size,
+    replace=False)``, indices counted from the oldest transition, and
+    returns those rows."""
 
     def __init__(self, capacity: int, encoder_config: EncoderConfig):
         if capacity < 1:
@@ -160,12 +160,12 @@ class ReplayBuffer:
         self.encoder_config = encoder_config
         self._size = 0
         self._oldest = 0   # the row of the oldest transition, once full
-        n = encoder_config.max_seq_len
         self._columns = {
-            "transitions": np.empty(0, object), "windows": np.empty((0, n), np.int64),
-            "next_windows": np.empty((0, n), np.int64), "next_items": np.empty(0, object),
-            "actions": np.empty(0, np.int64), "rewards": np.empty(0, np.float64),
-            "done": np.empty(0, bool), "frozen_probs": np.empty(0, np.float64),
+            "transitions": np.empty(0, object),
+            "windows": np.empty((0, encoder_config.max_seq_len), np.int64),
+            "next_items": np.empty(0, object), "actions": np.empty(0, np.int64),
+            "rewards": np.empty(0, np.float64), "done": np.empty(0, bool),
+            "frozen_probs": np.empty(0, np.float64),
         }
 
     def __len__(self) -> int:
@@ -174,11 +174,7 @@ class ReplayBuffer:
     def push(self, transition: Transition) -> None:
         t, config = transition, self.encoder_config
         window = window_ids([t.state_items], config)[0]
-        if not 0 <= t.action < config.num_items:
-            raise ValueError(f"action {t.action} out of range [0, {config.num_items})")
-        if t.next_state_items[:-1] != t.state_items or t.next_state_items[-1:] != (t.action,):
-            raise ValueError("a buffered transition's next state must be its state plus "
-                             "its action")
+        check_successor(t, config.num_items)
         columns = self._columns
         if self._size < self.capacity:
             row = self._size
@@ -190,8 +186,6 @@ class ReplayBuffer:
             self._oldest = (row + 1) % self.capacity
         columns["transitions"][row] = t
         columns["windows"][row] = window
-        columns["next_windows"][row, :-1] = window[1:]
-        columns["next_windows"][row, -1] = t.action
         columns["next_items"][row] = t.next_state_items
         columns["actions"][row] = t.action
         columns["rewards"][row] = t.reward

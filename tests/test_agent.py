@@ -332,7 +332,7 @@ class TestUpdate:
 
     def test_a_sampled_batch_is_not_padded_again(self, monkeypatch):
         # the buffer pads at push; update reads its windows, and only a
-        # plain list is padded, once, in update
+        # plain list is padded, once, in update, its states alone
         from prefrl import agent as agent_module
 
         calls = []
@@ -353,7 +353,21 @@ class TestUpdate:
         update(batch, agent, 0.01, 0.0, toy_agent(seed=49), target_memo={})
         assert calls == []
         update(list(batch), agent, 0.01, 0.0, toy_agent(seed=49), target_memo={})
-        assert calls == [64]
+        assert calls == [32]
+
+    @pytest.mark.parametrize("bad, match", [
+        (Transition((0,), 1, 1.0, (0, 2), False), "state plus its action"),
+        (Transition((0,), 1, 1.0, (1,), True), "state plus its action"),
+        (Transition((0,), 5, 1.0, (0, 5), False), "action 5")])
+    def test_a_listed_transition_must_extend_its_state_by_its_action(self, bad, match):
+        # a next state's window is derived from the state's and the action
+        agent = toy_agent(num_items=5, seed=51)
+        before = agent.params.copy()
+        for returns in (None, [1.0, 1.0]):
+            with pytest.raises(ValueError, match=match):
+                update([Transition((0,), 1, 1.0, (0, 1), False), bad], agent, 0.01,
+                       returns=returns)
+        assert before.allclose(agent.params)
 
     def test_a_batch_padded_for_another_window_is_refused(self):
         agent = toy_agent(seed=50)

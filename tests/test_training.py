@@ -7,7 +7,7 @@ from helpers import q_for, reference_pretrain
 from prefrl.agent import AgentBundle, Transition, init_agent, policy_for, update
 from prefrl.checkpoint import save_checkpoint
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic, split_log
-from prefrl.encoder import EncoderConfig
+from prefrl.encoder import EncoderConfig, window_ids
 from prefrl import encoder
 from prefrl import training
 from prefrl.environment import (EnvConfig, LatentPreferenceModel, MatrixFactorizationModel,
@@ -105,6 +105,9 @@ class TestReplayBuffer:
             assert list(sample) == list(expected)
             for name in ("windows", "next_windows", "actions", "rewards", "done"):
                 assert np.array_equal(getattr(sample, name), getattr(expected, name)), name
+            for name, items in (("windows", "state_items"), ("next_windows", "next_state_items")):
+                padded = window_ids([getattr(t, items) for t in expected], WINDOW)
+                assert np.array_equal(getattr(sample, name), padded), name
             assert np.array_equal(sample.frozen_probs, expected.frozen_probs, equal_nan=True)
             assert list(sample.next_items) == [t.next_state_items for t in expected]
 

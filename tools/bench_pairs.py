@@ -15,7 +15,7 @@ side, a second copy of the parent, whose shift against the parent is the
 noise floor of the same file.  A pair is checked for equal ``curve_digest``
 and ``final_test_return`` on every side.  The output is rewritten after each
 run, so an interrupted session keeps the runs it made.  Metric directions
-come from ``BENCHMARK.json``.
+and the run length come from ``BENCHMARK.json``.
 """
 from __future__ import annotations
 
@@ -154,7 +154,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="a BENCHMARK.json workload; repeat for more")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--control", action="store_true",
                         help="also run a second copy of the parent")
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
@@ -175,7 +174,7 @@ def main(argv=None) -> int:
                    "copy of the parent); 'result' is each run's last stdout line, and "
                    "'summary' compares every other side with the parent per metric",
            "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                      f"--seconds {args.seconds:g} --trace 0",
+                      f"--seconds {spec['run_seconds']:g} --trace 0",
            "order": "pair i runs at seed i, its sides in an order rotated by i",
            **{side: {"git_commit": ids[side]} for side in sides},
            "runs": [], "summary": {}}
@@ -185,7 +184,7 @@ def main(argv=None) -> int:
                 for position, side in enumerate(run_order(pair, sides)):
                     run = {"workload": workload, "seed": pair, "side": side,
                            "runs_first": position == 0, "git_commit": ids[side],
-                           **bench(trees[side], workload, pair, args.seconds)}
+                           **bench(trees[side], workload, pair, spec["run_seconds"])}
                     doc["runs"].append(run)
                     doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
                     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
