@@ -38,9 +38,10 @@ is handed the run's method and names it, the step, ``lr`` and
 ``target_update`` in the message.
 
 ``_ReplayTD``'s :class:`ReplayBuffer` holds each transition once, as the
-columns :func:`agent.update` reads: its state and next state are padded to
-encoder windows when it is pushed, and a sample hands ``update`` those rows
-(a :class:`agent.TransitionBatch`), so a transition is padded once however
+columns :func:`agent.update` reads: its state is padded to an encoder window
+when it is pushed (its next state's window is that window shifted in by the
+action), and a sample hands ``update`` those rows (a
+:class:`agent.TransitionBatch`), so a transition is padded once however
 often it is sampled.
 
 With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
