@@ -19,8 +19,8 @@ frozen policy takes no part in the update.
 :func:`update` reads a minibatch as columns (:class:`TransitionBatch`): the
 encoder windows of the states, already padded, and one array per field; a
 next state is its state plus its action, so its window is the state's
-shifted in by the action.  A replay buffer stores its transitions that way; a plain list of
-transitions is turned into one at the top of the step.
+shifted in by the action.  A replay buffer stores its transitions that way;
+a plain list of transitions is turned into one at the top of the step.
 
 A bundle is weights plus shape: the discount belongs to the phase being run,
 so :func:`update` takes it as ``gamma``, next to ``lr`` and ``momentum``.
