@@ -89,6 +89,11 @@ def window_ids(sequences, config: EncoderConfig) -> np.ndarray:
         raise ValueError("cannot encode an empty batch")
     if min(lengths) == 0:
         raise ValueError("cannot encode an empty sequence")
+    if len(lengths) == 1 and 0 <= min(sequences[0]) and max(sequences[0]) < config.num_items:
+        # one valid history (an act, a reward score, a buffer push): Python's
+        # min and max over its ids cost less than the numpy calls below
+        return np.fromiter(chain((pad,) * (n - lengths[0]), sequences[0][-n:]), np.int64,
+                           n).reshape(1, n)
     flat = np.fromiter(chain.from_iterable(sequences), np.int64, sum(lengths))
     if flat.min() < 0 or flat.max() >= config.num_items:
         bad = flat[(flat < 0) | (flat >= config.num_items)][0]

@@ -164,6 +164,20 @@ class TestGradients:
         assert ids.dtype == np.int64
         assert ids.tolist() == [[6, 6, 1], [2, 3, 4], [2, 3, 5]]
 
+    @pytest.mark.parametrize("seq", [(1,), [2, 3, 4], (0, 1, 2, 3, 5), np.array([4, 0])])
+    def test_one_sequence_pads_as_its_row_in_a_batch(self, seq):
+        config = EncoderConfig(num_items=6, embed_dim=2, max_seq_len=3)
+        ids = window_ids([seq], config)
+        assert ids.dtype == np.int64 and ids.shape == (1, 3)
+        assert np.array_equal(ids[0], window_ids([(5, 5, 5, 5), seq], config)[1])
+
+    @pytest.mark.parametrize("seq, bad", [((6,), 6), ((1, -1, 7), -1), ((9, 0, 1, 2, 3), 9)])
+    def test_one_sequence_names_its_first_bad_id(self, seq, bad):
+        config = EncoderConfig(num_items=6, embed_dim=2, max_seq_len=3)
+        for batch in ([seq], [(1,), seq]):
+            with pytest.raises(ValueError, match=rf"item id {bad} out of range \[0, 6\)"):
+                window_ids(batch, config)
+
     def _batch_case(self, seed=11):
         # lengths 1, max_seq_len, longer than max_seq_len, and 2
         config = EncoderConfig(num_items=6, embed_dim=4, max_seq_len=3)
