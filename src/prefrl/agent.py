@@ -19,8 +19,10 @@ frozen policy takes no part in the update.
 :func:`update` reads a minibatch as columns (:class:`TransitionBatch`): the
 encoder windows of the states, already padded, and one array per field; a
 next state is its state plus its action, so its window is the state's
-shifted in by the action.  A replay buffer stores its transitions that way;
-a plain list of transitions is turned into one at the top of the step.
+shifted in by the action.  ``TransitionBatch`` is the one place that lays
+those columns out and writes and gathers their rows; a replay buffer is one
+of them, holding no transition objects, and a plain list of transitions is
+turned into one at the top of the step.
 
 A bundle is weights plus shape: the discount belongs to the phase being run,
 so :func:`update` takes it as ``gamma``, next to ``lr`` and ``momentum``.
@@ -76,16 +78,15 @@ def check_successor(transition: Transition, num_items: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TransitionBatch:
-    """A minibatch as the columns :func:`update` reads, row b being
-    ``transitions[b]``: the state's encoder window (``windows``, from
-    :func:`encoder.window_ids`), each ``next_state_items`` (``next_items``,
+    """Transitions as the columns :func:`update` reads, one row each, and the
+    one place that lays them out: the state's encoder window (``windows``,
+    from :func:`encoder.window_ids`), the ``next_state_items`` (``next_items``,
     the key of a target memo), ``actions``, ``rewards``, ``done`` and
     ``frozen_probs`` (NaN where a transition has none).  The windows are for
-    ``encoder_config``'s item space and window length.  Every transition
-    passed :func:`check_successor`, so a next state's window is its state's
-    shifted in by the action (:attr:`next_windows`).  It iterates as its
-    transitions."""
-    transitions: np.ndarray     # (B,) object
+    ``encoder_config``'s item space and window length.  Every row was written
+    by :meth:`put`, after :func:`check_successor`, so a next state's window is
+    its state's shifted in by the action (:attr:`next_windows`).  The
+    transitions themselves are not kept."""
     windows: np.ndarray         # (B, max_seq_len) int64
     next_items: np.ndarray      # (B,) object
     actions: np.ndarray         # (B,) int64
@@ -95,13 +96,7 @@ class TransitionBatch:
     encoder_config: EncoderConfig
 
     def __len__(self) -> int:
-        return len(self.transitions)
-
-    def __iter__(self):
-        return iter(self.transitions)
-
-    def __getitem__(self, b: int) -> Transition:
-        return self.transitions[b]
+        return len(self.actions)
 
     @property
     def next_windows(self) -> np.ndarray:
@@ -111,21 +106,40 @@ class TransitionBatch:
         return np.concatenate((self.windows[:, 1:], self.actions[:, None]), axis=1)
 
     @classmethod
+    def empty(cls, rows: int, config: EncoderConfig) -> "TransitionBatch":
+        """``rows`` rows, allocated and not yet written (:meth:`put`)."""
+        return cls(np.empty((rows, config.max_seq_len), np.int64), np.empty(rows, object),
+                   np.empty(rows, np.int64), np.empty(rows, np.float64), np.empty(rows, bool),
+                   np.empty(rows, np.float64), config)
+
+    @classmethod
     def of(cls, transitions, config: EncoderConfig) -> "TransitionBatch":
-        """The columns of a nonempty sequence of transitions, each checked by
-        :func:`check_successor` and the states padded by one
-        :func:`encoder.window_ids` call (which validates their ids)."""
-        rows = np.fromiter(transitions, object, len(transitions))
-        b = len(rows)
-        windows = window_ids([t.state_items for t in rows], config)
-        for t in rows:
-            check_successor(t, config.num_items)
-        frozen = [np.nan if t.frozen_prob is None else t.frozen_prob for t in rows]
-        return cls(rows, windows, np.fromiter((t.next_state_items for t in rows), object, b),
-                   np.array([t.action for t in rows], dtype=np.int64),
-                   np.array([t.reward for t in rows], dtype=np.float64),
-                   np.array([t.done for t in rows], dtype=bool),
-                   np.array(frozen, dtype=np.float64), config)
+        """The rows of a nonempty sequence of transitions, the states padded
+        by one :func:`encoder.window_ids` call (which validates their ids)."""
+        windows = window_ids([t.state_items for t in transitions], config)
+        batch = cls.empty(len(windows), config)
+        for row, (t, window) in enumerate(zip(transitions, windows)):
+            batch.put(row, t, window)
+        return batch
+
+    def put(self, row: int, transition: Transition, window: np.ndarray) -> None:
+        """Write ``transition``, whose state pads to ``window``, to row
+        ``row``; a transition that fails :func:`check_successor` raises
+        ValueError and writes nothing."""
+        t = transition
+        check_successor(t, self.encoder_config.num_items)
+        self.windows[row] = window
+        self.next_items[row] = t.next_state_items
+        self.actions[row] = t.action
+        self.rewards[row] = t.reward
+        self.done[row] = t.done
+        self.frozen_probs[row] = np.nan if t.frozen_prob is None else t.frozen_prob
+
+    def take(self, rows: np.ndarray) -> "TransitionBatch":
+        """A new batch of the given rows, in order."""
+        return TransitionBatch(self.windows[rows], self.next_items[rows], self.actions[rows],
+                               self.rewards[rows], self.done[rows], self.frozen_probs[rows],
+                               self.encoder_config)
 
 
 @dataclass

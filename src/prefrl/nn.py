@@ -107,6 +107,10 @@ class ParamSet:
         return ParamSet({name: p.copy() for name, p in self.params.items()})
 
     def allclose(self, other: "ParamSet") -> bool:
+        """True when both sets name the same tensors, in the same order, and
+        each pair is bitwise equal (``np.array_equal``).  Despite the name
+        there is no tolerance, so tests use it to assert that parameters
+        were left untouched."""
         if self.names() != other.names():
             return False
         return all(np.array_equal(self.params[n], other.params[n]) for n in self.params)

@@ -37,12 +37,12 @@ learning or a snapshot, stops it with one :class:`DivergenceError`; the loop
 is handed the run's method and names it, the step, ``lr`` and
 ``target_update`` in the message.
 
-``_ReplayTD``'s :class:`ReplayBuffer` holds each transition once, as the
-columns :func:`agent.update` reads: its state is padded to an encoder window
-when it is pushed (its next state's window is that window shifted in by the
-action), and a sample hands ``update`` those rows (a
-:class:`agent.TransitionBatch`), so a transition is padded once however
-often it is sampled.
+``_ReplayTD``'s :class:`ReplayBuffer` holds columns only: one
+:class:`agent.TransitionBatch` of ``buffer_capacity`` rows, allocated up
+front, to which each push writes a transition's row, its state padded to an
+encoder window (its next state's window is that window shifted in by the
+action).  A sample hands ``update`` its rows, so a transition is padded once
+however often it is sampled, and the transition object is not kept.
 
 With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
 from a critic snapshot frozen for N learner steps, so within a period it is
@@ -89,7 +89,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent import (AgentBundle, Transition, TransitionBatch, action_distribution,
-                    check_successor, init_agent, q_values, update)
+                    init_agent, q_values, update)
 from .encoder import EncoderConfig, encode_batch, encode_windows, window_ids
 from .environment import EnvState
 from .metrics import EpisodeRecord, MetricMeans, compute_metrics
@@ -142,70 +142,37 @@ def derive_seed(seed: int, key: int) -> int:
 
 class ReplayBuffer:
     """Bounded FIFO of transitions with seeded uniform minibatch sampling,
-    held as the columns :func:`update` reads (:class:`TransitionBatch`).
+    held as columns only: one :class:`TransitionBatch` of ``capacity`` rows,
+    allocated up front, and a count of pushes.
 
-    :meth:`push` validates each transition (:func:`agent.check_successor`)
-    and pads its state's encoder window once (:func:`encoder.window_ids`,
-    for ``encoder_config``); the next state's window is derived from it and
-    the action when a batch reads it.  Every other column is the
-    transition's own value (``frozen_prob`` None as NaN).  The columns grow
-    by doubling up to ``capacity``; once full, a push overwrites the oldest
-    row.  :meth:`sample` draws ``rng.choice(len(self), batch_size,
-    replace=False)``, indices counted from the oldest transition, and
+    :meth:`push` pads the transition's state to its encoder window once
+    (:func:`encoder.window_ids`, for ``encoder_config``) and writes its row
+    (:meth:`TransitionBatch.put`, which validates it); once full, a push
+    overwrites the oldest row.  :meth:`sample` draws ``rng.choice(len(self),
+    batch_size, replace=False)``, indices counted from the oldest row, and
     returns those rows."""
 
     def __init__(self, capacity: int, encoder_config: EncoderConfig):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.encoder_config = encoder_config
-        self._size = 0
-        self._oldest = 0   # the row of the oldest transition, once full
-        self._columns = {
-            "transitions": np.empty(0, object),
-            "windows": np.empty((0, encoder_config.max_seq_len), np.int64),
-            "next_items": np.empty(0, object), "actions": np.empty(0, np.int64),
-            "rewards": np.empty(0, np.float64), "done": np.empty(0, bool),
-            "frozen_probs": np.empty(0, np.float64),
-        }
+        self._rows = TransitionBatch.empty(capacity, encoder_config)
+        self._pushes = 0
 
     def __len__(self) -> int:
-        return self._size
+        return min(self._pushes, self.capacity)
 
     def push(self, transition: Transition) -> None:
-        t, config = transition, self.encoder_config
-        window = window_ids([t.state_items], config)[0]
-        check_successor(t, config.num_items)
-        columns = self._columns
-        if self._size < self.capacity:
-            row = self._size
-            if row == len(columns["actions"]):
-                self._grow(min(2 * row, self.capacity) or 1)
-            self._size += 1
-        else:
-            row = self._oldest
-            self._oldest = (row + 1) % self.capacity
-        columns["transitions"][row] = t
-        columns["windows"][row] = window
-        columns["next_items"][row] = t.next_state_items
-        columns["actions"][row] = t.action
-        columns["rewards"][row] = t.reward
-        columns["done"][row] = t.done
-        columns["frozen_probs"][row] = np.nan if t.frozen_prob is None else t.frozen_prob
-
-    def _grow(self, rows: int) -> None:
-        for name, column in self._columns.items():
-            grown = np.empty((rows,) + column.shape[1:], column.dtype)
-            grown[:len(column)] = column
-            self._columns[name] = grown
+        window = window_ids([transition.state_items], self._rows.encoder_config)[0]
+        self._rows.put(self._pushes % self.capacity, transition, window)
+        self._pushes += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
-        if batch_size > self._size:
+        if batch_size > len(self):
             raise ValueError("not enough transitions buffered to sample a batch")
-        idx = rng.choice(self._size, size=batch_size, replace=False)
-        rows = (idx + self._oldest) % self.capacity
-        return TransitionBatch(**{name: column[rows] for name, column in self._columns.items()},
-                               encoder_config=self.encoder_config)
+        idx = rng.choice(len(self), size=batch_size, replace=False)
+        # pushes - len(self) rows were overwritten, so that count (mod capacity) is the oldest
+        return self._rows.take((idx + self._pushes - len(self)) % self.capacity)
 
 
 @dataclass(frozen=True)

@@ -310,21 +310,24 @@ class TestUpdate:
         # bitwise update on the same transitions as a plain list
         rng = np.random.default_rng(44)
         agent = toy_agent(seed=45)
-        buffer = ReplayBuffer(16, agent.encoder_config)
+        buffer, pushed = ReplayBuffer(16, agent.encoder_config), []
         items = (0,)
         for i in range(24):
             action = int(rng.integers(5))
             t = Transition(items, action, float(rng.normal()), items + (action,), i % 5 == 4)
-            buffer.push(self._setting_batch(setting, [t])[0])
+            pushed.append(self._setting_batch(setting, [t])[0])
+            buffer.push(pushed[-1])
             items = (int(rng.integers(5)),) if t.done else t.next_state_items
+        held = pushed[-16:]   # the buffer's rows, oldest first
         returns = rng.normal(size=12)
         sampled, plain = toy_agent(seed=46), toy_agent(seed=46)
         memos = ({}, {})
         for step in range(3):
             batch = buffer.sample(12, np.random.default_rng(step))
+            drawn = [held[i] for i in np.random.default_rng(step).choice(16, 12, replace=False)]
             losses = update(batch, sampled, 0.05, 0.5,
                             **self._setting_kwargs(setting, returns, memos[0]))
-            assert update(list(batch), plain, 0.05, 0.5,
+            assert update(drawn, plain, 0.05, 0.5,
                           **self._setting_kwargs(setting, returns, memos[1])) == losses
             for name in plain.params:
                 assert np.array_equal(sampled.params[name], plain.params[name]), name
@@ -345,14 +348,15 @@ class TestUpdate:
         agent = toy_agent(seed=47)
         rng = np.random.default_rng(48)
         buffer = ReplayBuffer(64, agent.encoder_config)
-        for i in range(64):
-            buffer.push(random_transition(agent, rng, done=(i % 4 == 0)))
+        pushed = [random_transition(agent, rng, done=(i % 4 == 0)) for i in range(64)]
+        for t in pushed:
+            buffer.push(t)
         batch = buffer.sample(32, rng)
         for module in (encoder, agent_module):
             monkeypatch.setattr(module, "window_ids", counted)
         update(batch, agent, 0.01, 0.0, toy_agent(seed=49), target_memo={})
         assert calls == []
-        update(list(batch), agent, 0.01, 0.0, toy_agent(seed=49), target_memo={})
+        update(pushed[:32], agent, 0.01, 0.0, toy_agent(seed=49), target_memo={})
         assert calls == [32]
 
     @pytest.mark.parametrize("bad, match", [

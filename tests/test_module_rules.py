@@ -3,8 +3,9 @@ source: every ``__all__`` name resolves, ``nn`` (the finite-difference
 oracle) imports nothing from the package it verifies, and the reference spec
 in ``tests/helpers.py`` shares no private helper with the code it checks.
 Also: the subcommands the README and ``cli.py`` name are the parser's, its
-method choices are the training module's, every training step is taken by
-the one rollout loop, ``online_phase`` is that loop's one online
+method choices are the training module's, only ``agent`` builds a
+``TransitionBatch`` from its columns, every training step is taken by the
+one rollout loop, ``online_phase`` is that loop's one online
 caller, the one learner is stepped by the two learner classes, and the harness runs every online method from one call site and
 every preset from one per-seed loop."""
 from __future__ import annotations
@@ -99,6 +100,12 @@ def test_transitions_are_built_only_by_the_rollout_loop():
     # one loop takes every training step: pre-training, the schemes and the
     # baselines all learn from the transitions ``training._rollout`` builds
     assert _callers("Transition") == ["training._rollout"]
+
+
+def test_only_the_agent_module_lays_out_the_experience_columns():
+    # ``TransitionBatch`` declares the columns; every other module builds one
+    # through its ``empty``/``of``/``take`` and never spells the layout out
+    assert {caller.split(".")[0] for caller in _callers("TransitionBatch")} == {"agent"}
 
 
 def test_the_rollout_loop_has_one_online_caller():

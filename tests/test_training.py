@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ class TestReplayBuffer:
         for i in range(5):
             buf.push(Transition((i,), 0, 0.0, (i, 0), False))
         assert len(buf) == 3
-        assert buf.sample(3, np.random.default_rng(0))[0].state_items[0] in (2, 3, 4)
+        assert sorted(buf.sample(3, np.random.default_rng(0)).windows[:, -1]) == [2, 3, 4]
 
     def test_sampling_needs_enough_items(self):
         buf = ReplayBuffer(capacity=10, encoder_config=WINDOW)
@@ -101,15 +102,25 @@ class TestReplayBuffer:
             assert len(buf) == size
             sample = buf.sample(size, np.random.default_rng(step))
             idx = np.random.default_rng(step).choice(size, size=size, replace=False)
-            expected = TransitionBatch.of([reference[int(i)] for i in idx], WINDOW)
-            assert list(sample) == list(expected)
+            drawn = [reference[int(i)] for i in idx]
+            expected = TransitionBatch.of(drawn, WINDOW)
             for name in ("windows", "next_windows", "actions", "rewards", "done"):
                 assert np.array_equal(getattr(sample, name), getattr(expected, name)), name
             for name, items in (("windows", "state_items"), ("next_windows", "next_state_items")):
-                padded = window_ids([getattr(t, items) for t in expected], WINDOW)
+                padded = window_ids([getattr(t, items) for t in drawn], WINDOW)
                 assert np.array_equal(getattr(sample, name), padded), name
             assert np.array_equal(sample.frozen_probs, expected.frozen_probs, equal_nan=True)
-            assert list(sample.next_items) == [t.next_state_items for t in expected]
+            assert list(sample.next_items) == [t.next_state_items for t in drawn]
+
+    def test_a_pushed_transition_is_not_kept(self):
+        # the buffer stores a transition's columns, not the object as well
+        buf = ReplayBuffer(4, WINDOW)
+        t = Transition((0,), 1, 0.0, (0, 1), False)
+        kept = weakref.ref(t)
+        buf.push(t)
+        del t
+        assert kept() is None
+        assert len(buf) == 1
 
     def test_a_push_validates_the_transition(self):
         buf = ReplayBuffer(4, WINDOW)
