@@ -63,9 +63,10 @@ class CheckpointError(Exception):
 
 @dataclass
 class CheckpointData:
-    tensors: dict[str, np.ndarray]   # float64, widened from the float32 storage
+    tensors: dict[str, np.ndarray]   # float64 views of ``flat``, in file order
     config: dict
     rng_state: dict | None
+    flat: np.ndarray                 # every tensor's values, widened from float32 once
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], config: dict,
@@ -119,19 +120,24 @@ def read_checkpoint(path) -> CheckpointData:
     if len(blob) < 16 + header_len:
         raise CheckpointError(f"{path}: truncated file (header)")
     header = _parse_header(path, blob[16:16 + header_len])
-    offset = 16 + header_len
-    tensors: dict[str, np.ndarray] = {}
+    start = offset = 16 + header_len
+    shapes: dict[str, tuple[int, ...]] = {}
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        nbytes = math.prod(shape) * 4   # Python ints: a huge manifest shape cannot wrap
-        if len(blob) < offset + nbytes:
+        shapes[entry["name"]] = tuple(entry["shape"])
+        offset += math.prod(shapes[entry["name"]]) * 4   # Python ints: a huge shape cannot wrap
+        if len(blob) < offset:
             raise CheckpointError(f"{path}: truncated file (tensor {entry['name']!r})")
-        flat = np.frombuffer(blob[offset:offset + nbytes], dtype="<f4")
-        tensors[entry["name"]] = flat.astype(np.float64).reshape(shape)
-        offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
-    return CheckpointData(tensors, header.get("config", {}), header.get("rng_state"))
+    # one widening of all the tensor data, which each tensor views
+    flat = np.frombuffer(blob, dtype="<f4", count=(offset - start) // 4,
+                         offset=start).astype(np.float64)
+    tensors, first = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        tensors[name] = flat[first:first + size].reshape(shape)
+        first += size
+    return CheckpointData(tensors, header.get("config", {}), header.get("rng_state"), flat)
 
 
 def save_checkpoint(bundle: AgentBundle, path, rng_state: dict | None = None,
@@ -176,6 +182,7 @@ def load_checkpoint(path) -> AgentBundle:
                                   f"{tensors[name].shape}, expected {expected}")
     try:
         enc = EncoderConfig(cfg["num_items"], cfg["embed_dim"], cfg["max_seq_len"])
-        return AgentBundle(ParamSet(tensors), enc)
+        shapes = {name: tensor.shape for name, tensor in tensors.items()}
+        return AgentBundle(ParamSet.from_flat(data.flat, shapes), enc)
     except ValueError as exc:  # a size below its minimum, a non-finite tensor
         raise CheckpointError(f"{path}: {exc}") from None

@@ -21,7 +21,10 @@ same bits whatever batch the sequence is encoded in.
 
 Projection matrices are initialized to identity plus small noise so that
 tiny instances can be checked by hand; gradients are derived analytically
-in :func:`encode_backward` and verified against finite differences.
+in :func:`encode_backward` and verified against finite differences.  Its
+batch sums are small matrix products; a single row (the reward model's fit
+steps one prefix at a time) takes outer products and adds its last slot's
+term as one row, the same values added in the same order.
 """
 from __future__ import annotations
 
@@ -161,7 +164,13 @@ def encode_batch(sequences, params: ParamSet, config: EncoderConfig) -> np.ndarr
 
 def encode_backward(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
     """Accumulate gradients of ``sum_b dot(d_state[b], state[b])`` into
-    ``params.grads``; ``d_state`` is (B, d), or (d,) for a cache of one."""
+    ``params.grads``; ``d_state`` is (B, d), or (d,) for a cache of one.
+
+    A cache of one row (B = 1, every step of the sequential reward model's
+    fit) takes its own path: there each batch sum below is a single outer
+    product, and the last slot's term is one row added to its position and
+    its item.  It adds the same values in the same order as the batched path,
+    so it gives the same bits."""
     x, q, qk, attn, ctx = (cache[name] for name in ("x", "q", "qk", "attn", "ctx"))
     B, n, d = x.shape
     g = d_state.reshape(B, 1, d)
@@ -186,11 +195,21 @@ def encode_backward(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
     # (B, n, d) gradient is formed; the per-id weights are (B, num_items + 1),
     # the size of the heads' logit gradients.  Padding slots have zero weight.
     num_ids = params["item_emb"].shape[0]
-    cells = (cache["ids"] + num_ids * np.arange(B)[:, None]).reshape(-1)
+    ids = cache["ids"]
+    terms = ((d_scores[:, 0], qk[:, 0]), (attn[:, 0], d_ctx[:, 0]))
+    d_last = (d_q @ params["w_q"].T + g)[:, 0]
+    pos_grad, item_grad = grads["pos_emb"], grads["item_emb"]
+    if B == 1:
+        for weight, row in terms:
+            pos_grad += weight[0, :, None] * row[0]
+            item_grad += np.bincount(ids[0], weight[0], num_ids)[:, None] * row[0]
+        pos_grad[-1] += d_last[0]
+        item_grad[ids[0, -1]] += d_last[0]
+        return
+    cells = (ids + num_ids * np.arange(B)[:, None]).reshape(-1)
     last = np.zeros((B, n))
     last[:, -1] = 1.0
-    for weight, row in ((d_scores[:, 0], qk[:, 0]), (attn[:, 0], d_ctx[:, 0]),
-                        (last, (d_q @ params["w_q"].T + g)[:, 0])):
+    for weight, row in (*terms, (last, d_last)):
         per_item = np.bincount(cells, weight.reshape(-1), B * num_ids).reshape(B, num_ids)
-        grads["pos_emb"] += np.dot(weight.T, row)
-        grads["item_emb"] += np.dot(per_item.T, row)
+        pos_grad += np.dot(weight.T, row)
+        item_grad += np.dot(per_item.T, row)

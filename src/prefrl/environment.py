@@ -240,6 +240,8 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
     # the prefixes are fixed, so each is padded once; a (1, n) row slice
     # encodes as encode_with_cache(prefix) does
     windows = window_ids([prefix for prefix, _ in pairs], config) if pairs else None
+    # the optimizer steps the parameters in place, so this view stays current
+    item_emb = params["item_emb"][:num_items]
     loss_history = []
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
@@ -248,12 +250,11 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
             target = pairs[idx][1]
             states, cache = encode_windows_with_cache(windows[idx:idx + 1], params, config)
             state = states[0]
-            item_emb = params["item_emb"][:num_items]
             probs = softmax(item_emb @ state)
             total += -float(np.log(max(probs[target], 1e-12)))
             d_logits = probs.copy()
             d_logits[target] -= 1.0
-            params.grads["item_emb"][:num_items] += np.outer(d_logits, state)
+            params.grads["item_emb"][:num_items] += d_logits[:, None] * state
             d_state = item_emb.T @ d_logits
             encode_backward(cache, d_state, params)
             optimizer_step(params, lr)

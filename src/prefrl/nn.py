@@ -1,13 +1,18 @@
 """Numeric substrate: named parameter sets, a stable softmax, categorical
 sampling, a gradient-descent step, and a finite-difference gradient oracle.
 
-Everything operates on plain float64 numpy arrays.  Every analytic gradient
-in this package is checked against :func:`finite_diff_grad` in the test
-suite, so the two routes must stay independent: this module never imports
-from the modules whose gradients it verifies.
+Everything operates on plain float64 numpy arrays.  A :class:`ParamSet`
+keeps its tensors as views into one flat array, and its gradients as views
+into another, zero-filled when a gradient is first read and freed by the
+step, so one step is one finiteness check and one array update.  Every
+analytic gradient in this package is checked against
+:func:`finite_diff_grad` in the test suite, so the two routes must stay
+independent: this module never imports from the modules whose gradients it
+verifies.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -22,67 +27,109 @@ __all__ = [
 
 
 class _Grads(Mapping):
-    """Gradient accumulators keyed by parameter name.
+    """Gradient accumulators keyed by parameter name: views into one flat
+    float64 array laid out as the parameters' flat array.
 
-    Every parameter name is a key, as with eager buffers, but a name's zero
-    array is allocated only when it is first read, and :meth:`clear` releases
-    them all.  :meth:`accumulated` holds just the allocated ones.
+    Every parameter name is a key, as with eager buffers, but the flat array
+    is allocated, zero-filled, only when a gradient is first read, and
+    :meth:`clear` releases it, so :meth:`accumulated` is empty until then.
     """
 
-    def __init__(self, params: dict[str, np.ndarray]):
-        self._params = params
-        self._arrays: dict[str, np.ndarray] = {}
+    def __init__(self, layout: dict[str, tuple[slice, tuple[int, ...]]], size: int):
+        self._layout, self._size = layout, size
+        self.flat: np.ndarray | None = None
+        self._views: dict[str, np.ndarray] = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
-        grad = self._arrays.get(name)
-        if grad is None:
-            grad = self._arrays[name] = np.zeros(self._params[name].shape)
-        return grad
+        if self.flat is None:
+            if name not in self._layout:
+                raise KeyError(name)
+            self.flat = np.zeros(self._size)
+            self._views = _views(self.flat, self._layout)
+        return self._views[name]
 
     def __setitem__(self, name: str, grad: np.ndarray) -> None:
-        if name not in self._params:
-            raise KeyError(name)
-        self._arrays[name] = grad
+        view = self[name]
+        if grad is not view:  # ``grads[name] += x`` hands back the view itself
+            view[...] = grad
 
     def __contains__(self, name) -> bool:
-        return name in self._params
+        return name in self._layout
 
     def __iter__(self):
-        return iter(self._params)
+        return iter(self._layout)
 
     def __len__(self) -> int:
-        return len(self._params)
+        return len(self._layout)
 
     def accumulated(self) -> dict[str, np.ndarray]:
-        return self._arrays
+        return self._views
 
     def clear(self) -> None:
-        self._arrays.clear()
+        self.flat, self._views = None, {}
+
+
+def _layout(shapes) -> tuple[dict[str, tuple[slice, tuple[int, ...]]], int]:
+    """Each name's span of a flat array holding the shapes in order, and the
+    array's size."""
+    layout, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        layout[name] = (slice(offset, offset + size), tuple(shape))
+        offset += size
+    return layout, offset
+
+
+def _views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
+    return {name: flat[span].reshape(shape) for name, (span, shape) in layout.items()}
 
 
 class ParamSet:
     """Named parameter tensors plus matching gradient accumulators.
 
-    Parameters are stored float64 and mutated in place by
-    :func:`optimizer_step`.  Every parameter has a gradient array of its
-    shape in ``grads``; each is allocated as zeros on first access and
-    :meth:`zero_grads` releases them, so a bundle that is not training (a
-    frozen policy, a target snapshot, a finished run's result) holds no
-    gradient memory.
-    Insertion order is preserved and is the canonical tensor order for
-    checkpointing.
+    Every tensor is a view into one contiguous float64 array, ``flat``, in
+    insertion order, which is also the canonical tensor order for
+    checkpointing; :func:`optimizer_step` updates ``flat`` in place with one
+    expression.  Every parameter has a gradient array of its shape in
+    ``grads``, each a view into one flat gradient array that is allocated as
+    zeros when a gradient is first read and released by the step (or
+    :meth:`zero_grads`), so a bundle that is not training (a frozen policy, a
+    target snapshot, a finished run's result) holds no gradient memory.  The
+    momentum velocity, when used, is one flat array too.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads = _Grads(self.params)
+        """Copy ``params`` (any array-likes) into one new flat array."""
+        layout, size = _layout({name: np.shape(value) for name, value in params.items()})
+        self._bind(np.empty(size), layout)
         for name, value in params.items():
-            arr = np.array(value, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name!r} contains non-finite values")
-            self.params[name] = arr
-        # velocity buffers, created lazily when momentum is used
-        self._velocity: dict[str, np.ndarray] = {}
+            self.params[name][...] = value
+        self._check_finite()
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> "ParamSet":
+        """Parameters of the given shapes, in order, over ``flat``, a
+        contiguous float64 vector of their total size, adopted without a
+        copy."""
+        layout, size = _layout(shapes)
+        if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
+            raise ValueError(f"expected a contiguous float64 vector of {size} values, got "
+                             f"{flat.dtype} {flat.shape}")
+        params = cls.__new__(cls)
+        params._bind(flat, layout)
+        params._check_finite()
+        return params
+
+    def _bind(self, flat: np.ndarray, layout) -> None:
+        self.flat = flat
+        self.params: dict[str, np.ndarray] = _views(flat, layout)
+        self.grads = _Grads(layout, flat.size)
+        self._velocity: np.ndarray | None = None  # created when momentum is used
+
+    def _check_finite(self) -> None:
+        if not np.isfinite(self.flat).all():
+            name = next(n for n, p in self.params.items() if not np.isfinite(p).all())
+            raise ValueError(f"parameter {name!r} contains non-finite values")
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]
@@ -97,14 +144,16 @@ class ParamSet:
         return list(self.params)
 
     def num_scalars(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.flat.size
 
     def zero_grads(self) -> None:
         self.grads.clear()
 
     def copy(self) -> "ParamSet":
-        """Deep copy of the parameters with fresh zero gradients."""
-        return ParamSet({name: p.copy() for name, p in self.params.items()})
+        """Deep copy of the parameters (one flat copy) with fresh zero
+        gradients and no velocity."""
+        return ParamSet.from_flat(self.flat.copy(),
+                                  {name: p.shape for name, p in self.params.items()})
 
     def allclose(self, other: "ParamSet") -> bool:
         """True when both sets name the same tensors, in the same order, and
@@ -153,30 +202,30 @@ def sample_categorical(probs, rng: np.random.Generator) -> int:
 
 
 def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamSet:
-    """Apply one gradient-descent step ``p <- p - lr * g`` and zero the grads.
+    """Apply one gradient-descent step ``p <- p - lr * g`` to the flat
+    parameter array and release the gradient.
 
-    With ``momentum > 0`` a velocity buffer ``v <- momentum * v + g`` is used
-    in place of the raw gradient.  Aborts (before touching any parameter) if
-    any gradient is non-finite, naming the offending parameter.
+    With ``momentum > 0`` a flat velocity ``v <- momentum * v + g`` is used in
+    place of the raw gradient.  One pass over the flat gradient checks that it
+    is finite; if not, the step aborts before touching any parameter, naming
+    the first offending parameter in parameter order.  A gradient never read
+    since the last step is zero.
     """
-    grads = params.grads.accumulated()
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
-    for name, p in params.params.items():
-        g = grads.get(name)  # None: never read since the last step, so zero
-        if momentum > 0.0:
-            v = params._velocity.get(name)
-            if g is None:
-                if v is None:
-                    continue
-                v = momentum * v
-            else:
-                v = g.copy() if v is None else momentum * v + g
-            params._velocity[name] = v
-            p -= lr * v
-        elif g is not None:
-            p -= lr * g
+    g = params.grads.flat
+    if g is not None and not np.isfinite(g).all():
+        name = next(n for n, view in params.grads.accumulated().items()
+                    if not np.isfinite(view).all())
+        raise ValueError(f"non-finite gradient for parameter {name!r}")
+    if momentum > 0.0:
+        v = params._velocity
+        if g is not None:
+            v = g.copy() if v is None else momentum * v + g
+        elif v is not None:
+            v = momentum * v
+        params._velocity = v
+        g = v
+    if g is not None:
+        params.flat -= lr * g
     params.zero_grads()
     return params
 

@@ -1,9 +1,11 @@
 """Shared test machinery: the per-transition reference spec of the learner's
-losses, a reference pre-training loop, gradient-check scaffolding and a stub
-chat-completion server."""
+losses, a reference pre-training loop, a reference fit of the sequential
+reward model, gradient-check scaffolding and a stub chat-completion
+server."""
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from prefrl.agent import (LOG_PROB_FLOOR, AgentBundle, Transition, action_distribution,
                           backprop_heads, policy_for, q_values, update)
-from prefrl.encoder import encode, encode_with_cache
+from prefrl.encoder import EncoderConfig, encode, encode_with_cache, init_encoder_params
 from prefrl.oracle import distill
 from prefrl.training import KEY_PRETRAIN, ReplayBuffer, derive_rng, sample_candidates
 
@@ -106,6 +108,99 @@ def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: in
         if epoch_callback is not None:
             epoch_callback(epoch, agent, record, rng.bit_generator.state)
     return records
+
+
+# The sequential reward model's fit one row at a time, in frozen numpy copies
+# of the encoder's single-row forward and backward and of a plain SGD step on
+# per-tensor arrays: the tests check the fit, the encoder's backward and the
+# optimizer step against them, so none of those is imported here.
+
+def reference_forward(ids: np.ndarray, params: dict, config: EncoderConfig):
+    """The encoder state (d,) of one padded (1, max_seq_len) id row, and the
+    cache :func:`reference_backward` reads."""
+    x = params["item_emb"][ids]
+    x += params["pos_emb"]
+    x_last = x[:, -1:]
+    q = x_last @ params["w_q"]
+    qk = q @ params["w_k"].T
+    scores = (qk @ x.transpose(0, 2, 1)) * (1.0 / math.sqrt(config.embed_dim))
+    scores[(ids == config.padding_id)[:, None, :]] = -np.inf
+    scores -= scores.max(axis=2, keepdims=True)
+    attn = np.exp(scores)
+    attn /= attn.sum(axis=2, keepdims=True)
+    ctx = attn @ x
+    h = x_last + ctx @ params["w_v"]
+    return h[0, 0], {"ids": ids, "x": x, "q": q, "qk": qk, "attn": attn, "ctx": ctx}
+
+
+def reference_backward(cache: dict, d_state: np.ndarray, params: dict,
+                       grads: dict | None = None) -> dict:
+    """Add the gradients of ``sum_b dot(d_state[b], state[b])`` to ``grads``
+    (zeros of each parameter's shape by default) and return it: each position
+    and item term as a one-hot or per-id slot weight times a row, summed over
+    the batch by ``np.dot``."""
+    if grads is None:
+        grads = {name: np.zeros_like(p) for name, p in params.items()}
+    x, q, qk, attn, ctx = (cache[name] for name in ("x", "q", "qk", "attn", "ctx"))
+    B, n, d = x.shape
+    g = d_state.reshape(B, 1, d)
+    d_ctx = g @ params["w_v"].T
+    d_attn = d_ctx @ x.transpose(0, 2, 1)
+    scale = 1.0 / math.sqrt(d)
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True)) * scale
+    d_qk = d_scores @ x
+    d_q = d_qk @ params["w_k"]
+    grads["w_q"] += np.dot(x[:, -1].T, d_q[:, 0])
+    grads["w_k"] += np.dot(d_qk[:, 0].T, q[:, 0])
+    grads["w_v"] += np.dot(ctx[:, 0].T, g[:, 0])
+    num_ids = params["item_emb"].shape[0]
+    cells = (cache["ids"] + num_ids * np.arange(B)[:, None]).reshape(-1)
+    last = np.zeros((B, n))
+    last[:, -1] = 1.0
+    for weight, row in ((d_scores[:, 0], qk[:, 0]), (attn[:, 0], d_ctx[:, 0]),
+                        (last, (d_q @ params["w_q"].T + g)[:, 0])):
+        per_item = np.bincount(cells, weight.reshape(-1), B * num_ids).reshape(B, num_ids)
+        grads["pos_emb"] += np.dot(weight.T, row)
+        grads["item_emb"] += np.dot(per_item.T, row)
+    return grads
+
+
+def reference_fit_sequential(log_, num_items: int, d_rm: int, max_seq_len: int, epochs: int,
+                             lr: float, seed: int) -> tuple[dict, list[float]]:
+    """The sequential reward model's fit as one plain loop: per epoch a
+    permutation of the (prefix, next item) pairs, and per pair the prefix
+    padded, a softmax cross-entropy over the items with the output embeddings
+    tied to the input ones, the backward and ``p <- p - lr * g``.  Returns the
+    parameters and the per-epoch mean losses."""
+    rng = np.random.default_rng(seed)
+    config = EncoderConfig(num_items=num_items, embed_dim=d_rm, max_seq_len=max_seq_len)
+    params = {name: np.array(p, dtype=np.float64)
+              for name, p in init_encoder_params(config, rng).items()}
+    pairs = [(seq.items[:t], seq.items[t]) for seq in log_.sequences
+             for t in range(1, len(seq.items))]
+    losses = []
+    for _ in range(epochs):
+        total = 0.0
+        for idx in rng.permutation(len(pairs)):
+            prefix, target = pairs[idx]
+            window = list(prefix[-max_seq_len:])
+            ids = np.array([[config.padding_id] * (max_seq_len - len(window)) + window],
+                           dtype=np.int64)
+            state, cache = reference_forward(ids, params, config)
+            item_emb = params["item_emb"][:num_items]
+            logits = item_emb @ state
+            e = np.exp(logits - logits.max())
+            probs = e / e.sum()
+            total += -float(np.log(max(probs[target], 1e-12)))
+            d_logits = probs.copy()
+            d_logits[target] -= 1.0
+            grads = {name: np.zeros_like(p) for name, p in params.items()}
+            grads["item_emb"][:num_items] += np.outer(d_logits, state)
+            reference_backward(cache, item_emb.T @ d_logits, params, grads)
+            for name, p in params.items():
+                p -= lr * grads[name]
+        losses.append(total / len(pairs))
+    return params, losses
 
 
 def reference_score(model, context, action: int) -> float:

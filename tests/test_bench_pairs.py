@@ -106,3 +106,53 @@ def test_workloads_are_summarised_apart(tool):
     assert list(summary) == ["a", "b"]
     assert not summary["a"]["all_correct"] and summary["a"]["failed_ops"]["change"] == 3
     assert summary["a"]["digests_equal"] and not summary["b"]["digests_equal"]
+
+
+SPEC = {"workloads": [{"name": "w"}, {"name": "v"}],
+        "end_to_end": [{"name": "steps_per_s", "better": "higher"},
+                       {"name": "step_ms_p50", "better": "lower"}]}
+
+
+def test_a_claim_names_a_benched_workload_and_an_end_to_end_metric(tool):
+    assert tool.parse_claim("w/step_ms_p50", ["w", "v"], SPEC) == ("w", "step_ms_p50", "lower")
+    assert tool.parse_claim("v/steps_per_s", ["v"], SPEC) == ("v", "steps_per_s", "higher")
+    for text, message in [("w", "not WORKLOAD/METRIC"), ("x/steps_per_s", "not in BENCHMARK"),
+                          ("v/steps_per_s", "not one this run benches"),
+                          ("w/trace.overhead_frac", "not an end-to-end metric"),
+                          ("w/", "not an end-to-end metric")]:
+        with pytest.raises(ValueError, match=message):
+            tool.parse_claim(text, ["w"], SPEC)
+
+
+def test_claim_block_of_the_change_and_the_control(tool):
+    runs = []
+    for seed, (a, b, c) in enumerate([(2.0, 1.6, 2.1), (2.2, 1.8, 2.0), (1.8, 1.9, 1.9),
+                                      (2.4, 1.7, 2.3)]):
+        runs += [fixture_run("parent", seed, a, 100.0), fixture_run("change", seed, b, 100.0),
+                 fixture_run("control", seed, c, 100.0)]
+    assert tool.claim_block({}, "w", "step_ms_p50", "lower") == {
+        "workload": "w", "metric": "step_ms_p50", "better": "lower", "pairs": 0}
+    block = tool.claim_block(tool.summarize(runs, METRICS), "w", "step_ms_p50", "lower")
+    assert (block["workload"], block["metric"], block["better"], block["pairs"]) == (
+        "w", "step_ms_p50", "lower", 4)
+    change, control = block["change"], block["control"]
+    assert change["parent_median"] == pytest.approx(2.1) and change["median"] == 1.75
+    assert change["shift"] == pytest.approx(1.75 / 2.1 - 1.0)
+    assert change["parent_iqr"] == pytest.approx([1.95, 2.25])
+    assert (change["better_pairs"], change["worse_pairs"]) == (3, 1)
+    assert change["sign_p"] == pytest.approx(10 / 16) and change["resolved"] is True
+    assert control["median"] == pytest.approx(2.05)
+    assert control["shift"] == pytest.approx(2.05 / 2.1 - 1.0)
+    assert (control["better_pairs"], control["worse_pairs"]) == (2, 2)
+    assert control["resolved"] is False
+
+
+def test_an_unknown_claim_is_refused_before_any_run(tool, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    for claim in ("rollout_pg/setup_s", "adapt_ap/no_such_metric"):
+        with pytest.raises(SystemExit) as caught:
+            tool.main(["HEAD", "HEAD", "--workload", "adapt_ap", "--claim", claim,
+                       "--out", str(out), "--scratch", str(tmp_path / "trees")])
+        assert caught.value.code == 2
+        assert "--claim" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "trees").exists()

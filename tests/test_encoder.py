@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import max_rel_err
+from helpers import max_rel_err, reference_backward
 from prefrl.encoder import (EncoderConfig, encode, encode_backward, encode_batch,
                             encode_windows_with_cache, encode_with_cache, init_encoder_params,
                             window_ids)
@@ -157,6 +157,22 @@ class TestGradients:
 
         numeric = finite_diff_grad(lambda p: float(w @ encode(seq, p, config)), params)
         assert max_rel_err(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("seq", [(3,), (1, 4, 1), (2, 2, 2, 2, 2), (0, 5, 3, 5, 1, 0, 2)])
+    @pytest.mark.parametrize("embed_dim", [3, 16])
+    def test_single_row_backward_is_bitwise_the_reference(self, seq, embed_dim):
+        # one row takes its own path (outer products, a last-slot row add);
+        # it must give the bits of the batched formulas it replaces, with
+        # repeated ids, padding and a window shorter than the sequence
+        config = EncoderConfig(num_items=6, embed_dim=embed_dim, max_seq_len=5)
+        params = make_params(config, seed=len(seq), proj_noise=0.3)
+        w = np.random.default_rng(embed_dim).normal(size=embed_dim)
+        _, cache = encode_with_cache(seq, params, config)
+        params.zero_grads()
+        encode_backward(cache, w, params)
+        expected = reference_backward(cache, w, params.params)
+        for name in params:
+            assert np.array_equal(params.grads[name], expected[name]), name
 
     def test_window_ids_left_pad_and_keep_the_last_items(self):
         config = EncoderConfig(num_items=6, embed_dim=2, max_seq_len=3)

@@ -105,6 +105,24 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loaded_tensors_view_one_array_in_file_order(self, tmp_path, trained_agent):
+        # the file's float32 data is widened once, into the array the loaded
+        # parameters are views of; a file listing its tensors in another
+        # order keeps that order, and saves back to the same bytes
+        p0, p1, p2 = (tmp_path / name for name in ("saved.ckpt", "a.ckpt", "b.ckpt"))
+        tensors = trained_agent.params.params
+        save_checkpoint(trained_agent, p0)
+        save_tensors(p1, dict(reversed(tensors.items())), read_checkpoint(p0).config)
+        loaded = load_checkpoint(p1)
+        assert loaded.params.names() == list(reversed(tensors))
+        assert all(np.shares_memory(loaded.params[name], loaded.params.flat)
+                   for name in loaded.params)
+        for name in tensors:
+            assert np.array_equal(loaded.params[name],
+                                  tensors[name].astype(np.float32).astype(np.float64)), name
+        save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_header_holds_no_discount_and_no_second_version(self, tmp_path, trained_agent):
         p = tmp_path / "agent.ckpt"
         save_checkpoint(trained_agent, p)

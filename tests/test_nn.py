@@ -203,3 +203,82 @@ class TestParamSet:
         numeric = finite_diff_grad(lambda q: float((q["a"] ** 2).sum() + q["b"][0] ** 2), ps)
         assert sorted(analytic) == ["a", "b"]
         assert max_rel_err(analytic, numeric) > 0.5
+
+
+class TestFlatLayout:
+    def make(self):
+        return ParamSet({"a": np.arange(6.0).reshape(2, 3), "b": np.array([-1.0, 0.5]),
+                         "c": np.full((1, 2, 2), 3.0)})
+
+    def test_every_tensor_views_one_buffer_in_insertion_order(self):
+        ps = self.make()
+        assert ps.flat.dtype == np.float64 and ps.flat.shape == (ps.num_scalars(),)
+        assert all(np.shares_memory(ps[name], ps.flat) for name in ps)
+        assert np.array_equal(ps.flat, np.concatenate([ps[name].ravel() for name in ps]))
+        grads = {name: ps.grads[name] for name in ps}
+        assert all(np.shares_memory(g, ps.grads.flat) for g in grads.values())
+        assert ps.grads.flat.shape == ps.flat.shape and not ps.grads.flat.any()
+        ps.grads["b"] += 1.0
+        assert ps.grads.flat.tolist() == [0.0] * 6 + [1.0, 1.0] + [0.0] * 4
+
+    def test_a_gradient_view_handed_back_is_not_copied(self):
+        ps = self.make()
+        view = ps.grads["a"]
+        ps.grads["a"] += 2.0                      # __setitem__ gets the view itself
+        assert ps.grads["a"] is view and view.sum() == 12.0
+        ps.grads["c"] = np.ones((1, 2, 2))        # another array is written into the view
+        assert np.shares_memory(ps.grads["c"], ps.grads.flat) and ps.grads["c"].sum() == 4.0
+        with pytest.raises(KeyError):
+            ps.grads["d"] = np.ones(1)
+
+    def test_copy_is_one_independent_flat_copy(self):
+        ps = self.make()
+        ps.grads["a"] += 1.0
+        optimizer_step(ps, lr=0.1, momentum=0.9)
+        other = ps.copy()
+        assert not np.shares_memory(other.flat, ps.flat)
+        assert np.array_equal(other.flat, ps.flat) and other.names() == ps.names()
+        assert all(np.shares_memory(other[name], other.flat) for name in other)
+        other["b"][0] = 99.0
+        assert ps["b"][0] == -1.0
+        assert not other.grads.accumulated()
+        before = other.flat.copy()
+        optimizer_step(other, lr=0.1, momentum=0.9)   # no velocity was copied
+        assert np.array_equal(other.flat, before)
+
+    def test_from_flat_adopts_the_array(self):
+        flat = np.arange(5.0)
+        ps = ParamSet.from_flat(flat, {"w": (2, 2), "b": (1,)})
+        assert ps.flat is flat and ps["b"].tolist() == [4.0]
+        for bad in (np.arange(4.0), np.arange(5, dtype=np.float32), np.arange(10.0)[::2]):
+            with pytest.raises(ValueError):
+                ParamSet.from_flat(bad, {"w": (2, 2), "b": (1,)})
+        with pytest.raises(ValueError, match="'b'"):
+            ParamSet.from_flat(np.array([0.0, 1.0, 2.0, 3.0, np.nan]), {"w": (2, 2), "b": (1,)})
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_a_non_finite_gradient_names_its_parameter_and_moves_nothing(self, momentum):
+        ps = self.make()
+        ps.grads["a"] += 1.0
+        optimizer_step(ps, lr=0.1, momentum=momentum)
+        before, velocity = ps.flat.copy(), (None if ps._velocity is None
+                                            else ps._velocity.copy())
+        ps.grads["a"] += 1.0
+        ps.grads["b"][1] = np.nan
+        ps.grads["c"][0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite gradient for parameter 'b'"):
+            optimizer_step(ps, lr=0.1, momentum=momentum)
+        assert np.array_equal(ps.flat, before)
+        assert (ps._velocity is None) if velocity is None else np.array_equal(ps._velocity,
+                                                                              velocity)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_the_step_releases_the_flat_gradient(self, momentum):
+        ps = self.make()
+        optimizer_step(ps, lr=0.1, momentum=momentum)     # no gradient read at all
+        assert ps.grads.flat is None and not ps.grads.accumulated()
+        ps.grads["c"] += 1.0
+        optimizer_step(ps, lr=0.1, momentum=momentum)
+        assert ps.grads.flat is None and not ps.grads.accumulated()
+        assert ps["c"].tolist() == [[[2.9, 2.9], [2.9, 2.9]]]
+        assert (ps._velocity is None) == (momentum == 0.0)

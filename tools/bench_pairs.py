@@ -4,7 +4,7 @@ medians, the parent's quartiles, the pairs the change reads better and
 worse, and a two-sided sign-test p.
 
     python tools/bench_pairs.py PARENT CHANGE --workload adapt_ap --pairs 10 \\
-        --control --out BENCH_17.json
+        --control --claim adapt_ap/step_ms_p50 --out BENCH_17.json
 
 Each commit is extracted with ``git archive`` into its own directory under
 ``--scratch``: the benchmark reads only committed files, and an archive
@@ -15,7 +15,11 @@ side, a second copy of the parent, whose shift against the parent is the
 noise floor of the same file.  A pair is checked for equal ``curve_digest``
 and ``final_test_return`` on every side.  The output is rewritten after each
 run, so an interrupted session keeps the runs it made.  Metric directions
-and the run length come from ``BENCHMARK.json``.
+and the run length come from ``BENCHMARK.json``.  ``--claim WORKLOAD/METRIC``
+names the end-to-end metric a change claims to improve.  The file's first
+key, ``claim``, then holds that metric's medians, its shift, the pairs read
+better and worse and the sign-test p, for the change and for the control if
+run; without ``--claim`` it is null.
 """
 from __future__ import annotations
 
@@ -58,9 +62,10 @@ def quartiles(values) -> tuple[float, float]:
 
 def compare(base: list[float], other: list[float], better: str) -> dict:
     """``other`` against ``base``, pair by pair: medians, the base's
-    quartiles, the relative shift of the medians (positive is worse), the
-    pairs ``other`` reads better and worse, the sign-test p, and whether the
-    shift of the medians exceeds the base's interquartile range."""
+    quartiles, the relative shift of the medians (``shift``, negative is
+    lower; ``worse_by``, positive is worse), the pairs ``other`` reads better
+    and worse, the sign-test p, and whether the shift of the medians exceeds
+    the base's interquartile range."""
     lower = better == "lower"
     wins = sum((o < b) if lower else (o > b) for b, o in zip(base, other))
     losses = sum((o > b) if lower else (o < b) for b, o in zip(base, other))
@@ -68,7 +73,7 @@ def compare(base: list[float], other: list[float], better: str) -> dict:
     q1, q3 = quartiles(base)
     shift = (other_median - base_median) / base_median if base_median else 0.0
     return {"base_median": base_median, "median": other_median, "base_iqr": [q1, q3],
-            "worse_by": shift if lower else -shift, "better_pairs": wins,
+            "shift": shift, "worse_by": shift if lower else -shift, "better_pairs": wins,
             "worse_pairs": losses, "sign_p": sign_test_p(wins, losses),
             "resolved": abs(other_median - base_median) > q3 - q1}
 
@@ -109,6 +114,44 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                                for other in sides if other != "parent"}
         summary[workload] = entry
     return summary
+
+
+def parse_claim(text: str, workloads: list[str], spec: dict) -> tuple[str, str, str]:
+    """``WORKLOAD/METRIC`` checked against the workloads of the run and the
+    workloads and end-to-end metrics of ``BENCHMARK.json``: the workload, the
+    metric and its better direction.  ValueError names what does not
+    match."""
+    workload, sep, metric = text.partition("/")
+    if not sep:
+        raise ValueError(f"--claim {text!r} is not WORKLOAD/METRIC")
+    if workload not in {w["name"] for w in spec["workloads"]}:
+        raise ValueError(f"--claim workload {workload!r} is not in BENCHMARK.json")
+    if workload not in workloads:
+        raise ValueError(f"--claim workload {workload!r} is not one this run benches "
+                         f"({', '.join(workloads)})")
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}.get(metric)
+    if better is None:
+        raise ValueError(f"--claim metric {metric!r} is not an end-to-end metric of "
+                         "BENCHMARK.json")
+    return workload, metric, better
+
+
+def claim_block(summary: dict, workload: str, metric: str, better: str) -> dict:
+    """The claimed metric of ``summary`` against the parent: per other side
+    (the change, and the control if run) the medians, the parent's
+    quartiles, the relative shift of the median (negative is lower), the
+    pairs read better and worse, the sign-test p and whether the shift
+    exceeds the parent's interquartile range.  Before the workload has a
+    measured pair, only its name, metric, direction and zero pairs."""
+    entry = summary.get(workload, {})
+    block = {"workload": workload, "metric": metric, "better": better,
+             "pairs": entry.get("measured_pairs", 0)}
+    for side, result in entry.get(metric, {}).items():
+        block[side] = {"parent_median": result["base_median"], "median": result["median"],
+                       "parent_iqr": result["base_iqr"], "shift": result["shift"],
+                       **{key: result[key] for key in ("better_pairs", "worse_pairs",
+                                                       "sign_p", "resolved")}}
+    return block
 
 
 def extract(commit: str, dest: Path) -> str:
@@ -156,6 +199,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--control", action="store_true",
                         help="also run a second copy of the parent")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="the end-to-end metric the change claims to improve")
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     parser.add_argument("--scratch", type=Path,
                         help="where the commits are extracted (default: a temporary "
@@ -165,12 +210,19 @@ def main(argv=None) -> int:
     unknown = set(args.workload) - {w["name"] for w in spec["workloads"]}
     if unknown or args.pairs < 1:
         parser.error(f"unknown workloads {sorted(unknown)}" if unknown else "--pairs must be >= 1")
+    claimed = None
+    if args.claim is not None:
+        try:
+            claimed = parse_claim(args.claim, args.workload, spec)
+        except ValueError as exc:
+            parser.error(str(exc))
     scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     sides = SIDES if args.control else SIDES[:2]
     commits = {side: args.parent if side != "change" else args.change for side in sides}
     trees = {side: scratch / side for side in sides}
     ids = {side: extract(commit, trees[side]) for side, commit in commits.items()}
-    doc = {"what": "perfbench runs of parent/change pairs (and, with a control, a second "
+    doc = {"claim": claim_block({}, *claimed) if claimed else None,
+           "what": "perfbench runs of parent/change pairs (and, with a control, a second "
                    "copy of the parent); 'result' is each run's last stdout line, and "
                    "'summary' compares every other side with the parent per metric",
            "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
@@ -187,6 +239,8 @@ def main(argv=None) -> int:
                            **bench(trees[side], workload, pair, spec["run_seconds"])}
                     doc["runs"].append(run)
                     doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
+                    if claimed:
+                        doc["claim"] = claim_block(doc["summary"], *claimed)
                     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
                     print(f"{workload} pair {pair} {side}: exit {run['exit_code']}, "
                           f"{run['elapsed_s']} s", file=sys.stderr)
