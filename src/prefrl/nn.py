@@ -33,14 +33,6 @@ class _Grads(Mapping):
     Every parameter name is a key, as with eager buffers, but the flat array
     is allocated, zero-filled, only when a gradient is first read, and
     :meth:`clear` releases it, so :meth:`accumulated` is empty until then.
-    A view read before a release must not be used after it.
-
-    A released array becomes the process's one spare of its size, which the
-    next first read of a gradient of that size, in any parameter set,
-    zero-fills and takes.  A parameter-sized array allocated and freed at
-    every step can leave the top of the heap large enough for malloc to trim
-    it, and the next step then faults every page back in: a learner step of
-    the ap benchmark ran 13-17% slower that way.
     """
 
     def __init__(self, layout: dict[str, tuple[slice, tuple[int, ...]]], size: int):
@@ -52,12 +44,8 @@ class _Grads(Mapping):
         if self.flat is None:
             if name not in self._layout:
                 raise KeyError(name)
-            flat = _SPARE.pop(self._size, None)
-            if flat is None:
-                flat = np.zeros(self._size)
-            else:
-                flat.fill(0.0)
-            self.flat, self._views = flat, _views(flat, self._layout)
+            self.flat = np.zeros(self._size)
+            self._views = _views(self.flat, self._layout)
         return self._views[name]
 
     def __setitem__(self, name: str, grad: np.ndarray) -> None:
@@ -78,13 +66,7 @@ class _Grads(Mapping):
         return self._views
 
     def clear(self) -> None:
-        if self.flat is not None:
-            _SPARE[self._size] = self.flat
         self.flat, self._views = None, {}
-
-
-# size -> the spare released gradient array of that size (see _Grads)
-_SPARE: dict[int, np.ndarray] = {}
 
 
 def _layout(shapes) -> tuple[dict[str, tuple[slice, tuple[int, ...]]], int]:
@@ -244,8 +226,8 @@ def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamS
         elif g is not None:
             v = g.copy()
         params._velocity = step = v
-    # lr * step goes into the gradient, released below, so no second
-    # parameter-sized array is allocated (see _Grads)
+    # lr * step goes into the gradient, released below, rather than into a
+    # second parameter-sized array
     if g is not None:
         params.flat -= np.multiply(step, lr, out=g)
     elif step is not None:

@@ -38,13 +38,11 @@ is handed the run's method and names it, the step, ``lr`` and
 ``target_update`` in the message.
 
 ``_ReplayTD``'s :class:`ReplayBuffer` holds columns only: one
-:class:`agent.TransitionBatch` of ``buffer_capacity`` rows, or of the
-phase's step count if that is smaller (a phase pushes one transition a
-step), allocated up front.  Each push writes a transition's row, its state
-padded to an encoder window (its next state's window is that window shifted
-in by the action).  A sample hands ``update`` its rows, so a transition is
-padded once however often it is sampled, and the transition object is not
-kept.
+:class:`agent.TransitionBatch` of ``buffer_capacity`` rows, allocated up
+front, to which each push writes a transition's row, its state padded to an
+encoder window (its next state's window is that window shifted in by the
+action).  A sample hands ``update`` its rows, so a transition is padded once
+however often it is sampled, and the transition object is not kept.
 
 With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
 from a critic snapshot frozen for N learner steps, so within a period it is
@@ -256,10 +254,7 @@ class _ReplayTD:
     """Learner that pushes each transition into ``buffer`` and, once a
     minibatch is buffered, takes one :func:`update` step on a fresh sample of
     it (on ``mix`` at its current alpha, if given); ``learn`` returns the
-    losses, or None.  ``updates`` counts the steps taken.  The buffer has
-    ``buffer_capacity`` rows, or ``steps``, the pushes of the phase it serves,
-    if fewer (at least one): no row evicts another before ``steps`` pushes
-    either way, so every sample draws the same rows.
+    losses, or None.  ``updates`` counts the steps taken.
 
     With ``target_update = N > 0`` the TD bootstrap reads ``target``, a
     critic snapshot taken every N updates, and ``memo``: ``next_state_items``
@@ -271,10 +266,9 @@ class _ReplayTD:
     N = 0 both are None: the live critic bootstraps and moves every step."""
 
     def __init__(self, agent: AgentBundle, config: TrainConfig, rng: np.random.Generator,
-                 steps: int, actor: bool = True, mix: MixPolicy | None = None):
+                 actor: bool = True, mix: MixPolicy | None = None):
         self.agent, self.config, self.rng, self.actor, self.mix = agent, config, rng, actor, mix
-        self.buffer = ReplayBuffer(max(1, min(config.buffer_capacity, steps)),
-                                   agent.encoder_config)
+        self.buffer = ReplayBuffer(config.buffer_capacity, agent.encoder_config)
         self.updates = 0
         self.target, self.memo = (agent.clone(), {}) if config.target_update > 0 else (None, None)
 
@@ -433,7 +427,7 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
             epoch_callback(record["epoch"], agent, record, rng.bit_generator.state)
 
     steps = (config.pretrain_epochs - start_epoch) * config.pretrain_horizon
-    _rollout("pretrain", env, config, steps, act, _ReplayTD(agent, config, rng, steps),
+    _rollout("pretrain", env, config, steps, act, _ReplayTD(agent, config, rng),
              on_episode=on_episode)
     return agent, records
 
@@ -675,8 +669,7 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
         def act(history):
             return choose_action(policy.probs(history), strategy, rng), None
     learner = (_Reinforce(work, config) if method == "pg"
-               else _ReplayTD(work, config, rng, config.online_steps, actor=method != "dqn",
-                              mix=mix))
+               else _ReplayTD(work, config, rng, actor=method != "dqn", mix=mix))
     episodes, snapshots = _rollout(method, env, config, config.online_steps, act, learner,
                                    policy, eval_env, episodes_per_epoch, eval_episodes,
                                    eval_epochs)

@@ -282,12 +282,3 @@ class TestFlatLayout:
         assert ps.grads.flat is None and not ps.grads.accumulated()
         assert ps["c"].tolist() == [[[2.9, 2.9], [2.9, 2.9]]]
         assert (ps._velocity is None) == (momentum == 0.0)
-
-    def test_a_released_gradient_is_taken_zero_filled_by_the_next_set(self):
-        first, second = self.make(), self.make()
-        first.grads["a"] += 7.0
-        released = first.grads.flat
-        optimizer_step(first, lr=0.0)
-        assert first.grads.flat is None
-        assert not second.grads["c"].any()
-        assert second.grads.flat is released and not released.any()

@@ -348,55 +348,6 @@ class TestPretrain:
             tr.ReplayBuffer = orig
         assert SpyBuffer.pushes == 4 * 10
 
-    @pytest.mark.parametrize("epochs, start_epoch, capacity, rows", [
-        (4, 0, 10_000, 40), (4, 1, 10_000, 30), (4, 0, 25, 25), (4, 4, 10_000, 1)])
-    def test_buffer_is_sized_to_the_pushes_the_phase_makes(self, world, monkeypatch, epochs,
-                                                           start_epoch, capacity, rows):
-        # E epochs of horizon H push E * H transitions, so the buffer has
-        # min(capacity, E * H) rows; a resume with no epoch left has one row
-        # and runs no step
-        sizes = []
-
-        class SizedBuffer(ReplayBuffer):
-            def __init__(self, size, encoder_config):
-                sizes.append(size)
-                super().__init__(size, encoder_config)
-
-        monkeypatch.setattr(training, "ReplayBuffer", SizedBuffer)
-        cfg = self.cfg(pretrain_epochs=epochs, buffer_capacity=capacity)
-        _, records = pretrain(agent_for(world, seed=2), SyntheticOracle(world["truth"], 3.0),
-                              cfg, world["train"], start_epoch=start_epoch)
-        assert sizes == [rows]
-        assert [r["epoch"] for r in records] == list(range(start_epoch, epochs))
-
-    @pytest.mark.parametrize("target_update", [0, 5])
-    def test_a_buffer_sized_to_the_phase_samples_as_a_full_capacity_one(
-            self, world, monkeypatch, target_update):
-        # the reference loop keeps a 10,000-row buffer; pre-training's has
-        # 8 * 10 rows, and every sample draws the same rows, so the records
-        # and the parameters match bit for bit
-        drawn = []
-        sample = ReplayBuffer.sample
-
-        def recorded(buffer, batch_size, rng):
-            batch = sample(buffer, batch_size, rng)
-            drawn.append((buffer.capacity, batch.windows.tobytes(), batch.actions.tobytes(),
-                          batch.rewards.tobytes()))
-            return batch
-
-        monkeypatch.setattr(ReplayBuffer, "sample", recorded)
-        oracle = SyntheticOracle(world["truth"], 3.0)
-        cfg = self.cfg(buffer_capacity=10_000, target_update=target_update, gamma=0.9)
-        ours, ref = agent_for(world, seed=6), agent_for(world, seed=6)
-        _, records = pretrain(ours, oracle, cfg, world["train"])
-        ours_drawn, drawn[:] = drawn[:], []
-        expected = reference_pretrain(ref, oracle, cfg, world["train"])
-        assert {c for c, *_ in ours_drawn} == {80} and {c for c, *_ in drawn} == {10_000}
-        assert len(ours_drawn) == 8 * 10 - 7
-        assert [rows for _, *rows in ours_drawn] == [rows for _, *rows in drawn]
-        assert records == expected
-        assert ours.params.allclose(ref.params)
-
     def test_records_and_determinism(self, world):
         oracle = SyntheticOracle(world["truth"], 3.0)
         a1 = agent_for(world, seed=3)
@@ -533,21 +484,6 @@ class TestOnlinePhase:
         before = agent.params.copy()
         online_phase("ft", agent, make_env(world, seed=1), self.cfg(online_steps=60))
         assert before.allclose(agent.params)
-
-    @pytest.mark.parametrize("steps, capacity, rows", [(30, 200, 30), (60, 40, 40)])
-    def test_buffer_is_sized_to_the_online_steps(self, world, monkeypatch, steps, capacity,
-                                                 rows):
-        sizes = []
-        init = ReplayBuffer.__init__
-
-        def sized(buffer, size, encoder_config):
-            sizes.append(size)
-            init(buffer, size, encoder_config)
-
-        monkeypatch.setattr(ReplayBuffer, "__init__", sized)
-        online_phase("ft", agent_for(world), make_env(world, seed=1),
-                     self.cfg(online_steps=steps, buffer_capacity=capacity))
-        assert sizes == [rows]
 
     def test_frozen_policy_bitwise_unchanged_in_ap(self, world):
         agent = agent_for(world, seed=8)
