@@ -136,9 +136,9 @@ def test_claim_block_of_the_change_and_the_control(tool):
     assert (block["workload"], block["metric"], block["better"], block["pairs"]) == (
         "w", "step_ms_p50", "lower", 4)
     change, control = block["change"], block["control"]
-    assert change["parent_median"] == pytest.approx(2.1) and change["median"] == 1.75
+    assert change["base_median"] == pytest.approx(2.1) and change["median"] == 1.75
     assert change["shift"] == pytest.approx(1.75 / 2.1 - 1.0)
-    assert change["parent_iqr"] == pytest.approx([1.95, 2.25])
+    assert change["base_iqr"] == pytest.approx([1.95, 2.25])
     assert (change["better_pairs"], change["worse_pairs"]) == (3, 1)
     assert change["sign_p"] == pytest.approx(10 / 16) and change["resolved"] is True
     assert control["median"] == pytest.approx(2.05)

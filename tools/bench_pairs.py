@@ -137,21 +137,13 @@ def parse_claim(text: str, workloads: list[str], spec: dict) -> tuple[str, str, 
 
 
 def claim_block(summary: dict, workload: str, metric: str, better: str) -> dict:
-    """The claimed metric of ``summary`` against the parent: per other side
-    (the change, and the control if run) the medians, the parent's
-    quartiles, the relative shift of the median (negative is lower), the
-    pairs read better and worse, the sign-test p and whether the shift
-    exceeds the parent's interquartile range.  Before the workload has a
-    measured pair, only its name, metric, direction and zero pairs."""
+    """The claimed metric's entry of ``summary``: its direction, the
+    workload's measured pairs and, per other side (the change, and the
+    control if run), :func:`compare` against the parent.  Before the workload
+    has a measured pair, only its name, metric, direction and zero pairs."""
     entry = summary.get(workload, {})
-    block = {"workload": workload, "metric": metric, "better": better,
-             "pairs": entry.get("measured_pairs", 0)}
-    for side, result in entry.get(metric, {}).items():
-        block[side] = {"parent_median": result["base_median"], "median": result["median"],
-                       "parent_iqr": result["base_iqr"], "shift": result["shift"],
-                       **{key: result[key] for key in ("better_pairs", "worse_pairs",
-                                                       "sign_p", "resolved")}}
-    return block
+    return {"workload": workload, "metric": metric, "better": better,
+            "pairs": entry.get("measured_pairs", 0), **entry.get(metric, {})}
 
 
 def extract(commit: str, dest: Path) -> str:
