@@ -19,10 +19,11 @@ frozen policy takes no part in the update.
 :func:`update` reads a minibatch as columns (:class:`TransitionBatch`): the
 encoder windows of the states, already padded, and one array per field; a
 next state is its state plus its action, so its window is the state's
-shifted in by the action.  ``TransitionBatch`` is the one place that lays
-those columns out and writes and gathers their rows; a replay buffer is one
-of them, holding no transition objects, and a plain list of transitions is
-turned into one at the top of the step.
+shifted in by the action, and the learner knows a state by its window
+alone.  ``TransitionBatch`` is the one place that lays those columns out
+and writes and gathers their rows; a replay buffer is one of them, holding
+no transition objects, and a plain list of transitions is turned into one
+at the top of the step.
 
 A bundle is weights plus shape: the discount belongs to the phase being run,
 so :func:`update` takes it as ``gamma``, next to ``lr`` and ``momentum``.
@@ -80,15 +81,14 @@ def check_successor(transition: Transition, num_items: int) -> None:
 class TransitionBatch:
     """Transitions as the columns :func:`update` reads, one row each, and the
     one place that lays them out: the state's encoder window (``windows``,
-    from :func:`encoder.window_ids`), the ``next_state_items`` (``next_items``,
-    the key of a target memo), ``actions``, ``rewards``, ``done`` and
-    ``frozen_probs`` (NaN where a transition has none).  The windows are for
-    ``encoder_config``'s item space and window length.  Every row was written
-    by :meth:`put`, after :func:`check_successor`, so a next state's window is
-    its state's shifted in by the action (:attr:`next_windows`).  The
-    transitions themselves are not kept."""
+    from :func:`encoder.window_ids`), ``actions``, ``rewards``, ``done`` and
+    ``frozen_probs`` (NaN where a transition has none), every column numeric.
+    The windows are for ``encoder_config``'s item space and window length.
+    Every row was written by :meth:`put`, after :func:`check_successor`, so a
+    next state's window is its state's shifted in by the action
+    (:attr:`next_windows`); the learner knows a state only by its window.
+    The transitions themselves are not kept."""
     windows: np.ndarray         # (B, max_seq_len) int64
-    next_items: np.ndarray      # (B,) object
     actions: np.ndarray         # (B,) int64
     rewards: np.ndarray         # (B,) float64
     done: np.ndarray            # (B,) bool
@@ -108,9 +108,9 @@ class TransitionBatch:
     @classmethod
     def empty(cls, rows: int, config: EncoderConfig) -> "TransitionBatch":
         """``rows`` rows, allocated and not yet written (:meth:`put`)."""
-        return cls(np.empty((rows, config.max_seq_len), np.int64), np.empty(rows, object),
-                   np.empty(rows, np.int64), np.empty(rows, np.float64), np.empty(rows, bool),
-                   np.empty(rows, np.float64), config)
+        return cls(np.empty((rows, config.max_seq_len), np.int64), np.empty(rows, np.int64),
+                   np.empty(rows, np.float64), np.empty(rows, bool), np.empty(rows, np.float64),
+                   config)
 
     @classmethod
     def of(cls, transitions, config: EncoderConfig) -> "TransitionBatch":
@@ -129,7 +129,6 @@ class TransitionBatch:
         t = transition
         check_successor(t, self.encoder_config.num_items)
         self.windows[row] = window
-        self.next_items[row] = t.next_state_items
         self.actions[row] = t.action
         self.rewards[row] = t.reward
         self.done[row] = t.done
@@ -137,9 +136,8 @@ class TransitionBatch:
 
     def take(self, rows: np.ndarray) -> "TransitionBatch":
         """A new batch of the given rows, in order."""
-        return TransitionBatch(self.windows[rows], self.next_items[rows], self.actions[rows],
-                               self.rewards[rows], self.done[rows], self.frozen_probs[rows],
-                               self.encoder_config)
+        return TransitionBatch(self.windows[rows], self.actions[rows], self.rewards[rows],
+                               self.done[rows], self.frozen_probs[rows], self.encoder_config)
 
 
 @dataclass
@@ -221,25 +219,25 @@ def _td_targets(batch: TransitionBatch, bundle: AgentBundle, target: AgentBundle
                 memo: dict | None, gamma: float) -> np.ndarray:
     """r + gamma * max_a' Q(s', a') of every transition, with a zero bootstrap
     on terminal ones, evaluated by ``target`` when given.  One batched encode
-    of ``next_windows`` covers the distinct non-terminal next states, less
-    those ``memo`` (next state -> max_a' Q) already holds, whose values are
-    added to it; with every next state in it nothing is encoded."""
+    covers the distinct non-terminal next windows, less those ``memo`` (the
+    bytes of a next window -> max_a' Q) already holds, whose values are added
+    to it; with every next window in it nothing is encoded."""
     y = batch.rewards.copy()
     live = np.flatnonzero(~batch.done)
     if live.size:
         critic = target if target is not None else bundle
         memo = {} if memo is None else memo
-        keys = batch.next_items[live]
+        windows = batch.next_windows
+        keys = windows.view(np.dtype((np.void, windows[0].nbytes))).ravel()[live].tolist()
         # memo values are finite (q_values refuses others), so NaN marks a miss
         boot = np.fromiter(map(memo.get, keys, repeat(np.nan)), np.float64, live.size)
-        cold = np.isnan(boot)
-        if cold.any():
-            fresh = dict(zip(keys[cold], live[cold]))   # distinct next state -> a row of it
-            next_states = encode_windows(batch.next_windows[list(fresh.values())],
+        cold = np.flatnonzero(np.isnan(boot)).tolist()
+        if cold:
+            fresh = {keys[i]: live[i] for i in cold}   # distinct next window -> a row of it
+            next_states = encode_windows(windows[list(fresh.values())],
                                          critic.params, critic.encoder_config)
             memo |= zip(fresh, q_values(next_states, critic).max(axis=1).tolist())
-            boot[cold] = np.fromiter(map(memo.__getitem__, keys[cold]), np.float64,
-                                     int(cold.sum()))
+            boot[cold] = [memo[keys[i]] for i in cold]
         y[live] += gamma * boot
     return y
 
@@ -265,17 +263,18 @@ def update(batch, bundle: AgentBundle, lr: float,
     with c the TD error, the return, or for the mixture the TD error times
     ``alpha * pi(a) / p_mix(a)`` (0 where p_mix(a) underflows).
     ``target_bundle`` optionally supplies the frozen bootstrap critic, and
-    ``target_memo`` a dict of its bootstrap ``max_a' Q(s', a')`` per
-    ``next_state_items`` that the step reads and extends: the caller keeps
-    one per snapshot and starts a new one when the snapshot changes.  A memo
-    without a ``target_bundle`` (a live critic, which every step moves)
-    raises ValueError.
+    ``target_memo`` a dict of its bootstrap ``max_a' Q(s', a')`` per next
+    encoder window (keyed by the window's bytes) that the step reads and
+    extends: the caller keeps one per snapshot and starts a new one when the
+    snapshot changes.  A memo without a ``target_bundle`` (a live critic,
+    which every step moves) raises ValueError.
 
     The whole batch goes through one forward and one backward: one batched
-    encode each of the state windows and of the windows of the distinct
-    non-terminal next states (none when the memo holds them all); nothing is
-    padded.  Each row's forward products are its own, so a memoised bootstrap
-    has the bits a fresh encode would give, and each transition adds one
+    encode each of the state windows and of the distinct non-terminal next
+    windows (none when the memo holds them all); nothing is padded.  Each
+    row's forward products are its own and read only its window, so a
+    memoised bootstrap has the bits a fresh encode would give, next states
+    with equal windows share one encode, and each transition adds one
     rank-one term to each weight gradient, so a batch of two equal
     transitions takes exactly the step of one.  A mixture batch with a
     transition that lacks ``frozen_prob``, a batch padded for another item

@@ -33,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--oracle", choices=("synthetic", "llm"), help="preference judge backend")
     common.add_argument("--scheme", choices=SCHEMES, help="online adaptation scheme")
     common.add_argument("--strategy", choices=tuple(STRATEGY_ALIASES),
-                        help="exploration strategy of the ft, ap, pg and a2c runs (dqn "
-                             "keeps epsilon-greedy 0.1; llm_online acts on the judge's pick)")
+                        help="exploration strategy of the ft, ap, pg and a2c runs (dqn: "
+                             "epsilon-greedy at [training] epsilon; llm_online: the judge)")
     common.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
 
     parser = argparse.ArgumentParser(

@@ -85,27 +85,22 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
 def window_ids(sequences, config: EncoderConfig) -> np.ndarray:
     """The ``(B, max_seq_len)`` id array of a batch of sequences: each row the
     sequence's last ``max_seq_len`` items, left-padded with the padding id.
-    Every id of the batch, inside the window or not, is validated at once."""
-    n, pad = config.max_seq_len, config.padding_id
-    lengths = list(map(len, sequences))
-    if not lengths:
+    An empty batch or sequence is refused first; then every id of the batch,
+    inside the window or not, is validated, the first bad one in batch order
+    named."""
+    n, pad, num_items = config.max_seq_len, config.padding_id, config.num_items
+    if not len(sequences):
         raise ValueError("cannot encode an empty batch")
-    if min(lengths) == 0:
+    if 0 in map(len, sequences):
         raise ValueError("cannot encode an empty sequence")
-    if len(lengths) == 1 and 0 <= min(sequences[0]) and max(sequences[0]) < config.num_items:
-        # one valid history (an act, a reward score, a buffer push): Python's
-        # min and max over its ids cost less than the numpy calls below
-        return np.fromiter(chain((pad,) * (n - lengths[0]), sequences[0][-n:]), np.int64,
-                           n).reshape(1, n)
-    flat = np.fromiter(chain.from_iterable(sequences), np.int64, sum(lengths))
-    if flat.min() < 0 or flat.max() >= config.num_items:
-        bad = flat[(flat < 0) | (flat >= config.num_items)][0]
-        raise ValueError(f"item id {int(bad)} out of range [0, {config.num_items})")
     pieces = []
-    for seq, length in zip(sequences, lengths):
-        pieces.append((pad,) * (n - length))
+    for seq in sequences:
+        if min(seq) < 0 or max(seq) >= num_items:
+            bad = next(i for i in seq if not 0 <= i < num_items)
+            raise ValueError(f"item id {int(bad)} out of range [0, {num_items})")
+        pieces.append((pad,) * (n - len(seq)))
         pieces.append(seq[-n:])
-    return np.fromiter(chain.from_iterable(pieces), np.int64, n * len(lengths)).reshape(-1, n)
+    return np.fromiter(chain.from_iterable(pieces), np.int64, n * len(sequences)).reshape(-1, n)
 
 
 def _forward(ids: np.ndarray, params: ParamSet, config: EncoderConfig):

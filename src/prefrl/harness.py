@@ -380,7 +380,7 @@ def cmd_online(cfg: AppConfig, out, kind: str | None = None, agent_path=None) ->
     if kind is None and method not in SCHEMES:
         raise ConfigError(f"unknown scheme {method!r} ({'|'.join(SCHEMES)})")
     world, model = _world_and_model(cfg)
-    strategy = strategy_from(cfg)
+    strategy = strategy_from(cfg, "epsilon_greedy" if method == "dqn" else None)
     oracle = build_oracle(cfg, world) if method == "llm_online" else None
     seed = cfg["training"]["seed"]
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
@@ -436,13 +436,12 @@ def _run_method(cfg: AppConfig, world, model, seed, directory, method, start, st
                 oracle=None, suffix="") -> tuple[RunResult, float]:
     """Run one online method from the agent ``start`` on fresh environments
     and write its curve and final agent; returns the result and its
-    wall-clock seconds.  dqn keeps its own epsilon-greedy default instead of
-    ``strategy``; llm_online picks with ``oracle``."""
+    wall-clock seconds.  dqn explores by the ``strategy_from(cfg,
+    "epsilon_greedy")`` its caller builds; llm_online picks with ``oracle``."""
     train_env, test_env = build_envs(cfg, model, world, seed)
     started = time.perf_counter()
-    result = online_phase(method, start, train_env, train_config_from(cfg, seed),
-                          None if method == "dqn" else strategy, test_env,
-                          cfg["harness"]["episodes_per_epoch"],
+    result = online_phase(method, start, train_env, train_config_from(cfg, seed), strategy,
+                          test_env, cfg["harness"]["episodes_per_epoch"],
                           cfg["harness"]["eval_episodes"], oracle=oracle)
     wall = time.perf_counter() - started
     write_curve(directory / f"curve_{method}{suffix}.jsonl", result.episodes)
@@ -456,11 +455,12 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
     agents named ``<method>_<strategy kind>`` when ``strategies`` names any).  ``pretrained``
     gets the pre-trained agent's test metrics; with ``online`` every other
     method runs online, and without it (rq1) each gets the epoch-0 test
-    metrics of the agent it starts from.  The judge and the strategies are
-    built before anything is written."""
+    metrics of the agent it starts from.  The judge and the strategies (dqn's
+    epsilon-greedy one among them) are built before anything is written."""
     world, model = _world_and_model(cfg)
     oracle = build_oracle(cfg, world)
     runs = {name: strategy_from(cfg, name) for name in strategies} if online else {None: None}
+    dqn = strategy_from(cfg, "epsilon_greedy") if online and "dqn" in methods else None
     epochs = ("0", "final") if online else ("0",)
     enc = encoder_config_from(cfg, world.catalog.num_items)
     rows = []
@@ -483,8 +483,9 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
                                           pretrain_wall)
                 elif online:
                     start = pretrained if method in SCHEMES else scratch
-                    result, wall = _run_method(cfg, world, model, seed, directory, method,
-                                               start, strategy, oracle, suffix)
+                    result, wall = _run_method(cfg, world, model, seed, directory, method, start,
+                                               dqn if method == "dqn" else strategy, oracle,
+                                               suffix)
                     rows += _summary_rows(label, seed, result.snapshots, wall)
                 else:
                     means = (_test_means(cfg, model, world, seed, QGreedyPolicy(scratch))

@@ -46,12 +46,12 @@ however often it is sampled, and the transition object is not kept.
 
 With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
 from a critic snapshot frozen for N learner steps, so within a period it is
-a fixed function of the next state.  ``_ReplayTD`` keeps the snapshot
-(``target``) and a memo of that value per next state (``memo``), both
-replaced at each refresh; a learner step encodes only the next states the
-memo lacks.  Memoised values keep every bit, because a row's encoding does
-not depend on its batch.  With ``target_update = 0`` the live critic
-bootstraps and there is no memo.
+a fixed function of the next state's window.  ``_ReplayTD`` keeps the
+snapshot (``target``) and a memo of that value per next window (``memo``),
+both replaced at each refresh; a learner step encodes only the windows the
+memo lacks.  Memoised values keep every bit, because a row's encoding reads
+its window alone.  With ``target_update = 0`` the live critic bootstraps
+and there is no memo.
 
 Test-environment snapshots and every harness evaluation go through
 :func:`evaluate`.  A greedy episode is a deterministic function of its start
@@ -257,13 +257,13 @@ class _ReplayTD:
     losses, or None.  ``updates`` counts the steps taken.
 
     With ``target_update = N > 0`` the TD bootstrap reads ``target``, a
-    critic snapshot taken every N updates, and ``memo``: ``next_state_items``
-    -> the snapshot's ``max_a' Q(s', a')``, filled by :func:`update` as it
-    scores next states, so each distinct next state is encoded once per
-    snapshot.  Each snapshot starts an empty memo.  A memo value is the row a
-    fresh encode of that state would give, bit for bit, since a row's encoder
-    and head outputs do not depend on the batch it is computed in.  With
-    N = 0 both are None: the live critic bootstraps and moves every step."""
+    critic snapshot taken every N updates, and ``memo``: a next window's
+    bytes -> the snapshot's ``max_a' Q(s', a')``, filled by :func:`update`
+    as it scores next states, so each distinct next window is encoded once
+    per snapshot.  Each snapshot starts an empty memo.  A memo value is the
+    row a fresh encode would give, bit for bit, since a row's encoder and
+    head outputs read its window alone, not the batch it is computed in.
+    With N = 0 both are None: the live critic bootstraps every step."""
 
     def __init__(self, agent: AgentBundle, config: TrainConfig, rng: np.random.Generator,
                  actor: bool = True, mix: MixPolicy | None = None):
@@ -630,10 +630,11 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
     linearly to 1.  Each ap transition carries the frozen policy's
     probability of its action, which the learner's mixture term reads
     instead of re-encoding the state under the frozen policy.  dqn trains
-    the critic alone and acts on softmax(Q) (epsilon-greedy 0.1 by default);
-    pg is episodic REINFORCE; llm_online trains actor-critic on environment
-    reward while ``oracle`` picks each action from k actor-proposed
-    candidates.  The others explore by ``strategy``, categorical by default.
+    the critic alone and acts on softmax(Q); pg is episodic REINFORCE;
+    llm_online trains actor-critic on environment reward while ``oracle``
+    picks each action from k actor-proposed candidates.  The others explore
+    by ``strategy``: by default epsilon-greedy 0.1 for dqn (the harness
+    passes ``[training] epsilon``), else categorical.
     The caller's bundle is never mutated.
     """
     if method not in ONLINE_METHODS:

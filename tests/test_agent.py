@@ -9,6 +9,7 @@ from helpers import (actor_loss, actor_loss_check, advantage, critic_loss, criti
 from prefrl.agent import (Transition, action_distribution, init_agent, policy_for, q_values,
                           update)
 from prefrl import encoder
+from prefrl.encoder import window_ids
 from prefrl.nn import finite_diff_grad
 from prefrl.training import ReplayBuffer
 
@@ -408,7 +409,7 @@ class TestUpdate:
 
     def test_memo_encodes_only_the_distinct_missing_next_states(self, monkeypatch):
         # a cold memo takes one next-state forward over the distinct
-        # non-terminal next states, a partly warm one over those it lacks,
+        # non-terminal next windows, a partly warm one over those it lacks,
         # a warm one none; the states forward is one per step throughout
         calls = []
         forward = encoder._forward
@@ -421,16 +422,53 @@ class TestUpdate:
         agent, target = toy_agent(seed=34), toy_agent(seed=39)
         rng = np.random.default_rng(35)
         pool = [random_transition(agent, rng, done=(i % 4 == 0)) for i in range(24)]
+        # a longer history in front of a full window leaves the next window as it is
+        pool += [dataclasses.replace(t, state_items=(0, 1) + t.state_items,
+                                     next_state_items=(0, 1) + t.next_state_items)
+                 for t in pool if len(t.state_items) == 3]
         batch = [pool[int(i)] for i in rng.integers(len(pool), size=64)]
-        live = {t.next_state_items for t in batch if not t.done}
-        assert len(live) < sum(not t.done for t in batch)  # repeats to dedupe
+
+        def key(t):
+            return window_ids([t.next_state_items], agent.encoder_config).tobytes()
+
+        live = {key(t) for t in batch if not t.done}
+        assert len(live) < len({t.next_state_items for t in batch if not t.done})
         memo = {}
         for warm in (batch[:20], batch, batch):
-            missing = {t.next_state_items for t in warm if not t.done} - set(memo)
+            missing = {key(t) for t in warm if not t.done} - set(memo)
             calls.clear()
             update(warm, agent, 0.01, 0.0, target, target_memo=memo)
             assert calls == [len(warm)] + ([len(missing)] if missing else [])
         assert set(memo) == live
+
+    def test_equal_next_windows_share_one_entry_and_one_encode(self, monkeypatch):
+        # two next states whose histories differ only before the window
+        calls = []
+        forward = encoder._forward
+
+        def counted(ids, *args):
+            calls.append(len(ids))
+            return forward(ids, *args)
+
+        monkeypatch.setattr(encoder, "_forward", counted)
+        memoised, target = toy_agent(seed=50), toy_agent(seed=51)
+        plain = memoised.clone()
+        batch = [Transition((1, 2, 3), 4, 0.5, (1, 2, 3, 4), False),
+                 Transition((0, 4, 1, 2, 3), 4, -1.0, (0, 4, 1, 2, 3, 4), False),
+                 Transition((2,), 0, 0.25, (2, 0), False)]
+        memo = {}
+        losses = update(batch, memoised, 0.05, 0.5, target, target_memo=memo)
+        assert calls == [3, 2] and len(memo) == 2
+        for t in batch:
+            fresh = q_values(encoder.encode(t.next_state_items, target.params,
+                                            target.encoder_config), target).max()
+            assert memo[window_ids([t.next_state_items], target.encoder_config).tobytes()] \
+                == fresh
+        calls.clear()
+        assert update(batch, plain, 0.05, 0.5, target) == losses
+        assert calls == [3, 2]
+        for name in plain.params:
+            assert np.array_equal(plain.params[name], memoised.params[name]), name
 
     @pytest.mark.parametrize("setting", ["target_memo", "critic_only", "mixture_0.3"])
     def test_memoised_stream_is_bitwise_the_plain_stream(self, setting):

@@ -23,9 +23,12 @@ def tool():
     return module
 
 
-def fixture_run(side, seed, p50, steps, digest="d", ret=1.0, correct=True, workload="w"):
+def fixture_run(side, seed, p50, steps, digest="d", ret=1.0, correct=True, workload="w",
+                faults=None):
     return {"workload": workload, "seed": seed, "side": side, "curve_digest": digest,
             "final_test_return": ret,
+            **({} if faults is None else {"page_faults": {"minor": faults[0],
+                                                          "major": faults[1]}}),
             "result": {"correct": correct, "failed": 0 if correct else 3,
                        "metrics": {"step_ms_p50": {"value": p50, "unit": "ms"},
                                    "steps_per_s": {"value": steps, "unit": "1/s"}}}}
@@ -156,3 +159,34 @@ def test_an_unknown_claim_is_refused_before_any_run(tool, tmp_path, capsys):
         assert caught.value.code == 2
         assert "--claim" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "trees").exists()
+
+
+def test_page_faults_are_each_sides_median_over_the_counted_pairs(tool):
+    runs = []
+    for seed, (a, b) in enumerate([(100, 900), (300, 700), (200, 800)]):
+        runs += [fixture_run("parent", seed, 1.0, 100.0, faults=(a, seed)),
+                 fixture_run("change", seed, 1.0, 100.0, faults=(b, 2 * seed))]
+    runs += [fixture_run("parent", 3, 1.0, 100.0, faults=(10**6, 9)),
+             fixture_run("change", 3, 1.0, 100.0)]          # pair 3 has an uncounted run
+    entry = tool.summarize(runs, METRICS)["w"]
+    assert entry["pairs"] == 4
+    assert entry["page_faults"] == {"parent": {"minor": 200, "major": 1},
+                                    "change": {"minor": 800, "major": 2}}
+    assert tool.summarize(runs[-2:], METRICS)["w"]["page_faults"] is None
+
+
+def test_a_run_records_the_page_faults_of_its_process(tool, tmp_path):
+    # a stand-in benchmark that touches 32 MB of fresh pages (8192 at 4 KB)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "buf = bytearray(32 << 20)\n"
+        "buf[::4096] = b'\\x01' * (len(buf) // 4096)\n"
+        "print(json.dumps({'curve_digest': 'd', 'final_test_return': 1.0}))\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n",
+        encoding="utf-8")
+    run = tool.bench(tmp_path, "w", 0, 1.0)
+    assert run["exit_code"] == 0 and run["curve_digest"] == "d"
+    assert run["result"]["correct"] is True
+    assert run["page_faults"]["minor"] >= 8192 // 2
+    assert run["page_faults"]["major"] >= 0

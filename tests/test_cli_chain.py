@@ -30,6 +30,14 @@ def test_the_chain_runs_every_subcommand_byte_for_byte(tmp_path):
     assert first == chain.digests(tmp_path / "b")
     assert any(line.endswith("  latent/rq4/summary.tsv") for line in first)
     paths = [line.split("  ", 1)[1] for line in first]
+    # the target_update = 5 runs have their own run id and train other weights
+    digest = {path: sha for sha, path in (line.split("  ") for line in first)}
+    for method in ("ap", "dqn"):
+        for name in (f"curve_{method}.jsonl", f"agent_{method}.ckpt", f"summary_{method}.tsv"):
+            assert f"latent/runs/target-s3/{name}" in digest, name
+        plain, frozen = (digest[f"latent/runs/{run}-s3/agent_{method}.ckpt#tensors"]
+                         for run in ("t", "target"))
+        assert plain != frozen
     checkpoints = [path for path in paths if path.endswith(".ckpt")]
     assert checkpoints
     for path in checkpoints:

@@ -221,3 +221,58 @@ class TestGradients:
         encode_backward(cache, w, params)
         assert np.any(params.grads["item_emb"][:config.num_items] != 0.0)
         assert np.all(params.grads["item_emb"][config.padding_id] == 0.0)
+
+
+def naive_window_ids(sequences, config):
+    """window_ids written out one sequence and one id at a time: the empty
+    checks first, then the ids in batch order, then each row padded."""
+    if not sequences:
+        raise ValueError("cannot encode an empty batch")
+    if any(len(seq) == 0 for seq in sequences):
+        raise ValueError("cannot encode an empty sequence")
+    for seq in sequences:
+        for item in seq:
+            if not 0 <= item < config.num_items:
+                raise ValueError(f"item id {item} out of range [0, {config.num_items})")
+    n = config.max_seq_len
+    rows = [[config.padding_id] * max(0, n - len(seq)) + list(seq)[-n:] for seq in sequences]
+    return np.array(rows, dtype=np.int64)
+
+
+class TestWindowIds:
+    CONFIG = EncoderConfig(num_items=9, embed_dim=2, max_seq_len=4)
+
+    def _random_batch(self, rng):
+        n = self.CONFIG.max_seq_len
+        return [tuple(int(i) for i in rng.integers(0, self.CONFIG.num_items,
+                                                  size=rng.integers(1, 3 * n + 1)))
+                for _ in range(rng.integers(1, 71))]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_batches_equal_the_naive_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        batch = self._random_batch(rng)
+        ids = window_ids(batch, self.CONFIG)
+        assert ids.dtype == np.int64 and ids.shape == (len(batch), self.CONFIG.max_seq_len)
+        assert np.array_equal(ids, naive_window_ids(batch, self.CONFIG))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_the_first_bad_id_in_batch_order_is_named(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        batch = [list(seq) for seq in self._random_batch(rng)]
+        for _ in range(rng.integers(1, 4)):
+            seq = batch[rng.integers(len(batch))]
+            seq[rng.integers(len(seq))] = int(rng.choice([-3, -1, 9, 12]))
+        with pytest.raises(ValueError) as expected:
+            naive_window_ids(batch, self.CONFIG)
+        with pytest.raises(ValueError) as caught:
+            window_ids(batch, self.CONFIG)
+        assert str(caught.value) == str(expected.value)
+        assert str(caught.value).startswith("item id ")
+
+    def test_an_empty_sequence_after_a_bad_id_still_wins(self):
+        for batch in ([(1, 12), ()], [(-1,), (2, 3), ()], [(), (9,)]):
+            with pytest.raises(ValueError, match="^cannot encode an empty sequence$"):
+                window_ids(batch, self.CONFIG)
+        with pytest.raises(ValueError, match="^cannot encode an empty batch$"):
+            window_ids([], self.CONFIG)

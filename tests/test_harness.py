@@ -17,7 +17,7 @@ from prefrl.harness import (build_envs, build_oracle, build_reward_model, build_
                             write_curve)
 from prefrl.metrics import EpisodeRecord, compute_metrics, smooth_curve
 from prefrl.oracle import PromptSpec, RemoteEndpoint, SyntheticOracle
-from prefrl.training import TrainConfig, run_baseline
+from prefrl.training import ExplorationStrategy, TrainConfig, run_baseline
 from prefrl import cli, harness
 
 
@@ -925,7 +925,7 @@ class TestCli:
                                                                              rel=1e-5)
 
     def test_strategy_does_not_reach_dqn(self, tiny_config, tmp_path):
-        # dqn keeps its own epsilon-greedy 0.1 whatever --strategy says
+        # dqn explores epsilon-greedy at [training] epsilon whatever --strategy says
         for out, flags in ((tmp_path / "default", ()), (tmp_path / "greedy",
                                                         ("--strategy", "greedy"))):
             assert self.run("--config", str(tiny_config), "--out", str(out), *flags,
@@ -933,6 +933,37 @@ class TestCli:
         for name in ("curve_dqn.jsonl", "agent_dqn.ckpt"):
             assert (tmp_path / "greedy" / "t-s0" / name).read_bytes() == \
                    (tmp_path / "default" / "t-s0" / name).read_bytes(), name
+
+    def test_dqn_explores_at_the_configured_epsilon(self, tiny_config, tmp_path):
+        config = tmp_path / "greedy.ini"
+        config.write_text(TINY_INI.replace("alpha_anneal_steps = 25\n",
+                                           "alpha_anneal_steps = 25\nepsilon = 0\n"),
+                          encoding="utf-8")
+        for out, ini in ((tmp_path / "zero", config), (tmp_path / "default", tiny_config)):
+            assert self.run("--config", str(ini), "--out", str(out), "baseline", "dqn") == 0
+        cfg = load_config(config)
+        world = build_world(cfg)
+        train_env, test_env = build_envs(cfg, build_reward_model(cfg, world), world, 0)
+        result = run_baseline("dqn", train_env, train_config_from(cfg, 0),
+                              encoder_config_from(cfg, world.catalog.num_items),
+                              ExplorationStrategy("epsilon_greedy", 0.0), eval_env=test_env,
+                              episodes_per_epoch=cfg["harness"]["episodes_per_epoch"],
+                              eval_episodes=cfg["harness"]["eval_episodes"])
+        write_curve(tmp_path / "reference.jsonl", result.episodes)
+        curve = (tmp_path / "zero" / "t-s0" / "curve_dqn.jsonl").read_bytes()
+        assert curve == (tmp_path / "reference.jsonl").read_bytes()
+        assert curve != (tmp_path / "default" / "t-s0" / "curve_dqn.jsonl").read_bytes()
+
+    def test_a_bad_dqn_epsilon_is_one_error_before_any_write(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(TINY_INI.replace("alpha_anneal_steps = 25\n",
+                                           "alpha_anneal_steps = 25\nepsilon = 1.5\n"),
+                          encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.run("--config", str(config), "--out", str(out), "baseline", "dqn") == 1
+        assert capsys.readouterr().err == "error: epsilon_greedy requires epsilon in [0, 1]\n"
+        assert not out.exists()
 
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

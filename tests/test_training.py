@@ -110,7 +110,6 @@ class TestReplayBuffer:
                 padded = window_ids([getattr(t, items) for t in drawn], WINDOW)
                 assert np.array_equal(getattr(sample, name), padded), name
             assert np.array_equal(sample.frozen_probs, expected.frozen_probs, equal_nan=True)
-            assert list(sample.next_items) == [t.next_state_items for t in drawn]
 
     def test_a_pushed_transition_is_not_kept(self):
         # the buffer stores a transition's columns, not the object as well

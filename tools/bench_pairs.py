@@ -13,19 +13,24 @@ side once at ``--seed i``, the sides in an order rotated by i, so that each
 side runs first in an equal share of the pairs.  ``--control`` adds a third
 side, a second copy of the parent, whose shift against the parent is the
 noise floor of the same file.  A pair is checked for equal ``curve_digest``
-and ``final_test_return`` on every side.  The output is rewritten after each
-run, so an interrupted session keeps the runs it made.  Metric directions
-and the run length come from ``BENCHMARK.json``.  ``--claim WORKLOAD/METRIC``
-names the end-to-end metric a change claims to improve.  The file's first
-key, ``claim``, then holds that metric's medians, its shift, the pairs read
-better and worse and the sign-test p, for the change and for the control if
-run; without ``--claim`` it is null.
+and ``final_test_return`` on every side.  Each run records the minor and
+major page faults of its process tree (the ``getrusage(RUSAGE_CHILDREN)``
+deltas around it), and the summary gives each side's medians of them, so a
+loop metric that moves can be checked against the heap's faulting.  The
+output is rewritten after each run, so an interrupted session keeps the
+runs it made.  Metric directions and the run length come from
+``BENCHMARK.json``.  ``--claim WORKLOAD/METRIC`` names the end-to-end
+metric a change claims to improve.  The file's first key, ``claim``, then
+holds that metric's medians, its shift, the pairs read better and worse and
+the sign-test p, for the change and for the control if run; without
+``--claim`` it is null.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import resource
 import shutil
 import statistics
 import subprocess
@@ -81,9 +86,11 @@ def compare(base: list[float], other: list[float], better: str) -> dict:
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: the pairs whose every side ran, whether every pair had
     equal digests and final returns and every run was correct, the failed
-    operations per side, and per metric the change (and the control, if
-    run) compared with the parent by :func:`compare`, over the pairs whose
-    every run reported its metrics."""
+    operations per side, each side's median minor and major page faults
+    over the pairs whose every run counted them (None without such a pair),
+    and per metric the change (and the control, if run) compared with the
+    parent by :func:`compare`, over the pairs whose every run reported its
+    metrics."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by_pair: dict[int, dict[str, dict]] = {}
@@ -96,12 +103,17 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                       if len({(r["curve_digest"], r["final_test_return"])
                               for r in p.values()}) != 1]
         measured = [p for p in pairs if all(r["result"].get("metrics") for r in p.values())]
+        counted = [p for p in pairs if all("page_faults" in r for r in p.values())]
         entry = {"pairs": len(pairs), "sides": sides, "digests_equal": not mismatched,
                  "digest_mismatches": mismatched,
                  "all_correct": all(r["result"].get("correct") for p in pairs
                                     for r in p.values()),
                  "failed_ops": {side: sum(p[side]["result"].get("failed") or 0 for p in pairs)
                                 for side in sides},
+                 "page_faults": {side: {kind: statistics.median(p[side]["page_faults"][kind]
+                                                                for p in counted)
+                                        for kind in ("minor", "major")}
+                                 for side in sides} if counted else None,
                  "measured_pairs": len(measured)}
         if measured:
             for metric in metrics:
@@ -162,13 +174,15 @@ def extract(commit: str, dest: Path) -> str:
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` run in ``tree``: its exit code, its
-    wall time, its result line and the detail line's repetitions and
-    digests."""
+    wall time, its minor and major page faults, its result line and the
+    detail line's repetitions and digests."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     elapsed = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     try:
         detail, result = json.loads(lines[-2]), json.loads(lines[-1])
@@ -176,6 +190,8 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         detail, result = {}, {"correct": False, "failed": None, "metrics": {},
                               "stderr_tail": proc.stderr[-2000:]}
     return {"exit_code": proc.returncode, "elapsed_s": round(elapsed, 1),
+            "page_faults": {"minor": after.ru_minflt - before.ru_minflt,
+                            "major": after.ru_majflt - before.ru_majflt},
             "curve_digest": detail.get("curve_digest"),
             "final_test_return": detail.get("final_test_return"),
             "repetitions": detail.get("repetitions"),
