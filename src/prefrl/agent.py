@@ -228,7 +228,7 @@ def _td_targets(batch: TransitionBatch, bundle: AgentBundle, target: AgentBundle
         critic = target if target is not None else bundle
         memo = {} if memo is None else memo
         windows = batch.next_windows
-        keys = windows.view(np.dtype((np.void, windows[0].nbytes))).ravel()[live].tolist()
+        keys = windows.view(f"V{windows.itemsize * windows.shape[1]}").ravel()[live].tolist()
         # memo values are finite (q_values refuses others), so NaN marks a miss
         boot = np.fromiter(map(memo.get, keys, repeat(np.nan)), np.float64, live.size)
         cold = np.flatnonzero(np.isnan(boot)).tolist()

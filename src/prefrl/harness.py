@@ -455,12 +455,11 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
     agents named ``<method>_<strategy kind>`` when ``strategies`` names any).  ``pretrained``
     gets the pre-trained agent's test metrics; with ``online`` every other
     method runs online, and without it (rq1) each gets the epoch-0 test
-    metrics of the agent it starts from.  The judge and the strategies (dqn's
-    epsilon-greedy one among them) are built before anything is written."""
+    metrics of the agent it starts from.  The judge and the strategies are
+    built before anything is written."""
     world, model = _world_and_model(cfg)
     oracle = build_oracle(cfg, world)
     runs = {name: strategy_from(cfg, name) for name in strategies} if online else {None: None}
-    dqn = strategy_from(cfg, "epsilon_greedy") if online and "dqn" in methods else None
     epochs = ("0", "final") if online else ("0",)
     enc = encoder_config_from(cfg, world.catalog.num_items)
     rows = []
@@ -483,9 +482,8 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
                                           pretrain_wall)
                 elif online:
                     start = pretrained if method in SCHEMES else scratch
-                    result, wall = _run_method(cfg, world, model, seed, directory, method, start,
-                                               dqn if method == "dqn" else strategy, oracle,
-                                               suffix)
+                    result, wall = _run_method(cfg, world, model, seed, directory, method,
+                                               start, strategy, oracle, suffix)
                     rows += _summary_rows(label, seed, result.snapshots, wall)
                 else:
                     means = (_test_means(cfg, model, world, seed, QGreedyPolicy(scratch))

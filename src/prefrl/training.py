@@ -632,9 +632,9 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
     instead of re-encoding the state under the frozen policy.  dqn trains
     the critic alone and acts on softmax(Q); pg is episodic REINFORCE;
     llm_online trains actor-critic on environment reward while ``oracle``
-    picks each action from k actor-proposed candidates.  The others explore
-    by ``strategy``: by default epsilon-greedy 0.1 for dqn (the harness
-    passes ``[training] epsilon``), else categorical.
+    picks each action from k actor-proposed candidates.  Every other method
+    explores by ``strategy``, by default epsilon-greedy 0.1 for dqn (the
+    harness passes ``[training] epsilon``) and categorical for the rest.
     The caller's bundle is never mutated.
     """
     if method not in ONLINE_METHODS:

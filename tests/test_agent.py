@@ -407,10 +407,9 @@ class TestUpdate:
                **self._setting_kwargs(setting, rng.normal(size=len(batch))))
         assert len(calls) == encodes
 
-    def test_memo_encodes_only_the_distinct_missing_next_states(self, monkeypatch):
-        # a cold memo takes one next-state forward over the distinct
-        # non-terminal next windows, a partly warm one over those it lacks,
-        # a warm one none; the states forward is one per step throughout
+    @staticmethod
+    def _count_forwards(monkeypatch) -> list:
+        """The batch size of every encoder forward from now on."""
         calls = []
         forward = encoder._forward
 
@@ -419,6 +418,13 @@ class TestUpdate:
             return forward(ids, *args)
 
         monkeypatch.setattr(encoder, "_forward", counted)
+        return calls
+
+    def test_memo_encodes_only_the_distinct_missing_next_states(self, monkeypatch):
+        # a cold memo takes one next-state forward over the distinct
+        # non-terminal next windows, a partly warm one over those it lacks,
+        # a warm one none; the states forward is one per step throughout
+        calls = self._count_forwards(monkeypatch)
         agent, target = toy_agent(seed=34), toy_agent(seed=39)
         rng = np.random.default_rng(35)
         pool = [random_transition(agent, rng, done=(i % 4 == 0)) for i in range(24)]
@@ -443,14 +449,7 @@ class TestUpdate:
 
     def test_equal_next_windows_share_one_entry_and_one_encode(self, monkeypatch):
         # two next states whose histories differ only before the window
-        calls = []
-        forward = encoder._forward
-
-        def counted(ids, *args):
-            calls.append(len(ids))
-            return forward(ids, *args)
-
-        monkeypatch.setattr(encoder, "_forward", counted)
+        calls = self._count_forwards(monkeypatch)
         memoised, target = toy_agent(seed=50), toy_agent(seed=51)
         plain = memoised.clone()
         batch = [Transition((1, 2, 3), 4, 0.5, (1, 2, 3, 4), False),
