@@ -185,7 +185,7 @@ def q_values(state: np.ndarray, bundle: AgentBundle) -> np.ndarray:
     """Raw per-item critic outputs for one state vector, or a (B, d) batch
     (no squashing)."""
     q = _head(state, bundle, "critic")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("critic produced non-finite values")
     return q
 

@@ -20,7 +20,6 @@ not describe an agent.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .agent import AgentBundle
 from .encoder import EncoderConfig
-from .nn import ParamSet
+from .nn import ParamSet, flat_layout, flat_views
 
 __all__ = [
     "CheckpointError",
@@ -108,7 +107,9 @@ def _parse_header(path, raw: bytes) -> dict:
 
 
 def read_checkpoint(path) -> CheckpointData:
-    """Parse a checkpoint file, validating magic, version, and sizes."""
+    """Parse a checkpoint file, validating magic, version, and sizes.  The
+    tensors are views into ``flat``, laid out by :func:`prefrl.nn.flat_layout`
+    as a :class:`~prefrl.nn.ParamSet` lays out its parameters."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != MAGIC:
@@ -120,24 +121,19 @@ def read_checkpoint(path) -> CheckpointData:
     if len(blob) < 16 + header_len:
         raise CheckpointError(f"{path}: truncated file (header)")
     header = _parse_header(path, blob[16:16 + header_len])
-    start = offset = 16 + header_len
-    shapes: dict[str, tuple[int, ...]] = {}
-    for entry in header["tensors"]:
-        shapes[entry["name"]] = tuple(entry["shape"])
-        offset += math.prod(shapes[entry["name"]]) * 4   # Python ints: a huge shape cannot wrap
-        if len(blob) < offset:
-            raise CheckpointError(f"{path}: truncated file (tensor {entry['name']!r})")
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
+    start = 16 + header_len
+    layout, size = flat_layout({entry["name"]: tuple(entry["shape"])
+                                for entry in header["tensors"]})
+    for name, (span, _) in layout.items():   # Python ints: a huge shape cannot wrap
+        if len(blob) < start + span.stop * 4:
+            raise CheckpointError(f"{path}: truncated file (tensor {name!r})")
+    end = start + size * 4
+    if end != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes")
     # one widening of all the tensor data, which each tensor views
-    flat = np.frombuffer(blob, dtype="<f4", count=(offset - start) // 4,
-                         offset=start).astype(np.float64)
-    tensors, first = {}, 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        tensors[name] = flat[first:first + size].reshape(shape)
-        first += size
-    return CheckpointData(tensors, header.get("config", {}), header.get("rng_state"), flat)
+    flat = np.frombuffer(blob, dtype="<f4", count=size, offset=start).astype(np.float64)
+    return CheckpointData(flat_views(flat, layout), header.get("config", {}),
+                          header.get("rng_state"), flat)
 
 
 def save_checkpoint(bundle: AgentBundle, path, rng_state: dict | None = None,

@@ -99,7 +99,7 @@ class SyntheticGroundTruth:
     item_latents: np.ndarray
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.user_latents)) and np.all(np.isfinite(self.item_latents))):
+        if not (np.isfinite(self.user_latents).all() and np.isfinite(self.item_latents).all()):
             raise ValueError("latents must be finite")
         if self.user_latents.shape[1] != self.item_latents.shape[1]:
             raise ValueError("user and item latent dimensions differ")

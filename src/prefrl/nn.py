@@ -2,9 +2,10 @@
 sampling, a gradient-descent step, and a finite-difference gradient oracle.
 
 Everything operates on plain float64 numpy arrays.  A :class:`ParamSet`
-keeps its tensors as views into one flat array, and its gradients as views
-into another, zero-filled when a gradient is first read and freed by the
-step, so one step is one finiteness check and one array update.  Every
+holds its parameters, its gradient and its momentum velocity as flat arrays
+in one layout (:func:`flat_layout`, :func:`flat_views`, which checkpoints
+read through too); the gradient is zero-filled when first read and freed by
+the step, so one step is one finiteness check and one array update.  Every
 analytic gradient in this package is checked against
 :func:`finite_diff_grad` in the test suite, so the two routes must stay
 independent: this module never imports from the modules whose gradients it
@@ -13,7 +14,6 @@ verifies.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -23,53 +23,12 @@ __all__ = [
     "sample_categorical",
     "optimizer_step",
     "finite_diff_grad",
+    "flat_layout",
+    "flat_views",
 ]
 
 
-class _Grads(Mapping):
-    """Gradient accumulators keyed by parameter name: views into one flat
-    float64 array laid out as the parameters' flat array.
-
-    Every parameter name is a key, as with eager buffers, but the flat array
-    is allocated, zero-filled, only when a gradient is first read, and
-    :meth:`clear` releases it, so :meth:`accumulated` is empty until then.
-    """
-
-    def __init__(self, layout: dict[str, tuple[slice, tuple[int, ...]]], size: int):
-        self._layout, self._size = layout, size
-        self.flat: np.ndarray | None = None
-        self._views: dict[str, np.ndarray] = {}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if self.flat is None:
-            if name not in self._layout:
-                raise KeyError(name)
-            self.flat = np.zeros(self._size)
-            self._views = _views(self.flat, self._layout)
-        return self._views[name]
-
-    def __setitem__(self, name: str, grad: np.ndarray) -> None:
-        view = self[name]
-        if grad is not view:  # ``grads[name] += x`` hands back the view itself
-            view[...] = grad
-
-    def __contains__(self, name) -> bool:
-        return name in self._layout
-
-    def __iter__(self):
-        return iter(self._layout)
-
-    def __len__(self) -> int:
-        return len(self._layout)
-
-    def accumulated(self) -> dict[str, np.ndarray]:
-        return self._views
-
-    def clear(self) -> None:
-        self.flat, self._views = None, {}
-
-
-def _layout(shapes) -> tuple[dict[str, tuple[slice, tuple[int, ...]]], int]:
+def flat_layout(shapes) -> tuple[dict[str, tuple[slice, tuple[int, ...]]], int]:
     """Each name's span of a flat array holding the shapes in order, and the
     array's size."""
     layout, offset = {}, 0
@@ -80,27 +39,40 @@ def _layout(shapes) -> tuple[dict[str, tuple[slice, tuple[int, ...]]], int]:
     return layout, offset
 
 
-def _views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
+def flat_views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Each name's tensor of :func:`flat_layout`'s ``layout``, a view into
+    ``flat``."""
     return {name: flat[span].reshape(shape) for name, (span, shape) in layout.items()}
 
 
-class ParamSet:
-    """Named parameter tensors plus matching gradient accumulators.
+class _GradViews(dict):
+    """Views into a flat gradient; assigning an item writes into its view."""
 
-    Every tensor is a view into one contiguous float64 array, ``flat``, in
-    insertion order, which is also the canonical tensor order for
-    checkpointing; :func:`optimizer_step` updates ``flat`` in place with one
-    expression.  Every parameter has a gradient array of its shape in
-    ``grads``, each a view into one flat gradient array that is allocated as
-    zeros when a gradient is first read and released by the step (or
+    def __setitem__(self, name: str, grad: np.ndarray) -> None:
+        view = self[name]
+        if grad is not view:  # ``grads[name] += x`` hands back the view itself
+            view[...] = grad
+
+
+class ParamSet:
+    """Named parameter tensors plus their gradient and momentum velocity,
+    three flat float64 arrays in one layout.
+
+    Every tensor is a view into one contiguous array, ``flat``, in insertion
+    order, which is also the canonical tensor order for checkpointing;
+    :func:`optimizer_step` updates ``flat`` in place with one expression.
+    ``grad`` is the flat gradient: ``None`` until a gradient is first read
+    through ``grads``, which allocates it as zeros and maps every parameter
+    name to a view of its span, and released again by the step (or
     :meth:`zero_grads`), so a bundle that is not training (a frozen policy, a
-    target snapshot, a finished run's result) holds no gradient memory.  The
-    momentum velocity, when used, is one flat array too.
+    target snapshot, a finished run's result) holds no gradient memory.
+    ``velocity`` is the flat momentum velocity, ``None`` until a step with
+    momentum creates it.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
         """Copy ``params`` (any array-likes) into one new flat array."""
-        layout, size = _layout({name: np.shape(value) for name, value in params.items()})
+        layout, size = flat_layout({name: np.shape(value) for name, value in params.items()})
         self._bind(np.empty(size), layout)
         for name, value in params.items():
             self.params[name][...] = value
@@ -111,7 +83,7 @@ class ParamSet:
         """Parameters of the given shapes, in order, over ``flat``, a
         contiguous float64 vector of their total size, adopted without a
         copy."""
-        layout, size = _layout(shapes)
+        layout, size = flat_layout(shapes)
         if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
             raise ValueError(f"expected a contiguous float64 vector of {size} values, got "
                              f"{flat.dtype} {flat.shape}")
@@ -121,10 +93,20 @@ class ParamSet:
         return params
 
     def _bind(self, flat: np.ndarray, layout) -> None:
-        self.flat = flat
-        self.params: dict[str, np.ndarray] = _views(flat, layout)
-        self.grads = _Grads(layout, flat.size)
-        self._velocity: np.ndarray | None = None  # created when momentum is used
+        self.flat, self._layout = flat, layout
+        self.params: dict[str, np.ndarray] = flat_views(flat, layout)
+        self.grad: np.ndarray | None = None
+        self.velocity: np.ndarray | None = None
+        self._grads: _GradViews | None = None
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        """Each parameter's gradient, a view into ``grad``, which the first
+        read allocates as zeros; assigning an item writes into its view."""
+        if self.grad is None:
+            self.grad = np.zeros(self.flat.size)
+            self._grads = _GradViews(flat_views(self.grad, self._layout))
+        return self._grads
 
     def _check_finite(self) -> None:
         if not np.isfinite(self.flat).all():
@@ -147,11 +129,11 @@ class ParamSet:
         return self.flat.size
 
     def zero_grads(self) -> None:
-        self.grads.clear()
+        self.grad = self._grads = None
 
     def copy(self) -> "ParamSet":
-        """Deep copy of the parameters (one flat copy) with fresh zero
-        gradients and no velocity."""
+        """Deep copy of the parameters (one flat copy) with no gradient and
+        no velocity."""
         return ParamSet.from_flat(self.flat.copy(),
                                   {name: p.shape for name, p in self.params.items()})
 
@@ -171,7 +153,7 @@ def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim not in (1, 2) or z.size == 0:
         raise ValueError("softmax expects a nonempty vector or batch of row vectors")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("softmax requires finite logits")
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -181,7 +163,7 @@ def _check_probs(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("expected a nonempty 1-d probability vector")
-    if not np.all(np.isfinite(p)) or p.min() < 0.0:
+    if not np.isfinite(p).all() or p.min() < 0.0:
         raise ValueError("invalid probability vector (negative or non-finite entries)")
     if abs(p.sum() - 1.0) > 1e-6:
         raise ValueError(f"probabilities sum to {p.sum():.8f}, expected 1")
@@ -191,7 +173,7 @@ def _check_probs(probs) -> np.ndarray:
 def sample_categorical(probs, rng: np.random.Generator) -> int:
     """Draw an index from a categorical distribution by inverse CDF.
 
-    The CDF is accumulated over the given order, so a fixed rng stream yields
+    The CDF is summed in the given order, so a fixed rng stream yields
     a fully reproducible index sequence.
     """
     p = _check_probs(probs)
@@ -211,21 +193,20 @@ def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamS
     the first offending parameter in parameter order.  A gradient never read
     since the last step is zero.
     """
-    g = params.grads.flat
+    g = params.grad
     if g is not None and not np.isfinite(g).all():
-        name = next(n for n, view in params.grads.accumulated().items()
-                    if not np.isfinite(view).all())
+        name = next(n for n, view in params.grads.items() if not np.isfinite(view).all())
         raise ValueError(f"non-finite gradient for parameter {name!r}")
     step = g
     if momentum > 0.0:
-        v = params._velocity
+        v = params.velocity
         if v is not None:
             v *= momentum
             if g is not None:
                 v += g
         elif g is not None:
             v = g.copy()
-        params._velocity = step = v
+        params.velocity = step = v
     # lr * step goes into the gradient, released below, rather than into a
     # second parameter-sized array
     if g is not None:

@@ -38,6 +38,15 @@ def test_the_chain_runs_every_subcommand_byte_for_byte(tmp_path):
         plain, frozen = (digest[f"latent/runs/{run}-s3/agent_{method}.ckpt#tensors"]
                          for run in ("t", "target"))
         assert plain != frozen
+    # so do the momentum = 0.5 runs, whose steps use the optimizer's velocity
+    for name in ("pretrain_log.jsonl", "agent_pretrained.ckpt", "curve_ap.jsonl",
+                 "agent_ap.ckpt", "summary_ap.tsv", "curve_pg.jsonl", "agent_pg.ckpt",
+                 "summary_pg.tsv"):
+        assert f"latent/runs/momentum-s3/{name}" in digest, name
+    for method in ("pretrained", "ap", "pg"):
+        plain, moving = (digest[f"latent/runs/{run}-s3/agent_{method}.ckpt#tensors"]
+                         for run in ("t", "momentum"))
+        assert plain != moving
     checkpoints = [path for path in paths if path.endswith(".ckpt")]
     assert checkpoints
     for path in checkpoints:

@@ -13,11 +13,12 @@ from prefrl.data import generate_synthetic
 from prefrl.encoder import EncoderConfig
 from prefrl.environment import EnvConfig, LatentPreferenceModel, fit_reward_model
 from prefrl.harness import (build_envs, build_oracle, build_reward_model, build_world,
-                            encoder_config_from, pretrain_with_checkpoints, train_config_from,
-                            write_curve)
+                            encoder_config_from, pretrain_with_checkpoints, strategy_from,
+                            train_config_from, write_curve)
 from prefrl.metrics import EpisodeRecord, compute_metrics, smooth_curve
 from prefrl.oracle import PromptSpec, RemoteEndpoint, SyntheticOracle
-from prefrl.training import ExplorationStrategy, TrainConfig, run_baseline
+from prefrl.training import (ExplorationStrategy, TrainConfig, online_phase, run_baseline,
+                             scratch_agent)
 from prefrl import cli, harness
 
 
@@ -360,6 +361,10 @@ class TestConfig:
         (PromptSpec, "training", {}),
         (update, "training", {"target_bundle": None, "actor": None, "alpha": None,
                               "returns": None, "target_memo": None}),
+        (online_phase, "harness", {"strategy": None, "eval_env": None, "eval_epochs": None,
+                                   "oracle": None}),
+        (run_baseline, "harness", {"strategy": None, "eval_env": None, "eval_epochs": None,
+                                   "oracle": None}),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_api_defaults_are_the_config_defaults(self, api, section, keys):
         # every keyword default of the API repeats the default of the config
@@ -376,6 +381,26 @@ class TestConfig:
             where, key = key if isinstance(key, tuple) else (section, key)
             assert default == DEFAULTS[where][key], \
                 f"{api.__name__}({name}={default!r}), but [{where}] {key} = {DEFAULTS[where][key]!r}"
+
+    def test_dqn_without_a_strategy_explores_at_the_default_epsilon(self, tiny_config):
+        # online_phase's own dqn default repeats [training] epsilon, so an API
+        # run without a strategy is the run the harness makes by default
+        cfg = load_config(tiny_config)
+        world = build_world(cfg)
+        model = build_reward_model(cfg, world)
+        config = train_config_from(cfg, 0)
+        agent = scratch_agent(config, encoder_config_from(cfg, world.catalog.num_items))
+
+        def run(strategy):
+            return online_phase("dqn", agent, build_envs(cfg, model, world, 0)[0], config,
+                                strategy)
+
+        default = run(None)
+        configured = run(strategy_from(load_config(None), "epsilon_greedy"))
+        assert default.episodes == configured.episodes
+        assert default.agent.params.allclose(configured.agent.params)
+        other = run(ExplorationStrategy("epsilon_greedy", 0.5))
+        assert not default.agent.params.allclose(other.agent.params)
 
     def test_dump_reloads_identically(self, tmp_path):
         cfg = load_config(None, {("training", "lr"): "0.123"})

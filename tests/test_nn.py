@@ -132,6 +132,14 @@ class TestOptimizerStep:
         assert ps["a"][0] == pytest.approx(-0.25)
         assert ps["b"][0] == pytest.approx(-0.15)
 
+    def test_a_step_without_a_gradient_moves_by_the_decayed_velocity(self):
+        ps = ParamSet({"p": np.array([0.0])})
+        ps.grads["p"][0] = 1.0
+        optimizer_step(ps, lr=0.1, momentum=0.5)
+        optimizer_step(ps, lr=0.1, momentum=0.5)  # no gradient read: v = 0.5
+        assert ps["p"][0] == pytest.approx(-0.15)
+        assert ps.grad is None and ps.velocity.tolist() == [0.5]
+
     def test_parameter_never_given_a_gradient_does_not_move(self):
         ps = ParamSet({"a": np.array([1.0]), "b": np.array([2.0])})
         for momentum in (0.0, 0.9):
@@ -191,7 +199,7 @@ class TestParamSet:
                        for name, g in ps.grads.items())
             ps.grads["a"][0, 0] = 1.0
             optimizer_step(ps, lr=0.1)
-            assert not ps.grads.accumulated()  # buffers released by the step
+            assert ps.grad is None  # the flat gradient released by the step
 
     def test_missing_accumulation_fails_the_gradient_check(self):
         # the finite-difference checks build the analytic side from every
@@ -216,10 +224,10 @@ class TestFlatLayout:
         assert all(np.shares_memory(ps[name], ps.flat) for name in ps)
         assert np.array_equal(ps.flat, np.concatenate([ps[name].ravel() for name in ps]))
         grads = {name: ps.grads[name] for name in ps}
-        assert all(np.shares_memory(g, ps.grads.flat) for g in grads.values())
-        assert ps.grads.flat.shape == ps.flat.shape and not ps.grads.flat.any()
+        assert all(np.shares_memory(g, ps.grad) for g in grads.values())
+        assert ps.grad.shape == ps.flat.shape and not ps.grad.any()
         ps.grads["b"] += 1.0
-        assert ps.grads.flat.tolist() == [0.0] * 6 + [1.0, 1.0] + [0.0] * 4
+        assert ps.grad.tolist() == [0.0] * 6 + [1.0, 1.0] + [0.0] * 4
 
     def test_a_gradient_view_handed_back_is_not_copied(self):
         ps = self.make()
@@ -227,7 +235,7 @@ class TestFlatLayout:
         ps.grads["a"] += 2.0                      # __setitem__ gets the view itself
         assert ps.grads["a"] is view and view.sum() == 12.0
         ps.grads["c"] = np.ones((1, 2, 2))        # another array is written into the view
-        assert np.shares_memory(ps.grads["c"], ps.grads.flat) and ps.grads["c"].sum() == 4.0
+        assert np.shares_memory(ps.grads["c"], ps.grad) and ps.grads["c"].sum() == 4.0
         with pytest.raises(KeyError):
             ps.grads["d"] = np.ones(1)
 
@@ -241,7 +249,7 @@ class TestFlatLayout:
         assert all(np.shares_memory(other[name], other.flat) for name in other)
         other["b"][0] = 99.0
         assert ps["b"][0] == -1.0
-        assert not other.grads.accumulated()
+        assert other.grad is None
         before = other.flat.copy()
         optimizer_step(other, lr=0.1, momentum=0.9)   # no velocity was copied
         assert np.array_equal(other.flat, before)
@@ -261,24 +269,24 @@ class TestFlatLayout:
         ps = self.make()
         ps.grads["a"] += 1.0
         optimizer_step(ps, lr=0.1, momentum=momentum)
-        before, velocity = ps.flat.copy(), (None if ps._velocity is None
-                                            else ps._velocity.copy())
+        before, velocity = ps.flat.copy(), (None if ps.velocity is None
+                                            else ps.velocity.copy())
         ps.grads["a"] += 1.0
         ps.grads["b"][1] = np.nan
         ps.grads["c"][0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite gradient for parameter 'b'"):
             optimizer_step(ps, lr=0.1, momentum=momentum)
         assert np.array_equal(ps.flat, before)
-        assert (ps._velocity is None) if velocity is None else np.array_equal(ps._velocity,
-                                                                              velocity)
+        assert (ps.velocity is None) if velocity is None else np.array_equal(ps.velocity,
+                                                                             velocity)
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_the_step_releases_the_flat_gradient(self, momentum):
         ps = self.make()
         optimizer_step(ps, lr=0.1, momentum=momentum)     # no gradient read at all
-        assert ps.grads.flat is None and not ps.grads.accumulated()
+        assert ps.grad is None
         ps.grads["c"] += 1.0
         optimizer_step(ps, lr=0.1, momentum=momentum)
-        assert ps.grads.flat is None and not ps.grads.accumulated()
+        assert ps.grad is None
         assert ps["c"].tolist() == [[[2.9, 2.9], [2.9, 2.9]]]
-        assert (ps._velocity is None) == (momentum == 0.0)
+        assert (ps.velocity is None) == (momentum == 0.0)

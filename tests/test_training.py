@@ -315,6 +315,14 @@ class TestPretrain:
         kw.setdefault("seed", 0)
         return TrainConfig(**kw)
 
+    def test_the_pre_trained_agent_holds_no_gradient(self, world):
+        # every step releases the gradient it read, so a finished run keeps
+        # no gradient memory
+        agent, records = pretrain(agent_for(world, seed=1), SyntheticOracle(world["truth"], 3.0),
+                                  self.cfg(pretrain_epochs=3, momentum=0.5), world["train"])
+        assert len(records) == 3
+        assert agent.params.grad is None and agent.params.velocity is not None
+
     def test_zero_epochs_returns_agent_unchanged(self, world):
         agent = agent_for(world, seed=1)
         before = agent.params.copy()
@@ -493,6 +501,19 @@ class TestOnlinePhase:
         assert result.mix is not None
         assert before.allclose(result.mix.frozen.params)
         assert not before.allclose(result.mix.learnable.params)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.5])
+    def test_only_the_learnable_side_keeps_optimizer_state(self, world, momentum):
+        # the frozen side and the target snapshot never take a gradient, every
+        # step releases the learnable side's, and only that side keeps a
+        # velocity, and only with momentum
+        result = online_phase("ap", agent_for(world, seed=8), make_env(world, seed=2),
+                              self.cfg(online_steps=60, target_update=5, momentum=momentum))
+        frozen, learnable = result.mix.frozen.params, result.mix.learnable.params
+        assert result.agent.params is learnable
+        assert frozen.grad is None and learnable.grad is None
+        assert frozen.velocity is None
+        assert (learnable.velocity is None) == (momentum == 0.0)
 
     @pytest.mark.parametrize("scheme", ["ap", "ft"])
     def test_transitions_carry_the_frozen_probability(self, world, scheme, monkeypatch):

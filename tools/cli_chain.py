@@ -11,8 +11,10 @@ For each environment kind the chain runs, under ``DIR/<kind>``: ``gen-data``;
 ``baseline dqn|pg|a2c|llm_online`` and ``eval`` at ``--seed 3``; ``online
 --scheme ap`` (from that pre-trained agent) and ``baseline dqn`` again at
 ``target_update = 5``, under the run id ``target``, so that the frozen
-target critic and its bootstrap memo take part; and the presets ``rq1`` to
-``rq4`` over seeds 0 and 1.  A ``.tsv`` file's digest
+target critic and its bootstrap memo take part; ``pretrain``, ``online
+--scheme ap`` and ``baseline pg`` again at ``momentum = 0.5``, under the run
+id ``momentum``, so that the optimizer's velocity takes part; and the
+presets ``rq1`` to ``rq4`` over seeds 0 and 1.  A ``.tsv`` file's digest
 leaves out its ``wall_clock`` column, the one timed value.  Each ``.ckpt``
 file gets a second line, ``sha256  path#tensors``, over the tensors
 ``prefrl.checkpoint.read_checkpoint`` returns (name, shape and values, in
@@ -75,26 +77,36 @@ eval_episodes = 3
 """
 
 
-def target_ini(kind: str) -> str:
-    """The chain's config with a frozen target critic refreshed every 5
-    learner steps, under the run id ``target``."""
-    return (TINY_INI.format(kind=kind).replace("[training]\n", "[training]\ntarget_update = 5\n")
-            .replace("run_id = t\n", "run_id = target\n"))
+# run id -> the [training] setting its config adds to the chain's: a frozen
+# target critic refreshed every 5 learner steps, and momentum
+VARIANTS = {"target": "target_update = 5", "momentum": "momentum = 0.5"}
+
+
+def variant_ini(kind: str, run_id: str) -> str:
+    """The chain's config with the setting of ``VARIANTS[run_id]``, under the
+    run id ``run_id``."""
+    return (TINY_INI.format(kind=kind)
+            .replace("[training]\n", f"[training]\n{VARIANTS[run_id]}\n")
+            .replace("run_id = t\n", f"run_id = {run_id}\n"))
 
 
 def chain_argvs(out: Path, kind: str) -> list[list[str]]:
     """The command lines the chain runs for ``kind``, in order."""
+    def runs_of(ini: str) -> list[str]:
+        return ["--config", str(out / kind / ini), "--out", str(out / kind / "runs"),
+                "--seed", "3"]
+
     base = ["--config", str(out / kind / "chain.ini")]
-    runs = [*base, "--out", str(out / kind / "runs"), "--seed", "3"]
+    runs, target, momentum = runs_of("chain.ini"), runs_of("target.ini"), runs_of("momentum.ini")
     argvs = [[*base, "--out", str(out / kind / "world"), "gen-data"],
              [*runs, "pretrain"], [*runs, "pretrain", "--resume"],
              [*runs, "--scheme", "ft", "online"], [*runs, "--scheme", "ap", "online"]]
     argvs += [[*runs, "baseline", name] for name in ("dqn", "pg", "a2c", "llm_online")]
-    target = ["--config", str(out / kind / "target.ini"), "--out", str(out / kind / "runs"),
-              "--seed", "3"]
     argvs += [[*target, "--scheme", "ap", "online", "--agent",
                str(out / kind / "runs" / "t-s3" / "agent_pretrained.ckpt")],
               [*target, "baseline", "dqn"]]
+    argvs += [[*momentum, "pretrain"], [*momentum, "--scheme", "ap", "online"],
+              [*momentum, "baseline", "pg"]]
     argvs += [[*runs, "eval"],
               [*runs, "eval", "--agent", str(out / kind / "runs" / "t-s3" / "agent_ap.ckpt")]]
     argvs += [[*base, "--out", str(out / kind / preset), preset]
@@ -112,7 +124,9 @@ def run_chain(out, kinds=KINDS) -> list[list[str]]:
     for kind in kinds:
         (out / kind).mkdir(parents=True, exist_ok=True)
         (out / kind / "chain.ini").write_text(TINY_INI.format(kind=kind), encoding="utf-8")
-        (out / kind / "target.ini").write_text(target_ini(kind), encoding="utf-8")
+        for run_id in VARIANTS:
+            (out / kind / f"{run_id}.ini").write_text(variant_ini(kind, run_id),
+                                                      encoding="utf-8")
         for argv in chain_argvs(out, kind):
             with contextlib.redirect_stdout(sys.stderr):
                 code = cli.main(argv)
