@@ -504,9 +504,9 @@ class TestOnlinePhase:
 
     @pytest.mark.parametrize("momentum", [0.0, 0.5])
     def test_only_the_learnable_side_keeps_optimizer_state(self, world, momentum):
-        # the frozen side and the target snapshot never take a gradient, every
-        # step releases the learnable side's, and only that side keeps a
-        # velocity, and only with momentum
+        # the frozen side never takes a gradient, every step releases the
+        # learnable side's, and only that side keeps a velocity, and only with
+        # momentum
         result = online_phase("ap", agent_for(world, seed=8), make_env(world, seed=2),
                               self.cfg(online_steps=60, target_update=5, momentum=momentum))
         frozen, learnable = result.mix.frozen.params, result.mix.learnable.params
