@@ -52,7 +52,7 @@ log = logging.getLogger(__name__)
 class EnvConfig:
     max_steps: int = 30
     quit_threshold: float = 0.75
-    seed: int = 0
+    seed: int | None = 0  # None: no reset stream, so every reset takes a seed
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -298,7 +298,7 @@ class UserEnvironment:
         self.reward_model = reward_model
         self.log = log_
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
+        self._rng = None if config.seed is None else np.random.default_rng(config.seed)
 
     @property
     def num_items(self) -> int:
@@ -306,7 +306,10 @@ class UserEnvironment:
 
     def reset(self, seed: int | None = None) -> EnvState:
         """Sample an initial state: a logged user's first item (MF keeps the
-        user as context; the other kinds keep only the item)."""
+        user as context; the other kinds keep only the item).  Without
+        ``seed`` it draws from the environment's reset stream."""
+        if seed is None and self._rng is None:
+            raise ValueError("this environment has no reset stream: reset it with a seed")
         rng = self._rng if seed is None else np.random.default_rng(seed)
         seq = self.log.sequences[int(rng.integers(self.log.num_sequences))]
         user_id = seq.user_id if self.reward_model.kind == "matrix_factorization" else None

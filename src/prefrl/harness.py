@@ -26,7 +26,7 @@ import json
 import logging
 import time
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +41,9 @@ from .encoder import EncoderConfig
 from .environment import EnvConfig, LatentPreferenceModel, UserEnvironment, fit_reward_model
 from .metrics import MetricMeans, smooth_curve
 from .oracle import LLMOracle, PromptSpec, RemoteEndpoint, SyntheticOracle, load_replay
-from .training import (KEY_EVAL, KEY_TEST_ENV, KEY_TRAIN_ENV, SCHEMES,
-                       ExplorationStrategy, QGreedyPolicy, RunResult, TrainConfig,
-                       derive_seed, evaluate, online_phase, pretrain, scratch_agent)
+from .training import (KEY_EVAL, KEY_TRAIN_ENV, SCHEMES, ExplorationStrategy, QGreedyPolicy,
+                       RunResult, TrainConfig, derive_seed, evaluate, online_phase, pretrain,
+                       scratch_agent)
 
 __all__ = [
     "World",
@@ -154,16 +154,18 @@ def build_reward_model(cfg: AppConfig, world: World):
     raise ConfigError(f"unknown environment kind {e['kind']!r}")
 
 
-def make_env(cfg: AppConfig, model, log_: InteractionLog, seed: int) -> UserEnvironment:
+def make_env(cfg: AppConfig, model, log_: InteractionLog, seed: int | None) -> UserEnvironment:
     e = cfg["environment"]
     return UserEnvironment(model, log_, EnvConfig(
         max_steps=e["max_steps"], quit_threshold=e["quit_threshold"], seed=seed))
 
 
 def build_envs(cfg: AppConfig, model, world: World, seed: int):
+    """The seed's training environment, with its reset stream, and the test
+    environment, which has none: :func:`training.evaluate` seeds each of its
+    resets."""
     train_env = make_env(cfg, model, world.train_log, derive_seed(seed, KEY_TRAIN_ENV))
-    test_env = make_env(cfg, model, world.test_log, derive_seed(seed, KEY_TEST_ENV))
-    return train_env, test_env
+    return train_env, make_env(cfg, model, world.test_log, None)
 
 
 def _test_means(cfg: AppConfig, model, world: World, seed: int, policy) -> MetricMeans:
@@ -199,15 +201,10 @@ def build_oracle(cfg: AppConfig, world: World):
 
 
 def train_config_from(cfg: AppConfig, seed: int | None = None) -> TrainConfig:
-    t = cfg["training"]
-    return TrainConfig(
-        pretrain_epochs=t["pretrain_epochs"], pretrain_horizon=t["pretrain_horizon"],
-        online_steps=t["online_steps"], batch_size=t["batch_size"],
-        buffer_capacity=t["buffer_capacity"], gamma=t["gamma"], lr=t["lr"],
-        momentum=t["momentum"], k=t["k"], candidate_sampling=t["candidate_sampling"],
-        alpha_init=t["alpha_init"], alpha_anneal_steps=t["alpha_anneal_steps"],
-        target_update=t["target_update"],
-        seed=t["seed"] if seed is None else seed)
+    """The ``[training]`` keys that name TrainConfig's fields, at ``seed`` when
+    it is given."""
+    config = TrainConfig(**{f.name: cfg["training"][f.name] for f in fields(TrainConfig)})
+    return config if seed is None else replace(config, seed=seed)
 
 
 def encoder_config_from(cfg: AppConfig, num_items: int) -> EncoderConfig:

@@ -77,7 +77,6 @@ stream, spawned from the seed under one key (``derive_rng``/``derive_seed``):
     3    online acting and minibatches
     4    evaluation resets (snapshots and every harness evaluation)
     10   training-environment resets
-    11   test-environment resets
     ===  ===========================================================
 """
 from __future__ import annotations
@@ -129,7 +128,6 @@ KEY_PRETRAIN = 2
 KEY_ONLINE = 3
 KEY_EVAL = 4
 KEY_TRAIN_ENV = 10
-KEY_TEST_ENV = 11
 
 
 def derive_rng(seed: int, key: int) -> np.random.Generator:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -15,7 +16,7 @@ from prefrl.agent import (LOG_PROB_FLOOR, AgentBundle, Transition, action_distri
                           backprop_heads, policy_for, q_values, update)
 from prefrl.encoder import EncoderConfig, encode, encode_with_cache, init_encoder_params
 from prefrl.oracle import distill
-from prefrl.training import KEY_PRETRAIN, ReplayBuffer, derive_rng, sample_candidates
+from prefrl.training import KEY_PRETRAIN, derive_rng, sample_candidates
 
 
 # The learner's losses one transition at a time, written from the definitions
@@ -70,10 +71,12 @@ def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: in
     draws from the pre-training stream: the epoch's start (a logged
     sequence's first item), then per step the candidates, the judge's None
     draw and, once the buffer holds a minibatch, the minibatch; the frozen
-    target critic is refreshed every ``target_update`` updates.  Mutates
-    ``agent`` and returns the per-epoch records."""
+    target critic is refreshed every ``target_update`` updates.  The buffer
+    is a deque of the last ``buffer_capacity`` transitions, oldest first, and
+    ``update`` gets a plain list of the drawn ones.  Mutates ``agent`` and
+    returns the per-epoch records."""
     rng = derive_rng(config.seed, KEY_PRETRAIN) if rng is None else rng
-    buffer = ReplayBuffer(config.buffer_capacity, agent.encoder_config)
+    buffer = deque(maxlen=config.buffer_capacity)
     target = agent.clone() if config.target_update > 0 else None
     updates = 0
     records = []
@@ -86,12 +89,13 @@ def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: in
                                            config.candidate_sampling, rng)
             outcome = distill(history, candidates, oracle, rng)
             next_history = history + (outcome.action,)
-            buffer.push(Transition(history, outcome.action, outcome.reward, next_history,
-                                   t == config.pretrain_horizon))
+            buffer.append(Transition(history, outcome.action, outcome.reward, next_history,
+                                     t == config.pretrain_horizon))
             rewards.append(outcome.reward)
             if len(buffer) >= config.batch_size:
-                actor, critic = update(buffer.sample(config.batch_size, rng), agent,
-                                       config.lr, config.momentum, target, gamma=config.gamma)
+                drawn = rng.choice(len(buffer), size=config.batch_size, replace=False)
+                actor, critic = update([buffer[i] for i in drawn], agent, config.lr,
+                                       config.momentum, target, gamma=config.gamma)
                 actor_losses.append(actor)
                 critic_losses.append(critic)
                 updates += 1

@@ -260,6 +260,12 @@ class TestEpisodeLifecycle:
         env = self.make_env()
         assert env.reset(seed=5) == env.reset(seed=5)
 
+    def test_an_environment_without_a_reset_stream_refuses_an_unseeded_reset(self):
+        env = self.make_env(seed=None)
+        with pytest.raises(ValueError, match="no reset stream"):
+            env.reset()
+        assert env.reset(seed=5) == self.make_env().reset(seed=5)
+
     def test_reset_history_is_one_logged_item(self):
         env = self.make_env()
         state = env.reset(seed=1)

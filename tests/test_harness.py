@@ -450,6 +450,17 @@ class TestWorldBuilding:
         with pytest.raises(ConfigError, match="latent"):
             build_reward_model(cfg, build_world(cfg))
 
+    def test_only_the_training_environment_has_a_reset_stream(self):
+        # evaluate seeds every reset of the test environment, so it has no
+        # stream of its own to draw from
+        cfg = load_config(None, {("data", "num_users"): "10", ("data", "num_items"): "12"})
+        world = build_world(cfg)
+        train_env, test_env = build_envs(cfg, build_reward_model(cfg, world), world, 3)
+        assert not train_env.reset().done
+        with pytest.raises(ValueError, match="no reset stream"):
+            test_env.reset()
+        assert test_env.reset(seed=7) == test_env.reset(seed=7)
+
     def test_llm_oracle_requires_base_url(self):
         cfg = load_config(None, {("oracle", "kind"): "llm"})
         with pytest.raises(ConfigError, match="base_url"):

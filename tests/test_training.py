@@ -417,13 +417,19 @@ class TestPretrain:
             pretrain(agent_for(world), SyntheticOracle(world["truth"], 3.0), self.cfg(),
                      InteractionLog(()))
 
-    @pytest.mark.parametrize("target_update", [0, 5])
-    @pytest.mark.parametrize("sampling", ["topk", "categorical"])
-    def test_matches_the_reference_loop_bit_for_bit(self, world, sampling, target_update):
+    @pytest.mark.parametrize("sampling,target_update,capacity", [
+        *(pytest.param(s, u, 50, id=f"{s}-{u}") for s in ("topk", "categorical") for u in (0, 5)),
+        pytest.param("categorical", 5, 12, id="categorical-5-capacity-12")])
+    def test_matches_the_reference_loop_bit_for_bit(self, world, sampling, target_update,
+                                                     capacity):
         # the rollout loop keeps the reference loop's draw order: the same
-        # records, epoch-end rng states and parameters, bit for bit
+        # records, epoch-end rng states and parameters, bit for bit.  The
+        # buffer wraps around: 80 pushes at capacity 50, and every 12 pushes
+        # at capacity 12
         oracle = SyntheticOracle(world["truth"], 3.0)
-        cfg = self.cfg(candidate_sampling=sampling, target_update=target_update, gamma=0.9)
+        cfg = self.cfg(candidate_sampling=sampling, target_update=target_update, gamma=0.9,
+                       buffer_capacity=capacity)
+        assert cfg.buffer_capacity < cfg.pretrain_epochs * cfg.pretrain_horizon
         ours, ref = agent_for(world, seed=6), agent_for(world, seed=6)
         states, ref_states = [], []
         _, records = pretrain(ours, oracle, cfg, world["train"],
