@@ -28,111 +28,91 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("latent", "matrix_factorization", "sequential")
 
-TINY_INI = """
-[data]
-num_users = 14
-num_items = 14
-seq_len = 4
-d_lat = 3
-seed = 2
-
-[encoder]
-embed_dim = 6
-max_seq_len = 5
-
-[oracle]
-threshold = 2.5
-
-[environment]
-kind = {kind}
-max_steps = 8
-quit_threshold = 0.75
-d_rm = 4
-fit_epochs = 3
-
-[training]
-pretrain_epochs = 3
-pretrain_horizon = 8
-online_steps = 50
-batch_size = 8
-buffer_capacity = 300
-lr = 0.02
-gamma = 0.5
-k = 4
-candidate_sampling = categorical
-alpha_anneal_steps = 25
-seed = 0
-
-[harness]
-run_id = t
-seeds = 0 1
-episodes_per_epoch = 2
-eval_episodes = 3
-"""
+# The settings of every config the chain runs, {section: {key: value}}, in
+# three parts applied in order: the base, the environment kind's and the run
+# id's.  Each run id's config is <run id>.ini.
+SETTINGS = {
+    "base": {
+        "data": dict(num_users=14, num_items=14, seq_len=4, d_lat=3, seed=2),
+        "encoder": dict(embed_dim=6, max_seq_len=5),
+        "oracle": dict(threshold=2.5),
+        "environment": dict(max_steps=8, quit_threshold=0.75, d_rm=4, fit_epochs=3),
+        "training": dict(pretrain_epochs=3, pretrain_horizon=8, online_steps=50, batch_size=8,
+                         buffer_capacity=300, lr=0.02, gamma=0.5, k=4, seed=0,
+                         candidate_sampling="categorical", alpha_anneal_steps=25),
+        "harness": dict(seeds="0 1", episodes_per_epoch=2, eval_episodes=3),
+    },
+    "kind": {},
+    "run": {
+        "t": {},
+        # a frozen target critic refreshed every 5 learner steps, with its memo
+        "target": {"training": dict(target_update=5)},
+        # the optimizer's velocity
+        "momentum": {"training": dict(momentum=0.5)},
+    },
+}
 
 
-# run id -> the [training] setting its config adds to the chain's: a frozen
-# target critic refreshed every 5 learner steps, and momentum
-VARIANTS = {"target": "target_update = 5", "momentum": "momentum = 0.5"}
+def config_text(kind: str, run_id: str) -> str:
+    """``dump_full`` of the config of run ``run_id`` in ``kind``."""
+    from prefrl.config import dump_full, load_config
+
+    overrides = {("environment", "kind"): kind, ("harness", "run_id"): run_id}
+    for row in (SETTINGS["base"], SETTINGS["kind"].get(kind, {}), SETTINGS["run"][run_id]):
+        overrides.update(((section, key), str(value))
+                         for section, keys in row.items() for key, value in keys.items())
+    return dump_full(load_config(None, overrides))
 
 
-def variant_ini(kind: str, run_id: str) -> str:
-    """The chain's config with the setting of ``VARIANTS[run_id]``, under the
-    run id ``run_id``."""
-    return (TINY_INI.format(kind=kind)
-            .replace("[training]\n", f"[training]\n{VARIANTS[run_id]}\n")
-            .replace("run_id = t\n", f"run_id = {run_id}\n"))
+def chain_argvs() -> list[list[str]]:
+    """The command lines the chain runs in a kind's directory, in order."""
+    def run(run_id: str, *argv: str) -> list[str]:
+        return ["--config", f"{run_id}.ini", "--out", "runs", "--seed", "3", *argv]
 
-
-def chain_argvs(out: Path, kind: str) -> list[list[str]]:
-    """The command lines the chain runs for ``kind``, in order."""
-    def runs_of(ini: str) -> list[str]:
-        return ["--config", str(out / kind / ini), "--out", str(out / kind / "runs"),
-                "--seed", "3"]
-
-    base = ["--config", str(out / kind / "chain.ini")]
-    runs, target, momentum = runs_of("chain.ini"), runs_of("target.ini"), runs_of("momentum.ini")
-    argvs = [[*base, "--out", str(out / kind / "world"), "gen-data"],
-             [*runs, "pretrain"], [*runs, "pretrain", "--resume"],
-             [*runs, "--scheme", "ft", "online"], [*runs, "--scheme", "ap", "online"]]
-    argvs += [[*runs, "baseline", name] for name in ("dqn", "pg", "a2c", "llm_online")]
-    argvs += [[*target, "--scheme", "ap", "online", "--agent",
-               str(out / kind / "runs" / "t-s3" / "agent_pretrained.ckpt")],
-              [*target, "baseline", "dqn"]]
-    argvs += [[*momentum, "pretrain"], [*momentum, "--scheme", "ap", "online"],
-              [*momentum, "baseline", "pg"]]
-    argvs += [[*runs, "eval"],
-              [*runs, "eval", "--agent", str(out / kind / "runs" / "t-s3" / "agent_ap.ckpt")]]
-    argvs += [[*base, "--out", str(out / kind / preset), preset]
+    argvs = [["--config", "t.ini", "--out", "world", "gen-data"],
+             run("t", "pretrain"), run("t", "pretrain", "--resume"),
+             run("t", "--scheme", "ft", "online"), run("t", "--scheme", "ap", "online")]
+    argvs += [run("t", "baseline", name) for name in ("dqn", "pg", "a2c", "llm_online")]
+    argvs += [run("target", "--scheme", "ap", "online", "--agent",
+                  "runs/t-s3/agent_pretrained.ckpt"),
+              run("target", "baseline", "dqn"),
+              run("momentum", "pretrain"), run("momentum", "--scheme", "ap", "online"),
+              run("momentum", "baseline", "pg"),
+              run("t", "eval"), run("t", "eval", "--agent", "runs/t-s3/agent_ap.ckpt")]
+    argvs += [["--config", "t.ini", "--out", preset, preset]
               for preset in ("rq1", "rq2", "rq3", "rq4")]
     return argvs
 
 
 def run_chain(out, kinds=KINDS) -> list[list[str]]:
-    """Run the chain under ``out`` for each of ``kinds``; returns every
-    command line run.  A command that exits nonzero raises RuntimeError."""
+    """Run the chain under ``out`` for each of ``kinds``, in the kind's
+    directory; returns every command line run.  A command that exits nonzero
+    raises RuntimeError."""
     from prefrl import cli
 
-    out = Path(out)
-    ran = []
-    for kind in kinds:
-        (out / kind).mkdir(parents=True, exist_ok=True)
-        (out / kind / "chain.ini").write_text(TINY_INI.format(kind=kind), encoding="utf-8")
-        for run_id in VARIANTS:
-            (out / kind / f"{run_id}.ini").write_text(variant_ini(kind, run_id),
-                                                      encoding="utf-8")
-        for argv in chain_argvs(out, kind):
-            with contextlib.redirect_stdout(sys.stderr):
-                code = cli.main(argv)
-            if code != 0:
-                raise RuntimeError(f"prefrl {' '.join(argv)} exited {code}")
-            ran.append(argv)
+    ran, previous, out = [], os.getcwd(), Path(out).resolve()
+    try:
+        for kind in kinds:
+            home = out / kind
+            home.mkdir(parents=True, exist_ok=True)
+            for run_id in SETTINGS["run"]:
+                (home / f"{run_id}.ini").write_text(config_text(kind, run_id), encoding="utf-8")
+            os.chdir(home)
+            for argv in chain_argvs():
+                with contextlib.redirect_stdout(sys.stderr):
+                    code = cli.main(argv)
+                if code != 0:
+                    raise RuntimeError(f"prefrl {' '.join(argv)} exited {code} in {home}")
+                ran.append(argv)
+    finally:
+        os.chdir(previous)
     return ran
 
 
