@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
+import threading
 from pathlib import Path
 
 from prefrl import cli
@@ -24,10 +26,12 @@ def _load_tool():
 
 def test_the_chain_runs_every_subcommand_byte_for_byte(tmp_path):
     chain = _load_tool()
-    ran = chain.run_chain(tmp_path / "a", kinds=("latent",))
-    chain.run_chain(tmp_path / "b", kinds=("latent",))
+    ran = chain.run_chain(tmp_path / "a")
+    chain.run_chain(tmp_path / "b")
     first = chain.digests(tmp_path / "a")
     assert first == chain.digests(tmp_path / "b")
+    # the judge stub served the live runs and has stopped
+    assert not [t for t in threading.enumerate() if t.name == "judge-stub"]
     assert any(line.endswith("  latent/rq4/summary.tsv") for line in first)
     paths = [line.split("  ", 1)[1] for line in first]
     # the target_update = 5 runs have their own run id and train other weights
@@ -47,6 +51,30 @@ def test_the_chain_runs_every_subcommand_byte_for_byte(tmp_path):
         plain, moving = (digest[f"latent/runs/{run}-s3/agent_{method}.ckpt#tensors"]
                          for run in ("t", "momentum"))
         assert plain != moving
+    for kind in chain.KINDS:
+        # every kind plays episodes past their first step, so sequential
+        # transitions are bootstrapped too
+        lengths = [json.loads(line)["length"]
+                   for curve in (tmp_path / "a" / kind).rglob("curve_*.jsonl")
+                   for line in curve.read_text(encoding="utf-8").splitlines()]
+        assert max(lengths) > 1, kind
+        runs = f"{kind}/runs"
+        # a world read from the files gen-data wrote trains and evaluates as
+        # the generated one does, and the replayed judge as the synthetic one
+        for name in ("pretrain_log.jsonl", "pretrain_latest.ckpt", "pretrain_latest.ckpt#tensors",
+                     "agent_pretrained.ckpt", "agent_pretrained.ckpt#tensors", "eval.tsv"):
+            assert digest[f"{runs}/files-s3/{name}"] == digest[f"{runs}/t-s3/{name}"], name
+        for name in ("pretrain_log.jsonl", "agent_pretrained.ckpt"):
+            assert digest[f"{runs}/replay-s3/{name}"] == digest[f"{runs}/t-s3/{name}"], name
+        # one recorded reply per step of 3 pre-training epochs of 8; the live run's own
+        # directory, whose config holds the stub's port, is not digested
+        fixture = (tmp_path / "a" / kind / "judge.jsonl").read_text(encoding="utf-8")
+        assert len(fixture.splitlines()) == 3 * 8 and f"{kind}/judge.jsonl" in digest
+        assert not any(path.startswith(f"{kind}/live/") for path in digest)
+        # top-k candidates train other weights than categorical ones
+        assert (digest[f"{runs}/topk-s3/agent_pretrained.ckpt#tensors"]
+                != digest[f"{runs}/t-s3/agent_pretrained.ckpt#tensors"])
+        assert f"{runs}/topk-s3/curve_llm_online.jsonl" in digest
     checkpoints = [path for path in paths if path.endswith(".ckpt")]
     assert checkpoints
     for path in checkpoints:
