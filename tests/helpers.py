@@ -1,7 +1,7 @@
 """Shared test machinery: the per-transition reference spec of the learner's
-losses, a reference pre-training loop, a reference fit of the sequential
-reward model, gradient-check scaffolding and a stub chat-completion
-server."""
+losses, reference pre-training and online loops, a reference fit of the
+sequential reward model, gradient-check scaffolding and a stub
+chat-completion server."""
 from __future__ import annotations
 
 import json
@@ -15,8 +15,11 @@ import numpy as np
 from prefrl.agent import (LOG_PROB_FLOOR, AgentBundle, Transition, action_distribution,
                           backprop_heads, policy_for, q_values, update)
 from prefrl.encoder import EncoderConfig, encode, encode_with_cache, init_encoder_params
+from prefrl.metrics import EpisodeRecord, compute_metrics
 from prefrl.oracle import distill
-from prefrl.training import KEY_PRETRAIN, derive_rng, sample_candidates
+from prefrl.training import (CATEGORICAL, KEY_EVAL, KEY_ONLINE, KEY_PRETRAIN, ActorPolicy,
+                             ExplorationStrategy, MixPolicy, QGreedyPolicy, alpha_at,
+                             choose_action, derive_rng, derive_seed, sample_candidates)
 
 
 # The learner's losses one transition at a time, written from the definitions
@@ -112,6 +115,107 @@ def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: in
         if epoch_callback is not None:
             epoch_callback(epoch, agent, record, rng.bit_generator.state)
     return records
+
+
+def reference_evaluate(policy, env, num_episodes: int, seed: int):
+    """Greedy evaluation one episode after another, each with ``env.step``
+    and one single-history ``probs`` per step; the reset seeds are drawn in
+    episode order from the evaluation stream of ``seed``, as ``evaluate``
+    draws them.  Returns the metric means."""
+    rng = derive_rng(seed, KEY_EVAL)
+    episodes, global_step = [], 0
+    for i in range(num_episodes):
+        state = env.reset(seed=int(rng.integers(2 ** 31)))
+        ret, length, done = 0.0, 0, False
+        while not done:
+            reward, state, done = env.step(state, int(np.argmax(policy.probs(state.history))))
+            ret += reward
+            length += 1
+        global_step += length
+        episodes.append(EpisodeRecord(i, global_step, ret, length))
+    return compute_metrics(episodes)
+
+
+def reference_online(method: str, pretrained: AgentBundle, env, config, strategy=None,
+                     eval_env=None, episodes_per_epoch: int = 50, eval_episodes: int = 20,
+                     eval_epochs=(0, 1, 2), oracle=None):
+    """An online run of any method as one plain loop, fixing the order of the
+    draws from the online stream: per step the action (the strategy's draw,
+    or for llm_online the candidates and the judge's None draw) and then,
+    for the replay learners once the buffer holds a minibatch, the
+    minibatch.  The buffer is a deque of the last ``buffer_capacity``
+    transitions, oldest first, and ``update`` gets a plain list of the drawn
+    ones; the target is a clone refreshed every ``target_update`` updates,
+    with no memo; pg takes one REINFORCE step per episode on its
+    return-to-go.  ap acts from the mixture at ``alpha_at(step)`` and stores
+    the frozen actor's probability of the action; a snapshot at step s (one
+    at each requested epoch's first step, and one after the last step) is
+    taken before step s moves alpha, so it sees step s - 1's mixture.
+    Returns the learned copy of ``pretrained``, the episode curve and the
+    snapshots."""
+    if strategy is None:
+        strategy = ExplorationStrategy("epsilon_greedy", 0.1) if method == "dqn" else CATEGORICAL
+    rng = derive_rng(config.seed, KEY_ONLINE)
+    work = pretrained.clone()
+    frozen = ActorPolicy(pretrained)
+    mix = MixPolicy(pretrained, work, config.alpha_init) if method == "ap" else None
+    policy = mix or (QGreedyPolicy(work) if method == "dqn" else ActorPolicy(work))
+    epoch_steps = env.config.max_steps * episodes_per_epoch
+    points = {e * epoch_steps: str(e) for e in eval_epochs}
+    eval_seed = derive_seed(config.seed, KEY_EVAL)
+    buffer = deque(maxlen=config.buffer_capacity)
+    target = work.clone() if config.target_update > 0 else None
+    updates = 0
+    episode, episodes, snapshots = [], [], {}
+    state, ret, length = None, 0.0, 0
+    for step in range(config.online_steps):
+        if state is None:
+            state = env.reset()
+        if eval_env is not None and step in points:
+            snapshots[points[step]] = reference_evaluate(policy, eval_env, eval_episodes,
+                                                         eval_seed)
+        if mix is not None:
+            mix.alpha = alpha_at(step, config)
+        history, frozen_prob = state.history, None
+        if method == "llm_online":
+            candidates = sample_candidates(policy_for(work, history), config.k,
+                                           config.candidate_sampling, rng)
+            action = distill(history, candidates, oracle, rng).action
+        else:
+            action = choose_action(policy.probs(history), strategy, rng)
+            if mix is not None:
+                frozen_prob = float(frozen.probs(history)[action])
+        reward, next_state, done = env.step(state, action)
+        transition = Transition(history, action, reward, next_state.history, done, frozen_prob)
+        if method == "pg":
+            episode.append(transition)
+            if done:
+                returns, g = [], 0.0
+                for t in reversed(episode):
+                    g = t.reward + config.gamma * g
+                    returns.insert(0, g)
+                update(episode, work, config.lr, config.momentum, returns=returns)
+                episode = []
+        else:
+            buffer.append(transition)
+            if len(buffer) >= config.batch_size:
+                drawn = rng.choice(len(buffer), size=config.batch_size, replace=False)
+                update([buffer[i] for i in drawn], work, config.lr, config.momentum, target,
+                       actor=method != "dqn", alpha=None if mix is None else mix.alpha,
+                       gamma=config.gamma)
+                updates += 1
+                if target is not None and updates % config.target_update == 0:
+                    target = work.clone()
+        ret += reward
+        length += 1
+        if done:
+            episodes.append(EpisodeRecord(len(episodes), step + 1, ret, length))
+            state, ret, length = None, 0.0, 0
+        else:
+            state = next_state
+    if eval_env is not None:
+        snapshots["final"] = reference_evaluate(policy, eval_env, eval_episodes, eval_seed)
+    return work, episodes, snapshots
 
 
 # The sequential reward model's fit one row at a time, in frozen numpy copies

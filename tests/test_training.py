@@ -1,10 +1,11 @@
+import itertools
 import re
 import weakref
 
 import numpy as np
 import pytest
 
-from helpers import q_for, reference_pretrain
+from helpers import q_for, reference_online, reference_pretrain
 from prefrl.agent import AgentBundle, Transition, init_agent, policy_for, update
 from prefrl.checkpoint import save_checkpoint
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic, split_log
@@ -1059,3 +1060,66 @@ class TestEpochArguments:
         # without an evaluation environment the count is never used
         result = self.run(world, method, make_env(world), eval_episodes=eval_episodes)
         assert result.snapshots == {}
+
+
+def _reference_cells(count=24, seed=2):
+    """``count`` cells of the grid of methods x strategies x target_update x
+    momentum x environment kinds, drawn without replacement under ``seed``."""
+    strategies = (GREEDY, CATEGORICAL, ExplorationStrategy("epsilon_greedy", 0.3))
+    grid = list(itertools.product(training.ONLINE_METHODS, strategies, (0, 3), (0.0, 0.5),
+                                  ("latent", "matrix_factorization", "sequential")))
+    return [grid[i] for i in np.random.default_rng(seed).choice(len(grid), count, replace=False)]
+
+
+REFERENCE_CELLS = _reference_cells()
+
+
+class TestReferenceOnline:
+    """Every online method against ``helpers.reference_online``, the run as
+    one plain loop: the same curve, snapshots, parameters and velocity, bit
+    for bit."""
+
+    def test_the_cells_cover_every_method_and_kind(self):
+        assert {cell[0] for cell in REFERENCE_CELLS} == set(training.ONLINE_METHODS)
+        assert {cell[4] for cell in REFERENCE_CELLS} == {"latent", "matrix_factorization",
+                                                         "sequential"}
+
+    @pytest.mark.parametrize(
+        "method, strategy, target_update, momentum, kind",
+        [pytest.param(*cell, id=f"{cell[0]}-{cell[1].kind}-{cell[2]}-{cell[3]}-{cell[4]}")
+         for cell in REFERENCE_CELLS])
+    def test_a_run_equals_the_reference_loop(self, world, reward_models, method, strategy,
+                                             target_update, momentum, kind):
+        # 120 steps through a 30-row buffer, so it wraps; a snapshot every
+        # 8 steps, of 6 episodes from 5 test starts, so starts repeat; alpha
+        # anneals over 100 steps
+        cfg = TrainConfig(online_steps=120, batch_size=8, buffer_capacity=30, lr=0.01,
+                          momentum=momentum, gamma=0.9, k=5, candidate_sampling="categorical",
+                          alpha_init=0.2, alpha_anneal_steps=100, target_update=target_update,
+                          seed=REFERENCE_CELLS.index((method, strategy, target_update,
+                                                      momentum, kind)))
+        model = reward_models[kind]
+        oracle = SyntheticOracle(world["truth"], 3.0) if method == "llm_online" else None
+
+        def envs():
+            return dict(env=UserEnvironment(model, world["train"], EnvConfig(
+                            max_steps=4, quit_threshold=0.75, seed=cfg.seed)),
+                        eval_env=UserEnvironment(model, world["test"], EnvConfig(
+                            max_steps=4, quit_threshold=0.75, seed=None)),
+                        episodes_per_epoch=2, eval_episodes=6, eval_epochs=range(15))
+
+        pretrained = agent_for(world, seed=cfg.seed)
+        result = online_phase(method, pretrained, config=cfg, strategy=strategy,
+                              oracle=oracle, **envs())
+        agent, episodes, snapshots = reference_online(method, pretrained, config=cfg,
+                                                      strategy=strategy, oracle=oracle,
+                                                      **envs())
+        assert len(world["test"].sequences) < 6
+        assert len(episodes) > 1 and cfg.buffer_capacity < cfg.online_steps
+        assert result.episodes == episodes
+        assert set(snapshots) == {*map(str, range(15)), "final"}
+        assert result.snapshots == snapshots
+        assert result.agent.params.allclose(agent.params)
+        velocity = result.agent.params.velocity
+        assert (velocity is None) == (agent.params.velocity is None) == (momentum == 0.0)
+        assert velocity is None or np.array_equal(velocity, agent.params.velocity)
