@@ -161,18 +161,11 @@ class LatentPreferenceModel(_RewardModel):
         return self.item_latents.shape[0]
 
     def score_batch(self, histories, actions) -> np.ndarray:
-        """One gather and mean of the history latents when the histories have
-        equal lengths, as in lockstep evaluation, and one per history
-        otherwise.  Each mean is summed in history order and divided by the
-        length, as ``mean`` does."""
+        """One gather and mean of the latents per history, summed in history
+        order and divided by the length, as ``mean`` does."""
         latents = self.item_latents
-        lengths = {len(history) for history in histories}
-        if len(lengths) == 1:
-            ids = np.array(histories, dtype=np.int64)
-            profiles = np.add.reduce(latents[ids], axis=1) / lengths.pop()
-        else:
-            profiles = np.array([np.add.reduce(latents[np.asarray(h, dtype=np.int64)], axis=0)
-                                 / len(h) for h in histories])
+        profiles = np.array([np.add.reduce(latents[np.asarray(h, dtype=np.int64)], axis=0)
+                             / len(h) for h in histories])
         raw = self.scale * _row_dots(profiles, latents[np.asarray(actions, dtype=np.int64)])
         return raw.clip(0.0, self.r_max)
 

@@ -187,32 +187,30 @@ def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamS
     """Apply one gradient-descent step ``p <- p - lr * g`` to the flat
     parameter array and release the gradient.
 
-    With ``momentum > 0`` a flat velocity ``v <- momentum * v + g`` is used in
-    place of the raw gradient.  One pass over the flat gradient checks that it
-    is finite; if not, the step aborts before touching any parameter, naming
-    the first offending parameter in parameter order.  A gradient never read
-    since the last step is zero.
+    The gradient is read through ``params.grads``, so one never read since
+    the last step is zero.  With ``momentum > 0`` a flat velocity ``v <-
+    momentum * v + g`` (``g`` itself at the first such step) is used in place
+    of the raw gradient.  One pass over the flat gradient checks that it is
+    finite; if not, the step aborts before touching any parameter, naming
+    the first offending parameter in parameter order.
     """
+    grads = params.grads
     g = params.grad
-    if g is not None and not np.isfinite(g).all():
-        name = next(n for n, view in params.grads.items() if not np.isfinite(view).all())
+    if not np.isfinite(g).all():
+        name = next(n for n, view in grads.items() if not np.isfinite(view).all())
         raise ValueError(f"non-finite gradient for parameter {name!r}")
     step = g
     if momentum > 0.0:
         v = params.velocity
-        if v is not None:
-            v *= momentum
-            if g is not None:
-                v += g
-        elif g is not None:
+        if v is None:
             v = g.copy()
+        else:
+            v *= momentum
+            v += g
         params.velocity = step = v
     # lr * step goes into the gradient, released below, rather than into a
     # second parameter-sized array
-    if g is not None:
-        params.flat -= np.multiply(step, lr, out=g)
-    elif step is not None:
-        params.flat -= lr * step
+    params.flat -= np.multiply(step, lr, out=g)
     params.zero_grads()
     return params
 

@@ -544,40 +544,26 @@ class DivergenceError(ValueError):
     names it (``pretrain`` for pre-training)."""
 
 
-def _rollout(method: str, env, config: TrainConfig, steps: int, act, learner, policy=None,
-             eval_env=None, episodes_per_epoch: int = 1, eval_episodes: int = 1,
-             eval_epochs=(), on_episode=None):
+def _rollout(method: str, env, config: TrainConfig, steps: int, act, learner, on_step=None,
+             on_episode=None):
     """The loop of pre-training and of every online scheme and baseline.
 
-    For ``steps`` steps it snapshots ``policy`` on ``eval_env`` at the
-    requested epoch boundaries, acts with ``act(history) -> (action,
+    For ``steps`` steps it acts with ``act(history) -> (action,
     frozen_prob)``, steps the environment with ``env.step(state, action)``,
     hands the transition (carrying the item the step appended and
     ``frozen_prob``) to ``learner.learn`` and closes the episode on done.
-    ``on_episode(record, losses)`` gets each finished episode's
-    :class:`EpisodeRecord` and the losses ``learn`` returned during it (the
-    Nones left out), after its last transition is learned and before the
-    next start is drawn.  An episode's start is drawn (``env.reset()``) by
-    its first step, so there is one reset per episode played and none after
-    the last.  An action is whatever the environment steps on: an item for a
-    user environment, the candidates for the judge's.  Returns the episode
-    curve and the snapshots (epoch index plus 'final'; none without an
-    ``eval_env``).  An ``episodes_per_epoch`` below 1 (which would put every
-    epoch at step 0 or before it) or, with an ``eval_env``, an
-    ``eval_episodes`` below 1 raises ValueError before the first step; a
-    value that overflows or turns NaN raises DivergenceError, naming
-    ``method``.
+    An episode's start is drawn (``env.reset()``) by its first step, so
+    there is one reset per episode played and none after the last.  An
+    action is whatever the environment steps on: an item for a user
+    environment, the candidates for the judge's.  ``on_step(step)`` runs
+    after the step's start is drawn and before it acts, and once more with
+    ``steps`` after the last step.  ``on_episode(record, losses)`` gets each
+    finished episode's :class:`EpisodeRecord` and the losses ``learn``
+    returned during it (the Nones left out), after its last transition is
+    learned and before the next start is drawn.  Returns the episode curve;
+    a value that overflows or turns NaN, in a hook too, raises
+    DivergenceError, naming ``method``.
     """
-    if episodes_per_epoch < 1:
-        raise ValueError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
-    if eval_env is not None and eval_episodes < 1:
-        raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
-    points: dict[int, str] = {}
-    if eval_env is not None:
-        epoch_steps = env.config.max_steps * episodes_per_epoch
-        points = {e * epoch_steps: str(e) for e in eval_epochs}
-    eval_seed = derive_seed(config.seed, KEY_EVAL)
-    snapshots: dict[str, MetricMeans] = {}
     episodes: list[EpisodeRecord] = []
     ret, length, losses = 0.0, 0, []
     state = None  # the next episode's start is drawn when a step needs it
@@ -586,9 +572,8 @@ def _rollout(method: str, env, config: TrainConfig, steps: int, act, learner, po
             for step in range(steps):
                 if state is None:
                     state = env.reset()
-                if step in points:
-                    snapshots[points[step]] = evaluate(policy, eval_env, eval_episodes,
-                                                       eval_seed).means
+                if on_step is not None:
+                    on_step(step)
                 action, frozen_prob = act(state.history)
                 reward, next_state, done = env.step(state, action)
                 step_losses = learner.learn(Transition(state.history, next_state.history[-1],
@@ -606,13 +591,13 @@ def _rollout(method: str, env, config: TrainConfig, steps: int, act, learner, po
                     state = None
                 else:
                     state = next_state
-            if eval_env is not None:
-                snapshots["final"] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
+            if on_step is not None:
+                on_step(steps)
         except FloatingPointError as exc:
             raise DivergenceError(f"{method} diverged in step {step + 1} of {steps} ({exc}) "
                                   f"at lr {config.lr}, target_update "
                                   f"{config.target_update}") from None
-    return episodes, snapshots
+    return episodes
 
 
 def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
@@ -634,11 +619,23 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
     explores by ``strategy``, by default epsilon-greedy 0.1 for dqn (the
     harness passes ``[training] epsilon``) and categorical for the rest.
     The caller's bundle is never mutated.
+
+    With an ``eval_env`` the loop's step hook snapshots the run
+    (:func:`evaluate` of ``eval_episodes`` episodes) at the first step of
+    each epoch in ``eval_epochs`` (``episodes_per_epoch`` episodes of
+    ``max_steps``) and after the last ('final'); for ap it then sets alpha
+    from the step, so a snapshot sees the previous step's mixture.  An
+    ``episodes_per_epoch`` below 1 or, with an ``eval_env``, an
+    ``eval_episodes`` below 1 raises ValueError before the first step.
     """
     if method not in ONLINE_METHODS:
         raise ValueError(f"unknown online method {method!r} ({'|'.join(ONLINE_METHODS)})")
     if method == "llm_online" and oracle is None:
         raise ValueError("llm_online requires an oracle")
+    if episodes_per_epoch < 1:
+        raise ValueError(f"episodes_per_epoch must be >= 1, got {episodes_per_epoch}")
+    if eval_env is not None and eval_episodes < 1:
+        raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
     if strategy is None:
         strategy = ExplorationStrategy("epsilon_greedy", 0.1) if method == "dqn" else CATEGORICAL
     rng = derive_rng(config.seed, KEY_ONLINE)
@@ -646,12 +643,8 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
     mix = None
     if method == "ap":
         mix = policy = MixPolicy(pretrained, work, config.alpha_init)
-        steps = itertools.count()
 
         def act(history):
-            # alpha moves only here, so the step's snapshot (taken before
-            # acting) still sees the previous step's mixture
-            mix.alpha = alpha_at(next(steps), config)
             probs, frozen = mix._sides([history])
             action = choose_action(probs[0], strategy, rng)
             return action, float(frozen[0, action])
@@ -669,9 +662,20 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
             return choose_action(policy.probs(history), strategy, rng), None
     learner = (_Reinforce(work, config) if method == "pg"
                else _ReplayTD(work, config, rng, actor=method != "dqn", mix=mix))
-    episodes, snapshots = _rollout(method, env, config, config.online_steps, act, learner,
-                                   policy, eval_env, episodes_per_epoch, eval_episodes,
-                                   eval_epochs)
+    points = {}
+    if eval_env is not None:
+        epoch_steps = env.config.max_steps * episodes_per_epoch
+        points = {e * epoch_steps: str(e) for e in eval_epochs} | {config.online_steps: "final"}
+    eval_seed = derive_seed(config.seed, KEY_EVAL)
+    snapshots: dict[str, MetricMeans] = {}
+
+    def on_step(step):
+        if step in points:
+            snapshots[points[step]] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
+        if mix is not None:
+            mix.alpha = alpha_at(step, config)
+
+    episodes = _rollout(method, env, config, config.online_steps, act, learner, on_step)
     return RunResult(work, episodes, snapshots, mix)
 
 
