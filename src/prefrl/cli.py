@@ -15,11 +15,9 @@ import sys
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
-from .harness import STRATEGY_ALIASES, run_experiment
+from .harness import PRESETS, STRATEGY_ALIASES, run_experiment
 from .oracle import OracleError
 from .training import BASELINE_KINDS, SCHEMES
-
-PRESETS = ("rq1", "rq2", "rq3", "rq4")
 
 
 def build_parser() -> argparse.ArgumentParser:

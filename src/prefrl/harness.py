@@ -493,30 +493,21 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
     return 0
 
 
-def cmd_rq1(cfg: AppConfig, out) -> int:
-    """Initial performance: pre-trained agent versus the untrained agents the
-    scratch baselines start from, all evaluated greedily on the test
-    environment (epoch 0)."""
-    return _run_preset(cfg, out, ("pretrained", "dqn", "pg", "a2c"), online=False)
-
-
-def cmd_rq2(cfg: AppConfig, out) -> int:
-    """Long-term adaptation: frozen pre-trained agent, both adaptation
-    schemes, and the scratch actor-critic baseline."""
-    return _run_preset(cfg, out, ("pretrained", "ft", "ap", "a2c"))
-
-
-def cmd_rq3(cfg: AppConfig, out) -> int:
-    """Judge-in-the-loop online baseline versus the adaptation schemes."""
-    return _run_preset(cfg, out, ("llm_online", "ft", "ap"))
-
-
-def cmd_rq4(cfg: AppConfig, out) -> int:
-    """Exploration strategies: the adaptive scheme versus scratch
-    actor-critic under each strategy kind (egreedy, categorical, greedy)."""
-    return _run_preset(cfg, out, ("ap", "a2c"),
-                       strategies=tuple(dict.fromkeys(STRATEGY_ALIASES.values())))
-
+# each preset's methods and ``_run_preset`` keywords
+PRESETS = {
+    # initial performance: the pre-trained agent versus the untrained agents
+    # the scratch baselines start from, evaluated greedily at epoch 0
+    "rq1": dict(methods=("pretrained", "dqn", "pg", "a2c"), online=False),
+    # long-term adaptation: the frozen pre-trained agent, both adaptation
+    # schemes and the scratch actor-critic baseline
+    "rq2": dict(methods=("pretrained", "ft", "ap", "a2c")),
+    # the judge-in-the-loop online baseline versus the adaptation schemes
+    "rq3": dict(methods=("llm_online", "ft", "ap")),
+    # exploration strategies: the adaptive scheme versus scratch actor-critic
+    # under each strategy kind (egreedy, categorical, greedy)
+    "rq4": dict(methods=("ap", "a2c"),
+                strategies=tuple(dict.fromkeys(STRATEGY_ALIASES.values()))),
+}
 
 COMMANDS = {
     "gen-data": cmd_gen_data,
@@ -524,10 +515,8 @@ COMMANDS = {
     "online": cmd_online,
     "baseline": lambda cfg, out, kind: cmd_online(cfg, out, kind),
     "eval": cmd_eval,
-    "rq1": cmd_rq1,
-    "rq2": cmd_rq2,
-    "rq3": cmd_rq3,
-    "rq4": cmd_rq4,
+    **{name: lambda cfg, out, name=name: _run_preset(cfg, out, **PRESETS[name])
+       for name in PRESETS},
 }
 
 
