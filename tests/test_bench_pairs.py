@@ -1,16 +1,18 @@
 """The summary maths of ``tools/bench_pairs.py`` on fixture runs: medians,
 the parent's quartiles, better and worse pairs, the sign test and the
-per-pair digest check.  No benchmark runs here.  The tool is loaded by its
-path, as a script."""
+per-pair digest check; and its runs, on a stand-in benchmark.  No real
+benchmark runs here.  The tool is loaded by its path, as a script."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
 METRICS = [{"name": "steps_per_s", "better": "higher"},
            {"name": "step_ms_p50", "better": "lower"}]
 
@@ -190,3 +192,51 @@ def test_a_run_records_the_page_faults_of_its_process(tool, tmp_path):
     assert run["result"]["correct"] is True
     assert run["page_faults"]["minor"] >= 8192 // 2
     assert run["page_faults"]["major"] >= 0
+
+
+# a stand-in benchmark that reports the length of its environment padding and
+# two repetitions
+STAND_IN = (
+    "import json, os\n"
+    "pad = len(os.environ.get('BENCH_PAIRS_PAD', 'unset'))\n"
+    "reps = [{'loop_s': 1.0, 'pad': pad}, {'loop_s': 2.0, 'pad': pad}]\n"
+    "print(json.dumps({'curve_digest': 'd', 'final_test_return': 1.0, 'repetitions': reps}))\n"
+    "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+
+
+def test_the_benchmark_sees_the_pad_its_run_records(tool, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STAND_IN, encoding="utf-8")
+    for pair in (0, 1):
+        run = tool.bench(tmp_path, "w", pair, 1.0)
+        assert run["env_pad"] == tool.pad_length(pair)
+        assert run["repetitions"]["pad"] == [run["env_pad"]] * 2
+
+
+def test_every_side_of_a_pair_shares_the_pad_its_benchmark_sees(tool, tmp_path, monkeypatch):
+    def extract(commit, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "run.py").write_text(STAND_IN, encoding="utf-8")
+        return commit
+
+    monkeypatch.setattr(tool, "extract", extract)
+    out = tmp_path / "bench.json"
+    assert tool.main(["P", "C", "--workload", "adapt_ap", "--pairs", "3", "--control",
+                      "--out", str(out), "--scratch", str(tmp_path / "trees")]) == 0
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert len(runs) == 9
+    for pair in range(3):
+        sides = [run for run in runs if run["seed"] == pair]
+        assert sorted(run["side"] for run in sides) == sorted(tool.SIDES)
+        assert {run["env_pad"] for run in sides} == {tool.pad_length(pair)}
+        for run in sides:
+            assert run["repetitions"] == {"loop_s": [1.0, 2.0], "pad": [run["env_pad"]] * 2}
+    pads = [tool.pad_length(pair) for pair in range(10)]
+    assert len(set(pads)) > 1 and all(0 <= pad < 4096 for pad in pads)
+    assert pads == [tool.pad_length(pair) for pair in range(10)]
+
+
+def test_a_committed_summary_rebuilds_from_its_runs(tool):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    doc = json.loads((ROOT / "BENCH_22.json").read_text(encoding="utf-8"))
+    assert tool.summarize(doc["runs"], spec["end_to_end"]) == doc["summary"]

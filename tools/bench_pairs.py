@@ -13,12 +13,18 @@ side once at ``--seed i``, the sides in an order rotated by i, so that each
 side runs first in an equal share of the pairs.  ``--control`` adds a third
 side, a second copy of the parent, whose shift against the parent is the
 noise floor of the same file.  A pair is checked for equal ``curve_digest``
-and ``final_test_return`` on every side.  Each run records the minor and
-major page faults of its process tree (the ``getrusage(RUSAGE_CHILDREN)``
-deltas around it), and the summary gives each side's medians of them, so a
-loop metric that moves can be checked against the heap's faulting.  The
-output is rewritten after each run, so an interrupted session keeps the
-runs it made.  Metric directions and the run length come from
+and ``final_test_return`` on every side.  Every run starts with one more
+environment variable, ``BENCH_PAIRS_PAD``, whose length (``env_pad``, 0 to
+4,095 bytes) is drawn from a stream seeded by the pair, so every side of a
+pair runs with the same process layout and the pairs with different ones:
+a layout that favours one side's code becomes spread rather than a shift
+that the control cannot see (Mytkowicz et al., ASPLOS 2009).  Each run
+records the minor and major page faults of its process tree (the
+``getrusage(RUSAGE_CHILDREN)`` deltas around it), and the summary gives each
+side's medians of them, so a loop metric that moves can be checked against
+the heap's faulting.  A run's repetitions are stored as columns, ``{field:
+[values]}``.  The output is rewritten after each run, so an interrupted
+session keeps the runs it made.  Metric directions and the run length come from
 ``BENCHMARK.json``.  ``--claim WORKLOAD/METRIC`` names the end-to-end
 metric a change claims to improve.  The file's first key, ``claim``, then
 holds that metric's medians, its shift, the pairs read better and worse and
@@ -30,6 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import random
 import resource
 import shutil
 import statistics
@@ -41,6 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change", "control")
+PAD_VAR = "BENCH_PAIRS_PAD"
 
 
 def sign_test_p(better: int, worse: int) -> float:
@@ -172,15 +181,24 @@ def extract(commit: str, dest: Path) -> str:
     return full
 
 
+def pad_length(pair: int) -> int:
+    """The length of pair ``pair``'s environment padding, 0 to 4,095 bytes,
+    drawn from a stream seeded by the pair."""
+    return random.Random(pair).randrange(4096)
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``: its exit code, its
-    wall time, its minor and major page faults, its result line and the
-    detail line's repetitions and digests."""
+    """One ``perfbench/run.py --trace 0`` run in ``tree``, its environment
+    padded by the pair's :func:`pad_length` (pair ``seed``): its exit code,
+    its wall time, its padding, its minor and major page faults, its result
+    line and the detail line's repetitions (as columns) and digests."""
+    pad = pad_length(seed)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, PAD_VAR: "x" * pad})
     elapsed = time.perf_counter() - started
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
@@ -189,12 +207,15 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, json.JSONDecodeError):
         detail, result = {}, {"correct": False, "failed": None, "metrics": {},
                               "stderr_tail": proc.stderr[-2000:]}
-    return {"exit_code": proc.returncode, "elapsed_s": round(elapsed, 1),
+    repetitions = detail.get("repetitions")
+    if repetitions:
+        repetitions = {field: [rep[field] for rep in repetitions] for field in repetitions[0]}
+    return {"exit_code": proc.returncode, "elapsed_s": round(elapsed, 1), "env_pad": pad,
             "page_faults": {"minor": after.ru_minflt - before.ru_minflt,
                             "major": after.ru_majflt - before.ru_majflt},
             "curve_digest": detail.get("curve_digest"),
             "final_test_return": detail.get("final_test_return"),
-            "repetitions": detail.get("repetitions"),
+            "repetitions": repetitions,
             "provenance": detail.get("provenance"), "result": result}
 
 
@@ -235,7 +256,8 @@ def main(argv=None) -> int:
                    "'summary' compares every other side with the parent per metric",
            "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {spec['run_seconds']:g} --trace 0",
-           "order": "pair i runs at seed i, its sides in an order rotated by i",
+           "order": "pair i runs at seed i, its sides in an order rotated by i and with "
+                    f"{PAD_VAR} of the pair's env_pad bytes in their environment",
            **{side: {"git_commit": ids[side]} for side in sides},
            "runs": [], "summary": {}}
     try:
