@@ -12,15 +12,16 @@ baselines (dqn, pg, a2c) and the judge-in-the-loop baseline (llm_online)
 run against the same environments for comparison.
 
 Pre-training, both schemes and all four baselines run one loop,
-:func:`_rollout` (reset, act, step, learn, track, snapshot); they differ only
-in the environment, in how an action is picked (``act(history)``) and in the
-learner object a transition is handed to: ``_ReplayTD`` (a replay-buffer TD
-step) or ``_Reinforce`` (an episodic REINFORCE step).  The loop keeps the
-losses the learner returns and hands each finished episode's record and
-losses to one hook, ``on_episode``; pre-training builds its per-epoch record
-there.  The loop has two callers: :func:`pretrain`, and
-:func:`online_phase`, which builds the act and the learner of any online
-method; :func:`run_baseline` is ``online_phase`` started from
+:func:`_rollout` (reset, act, step, learn, track), which only steps and
+returns the curve; they differ only in the environment, in how an action is
+picked (``act(history)``) and in the learner object a transition is handed
+to: ``_ReplayTD`` (a replay-buffer TD step) or ``_Reinforce`` (an episodic
+REINFORCE step).  Its hook ``on_episode`` gets each finished episode's record
+and losses (pre-training's per-epoch record is built there); ``on_step``
+runs before each step acts and after the last (the online snapshots and ap's
+mixing weight).  The loop has two callers: :func:`pretrain`, and
+:func:`online_phase`, which builds the act, the learner and the hook of any
+online method; :func:`run_baseline` is ``online_phase`` started from
 :func:`scratch_agent`.  Pre-training's environment is the judge
 (``_JudgeEnv``): its act proposes k candidates and its step appends the
 judge's pick, so each transition carries the item the step appended.  Both learners call
@@ -33,8 +34,8 @@ from there.
 
 The loop runs with numpy's overflow and invalid-value errors raised, so the
 first value of a run that overflows or turns NaN, in acting, stepping,
-learning or a snapshot, stops it with one :class:`DivergenceError`; the loop
-is handed the run's method and names it, the step, ``lr`` and
+learning or a hook (a snapshot), stops it with one :class:`DivergenceError`;
+the loop is handed the run's method and names it, the step, ``lr`` and
 ``target_update`` in the message.
 
 ``_ReplayTD``'s :class:`ReplayBuffer` holds columns only: one
@@ -562,8 +563,7 @@ def _rollout(method: str, env, config: TrainConfig, steps: int, act, learner, on
     returned during it (the Nones left out), after its last transition is
     learned and before the next start is drawn.  Returns the episode curve;
     a value that overflows or turns NaN, in a hook too, raises
-    DivergenceError, naming ``method``.
-    """
+    DivergenceError naming ``method`` and the step."""
     episodes: list[EpisodeRecord] = []
     ret, length, losses = 0.0, 0, []
     state = None  # the next episode's start is drawn when a step needs it
