@@ -202,12 +202,8 @@ def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamS
     step = g
     if momentum > 0.0:
         v = params.velocity
-        if v is None:
-            v = g.copy()
-        else:
-            v *= momentum
-            v += g
-        params.velocity = step = v
+        params.velocity = step = (g.copy() if v is None
+                                  else np.add(np.multiply(v, momentum, out=v), g, out=v))
     # lr * step goes into the gradient, released below, rather than into a
     # second parameter-sized array
     params.flat -= np.multiply(step, lr, out=g)
