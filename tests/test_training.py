@@ -629,6 +629,30 @@ class TestOnlinePhase:
                           derive_seed(cfg.seed, 4))
         assert result.snapshots["0"] == direct.means
 
+    @pytest.mark.parametrize("snapshot, step", [(1, 11), (3, 30)])
+    def test_a_snapshot_that_overflows_is_named_at_its_step(self, world, snapshot, step,
+                                                            monkeypatch):
+        # 30 steps of 10-step epochs: snapshots at steps 0, 10 and 20 and a
+        # final one; the epoch-1 snapshot (call 1) is taken before step 11
+        # acts, the final one (call 3) after step 30.  The evaluation
+        # overflows under the loop's errstate, as a diverged policy would
+        calls = []
+
+        def overflowing(policy, env, num_episodes, seed):
+            calls.append(seed)
+            if len(calls) == snapshot + 1:
+                np.multiply(np.float64(1e308), 10.0)
+            return evaluate(policy, env, num_episodes, seed)
+
+        monkeypatch.setattr(training, "evaluate", overflowing)
+        with pytest.raises(DivergenceError) as caught:
+            online_phase("ft", agent_for(world, seed=12), make_env(world, seed=6, max_steps=5),
+                         self.cfg(), eval_env=make_env(world, "test", seed=7, max_steps=5),
+                         episodes_per_epoch=2, eval_episodes=4)
+        assert len(calls) == snapshot + 1
+        assert str(caught.value) == (f"ft diverged in step {step} of 30 (overflow encountered "
+                                     "in multiply) at lr 0.01, target_update 0")
+
 
 class TestBaselines:
     def cfg(self, **kw):
