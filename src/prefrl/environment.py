@@ -11,9 +11,9 @@ Three reward models are available:
   environment used for directional experiments and tests.
 
 Each model scores a batch, ``score_batch(contexts, actions) -> (B,)``, with
-stacked row-wise products (one ``encode_batch`` for the sequential kind, one
-mean per history for the latent kind); ``score`` is its one-row case, and a
-row's bits do not depend on the batch it is scored in.
+one gather and stacked row-wise products (one ``encode_batch`` for the
+sequential kind); ``score`` is its one-row case, and a row's bits do not
+depend on the batch it is scored in.
 
 Episodes start from a logged user (MF) or a logged initial item (the other
 kinds), append the agent's action to the history each step, and end when the
@@ -161,14 +161,18 @@ class LatentPreferenceModel(_RewardModel):
         return self.item_latents.shape[0]
 
     def score_batch(self, histories, actions) -> np.ndarray:
-        """One gather and mean of the history latents per history length, each
-        mean summed in history order and divided by the length, as ``mean`` does."""
+        """One gather and mean of the history latents when the histories have
+        equal lengths, as in lockstep evaluation, and one per history
+        otherwise.  Each mean is summed in history order and divided by the
+        length, as ``mean`` does."""
         latents = self.item_latents
-        profiles = np.empty((len(histories), latents.shape[1]))
-        for length in {len(history) for history in histories}:
-            rows = [b for b, history in enumerate(histories) if len(history) == length]
-            ids = np.array([histories[b] for b in rows], dtype=np.int64)
-            profiles[rows] = np.add.reduce(latents[ids], axis=1) / length
+        lengths = {len(history) for history in histories}
+        if len(lengths) == 1:
+            ids = np.array(histories, dtype=np.int64)
+            profiles = np.add.reduce(latents[ids], axis=1) / lengths.pop()
+        else:
+            profiles = np.array([np.add.reduce(latents[np.asarray(h, dtype=np.int64)], axis=0)
+                                 / len(h) for h in histories])
         raw = self.scale * _row_dots(profiles, latents[np.asarray(actions, dtype=np.int64)])
         return raw.clip(0.0, self.r_max)
 

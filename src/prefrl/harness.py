@@ -493,7 +493,6 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
     return 0
 
 
-# each preset's methods and ``_run_preset`` keywords
 PRESETS = {
     # initial performance: the pre-trained agent versus the untrained agents
     # the scratch baselines start from, evaluated greedily at epoch 0

@@ -662,10 +662,8 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
             return choose_action(policy.probs(history), strategy, rng), None
     learner = (_Reinforce(work, config) if method == "pg"
                else _ReplayTD(work, config, rng, actor=method != "dqn", mix=mix))
-    points = {}
-    if eval_env is not None:
-        epoch_steps = env.config.max_steps * episodes_per_epoch
-        points = {e * epoch_steps: str(e) for e in eval_epochs} | {config.online_steps: "final"}
+    points = ({e * env.config.max_steps * episodes_per_epoch: str(e) for e in eval_epochs}
+              | {config.online_steps: "final"} if eval_env is not None else {})
     eval_seed = derive_seed(config.seed, KEY_EVAL)
     snapshots: dict[str, MetricMeans] = {}
 
