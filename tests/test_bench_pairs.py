@@ -204,15 +204,6 @@ STAND_IN = (
     "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
 
 
-def test_the_benchmark_sees_the_pad_its_run_records(tool, tmp_path):
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text(STAND_IN, encoding="utf-8")
-    for pair in (0, 1):
-        run = tool.bench(tmp_path, "w", pair, 1.0)
-        assert run["env_pad"] == tool.pad_length(pair)
-        assert run["repetitions"]["pad"] == [run["env_pad"]] * 2
-
-
 def test_every_side_of_a_pair_shares_the_pad_its_benchmark_sees(tool, tmp_path, monkeypatch):
     def extract(commit, dest):
         (dest / "perfbench").mkdir(parents=True)
@@ -233,10 +224,10 @@ def test_every_side_of_a_pair_shares_the_pad_its_benchmark_sees(tool, tmp_path, 
             assert run["repetitions"] == {"loop_s": [1.0, 2.0], "pad": [run["env_pad"]] * 2}
     pads = [tool.pad_length(pair) for pair in range(10)]
     assert len(set(pads)) > 1 and all(0 <= pad < 4096 for pad in pads)
-    assert pads == [tool.pad_length(pair) for pair in range(10)]
 
 
-def test_a_committed_summary_rebuilds_from_its_runs(tool):
+@pytest.mark.parametrize("name", ["BENCH_22.json", "BENCH_23.json"])
+def test_a_committed_summary_rebuilds_from_its_runs(tool, name):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    doc = json.loads((ROOT / "BENCH_22.json").read_text(encoding="utf-8"))
+    doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
     assert tool.summarize(doc["runs"], spec["end_to_end"]) == doc["summary"]
