@@ -1,6 +1,15 @@
+from pathlib import Path
+
 import pytest
 
 _ACCEPTANCE: dict[str, str] = {}
+
+
+def pytest_report_header(config):
+    """Name the tree under test: ``pythonpath = ["src"]`` puts this checkout's
+    package ahead of ``PYTHONPATH``, so a session run here tests this tree."""
+    import prefrl
+    return f"prefrl package: {Path(prefrl.__file__).resolve().parent}"
 
 
 def pytest_runtest_logreport(report):

@@ -1,11 +1,12 @@
 """Shared test machinery: the per-transition reference spec of the learner's
 losses, reference pre-training and online loops, a reference fit of the
-sequential reward model, gradient-check scaffolding and a stub
-chat-completion server."""
+sequential reward model, a reference scanner of judge replies,
+gradient-check scaffolding and a stub chat-completion server."""
 from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -16,7 +17,7 @@ from prefrl.agent import (LOG_PROB_FLOOR, AgentBundle, Transition, action_distri
                           backprop_heads, policy_for, q_values, update)
 from prefrl.encoder import EncoderConfig, encode, encode_with_cache, init_encoder_params
 from prefrl.metrics import EpisodeRecord, compute_metrics
-from prefrl.oracle import distill
+from prefrl.oracle import LABELS, distill
 from prefrl.training import (CATEGORICAL, KEY_EVAL, KEY_ONLINE, KEY_PRETRAIN, ActorPolicy,
                              ExplorationStrategy, MixPolicy, QGreedyPolicy, alpha_at,
                              choose_action, derive_rng, derive_seed, sample_candidates)
@@ -115,6 +116,33 @@ def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: in
         if epoch_callback is not None:
             epoch_callback(epoch, agent, record, rng.bit_generator.state)
     return records
+
+
+def reference_parse(text: str, k: int) -> int | None:
+    """The judge's answer in ``text`` as a scanner over two token kinds: a
+    standalone "none" in any case, and a standalone lowercase letter that is
+    not a contraction tail ("I'd", "user's"; a quoted 'b' still counts).  A
+    letter past the None label (``LABELS[k]``) is skipped.  In a region the
+    earlier token wins, the None label and "none" answering None; the region
+    after "the user will select" (any case) is scanned first, then the whole
+    text, and a text with no token in either answers None."""
+    none_token = re.compile(r"(?<![A-Za-z])none(?![A-Za-z])", re.IGNORECASE)
+    letter_token = re.compile(r"(?<![A-Za-z])(?<![A-Za-z]')([a-z])(?![A-Za-z])")
+    select = re.search(r"the user will select", text, re.IGNORECASE)
+    regions = [text[select.end():], text] if select else [text]
+    for region in regions:
+        hits = []
+        none = none_token.search(region)
+        if none:
+            hits.append((none.start(), None))
+        for letter in letter_token.finditer(region):
+            index = LABELS.index(letter.group(1))
+            if index <= k:
+                hits.append((letter.start(), None if index == k else index))
+                break
+        if hits:
+            return min(hits, key=lambda hit: hit[0])[1]
+    return None
 
 
 def reference_evaluate(policy, env, num_episodes: int, seed: int):

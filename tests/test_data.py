@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,49 @@ class TestLoadInteractions:
         _, log, _ = generate_synthetic(10_935, 40, 6, 2, seed=2)
         assert log.num_sequences == 10_935
 
+
+
+class TestLoaderMessages:
+    """Both world loaders refuse a bad file with one message naming it."""
+
+    CATALOG = generate_synthetic(2, 4, 2, 2, seed=0)[0]
+    LOADERS = {"catalog": load_catalog,
+               "interactions": lambda path: load_interactions(path, TestLoaderMessages.CATALOG)}
+
+    @pytest.mark.parametrize("what", ["catalog", "interactions"])
+    def test_a_missing_file_is_named(self, tmp_path, what):
+        p = tmp_path / "nope.csv"
+        with pytest.raises(FileNotFoundError, match=f"^{re.escape(f'{what} file not found: {p}')}$"):
+            self.LOADERS[what](p)
+
+    @pytest.mark.parametrize("what", ["catalog", "interactions"])
+    def test_an_empty_file_is_named(self, tmp_path, what):
+        p = tmp_path / "empty.csv"
+        p.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: empty {what} file')}$"):
+            self.LOADERS[what](p)
+
+    @pytest.mark.parametrize("what, header, expected", [
+        ("catalog", "name,title", "id,<attr1>,..."),
+        ("catalog", "id", "id,<attr1>,..."),
+        ("interactions", "user,item,time", "user_id,item_id,timestamp")])
+    def test_a_bad_header_is_named_at_line_1(self, tmp_path, what, header, expected):
+        p = tmp_path / "bad.csv"
+        write_lines(p, [header, "0,1,2"])
+        message = f"{p}: line 1: header must be '{expected}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.LOADERS[what](p)
+
+    @pytest.mark.parametrize("what, lines, message", [
+        ("catalog", ["id,title", "0,A", "1,B,extra"], "line 3: expected 2 fields, got 3"),
+        ("catalog", ["id,title,style", "0"], "line 2: expected 3 fields, got 1"),
+        ("interactions", ["user_id,item_id,timestamp", "u1,0,1", "u1,1"],
+         "line 3: expected 3 fields, got 2")])
+    def test_a_row_with_the_wrong_field_count_is_named(self, tmp_path, what, lines, message):
+        p = tmp_path / "rows.csv"
+        write_lines(p, lines)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
+            self.LOADERS[what](p)
 
 class TestSplit:
     def make_log(self, n):

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import string
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import requests
 
-from helpers import StubChatServer
+from helpers import StubChatServer, reference_parse
 from prefrl.data import SyntheticGroundTruth, generate_synthetic
 from prefrl.oracle import (LLMOracle, OracleError, OracleHTTPError, OracleNetworkError,
                            OracleTimeoutError, PromptSpec, RemoteEndpoint, append_record,
@@ -100,6 +101,19 @@ class TestParseResponse:
             label = parse_response(text, k).label_index
             assert label is None or 0 <= label < k, (text, k, label)
 
+
+    def test_matches_the_reference_scanner(self):
+        pieces = (list(string.ascii_letters + string.digits + string.punctuation + "_'\"")
+                  + [" "] * 24 + ["\n"] * 4
+                  + ["none", "None", "NONE", "the user will select", "The user will select",
+                     "I'd", "user's", "'b'"])
+        rng = random.Random(0)
+        replies = ["".join(rng.choices(pieces, k=rng.randrange(0, 24))) for _ in range(20_000)]
+        for k in range(2, 26):
+            misses = [(text, reference_parse(text, k), parse_response(text, k).label_index)
+                      for text in replies
+                      if parse_response(text, k).label_index != reference_parse(text, k)]
+            assert not misses, (k, misses[:5])
 
 class TestSyntheticChoice:
     def test_single_candidate_above_threshold(self, world):
