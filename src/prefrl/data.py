@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,26 +106,35 @@ class SyntheticGroundTruth:
             raise ValueError("user and item latent dimensions differ")
 
 
-def load_catalog(path) -> ItemCatalog:
-    """Read an item catalog, enforcing dense ids and nonempty attributes.
-
-    Errors carry the 1-based line number of the offending row.
-    """
+@contextmanager
+def _csv_rows(path, what: str):
+    """Open a world CSV file and hand out its header and its data rows, one
+    at a time, each with its 1-based line number.  A missing file or one
+    without a header row is refused, naming ``what`` the file holds."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
-        raise FileNotFoundError(f"catalog file not found: {path}") from None
+        raise FileNotFoundError(f"{what} file not found: {path}") from None
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty catalog file") from None
+            raise ValueError(f"{path}: empty {what} file") from None
+        yield header, enumerate(reader, start=2)
+
+
+def load_catalog(path) -> ItemCatalog:
+    """Read an item catalog, enforcing dense ids and nonempty attributes.
+
+    Errors carry the 1-based line number of the offending row.
+    """
+    with _csv_rows(path, "catalog") as (header, numbered_rows):
         if len(header) < 2 or header[0] != "id":
             raise ValueError(f"{path}: line 1: header must be 'id,<attr1>,...'")
         attribute_names = tuple(header[1:])
         rows: dict[int, ItemRecord] = {}
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in numbered_rows:
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
             try:
@@ -157,20 +167,11 @@ def write_catalog(catalog: ItemCatalog, path) -> None:
 def load_interactions(path, catalog: ItemCatalog) -> InteractionLog:
     """Read interaction rows, group them per user ordered by timestamp, and
     drop sequences shorter than 2 (count reported on the returned log)."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"interactions file not found: {path}") from None
     per_user: dict[str, list[tuple[int, int]]] = {}
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty interactions file") from None
+    with _csv_rows(path, "interactions") as (header, numbered_rows):
         if [h.strip() for h in header[:3]] != ["user_id", "item_id", "timestamp"]:
             raise ValueError(f"{path}: line 1: header must be 'user_id,item_id,timestamp'")
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in numbered_rows:
             if len(row) != 3:
                 raise ValueError(f"{path}: line {line_no}: expected 3 fields, got {len(row)}")
             user_id = row[0]
