@@ -8,7 +8,7 @@ from .encoder import EncoderConfig, encode, encode_batch
 from .environment import EnvConfig, UserEnvironment, fit_reward_model
 from .metrics import EpisodeRecord, compute_metrics
 from .nn import ParamSet, finite_diff_grad, optimizer_step, sample_categorical, softmax
-from .oracle import OracleOutcome, PromptSpec, build_prompt, distill, parse_response
+from .oracle import PromptSpec, build_prompt, distill, parse_response
 from .training import (ExplorationStrategy, MixPolicy, ReplayBuffer, TrainConfig,
                        alpha_at, choose_action, evaluate, online_phase, pretrain,
                        run_baseline)

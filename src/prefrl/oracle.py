@@ -5,6 +5,13 @@ synthetic judge backed by ground-truth latents.
 A judge call takes the user's interacted-item history and k labelled
 candidates and returns either one candidate (reward 1.0) or "None"
 (reward 0.0, with the acted item drawn uniformly from the candidates).
+
+A reply is read with one pattern per k (:func:`parse_response`): the first
+standalone "none" (any case) or standalone label letter ``a`` to
+``LABELS[k]``, the None label, that is not a contraction tail ("I'd",
+"user's"; a quoted 'b' counts), searched after "the user will select" and
+then in the whole reply.  The remote client (:func:`llm_choice`) posts over
+the ``requests.Session`` it is handed; :class:`LLMOracle` keeps one alive.
 """
 from __future__ import annotations
 
@@ -25,7 +32,6 @@ from .data import ItemCatalog, ItemRecord, SyntheticGroundTruth
 __all__ = [
     "PromptSpec",
     "OracleChoice",
-    "OracleOutcome",
     "RemoteEndpoint",
     "OracleError",
     "OracleNetworkError",
@@ -50,10 +56,11 @@ _PREAMBLE = ("Below is an instruction that describes a task, paired with an inpu
              "completes the request.")
 _RESPONSE_STEM = "By analysing the user's preference, the user will select"
 _SELECT_PHRASE = re.compile(r"the user will select", re.IGNORECASE)
-# A standalone lowercase letter: not part of a word and not a contraction
-# tail ("I'd", "user's"); a quoted label like 'b' still matches.
-_LABEL_TOKEN = re.compile(r"(?<![A-Za-z])(?<![A-Za-z]')([a-z])(?![A-Za-z])")
-_NONE_TOKEN = re.compile(r"(?<![A-Za-z])none(?![A-Za-z])", re.IGNORECASE)
+# Per k: a standalone "none" in any case, or a standalone label letter up to
+# the None label that is not a contraction tail ("I'd", "user's"); a quoted
+# label like 'b' still matches.
+_ANSWERS = {k: re.compile(r"(?<![A-Za-z])(?:(?i:none)|(?<![A-Za-z]')"
+                          rf"([a-{LABELS[k]}]))(?![A-Za-z])") for k in range(2, 26)}
 
 
 @dataclass(frozen=True)
@@ -78,13 +85,6 @@ class OracleChoice:
     """Parsed judge answer: a candidate index, or None for the 'None' branch."""
     label_index: int | None
     raw_response: str
-
-
-@dataclass(frozen=True)
-class OracleOutcome:
-    action: int
-    reward: float
-    was_none: bool
 
 
 def _render_item(item: ItemRecord, attribute_names) -> str:
@@ -128,38 +128,21 @@ def build_prompt(history: list[ItemRecord], candidates: list[ItemRecord],
     return "\n".join(lines)
 
 
-def _scan(text: str, k: int) -> int | None | str:
-    """First label letter in range or None-token in ``text``; 'miss' if neither."""
-    pos = len(text) + 1
-    found: int | None | str = "miss"
-    m = _NONE_TOKEN.search(text)
-    if m:
-        pos, found = m.start(), None
-    for m in _LABEL_TOKEN.finditer(text):
-        idx = ord(m.group(1)) - ord("a")
-        if idx > k:
-            continue
-        if m.start() < pos:
-            pos = m.start()
-            found = None if idx == k else idx
-        break
-    return found
-
-
 def parse_response(text: str, k: int) -> OracleChoice:
     """Extract the judge's answer from free text.
 
-    Scans for the first standalone lowercase label letter (candidate letters
-    plus the None letter) or the token "None", preferring the region after
-    "the user will select" when that phrase is present.  Unparseable text
-    maps to the None branch.
+    Searches for the first standalone lowercase label letter (candidate
+    letters plus the None letter) or the token "None", in the region after
+    "the user will select" when that phrase is present and then in the
+    whole text.  Unparseable text maps to the None branch.
     """
     m = _SELECT_PHRASE.search(text)
-    regions = [text[m.end():], text] if m else [text]
-    for region in regions:
-        found = _scan(region, k)
-        if found != "miss":
-            return OracleChoice(found, text)
+    for region in ([text[m.end():], text] if m else [text]):
+        answer = _ANSWERS[k].search(region)
+        if answer:
+            letter = answer.group(1)
+            index = k if letter is None else LABELS.index(letter)
+            return OracleChoice(index if index < k else None, text)
     log.debug("unparseable judge response: %r", text)
     return OracleChoice(None, text)
 
@@ -204,17 +187,15 @@ class RemoteEndpoint:
                                  f"got {getattr(self, key)!r}")
 
 
-def llm_choice(prompt: str, endpoint: RemoteEndpoint,
-               session: requests.Session | None = None) -> str:
+def llm_choice(prompt: str, endpoint: RemoteEndpoint, session: requests.Session) -> str:
     """POST one chat-completion request and return the first choice's text.
 
-    With a ``session`` the request goes over its kept-alive connection
-    (opened on first use, reopened after a drop); without one each call
-    opens and closes its own.  Transient failures (connection errors, timeouts, HTTP 429/5xx) are
-    retried with exponential backoff up to ``endpoint.max_retries`` times;
-    the three failure modes surface as distinct exceptions.  A 200 reply
-    that is not JSON or lacks ``choices[0].message.content`` raises
-    OracleError naming the URL.
+    The request goes over the ``session``'s kept-alive connection (opened
+    on first use, reopened after a drop).  Transient failures (connection
+    errors, timeouts, HTTP 429/5xx) are retried with exponential backoff up
+    to ``endpoint.max_retries`` times; the three failure modes surface as
+    distinct exceptions.  A 200 reply that is not JSON or lacks
+    ``choices[0].message.content`` raises OracleError naming the URL.
     """
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -226,13 +207,12 @@ def llm_choice(prompt: str, endpoint: RemoteEndpoint,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": endpoint.temperature,
     }
-    post = requests.post if session is None else session.post
     last_error: OracleError | None = None
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
             time.sleep(endpoint.backoff * 2 ** (attempt - 1))
         try:
-            resp = post(url, json=body, headers=headers, timeout=endpoint.timeout)
+            resp = session.post(url, json=body, headers=headers, timeout=endpoint.timeout)
         except requests.Timeout:
             last_error = OracleTimeoutError(f"timed out after {endpoint.timeout}s: {url}")
             continue
@@ -359,8 +339,8 @@ class LLMOracle:
 
 
 def distill(history: list[int], candidate_ids: list[int], oracle,
-            rng: np.random.Generator) -> OracleOutcome:
-    """Run one judge call and convert it to (action, reward).
+            rng: np.random.Generator) -> tuple[int, float]:
+    """Run one judge call and convert it to ``(action, reward)``.
 
     A labelled answer selects that candidate with reward 1.0; a None answer
     yields reward 0.0 with the action drawn uniformly (seeded) from the
@@ -370,6 +350,5 @@ def distill(history: list[int], candidate_ids: list[int], oracle,
     if choice.label_index is not None:
         if not 0 <= choice.label_index < len(candidate_ids):
             raise ValueError(f"label index {choice.label_index} out of range for k={len(candidate_ids)}")
-        return OracleOutcome(int(candidate_ids[choice.label_index]), 1.0, False)
-    action = int(candidate_ids[rng.integers(len(candidate_ids))])
-    return OracleOutcome(action, 0.0, True)
+        return int(candidate_ids[choice.label_index]), 1.0
+    return int(candidate_ids[rng.integers(len(candidate_ids))]), 0.0

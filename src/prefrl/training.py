@@ -76,7 +76,10 @@ stream, spawned from the seed under one key (``derive_rng``/``derive_seed``):
     2    pre-training: episode starts, candidates, judge None draws,
          minibatches
     3    online acting and minibatches
-    4    evaluation resets (snapshots and every harness evaluation)
+    4    evaluation resets (snapshots and every harness evaluation):
+         :func:`evaluate` draws from key 4 of the seed it is handed, and
+         the snapshots and the harness hand it ``derive_seed(seed, 4)``,
+         so key 4 is applied twice; changing that moves every snapshot
     10   training-environment resets
     ===  ===========================================================
 """
@@ -378,10 +381,9 @@ class _JudgeEnv:
         return EnvState(history=(seq.items[0],), user_id=None, done=False)
 
     def step(self, state: EnvState, candidates: list[int]) -> tuple[float, EnvState, bool]:
-        outcome = distill(state.history, candidates, self.oracle, self.rng)
+        action, reward = distill(state.history, candidates, self.oracle, self.rng)
         done = len(state.history) >= self.horizon
-        return outcome.reward, EnvState(history=state.history + (outcome.action,),
-                                        user_id=None, done=done), done
+        return reward, EnvState(history=state.history + (action,), user_id=None, done=done), done
 
 
 def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
@@ -654,7 +656,8 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
         def act(history):
             candidates = sample_candidates(policy.probs(history), config.k,
                                            config.candidate_sampling, rng)
-            return distill(history, candidates, oracle, rng).action, None
+            action, _ = distill(history, candidates, oracle, rng)
+            return action, None
     else:
         policy = QGreedyPolicy(work) if method == "dqn" else ActorPolicy(work)
 

@@ -91,11 +91,11 @@ def reference_pretrain(agent: AgentBundle, oracle, config, log_, start_epoch: in
         for t in range(1, config.pretrain_horizon + 1):
             candidates = sample_candidates(policy_for(agent, history), config.k,
                                            config.candidate_sampling, rng)
-            outcome = distill(history, candidates, oracle, rng)
-            next_history = history + (outcome.action,)
-            buffer.append(Transition(history, outcome.action, outcome.reward, next_history,
+            action, reward = distill(history, candidates, oracle, rng)
+            next_history = history + (action,)
+            buffer.append(Transition(history, action, reward, next_history,
                                      t == config.pretrain_horizon))
-            rewards.append(outcome.reward)
+            rewards.append(reward)
             if len(buffer) >= config.batch_size:
                 drawn = rng.choice(len(buffer), size=config.batch_size, replace=False)
                 actor, critic = update([buffer[i] for i in drawn], agent, config.lr,
@@ -208,7 +208,7 @@ def reference_online(method: str, pretrained: AgentBundle, env, config, strategy
         if method == "llm_online":
             candidates = sample_candidates(policy_for(work, history), config.k,
                                            config.candidate_sampling, rng)
-            action = distill(history, candidates, oracle, rng).action
+            action, _ = distill(history, candidates, oracle, rng)
         else:
             action = choose_action(policy.probs(history), strategy, rng)
             if mix is not None:

@@ -279,19 +279,19 @@ def test_criterion_08_oracle_protocol():
     rng = np.random.default_rng(21)
     counts = np.zeros(10)
     for _ in range(10_000):
-        outcome = distill([0], candidates, AlwaysNone(), rng)
-        assert outcome.reward == 0.0 and outcome.was_none
-        counts[outcome.action] += 1
+        action, reward = distill([0], candidates, AlwaysNone(), rng)
+        assert reward == 0.0
+        counts[action] += 1
     assert counts.min() >= 900 and counts.max() <= 1100
 
     truth = generate_synthetic(6, 20, 4, 3, seed=5)[2]
     judge = SyntheticOracle(truth, threshold=0.5)
     for _ in range(500):
         cands = list(rng.choice(20, size=10, replace=False))
-        outcome = distill([int(rng.integers(20))], cands, judge, rng)
-        assert outcome.reward in (0.0, 1.0)
-        assert (outcome.reward == 1.0) == (not outcome.was_none)
-        assert outcome.action in cands
+        history = [int(rng.integers(20))]
+        action, reward = distill(history, cands, judge, rng)
+        assert reward == (0.0 if judge.choose(history, cands).label_index is None else 1.0)
+        assert action in cands
 
 
 def test_criterion_09_policy_gradient_bandit():

@@ -149,10 +149,7 @@ class TestDistill:
             def choose(self, history, candidates):
                 from prefrl.oracle import OracleChoice
                 return OracleChoice(1, "b")
-        outcome = distill([0], [5, 9, 3], Fixed(), np.random.default_rng(0))
-        assert outcome.action == 9
-        assert outcome.reward == 1.0
-        assert outcome.was_none is False
+        assert distill([0], [5, 9, 3], Fixed(), np.random.default_rng(0)) == (9, 1.0)
 
     def test_none_branch_seeded_and_uniform(self):
         class AlwaysNone:
@@ -160,15 +157,15 @@ class TestDistill:
                 from prefrl.oracle import OracleChoice
                 return OracleChoice(None, "None")
         cands = list(range(10, 20))
-        a = [distill([0], cands, AlwaysNone(), np.random.default_rng(4)).action for _ in range(5)]
-        b = [distill([0], cands, AlwaysNone(), np.random.default_rng(4)).action for _ in range(5)]
+        a = [distill([0], cands, AlwaysNone(), np.random.default_rng(4))[0] for _ in range(5)]
+        b = [distill([0], cands, AlwaysNone(), np.random.default_rng(4))[0] for _ in range(5)]
         assert a == b  # fresh seed each call: deterministic
         rng = np.random.default_rng(9)
         counts = np.zeros(10)
         for _ in range(2000):
-            out = distill([0], cands, AlwaysNone(), rng)
-            assert out.reward == 0.0 and out.was_none
-            counts[out.action - 10] += 1
+            action, reward = distill([0], cands, AlwaysNone(), rng)
+            assert reward == 0.0
+            counts[action - 10] += 1
         assert counts.min() > 140 and counts.max() < 260
 
     def test_reward_always_binary(self, world):
@@ -177,10 +174,17 @@ class TestDistill:
         rng = np.random.default_rng(3)
         for _ in range(100):
             cands = list(rng.choice(20, size=5, replace=False))
-            out = distill([int(rng.integers(20))], cands, oracle, rng)
-            assert out.reward in (0.0, 1.0)
-            assert out.action in cands
-            assert (out.reward == 1.0) == (not out.was_none)
+            history = [int(rng.integers(20))]
+            action, reward = distill(history, cands, oracle, rng)
+            label = oracle.choose(history, cands).label_index
+            assert reward == (0.0 if label is None else 1.0)
+            assert action in cands if label is None else action == cands[label]
+
+
+@pytest.fixture
+def session():
+    with requests.Session() as s:
+        yield s
 
 
 def endpoint(url, **kw):
@@ -191,49 +195,49 @@ def endpoint(url, **kw):
 
 
 class TestLLMClient:
-    def test_echo(self):
+    def test_echo(self, session):
         with StubChatServer(lambda prompt, n: (200, "the user will select a")) as stub:
-            text = llm_choice("hello", endpoint(stub.base_url))
+            text = llm_choice("hello", endpoint(stub.base_url), session)
         assert text == "the user will select a"
         assert stub.requests[0]["body"]["model"] == "judge-1"
         assert stub.requests[0]["body"]["temperature"] == 0.0
 
-    def test_api_key_header(self, monkeypatch):
+    def test_api_key_header(self, monkeypatch, session):
         monkeypatch.setenv("ORACLE_API_KEY", "sekrit")
         with StubChatServer(lambda prompt, n: (200, "ok")) as stub:
-            llm_choice("x", endpoint(stub.base_url))
+            llm_choice("x", endpoint(stub.base_url), session)
         assert stub.requests[0]["auth"] == "Bearer sekrit"
 
-    def test_retries_then_exhausts_on_500(self):
+    def test_retries_then_exhausts_on_500(self, session):
         with StubChatServer(lambda prompt, n: (500, "boom")) as stub:
             with pytest.raises(OracleHTTPError, match="500"):
-                llm_choice("x", endpoint(stub.base_url, max_retries=2))
+                llm_choice("x", endpoint(stub.base_url, max_retries=2), session)
             assert len(stub.requests) == 3  # initial try + 2 retries
 
-    def test_recovers_after_transient_500(self):
+    def test_recovers_after_transient_500(self, session):
         behavior = lambda prompt, n: (500, "boom") if n == 1 else (200, "fine")
         with StubChatServer(behavior) as stub:
-            assert llm_choice("x", endpoint(stub.base_url)) == "fine"
+            assert llm_choice("x", endpoint(stub.base_url), session) == "fine"
 
-    def test_client_error_is_not_retried(self):
+    def test_client_error_is_not_retried(self, session):
         with StubChatServer(lambda prompt, n: (404, "missing")) as stub:
             with pytest.raises(OracleHTTPError, match="404"):
-                llm_choice("x", endpoint(stub.base_url))
+                llm_choice("x", endpoint(stub.base_url), session)
             assert len(stub.requests) == 1
 
     @pytest.mark.parametrize("body, what", [(b"<html>busy</html>", "not JSON"),
                                             (b'{"error": "quota"}', "choices")])
-    def test_malformed_reply_is_a_named_oracle_error(self, body, what):
+    def test_malformed_reply_is_a_named_oracle_error(self, body, what, session):
         with StubChatServer(lambda prompt, n: (200, body)) as stub:
             with pytest.raises(OracleError, match=what) as info:
-                llm_choice("x", endpoint(stub.base_url))
+                llm_choice("x", endpoint(stub.base_url), session)
         assert stub.base_url in str(info.value)
 
-    def test_connection_failure(self):
+    def test_connection_failure(self, session):
         with pytest.raises(OracleNetworkError):
-            llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1))
+            llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1), session)
 
-    def test_timeout(self):
+    def test_timeout(self, session):
         import time
 
         def slow(prompt, n):
@@ -241,7 +245,7 @@ class TestLLMClient:
             return 200, "late"
         with StubChatServer(slow) as stub:
             with pytest.raises(OracleTimeoutError):
-                llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1))
+                llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1), session)
 
 
 class TestKeepAlive:
@@ -261,12 +265,6 @@ class TestKeepAlive:
         assert len(stub.requests) == 9
         peers = [r["peer"] for r in stub.requests]
         assert len(set(peers[:8])) == 1 and peers[8] != peers[0]
-
-    def test_without_a_session_each_call_opens_a_connection(self):
-        with StubChatServer(lambda prompt, n: (200, "ok"), keep_alive=True) as stub:
-            for _ in range(3):
-                llm_choice("x", endpoint(stub.base_url))
-        assert len({r["peer"] for r in stub.requests}) == 3
 
     def test_retries_a_503_on_the_same_connection(self):
         behavior = lambda prompt, n: (503, "busy") if n == 2 else (200, f"ok{n}")
