@@ -56,11 +56,13 @@ _PREAMBLE = ("Below is an instruction that describes a task, paired with an inpu
              "completes the request.")
 _RESPONSE_STEM = "By analysing the user's preference, the user will select"
 _SELECT_PHRASE = re.compile(r"the user will select", re.IGNORECASE)
-# Per k: a standalone "none" in any case, or a standalone label letter up to
-# the None label that is not a contraction tail ("I'd", "user's"); a quoted
-# label like 'b' still matches.
-_ANSWERS = {k: re.compile(r"(?<![A-Za-z])(?:(?i:none)|(?<![A-Za-z]')"
-                          rf"([a-{LABELS[k]}]))(?![A-Za-z])") for k in range(2, 26)}
+# Per k, the earlier of a standalone "none" in any case and a standalone
+# label letter up to the None label, not a contraction tail ("I'd", "user's";
+# a quoted 'b' still matches).  The case flag also covers the "none" token's
+# lookarounds, where [A-Za-z] then matches four non-ASCII letters too.
+_ANSWERS = {k: re.compile(r"(?i:(?<![A-Za-z])none(?![A-Za-z]))"
+                          rf"|(?<![A-Za-z])(?<![A-Za-z]')([a-{LABELS[k]}])(?![A-Za-z])")
+            for k in range(2, 26)}
 
 
 @dataclass(frozen=True)

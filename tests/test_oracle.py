@@ -101,10 +101,9 @@ class TestParseResponse:
             label = parse_response(text, k).label_index
             assert label is None or 0 <= label < k, (text, k, label)
 
-
     def test_matches_the_reference_scanner(self):
         pieces = (list(string.ascii_letters + string.digits + string.punctuation + "_'\"")
-                  + [" "] * 24 + ["\n"] * 4
+                  + [" "] * 24 + ["\n"] * 4 + ["\u0130", "\u0131", "\u017f", "\u212a"]
                   + ["none", "None", "NONE", "the user will select", "The user will select",
                      "I'd", "user's", "'b'"])
         rng = random.Random(0)
@@ -114,6 +113,7 @@ class TestParseResponse:
                       for text in replies
                       if parse_response(text, k).label_index != reference_parse(text, k)]
             assert not misses, (k, misses[:5])
+
 
 class TestSyntheticChoice:
     def test_single_candidate_above_threshold(self, world):
