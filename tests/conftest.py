@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,12 @@ _ACCEPTANCE: dict[str, str] = {}
 
 def pytest_report_header(config):
     """Name the tree under test: ``pythonpath = ["src"]`` puts this checkout's
-    package ahead of ``PYTHONPATH``, so a session run here tests this tree."""
-    import prefrl
-    return f"prefrl package: {Path(prefrl.__file__).resolve().parent}"
+    package ahead of ``PYTHONPATH``, so a session run here tests this tree.
+    The package is located, not imported, so a broken one still reaches
+    collection."""
+    spec = importlib.util.find_spec("prefrl")
+    where = Path(spec.origin).resolve().parent if spec else "not found"
+    return f"prefrl package: {where}"
 
 
 def pytest_runtest_logreport(report):
