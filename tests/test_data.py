@@ -108,25 +108,27 @@ class TestLoadInteractions:
 
 
 
+def load_world_file(what, path):
+    if what == "catalog":
+        return load_catalog(path)
+    return load_interactions(path, generate_synthetic(2, 4, 2, 2, seed=0)[0])
+
+
 class TestLoaderMessages:
     """Both world loaders refuse a bad file with one message naming it."""
-
-    CATALOG = generate_synthetic(2, 4, 2, 2, seed=0)[0]
-    LOADERS = {"catalog": load_catalog,
-               "interactions": lambda path: load_interactions(path, TestLoaderMessages.CATALOG)}
 
     @pytest.mark.parametrize("what", ["catalog", "interactions"])
     def test_a_missing_file_is_named(self, tmp_path, what):
         p = tmp_path / "nope.csv"
         with pytest.raises(FileNotFoundError, match=f"^{re.escape(f'{what} file not found: {p}')}$"):
-            self.LOADERS[what](p)
+            load_world_file(what, p)
 
     @pytest.mark.parametrize("what", ["catalog", "interactions"])
     def test_an_empty_file_is_named(self, tmp_path, what):
         p = tmp_path / "empty.csv"
         p.write_text("", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: empty {what} file')}$"):
-            self.LOADERS[what](p)
+            load_world_file(what, p)
 
     @pytest.mark.parametrize("what, header, expected", [
         ("catalog", "name,title", "id,<attr1>,..."),
@@ -137,7 +139,7 @@ class TestLoaderMessages:
         write_lines(p, [header, "0,1,2"])
         message = f"{p}: line 1: header must be '{expected}'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            self.LOADERS[what](p)
+            load_world_file(what, p)
 
     @pytest.mark.parametrize("what, lines, message", [
         ("catalog", ["id,title", "0,A", "1,B,extra"], "line 3: expected 2 fields, got 3"),
@@ -148,7 +150,7 @@ class TestLoaderMessages:
         p = tmp_path / "rows.csv"
         write_lines(p, lines)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
-            self.LOADERS[what](p)
+            load_world_file(what, p)
 
 class TestSplit:
     def make_log(self, n):
