@@ -170,14 +170,16 @@ def init_agent(num_items: int, embed_dim: int = 64, max_seq_len: int = 10,
 
 
 def _head(state: np.ndarray, bundle: AgentBundle, head: str) -> np.ndarray:
-    """Affine head outputs for one (d,) state or a (B, d) batch.  Each row is
-    its own one-row product, so its bits do not depend on B."""
+    """Affine head outputs for one (d,) state or a (B, d) batch, or (S, B, d)
+    states of a bundle over an :class:`nn.ParamStack` of S sets.  Each row is
+    its own one-row product, so its bits do not depend on B or S."""
     params = bundle.params
     return (state[..., None, :] @ params[f"{head}_w"])[..., 0, :] + params[f"{head}_b"]
 
 
 def action_distribution(state: np.ndarray, bundle: AgentBundle) -> np.ndarray:
-    """Softmax of the actor logits for one state vector, or a (B, d) batch."""
+    """Softmax of the actor logits for one state vector, or a (B, d) batch
+    (or (S, B, d), see :func:`_head`)."""
     return softmax(_head(state, bundle, "actor"))
 
 

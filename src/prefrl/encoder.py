@@ -17,7 +17,10 @@ directly, so a caller that keeps its windows (the replay buffer pads each
 transition once, when it is stored) never pads again.  :func:`encode_batch`
 is ``encode_windows(window_ids(...))`` and :func:`encode` its B=1 case.  Each
 batch row is computed by its own small matrix products, so a state has the
-same bits whatever batch the sequence is encoded in.
+same bits whatever batch the sequence is encoded in.  The forward is spelled
+against trailing axes, so the same one also runs S parameter sets at once
+from an :class:`nn.ParamStack` (states ``(S, B, d)``), and each set's rows
+keep the bits of that set's own forward.
 
 Projection matrices are initialized to identity plus small noise so that
 tiny instances can be checked by hand; gradients are derived analytically
@@ -35,6 +38,9 @@ from itertools import chain
 import numpy as np
 
 from .nn import ParamSet
+
+# the one tensor _forward reads by row gather: a ParamStack keeps it (S, V, d)
+GATHERED = ("item_emb",)
 
 __all__ = [
     "EncoderConfig",
@@ -103,28 +109,34 @@ def window_ids(sequences, config: EncoderConfig) -> np.ndarray:
     return np.fromiter(chain.from_iterable(pieces), np.int64, n * len(sequences)).reshape(-1, n)
 
 
-def _forward(ids: np.ndarray, params: ParamSet, config: EncoderConfig):
+def _forward(ids: np.ndarray, params, config: EncoderConfig):
     """States (B, d) and backward cache for a padded (B, n) id array.
+
+    ``params`` is one :class:`nn.ParamSet`, or a :class:`nn.ParamStack` of S
+    sets, whose ``(S, 1, ...)`` tensors (``item_emb`` gathered by rows, so
+    ``(S, V, d)``) make every array below carry a leading S axis: states (S,
+    B, d), the same forward over the same ids.  Every operation is spelled
+    against trailing axes.
 
     With the one query row q of the last slot, the keys and values enter only
     as ``q @ w_k.T @ x_j`` and ``(attn @ x) @ w_v``, so neither K nor V is
     formed.  Every product is a stacked (B, 1, .) one, one small product per
-    row, so no row's bits depend on B (a (B, d) @ (d, d) GEMM rounds
-    differently at B = 1).
+    row (and per set), so no row's bits depend on B or S (a (B, d) @ (d, d)
+    GEMM rounds differently at B = 1).
     """
-    x = params["item_emb"][ids]
+    x = np.take(params["item_emb"], ids, axis=-2)
     x += params["pos_emb"]                                   # (B, n, d)
-    x_last = x[:, -1:]
+    x_last = x[..., -1:, :]
     q = x_last @ params["w_q"]                               # (B, 1, d)
-    qk = q @ params["w_k"].T
-    scores = (qk @ x.transpose(0, 2, 1)) * (1.0 / math.sqrt(config.embed_dim))
-    scores[(ids == config.padding_id)[:, None, :]] = -np.inf
-    scores -= scores.max(axis=2, keepdims=True)              # the last slot is never padding
+    qk = q @ params["w_k"].mT
+    scores = (qk @ x.mT) * (1.0 / math.sqrt(config.embed_dim))
+    np.copyto(scores, -np.inf, where=(ids == config.padding_id)[:, None, :])
+    scores -= scores.max(axis=-1, keepdims=True)             # the last slot is never padding
     attn = np.exp(scores)
-    attn /= attn.sum(axis=2, keepdims=True)                  # (B, 1, n)
+    attn /= attn.sum(axis=-1, keepdims=True)                 # (B, 1, n)
     ctx = attn @ x
     h = x_last + ctx @ params["w_v"]
-    return h[:, 0], {"ids": ids, "x": x, "q": q, "qk": qk, "attn": attn, "ctx": ctx}
+    return h[..., 0, :], {"ids": ids, "x": x, "q": q, "qk": qk, "attn": attn, "ctx": ctx}
 
 
 def encode(sequence, params: ParamSet, config: EncoderConfig) -> np.ndarray:
@@ -141,7 +153,8 @@ def encode_with_cache(sequence, params: ParamSet, config: EncoderConfig):
 
 def encode_windows(ids: np.ndarray, params: ParamSet, config: EncoderConfig) -> np.ndarray:
     """States (B, d) of a (B, max_seq_len) id array from :func:`window_ids`
-    (or rows of one), in one forward."""
+    (or rows of one), in one forward; (S, B, d) for a :class:`nn.ParamStack`
+    of S sets."""
     return _forward(ids, params, config)[0]
 
 

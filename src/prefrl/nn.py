@@ -1,11 +1,16 @@
-"""Numeric substrate: named parameter sets, a stable softmax, categorical
-sampling, a gradient-descent step, and a finite-difference gradient oracle.
+"""Numeric substrate: named parameter sets and stacks of them, a stable
+softmax, categorical sampling, a gradient-descent step, and a
+finite-difference gradient oracle.
 
 Everything operates on plain float64 numpy arrays.  A :class:`ParamSet`
 holds its parameters, its gradient and its momentum velocity as flat arrays
 in one layout (:func:`flat_layout`, :func:`flat_views`, which checkpoints
 read through too); the gradient is zero-filled when first read and freed by
-the step, so one step is one finiteness check and one array update.  Every
+the step, so one step is one finiteness check and one array update.  A
+:class:`ParamStack` holds S sets of one layout as the rows of one ``(S, P)``
+array, with each tensor's ``(S, ...)`` view, so one forward reads them all;
+a set moved into a row (:meth:`ParamSet.move_to`) is stepped there in place.
+Every
 analytic gradient in this package is checked against
 :func:`finite_diff_grad` in the test suite, so the two routes must stay
 independent: this module never imports from the modules whose gradients it
@@ -19,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "ParamSet",
+    "ParamStack",
     "softmax",
     "sample_categorical",
     "optimizer_step",
@@ -131,6 +137,18 @@ class ParamSet:
     def zero_grads(self) -> None:
         self.grad = self._grads = None
 
+    def move_to(self, flat: np.ndarray) -> None:
+        """Copy the parameters into ``flat``, a contiguous float64 vector of
+        their size (a row of a :class:`ParamStack`, or a fresh array), and
+        keep them there: every tensor becomes a view into it.  The gradient
+        and the velocity are left as they are."""
+        if (flat.dtype != np.float64 or flat.shape != self.flat.shape
+                or not flat.flags.c_contiguous):
+            raise ValueError(f"expected a contiguous float64 vector of {self.flat.size} values, "
+                             f"got {flat.dtype} {flat.shape}")
+        flat[...] = self.flat
+        self.flat, self.params = flat, flat_views(flat, self._layout)
+
     def copy(self) -> "ParamSet":
         """Deep copy of the parameters (one flat copy) with no gradient and
         no velocity."""
@@ -147,12 +165,38 @@ class ParamSet:
         return all(np.array_equal(self.params[n], other.params[n]) for n in self.params)
 
 
+class ParamStack:
+    """S parameter sets of one layout as the rows of one ``(S, P)`` float64
+    array, ``flat``, copied in at construction.
+
+    ``stack[name]`` is that tensor of every set, an ``(S, ...)`` view into
+    ``flat``.  It carries a unit batch axis, ``(S, 1, *shape)``, so it
+    broadcasts against ``(S, B, ...)`` activations as one set's tensor does
+    against ``(B, ...)`` ones; a tensor read by row gather (``np.take(...,
+    axis=-2)``), named in ``gathered``, keeps ``(S, *shape)``, so the gathered
+    rows take the batch axis.  A row is one contiguous vector, so a
+    :class:`ParamSet` can live in it (:meth:`ParamSet.move_to`)."""
+
+    def __init__(self, sets, gathered=()):
+        layout = sets[0]._layout
+        if any(s._layout != layout for s in sets):
+            raise ValueError("stacked parameter sets must share one layout")
+        self.flat = np.stack([s.flat for s in sets])
+        count = len(sets)
+        self.params = {name: self.flat[:, span].reshape(
+                           (count, *(() if name in gathered else (1,)), *shape))
+                       for name, (span, shape) in layout.items()}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.params[name]
+
+
 def softmax(logits) -> np.ndarray:
-    """Exp-normalize logits along the last axis (a vector, or a batch of row
-    vectors) with max-subtraction for stability."""
+    """Exp-normalize logits along the last axis (a vector, or any stack of
+    row vectors) with max-subtraction for stability."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim not in (1, 2) or z.size == 0:
-        raise ValueError("softmax expects a nonempty vector or batch of row vectors")
+    if z.ndim == 0 or z.size == 0:
+        raise ValueError("softmax expects a nonempty vector or stack of row vectors")
     if not np.isfinite(z).all():
         raise ValueError("softmax requires finite logits")
     e = np.exp(z - z.max(axis=-1, keepdims=True))

@@ -54,16 +54,19 @@ memo lacks.  Memoised values keep every bit, because a row's encoding reads
 its window alone.  With ``target_update = 0`` the live critic bootstraps
 and there is no memo.
 
-Test-environment snapshots and every harness evaluation go through
-:func:`evaluate`.  A greedy episode is a deterministic function of its start
-state, so it plays each distinct start of its reset stream once, and the
-episodes that share a start share its return and length.  It plays the
-distinct starts in lockstep: each time step makes one batched policy forward
-(one per bundle; two for the ap mixture) over the histories of those still
-running, and steps all of them with one ``env.step_batch`` call, so one
-reward-model ``score_batch``.  The evaluation views (``ActorPolicy``,
-``QGreedyPolicy``, ``MixPolicy``) define that forward as ``probs_batch``;
-their single-history ``probs`` is its one-row case.
+Test-environment snapshots and every harness evaluation play greedy
+episodes the way :func:`evaluate` does.  A greedy episode is a deterministic
+function of its start state, so each distinct start of the reset stream is
+played once, and the episodes that share a start share its return and
+length.  The distinct starts run in lockstep: each time step makes one
+batched policy forward over the histories of those still running (one for
+the ap mixture too, whose frozen and learnable sets are the two rows of one
+:class:`nn.ParamStack`), and steps all of them with one ``env.step_batch``
+call, so one reward-model ``score_batch``.  The evaluation views
+(``ActorPolicy``, ``QGreedyPolicy``, ``MixPolicy``) define that forward as
+``probs_batch``; their single-history ``probs`` is its one-row case.  A reset
+with a seed is a function of that seed, so :func:`online_phase` draws its
+evaluation starts once per run and every snapshot plays them.
 
 Every phase owns a single rng derived from the config seed, so runs are
 bitwise reproducible at the metrics level.  Each purpose draws from its own
@@ -93,10 +96,10 @@ import numpy as np
 
 from .agent import (AgentBundle, Transition, TransitionBatch, action_distribution,
                     init_agent, q_values, update)
-from .encoder import EncoderConfig, encode_batch, encode_windows, window_ids
+from .encoder import GATHERED, EncoderConfig, encode_batch, encode_windows, window_ids
 from .environment import EnvState
 from .metrics import EpisodeRecord, MetricMeans, compute_metrics
-from .nn import _check_probs, sample_categorical, softmax
+from .nn import ParamStack, _check_probs, sample_categorical, softmax
 from .oracle import distill
 
 __all__ = [
@@ -150,9 +153,12 @@ class ReplayBuffer:
     :meth:`push` pads the transition's state to its encoder window once
     (:func:`encoder.window_ids`, for ``encoder_config``) and writes its row
     (:meth:`TransitionBatch.put`, which validates it); once full, a push
-    overwrites the oldest row.  :meth:`sample` draws ``rng.choice(len(self),
-    batch_size, replace=False)``, indices counted from the oldest row, and
-    returns those rows."""
+    overwrites the oldest row.  Within an episode a state is the previous
+    transition's next state (``state_items is`` the last push's
+    ``next_state_items``), whose window is the last row's shifted in by its
+    action, so that push pads nothing.  :meth:`sample` draws
+    ``rng.choice(len(self), batch_size, replace=False)``, indices counted from
+    the oldest row, and returns those rows."""
 
     def __init__(self, capacity: int, encoder_config: EncoderConfig):
         if capacity < 1:
@@ -160,14 +166,21 @@ class ReplayBuffer:
         self.capacity = capacity
         self._rows = TransitionBatch.empty(capacity, encoder_config)
         self._pushes = 0
+        self._last_next = None   # the last stored transition's next_state_items
 
     def __len__(self) -> int:
         return min(self._pushes, self.capacity)
 
     def push(self, transition: Transition) -> None:
-        window = window_ids([transition.state_items], self._rows.encoder_config)[0]
-        self._rows.put(self._pushes % self.capacity, transition, window)
+        rows = self._rows
+        if transition.state_items is self._last_next:
+            last = (self._pushes - 1) % self.capacity
+            window = np.concatenate((rows.windows[last, 1:], rows.actions[last:last + 1]))
+        else:
+            window = window_ids([transition.state_items], rows.encoder_config)[0]
+        rows.put(self._pushes % self.capacity, transition, window)
         self._pushes += 1
+        self._last_next = transition.next_state_items
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
         if batch_size > len(self):
@@ -299,7 +312,8 @@ def alpha_at(step: int, config: TrainConfig) -> float:
 
 def _actor_probs(bundle: AgentBundle, ids: np.ndarray) -> np.ndarray:
     """(B, n) actor distributions of a batch of history windows
-    (:func:`encoder.window_ids`), one batched encode."""
+    (:func:`encoder.window_ids`), one batched encode; (S, B, n) for a bundle
+    over an :class:`nn.ParamStack`."""
     return action_distribution(encode_windows(ids, bundle.params, bundle.encoder_config),
                                bundle)
 
@@ -315,7 +329,15 @@ class _PolicyView:
 
 @dataclass
 class MixPolicy(_PolicyView):
-    """Frozen pre-trained policy plus a learnable one, blended by alpha."""
+    """Frozen pre-trained policy plus a learnable one, blended by alpha.
+
+    Both sides are the rows of one :class:`nn.ParamStack`, so a batch of
+    histories takes one forward, one actor head and one softmax for both.
+    Row 0 is a copy of the frozen set, taken here.  Row 1 holds the learnable
+    bundle's :class:`ParamSet` itself (:meth:`ParamSet.move_to`), which the
+    learner steps in place; a learnable set that has moved out of it since
+    (:func:`online_phase` hands its caller an agent that owns its parameters)
+    is copied back into row 1 before a forward."""
     frozen: AgentBundle
     learnable: AgentBundle
     alpha: float
@@ -326,18 +348,24 @@ class MixPolicy(_PolicyView):
         if ((self.frozen.num_items, self.frozen.encoder_config.max_seq_len)
                 != (self.learnable.num_items, self.learnable.encoder_config.max_seq_len)):
             raise ValueError("mixed policies must share the item space and window length")
+        stack = ParamStack([self.frozen.params, self.learnable.params], GATHERED)
+        self._row = stack.flat[1]
+        self.learnable.params.move_to(self._row)
+        self._both = AgentBundle(stack, self.learnable.encoder_config)
 
     def probs_batch(self, histories) -> np.ndarray:
-        """(1 - alpha) * frozen + alpha * learnable per history, each side
-        encoding the batch with its own parameters (one forward per side)."""
+        """(1 - alpha) * frozen + alpha * learnable per history, both sides in
+        one forward over the stack."""
         return self._sides(histories)[0]
 
     def _sides(self, histories) -> tuple[np.ndarray, np.ndarray]:
         """The mixture and its frozen side, (B, n) each; the histories are
-        padded once, for both sides."""
+        padded once and encoded once, for both sides."""
         ids = window_ids(histories, self.learnable.encoder_config)
-        frozen = _actor_probs(self.frozen, ids)
-        learnable = _actor_probs(self.learnable, ids)
+        flat = self.learnable.params.flat
+        if flat is not self._row:
+            self._row[...] = flat
+        frozen, learnable = _actor_probs(self._both, ids)
         return (1.0 - self.alpha) * frozen + self.alpha * learnable, frozen
 
 
@@ -466,30 +494,46 @@ def evaluate(policy, env, num_episodes: int, seed: int) -> EvalResult:
 
     An AgentBundle acts by its actor; anything else (a MixPolicy, an
     ActorPolicy, a QGreedyPolicy) by its ``probs_batch``.  Every reset seed
-    is drawn up front, in episode order, and episodes that start from equal
-    states are played once: a greedy action is the argmax of a row that does
-    not depend on its batch, and ``env.step_batch`` is a deterministic
-    function of (state, action), so an episode's trajectory is a function of
-    its start.  The distinct starts run in lockstep: each time step makes one
-    batched policy forward (one per bundle) over the histories of those
-    still running, then steps all of them with one ``env.step_batch`` call
-    and drops those that finish.  Each episode takes the return and length
-    of its start's, so the records equal those of playing every episode one
-    after another: in episode order, with ``global_step`` the running sum of
-    the lengths.
+    is drawn up front, in episode order (:func:`_eval_starts`), and the
+    episodes are played by :func:`_play`.
     """
     if num_episodes <= 0:
         raise ValueError("num_episodes must be positive")
     pol = ActorPolicy(policy) if isinstance(policy, AgentBundle) else policy
+    return _play(pol, env, _eval_starts(env, num_episodes, seed))
+
+
+def _eval_starts(env, num_episodes: int, seed: int) -> list[EnvState]:
+    """The start states of :func:`evaluate`'s episodes, in episode order: one
+    ``env.reset`` each, its seed drawn from key 4 of ``seed``.  A reset with a
+    seed is a function of that seed, so a run that evaluates often draws them
+    once."""
     rng = derive_rng(seed, KEY_EVAL)
-    starts = [env.reset(seed=int(rng.integers(2 ** 31))) for _ in range(num_episodes)]
+    return [env.reset(seed=int(rng.integers(2 ** 31))) for _ in range(num_episodes)]
+
+
+def _play(policy: _PolicyView, env, starts: list[EnvState]) -> EvalResult:
+    """One greedy episode of ``policy`` from each start, as records in start
+    order.
+
+    Episodes that start from equal states are played once: a greedy action
+    is the argmax of a row that does not depend on its batch, and
+    ``env.step_batch`` is a deterministic function of (state, action), so an
+    episode's trajectory is a function of its start.  The distinct starts
+    run in lockstep: each time step makes one batched policy forward over
+    the histories of those still running, then steps all of them with one
+    ``env.step_batch`` call and drops those that finish.  Each episode takes
+    the return and length of its start's, so the records equal those of
+    playing every episode one after another: in episode order, with
+    ``global_step`` the running sum of the lengths.
+    """
     played = {start: i for i, start in enumerate(dict.fromkeys(starts))}
     states = list(played)
     returns = [0.0] * len(states)
     lengths = [0] * len(states)
     live = list(range(len(states)))
     while live:
-        actions = np.argmax(pol.probs_batch([states[i].history for i in live]), axis=1)
+        actions = np.argmax(policy.probs_batch([states[i].history for i in live]), axis=1)
         rewards, next_states, dones = env.step_batch([states[i] for i in live],
                                                      actions.tolist())
         running = []
@@ -623,10 +667,12 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
     The caller's bundle is never mutated.
 
     With an ``eval_env`` the loop's step hook snapshots the run
-    (:func:`evaluate` of ``eval_episodes`` episodes) at the first step of
-    each epoch in ``eval_epochs`` (``episodes_per_epoch`` episodes of
-    ``max_steps``) and after the last ('final'); for ap it then sets alpha
-    from the step, so a snapshot sees the previous step's mixture.  An
+    (:func:`evaluate` of ``eval_episodes`` episodes, whose starts are drawn
+    once per run) at the first step of each epoch in ``eval_epochs``
+    (``episodes_per_epoch`` episodes of ``max_steps``) and after the last
+    ('final'); for ap it then sets alpha from the step, so a snapshot sees
+    the previous step's mixture.  The returned agent owns its parameters
+    (for ap, moved out of the mixture's stack with their velocity).  An
     ``episodes_per_epoch`` below 1 or, with an ``eval_env``, an
     ``eval_episodes`` below 1 raises ValueError before the first step.
     """
@@ -665,18 +711,23 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
             return choose_action(policy.probs(history), strategy, rng), None
     learner = (_Reinforce(work, config) if method == "pg"
                else _ReplayTD(work, config, rng, actor=method != "dqn", mix=mix))
-    points = ({e * env.config.max_steps * episodes_per_epoch: str(e) for e in eval_epochs}
-              | {config.online_steps: "final"} if eval_env is not None else {})
-    eval_seed = derive_seed(config.seed, KEY_EVAL)
+    points, starts = {}, None
+    if eval_env is not None:
+        points = ({e * env.config.max_steps * episodes_per_epoch: str(e) for e in eval_epochs}
+                  | {config.online_steps: "final"})
+        starts = _eval_starts(eval_env, eval_episodes, derive_seed(config.seed, KEY_EVAL))
     snapshots: dict[str, MetricMeans] = {}
 
     def on_step(step):
         if step in points:
-            snapshots[points[step]] = evaluate(policy, eval_env, eval_episodes, eval_seed).means
+            snapshots[points[step]] = _play(policy, eval_env, starts).means
         if mix is not None:
             mix.alpha = alpha_at(step, config)
 
     episodes = _rollout(method, env, config, config.online_steps, act, learner, on_step)
+    if mix is not None:
+        # out of the stack, so a kept agent does not keep the frozen row alive
+        work.params.move_to(np.empty(work.params.num_scalars()))
     return RunResult(work, episodes, snapshots, mix)
 
 

@@ -518,3 +518,44 @@ class TestUpdate:
         update([Transition((0,), 1, 1.0, (0, 1), False)], agent, lr=0.05)
         assert not twin.params.allclose(agent.params)
 
+
+
+class TestStackedForward:
+    """One forward over a ParamStack of two sets gives each set's rows of its
+    own forward and actor head, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 4, 64])
+    def test_stacked_rows_equal_the_per_set_rows(self, batch):
+        from prefrl.agent import AgentBundle, _head
+        from prefrl.nn import ParamStack
+
+        sets = [init_agent(24, embed_dim=8, max_seq_len=6, seed=seed) for seed in (60, 61)]
+        config = sets[0].encoder_config
+        stack = ParamStack([a.params for a in sets], encoder.GATHERED)
+        both = AgentBundle(stack, config)
+        sets[1].params.move_to(stack.flat[1])
+        rng = np.random.default_rng(batch)
+        # 1 to 9 items against a window of 6, so rows are padded and cut
+        histories = [tuple(int(i) for i in rng.integers(24, size=1 + b % 9))
+                     for b in range(batch)]
+        ids = window_ids(histories, config)
+        assert (ids == config.padding_id).any()
+
+        def check():
+            states = encoder._forward(ids, stack, config)[0]
+            assert states.shape == (2, batch, 8)
+            for s, agent in enumerate(sets):
+                own = encoder._forward(ids, agent.params, config)[0]
+                assert np.array_equal(states[s], own)
+                assert np.array_equal(_head(states, both, "actor")[s],
+                                      _head(own, agent, "actor"))
+                assert np.array_equal(action_distribution(states, both)[s],
+                                      action_distribution(own, agent))
+
+        check()
+        before = stack.flat.copy()
+        transitions = [random_transition(sets[1], rng) for _ in range(8)]
+        update(transitions, sets[1], lr=0.05)       # steps row 1 in place
+        assert np.array_equal(stack.flat[0], before[0])
+        assert not np.array_equal(stack.flat[1], before[1])
+        check()

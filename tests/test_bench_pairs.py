@@ -7,6 +7,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -231,3 +232,43 @@ def test_a_committed_summary_rebuilds_from_its_runs(tool, name):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
     assert tool.summarize(doc["runs"], spec["end_to_end"]) == doc["summary"]
+
+
+# a stand-in benchmark that reports the CPUs it may run on
+PINNED = (
+    "import json, os\n"
+    "reps = [{'loop_s': 1.0, 'cpus': sorted(os.sched_getaffinity(0))}]\n"
+    "print(json.dumps({'curve_digest': 'd', 'final_test_return': 1.0, 'repetitions': reps}))\n"
+    "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+
+
+def test_cpu_pins_every_run_and_only_the_runs(tool, tmp_path, monkeypatch):
+    def extract(commit, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "run.py").write_text(PINNED, encoding="utf-8")
+        return commit
+
+    monkeypatch.setattr(tool, "extract", extract)
+    allowed = os.sched_getaffinity(0)
+    cpu = max(allowed)
+    out = tmp_path / "bench.json"
+    assert tool.main(["P", "C", "--workload", "adapt_ap", "--pairs", "2", "--cpu", str(cpu),
+                      "--out", str(out), "--scratch", str(tmp_path / "trees")]) == 0
+    assert os.sched_getaffinity(0) == allowed          # the tool itself is not pinned
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert len(runs) == 4
+    for run in runs:
+        assert run["cpu"] == cpu and run["repetitions"]["cpus"] == [[cpu]]
+    unpinned = tool.bench(tmp_path / "trees" / "parent", "adapt_ap", 0, 1.0)
+    assert unpinned["cpu"] is None
+    assert unpinned["repetitions"]["cpus"] == [sorted(allowed)]
+
+
+def test_a_cpu_the_tool_may_not_run_on_is_refused_before_any_run(tool, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as caught:
+        tool.main(["HEAD", "HEAD", "--workload", "adapt_ap", "--cpu", str(1 << 20),
+                   "--out", str(out), "--scratch", str(tmp_path / "trees")])
+    assert caught.value.code == 2
+    assert "--cpu" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "trees").exists()

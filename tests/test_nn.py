@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prefrl.nn import ParamSet, finite_diff_grad, optimizer_step, sample_categorical, softmax
+from prefrl.nn import (ParamSet, ParamStack, finite_diff_grad, optimizer_step,
+                       sample_categorical, softmax)
 
 from helpers import max_rel_err
 
@@ -290,3 +291,49 @@ class TestFlatLayout:
         assert ps.grad is None
         assert ps["c"].tolist() == [[[2.9, 2.9], [2.9, 2.9]]]
         assert (ps.velocity is None) == (momentum == 0.0)
+
+
+class TestParamStack:
+    def make(self, seed):
+        rng = np.random.default_rng(seed)
+        return ParamSet({"table": rng.normal(size=(4, 3)), "w": rng.normal(size=(3, 3)),
+                         "b": rng.normal(size=3)})
+
+    def test_views_carry_the_stack_axis_and_a_unit_batch_axis(self):
+        sets = [self.make(0), self.make(1)]
+        stack = ParamStack(sets, gathered=("table",))
+        assert stack.flat.shape == (2, sets[0].num_scalars())
+        assert stack["table"].shape == (2, 4, 3)
+        assert stack["w"].shape == (2, 1, 3, 3) and stack["b"].shape == (2, 1, 3)
+        for name in ("table", "w", "b"):
+            assert np.shares_memory(stack[name], stack.flat)
+            for s, ps in enumerate(sets):
+                assert np.array_equal(stack[name][s].reshape(ps[name].shape), ps[name])
+        assert not any(np.shares_memory(stack.flat, ps.flat) for ps in sets)  # copied in
+
+    def test_sets_of_another_layout_are_refused(self):
+        with pytest.raises(ValueError, match="one layout"):
+            ParamStack([self.make(0), ParamSet({"w": np.zeros((3, 3))})])
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.5])
+    def test_a_set_moved_into_a_row_is_stepped_there(self, momentum):
+        ps, twin = self.make(2), self.make(2)
+        for p in (ps, twin):
+            p.grads["w"] += 1.0
+            optimizer_step(p, 0.1, momentum)      # a velocity to carry, with momentum
+        stack = ParamStack([self.make(3), ps])
+        velocity = ps.velocity
+        ps.move_to(stack.flat[1])
+        assert ps.flat is not twin.flat and np.array_equal(ps.flat, twin.flat)
+        assert all(np.shares_memory(ps[name], stack.flat) for name in ps)
+        assert ps.velocity is velocity
+        for p in (ps, twin):
+            p.grads["b"] += 2.0
+            optimizer_step(p, 0.1, momentum)
+        assert np.array_equal(stack.flat[1], twin.flat)
+        own = np.empty(ps.num_scalars())
+        ps.move_to(own)
+        assert ps.flat is own and np.array_equal(own, twin.flat)
+        assert not np.shares_memory(ps["w"], stack.flat)
+        with pytest.raises(ValueError, match="contiguous float64"):
+            ps.move_to(np.empty(ps.num_scalars() + 1))

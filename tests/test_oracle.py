@@ -208,11 +208,14 @@ class TestLLMClient:
             llm_choice("x", endpoint(stub.base_url), session)
         assert stub.requests[0]["auth"] == "Bearer sekrit"
 
-    def test_retries_then_exhausts_on_500(self, session):
-        with StubChatServer(lambda prompt, n: (500, "boom")) as stub:
-            with pytest.raises(OracleHTTPError, match="500"):
-                llm_choice("x", endpoint(stub.base_url, max_retries=2), session)
-            assert len(stub.requests) == 3  # initial try + 2 retries
+    def test_retries_then_exhausts_on_500(self):
+        # on a fresh connection per request and on one kept alive
+        for keep_alive in (False, True):
+            with StubChatServer(lambda prompt, n: (500, "boom"), keep_alive=keep_alive) as stub, \
+                    requests.Session() as session:
+                with pytest.raises(OracleHTTPError, match="500"):
+                    llm_choice("x", endpoint(stub.base_url, max_retries=2), session)
+                assert len(stub.requests) == 3  # initial try + 2 retries
 
     def test_recovers_after_transient_500(self, session):
         behavior = lambda prompt, n: (500, "boom") if n == 1 else (200, "fine")
@@ -234,18 +237,22 @@ class TestLLMClient:
         assert stub.base_url in str(info.value)
 
     def test_connection_failure(self, session):
+        # no server answers, so there is no connection to keep alive
         with pytest.raises(OracleNetworkError):
             llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1), session)
 
-    def test_timeout(self, session):
+    def test_timeout(self):
         import time
 
         def slow(prompt, n):
             time.sleep(0.5)
             return 200, "late"
-        with StubChatServer(slow) as stub:
-            with pytest.raises(OracleTimeoutError):
-                llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1), session)
+        for keep_alive in (False, True):
+            with StubChatServer(slow, keep_alive=keep_alive) as stub, \
+                    requests.Session() as session:
+                with pytest.raises(OracleTimeoutError):
+                    llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1),
+                               session)
 
 
 class TestKeepAlive:
@@ -273,13 +280,6 @@ class TestKeepAlive:
         assert out == ["ok1", "ok3", "ok4"]
         assert len({r["peer"] for r in stub.requests}) == 1
 
-    def test_exhausts_retries_on_500(self):
-        with StubChatServer(lambda prompt, n: (500, "boom"), keep_alive=True) as stub, \
-                requests.Session() as session:
-            with pytest.raises(OracleHTTPError, match="500"):
-                llm_choice("x", endpoint(stub.base_url, max_retries=2), session)
-            assert len(stub.requests) == 3
-
     def test_recovers_after_a_timeout(self):
         import time
 
@@ -292,26 +292,12 @@ class TestKeepAlive:
             assert llm_choice("x", ep, session) == "reply2"
             assert llm_choice("x", ep, session) == "reply3"
 
-    def test_timeout(self):
-        import time
-
-        def slow(prompt, n):
-            time.sleep(0.5)
-            return 200, "late"
-        with StubChatServer(slow, keep_alive=True) as stub, requests.Session() as session:
-            with pytest.raises(OracleTimeoutError):
-                llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1), session)
-
     def test_reconnects_after_the_server_drops_the_connection(self):
         with StubChatServer(lambda prompt, n: (200, f"reply{n}"), keep_alive=True,
                             drop_after=(1,)) as stub, requests.Session() as session:
             out = [llm_choice("x", endpoint(stub.base_url), session) for _ in range(3)]
         assert out == ["reply1", "reply2", "reply3"]
         assert len({r["peer"] for r in stub.requests}) == 2
-
-    def test_connection_failure(self):
-        with requests.Session() as session, pytest.raises(OracleNetworkError):
-            llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1), session)
 
 
 class TestRecordReplay:

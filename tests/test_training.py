@@ -122,6 +122,37 @@ class TestReplayBuffer:
         assert kept() is None
         assert len(buf) == 1
 
+    @pytest.mark.parametrize("capacity", [1, 4, 9])
+    def test_every_stored_window_is_its_states_padding(self, capacity, monkeypatch):
+        # episodes of 1 to 6 steps from starts of 1 to 4 items, against a
+        # window of 3, through a buffer that wraps: a state that continues
+        # the last push's episode is not padded again, and every stored
+        # window still equals window_ids of its state
+        pads = []
+        pad = training.window_ids
+
+        def counted(sequences, config):
+            pads.append(len(sequences))
+            return pad(sequences, config)
+
+        monkeypatch.setattr(training, "window_ids", counted)
+        oldest_first = type("OldestFirst", (), {"choice": lambda self, n, size, replace:
+                                               np.arange(n)})()
+        rng = np.random.default_rng(capacity)
+        buf, stored, starts = ReplayBuffer(capacity, WINDOW), [], 0
+        for episode in range(12):
+            history = tuple(int(i) for i in rng.integers(5, size=1 + episode % 4))
+            starts += 1
+            for step in range(1 + episode % 6):
+                action = int(rng.integers(5))
+                t = Transition(history, action, 0.0, history + (action,), step == episode % 6)
+                buf.push(t)
+                stored.append(t.state_items)
+                history = t.next_state_items
+                rows = buf.sample(len(buf), oldest_first)
+                assert np.array_equal(rows.windows, window_ids(stored[-len(buf):], WINDOW))
+        assert pads == [1] * starts
+
     def test_a_push_validates_the_transition(self):
         buf = ReplayBuffer(4, WINDOW)
         for bad, match in ((Transition((0, 5), 1, 0.0, (0, 5, 1), False), "item id 5"),
@@ -522,6 +553,47 @@ class TestOnlinePhase:
         assert frozen.velocity is None
         assert (learnable.velocity is None) == (momentum == 0.0)
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.5])
+    def test_the_returned_ap_agent_owns_its_parameters(self, world, momentum):
+        # the learner steps the learnable set inside the mixture's (2, P)
+        # stack; the run hands back an agent whose set has its own P floats
+        # and its velocity, and the mixture still reads it
+        result = online_phase("ap", agent_for(world, seed=8), make_env(world, seed=2),
+                              self.cfg(online_steps=60, momentum=momentum))
+        params = result.agent.params
+        assert params is result.mix.learnable.params
+        assert params.flat.base is None and params.flat.size == params.num_scalars()
+        assert (params.velocity is None) == (momentum == 0.0)
+        items = [2, 5, 1]
+        expected = ((1.0 - result.mix.alpha) * policy_for(result.mix.frozen, items)
+                    + result.mix.alpha * policy_for(result.agent, items))
+        assert np.array_equal(result.mix.probs(items), expected)
+        update([Transition((2, 5), 1, 1.0, (2, 5, 1), False)], result.agent, lr=0.1)
+        expected = ((1.0 - result.mix.alpha) * policy_for(result.mix.frozen, items)
+                    + result.mix.alpha * policy_for(result.agent, items))
+        assert np.array_equal(result.mix.probs(items), expected)
+
+    @pytest.mark.parametrize("method", ["ap", "dqn"])
+    def test_evaluation_starts_are_drawn_once_per_run(self, world, method, monkeypatch):
+        # four snapshots (epochs 0, 1, 2 and the final one) of 6 episodes
+        # each reset the evaluation environment 6 times in all
+        eval_env = make_env(world, "test", seed=7, max_steps=5)
+        resets = []
+        reset = eval_env.reset
+
+        def spy(seed=None):
+            resets.append(seed)
+            return reset(seed=seed)
+
+        monkeypatch.setattr(eval_env, "reset", spy)
+        result = online_phase(method, agent_for(world, seed=14), make_env(world, seed=6,
+                                                                          max_steps=5),
+                              self.cfg(online_steps=40), eval_env=eval_env,
+                              episodes_per_epoch=2, eval_episodes=6)
+        assert list(result.snapshots) == ["0", "1", "2", "final"]
+        rng = derive_rng(derive_seed(0, 4), 4)       # evaluate's seeds, in episode order
+        assert resets == [int(rng.integers(2 ** 31)) for _ in range(6)]
+
     @pytest.mark.parametrize("scheme", ["ap", "ft"])
     def test_transitions_carry_the_frozen_probability(self, world, scheme, monkeypatch):
         # the ap act stores pi_frozen(a|s) in each transition; ft stores none
@@ -635,16 +707,18 @@ class TestOnlinePhase:
         # 30 steps of 10-step epochs: snapshots at steps 0, 10 and 20 and a
         # final one; the epoch-1 snapshot (call 1) is taken before step 11
         # acts, the final one (call 3) after step 30.  The evaluation
-        # overflows under the loop's errstate, as a diverged policy would
+        # overflows under the loop's errstate, as a diverged policy would.
+        # A snapshot plays the run's evaluation starts with training._play
         calls = []
+        play = training._play
 
-        def overflowing(policy, env, num_episodes, seed):
-            calls.append(seed)
+        def overflowing(policy, env, starts):
+            calls.append(len(starts))
             if len(calls) == snapshot + 1:
                 np.multiply(np.float64(1e308), 10.0)
-            return evaluate(policy, env, num_episodes, seed)
+            return play(policy, env, starts)
 
-        monkeypatch.setattr(training, "evaluate", overflowing)
+        monkeypatch.setattr(training, "_play", overflowing)
         with pytest.raises(DivergenceError) as caught:
             online_phase("ft", agent_for(world, seed=12), make_env(world, seed=6, max_steps=5),
                          self.cfg(), eval_env=make_env(world, "test", seed=7, max_steps=5),
@@ -999,7 +1073,7 @@ class TestEvaluate:
                               0.7 * policy_for(a, history) + 0.3 * policy_for(b, history))
 
     @pytest.mark.parametrize("view, per_step", [("bundle", 1), ("actor", 1), ("q_greedy", 1),
-                                                ("mix", 2)])
+                                                ("mix", 1)])
     def test_one_encoder_forward_per_bundle_per_time_step(self, world, view, per_step,
                                                           monkeypatch):
         calls = []

@@ -29,7 +29,10 @@ session keeps the runs it made.  Metric directions and the run length come from
 metric a change claims to improve.  The file's first key, ``claim``, then
 holds that metric's medians, its shift, the pairs read better and worse and
 the sign-test p, for the change and for the control if run; without
-``--claim`` it is null.
+``--claim`` it is null.  ``--cpu N`` pins every benchmark run to CPU N
+(``os.sched_setaffinity`` in the child before it starts, so only the tool's
+own children are pinned), and each run records it as ``cpu`` (null
+unpinned).
 """
 from __future__ import annotations
 
@@ -187,18 +190,20 @@ def pad_length(pair: int) -> int:
     return random.Random(pair).randrange(4096)
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: Path, workload: str, seed: int, seconds: float, cpu: int | None = None) -> dict:
     """One ``perfbench/run.py --trace 0`` run in ``tree``, its environment
-    padded by the pair's :func:`pad_length` (pair ``seed``): its exit code,
-    its wall time, its padding, its minor and major page faults, its result
-    line and the detail line's repetitions (as columns) and digests."""
+    padded by the pair's :func:`pad_length` (pair ``seed``) and, with a
+    ``cpu``, pinned to that CPU: its exit code, its wall time, its padding,
+    its CPU, its minor and major page faults, its result line and the detail
+    line's repetitions (as columns) and digests."""
     pad = pad_length(seed)
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))  # in the child
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True,
-                          env={**os.environ, PAD_VAR: "x" * pad})
+                          env={**os.environ, PAD_VAR: "x" * pad}, preexec_fn=pin)
     elapsed = time.perf_counter() - started
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
@@ -211,7 +216,7 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if repetitions:
         repetitions = {field: [rep[field] for rep in repetitions] for field in repetitions[0]}
     return {"exit_code": proc.returncode, "elapsed_s": round(elapsed, 1), "env_pad": pad,
-            "page_faults": {"minor": after.ru_minflt - before.ru_minflt,
+            "cpu": cpu, "page_faults": {"minor": after.ru_minflt - before.ru_minflt,
                             "major": after.ru_majflt - before.ru_majflt},
             "curve_digest": detail.get("curve_digest"),
             "final_test_return": detail.get("final_test_return"),
@@ -230,6 +235,8 @@ def main(argv=None) -> int:
                         help="also run a second copy of the parent")
     parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
                         help="the end-to-end metric the change claims to improve")
+    parser.add_argument("--cpu", type=int, metavar="N",
+                        help="pin every benchmark run to CPU N (one this tool may run on)")
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     parser.add_argument("--scratch", type=Path,
                         help="where the commits are extracted (default: a temporary "
@@ -239,6 +246,9 @@ def main(argv=None) -> int:
     unknown = set(args.workload) - {w["name"] for w in spec["workloads"]}
     if unknown or args.pairs < 1:
         parser.error(f"unknown workloads {sorted(unknown)}" if unknown else "--pairs must be >= 1")
+    if args.cpu is not None and args.cpu not in os.sched_getaffinity(0):
+        parser.error(f"--cpu {args.cpu} is not one of the CPUs this tool may run on "
+                     f"({sorted(os.sched_getaffinity(0))})")
     claimed = None
     if args.claim is not None:
         try:
@@ -266,7 +276,8 @@ def main(argv=None) -> int:
                 for position, side in enumerate(run_order(pair, sides)):
                     run = {"workload": workload, "seed": pair, "side": side,
                            "runs_first": position == 0, "git_commit": ids[side],
-                           **bench(trees[side], workload, pair, spec["run_seconds"])}
+                           **bench(trees[side], workload, pair, spec["run_seconds"],
+                                   args.cpu)}
                     doc["runs"].append(run)
                     doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
                     if claimed:
