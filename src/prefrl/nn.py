@@ -10,8 +10,7 @@ the step, so one step is one finiteness check and one array update.  A
 :class:`ParamStack` holds S sets of one layout as the rows of one ``(S, P)``
 array, with each tensor's ``(S, ...)`` view, so one forward reads them all;
 a set moved into a row (:meth:`ParamSet.move_to`) is stepped there in place.
-Every
-analytic gradient in this package is checked against
+Every analytic gradient in this package is checked against
 :func:`finite_diff_grad` in the test suite, so the two routes must stay
 independent: this module never imports from the modules whose gradients it
 verifies.

@@ -688,6 +688,9 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
         strategy = ExplorationStrategy("epsilon_greedy", 0.1) if method == "dqn" else CATEGORICAL
     rng = derive_rng(config.seed, KEY_ONLINE)
     work = pretrained.clone()
+    # the returned agent's own vector: allocated here, before the run's
+    # temporaries, since one allocated at the end held more of the heap
+    own = work.params.flat
     mix = None
     if method == "ap":
         mix = policy = MixPolicy(pretrained, work, config.alpha_init)
@@ -727,7 +730,7 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
     episodes = _rollout(method, env, config, config.online_steps, act, learner, on_step)
     if mix is not None:
         # out of the stack, so a kept agent does not keep the frozen row alive
-        work.params.move_to(np.empty(work.params.num_scalars()))
+        work.params.move_to(own)
     return RunResult(work, episodes, snapshots, mix)
 
 
