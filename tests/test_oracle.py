@@ -194,6 +194,34 @@ def endpoint(url, **kw):
     return RemoteEndpoint(url, "judge-1", **kw)
 
 
+# Each check below runs under one name in TestLLMClient (a fresh connection per
+# request) and one in TestKeepAlive (one connection kept alive).
+
+def check_exhausts_retries_on_500(keep_alive):
+    with StubChatServer(lambda prompt, n: (500, "boom"), keep_alive=keep_alive) as stub, \
+            requests.Session() as session:
+        with pytest.raises(OracleHTTPError, match="500"):
+            llm_choice("x", endpoint(stub.base_url, max_retries=2), session)
+        assert len(stub.requests) == 3  # initial try + 2 retries
+
+
+def check_timeout(keep_alive):
+    import time
+
+    def slow(prompt, n):
+        time.sleep(0.5)
+        return 200, "late"
+    with StubChatServer(slow, keep_alive=keep_alive) as stub, requests.Session() as session:
+        with pytest.raises(OracleTimeoutError):
+            llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1), session)
+
+
+def check_connection_failure():
+    # no server answers, so there is no connection to keep alive
+    with requests.Session() as session, pytest.raises(OracleNetworkError):
+        llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1), session)
+
+
 class TestLLMClient:
     def test_echo(self, session):
         with StubChatServer(lambda prompt, n: (200, "the user will select a")) as stub:
@@ -209,13 +237,7 @@ class TestLLMClient:
         assert stub.requests[0]["auth"] == "Bearer sekrit"
 
     def test_retries_then_exhausts_on_500(self):
-        # on a fresh connection per request and on one kept alive
-        for keep_alive in (False, True):
-            with StubChatServer(lambda prompt, n: (500, "boom"), keep_alive=keep_alive) as stub, \
-                    requests.Session() as session:
-                with pytest.raises(OracleHTTPError, match="500"):
-                    llm_choice("x", endpoint(stub.base_url, max_retries=2), session)
-                assert len(stub.requests) == 3  # initial try + 2 retries
+        check_exhausts_retries_on_500(keep_alive=False)
 
     def test_recovers_after_transient_500(self, session):
         behavior = lambda prompt, n: (500, "boom") if n == 1 else (200, "fine")
@@ -236,23 +258,11 @@ class TestLLMClient:
                 llm_choice("x", endpoint(stub.base_url), session)
         assert stub.base_url in str(info.value)
 
-    def test_connection_failure(self, session):
-        # no server answers, so there is no connection to keep alive
-        with pytest.raises(OracleNetworkError):
-            llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1), session)
+    def test_connection_failure(self):
+        check_connection_failure()
 
     def test_timeout(self):
-        import time
-
-        def slow(prompt, n):
-            time.sleep(0.5)
-            return 200, "late"
-        for keep_alive in (False, True):
-            with StubChatServer(slow, keep_alive=keep_alive) as stub, \
-                    requests.Session() as session:
-                with pytest.raises(OracleTimeoutError):
-                    llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1),
-                               session)
+        check_timeout(keep_alive=False)
 
 
 class TestKeepAlive:
@@ -280,6 +290,9 @@ class TestKeepAlive:
         assert out == ["ok1", "ok3", "ok4"]
         assert len({r["peer"] for r in stub.requests}) == 1
 
+    def test_exhausts_retries_on_500(self):
+        check_exhausts_retries_on_500(keep_alive=True)
+
     def test_recovers_after_a_timeout(self):
         import time
 
@@ -292,12 +305,18 @@ class TestKeepAlive:
             assert llm_choice("x", ep, session) == "reply2"
             assert llm_choice("x", ep, session) == "reply3"
 
+    def test_timeout(self):
+        check_timeout(keep_alive=True)
+
     def test_reconnects_after_the_server_drops_the_connection(self):
         with StubChatServer(lambda prompt, n: (200, f"reply{n}"), keep_alive=True,
                             drop_after=(1,)) as stub, requests.Session() as session:
             out = [llm_choice("x", endpoint(stub.base_url), session) for _ in range(3)]
         assert out == ["reply1", "reply2", "reply3"]
         assert len({r["peer"] for r in stub.requests}) == 2
+
+    def test_connection_failure(self):
+        check_connection_failure()
 
 
 class TestRecordReplay:
