@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import socket
 import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -409,15 +410,19 @@ class StubChatServer:
     (prompt, request_count) -> (status, text).  A str ``text`` is wrapped in
     a chat-completion body; bytes are sent as the raw body.
 
-    Each request is recorded with the client's port (``peer``), one per
-    connection.  With ``keep_alive`` the stub speaks HTTP/1.1 and keeps a
-    connection open across requests, except that after the requests counted
-    in ``drop_after`` it closes the connection without notice."""
+    Each request is recorded as it arrived on the wire: its request line
+    (``line``), ``Content-Type``, ``Content-Length``, ``Authorization``
+    (``auth``) and body bytes (``raw``), the parsed body (``body``) and the
+    client's port (``peer``), one per connection.  With ``keep_alive`` the
+    stub speaks HTTP/1.1 and keeps a connection open across requests, except
+    that after the requests counted in ``drop_after`` it closes the
+    connection without notice and then sets ``dropped``."""
 
     def __init__(self, behavior, keep_alive: bool = False, drop_after=()):
         self.behavior = behavior
         self.requests: list[dict] = []
         self.lock = threading.Lock()
+        self.dropped = threading.Event()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -425,9 +430,12 @@ class StubChatServer:
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length))
+                raw = self.rfile.read(length)
+                body = json.loads(raw)
                 with stub.lock:
-                    stub.requests.append({"body": body,
+                    stub.requests.append({"line": self.requestline, "raw": raw, "body": body,
+                                          "content_type": self.headers.get("Content-Type"),
+                                          "content_length": self.headers.get("Content-Length"),
                                           "auth": self.headers.get("Authorization"),
                                           "peer": self.client_address[1]})
                     count = len(stub.requests)
@@ -443,6 +451,8 @@ class StubChatServer:
                 self.wfile.write(payload)
                 if count in drop_after:
                     self.close_connection = True
+                    self.connection.shutdown(socket.SHUT_RDWR)
+                    stub.dropped.set()
 
             def log_message(self, *args):
                 pass

@@ -236,6 +236,27 @@ class TestLLMClient:
             llm_choice("x", endpoint(stub.base_url), session)
         assert stub.requests[0]["auth"] == "Bearer sekrit"
 
+    def test_the_request_on_the_wire(self, monkeypatch, session):
+        # one POST per call to {base_url}/chat/completions, the body the bytes
+        # of json.dumps(..., allow_nan=False), the key read at each call
+        prompt = 'caf\u00e9 "quoted"\nline \u2713'
+        body = json.dumps({"model": "judge-1",
+                           "messages": [{"role": "user", "content": prompt}],
+                           "temperature": 0.7}, allow_nan=False).encode()
+        with StubChatServer(lambda prompt, n: (200, "ok")) as stub:
+            ep = endpoint(stub.base_url + "/v1/", temperature=0.7)
+            monkeypatch.setenv("ORACLE_API_KEY", "sekrit")
+            llm_choice(prompt, ep, session)
+            monkeypatch.delenv("ORACLE_API_KEY")
+            llm_choice(prompt, ep, session)
+        for sent, auth in zip(stub.requests, ("Bearer sekrit", None)):
+            assert sent["line"] == "POST /v1/chat/completions HTTP/1.1"
+            assert sent["content_type"] == "application/json"
+            assert sent["content_length"] == str(len(body))
+            assert sent["auth"] == auth
+            assert sent["raw"] == body
+        assert len(stub.requests) == 2
+
     def test_retries_then_exhausts_on_500(self):
         check_exhausts_retries_on_500(keep_alive=False)
 
@@ -309,11 +330,18 @@ class TestKeepAlive:
         check_timeout(keep_alive=True)
 
     def test_reconnects_after_the_server_drops_the_connection(self):
-        with StubChatServer(lambda prompt, n: (200, f"reply{n}"), keep_alive=True,
-                            drop_after=(1,)) as stub, requests.Session() as session:
-            out = [llm_choice("x", endpoint(stub.base_url), session) for _ in range(3)]
-        assert out == ["reply1", "reply2", "reply3"]
-        assert len({r["peer"] for r in stub.requests}) == 2
+        # the drop is seen before the next request, so reopening the
+        # connection spends no retry: it works at max_retries=0 too
+        for retries in (2, 0):
+            with StubChatServer(lambda prompt, n: (200, f"reply{n}"), keep_alive=True,
+                                drop_after=(1,)) as stub, requests.Session() as session:
+                ep = endpoint(stub.base_url, max_retries=retries)
+                out = [llm_choice("x", ep, session)]
+                assert stub.dropped.wait(5)
+                out += [llm_choice("x", ep, session) for _ in range(2)]
+            assert out == ["reply1", "reply2", "reply3"]
+            assert len(stub.requests) == 3
+            assert len({r["peer"] for r in stub.requests}) == 2
 
     def test_connection_failure(self):
         check_connection_failure()
