@@ -10,22 +10,40 @@ A reply is read with one pattern per k (:func:`parse_response`): the first
 standalone "none" (any case) or standalone label letter ``a`` to
 ``LABELS[k]``, the None label, that is not a contraction tail ("I'd",
 "user's"; a quoted 'b' counts), searched after "the user will select" and
-then in the whole reply.  The remote client (:func:`llm_choice`) posts over
-the ``requests.Session`` it is handed; :class:`LLMOracle` keeps one alive.
+then in the whole reply.
+
+The remote client (:func:`llm_choice`) posts over the
+:class:`JudgeConnection` it is handed, one kept-alive ``http.client``
+connection; :class:`LLMOracle` keeps one per oracle.  A server that closed
+the idle connection is seen before the next request (a zero-timeout poll)
+and the connection reopens without spending a retry; after a timeout or a
+connection error it is discarded, so a late reply is never read as the next
+answer.  The ``*_proxy`` and ``no_proxy`` environment variables are read
+through :func:`urllib.request.getproxies` and
+:func:`urllib.request.proxy_bypass` when a connection opens: an ``http://``
+endpoint is reached through an HTTP proxy with absolute-URL request targets,
+an ``https://`` one through a CONNECT tunnel, and credentials in the proxy
+URL are sent as ``Proxy-Authorization``.  ``https://`` endpoints are
+verified against the system CA store (``ssl.create_default_context``, which
+honours ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``).
 """
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
+import select
 import string
 import time
 from dataclasses import dataclass
+from urllib.parse import SplitResult, unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 import numpy as np
-import requests
 
 from .data import ItemCatalog, ItemRecord, SyntheticGroundTruth
 
@@ -33,6 +51,7 @@ __all__ = [
     "PromptSpec",
     "OracleChoice",
     "RemoteEndpoint",
+    "JudgeConnection",
     "OracleError",
     "OracleNetworkError",
     "OracleTimeoutError",
@@ -189,13 +208,104 @@ class RemoteEndpoint:
                                  f"got {getattr(self, key)!r}")
 
 
-def llm_choice(prompt: str, endpoint: RemoteEndpoint, session: requests.Session) -> str:
+def _idle_socket_closed(sock) -> bool:
+    """True when an idle kept-alive socket reads as ready in a zero-timeout
+    poll: between replies that is the server's close (or stray bytes), and
+    either way the socket cannot carry the next request."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class JudgeConnection:
+    """One kept-alive HTTP connection to a judge endpoint (see the module
+    docstring for the proxy and TLS rules), opened on the first request and
+    reopened when the endpoint's origin changes or the server closed it."""
+
+    def __init__(self):
+        self._conn: http.client.HTTPConnection | None = None
+        self._origin: tuple[str, str] | None = None
+        self._absolute = False      # through a plain-HTTP proxy: absolute-URL targets
+        self._proxy_headers: dict[str, str] = {}
+
+    def _open(self, url: SplitResult, timeout: float) -> http.client.HTTPConnection:
+        """Build the connection for ``url``'s origin, with its proxy resolved
+        now; nothing is sent until the first request."""
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise OracleError(f"judge URL must be http:// or https://: {url.geturl()}")
+        https = url.scheme == "https"
+        proxies = getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if proxy and not proxy_bypass(url.netloc):
+            proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if proxy.scheme != "http" or not proxy.hostname:
+                raise OracleError(f"judge proxy must be an http:// URL: {proxy.geturl()}")
+            host, port = proxy.hostname, proxy.port or 80
+        else:
+            proxy = None
+            host, port = url.hostname, url.port or (443 if https else 80)
+        headers = {}
+        if proxy and proxy.username is not None:
+            creds = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+            headers["Proxy-Authorization"] = \
+                "Basic " + base64.b64encode(creds.encode("latin-1")).decode("ascii")
+        if https:
+            import ssl
+            conn = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                               context=ssl.create_default_context())
+            if proxy:
+                conn.set_tunnel(url.hostname, url.port or 443, headers)
+                headers = {}
+        else:
+            conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._origin = url[:2]
+        self._absolute = bool(proxy) and not https
+        self._proxy_headers = headers
+        return conn
+
+    def post(self, url: str, body: bytes, headers: dict[str, str],
+             timeout: float) -> tuple[int, bytes]:
+        """POST ``body`` to ``url`` and return the reply's status and body.
+        Socket timeouts and connection errors propagate (``TimeoutError``,
+        other ``OSError`` and ``http.client.HTTPException``), and the
+        connection is closed first."""
+        parts = urlsplit(url)
+        conn = self._conn
+        if conn is not None and (self._origin != parts[:2]
+                                 or conn.sock is not None and _idle_socket_closed(conn.sock)):
+            self.close()
+            conn = None
+        if conn is None:
+            conn = self._conn = self._open(parts, timeout)
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        target = url if self._absolute else \
+            (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        try:
+            conn.request("POST", target, body, {**headers, **self._proxy_headers})
+            reply = conn.getresponse()
+            return reply.status, reply.read()
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Close the connection; the next request opens a new one."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+
+def llm_choice(prompt: str, endpoint: RemoteEndpoint, connection: JudgeConnection) -> str:
     """POST one chat-completion request and return the first choice's text.
 
-    The request goes over the ``session``'s kept-alive connection (opened
-    on first use, reopened after a drop).  Transient failures (connection
-    errors, timeouts, HTTP 429/5xx) are retried with exponential backoff up
-    to ``endpoint.max_retries`` times; the three failure modes surface as
+    The request goes over ``connection`` (opened on first use, reopened
+    after a drop).  Transient failures (connection errors, timeouts, HTTP
+    429/5xx) are retried with exponential backoff up to
+    ``endpoint.max_retries`` times; the three failure modes surface as
     distinct exceptions.  A 200 reply that is not JSON or lacks
     ``choices[0].message.content`` raises OracleError naming the URL.
     """
@@ -204,32 +314,33 @@ def llm_choice(prompt: str, endpoint: RemoteEndpoint, session: requests.Session)
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    body = {
+    body = json.dumps({
         "model": endpoint.model,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": endpoint.temperature,
-    }
+    }, allow_nan=False).encode()
     last_error: OracleError | None = None
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
             time.sleep(endpoint.backoff * 2 ** (attempt - 1))
         try:
-            resp = session.post(url, json=body, headers=headers, timeout=endpoint.timeout)
-        except requests.Timeout:
+            status, payload = connection.post(url, body, headers, endpoint.timeout)
+        except TimeoutError:
             last_error = OracleTimeoutError(f"timed out after {endpoint.timeout}s: {url}")
             continue
-        except requests.ConnectionError as exc:
+        except (OSError, http.client.HTTPException) as exc:
             last_error = OracleNetworkError(f"connection failed: {exc}")
             continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = OracleHTTPError(resp.status_code, resp.text)
+        text = payload.decode("utf-8", "replace")
+        if status == 429 or status >= 500:
+            last_error = OracleHTTPError(status, text)
             continue
-        if resp.status_code != 200:
-            raise OracleHTTPError(resp.status_code, resp.text)
+        if status != 200:
+            raise OracleHTTPError(status, text)
         try:
-            data = resp.json()
+            data = json.loads(payload)
         except ValueError:
-            raise OracleError(f"judge reply from {url} is not JSON: {resp.text[:200]!r}") from None
+            raise OracleError(f"judge reply from {url} is not JSON: {text[:200]!r}") from None
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
@@ -303,8 +414,8 @@ class LLMOracle:
     Builds the prompt from catalog records, queries the endpoint, parses the
     label.  With ``replay`` set, responses come from the fixture and the
     network is never touched; with ``record_path`` set, live responses are
-    appended to the fixture.  Live calls share one ``requests.Session``, so
-    consecutive calls reuse one connection.
+    appended to the fixture.  Live calls share one :class:`JudgeConnection`,
+    so consecutive calls reuse one connection.
     """
 
     def __init__(self, endpoint: RemoteEndpoint, catalog: ItemCatalog,
@@ -315,7 +426,7 @@ class LLMOracle:
         self.prompt_spec = prompt_spec
         self.replay = replay
         self.record_path = record_path
-        self.session = requests.Session() if replay is None else None
+        self.connection = JudgeConnection() if replay is None else None
 
     def choose(self, history: list[int], candidates: list[int]) -> OracleChoice:
         prompt = build_prompt(
@@ -329,15 +440,15 @@ class LLMOracle:
                 raise OracleError(f"prompt hash {key[:12]}... missing from replay fixture")
             text = self.replay[key]
         else:
-            text = llm_choice(prompt, self.endpoint, self.session)
+            text = llm_choice(prompt, self.endpoint, self.connection)
             if self.record_path is not None:
                 append_record(self.record_path, prompt, text)
         return parse_response(text, self.prompt_spec.k)
 
     def close(self) -> None:
         """Close the kept-alive connection (a later live call opens a new one)."""
-        if self.session is not None:
-            self.session.close()
+        if self.connection is not None:
+            self.connection.close()
 
 
 def distill(history: list[int], candidate_ids: list[int], oracle,

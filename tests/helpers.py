@@ -412,8 +412,11 @@ class StubChatServer:
 
     Each request is recorded as it arrived on the wire: its request line
     (``line``), ``Content-Type``, ``Content-Length``, ``Authorization``
-    (``auth``) and body bytes (``raw``), the parsed body (``body``) and the
-    client's port (``peer``), one per connection.  With ``keep_alive`` the
+    (``auth``), ``Proxy-Authorization`` (``proxy_auth``) and body bytes
+    (``raw``), the parsed body (``body``) and the client's port (``peer``),
+    one per connection.  As a proxy it answers a plain-HTTP request the same
+    way, and records a CONNECT request (``line``, ``proxy_auth``) and
+    refuses it with HTTP 502.  With ``keep_alive`` the
     stub speaks HTTP/1.1 and keeps a connection open across requests, except
     that after the requests counted in ``drop_after`` it closes the
     connection without notice and then sets ``dropped``."""
@@ -437,6 +440,7 @@ class StubChatServer:
                                           "content_type": self.headers.get("Content-Type"),
                                           "content_length": self.headers.get("Content-Length"),
                                           "auth": self.headers.get("Authorization"),
+                                          "proxy_auth": self.headers.get("Proxy-Authorization"),
                                           "peer": self.client_address[1]})
                     count = len(stub.requests)
                 prompt = body["messages"][0]["content"]
@@ -453,6 +457,13 @@ class StubChatServer:
                     self.close_connection = True
                     self.connection.shutdown(socket.SHUT_RDWR)
                     stub.dropped.set()
+
+            def do_CONNECT(self):
+                # as a proxy, record the tunnel request and refuse it
+                with stub.lock:
+                    stub.requests.append({"line": self.requestline,
+                                          "proxy_auth": self.headers.get("Proxy-Authorization")})
+                self.send_error(502, "no tunnels here")
 
             def log_message(self, *args):
                 pass

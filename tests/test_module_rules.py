@@ -7,14 +7,18 @@ method choices are the training module's, only ``agent`` builds a
 ``TransitionBatch`` from its columns, every training step is taken by the
 one rollout loop, ``online_phase`` is that loop's one online
 caller, the one learner is stepped by the two learner classes, and the harness runs every online method from one call site and
-every preset from one per-seed loop."""
+every preset from one per-seed loop.  The package needs nothing outside the
+standard library but numpy, to import or to run."""
 from __future__ import annotations
 
 import argparse
 import ast
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +70,34 @@ def test_every_exported_name_resolves(module):
 def test_nn_imports_nothing_from_the_package():
     imported = [module for module, _, _ in _imports(PACKAGE / "nn.py") if _in_package(module)]
     assert not imported, f"nn.py imports {imported}"
+
+
+def test_the_package_imports_only_the_standard_library_numpy_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "prefrl"}
+    outside = sorted({f"{path.name}: {module}" for path in PACKAGE.glob("*.py")
+                      for module, _, _ in _imports(path)
+                      if module.split(".")[0] not in allowed})
+    assert not outside, outside
+
+
+def test_importing_the_package_loads_no_third_party_module_but_numpy():
+    # measured against a bare interpreter, so modules that site hooks load
+    # do not count
+    probe = ("import sys; before = set(sys.modules); import prefrl.harness; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "prefrl" in loaded
+    assert not loaded & {"requests", "urllib3"}
+    assert loaded - set(sys.stdlib_module_names) <= {"numpy", "prefrl"}, loaded
+
+
+def test_the_oracle_tests_do_not_import_requests():
+    path = Path(__file__).resolve().parent / "test_oracle.py"
+    assert "requests" not in {module.split(".")[0] for module, _, _ in _imports(path)}
 
 
 def test_helpers_use_no_private_package_name():

@@ -1,16 +1,19 @@
+import base64
 import json
 import random
 import re
+import ssl
 import string
+from contextlib import closing
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
-import requests
 
 from helpers import StubChatServer, reference_parse
 from prefrl.data import SyntheticGroundTruth, generate_synthetic
-from prefrl.oracle import (LLMOracle, OracleError, OracleHTTPError, OracleNetworkError,
+from prefrl.oracle import (JudgeConnection, LLMOracle, OracleError, OracleHTTPError, OracleNetworkError,
                            OracleTimeoutError, PromptSpec, RemoteEndpoint, append_record,
                            build_prompt, distill, llm_choice, load_replay,
                            parse_response, synthetic_choice, SyntheticOracle)
@@ -182,9 +185,9 @@ class TestDistill:
 
 
 @pytest.fixture
-def session():
-    with requests.Session() as s:
-        yield s
+def connection():
+    with closing(JudgeConnection()) as conn:
+        yield conn
 
 
 def endpoint(url, **kw):
@@ -199,9 +202,9 @@ def endpoint(url, **kw):
 
 def check_exhausts_retries_on_500(keep_alive):
     with StubChatServer(lambda prompt, n: (500, "boom"), keep_alive=keep_alive) as stub, \
-            requests.Session() as session:
+            closing(JudgeConnection()) as connection:
         with pytest.raises(OracleHTTPError, match="500"):
-            llm_choice("x", endpoint(stub.base_url, max_retries=2), session)
+            llm_choice("x", endpoint(stub.base_url, max_retries=2), connection)
         assert len(stub.requests) == 3  # initial try + 2 retries
 
 
@@ -211,32 +214,32 @@ def check_timeout(keep_alive):
     def slow(prompt, n):
         time.sleep(0.5)
         return 200, "late"
-    with StubChatServer(slow, keep_alive=keep_alive) as stub, requests.Session() as session:
+    with StubChatServer(slow, keep_alive=keep_alive) as stub, closing(JudgeConnection()) as connection:
         with pytest.raises(OracleTimeoutError):
-            llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1), session)
+            llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1), connection)
 
 
 def check_connection_failure():
     # no server answers, so there is no connection to keep alive
-    with requests.Session() as session, pytest.raises(OracleNetworkError):
-        llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1), session)
+    with closing(JudgeConnection()) as connection, pytest.raises(OracleNetworkError):
+        llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1), connection)
 
 
 class TestLLMClient:
-    def test_echo(self, session):
+    def test_echo(self, connection):
         with StubChatServer(lambda prompt, n: (200, "the user will select a")) as stub:
-            text = llm_choice("hello", endpoint(stub.base_url), session)
+            text = llm_choice("hello", endpoint(stub.base_url), connection)
         assert text == "the user will select a"
         assert stub.requests[0]["body"]["model"] == "judge-1"
         assert stub.requests[0]["body"]["temperature"] == 0.0
 
-    def test_api_key_header(self, monkeypatch, session):
+    def test_api_key_header(self, monkeypatch, connection):
         monkeypatch.setenv("ORACLE_API_KEY", "sekrit")
         with StubChatServer(lambda prompt, n: (200, "ok")) as stub:
-            llm_choice("x", endpoint(stub.base_url), session)
+            llm_choice("x", endpoint(stub.base_url), connection)
         assert stub.requests[0]["auth"] == "Bearer sekrit"
 
-    def test_the_request_on_the_wire(self, monkeypatch, session):
+    def test_the_request_on_the_wire(self, monkeypatch, connection):
         # one POST per call to {base_url}/chat/completions, the body the bytes
         # of json.dumps(..., allow_nan=False), the key read at each call
         prompt = 'caf\u00e9 "quoted"\nline \u2713'
@@ -246,9 +249,9 @@ class TestLLMClient:
         with StubChatServer(lambda prompt, n: (200, "ok")) as stub:
             ep = endpoint(stub.base_url + "/v1/", temperature=0.7)
             monkeypatch.setenv("ORACLE_API_KEY", "sekrit")
-            llm_choice(prompt, ep, session)
+            llm_choice(prompt, ep, connection)
             monkeypatch.delenv("ORACLE_API_KEY")
-            llm_choice(prompt, ep, session)
+            llm_choice(prompt, ep, connection)
         for sent, auth in zip(stub.requests, ("Bearer sekrit", None)):
             assert sent["line"] == "POST /v1/chat/completions HTTP/1.1"
             assert sent["content_type"] == "application/json"
@@ -260,23 +263,23 @@ class TestLLMClient:
     def test_retries_then_exhausts_on_500(self):
         check_exhausts_retries_on_500(keep_alive=False)
 
-    def test_recovers_after_transient_500(self, session):
+    def test_recovers_after_transient_500(self, connection):
         behavior = lambda prompt, n: (500, "boom") if n == 1 else (200, "fine")
         with StubChatServer(behavior) as stub:
-            assert llm_choice("x", endpoint(stub.base_url), session) == "fine"
+            assert llm_choice("x", endpoint(stub.base_url), connection) == "fine"
 
-    def test_client_error_is_not_retried(self, session):
+    def test_client_error_is_not_retried(self, connection):
         with StubChatServer(lambda prompt, n: (404, "missing")) as stub:
             with pytest.raises(OracleHTTPError, match="404"):
-                llm_choice("x", endpoint(stub.base_url), session)
+                llm_choice("x", endpoint(stub.base_url), connection)
             assert len(stub.requests) == 1
 
     @pytest.mark.parametrize("body, what", [(b"<html>busy</html>", "not JSON"),
                                             (b'{"error": "quota"}', "choices")])
-    def test_malformed_reply_is_a_named_oracle_error(self, body, what, session):
+    def test_malformed_reply_is_a_named_oracle_error(self, body, what, connection):
         with StubChatServer(lambda prompt, n: (200, body)) as stub:
             with pytest.raises(OracleError, match=what) as info:
-                llm_choice("x", endpoint(stub.base_url), session)
+                llm_choice("x", endpoint(stub.base_url), connection)
         assert stub.base_url in str(info.value)
 
     def test_connection_failure(self):
@@ -287,7 +290,7 @@ class TestLLMClient:
 
 
 class TestKeepAlive:
-    """Calls over one requests.Session, as LLMOracle makes them, reuse one
+    """Calls over one JudgeConnection, as LLMOracle makes them, reuse one
     connection and keep every retry path of a fresh connection."""
 
     def test_oracle_calls_share_one_connection(self, world):
@@ -306,8 +309,8 @@ class TestKeepAlive:
 
     def test_retries_a_503_on_the_same_connection(self):
         behavior = lambda prompt, n: (503, "busy") if n == 2 else (200, f"ok{n}")
-        with StubChatServer(behavior, keep_alive=True) as stub, requests.Session() as session:
-            out = [llm_choice("x", endpoint(stub.base_url), session) for _ in range(3)]
+        with StubChatServer(behavior, keep_alive=True) as stub, closing(JudgeConnection()) as connection:
+            out = [llm_choice("x", endpoint(stub.base_url), connection) for _ in range(3)]
         assert out == ["ok1", "ok3", "ok4"]
         assert len({r["peer"] for r in stub.requests}) == 1
 
@@ -321,10 +324,10 @@ class TestKeepAlive:
             if n == 1:
                 time.sleep(0.5)
             return 200, f"reply{n}"
-        with StubChatServer(first_slow, keep_alive=True) as stub, requests.Session() as session:
+        with StubChatServer(first_slow, keep_alive=True) as stub, closing(JudgeConnection()) as connection:
             ep = endpoint(stub.base_url, timeout=0.2, max_retries=1)
-            assert llm_choice("x", ep, session) == "reply2"
-            assert llm_choice("x", ep, session) == "reply3"
+            assert llm_choice("x", ep, connection) == "reply2"
+            assert llm_choice("x", ep, connection) == "reply3"
 
     def test_timeout(self):
         check_timeout(keep_alive=True)
@@ -334,17 +337,76 @@ class TestKeepAlive:
         # connection spends no retry: it works at max_retries=0 too
         for retries in (2, 0):
             with StubChatServer(lambda prompt, n: (200, f"reply{n}"), keep_alive=True,
-                                drop_after=(1,)) as stub, requests.Session() as session:
+                                drop_after=(1,)) as stub, closing(JudgeConnection()) as connection:
                 ep = endpoint(stub.base_url, max_retries=retries)
-                out = [llm_choice("x", ep, session)]
+                out = [llm_choice("x", ep, connection)]
                 assert stub.dropped.wait(5)
-                out += [llm_choice("x", ep, session) for _ in range(2)]
+                out += [llm_choice("x", ep, connection) for _ in range(2)]
             assert out == ["reply1", "reply2", "reply3"]
             assert len(stub.requests) == 3
             assert len({r["peer"] for r in stub.requests}) == 2
 
     def test_connection_failure(self):
         check_connection_failure()
+
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Clear every proxy variable, in both cases; returns a setter."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return lambda **values: [monkeypatch.setenv(k, v) for k, v in values.items()]
+
+
+class TestProxyAndTLS:
+    """The proxy variables are honoured and https is verified, all without
+    leaving the loopback interface."""
+
+    def test_an_http_endpoint_goes_through_the_proxy_with_an_absolute_url(
+            self, proxy_env, connection):
+        with StubChatServer(lambda prompt, n: (200, f"the user will select a{n}"),
+                            keep_alive=True) as proxy:
+            proxy_env(http_proxy=proxy.base_url.replace("http://", "http://ann:p%40ss@"))
+            ep = endpoint("http://judge.invalid/v1")
+            out = [llm_choice("x", ep, connection) for _ in range(2)]
+        assert out == ["the user will select a1", "the user will select a2"]
+        creds = "Basic " + base64.b64encode(b"ann:p@ss").decode()
+        for sent in proxy.requests:
+            assert sent["line"] == "POST http://judge.invalid/v1/chat/completions HTTP/1.1"
+            assert sent["proxy_auth"] == creds
+        assert len({sent["peer"] for sent in proxy.requests}) == 1
+
+    def test_no_proxy_sends_loopback_calls_direct(self, proxy_env, connection):
+        # perfbench's own setting: a proxy that does not answer, bypassed
+        proxy_env(http_proxy="http://127.0.0.1:9", no_proxy="127.0.0.1,localhost")
+        with StubChatServer(lambda prompt, n: (200, "ok")) as stub:
+            assert llm_choice("x", endpoint(stub.base_url, max_retries=0), connection) == "ok"
+        assert stub.requests[0]["line"] == "POST /chat/completions HTTP/1.1"
+        assert stub.requests[0]["proxy_auth"] is None
+
+    def test_an_https_endpoint_goes_through_a_connect_tunnel(self, proxy_env, connection):
+        with StubChatServer(lambda prompt, n: (200, "unused")) as proxy:
+            proxy_env(https_proxy=proxy.base_url.replace("http://", "http://ann:pw@"))
+            with pytest.raises(OracleNetworkError, match="Tunnel connection failed: 502"):
+                llm_choice("x", endpoint("https://judge.invalid/v1", max_retries=0), connection)
+        [sent] = proxy.requests
+        assert re.fullmatch(r"CONNECT judge\.invalid:443 HTTP/1\.[01]", sent["line"])
+        assert sent["proxy_auth"] == "Basic " + base64.b64encode(b"ann:pw").decode()
+
+    def test_https_verifies_against_the_default_ca_store(self, proxy_env):
+        conn = JudgeConnection()._open(urlsplit("https://judge.invalid/v1/chat/completions"), 5.0)
+        context = conn._context
+        assert conn.sock is None  # built, not connected
+        assert (conn.host, conn.port, conn.timeout) == ("judge.invalid", 443, 5.0)
+        assert context.check_hostname and context.verify_mode == ssl.CERT_REQUIRED
+
+    def test_an_endpoint_that_is_not_http_is_named(self, connection):
+        with pytest.raises(OracleError, match="http:// or https://: ftp://judge/v1"):
+            llm_choice("x", endpoint("ftp://judge/v1"), connection)
 
 
 class TestRecordReplay:
