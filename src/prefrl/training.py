@@ -333,11 +333,14 @@ class MixPolicy(_PolicyView):
 
     Both sides are the rows of one :class:`nn.ParamStack`, so a batch of
     histories takes one forward, one actor head and one softmax for both.
-    Row 0 is a copy of the frozen set, taken here.  Row 1 holds the learnable
-    bundle's :class:`ParamSet` itself (:meth:`ParamSet.move_to`), which the
-    learner steps in place; a learnable set that has moved out of it since
-    (:func:`online_phase` hands its caller an agent that owns its parameters)
-    is copied back into row 1 before a forward."""
+    Row 0 is a copy of the frozen set, taken here and taken again before a
+    forward once the frozen set's ``flat`` has moved (a new vector, say by
+    :meth:`ParamSet.move_to`); in-place writes to the frozen set after that
+    copy are not seen.  Row 1 holds the learnable bundle's :class:`ParamSet`
+    itself (:meth:`ParamSet.move_to`), which the learner steps in place; a
+    learnable set that has moved out of it since (:func:`online_phase` hands
+    its caller an agent that owns its parameters) is copied back into row 1
+    before a forward."""
     frozen: AgentBundle
     learnable: AgentBundle
     alpha: float
@@ -349,7 +352,8 @@ class MixPolicy(_PolicyView):
                 != (self.learnable.num_items, self.learnable.encoder_config.max_seq_len)):
             raise ValueError("mixed policies must share the item space and window length")
         stack = ParamStack([self.frozen.params, self.learnable.params], GATHERED)
-        self._row = stack.flat[1]
+        self._frozen_row, self._row = stack.flat
+        self._frozen_copied = self.frozen.params.flat
         self.learnable.params.move_to(self._row)
         self._both = AgentBundle(stack, self.learnable.encoder_config)
 
@@ -362,6 +366,10 @@ class MixPolicy(_PolicyView):
         """The mixture and its frozen side, (B, n) each; the histories are
         padded once and encoded once, for both sides."""
         ids = window_ids(histories, self.learnable.encoder_config)
+        frozen = self.frozen.params.flat
+        if frozen is not self._frozen_copied:
+            self._frozen_row[...] = frozen
+            self._frozen_copied = frozen
         flat = self.learnable.params.flat
         if flat is not self._row:
             self._row[...] = flat

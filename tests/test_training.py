@@ -1110,6 +1110,18 @@ class TestEvaluate:
         assert np.array_equal(mix.probs_batch(histories), expected)
         assert calls == [3]
 
+    def test_a_frozen_set_that_moved_is_copied_again(self, world):
+        a, b = agent_for(world, seed=40), agent_for(world, seed=41)
+        history = (3, 1, 4)
+        mix = MixPolicy(a, b, 0.3)
+        before = mix.probs(history)
+        a.params.flat[...] *= 1.5  # in place: not seen
+        assert np.array_equal(mix.probs(history), before)
+        a.params.move_to(np.empty_like(a.params.flat))
+        assert np.array_equal(mix.probs(history),
+                              0.7 * policy_for(a, history) + 0.3 * policy_for(b, history))
+        assert not np.array_equal(mix.probs(history), before)
+
     def test_mixed_policies_must_share_the_window_length(self, world):
         other = init_agent(world["catalog"].num_items, embed_dim=8, max_seq_len=5, seed=0)
         with pytest.raises(ValueError, match="window length"):
