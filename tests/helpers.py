@@ -416,10 +416,10 @@ class StubChatServer:
     (``raw``), the parsed body (``body``) and the client's port (``peer``),
     one per connection.  As a proxy it answers a plain-HTTP request the same
     way, and records a CONNECT request (``line``, ``proxy_auth``) and
-    refuses it with HTTP 502.  With ``keep_alive`` the
-    stub speaks HTTP/1.1 and keeps a connection open across requests, except
-    that after the requests counted in ``drop_after`` it closes the
-    connection without notice and then sets ``dropped``."""
+    refuses it with HTTP 502.  With ``keep_alive`` the stub speaks HTTP/1.1
+    and keeps a connection open across requests, except that after the
+    requests counted in ``drop_after`` it closes the connection without
+    notice and then sets ``dropped``."""
 
     def __init__(self, behavior, keep_alive: bool = False, drop_after=()):
         self.behavior = behavior

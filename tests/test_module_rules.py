@@ -85,10 +85,9 @@ def test_importing_the_package_loads_no_third_party_module_but_numpy():
     # do not count
     probe = ("import sys; before = set(sys.modules); import prefrl.harness; "
              "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True).stdout
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                         check=True).stdout
     loaded = set(ast.literal_eval(out))
     assert "prefrl" in loaded
     assert not loaded & {"requests", "urllib3"}

@@ -13,9 +13,9 @@ import pytest
 
 from helpers import StubChatServer, reference_parse
 from prefrl.data import SyntheticGroundTruth, generate_synthetic
-from prefrl.oracle import (JudgeConnection, LLMOracle, OracleError, OracleHTTPError, OracleNetworkError,
-                           OracleTimeoutError, PromptSpec, RemoteEndpoint, append_record,
-                           build_prompt, distill, llm_choice, load_replay,
+from prefrl.oracle import (JudgeConnection, LLMOracle, OracleError, OracleHTTPError,
+                           OracleNetworkError, OracleTimeoutError, PromptSpec, RemoteEndpoint,
+                           append_record, build_prompt, distill, llm_choice, load_replay,
                            parse_response, synthetic_choice, SyntheticOracle)
 
 CORPUS = json.loads((Path(__file__).parent / "fixtures" / "response_corpus.json").read_text())
@@ -214,7 +214,8 @@ def check_timeout(keep_alive):
     def slow(prompt, n):
         time.sleep(0.5)
         return 200, "late"
-    with StubChatServer(slow, keep_alive=keep_alive) as stub, closing(JudgeConnection()) as connection:
+    with StubChatServer(slow, keep_alive=keep_alive) as stub, \
+            closing(JudgeConnection()) as connection:
         with pytest.raises(OracleTimeoutError):
             llm_choice("x", endpoint(stub.base_url, timeout=0.05, max_retries=1), connection)
 
@@ -309,7 +310,8 @@ class TestKeepAlive:
 
     def test_retries_a_503_on_the_same_connection(self):
         behavior = lambda prompt, n: (503, "busy") if n == 2 else (200, f"ok{n}")
-        with StubChatServer(behavior, keep_alive=True) as stub, closing(JudgeConnection()) as connection:
+        with StubChatServer(behavior, keep_alive=True) as stub, \
+                closing(JudgeConnection()) as connection:
             out = [llm_choice("x", endpoint(stub.base_url), connection) for _ in range(3)]
         assert out == ["ok1", "ok3", "ok4"]
         assert len({r["peer"] for r in stub.requests}) == 1
@@ -324,7 +326,8 @@ class TestKeepAlive:
             if n == 1:
                 time.sleep(0.5)
             return 200, f"reply{n}"
-        with StubChatServer(first_slow, keep_alive=True) as stub, closing(JudgeConnection()) as connection:
+        with StubChatServer(first_slow, keep_alive=True) as stub, \
+                closing(JudgeConnection()) as connection:
             ep = endpoint(stub.base_url, timeout=0.2, max_retries=1)
             assert llm_choice("x", ep, connection) == "reply2"
             assert llm_choice("x", ep, connection) == "reply3"
@@ -337,7 +340,8 @@ class TestKeepAlive:
         # connection spends no retry: it works at max_retries=0 too
         for retries in (2, 0):
             with StubChatServer(lambda prompt, n: (200, f"reply{n}"), keep_alive=True,
-                                drop_after=(1,)) as stub, closing(JudgeConnection()) as connection:
+                                drop_after=(1,)) as stub, \
+                    closing(JudgeConnection()) as connection:
                 ep = endpoint(stub.base_url, max_retries=retries)
                 out = [llm_choice("x", ep, connection)]
                 assert stub.dropped.wait(5)
