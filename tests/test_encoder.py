@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import max_rel_err, reference_backward
+from helpers import max_rel_err, reference_backward, reference_forward
 from prefrl.encoder import (EncoderConfig, encode, encode_backward, encode_batch,
                             encode_windows_with_cache, encode_with_cache, init_encoder_params,
                             window_ids)
@@ -161,16 +161,42 @@ class TestGradients:
     @pytest.mark.parametrize("seq", [(3,), (1, 4, 1), (2, 2, 2, 2, 2), (0, 5, 3, 5, 1, 0, 2)])
     @pytest.mark.parametrize("embed_dim", [3, 16])
     def test_single_row_backward_is_bitwise_the_reference(self, seq, embed_dim):
-        # one row takes its own path (outer products, a last-slot row add);
-        # it must give the bits of the batched formulas it replaces, with
-        # repeated ids, padding and a window shorter than the sequence
+        # one row takes its own path; it must give the bits of the batched
+        # formulas, read on the reference forward's cache, with repeated ids,
+        # padding and a window shorter than the sequence
         config = EncoderConfig(num_items=6, embed_dim=embed_dim, max_seq_len=5)
         params = make_params(config, seed=len(seq), proj_noise=0.3)
         w = np.random.default_rng(embed_dim).normal(size=embed_dim)
         _, cache = encode_with_cache(seq, params, config)
         params.zero_grads()
         encode_backward(cache, w, params)
-        expected = reference_backward(cache, w, params.params)
+        _, reference_cache = reference_forward(window_ids([seq], config), params.params, config)
+        expected = reference_backward(reference_cache, w, params.params)
+        for name in params:
+            assert np.array_equal(params.grads[name], expected[name]), name
+
+    @pytest.mark.parametrize("seq", [(7, 2), (1, 5, 9, 0, 11), (3, 8, 6, 10, 2, 4, 1, 7),
+                                     (4, 4, 1, 4), (2, 9, 9, 2, 9, 2, 2)])
+    @pytest.mark.parametrize("embed_dim", [3, 8, 16, 64])
+    def test_one_row_is_bitwise_its_batched_row(self, seq, embed_dim):
+        # histories shorter than the window, exactly it, longer than it and
+        # with repeated ids: one row's state is its row of a batch of two,
+        # and its backward gives the batched formulas' gradients on the
+        # reference forward's cache
+        config = EncoderConfig(num_items=12, embed_dim=embed_dim, max_seq_len=5)
+        params = make_params(config, seed=embed_dim + len(seq), proj_noise=0.3)
+        w = np.random.default_rng(len(seq)).normal(size=embed_dim)
+        state, cache = encode_with_cache(seq, params, config)
+        other = (0, 6, 11)
+        assert np.array_equal(encode(seq, params, config),
+                              encode_batch([seq, other], params, config)[0])
+        assert np.array_equal(state, encode_batch([other, seq], params, config)[1])
+        reference_state, reference_cache = reference_forward(window_ids([seq], config),
+                                                             params.params, config)
+        assert np.array_equal(state, reference_state)
+        params.zero_grads()
+        encode_backward(cache, w, params)
+        expected = reference_backward(reference_cache, w, params.params)
         for name in params:
             assert np.array_equal(params.grads[name], expected[name]), name
 
