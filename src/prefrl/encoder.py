@@ -10,24 +10,26 @@ Kang & McAuley 2018, arXiv:1808.09781).  The state is the block output at the
 last slot, and since that slot's query may see every key, only that one query
 row is computed: there is no causal mask and no output for the other slots.
 
-Every entry point runs the same batched forward over a ``(B, max_seq_len, d)``
-tensor.  Its input is the ``(B, max_seq_len)`` id array of the sequences'
-windows, :func:`window_ids`; :func:`encode_windows` encodes such an array
-directly, so a caller that keeps its windows (the replay buffer pads each
-transition once, when it is stored) never pads again.  :func:`encode_batch`
-is ``encode_windows(window_ids(...))`` and :func:`encode` its B=1 case.  Each
-batch row is computed by its own small matrix products, so a state has the
-same bits whatever batch the sequence is encoded in.  The forward is spelled
-against trailing axes, so the same one also runs S parameter sets at once
-from an :class:`nn.ParamStack` (states ``(S, B, d)``), and each set's rows
-keep the bits of that set's own forward.
+Every entry point runs one forward over the ``(B, max_seq_len)`` id array of
+the sequences' windows, :func:`window_ids`; :func:`encode_windows` encodes
+such an array directly, so a caller that keeps its windows (the replay
+buffer pads each transition once, when it is stored) never pads again.
+:func:`encode_batch` is ``encode_windows(window_ids(...))`` and
+:func:`encode` its B=1 case.  A batch runs over a ``(B, max_seq_len, d)``
+tensor, each row computed by its own small matrix products, so a state has
+the same bits whatever batch the sequence is encoded in.  That forward is
+spelled against trailing axes, so the same one also runs S parameter sets at
+once from an :class:`nn.ParamStack` (states ``(S, B, d)``), and each set's
+rows keep the bits of that set's own forward.  One row on one parameter set
+(acting, scoring one history, every step of the sequential reward model's
+fit) runs on vectors instead: the same products in the same order, without
+the batch axes, so it has the bits of its row of any batch.
 
 Projection matrices are initialized to identity plus small noise so that
 tiny instances can be checked by hand; gradients are derived analytically
 in :func:`encode_backward` and verified against finite differences.  Its
-batch sums are small matrix products; a single row (the reward model's fit
-steps one prefix at a time) takes outer products and adds its last slot's
-term as one row, the same values added in the same order.
+batch sums are small matrix products, and one row's cache is read on
+vectors, with the same bits.
 """
 from __future__ import annotations
 
@@ -109,8 +111,31 @@ def window_ids(sequences, config: EncoderConfig) -> np.ndarray:
     return np.fromiter(chain.from_iterable(pieces), np.int64, n * len(sequences)).reshape(-1, n)
 
 
+def _forward_row(ids: np.ndarray, params: ParamSet, config: EncoderConfig):
+    """:func:`_forward` of one padded (1, n) id row on one parameter set,
+    spelled on vectors: ``x`` is (n, d) and every product a 1-D @ 2-D one,
+    which runs the same BLAS matrix-vector product as the batched forward's
+    stacked (1, 1, d) one, so the state has the bits of its row of a batch.
+    The cache holds the same names without the batch axes."""
+    row = ids[0]
+    x = params["item_emb"].take(row, axis=0)
+    x += params["pos_emb"]                                   # (n, d)
+    x_last = x[-1]
+    q = x_last @ params["w_q"]                               # (d,)
+    qk = q @ params["w_k"].T
+    scores = (qk @ x.T) * (1.0 / math.sqrt(config.embed_dim))
+    scores[row == config.padding_id] = -np.inf
+    scores -= np.maximum.reduce(scores)                      # the last slot is never padding
+    attn = np.exp(scores)
+    attn /= np.add.reduce(attn)                              # (n,)
+    ctx = attn @ x
+    h = x_last + ctx @ params["w_v"]
+    return h[None], {"ids": row, "x": x, "q": q, "qk": qk, "attn": attn, "ctx": ctx}
+
+
 def _forward(ids: np.ndarray, params, config: EncoderConfig):
-    """States (B, d) and backward cache for a padded (B, n) id array.
+    """States (B, d) and backward cache for a padded (B, n) id array; one row
+    on one parameter set is :func:`_forward_row`.
 
     ``params`` is one :class:`nn.ParamSet`, or a :class:`nn.ParamStack` of S
     sets, whose ``(S, 1, ...)`` tensors (``item_emb`` gathered by rows, so
@@ -124,6 +149,8 @@ def _forward(ids: np.ndarray, params, config: EncoderConfig):
     row (and per set), so no row's bits depend on B or S (a (B, d) @ (d, d)
     GEMM rounds differently at B = 1).
     """
+    if len(ids) == 1 and params["w_q"].ndim == 2:
+        return _forward_row(ids, params, config)
     x = np.take(params["item_emb"], ids, axis=-2)
     x += params["pos_emb"]                                   # (B, n, d)
     x_last = x[..., -1:, :]
@@ -170,15 +197,43 @@ def encode_batch(sequences, params: ParamSet, config: EncoderConfig) -> np.ndarr
     return encode_windows(window_ids(sequences, config), params, config)
 
 
+def _backward_row(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
+    """:func:`encode_backward` of :func:`_forward_row`'s cache: the batched
+    formulas on vectors, each batch sum a single outer product, and the last
+    slot's term one row added to its position and its item."""
+    x, q, qk, attn, ctx = (cache[name] for name in ("x", "q", "qk", "attn", "ctx"))
+    n, d = x.shape
+    g = d_state.reshape(d)
+    d_ctx = g @ params["w_v"].T
+    d_attn = d_ctx @ x.T                                         # (n,)
+    d_scores = attn * (d_attn - np.add.reduce(d_attn * attn)) * (1.0 / math.sqrt(d))
+    d_qk = d_scores @ x
+    d_q = d_qk @ params["w_k"]
+    grads = params.grads
+    grads["w_q"] += x[-1, :, None] * d_q
+    grads["w_k"] += d_qk[:, None] * q
+    grads["w_v"] += ctx[:, None] * g
+    ids = cache["ids"]
+    num_ids = params["item_emb"].shape[0]
+    pos_grad, item_grad = grads["pos_emb"], grads["item_emb"]
+    for weight, row in ((d_scores, qk), (attn, d_ctx)):
+        pos_grad += weight[:, None] * row
+        item_grad += np.bincount(ids, weight, num_ids)[:, None] * row
+    d_last = d_q @ params["w_q"].T + g
+    pos_grad[-1] += d_last
+    item_grad[ids[-1]] += d_last
+
+
 def encode_backward(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
     """Accumulate gradients of ``sum_b dot(d_state[b], state[b])`` into
     ``params.grads``; ``d_state`` is (B, d), or (d,) for a cache of one.
 
-    A cache of one row (B = 1, every step of the sequential reward model's
-    fit) takes its own path: there each batch sum below is a single outer
-    product, and the last slot's term is one row added to its position and
-    its item.  It adds the same values in the same order as the batched path,
-    so it gives the same bits."""
+    The cache of one row (acting's and scoring's forwards, every step of the
+    sequential reward model's fit) is read on vectors, without the batch
+    axes: the same values added in the same order as the batched formulas
+    below, so the same bits."""
+    if cache["x"].ndim == 2:
+        return _backward_row(cache, d_state, params)
     x, q, qk, attn, ctx = (cache[name] for name in ("x", "q", "qk", "attn", "ctx"))
     B, n, d = x.shape
     g = d_state.reshape(B, 1, d)
@@ -191,7 +246,7 @@ def encode_backward(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
     d_qk = d_scores @ x
     d_q = d_qk @ params["w_k"]
     # each weight gradient is one (d, B) @ (B, d) product, one rank-one term
-    # per row (np.dot: matmul takes a slow path at B = 1)
+    # per row
     grads = params.grads
     grads["w_q"] += np.dot(x[:, -1].T, d_q[:, 0])
     grads["w_k"] += np.dot(d_qk[:, 0].T, q[:, 0])
@@ -203,21 +258,12 @@ def encode_backward(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
     # (B, n, d) gradient is formed; the per-id weights are (B, num_items + 1),
     # the size of the heads' logit gradients.  Padding slots have zero weight.
     num_ids = params["item_emb"].shape[0]
-    ids = cache["ids"]
-    terms = ((d_scores[:, 0], qk[:, 0]), (attn[:, 0], d_ctx[:, 0]))
-    d_last = (d_q @ params["w_q"].T + g)[:, 0]
-    pos_grad, item_grad = grads["pos_emb"], grads["item_emb"]
-    if B == 1:
-        for weight, row in terms:
-            pos_grad += weight[0, :, None] * row[0]
-            item_grad += np.bincount(ids[0], weight[0], num_ids)[:, None] * row[0]
-        pos_grad[-1] += d_last[0]
-        item_grad[ids[0, -1]] += d_last[0]
-        return
-    cells = (ids + num_ids * np.arange(B)[:, None]).reshape(-1)
+    cells = (cache["ids"] + num_ids * np.arange(B)[:, None]).reshape(-1)
     last = np.zeros((B, n))
     last[:, -1] = 1.0
-    for weight, row in (*terms, (last, d_last)):
+    d_last = (d_q @ params["w_q"].T + g)[:, 0]
+    pos_grad, item_grad = grads["pos_emb"], grads["item_emb"]
+    for weight, row in ((d_scores[:, 0], qk[:, 0]), (attn[:, 0], d_ctx[:, 0]), (last, d_last)):
         per_item = np.bincount(cells, weight.reshape(-1), B * num_ids).reshape(B, num_ids)
         pos_grad += np.dot(weight.T, row)
         item_grad += np.dot(per_item.T, row)

@@ -233,22 +233,22 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
     embeddings tied to the input item embeddings), then freeze it."""
     config = EncoderConfig(num_items=num_items, embed_dim=d_rm, max_seq_len=max_seq_len)
     params = ParamSet(init_encoder_params(config, rng))
-    pairs = []
-    for seq in log_.sequences:
-        for t in range(1, len(seq.items)):
-            pairs.append((seq.items[:t], seq.items[t]))
-    # the prefixes are fixed, so each is padded once; a (1, n) row slice
+    pairs = [(seq.items[:t], seq.items[t]) for seq in log_.sequences
+             for t in range(1, len(seq.items))]
+    if not pairs:
+        raise ValueError("a sequential reward model needs a sequence of two or more items")
+    # the prefixes are fixed, so each is padded once, as a (1, n) row that
     # encodes as encode_with_cache(prefix) does
-    windows = window_ids([prefix for prefix, _ in pairs], config) if pairs else None
+    rows = window_ids([prefix for prefix, _ in pairs], config)[:, None]
+    targets = np.array([target for _, target in pairs], dtype=np.int64)
     # the optimizer steps the parameters in place, so this view stays current
     item_emb = params["item_emb"][:num_items]
     loss_history = []
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
         total = 0.0
-        for idx in order:
-            target = pairs[idx][1]
-            states, cache = encode_windows_with_cache(windows[idx:idx + 1], params, config)
+        for ids, target in zip(rows[order], targets[order].tolist()):
+            states, cache = encode_windows_with_cache(ids, params, config)
             state = states[0]
             probs = softmax(item_emb @ state)
             total += -float(np.log(max(probs[target], 1e-12)))

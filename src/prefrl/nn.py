@@ -196,20 +196,23 @@ def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim == 0 or z.size == 0:
         raise ValueError("softmax expects a nonempty vector or stack of row vectors")
-    if not np.isfinite(z).all():
+    # the ufunc reductions themselves: the ndarray methods (``all``, ``max``,
+    # ``sum``) reach the same ones through a Python-level wrapper
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("softmax requires finite logits")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _check_probs(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("expected a nonempty 1-d probability vector")
-    if not np.isfinite(p).all() or p.min() < 0.0:
+    if not np.logical_and.reduce(np.isfinite(p), axis=None) or np.minimum.reduce(p) < 0.0:
         raise ValueError("invalid probability vector (negative or non-finite entries)")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {p.sum():.8f}, expected 1")
+    total = np.add.reduce(p)
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"probabilities sum to {total:.8f}, expected 1")
     return p
 
 

@@ -34,6 +34,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import os
 import re
 import select
@@ -200,7 +201,9 @@ class RemoteEndpoint:
     backoff: float = 0.5
 
     def __post_init__(self):
-        for key, valid, needs in (("max_retries", self.max_retries >= 0, ">= 0"),
+        for key, valid, needs in (("temperature", math.isfinite(self.temperature)
+                                   and self.temperature >= 0, "finite and >= 0"),
+                                  ("max_retries", self.max_retries >= 0, ">= 0"),
                                   ("timeout", self.timeout > 0, "> 0"),
                                   ("backoff", self.backoff >= 0, ">= 0")):
             if not valid:

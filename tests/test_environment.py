@@ -224,6 +224,10 @@ class TestFitSequential:
         for name in params:
             assert np.array_equal(m.params[name], params[name]), name
 
+    def test_a_log_without_a_next_item_is_refused(self):
+        with pytest.raises(ValueError, match="a sequence of two or more items"):
+            fit_reward_model(tiny_log((3,), (1,)), "sequential", 5, epochs=1)
+
     def test_learns_next_item_structure(self):
         _, log, _ = generate_synthetic(20, 25, 6, 4, seed=3, noise_scale=0.05)
         m = fit_reward_model(log, "sequential", 25, d_rm=8, epochs=8, lr=0.05,

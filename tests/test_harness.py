@@ -654,6 +654,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: [oracle] {key} must be ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_oracle_temperature_is_one_error_before_anything_is_written(self, tmp_path,
+                                                                           capsys, value):
+        llm = f"[oracle]\nkind = llm\nbase_url = http://127.0.0.1:9\ntemperature = {value}\n"
+        cfg = tmp_path / "llm.ini"
+        cfg.write_text(TINY_INI.replace("[oracle]\n", llm), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--out", str(out), "pretrain") == 1
+        assert capsys.readouterr().err == ("error: [oracle] temperature must be finite and "
+                                           f">= 0, got {float(value)!r}\n")
+        assert not out.exists()
+
     def _assert_refused(self, out, config, *command):
         """Run ``command``, which must exit 1, and assert that it leaves every
         file and directory under ``out`` as it was."""

@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import random
 import re
 import ssl
@@ -224,6 +225,13 @@ def check_connection_failure():
     # no server answers, so there is no connection to keep alive
     with closing(JudgeConnection()) as connection, pytest.raises(OracleNetworkError):
         llm_choice("x", endpoint("http://127.0.0.1:9", max_retries=1), connection)
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, -0.5])
+def test_a_temperature_that_is_not_finite_or_is_negative_is_refused(temperature):
+    with pytest.raises(ValueError, match=r"^\[oracle\] temperature must be finite and >= 0, "
+                                         rf"got {temperature!r}$"):
+        endpoint("http://127.0.0.1:9", temperature=temperature)
 
 
 class TestLLMClient:
