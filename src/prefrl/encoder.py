@@ -202,7 +202,7 @@ def _backward_row(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
     formulas on vectors, each batch sum a single outer product, and the last
     slot's term one row added to its position and its item."""
     x, q, qk, attn, ctx = (cache[name] for name in ("x", "q", "qk", "attn", "ctx"))
-    n, d = x.shape
+    d = x.shape[1]
     g = d_state.reshape(d)
     d_ctx = g @ params["w_v"].T
     d_attn = d_ctx @ x.T                                         # (n,)
