@@ -1,7 +1,8 @@
 """Shared test machinery: the per-transition reference spec of the learner's
 losses, reference pre-training and online loops, a reference fit of the
-sequential reward model, a reference scanner of judge replies,
-gradient-check scaffolding and a stub chat-completion server."""
+sequential reward model, a reference synthetic world, a reference scanner of
+judge replies, gradient-check scaffolding and a stub chat-completion
+server."""
 from __future__ import annotations
 
 import json
@@ -16,6 +17,8 @@ import numpy as np
 
 from prefrl.agent import (LOG_PROB_FLOOR, AgentBundle, Transition, action_distribution,
                           backprop_heads, policy_for, q_values, update)
+from prefrl.data import (InteractionLog, ItemCatalog, ItemRecord, SyntheticGroundTruth,
+                         UserSequence)
 from prefrl.encoder import EncoderConfig, encode, encode_with_cache, init_encoder_params
 from prefrl.metrics import EpisodeRecord, compute_metrics
 from prefrl.oracle import LABELS, distill
@@ -338,6 +341,47 @@ def reference_fit_sequential(log_, num_items: int, d_rm: int, max_seq_len: int, 
                 p -= lr * grads[name]
         losses.append(total / len(pairs))
     return params, losses
+
+
+_REFERENCE_WORDS = (
+    ("amber", "breezy", "cobalt", "dusty", "electric", "faded", "golden", "hazy", "ivory",
+     "jade", "lunar", "mellow", "neon", "opal", "pale", "quiet", "rustic", "silver", "tidal",
+     "velvet"),
+    ("anthem", "ballad", "chorus", "drift", "echo", "fable", "groove", "horizon", "interlude",
+     "jam", "lullaby", "motif", "nocturne", "overture", "prelude", "reverie", "serenade",
+     "tune", "verse", "waltz"),
+    ("ambient", "blues", "classical", "electronic", "folk", "indie", "jazz", "pop", "rock",
+     "soul"),
+)
+
+
+def reference_generate_synthetic(num_users: int, num_items: int, seq_len: int, d_lat: int,
+                                 seed: int, noise_scale: float = 0.05):
+    """The synthetic world as plain loops over one generator: the user and
+    item latents, then per item a ``choice`` of adjective, noun and style,
+    then per user the scores ``item_latents @ user_latent``, plus
+    ``noise_scale`` times a fresh standard normal row when ``noise_scale`` is
+    positive, and the first ``seq_len`` items of their stable descending
+    sort.  Returns (catalog, log, truth)."""
+    adjectives, nouns, styles = _REFERENCE_WORDS
+    rng = np.random.default_rng(seed)
+    user_latents = rng.standard_normal((num_users, d_lat))
+    item_latents = rng.standard_normal((num_items, d_lat))
+    items = []
+    for i in range(num_items):
+        title = f"{rng.choice(adjectives)} {rng.choice(nouns)} {i:03d}"
+        style = str(rng.choice(styles))
+        items.append(ItemRecord(i, (("title", title), ("style", style))))
+    sequences = []
+    for u in range(num_users):
+        scores = item_latents @ user_latents[u]
+        if noise_scale > 0.0:
+            scores = scores + noise_scale * rng.standard_normal(num_items)
+        order = np.argsort(-scores, kind="stable")[:seq_len]
+        sequences.append(UserSequence(f"u{u}", tuple(int(i) for i in order),
+                                      tuple(range(seq_len))))
+    return (ItemCatalog(tuple(items), ("title", "style")), InteractionLog(tuple(sequences)),
+            SyntheticGroundTruth(user_latents, item_latents))
 
 
 def reference_score(model, context, action: int) -> float:

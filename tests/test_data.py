@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import reference_generate_synthetic
 from prefrl.data import (InteractionLog, UserSequence, generate_synthetic, load_catalog,
                          load_interactions, split_log, write_catalog, write_interactions)
 
@@ -212,6 +213,24 @@ class TestGenerateSynthetic:
             assert seq.items == expected
             # top-1 really is the argmax over every item
             assert scores[seq.items[0]] == scores.max()
+
+    # (num_users, num_items, seq_len, d_lat, noise_scale): the default world,
+    # every size at its floor, a sequence of every item, no noise (the stable
+    # sort breaks the ties), a wider latent and a large world
+    @pytest.mark.parametrize("shape", [(30, 30, 6, 4, 0.05), (2, 2, 2, 2, 0.05),
+                                       (7, 9, 9, 3, 0.05), (12, 40, 8, 4, 0.0),
+                                       (10, 25, 5, 8, 0.05), (200, 300, 20, 4, 0.05)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_reference_world(self, shape, seed):
+        *sizes, noise = shape
+        catalog, log, truth = generate_synthetic(*sizes, seed=seed, noise_scale=noise)
+        ref_catalog, ref_log, ref_truth = reference_generate_synthetic(*sizes, seed=seed,
+                                                                       noise_scale=noise)
+        assert catalog.items == ref_catalog.items
+        assert catalog.attribute_names == ref_catalog.attribute_names
+        assert log == ref_log
+        assert np.array_equal(truth.user_latents, ref_truth.user_latents)
+        assert np.array_equal(truth.item_latents, ref_truth.item_latents)
 
     def test_validation(self):
         with pytest.raises(ValueError):
