@@ -8,7 +8,9 @@ values escaped by double-quoting):
 * interactions:  ``user_id,item_id,timestamp`` with integer timestamps
 
 All randomness comes from caller-supplied seeds; every function here is pure
-over immutable inputs.
+over immutable inputs.  The synthetic world takes its draws in one call per
+purpose (latents, attribute words, noise), in the stream order of a loop
+over items and then users, and sorts every user's scores in one call.
 """
 from __future__ import annotations
 
@@ -233,15 +235,6 @@ def split_log(log_: InteractionLog, train_fraction: float, seed: int) -> tuple[I
     return InteractionLog(train), InteractionLog(test)
 
 
-def _make_attributes(num_items: int, rng: np.random.Generator) -> list[tuple[tuple[str, str], ...]]:
-    attrs = []
-    for i in range(num_items):
-        title = f"{rng.choice(_ADJECTIVES)} {rng.choice(_NOUNS)} {i:03d}"
-        style = str(rng.choice(_STYLES))
-        attrs.append((("title", title), ("style", style)))
-    return attrs
-
-
 def generate_synthetic(num_users: int, num_items: int, seq_len: int, d_lat: int,
                        seed: int, noise_scale: float = 0.05
                        ) -> tuple[ItemCatalog, InteractionLog, SyntheticGroundTruth]:
@@ -251,29 +244,35 @@ def generate_synthetic(num_users: int, num_items: int, seq_len: int, d_lat: int,
     greedily: items ordered by descending dot(user latent, item latent) plus
     ``noise_scale`` times standard normal noise, so with noise_scale=0 the
     sequence is exactly the user's top-``seq_len`` items.
+
+    One generator draws, one call each: the user latents, the item latents,
+    every item's adjective, noun and style (one bounded draw per word, as
+    ``rng.choice`` of a tuple takes it) and every user's noise row.  Each
+    user's scores are their own matrix-vector product (a stacked ``matmul``;
+    one matrix product would round differently), ordered by a stable sort.
     """
     if min(num_users, num_items, seq_len, d_lat) < 2:
         raise ValueError("num_users, num_items, seq_len and d_lat must all be >= 2")
     if seq_len > num_items:
         raise ValueError("seq_len cannot exceed num_items")
+    if not (math.isfinite(noise_scale) and noise_scale >= 0.0):
+        raise ValueError(f"[data] noise_scale must be finite and >= 0, got {noise_scale!r}")
     rng = np.random.default_rng(seed)
     user_latents = rng.standard_normal((num_users, d_lat))
     item_latents = rng.standard_normal((num_items, d_lat))
-    attributes = _make_attributes(num_items, rng)
+    words = rng.integers(0, np.tile([len(_ADJECTIVES), len(_NOUNS), len(_STYLES)], num_items))
     catalog = ItemCatalog(
-        tuple(ItemRecord(i, attributes[i]) for i in range(num_items)),
+        tuple(ItemRecord(i, (("title", f"{_ADJECTIVES[a]} {_NOUNS[n]} {i:03d}"),
+                             ("style", _STYLES[s])))
+              for i, (a, n, s) in enumerate(words.reshape(num_items, 3).tolist())),
         ("title", "style"),
     )
-    sequences = []
-    for u in range(num_users):
-        scores = item_latents @ user_latents[u]
-        if noise_scale > 0.0:
-            scores = scores + noise_scale * rng.standard_normal(num_items)
-        order = np.argsort(-scores, kind="stable")[:seq_len]
-        sequences.append(UserSequence(
-            f"u{u}",
-            tuple(int(i) for i in order),
-            tuple(range(seq_len)),
-        ))
+    scores = (item_latents @ user_latents[:, :, None])[..., 0]
+    if noise_scale > 0.0:
+        scores = scores + noise_scale * rng.standard_normal((num_users, num_items))
+    orders = np.argsort(-scores, axis=1, kind="stable")[:, :seq_len].tolist()
+    timestamps = tuple(range(seq_len))
+    sequences = tuple(UserSequence(f"u{u}", tuple(order), timestamps)
+                      for u, order in enumerate(orders))
     truth = SyntheticGroundTruth(user_latents, item_latents)
-    return catalog, InteractionLog(tuple(sequences)), truth
+    return catalog, InteractionLog(sequences), truth

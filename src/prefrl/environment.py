@@ -26,6 +26,7 @@ case.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class EnvConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.quit_threshold < 0.0:
-            raise ValueError("quit_threshold must be >= 0")
+        if not (math.isfinite(self.quit_threshold) and self.quit_threshold >= 0.0):
+            raise ValueError("[environment] quit_threshold must be finite and >= 0, "
+                             f"got {self.quit_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,14 @@ def _row_dots(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """dot(rows[b], cols[b]) for each b, as stacked (1, d) @ (d, 1) products:
     each row is its own dot, so its bits do not depend on the batch."""
     return (rows[:, None, :] @ cols[:, :, None])[:, 0, 0]
+
+
+def _reward_bound(r_max: float) -> float:
+    """``r_max`` as a float, refused unless finite and positive: rewards are
+    clipped to it, and the quit threshold lies below it."""
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise ValueError(f"[environment] r_max must be finite and > 0, got {r_max!r}")
+    return float(r_max)
 
 
 class MatrixFactorizationModel(_RewardModel):
@@ -152,8 +162,10 @@ class LatentPreferenceModel(_RewardModel):
     kind = "latent"
 
     def __init__(self, item_latents, r_max: float, scale: float = 1.0):
+        if not math.isfinite(scale):
+            raise ValueError(f"[environment] latent_scale must be finite, got {scale!r}")
         self.item_latents = np.asarray(item_latents, dtype=np.float64)
-        self.r_max = float(r_max)
+        self.r_max = _reward_bound(r_max)
         self.scale = float(scale)
 
     @property
@@ -266,7 +278,9 @@ def fit_reward_model(log_: InteractionLog, kind: str, num_items: int, *,
                      d_rm: int = 8, epochs: int = 40, lr: float = 0.01,
                      neg_per_pos: int = 2, rank_decay: float = 0.7,
                      max_seq_len: int = 10, r_max: float = 5.0, seed: int = 0):
-    """Fit a reward model of the requested kind on a train-split log."""
+    """Fit a reward model of the requested kind on a train-split log.  A bad
+    ``r_max`` is refused before the fit starts."""
+    r_max = _reward_bound(r_max)
     if log_.num_sequences == 0:
         raise ValueError("cannot fit a reward model on an empty log")
     rng = np.random.default_rng(seed)

@@ -135,7 +135,11 @@ def build_world(cfg: AppConfig) -> World:
 
 
 def build_reward_model(cfg: AppConfig, world: World):
+    """The ``[environment]`` reward model of ``world``.  The environment keys
+    are checked first (:func:`env_config_from`), so a bad one is refused
+    before a fit starts."""
     e = cfg["environment"]
+    env_config_from(cfg, None)
     if e["kind"] == "latent":
         if world.truth is None:
             raise ConfigError("environment kind 'latent' needs synthetic data or a truth_path")
@@ -154,10 +158,13 @@ def build_reward_model(cfg: AppConfig, world: World):
     raise ConfigError(f"unknown environment kind {e['kind']!r}")
 
 
-def make_env(cfg: AppConfig, model, log_: InteractionLog, seed: int | None) -> UserEnvironment:
+def env_config_from(cfg: AppConfig, seed: int | None) -> EnvConfig:
     e = cfg["environment"]
-    return UserEnvironment(model, log_, EnvConfig(
-        max_steps=e["max_steps"], quit_threshold=e["quit_threshold"], seed=seed))
+    return EnvConfig(max_steps=e["max_steps"], quit_threshold=e["quit_threshold"], seed=seed)
+
+
+def make_env(cfg: AppConfig, model, log_: InteractionLog, seed: int | None) -> UserEnvironment:
+    return UserEnvironment(model, log_, env_config_from(cfg, seed))
 
 
 def build_envs(cfg: AppConfig, model, world: World, seed: int):

@@ -59,12 +59,12 @@ episodes the way :func:`evaluate` does.  A greedy episode is a deterministic
 function of its start state, so each distinct start of the reset stream is
 played once, and the episodes that share a start share its return and
 length.  The distinct starts run in lockstep: each time step makes one
-batched policy forward over the histories of those still running (one for
+batched policy forward over the windows of those still running (one for
 the ap mixture too, whose frozen and learnable sets are the two rows of one
 :class:`nn.ParamStack`), and steps all of them with one ``env.step_batch``
 call, so one reward-model ``score_batch``.  The evaluation views
 (``ActorPolicy``, ``QGreedyPolicy``, ``MixPolicy``) define that forward as
-``probs_batch``; their single-history ``probs`` is its one-row case.  A reset
+``probs_windows``, of which ``probs_batch`` is the padded case.  A reset
 with a seed is a function of that seed, so :func:`online_phase` draws its
 evaluation starts once per run and every snapshot plays them.
 
@@ -96,7 +96,7 @@ import numpy as np
 
 from .agent import (AgentBundle, Transition, TransitionBatch, action_distribution,
                     init_agent, q_values, update)
-from .encoder import GATHERED, EncoderConfig, encode_batch, encode_windows, window_ids
+from .encoder import GATHERED, EncoderConfig, encode_windows, window_ids
 from .environment import EnvState
 from .metrics import EpisodeRecord, MetricMeans, compute_metrics
 from .nn import ParamStack, _check_probs, sample_categorical, softmax
@@ -320,8 +320,12 @@ def _actor_probs(bundle: AgentBundle, ids: np.ndarray) -> np.ndarray:
 
 class _PolicyView:
     """An action distribution per history.  A view defines only the batched
-    ``probs_batch(histories) -> (B, n)``; ``probs`` is its one-row case, and
-    a row's bits do not depend on the batch it is computed in."""
+    ``probs_windows(ids) -> (B, n)`` over :func:`encoder.window_ids` rows;
+    ``probs_batch`` is its padded case and ``probs`` its one-row case, and a
+    row's bits do not depend on the batch it is computed in."""
+
+    def probs_batch(self, histories) -> np.ndarray:
+        return self.probs_windows(window_ids(histories, self.encoder_config))
 
     def probs(self, items) -> np.ndarray:
         return self.probs_batch([items])[0]
@@ -355,17 +359,17 @@ class MixPolicy(_PolicyView):
         self._frozen_row, self._row = stack.flat
         self._frozen_copied = self.frozen.params.flat
         self.learnable.params.move_to(self._row)
-        self._both = AgentBundle(stack, self.learnable.encoder_config)
+        self.encoder_config = self.learnable.encoder_config
+        self._both = AgentBundle(stack, self.encoder_config)
 
-    def probs_batch(self, histories) -> np.ndarray:
-        """(1 - alpha) * frozen + alpha * learnable per history, both sides in
+    def probs_windows(self, ids) -> np.ndarray:
+        """(1 - alpha) * frozen + alpha * learnable per window, both sides in
         one forward over the stack."""
-        return self._sides(histories)[0]
+        return self._sides(ids)[0]
 
-    def _sides(self, histories) -> tuple[np.ndarray, np.ndarray]:
-        """The mixture and its frozen side, (B, n) each; the histories are
-        padded once and encoded once, for both sides."""
-        ids = window_ids(histories, self.learnable.encoder_config)
+    def _sides(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """The mixture and its frozen side, (B, n) each, of one batch of
+        windows encoded once for both sides."""
         frozen = self.frozen.params.flat
         if frozen is not self._frozen_copied:
             self._frozen_row[...] = frozen
@@ -474,9 +478,10 @@ class ActorPolicy(_PolicyView):
 
     def __init__(self, bundle: AgentBundle):
         self.bundle = bundle
+        self.encoder_config = bundle.encoder_config
 
-    def probs_batch(self, histories) -> np.ndarray:
-        return _actor_probs(self.bundle, window_ids(histories, self.bundle.encoder_config))
+    def probs_windows(self, ids) -> np.ndarray:
+        return _actor_probs(self.bundle, ids)
 
 
 class QGreedyPolicy(_PolicyView):
@@ -485,10 +490,11 @@ class QGreedyPolicy(_PolicyView):
 
     def __init__(self, bundle: AgentBundle):
         self.bundle = bundle
+        self.encoder_config = bundle.encoder_config
 
-    def probs_batch(self, histories) -> np.ndarray:
+    def probs_windows(self, ids) -> np.ndarray:
         b = self.bundle
-        return softmax(q_values(encode_batch(histories, b.params, b.encoder_config), b))
+        return softmax(q_values(encode_windows(ids, b.params, b.encoder_config), b))
 
 
 @dataclass
@@ -501,7 +507,7 @@ def evaluate(policy, env, num_episodes: int, seed: int) -> EvalResult:
     """Greedy rollouts of a frozen policy, deterministic given the seed.
 
     An AgentBundle acts by its actor; anything else (a MixPolicy, an
-    ActorPolicy, a QGreedyPolicy) by its ``probs_batch``.  Every reset seed
+    ActorPolicy, a QGreedyPolicy) by its ``probs_windows``.  Every reset seed
     is drawn up front, in episode order (:func:`_eval_starts`), and the
     episodes are played by :func:`_play`.
     """
@@ -529,7 +535,8 @@ def _play(policy: _PolicyView, env, starts: list[EnvState]) -> EvalResult:
     ``env.step_batch`` is a deterministic function of (state, action), so an
     episode's trajectory is a function of its start.  The distinct starts
     run in lockstep: each time step makes one batched policy forward over
-    the histories of those still running, then steps all of them with one
+    the windows of those still running, each padded once at its start and
+    shifted in by each action, then steps all of them with one
     ``env.step_batch`` call and drops those that finish.  Each episode takes
     the return and length of its start's, so the records equal those of
     playing every episode one after another: in episode order, with
@@ -540,8 +547,9 @@ def _play(policy: _PolicyView, env, starts: list[EnvState]) -> EvalResult:
     returns = [0.0] * len(states)
     lengths = [0] * len(states)
     live = list(range(len(states)))
+    ids = window_ids([state.history for state in states], policy.encoder_config)
     while live:
-        actions = np.argmax(policy.probs_batch([states[i].history for i in live]), axis=1)
+        actions = np.argmax(policy.probs_windows(ids), axis=1)
         rewards, next_states, dones = env.step_batch([states[i] for i in live],
                                                      actions.tolist())
         running = []
@@ -551,6 +559,8 @@ def _play(policy: _PolicyView, env, starts: list[EnvState]) -> EvalResult:
             lengths[i] += 1
             if not done:
                 running.append(i)
+        keep = np.logical_not(dones)
+        ids = np.concatenate((ids[keep, 1:], actions[keep, None]), axis=1)
         live = running
     slots = [played[start] for start in starts]
     global_steps = itertools.accumulate(lengths[j] for j in slots)
@@ -704,7 +714,7 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
         mix = policy = MixPolicy(pretrained, work, config.alpha_init)
 
         def act(history):
-            probs, frozen = mix._sides([history])
+            probs, frozen = mix._sides(window_ids([history], mix.encoder_config))
             action = choose_action(probs[0], strategy, rng)
             return action, float(frozen[0, action])
     elif method == "llm_online":

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -237,6 +238,12 @@ class TestGenerateSynthetic:
             generate_synthetic(1, 10, 4, 4, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(5, 3, 4, 4, seed=0)  # seq_len > num_items
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0])
+    def test_a_noise_scale_that_is_not_finite_or_is_negative_is_refused(self, noise):
+        with pytest.raises(ValueError, match=r"^\[data\] noise_scale must be finite and >= 0, "
+                                             rf"got {noise!r}$"):
+            generate_synthetic(5, 10, 4, 3, seed=0, noise_scale=noise)
 
     def test_roundtrip_through_files(self, tmp_path):
         catalog, log, _ = generate_synthetic(5, 15, 4, 3, seed=17)

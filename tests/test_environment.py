@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import reference_fit_sequential, reference_score
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic
+from prefrl import environment
 from prefrl.encoder import encode
 from prefrl.environment import (EnvConfig, LatentPreferenceModel,
                                 MatrixFactorizationModel, UserEnvironment,
@@ -45,6 +48,42 @@ class TestEnvConfig:
             EnvConfig(max_steps=0)
         with pytest.raises(ValueError):
             EnvConfig(quit_threshold=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+    def test_a_quit_threshold_that_is_not_finite_or_is_negative_is_refused(self, value):
+        # nan < 0 is False: unchecked, no episode would ever quit
+        with pytest.raises(ValueError, match=r"^\[environment\] quit_threshold must be finite "
+                                             rf"and >= 0, got {value!r}$"):
+            EnvConfig(quit_threshold=value)
+
+
+BAD_R_MAX = [math.nan, math.inf, -math.inf, 0.0]
+
+
+class TestBadRewardBound:
+    def message(self, key, needs, value):
+        return rf"^\[environment\] {key} must be {needs}, got {value!r}$"
+
+    @pytest.mark.parametrize("value", BAD_R_MAX)
+    def test_r_max_is_refused_by_the_latent_model(self, value):
+        with pytest.raises(ValueError, match=self.message("r_max", "finite and > 0", value)):
+            LatentPreferenceModel(np.ones((4, 2)), r_max=value)
+
+    @pytest.mark.parametrize("value", BAD_R_MAX)
+    @pytest.mark.parametrize("kind", ["matrix_factorization", "sequential"])
+    def test_r_max_is_refused_before_a_fit_starts(self, kind, value, monkeypatch):
+        def fit(*args):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr(environment, "_fit_matrix_factorization", fit)
+        monkeypatch.setattr(environment, "_fit_sequential", fit)
+        with pytest.raises(ValueError, match=self.message("r_max", "finite and > 0", value)):
+            fit_reward_model(tiny_log([0, 1, 2]), kind, 4, r_max=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_latent_scale_that_is_not_finite_is_refused(self, value):
+        with pytest.raises(ValueError, match=self.message("latent_scale", "finite", value)):
+            LatentPreferenceModel(np.ones((4, 2)), r_max=5.0, scale=value)
 
 
 class TestScore:

@@ -19,7 +19,7 @@ from prefrl.metrics import EpisodeRecord, compute_metrics, smooth_curve
 from prefrl.oracle import PromptSpec, RemoteEndpoint, SyntheticOracle
 from prefrl.training import (ExplorationStrategy, TrainConfig, online_phase, run_baseline,
                              scratch_agent)
-from prefrl import cli, harness
+from prefrl import cli, environment, harness
 
 
 class TestEpisodeRecord:
@@ -666,6 +666,56 @@ class TestCli:
         assert capsys.readouterr().err == ("error: [oracle] temperature must be finite and "
                                            f">= 0, got {float(value)!r}\n")
         assert not out.exists()
+
+    @staticmethod
+    def _with_setting(section, key, value):
+        text = re.sub(rf"^{key} = .*\n", "", TINY_INI, flags=re.M)
+        return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_noise_scale_is_one_error_and_gen_data_writes_nothing(self, tmp_path, capsys,
+                                                                      value):
+        # unchecked, nan and -1 wrote a noiseless world and inf one ordered by +-inf
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text(self._with_setting("data", "noise_scale", value), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--out", str(out), "gen-data") == 1
+        assert capsys.readouterr().err == ("error: [data] noise_scale must be finite and "
+                                           f">= 0, got {float(value)!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, needs", [
+        ("r_max", "nan", "finite and > 0"), ("r_max", "inf", "finite and > 0"),
+        ("latent_scale", "nan", "finite"), ("latent_scale", "inf", "finite"),
+        ("quit_threshold", "nan", "finite and >= 0"),
+    ])
+    def test_bad_environment_float_is_one_error_before_anything_is_written(
+            self, tmp_path, capsys, key, value, needs):
+        # unchecked, nan ended in a non-finite loss, inf in a return of 0.000,
+        # and a nan quit threshold never quit
+        cfg = tmp_path / "env.ini"
+        cfg.write_text(self._with_setting("environment", key, value), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--out", str(out), "baseline", "pg") == 1
+        assert capsys.readouterr().err == (f"error: [environment] {key} must be {needs}, "
+                                           f"got {float(value)!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["r_max", "quit_threshold"])
+    def test_bad_environment_float_is_refused_before_the_fit(self, tmp_path, key,
+                                                              monkeypatch):
+        def fit(*args):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr(environment, "_fit_sequential", fit)
+        cfg = tmp_path / "env.ini"
+        cfg.write_text(self._with_setting("environment", key, "nan")
+                       .replace("kind = latent", "kind = sequential"), encoding="utf-8")
+        config = load_config(cfg)
+        with pytest.raises(ValueError, match=rf"^\[environment\] {key} must be finite"):
+            build_reward_model(config, build_world(config))
 
     def _assert_refused(self, out, config, *command):
         """Run ``command``, which must exit 1, and assert that it leaves every
