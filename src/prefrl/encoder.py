@@ -23,7 +23,9 @@ once from an :class:`nn.ParamStack` (states ``(S, B, d)``), and each set's
 rows keep the bits of that set's own forward.  One row on one parameter set
 (acting, scoring one history, every step of the sequential reward model's
 fit) runs on vectors instead: the same products in the same order, without
-the batch axes, so it has the bits of its row of any batch.
+the batch axes, so it has the bits of its row of any batch.  Its kernels
+read the set's tensors as one tuple (:func:`row_tensors`), which a loop that
+steps one set in place binds once.
 
 Projection matrices are initialized to identity plus small noise so that
 tiny instances can be checked by hand; gradients are derived analytically
@@ -111,26 +113,40 @@ def window_ids(sequences, config: EncoderConfig) -> np.ndarray:
     return np.fromiter(chain.from_iterable(pieces), np.int64, n * len(sequences)).reshape(-1, n)
 
 
-def _forward_row(ids: np.ndarray, params: ParamSet, config: EncoderConfig):
-    """:func:`_forward` of one padded (1, n) id row on one parameter set,
-    spelled on vectors: ``x`` is (n, d) and every product a 1-D @ 2-D one,
-    which runs the same BLAS matrix-vector product as the batched forward's
-    stacked (1, 1, d) one, so the state has the bits of its row of a batch.
-    The cache holds the same names without the batch axes."""
-    row = ids[0]
-    x = params["item_emb"].take(row, axis=0)
-    x += params["pos_emb"]                                   # (n, d)
+ROW_NAMES = ("item_emb", "pos_emb", "w_q", "w_k", "w_v")
+
+
+def row_tensors(mapping) -> tuple[np.ndarray, ...]:
+    """The encoder's tensors of ``mapping`` (a :class:`nn.ParamSet`, or its
+    ``grads``) in :data:`ROW_NAMES` order, the form :func:`_forward_row` and
+    :func:`_backward_row` read.  They are views into the set's flat arrays,
+    which a step updates in place, so a loop that steps one set binds them
+    once."""
+    return tuple(mapping[name] for name in ROW_NAMES)
+
+
+def _forward_row(row: np.ndarray, padding: np.ndarray, tensors):
+    """:func:`_forward` of one padded id row, ``padding`` its mask of padding
+    slots, on one parameter set's :func:`row_tensors`, spelled on vectors:
+    ``x`` is (n, d) and every product a 1-D @ 2-D one, which runs the same
+    BLAS matrix-vector product as the batched forward's stacked (1, 1, d)
+    one, so the state (d,) has the bits of its row of a batch.  The cache is
+    the tuple ``(row, x, q, qk, attn, ctx)``, the batched cache's arrays
+    without the batch axes."""
+    item_emb, pos_emb, w_q, w_k, w_v = tensors
+    x = item_emb.take(row, axis=0)
+    x += pos_emb                                             # (n, d)
     x_last = x[-1]
-    q = x_last @ params["w_q"]                               # (d,)
-    qk = q @ params["w_k"].T
-    scores = (qk @ x.T) * (1.0 / math.sqrt(config.embed_dim))
-    scores[row == config.padding_id] = -np.inf
+    q = x_last @ w_q                                         # (d,)
+    qk = q @ w_k.T
+    scores = (qk @ x.T) * (1.0 / math.sqrt(len(q)))
+    scores[padding] = -np.inf
     scores -= np.maximum.reduce(scores)                      # the last slot is never padding
     attn = np.exp(scores)
     attn /= np.add.reduce(attn)                              # (n,)
     ctx = attn @ x
-    h = x_last + ctx @ params["w_v"]
-    return h[None], {"ids": row, "x": x, "q": q, "qk": qk, "attn": attn, "ctx": ctx}
+    h = x_last + ctx @ w_v
+    return h, (row, x, q, qk, attn, ctx)
 
 
 def _forward(ids: np.ndarray, params, config: EncoderConfig):
@@ -150,7 +166,9 @@ def _forward(ids: np.ndarray, params, config: EncoderConfig):
     GEMM rounds differently at B = 1).
     """
     if len(ids) == 1 and params["w_q"].ndim == 2:
-        return _forward_row(ids, params, config)
+        row = ids[0]
+        h, cache = _forward_row(row, row == config.padding_id, row_tensors(params))
+        return h[None], cache
     x = np.take(params["item_emb"], ids, axis=-2)
     x += params["pos_emb"]                                   # (B, n, d)
     x_last = x[..., -1:, :]
@@ -197,43 +215,43 @@ def encode_batch(sequences, params: ParamSet, config: EncoderConfig) -> np.ndarr
     return encode_windows(window_ids(sequences, config), params, config)
 
 
-def _backward_row(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
-    """:func:`encode_backward` of :func:`_forward_row`'s cache: the batched
-    formulas on vectors, each batch sum a single outer product, and the last
-    slot's term one row added to its position and its item."""
-    x, q, qk, attn, ctx = (cache[name] for name in ("x", "q", "qk", "attn", "ctx"))
-    d = x.shape[1]
-    g = d_state.reshape(d)
-    d_ctx = g @ params["w_v"].T
+def _backward_row(cache: tuple, g: np.ndarray, tensors, grads) -> None:
+    """:func:`encode_backward` of :func:`_forward_row`'s cache and one state
+    gradient ``g`` (d,), with the parameters' and the gradient's
+    :func:`row_tensors`: the batched formulas on vectors, each batch sum a
+    single outer product, and the last slot's term one row added to its
+    position and its item."""
+    ids, x, q, qk, attn, ctx = cache
+    item_emb, _, w_q, w_k, w_v = tensors
+    item_grad, pos_grad, w_q_grad, w_k_grad, w_v_grad = grads
+    d_ctx = g @ w_v.T
     d_attn = d_ctx @ x.T                                         # (n,)
-    d_scores = attn * (d_attn - np.add.reduce(d_attn * attn)) * (1.0 / math.sqrt(d))
+    d_scores = attn * (d_attn - np.add.reduce(d_attn * attn)) * (1.0 / math.sqrt(len(g)))
     d_qk = d_scores @ x
-    d_q = d_qk @ params["w_k"]
-    grads = params.grads
-    grads["w_q"] += x[-1, :, None] * d_q
-    grads["w_k"] += d_qk[:, None] * q
-    grads["w_v"] += ctx[:, None] * g
-    ids = cache["ids"]
-    num_ids = params["item_emb"].shape[0]
-    pos_grad, item_grad = grads["pos_emb"], grads["item_emb"]
+    d_q = d_qk @ w_k
+    w_q_grad += x[-1, :, None] * d_q
+    w_k_grad += d_qk[:, None] * q
+    w_v_grad += ctx[:, None] * g
+    num_ids = len(item_emb)
     for weight, row in ((d_scores, qk), (attn, d_ctx)):
         pos_grad += weight[:, None] * row
         item_grad += np.bincount(ids, weight, num_ids)[:, None] * row
-    d_last = d_q @ params["w_q"].T + g
+    d_last = d_q @ w_q.T + g
     pos_grad[-1] += d_last
     item_grad[ids[-1]] += d_last
 
 
-def encode_backward(cache: dict, d_state: np.ndarray, params: ParamSet) -> None:
+def encode_backward(cache, d_state: np.ndarray, params: ParamSet) -> None:
     """Accumulate gradients of ``sum_b dot(d_state[b], state[b])`` into
     ``params.grads``; ``d_state`` is (B, d), or (d,) for a cache of one.
 
-    The cache of one row (acting's and scoring's forwards, every step of the
-    sequential reward model's fit) is read on vectors, without the batch
-    axes: the same values added in the same order as the batched formulas
-    below, so the same bits."""
-    if cache["x"].ndim == 2:
-        return _backward_row(cache, d_state, params)
+    The cache of one row on one parameter set, :func:`_forward_row`'s tuple,
+    is read on vectors by :func:`_backward_row`, without the batch axes: the
+    same values added in the same order as the batched formulas below, so
+    the same bits."""
+    if isinstance(cache, tuple):
+        return _backward_row(cache, d_state.reshape(-1), row_tensors(params),
+                             row_tensors(params.grads))
     x, q, qk, attn, ctx = (cache[name] for name in ("x", "q", "qk", "attn", "ctx"))
     B, n, d = x.shape
     g = d_state.reshape(B, 1, d)

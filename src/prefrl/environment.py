@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionLog
-from .encoder import (EncoderConfig, encode_backward, encode_batch, encode_windows_with_cache,
-                      init_encoder_params, window_ids)
-from .nn import ParamSet, optimizer_step, softmax
+from .encoder import (EncoderConfig, _backward_row, _forward_row, encode_batch,
+                      init_encoder_params, row_tensors, window_ids)
+from .nn import ParamSet, softmax, step_and_zero
 
 __all__ = [
     "EnvConfig",
@@ -94,6 +94,22 @@ def _reward_bound(r_max: float) -> float:
     if not (math.isfinite(r_max) and r_max > 0.0):
         raise ValueError(f"[environment] r_max must be finite and > 0, got {r_max!r}")
     return float(r_max)
+
+
+def _check_fit_settings(kind: str, d_rm: int, epochs: int, lr: float, neg_per_pos: int,
+                        rank_decay: float) -> None:
+    """Refuse, by its ``[environment]`` key, a fit setting that would fail
+    inside the fit or leave a model that is NaN or never fitted."""
+    min_d_rm = 2 if kind == "sequential" else 1    # the encoder's embed_dim is >= 2
+    for key, value, ok, needs in (
+            ("d_rm", d_rm, d_rm >= min_d_rm,
+             ">= 2 for a sequential model" if min_d_rm == 2 else ">= 1"),
+            ("fit_epochs", epochs, epochs >= 1, ">= 1"),
+            ("fit_lr", lr, math.isfinite(lr) and lr > 0.0, "finite and > 0"),
+            ("neg_per_pos", neg_per_pos, neg_per_pos >= 0, ">= 0"),
+            ("rank_decay", rank_decay, 0.0 < rank_decay <= 1.0, "in (0, 1]")):
+        if not ok:
+            raise ValueError(f"[environment] {key} must be {needs}, got {value!r}")
 
 
 class MatrixFactorizationModel(_RewardModel):
@@ -242,35 +258,40 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
                     max_seq_len: int, epochs: int, lr: float, r_max: float,
                     rng: np.random.Generator) -> SequentialModel:
     """Train the encoder next-item style (cross-entropy over all items, output
-    embeddings tied to the input item embeddings), then freeze it."""
+    embeddings tied to the input item embeddings), one (prefix, next item)
+    pair per SGD step on the encoder's row kernels, then freeze it.  The
+    fit keeps one gradient buffer, zeroed in place after each step, and
+    releases it at the end, so the model holds no gradient."""
     config = EncoderConfig(num_items=num_items, embed_dim=d_rm, max_seq_len=max_seq_len)
     params = ParamSet(init_encoder_params(config, rng))
     pairs = [(seq.items[:t], seq.items[t]) for seq in log_.sequences
              for t in range(1, len(seq.items))]
     if not pairs:
         raise ValueError("a sequential reward model needs a sequence of two or more items")
-    # the prefixes are fixed, so each is padded once, as a (1, n) row that
-    # encodes as encode_with_cache(prefix) does
-    rows = window_ids([prefix for prefix, _ in pairs], config)[:, None]
+    # the prefixes are fixed, so each is padded once, with its padding mask,
+    # as the row that encode_with_cache(prefix) runs on
+    rows = window_ids([prefix for prefix, _ in pairs], config)
+    padding = rows == config.padding_id
     targets = np.array([target for _, target in pairs], dtype=np.int64)
-    # the optimizer steps the parameters in place, so this view stays current
-    item_emb = params["item_emb"][:num_items]
+    # the step updates the parameters in place and zeroes the one gradient
+    # buffer in place, so these views stay current for the whole fit
+    tensors, grads = row_tensors(params), row_tensors(params.grads)
+    item_emb, item_grad = tensors[0][:num_items], grads[0][:num_items]
     loss_history = []
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
         total = 0.0
-        for ids, target in zip(rows[order], targets[order].tolist()):
-            states, cache = encode_windows_with_cache(ids, params, config)
-            state = states[0]
+        for row, pad, target in zip(rows[order], padding[order], targets[order].tolist()):
+            state, cache = _forward_row(row, pad, tensors)
             probs = softmax(item_emb @ state)
             total += -float(np.log(max(probs[target], 1e-12)))
-            d_logits = probs.copy()
+            d_logits = probs
             d_logits[target] -= 1.0
-            params.grads["item_emb"][:num_items] += d_logits[:, None] * state
-            d_state = item_emb.T @ d_logits
-            encode_backward(cache, d_state, params)
-            optimizer_step(params, lr)
+            item_grad += d_logits[:, None] * state
+            _backward_row(cache, item_emb.T @ d_logits, tensors, grads)
+            step_and_zero(params, lr)
         loss_history.append(total / len(pairs))
+    params.zero_grads()
     return SequentialModel(params, config, r_max, loss_history)
 
 
@@ -279,8 +300,9 @@ def fit_reward_model(log_: InteractionLog, kind: str, num_items: int, *,
                      neg_per_pos: int = 2, rank_decay: float = 0.7,
                      max_seq_len: int = 10, r_max: float = 5.0, seed: int = 0):
     """Fit a reward model of the requested kind on a train-split log.  A bad
-    ``r_max`` is refused before the fit starts."""
+    ``r_max`` or fit setting is refused before the fit starts."""
     r_max = _reward_bound(r_max)
+    _check_fit_settings(kind, d_rm, epochs, lr, neg_per_pos, rank_decay)
     if log_.num_sequences == 0:
         raise ValueError("cannot fit a reward model on an empty log")
     rng = np.random.default_rng(seed)

@@ -6,7 +6,9 @@ Everything operates on plain float64 numpy arrays.  A :class:`ParamSet`
 holds its parameters, its gradient and its momentum velocity as flat arrays
 in one layout (:func:`flat_layout`, :func:`flat_views`, which checkpoints
 read through too); the gradient is zero-filled when first read and freed by
-the step, so one step is one finiteness check and one array update.  A
+the step, so one step is one finiteness check and one array update
+(:func:`step_and_zero` zeroes it in place instead, for a loop that steps one
+set after every sample).  A
 :class:`ParamStack` holds S sets of one layout as the rows of one ``(S, P)``
 array, with each tensor's ``(S, ...)`` view, so one forward reads them all;
 a set moved into a row (:meth:`ParamSet.move_to`) is stepped there in place.
@@ -27,6 +29,7 @@ __all__ = [
     "softmax",
     "sample_categorical",
     "optimizer_step",
+    "step_and_zero",
     "finite_diff_grad",
     "flat_layout",
     "flat_views",
@@ -229,6 +232,25 @@ def sample_categorical(probs, rng: np.random.Generator) -> int:
     return min(idx, p.size - 1)  # guard against cdf[-1] < 1 from roundoff
 
 
+def _descend(params: ParamSet, lr: float, momentum: float) -> None:
+    """The step both :func:`optimizer_step` and :func:`step_and_zero` take:
+    the finiteness check, then ``p <- p - lr * step`` on the flat parameter
+    array, which leaves ``lr * step`` in the gradient buffer (no second
+    parameter-sized array).  The two differ only in what they do with that
+    buffer afterwards."""
+    grads = params.grads
+    g = params.grad
+    if not np.logical_and.reduce(np.isfinite(g)):
+        name = next(n for n, view in grads.items() if not np.isfinite(view).all())
+        raise ValueError(f"non-finite gradient for parameter {name!r}")
+    step = g
+    if momentum > 0.0:
+        v = params.velocity
+        params.velocity = step = (g.copy() if v is None
+                                  else np.add(np.multiply(v, momentum, out=v), g, out=v))
+    params.flat -= np.multiply(step, lr, out=g)
+
+
 def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamSet:
     """Apply one gradient-descent step ``p <- p - lr * g`` to the flat
     parameter array and release the gradient.
@@ -240,20 +262,20 @@ def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamS
     finite; if not, the step aborts before touching any parameter, naming
     the first offending parameter in parameter order.
     """
-    grads = params.grads
-    g = params.grad
-    if not np.isfinite(g).all():
-        name = next(n for n, view in grads.items() if not np.isfinite(view).all())
-        raise ValueError(f"non-finite gradient for parameter {name!r}")
-    step = g
-    if momentum > 0.0:
-        v = params.velocity
-        params.velocity = step = (g.copy() if v is None
-                                  else np.add(np.multiply(v, momentum, out=v), g, out=v))
-    # lr * step goes into the gradient, released below, rather than into a
-    # second parameter-sized array
-    params.flat -= np.multiply(step, lr, out=g)
+    _descend(params, lr, momentum)
     params.zero_grads()
+    return params
+
+
+def step_and_zero(params: ParamSet, lr: float) -> ParamSet:
+    """:func:`optimizer_step` without momentum that keeps the gradient
+    buffer: it is zeroed in place (``fill(0.0)``, the +0.0 a fresh buffer
+    holds), so every view of it that ``params.grads`` handed out stays valid
+    and reads zeros, for a loop that steps one set after every sample and
+    binds those views once.  The caller releases the buffer
+    (:meth:`ParamSet.zero_grads`) when the loop ends."""
+    _descend(params, lr, 0.0)
+    params.grad.fill(0.0)
     return params
 
 

@@ -27,11 +27,12 @@ def tool():
 
 
 def fixture_run(side, seed, p50, steps, digest="d", ret=1.0, correct=True, workload="w",
-                faults=None):
+                faults=None, reps=None):
     return {"workload": workload, "seed": seed, "side": side, "curve_digest": digest,
             "final_test_return": ret,
             **({} if faults is None else {"page_faults": {"minor": faults[0],
                                                           "major": faults[1]}}),
+            **({} if reps is None else {"repetitions": reps}),
             "result": {"correct": correct, "failed": 0 if correct else 3,
                        "metrics": {"step_ms_p50": {"value": p50, "unit": "ms"},
                                    "steps_per_s": {"value": steps, "unit": "1/s"}}}}
@@ -178,6 +179,26 @@ def test_page_faults_are_each_sides_median_over_the_counted_pairs(tool):
     assert tool.summarize(runs[-2:], METRICS)["w"]["page_faults"] is None
 
 
+def test_repetitions_are_each_sides_median_count_over_the_pairs_that_report_them(tool):
+    def columns(count):
+        return {"wall_s": [1.0] * count, "setup_s": [0.1] * count}
+
+    runs = []
+    for seed, (a, b) in enumerate([(48, 57), (49, 58), (47, 60)]):
+        runs += [fixture_run("parent", seed, 1.0, 100.0, reps=columns(a)),
+                 fixture_run("change", seed, 1.0, 100.0, reps=columns(b))]
+    runs += [fixture_run("parent", 3, 1.0, 100.0, reps=columns(99)),
+             fixture_run("change", 3, 1.0, 100.0)]          # pair 3 reports none on one side
+    entry = tool.summarize(runs, METRICS)["w"]
+    assert entry["pairs"] == 4
+    assert entry["repetitions"] == {"parent": 48, "change": 58}
+    assert tool.summarize(runs[-2:], METRICS)["w"]["repetitions"] is None
+    # a file written before repetitions were columns lists one row each
+    rows = [fixture_run(side, 0, 1.0, 100.0, reps=[{"wall_s": 1.0}] * count)
+            for side, count in (("parent", 3), ("change", 5))]
+    assert tool.summarize(rows, METRICS)["w"]["repetitions"] == {"parent": 3, "change": 5}
+
+
 def test_a_run_records_the_page_faults_of_its_process(tool, tmp_path):
     # a stand-in benchmark that touches 32 MB of fresh pages (8192 at 4 KB)
     (tmp_path / "perfbench").mkdir()
@@ -215,8 +236,10 @@ def test_every_side_of_a_pair_shares_the_pad_its_benchmark_sees(tool, tmp_path, 
     out = tmp_path / "bench.json"
     assert tool.main(["P", "C", "--workload", "adapt_ap", "--pairs", "3", "--control",
                       "--out", str(out), "--scratch", str(tmp_path / "trees")]) == 0
-    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    runs = doc["runs"]
     assert len(runs) == 9
+    assert doc["summary"]["adapt_ap"]["repetitions"] == dict.fromkeys(tool.SIDES, 2)
     for pair in range(3):
         sides = [run for run in runs if run["seed"] == pair]
         assert sorted(run["side"] for run in sides) == sorted(tool.SIDES)
@@ -231,7 +254,11 @@ def test_every_side_of_a_pair_shares_the_pad_its_benchmark_sees(tool, tmp_path, 
 def test_a_committed_summary_rebuilds_from_its_runs(tool, name):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
-    assert tool.summarize(doc["runs"], spec["end_to_end"]) == doc["summary"]
+    rebuilt = tool.summarize(doc["runs"], spec["end_to_end"])
+    for workload, entry in doc["summary"].items():
+        if "repetitions" not in entry:       # written before the summary counted them
+            del rebuilt[workload]["repetitions"]
+    assert rebuilt == doc["summary"]
 
 
 # a stand-in benchmark that reports the CPUs it may run on

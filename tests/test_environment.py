@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,58 @@ class TestBadRewardBound:
     def test_latent_scale_that_is_not_finite_is_refused(self, value):
         with pytest.raises(ValueError, match=self.message("latent_scale", "finite", value)):
             LatentPreferenceModel(np.ones((4, 2)), r_max=5.0, scale=value)
+
+
+class TestBadFitSettings:
+    # each setting failed inside the fit (lr on the sequential kind: "softmax
+    # requires finite logits"; neg_per_pos: numpy's "negative dimensions"),
+    # turned the model NaN without an error (lr and rank_decay on matrix
+    # factorization), left it unfitted (fit_epochs) or was refused under a
+    # key the user did not set (d_rm 1: "embed_dim must be >= 2")
+    KINDS = ["matrix_factorization", "sequential"]
+
+    def refused(self, kind, key, value, needs, monkeypatch, **kwargs):
+        def fit(*args):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr(environment, "_fit_matrix_factorization", fit)
+        monkeypatch.setattr(environment, "_fit_sequential", fit)
+        message = re.escape(f"[environment] {key} must be {needs}, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_reward_model(tiny_log([0, 1, 2]), kind, 4, **kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5, 0.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_lr_must_be_finite_and_positive(self, kind, value, monkeypatch):
+        self.refused(kind, "fit_lr", value, "finite and > 0", monkeypatch, lr=value)
+
+    @pytest.mark.parametrize("value", [-1, 0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_epochs_must_be_at_least_one(self, kind, value, monkeypatch):
+        self.refused(kind, "fit_epochs", value, ">= 1", monkeypatch, epochs=value)
+
+    def test_neg_per_pos_must_not_be_negative(self, monkeypatch):
+        self.refused("matrix_factorization", "neg_per_pos", -1, ">= 0", monkeypatch,
+                     neg_per_pos=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.7, 1.5])
+    def test_rank_decay_must_lie_in_zero_to_one(self, value, monkeypatch):
+        self.refused("matrix_factorization", "rank_decay", value, "in (0, 1]", monkeypatch,
+                     rank_decay=value)
+
+    @pytest.mark.parametrize("kind, value, needs", [
+        ("sequential", 1, ">= 2 for a sequential model"),
+        ("matrix_factorization", 0, ">= 1")])
+    def test_d_rm_must_fit_the_kind(self, kind, value, needs, monkeypatch):
+        self.refused(kind, "d_rm", value, needs, monkeypatch, d_rm=value)
+
+    def test_the_smallest_settings_fit(self):
+        log = tiny_log([0, 1, 2], [2, 3])
+        mf = fit_reward_model(log, "matrix_factorization", 4, d_rm=1, epochs=1,
+                              neg_per_pos=0, rank_decay=1.0, lr=1e-3)
+        assert mf.user_factors.shape == (2, 1) and len(mf.loss_history) == 1
+        seq = fit_reward_model(log, "sequential", 4, d_rm=2, epochs=1, lr=1e-3)
+        assert seq.encoder_config.embed_dim == 2 and len(seq.loss_history) == 1
 
 
 class TestScore:
@@ -249,19 +302,69 @@ class TestFitSequential:
         assert max_rel_err(analytic, numeric) < 1e-4
 
     def test_fit_is_bitwise_the_loop_that_pads_every_step(self):
-        # the fit pads each fixed prefix once and steps one flat array; a
-        # plain loop over frozen copies of the single-row forward, backward
-        # and SGD step, padding the prefix at every step, gives every bit
-        _, log, _ = generate_synthetic(12, 15, 6, 3, seed=6, noise_scale=0.05)
-        num_items, d_rm, max_seq_len, epochs, lr, seed = 15, 4, 3, 3, 0.05, 2
-        params, losses = reference_fit_sequential(log, num_items, d_rm, max_seq_len, epochs,
-                                                  lr, seed)
-        m = fit_reward_model(log, "sequential", num_items, d_rm=d_rm, epochs=epochs, lr=lr,
-                             max_seq_len=max_seq_len, seed=seed)
-        assert m.loss_history == losses
-        assert m.params.names() == list(params)
-        for name in params:
-            assert np.array_equal(m.params[name], params[name]), name
+        # the fit pads each fixed prefix once and steps one flat array with
+        # one gradient buffer; a plain loop over frozen copies of the
+        # single-row forward, backward and SGD step, padding the prefix and
+        # allocating a zero gradient at every step, gives every bit: on a
+        # small shape, and on the default world's 30 items with the default
+        # d_rm 8 and max_seq_len 10
+        for (users, num_items, d_lat, data_seed), d_rm, max_seq_len, epochs, lr, seed in (
+                ((12, 15, 3, 6), 4, 3, 3, 0.05, 2), ((30, 30, 4, 0), 8, 10, 2, 0.01, 0)):
+            _, log, _ = generate_synthetic(users, num_items, 6, d_lat, seed=data_seed,
+                                           noise_scale=0.05)
+            params, losses = reference_fit_sequential(log, num_items, d_rm, max_seq_len,
+                                                      epochs, lr, seed)
+            m = fit_reward_model(log, "sequential", num_items, d_rm=d_rm, epochs=epochs,
+                                 lr=lr, max_seq_len=max_seq_len, seed=seed)
+            assert m.loss_history == losses
+            assert m.params.names() == list(params)
+            for name in params:
+                assert np.array_equal(m.params[name], params[name]), (num_items, name)
+
+    def test_a_fit_keeps_one_gradient_buffer_and_returns_none(self, monkeypatch):
+        # the default fit (4,800 one-row steps on the default world's train
+        # split) builds the parameters' views and the gradient's once, not a
+        # fresh gradient per row, and releases the buffer at the end
+        from prefrl import nn
+        from prefrl.data import split_log
+
+        calls = []
+        flat_views = nn.flat_views
+
+        def spy(flat, layout):
+            calls.append(flat.size)
+            return flat_views(flat, layout)
+
+        monkeypatch.setattr(nn, "flat_views", spy)
+        _, log, _ = generate_synthetic(30, 30, 6, 4, seed=0, noise_scale=0.05)
+        train, _ = split_log(log, 0.8, seed=0)
+        m = fit_reward_model(train, "sequential", 30, seed=0)
+        assert len(m.loss_history) == 40
+        assert len(calls) <= 2
+        assert m.params.grad is None
+
+    def test_a_non_finite_gradient_mid_fit_is_refused_with_the_parameters_unmoved(
+            self, monkeypatch):
+        # a backward that writes a NaN into w_k's gradient at the seventh row:
+        # that row's step names w_k and moves no parameter, while the six
+        # steps before it did move them
+        backward = environment._backward_row
+        live, seen = [], []
+
+        def poisoned(cache, g, tensors, grads):
+            backward(cache, g, tensors, grads)
+            live[:] = tensors
+            seen.append([t.copy() for t in tensors])
+            if len(seen) == 7:
+                grads[3][1, 2] = np.nan
+
+        monkeypatch.setattr(environment, "_backward_row", poisoned)
+        _, log, _ = generate_synthetic(6, 8, 4, 3, seed=1, noise_scale=0.05)
+        with pytest.raises(ValueError, match="^non-finite gradient for parameter 'w_k'$"):
+            fit_reward_model(log, "sequential", 8, d_rm=3, max_seq_len=4, epochs=2, seed=0)
+        assert len(seen) == 7
+        assert not all(np.array_equal(a, b) for a, b in zip(seen[5], seen[6]))
+        assert all(np.array_equal(a, b) for a, b in zip(seen[6], live))
 
     def test_a_log_without_a_next_item_is_refused(self):
         with pytest.raises(ValueError, match="a sequence of two or more items"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prefrl.nn import (ParamSet, ParamStack, finite_diff_grad, optimizer_step,
-                       sample_categorical, softmax)
+                       sample_categorical, softmax, step_and_zero)
 
 from helpers import max_rel_err
 
@@ -121,6 +121,31 @@ class TestOptimizerStep:
         with pytest.raises(ValueError, match="bad"):
             optimizer_step(ps, lr=0.1)
         assert ps["ok"][0] == 1.0  # nothing was touched
+
+    def test_step_and_zero_is_the_step_keeping_one_zeroed_buffer(self):
+        # the same parameters as optimizer_step, with the gradient's buffer and
+        # views kept and reading +0.0; a non-finite gradient is refused, by
+        # name, with nothing touched
+        rng = np.random.default_rng(2)
+        kept = ParamSet({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)})
+        freed = kept.copy()
+        views = kept.grads
+        buffer = kept.grad
+        for _ in range(3):
+            g = rng.normal(size=kept.num_scalars())
+            for params in (kept, freed):
+                params.grads                 # allocates the freed set's gradient
+                params.grad[...] = g
+            step_and_zero(kept, 0.1)
+            optimizer_step(freed, 0.1)
+            assert np.array_equal(kept.flat, freed.flat)
+            assert kept.grads is views and kept.grad is buffer and freed.grad is None
+            assert not buffer.any() and not np.signbit(buffer).any()
+        views["b"][2] = np.inf
+        before = kept.flat.copy()
+        with pytest.raises(ValueError, match="^non-finite gradient for parameter 'b'$"):
+            step_and_zero(kept, 0.1)
+        assert np.array_equal(kept.flat, before)
 
     def test_momentum_decays_the_velocity_of_an_untouched_parameter(self):
         ps = ParamSet({"a": np.array([0.0]), "b": np.array([0.0])})

@@ -23,7 +23,9 @@ records the minor and major page faults of its process tree (the
 ``getrusage(RUSAGE_CHILDREN)`` deltas around it), and the summary gives each
 side's medians of them, so a loop metric that moves can be checked against
 the heap's faulting.  A run's repetitions are stored as columns, ``{field:
-[values]}``.  The output is rewritten after each run, so an interrupted
+[values]}``, and the summary gives each side's median repetition count: the
+benchmark keeps every repetition's agent until it exits, so a side that fits
+more repetitions into the run reads a higher ``peak_rss_mb``.  The output is rewritten after each run, so an interrupted
 session keeps the runs it made.  Metric directions and the run length come from
 ``BENCHMARK.json``.  ``--claim WORKLOAD/METRIC`` names the end-to-end
 metric a change claims to improve.  The file's first key, ``claim``, then
@@ -95,12 +97,22 @@ def compare(base: list[float], other: list[float], better: str) -> dict:
             "resolved": abs(other_median - base_median) > q3 - q1}
 
 
+def repetition_count(run: dict) -> int | None:
+    """The number of repetitions ``run`` reports, as columns or (in files
+    written before they were columns) as a list of rows; None without any."""
+    reps = run.get("repetitions")
+    if not reps:
+        return None
+    return len(reps) if isinstance(reps, list) else len(next(iter(reps.values())))
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: the pairs whose every side ran, whether every pair had
     equal digests and final returns and every run was correct, the failed
     operations per side, each side's median minor and major page faults
-    over the pairs whose every run counted them (None without such a pair),
-    and per metric the change (and the control, if run) compared with the
+    over the pairs whose every run counted them and its median
+    :func:`repetition_count` over the pairs whose every run reported
+    repetitions (each None without such a pair), and per metric the change (and the control, if run) compared with the
     parent by :func:`compare`, over the pairs whose every run reported its
     metrics."""
     summary = {}
@@ -116,6 +128,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                               for r in p.values()}) != 1]
         measured = [p for p in pairs if all(r["result"].get("metrics") for r in p.values())]
         counted = [p for p in pairs if all("page_faults" in r for r in p.values())]
+        repeated = [p for p in pairs if all(map(repetition_count, p.values()))]
         entry = {"pairs": len(pairs), "sides": sides, "digests_equal": not mismatched,
                  "digest_mismatches": mismatched,
                  "all_correct": all(r["result"].get("correct") for p in pairs
@@ -126,6 +139,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                                                                 for p in counted)
                                         for kind in ("minor", "major")}
                                  for side in sides} if counted else None,
+                 "repetitions": {side: statistics.median(repetition_count(p[side])
+                                                         for p in repeated)
+                                 for side in sides} if repeated else None,
                  "measured_pairs": len(measured)}
         if measured:
             for metric in metrics:
