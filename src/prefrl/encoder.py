@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -113,16 +114,11 @@ def window_ids(sequences, config: EncoderConfig) -> np.ndarray:
     return np.fromiter(chain.from_iterable(pieces), np.int64, n * len(sequences)).reshape(-1, n)
 
 
-ROW_NAMES = ("item_emb", "pos_emb", "w_q", "w_k", "w_v")
-
-
-def row_tensors(mapping) -> tuple[np.ndarray, ...]:
-    """The encoder's tensors of ``mapping`` (a :class:`nn.ParamSet`, or its
-    ``grads``) in :data:`ROW_NAMES` order, the form :func:`_forward_row` and
-    :func:`_backward_row` read.  They are views into the set's flat arrays,
-    which a step updates in place, so a loop that steps one set binds them
-    once."""
-    return tuple(mapping[name] for name in ROW_NAMES)
+# The encoder's tensors of one parameter set's ``params`` or ``grads`` dict,
+# as the tuple :func:`_forward_row` and :func:`_backward_row` read.  They are
+# views into the set's flat arrays, which a step updates in place, so a loop
+# that steps one set binds them once.
+row_tensors = itemgetter("item_emb", "pos_emb", "w_q", "w_k", "w_v")
 
 
 def _forward_row(row: np.ndarray, padding: np.ndarray, tensors):
@@ -167,7 +163,7 @@ def _forward(ids: np.ndarray, params, config: EncoderConfig):
     """
     if len(ids) == 1 and params["w_q"].ndim == 2:
         row = ids[0]
-        h, cache = _forward_row(row, row == config.padding_id, row_tensors(params))
+        h, cache = _forward_row(row, row == config.padding_id, row_tensors(params.params))
         return h[None], cache
     x = np.take(params["item_emb"], ids, axis=-2)
     x += params["pos_emb"]                                   # (B, n, d)
@@ -250,7 +246,7 @@ def encode_backward(cache, d_state: np.ndarray, params: ParamSet) -> None:
     same values added in the same order as the batched formulas below, so
     the same bits."""
     if isinstance(cache, tuple):
-        return _backward_row(cache, d_state.reshape(-1), row_tensors(params),
+        return _backward_row(cache, d_state.reshape(-1), row_tensors(params.params),
                              row_tensors(params.grads))
     x, q, qk, attn, ctx = (cache[name] for name in ("x", "q", "qk", "attn", "ctx"))
     B, n, d = x.shape

@@ -275,7 +275,7 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
     targets = np.array([target for _, target in pairs], dtype=np.int64)
     # the step updates the parameters in place and zeroes the one gradient
     # buffer in place, so these views stay current for the whole fit
-    tensors, grads = row_tensors(params), row_tensors(params.grads)
+    tensors, grads = row_tensors(params.params), row_tensors(params.grads)
     item_emb, item_grad = tensors[0][:num_items], grads[0][:num_items]
     loss_history = []
     for _ in range(epochs):

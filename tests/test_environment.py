@@ -321,7 +321,7 @@ class TestFitSequential:
             for name in params:
                 assert np.array_equal(m.params[name], params[name]), (num_items, name)
 
-    def test_a_fit_keeps_one_gradient_buffer_and_returns_none(self, monkeypatch):
+    def test_a_fit_keeps_one_gradient_buffer_and_releases_it(self, monkeypatch):
         # the default fit (4,800 one-row steps on the default world's train
         # split) builds the parameters' views and the gradient's once, not a
         # fresh gradient per row, and releases the buffer at the end
@@ -346,8 +346,8 @@ class TestFitSequential:
     def test_a_non_finite_gradient_mid_fit_is_refused_with_the_parameters_unmoved(
             self, monkeypatch):
         # a backward that writes a NaN into w_k's gradient at the seventh row:
-        # that row's step names w_k and moves no parameter, while the six
-        # steps before it did move them
+        # that row's step names w_k and moves no parameter, while the step
+        # before it did move them
         backward = environment._backward_row
         live, seen = [], []
 

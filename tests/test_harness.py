@@ -703,6 +703,23 @@ class TestCli:
                                            f"got {float(value)!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, needs", [
+        ("fit_lr", "nan", "finite and > 0"), ("d_rm", "1", ">= 2 for a sequential model")])
+    def test_bad_fit_setting_is_one_error_before_anything_is_written(
+            self, tmp_path, capsys, key, value, needs):
+        # unchecked, a nan fit_lr ended in "softmax requires finite logits" and
+        # d_rm 1 in "embed_dim must be >= 2"
+        cfg = tmp_path / "env.ini"
+        cfg.write_text(self._with_setting("environment", key, value)
+                       .replace("kind = latent", "kind = sequential"), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--out", str(out), "baseline", "pg") == 1
+        shown = float(value) if key == "fit_lr" else int(value)
+        assert capsys.readouterr().err == (f"error: [environment] {key} must be {needs}, "
+                                           f"got {shown!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["r_max", "quit_threshold"])
     def test_bad_environment_float_is_refused_before_the_fit(self, tmp_path, key,
                                                               monkeypatch):
