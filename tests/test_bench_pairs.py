@@ -250,7 +250,7 @@ def test_every_side_of_a_pair_shares_the_pad_its_benchmark_sees(tool, tmp_path, 
     assert len(set(pads)) > 1 and all(0 <= pad < 4096 for pad in pads)
 
 
-@pytest.mark.parametrize("name", ["BENCH_22.json", "BENCH_23.json"])
+@pytest.mark.parametrize("name", ["BENCH_22.json", "BENCH_23.json", "BENCH_29.json"])
 def test_a_committed_summary_rebuilds_from_its_runs(tool, name):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
