@@ -36,7 +36,8 @@ from itertools import repeat
 import numpy as np
 
 from .encoder import (EncoderConfig, encode, encode_backward, encode_windows,
-                      encode_windows_with_cache, init_encoder_params, window_ids)
+                      encode_windows_with_cache, init_encoder_params, shift_windows,
+                      window_ids)
 from .nn import ParamSet, optimizer_step, softmax
 
 __all__ = [
@@ -100,10 +101,8 @@ class TransitionBatch:
 
     @property
     def next_windows(self) -> np.ndarray:
-        """The next states' windows: each state window shifted left one
-        place with its action appended, as :func:`encoder.window_ids` would
-        pad the next state."""
-        return np.concatenate((self.windows[:, 1:], self.actions[:, None]), axis=1)
+        """The next states' windows, each state's shifted in by its action."""
+        return shift_windows(self.windows, self.actions)
 
     @classmethod
     def empty(cls, rows: int, config: EncoderConfig) -> "TransitionBatch":

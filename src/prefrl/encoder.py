@@ -55,6 +55,7 @@ __all__ = [
     "encode_backward",
     "encode_batch",
     "window_ids",
+    "shift_windows",
     "encode_windows",
     "encode_windows_with_cache",
 ]
@@ -112,6 +113,12 @@ def window_ids(sequences, config: EncoderConfig) -> np.ndarray:
         pieces.append((pad,) * (n - len(seq)))
         pieces.append(seq[-n:])
     return np.fromiter(chain.from_iterable(pieces), np.int64, n * len(sequences)).reshape(-1, n)
+
+
+def shift_windows(windows: np.ndarray, actions) -> np.ndarray:
+    """Each window (the last axis) shifted left one place with its action
+    appended: the next state's window, as :func:`window_ids` would pad it."""
+    return np.concatenate((windows[..., 1:], actions[..., None]), axis=-1)
 
 
 # The encoder's tensors of one parameter set's ``params`` or ``grads`` dict,

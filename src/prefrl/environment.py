@@ -34,7 +34,7 @@ import numpy as np
 from .data import InteractionLog
 from .encoder import (EncoderConfig, _backward_row, _forward_row, encode_batch,
                       init_encoder_params, row_tensors, window_ids)
-from .nn import ParamSet, softmax, step_and_zero
+from .nn import ParamSet, optimizer_step, softmax
 
 __all__ = [
     "EnvConfig",
@@ -259,9 +259,8 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
                     rng: np.random.Generator) -> SequentialModel:
     """Train the encoder next-item style (cross-entropy over all items, output
     embeddings tied to the input item embeddings), one (prefix, next item)
-    pair per SGD step on the encoder's row kernels, then freeze it.  The
-    fit keeps one gradient buffer, zeroed in place after each step, and
-    releases it at the end, so the model holds no gradient."""
+    pair per SGD step on the encoder's row kernels, then freeze it, its
+    gradient buffer released."""
     config = EncoderConfig(num_items=num_items, embed_dim=d_rm, max_seq_len=max_seq_len)
     params = ParamSet(init_encoder_params(config, rng))
     pairs = [(seq.items[:t], seq.items[t]) for seq in log_.sequences
@@ -273,8 +272,7 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
     rows = window_ids([prefix for prefix, _ in pairs], config)
     padding = rows == config.padding_id
     targets = np.array([target for _, target in pairs], dtype=np.int64)
-    # the step updates the parameters in place and zeroes the one gradient
-    # buffer in place, so these views stay current for the whole fit
+    # the step updates both in place, so these views hold for the whole fit
     tensors, grads = row_tensors(params.params), row_tensors(params.grads)
     item_emb, item_grad = tensors[0][:num_items], grads[0][:num_items]
     loss_history = []
@@ -289,7 +287,7 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
             d_logits[target] -= 1.0
             item_grad += d_logits[:, None] * state
             _backward_row(cache, item_emb.T @ d_logits, tensors, grads)
-            step_and_zero(params, lr)
+            optimizer_step(params, lr)
         loss_history.append(total / len(pairs))
     params.zero_grads()
     return SequentialModel(params, config, r_max, loss_history)

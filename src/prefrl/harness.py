@@ -332,6 +332,7 @@ def pretrain_with_checkpoints(cfg: AppConfig, world: World, oracle, seed: int,
 
 
 def _world_and_model(cfg: AppConfig):
+    train_config_from(cfg)  # the [training] settings refused by key before anything is built
     world = build_world(cfg)
     model = build_reward_model(cfg, world)
     return world, model

@@ -5,11 +5,11 @@ finite-difference gradient oracle.
 Everything operates on plain float64 numpy arrays.  A :class:`ParamSet`
 holds its parameters, its gradient and its momentum velocity as flat arrays
 in one layout (:func:`flat_layout`, :func:`flat_views`, which checkpoints
-read through too); the gradient is zero-filled when first read and freed by
-the step, so one step is one finiteness check and one array update
-(:func:`step_and_zero` zeroes it in place instead, for a loop that steps one
-set after every sample).  A
-:class:`ParamStack` holds S sets of one layout as the rows of one ``(S, P)``
+read through too).  The gradient has one lifecycle: allocated as zeros when
+first read, zeroed in place by each step, so every view of it stays valid
+for the whole run, and released (:meth:`ParamSet.zero_grads`) when a run
+hands its set back; one step is one finiteness check and one array update.
+A :class:`ParamStack` holds S sets of one layout as the rows of one ``(S, P)``
 array, with each tensor's ``(S, ...)`` view, so one forward reads them all;
 a set moved into a row (:meth:`ParamSet.move_to`) is stepped there in place.
 Every analytic gradient in this package is checked against
@@ -29,7 +29,6 @@ __all__ = [
     "softmax",
     "sample_categorical",
     "optimizer_step",
-    "step_and_zero",
     "finite_diff_grad",
     "flat_layout",
     "flat_views",
@@ -71,9 +70,10 @@ class ParamSet:
     :func:`optimizer_step` updates ``flat`` in place with one expression.
     ``grad`` is the flat gradient: ``None`` until a gradient is first read
     through ``grads``, which allocates it as zeros and maps every parameter
-    name to a view of its span, and released again by the step (or
-    :meth:`zero_grads`), so a bundle that is not training (a frozen policy, a
-    target snapshot, a finished run's result) holds no gradient memory.
+    name to a view of its span; each step zeroes it in place and
+    :meth:`zero_grads` releases it, as a run does when it hands its set back,
+    so a bundle that is not training (a frozen policy, a target snapshot, a
+    clone, a finished run's result) holds no gradient memory.
     ``velocity`` is the flat momentum velocity, ``None`` until a step with
     momentum creates it.
     """
@@ -233,11 +233,9 @@ def sample_categorical(probs, rng: np.random.Generator) -> int:
 
 
 def _descend(params: ParamSet, lr: float, momentum: float) -> None:
-    """The step both :func:`optimizer_step` and :func:`step_and_zero` take:
-    the finiteness check, then ``p <- p - lr * step`` on the flat parameter
-    array, which leaves ``lr * step`` in the gradient buffer (no second
-    parameter-sized array).  The two differ only in what they do with that
-    buffer afterwards."""
+    """:func:`optimizer_step`'s arithmetic: the finiteness check, then ``p
+    <- p - lr * step`` on the flat parameter array, which leaves ``lr *
+    step`` in the gradient buffer (no second parameter-sized array)."""
     grads = params.grads
     g = params.grad
     if not np.logical_and.reduce(np.isfinite(g)):
@@ -253,28 +251,17 @@ def _descend(params: ParamSet, lr: float, momentum: float) -> None:
 
 def optimizer_step(params: ParamSet, lr: float, momentum: float = 0.0) -> ParamSet:
     """Apply one gradient-descent step ``p <- p - lr * g`` to the flat
-    parameter array and release the gradient.
+    parameter array and zero the gradient buffer in place.
 
     The gradient is read through ``params.grads``, so one never read since
     the last step is zero.  With ``momentum > 0`` a flat velocity ``v <-
     momentum * v + g`` (``g`` itself at the first such step) is used in place
     of the raw gradient.  One pass over the flat gradient checks that it is
     finite; if not, the step aborts before touching any parameter, naming
-    the first offending parameter in parameter order.
+    the first offending parameter in parameter order.  The buffer is then
+    zeroed in place (``fill(0.0)``, a fresh buffer's +0.0), keeping its views.
     """
     _descend(params, lr, momentum)
-    params.zero_grads()
-    return params
-
-
-def step_and_zero(params: ParamSet, lr: float) -> ParamSet:
-    """:func:`optimizer_step` without momentum that keeps the gradient
-    buffer: it is zeroed in place (``fill(0.0)``, the +0.0 a fresh buffer
-    holds), so every view of it that ``params.grads`` handed out stays valid
-    and reads zeros, for a loop that steps one set after every sample and
-    binds those views once.  The caller releases the buffer
-    (:meth:`ParamSet.zero_grads`) when the loop ends."""
-    _descend(params, lr, 0.0)
     params.grad.fill(0.0)
     return params
 

@@ -404,6 +404,8 @@ class SyntheticOracle:
     """Judge over ground-truth latents; pure and freely concurrent."""
 
     def __init__(self, truth: SyntheticGroundTruth, threshold: float = 0.5):
+        if math.isnan(threshold):  # no score would clear it, so every call would abstain
+            raise ValueError(f"[oracle] threshold must be a number, got {threshold!r}")
         self.truth = truth
         self.threshold = threshold
 

@@ -96,7 +96,7 @@ import numpy as np
 
 from .agent import (AgentBundle, Transition, TransitionBatch, action_distribution,
                     init_agent, q_values, update)
-from .encoder import GATHERED, EncoderConfig, encode_windows, window_ids
+from .encoder import GATHERED, EncoderConfig, encode_windows, shift_windows, window_ids
 from .environment import EnvState
 from .metrics import EpisodeRecord, MetricMeans, compute_metrics
 from .nn import ParamStack, _check_probs, sample_categorical, softmax
@@ -175,7 +175,7 @@ class ReplayBuffer:
         rows = self._rows
         if transition.state_items is self._last_next:
             last = (self._pushes - 1) % self.capacity
-            window = np.concatenate((rows.windows[last, 1:], rows.actions[last:last + 1]))
+            window = shift_windows(rows.windows[last], rows.actions[last])
         else:
             window = window_ids([transition.state_items], rows.encoder_config)[0]
         rows.put(self._pushes % self.capacity, transition, window)
@@ -242,8 +242,10 @@ class TrainConfig:
             raise ValueError("alpha_init must lie in [0, 1]")
         if self.candidate_sampling not in ("topk", "categorical"):
             raise ValueError(f"unknown candidate_sampling {self.candidate_sampling!r}")
-        if self.lr < 0 or self.momentum < 0:
-            raise ValueError("lr and momentum must be nonnegative")
+        for key in ("lr", "momentum"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"[training] {key} must be finite and >= 0, got {value!r}")
         if self.target_update < 0:
             raise ValueError("target_update must be >= 0 (0 = live critic)")
 
@@ -437,12 +439,12 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
     extends the sequence, the transition lands in the replay buffer, and one
     minibatch update runs once the buffer is warm.
 
-    Returns the (mutated) agent and a list of per-epoch records with mean
-    losses and mean judge reward.  ``epoch_callback(epoch, agent, record,
-    rng_state)`` supports checkpoint-and-resume: it runs from the loop's
-    episode hook, after the epoch's last transition is learned and before the
-    next epoch's start is drawn, so ``rng_state`` is the state a resumed run
-    starts from.
+    Returns the (mutated) agent, its gradient buffer released, and a list of
+    per-epoch records with mean losses and mean judge reward.
+    ``epoch_callback(epoch, agent, record, rng_state)`` supports
+    checkpoint-and-resume: it runs from the loop's episode hook, after the
+    epoch's last transition is learned and before the next epoch's start is
+    drawn, so ``rng_state`` is the state a resumed run starts from.
     """
     if rng is None:
         rng = derive_rng(config.seed, KEY_PRETRAIN)
@@ -470,6 +472,7 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
     steps = (config.pretrain_epochs - start_epoch) * config.pretrain_horizon
     _rollout("pretrain", env, config, steps, act, _ReplayTD(agent, config, rng),
              on_episode=on_episode)
+    agent.params.zero_grads()
     return agent, records
 
 
@@ -560,7 +563,7 @@ def _play(policy: _PolicyView, env, starts: list[EnvState]) -> EvalResult:
             if not done:
                 running.append(i)
         keep = np.logical_not(dones)
-        ids = np.concatenate((ids[keep, 1:], actions[keep, None]), axis=1)
+        ids = shift_windows(ids[keep], actions[keep])
         live = running
     slots = [played[start] for start in starts]
     global_steps = itertools.accumulate(lengths[j] for j in slots)
@@ -690,9 +693,10 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
     (``episodes_per_epoch`` episodes of ``max_steps``) and after the last
     ('final'); for ap it then sets alpha from the step, so a snapshot sees
     the previous step's mixture.  The returned agent owns its parameters
-    (for ap, moved out of the mixture's stack with their velocity).  An
-    ``episodes_per_epoch`` below 1 or, with an ``eval_env``, an
-    ``eval_episodes`` below 1 raises ValueError before the first step.
+    (for ap, moved out of the mixture's stack with their velocity) and holds
+    no gradient buffer.  An ``episodes_per_epoch`` below 1 or, with an
+    ``eval_env``, an ``eval_episodes`` below 1 raises ValueError before the
+    first step.
     """
     if method not in ONLINE_METHODS:
         raise ValueError(f"unknown online method {method!r} ({'|'.join(ONLINE_METHODS)})")
@@ -749,6 +753,7 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
     if mix is not None:
         # out of the stack, so a kept agent does not keep the frozen row alive
         work.params.move_to(own)
+    work.params.zero_grads()
     return RunResult(work, episodes, snapshots, mix)
 
 

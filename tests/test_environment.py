@@ -8,9 +8,12 @@ from helpers import reference_fit_sequential, reference_score
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic
 from prefrl import environment
 from prefrl.encoder import encode
+from prefrl.agent import init_agent
 from prefrl.environment import (EnvConfig, LatentPreferenceModel,
                                 MatrixFactorizationModel, UserEnvironment,
                                 fit_reward_model)
+from prefrl.oracle import SyntheticOracle
+from prefrl.training import ONLINE_METHODS, TrainConfig, online_phase, pretrain
 
 
 def tiny_log(*seqs):
@@ -321,27 +324,55 @@ class TestFitSequential:
             for name in params:
                 assert np.array_equal(m.params[name], params[name]), (num_items, name)
 
-    def test_a_fit_keeps_one_gradient_buffer_and_releases_it(self, monkeypatch):
-        # the default fit (4,800 one-row steps on the default world's train
-        # split) builds the parameters' views and the gradient's once, not a
-        # fresh gradient per row, and releases the buffer at the end
+    @pytest.mark.parametrize("run", ["fit", "pretrain", *ONLINE_METHODS])
+    def test_a_fit_keeps_one_gradient_buffer_and_releases_it(self, monkeypatch, run):
+        # every step zeroes the gradient in place, so a run (the default fit,
+        # 4,800 one-row steps on the default world's train split; pre-training;
+        # each online method) builds its gradient views once, not once per
+        # step, and releases the buffer when it hands its set back
         from prefrl import nn
         from prefrl.data import split_log
 
-        calls = []
-        flat_views = nn.flat_views
+        calls, grad_views, steps = [], [], []
+        flat_views, views, descend = nn.flat_views, nn._GradViews, nn._descend
 
         def spy(flat, layout):
             calls.append(flat.size)
             return flat_views(flat, layout)
 
+        def counted(*args):
+            grad_views.append(args)
+            return views(*args)
+
+        def step(*args):
+            steps.append(args)
+            descend(*args)
+
         monkeypatch.setattr(nn, "flat_views", spy)
-        _, log, _ = generate_synthetic(30, 30, 6, 4, seed=0, noise_scale=0.05)
+        monkeypatch.setattr(nn, "_GradViews", counted)
+        monkeypatch.setattr(nn, "_descend", step)
+        _, log, truth = generate_synthetic(30, 30, 6, 4, seed=0, noise_scale=0.05)
         train, _ = split_log(log, 0.8, seed=0)
-        m = fit_reward_model(train, "sequential", 30, seed=0)
-        assert len(m.loss_history) == 40
-        assert len(calls) <= 2
-        assert m.params.grad is None
+        if run == "fit":
+            m = fit_reward_model(train, "sequential", 30, seed=0)
+            assert len(m.loss_history) == 40 and len(calls) <= 2
+            returned = [m.params]
+        else:
+            agent = init_agent(30, embed_dim=8, max_seq_len=6, seed=1)
+            config = TrainConfig(pretrain_epochs=3, pretrain_horizon=10, online_steps=60,
+                                 batch_size=8, buffer_capacity=50, lr=0.01, k=5, seed=0)
+            oracle = SyntheticOracle(truth, 0.5)
+            if run == "pretrain":
+                returned = [pretrain(agent, oracle, config, train)[0].params]
+            else:
+                env = UserEnvironment(LatentPreferenceModel(truth.item_latents, r_max=5.0),
+                                      train, EnvConfig(max_steps=12, seed=1))
+                result = online_phase(run, agent, env, config, oracle=oracle)
+                returned = [result.agent.params, agent.params]
+                if result.mix is not None:
+                    returned.append(result.mix.frozen.params)
+        assert len(steps) > 1 and len(grad_views) == 1
+        assert all(params.grad is None for params in returned)
 
     def test_a_non_finite_gradient_mid_fit_is_refused_with_the_parameters_unmoved(
             self, monkeypatch):

@@ -685,21 +685,31 @@ class TestCli:
                                            f">= 0, got {float(value)!r}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value, needs", [
-        ("r_max", "nan", "finite and > 0"), ("r_max", "inf", "finite and > 0"),
-        ("latent_scale", "nan", "finite"), ("latent_scale", "inf", "finite"),
-        ("quit_threshold", "nan", "finite and >= 0"),
+    @pytest.mark.parametrize("section, key, value, needs, command", [
+        ("environment", "r_max", "nan", "finite and > 0", "baseline"),
+        ("environment", "r_max", "inf", "finite and > 0", "baseline"),
+        ("environment", "latent_scale", "nan", "finite", "baseline"),
+        ("environment", "latent_scale", "inf", "finite", "baseline"),
+        ("environment", "quit_threshold", "nan", "finite and >= 0", "baseline"),
+        ("training", "lr", "nan", "finite and >= 0", "pretrain"),
+        ("training", "lr", "inf", "finite and >= 0", "baseline"),
+        ("training", "momentum", "nan", "finite and >= 0", "baseline"),
+        ("training", "momentum", "inf", "finite and >= 0", "pretrain"),
+        ("oracle", "threshold", "nan", "a number", "pretrain"),
     ])
-    def test_bad_environment_float_is_one_error_before_anything_is_written(
-            self, tmp_path, capsys, key, value, needs):
-        # unchecked, nan ended in a non-finite loss, inf in a return of 0.000,
-        # and a nan quit threshold never quit
-        cfg = tmp_path / "env.ini"
-        cfg.write_text(self._with_setting("environment", key, value), encoding="utf-8")
+    def test_bad_float_setting_is_one_error_before_anything_is_written(
+            self, tmp_path, capsys, section, key, value, needs, command):
+        # unchecked, a nan r_max ended in a non-finite loss, inf in a return of
+        # 0.000, a nan quit threshold never quit, a nan lr ended pre-training in
+        # "softmax requires finite logits", and a nan judge threshold answered
+        # None to every call, so pre-training learned from all-zero rewards
+        cfg = tmp_path / "setting.ini"
+        cfg.write_text(self._with_setting(section, key, value), encoding="utf-8")
         out = tmp_path / "out"
         capsys.readouterr()
-        assert self.run("--config", str(cfg), "--out", str(out), "baseline", "pg") == 1
-        assert capsys.readouterr().err == (f"error: [environment] {key} must be {needs}, "
+        argv = ("baseline", "pg") if command == "baseline" else (command,)
+        assert self.run("--config", str(cfg), "--out", str(out), *argv) == 1
+        assert capsys.readouterr().err == (f"error: [{section}] {key} must be {needs}, "
                                            f"got {float(value)!r}\n")
         assert not out.exists()
 

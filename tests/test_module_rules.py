@@ -6,7 +6,8 @@ Also: the subcommands the README and ``cli.py`` name are the parser's, its
 method choices are the training module's, only ``agent`` builds a
 ``TransitionBatch`` from its columns, every training step is taken by the
 one rollout loop, ``online_phase`` is that loop's one online
-caller, the one learner is stepped by the two learner classes, and the harness runs every online method from one call site and
+caller, the one learner is stepped by the two learner classes, every parameter
+update is the one optimizer step, and the harness runs every online method from one call site and
 every preset from one per-seed loop.  The package needs nothing outside the
 standard library but numpy, to import or to run."""
 from __future__ import annotations
@@ -149,6 +150,13 @@ def test_the_learner_is_reached_from_the_two_learner_classes():
     # one batched learner, ``agent.update``, stepped by the replay TD learner
     # and the episodic REINFORCE learner the rollout loop is handed
     assert _callers("update") == ["training._ReplayTD", "training._Reinforce"]
+
+
+def test_every_parameter_update_is_the_one_optimizer_step():
+    # the learner and the sequential reward model's fit both step through
+    # ``nn.optimizer_step``, so no second step function, with its own
+    # gradient lifecycle, can come back unnoticed
+    assert _callers("optimizer_step") == ["agent.update", "environment._fit_sequential"]
 
 
 def test_parser_choices_are_the_training_method_names():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prefrl.nn import (ParamSet, ParamStack, finite_diff_grad, optimizer_step,
-                       sample_categorical, softmax, step_and_zero)
+                       sample_categorical, softmax)
 
 from helpers import max_rel_err
 
@@ -122,30 +122,32 @@ class TestOptimizerStep:
             optimizer_step(ps, lr=0.1)
         assert ps["ok"][0] == 1.0  # nothing was touched
 
-    def test_step_and_zero_is_the_step_keeping_one_zeroed_buffer(self):
-        # the same parameters as optimizer_step, with the gradient's buffer and
-        # views kept and reading +0.0; a non-finite gradient is refused, by
-        # name, with nothing touched
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_the_step_is_the_plain_update_and_keeps_one_zeroed_buffer(self, momentum):
+        # the bits of ``flat -= lr * step`` (step the raw gradient, or the
+        # velocity ``momentum * v + g``), with the gradient's buffer and views
+        # kept and reading +0.0 after every step; a non-finite gradient is
+        # refused, by name, with nothing touched
         rng = np.random.default_rng(2)
-        kept = ParamSet({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)})
-        freed = kept.copy()
-        views = kept.grads
-        buffer = kept.grad
+        ps = ParamSet({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)})
+        reference, velocity = ps.flat.copy(), None
+        views = ps.grads
+        buffer = ps.grad
         for _ in range(3):
-            g = rng.normal(size=kept.num_scalars())
-            for params in (kept, freed):
-                params.grads                 # allocates the freed set's gradient
-                params.grad[...] = g
-            step_and_zero(kept, 0.1)
-            optimizer_step(freed, 0.1)
-            assert np.array_equal(kept.flat, freed.flat)
-            assert kept.grads is views and kept.grad is buffer and freed.grad is None
+            g = rng.normal(size=ps.num_scalars())
+            buffer[...] = g
+            optimizer_step(ps, 0.1, momentum)
+            step = g
+            if momentum > 0.0:
+                velocity = step = g.copy() if velocity is None else momentum * velocity + g
+            reference -= 0.1 * step
+            assert np.array_equal(ps.flat, reference)
+            assert ps.grads is views and ps.grad is buffer
             assert not buffer.any() and not np.signbit(buffer).any()
         views["b"][2] = np.inf
-        before = kept.flat.copy()
         with pytest.raises(ValueError, match="^non-finite gradient for parameter 'b'$"):
-            step_and_zero(kept, 0.1)
-        assert np.array_equal(kept.flat, before)
+            optimizer_step(ps, 0.1, momentum)
+        assert np.array_equal(ps.flat, reference)
 
     def test_momentum_decays_the_velocity_of_an_untouched_parameter(self):
         ps = ParamSet({"a": np.array([0.0]), "b": np.array([0.0])})
@@ -162,9 +164,9 @@ class TestOptimizerStep:
         ps = ParamSet({"p": np.array([0.0])})
         ps.grads["p"][0] = 1.0
         optimizer_step(ps, lr=0.1, momentum=0.5)
-        optimizer_step(ps, lr=0.1, momentum=0.5)  # no gradient read: v = 0.5
+        optimizer_step(ps, lr=0.1, momentum=0.5)  # no gradient written: v = 0.5
         assert ps["p"][0] == pytest.approx(-0.15)
-        assert ps.grad is None and ps.velocity.tolist() == [0.5]
+        assert ps.grad.tolist() == [0.0] and ps.velocity.tolist() == [0.5]
 
     def test_parameter_never_given_a_gradient_does_not_move(self):
         ps = ParamSet({"a": np.array([1.0]), "b": np.array([2.0])})
@@ -225,7 +227,7 @@ class TestParamSet:
                        for name, g in ps.grads.items())
             ps.grads["a"][0, 0] = 1.0
             optimizer_step(ps, lr=0.1)
-            assert ps.grad is None  # the flat gradient released by the step
+            assert not ps.grad.any()  # the flat gradient zeroed in place by the step
 
     def test_missing_accumulation_fails_the_gradient_check(self):
         # the finite-difference checks build the analytic side from every
@@ -275,7 +277,7 @@ class TestFlatLayout:
         assert all(np.shares_memory(other[name], other.flat) for name in other)
         other["b"][0] = 99.0
         assert ps["b"][0] == -1.0
-        assert other.grad is None
+        assert ps.grad is not None and other.grad is None  # the kept buffer is not copied
         before = other.flat.copy()
         optimizer_step(other, lr=0.1, momentum=0.9)   # no velocity was copied
         assert np.array_equal(other.flat, before)
@@ -307,15 +309,19 @@ class TestFlatLayout:
                                                                              velocity)
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_the_step_releases_the_flat_gradient(self, momentum):
+    def test_the_step_keeps_the_flat_gradient_and_zero_grads_releases_it(self, momentum):
         ps = self.make()
         optimizer_step(ps, lr=0.1, momentum=momentum)     # no gradient read at all
-        assert ps.grad is None
+        buffer = ps.grad
+        assert buffer.shape == ps.flat.shape and not buffer.any()
         ps.grads["c"] += 1.0
         optimizer_step(ps, lr=0.1, momentum=momentum)
-        assert ps.grad is None
+        assert ps.grad is buffer and not buffer.any()
         assert ps["c"].tolist() == [[[2.9, 2.9], [2.9, 2.9]]]
         assert (ps.velocity is None) == (momentum == 0.0)
+        ps.zero_grads()
+        assert ps.grad is None
+        assert ps.grads["c"].sum() == 0.0 and ps.grad is not buffer
 
 
 class TestParamStack:

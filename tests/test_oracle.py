@@ -130,6 +130,13 @@ class TestSyntheticChoice:
         for cands in ([1, 2, 3], [5], [7, 9]):
             assert synthetic_choice([0], cands, truth, float("inf")).label_index is None
 
+    def test_a_nan_threshold_is_refused_by_the_judge(self, world):
+        # no score clears nan, so the judge would abstain from every call
+        _, _, truth = world
+        with pytest.raises(ValueError, match=r"^\[oracle\] threshold must be a number, got nan$"):
+            SyntheticOracle(truth, float("nan"))
+        assert SyntheticOracle(truth, float("inf")).threshold == float("inf")
+
     def test_matches_bruteforce_argmax(self, world):
         _, _, truth = world
         rng = np.random.default_rng(8)

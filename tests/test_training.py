@@ -58,6 +58,14 @@ class TestTrainConfig:
             TrainConfig(gamma=gamma)
         assert [TrainConfig(gamma=g).gamma for g in (0.0, 1.0)] == [0.0, 1.0]
 
+    @pytest.mark.parametrize("key", ["lr", "momentum"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_a_step_setting_that_is_not_finite_or_is_negative_is_refused(self, key, value):
+        with pytest.raises(ValueError, match=rf"^\[training\] {key} must be finite and >= 0, "
+                                             rf"got {value!r}$"):
+            TrainConfig(**{key: value})
+        assert getattr(TrainConfig(**{key: 0.0}), key) == 0.0
+
 
 class TestReplayBuffer:
     # the buffer pads each state to the encoder window when it is stored
@@ -348,8 +356,8 @@ class TestPretrain:
         return TrainConfig(**kw)
 
     def test_the_pre_trained_agent_holds_no_gradient(self, world):
-        # every step releases the gradient it read, so a finished run keeps
-        # no gradient memory
+        # the run releases its gradient buffer when it hands the agent back,
+        # so a finished run keeps no gradient memory
         agent, records = pretrain(agent_for(world, seed=1), SyntheticOracle(world["truth"], 3.0),
                                   self.cfg(pretrain_epochs=3, momentum=0.5), world["train"])
         assert len(records) == 3
@@ -542,9 +550,9 @@ class TestOnlinePhase:
 
     @pytest.mark.parametrize("momentum", [0.0, 0.5])
     def test_only_the_learnable_side_keeps_optimizer_state(self, world, momentum):
-        # the frozen side never takes a gradient, every step releases the
-        # learnable side's, and only that side keeps a velocity, and only with
-        # momentum
+        # the frozen side never takes a gradient, the run releases the
+        # learnable side's when it ends, and only that side keeps a velocity,
+        # and only with momentum
         result = online_phase("ap", agent_for(world, seed=8), make_env(world, seed=2),
                               self.cfg(online_steps=60, target_update=5, momentum=momentum))
         frozen, learnable = result.mix.frozen.params, result.mix.learnable.params
