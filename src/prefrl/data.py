@@ -18,7 +18,7 @@ import csv
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
