@@ -170,9 +170,11 @@ def init_agent(num_items: int, embed_dim: int = 64, max_seq_len: int = 10,
 
 def _head(state: np.ndarray, bundle: AgentBundle, head: str) -> np.ndarray:
     """Affine head outputs for one (d,) state or a (B, d) batch, or (S, B, d)
-    states of a bundle over an :class:`nn.ParamStack` of S sets.  Each row is
-    its own one-row product, so its bits do not depend on B or S."""
+    states of a bundle over an :class:`nn.ParamStack` of S sets.  Each row is its own
+    one-row product (one state's one ``ndarray.dot``), so its bits do not depend on B or S."""
     params = bundle.params
+    if state.ndim == 1:
+        return state.dot(params[f"{head}_w"]) + params[f"{head}_b"]
     return (state[..., None, :] @ params[f"{head}_w"])[..., 0, :] + params[f"{head}_b"]
 
 

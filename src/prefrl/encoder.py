@@ -22,8 +22,10 @@ spelled against trailing axes, so the same one also runs S parameter sets at
 once from an :class:`nn.ParamStack` (states ``(S, B, d)``), and each set's
 rows keep the bits of that set's own forward.  One row on one parameter set
 (acting, scoring one history, every step of the sequential reward model's
-fit) runs on vectors instead: the same products in the same order, without
-the batch axes, so it has the bits of its row of any batch.  Its kernels
+fit) runs on vectors: the same products in the same order, each one
+``ndarray.dot`` call on the batched product's operands (``w_k.dot(q)`` for
+``q @ w_k.T``), the same BLAS routine, so a row has the bits of its row of
+any batch at half the ``matmul`` gufunc's 0.8 µs of dispatch.  Its kernels
 read the set's tensors as one tuple (:func:`row_tensors`), which a loop that
 steps one set in place binds once.
 
@@ -131,24 +133,25 @@ row_tensors = itemgetter("item_emb", "pos_emb", "w_q", "w_k", "w_v")
 def _forward_row(row: np.ndarray, padding: np.ndarray, tensors):
     """:func:`_forward` of one padded id row, ``padding`` its mask of padding
     slots, on one parameter set's :func:`row_tensors`, spelled on vectors:
-    ``x`` is (n, d) and every product a 1-D @ 2-D one, which runs the same
-    BLAS matrix-vector product as the batched forward's stacked (1, 1, d)
-    one, so the state (d,) has the bits of its row of a batch.  The cache is
+    ``x`` is (n, d) and every product one ``ndarray.dot`` (``x_last.dot(w_q)``,
+    ``w_k.dot(q)``, ``x.dot(qk)``, ``attn.dot(x)``, ``ctx.dot(w_v)``), the same
+    BLAS matrix-vector product as the batched forward's stacked (1, 1, d) one,
+    so the state (d,) has the bits of its row of a batch.  The cache is
     the tuple ``(row, x, q, qk, attn, ctx)``, the batched cache's arrays
     without the batch axes."""
     item_emb, pos_emb, w_q, w_k, w_v = tensors
     x = item_emb.take(row, axis=0)
     x += pos_emb                                             # (n, d)
     x_last = x[-1]
-    q = x_last @ w_q                                         # (d,)
-    qk = q @ w_k.T
-    scores = (qk @ x.T) * (1.0 / math.sqrt(len(q)))
+    q = x_last.dot(w_q)                                      # (d,)
+    qk = w_k.dot(q)
+    scores = x.dot(qk) * (1.0 / math.sqrt(len(q)))
     scores[padding] = -np.inf
     scores -= np.maximum.reduce(scores)                      # the last slot is never padding
     attn = np.exp(scores)
     attn /= np.add.reduce(attn)                              # (n,)
-    ctx = attn @ x
-    h = x_last + ctx @ w_v
+    ctx = attn.dot(x)
+    h = x_last + ctx.dot(w_v)
     return h, (row, x, q, qk, attn, ctx)
 
 
@@ -221,17 +224,19 @@ def encode_batch(sequences, params: ParamSet, config: EncoderConfig) -> np.ndarr
 def _backward_row(cache: tuple, g: np.ndarray, tensors, grads) -> None:
     """:func:`encode_backward` of :func:`_forward_row`'s cache and one state
     gradient ``g`` (d,), with the parameters' and the gradient's
-    :func:`row_tensors`: the batched formulas on vectors, each batch sum a
-    single outer product, and the last slot's term one row added to its
-    position and its item."""
+    :func:`row_tensors`: the batched formulas on vectors, each product one
+    ``ndarray.dot`` (``w_v.dot(g)``, ``x.dot(d_ctx)``, ``d_scores.dot(x)``,
+    ``d_qk.dot(w_k)``, ``w_q.dot(d_q)``), each batch sum a single outer
+    product, and the last slot's term one row added to its position and its
+    item."""
     ids, x, q, qk, attn, ctx = cache
     item_emb, _, w_q, w_k, w_v = tensors
     item_grad, pos_grad, w_q_grad, w_k_grad, w_v_grad = grads
-    d_ctx = g @ w_v.T
-    d_attn = d_ctx @ x.T                                         # (n,)
+    d_ctx = w_v.dot(g)
+    d_attn = x.dot(d_ctx)                                        # (n,)
     d_scores = attn * (d_attn - np.add.reduce(d_attn * attn)) * (1.0 / math.sqrt(len(g)))
-    d_qk = d_scores @ x
-    d_q = d_qk @ w_k
+    d_qk = d_scores.dot(x)
+    d_q = d_qk.dot(w_k)
     w_q_grad += x[-1, :, None] * d_q
     w_k_grad += d_qk[:, None] * q
     w_v_grad += ctx[:, None] * g
@@ -239,7 +244,7 @@ def _backward_row(cache: tuple, g: np.ndarray, tensors, grads) -> None:
     for weight, row in ((d_scores, qk), (attn, d_ctx)):
         pos_grad += weight[:, None] * row
         item_grad += np.bincount(ids, weight, num_ids)[:, None] * row
-    d_last = d_q @ w_q.T + g
+    d_last = w_q.dot(d_q) + g
     pos_grad[-1] += d_last
     item_grad[ids[-1]] += d_last
 

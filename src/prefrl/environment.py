@@ -281,12 +281,12 @@ def _fit_sequential(log_: InteractionLog, num_items: int, d_rm: int,
         total = 0.0
         for row, pad, target in zip(rows[order], padding[order], targets[order].tolist()):
             state, cache = _forward_row(row, pad, tensors)
-            probs = softmax(item_emb @ state)
+            probs = softmax(item_emb.dot(state))
             total += -float(np.log(max(probs[target], 1e-12)))
             d_logits = probs
             d_logits[target] -= 1.0
             item_grad += d_logits[:, None] * state
-            _backward_row(cache, item_emb.T @ d_logits, tensors, grads)
+            _backward_row(cache, d_logits.dot(item_emb), tensors, grads)
             optimizer_step(params, lr)
         loss_history.append(total / len(pairs))
     params.zero_grads()

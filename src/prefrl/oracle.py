@@ -204,8 +204,10 @@ class RemoteEndpoint:
         for key, valid, needs in (("temperature", math.isfinite(self.temperature)
                                    and self.temperature >= 0, "finite and >= 0"),
                                   ("max_retries", self.max_retries >= 0, ">= 0"),
-                                  ("timeout", self.timeout > 0, "> 0"),
-                                  ("backoff", self.backoff >= 0, ">= 0")):
+                                  ("timeout", math.isfinite(self.timeout)
+                                   and self.timeout > 0, "finite and > 0"),
+                                  ("backoff", math.isfinite(self.backoff)
+                                   and self.backoff >= 0, "finite and >= 0")):
             if not valid:
                 raise ValueError(f"[oracle] {key} must be {needs}, "
                                  f"got {getattr(self, key)!r}")

@@ -8,7 +8,7 @@ from helpers import (actor_loss, actor_loss_check, advantage, critic_loss, criti
                      log_prob, max_rel_err, q_for, selected_q, td_target)
 from prefrl.agent import (Transition, action_distribution, init_agent, policy_for, q_values,
                           update)
-from prefrl import encoder
+from prefrl import agent as agent_module, encoder
 from prefrl.encoder import window_ids
 from prefrl.nn import finite_diff_grad
 from prefrl.training import ReplayBuffer
@@ -65,6 +65,25 @@ class TestHeads:
         state = rng.normal(size=3)
         expected = state @ agent.params["critic_w"] + agent.params["critic_b"]
         assert np.allclose(q_values(state, agent), expected, atol=1e-15)
+
+    @pytest.mark.parametrize("embed_dim", [8, 64])
+    @pytest.mark.parametrize("num_items", [30, 300])
+    def test_one_state_head_is_bitwise_its_batched_row(self, embed_dim, num_items):
+        # one (d,) state's head is one ndarray.dot; a batch's rows are
+        # stacked one-row products: every row of a batch of 1, 3 and 64 has
+        # the bits of its state's own head, with nonzero biases
+        agent = init_agent(num_items, embed_dim=embed_dim, max_seq_len=10, seed=embed_dim)
+        rng = np.random.default_rng(num_items)
+        for head in ("actor", "critic"):
+            agent.params[f"{head}_b"][...] = rng.normal(size=num_items)
+        for batch in (1, 3, 64):
+            states = rng.normal(size=(batch, embed_dim))
+            logits, q = agent_module._head(states, agent, "actor"), q_values(states, agent)
+            for b, state in enumerate(states):
+                assert np.array_equal(agent_module._head(state, agent, "actor"), logits[b])
+                assert np.array_equal(q_values(state, agent), q[b])
+                assert np.array_equal(action_distribution(state, agent),
+                                      action_distribution(states, agent)[b])
 
     def test_policy_invariant_under_logit_shift(self):
         agent = toy_agent(seed=5)

@@ -182,23 +182,29 @@ class TestGradients:
         # histories shorter than the window, exactly it, longer than it and
         # with repeated ids: one row's state is its row of a batch of two,
         # and its backward gives the batched formulas' gradients on the
-        # reference forward's cache
-        config = EncoderConfig(num_items=12, embed_dim=embed_dim, max_seq_len=5)
-        params = make_params(config, seed=embed_dim + len(seq), proj_noise=0.3)
-        w = np.random.default_rng(len(seq)).normal(size=embed_dim)
-        state, cache = encode_with_cache(seq, params, config)
-        other = (0, 6, 11)
-        assert np.array_equal(encode(seq, params, config),
-                              encode_batch([seq, other], params, config)[0])
-        assert np.array_equal(state, encode_batch([other, seq], params, config)[1])
-        reference_state, reference_cache = reference_forward(window_ids([seq], config),
-                                                             params.params, config)
-        assert np.array_equal(state, reference_state)
-        params.zero_grads()
-        encode_backward(cache, w, params)
-        expected = reference_backward(reference_cache, w, params.params)
-        for name in params:
-            assert np.array_equal(params.grads[name], expected[name]), name
+        # reference forward's cache; on a 12-item catalog with a window of
+        # 5, and on 300 items (the ids spread over the catalog, each history
+        # played twice) with the default window of 10
+        for num_items, max_seq_len in ((12, 5), (300, 10)):
+            config = EncoderConfig(num_items=num_items, embed_dim=embed_dim,
+                                   max_seq_len=max_seq_len)
+            spread = num_items // 12
+            row = tuple(spread * i for i in seq) * (max_seq_len // 5)
+            other = (0, 6 * spread, 11 * spread)
+            params = make_params(config, seed=embed_dim + len(seq), proj_noise=0.3)
+            w = np.random.default_rng(len(seq)).normal(size=embed_dim)
+            state, cache = encode_with_cache(row, params, config)
+            assert np.array_equal(encode(row, params, config),
+                                  encode_batch([row, other], params, config)[0])
+            assert np.array_equal(state, encode_batch([other, row], params, config)[1])
+            reference_state, reference_cache = reference_forward(window_ids([row], config),
+                                                                 params.params, config)
+            assert np.array_equal(state, reference_state)
+            params.zero_grads()
+            encode_backward(cache, w, params)
+            expected = reference_backward(reference_cache, w, params.params)
+            for name in params:
+                assert np.array_equal(params.grads[name], expected[name]), (num_items, name)
 
     def test_window_ids_left_pad_and_keep_the_last_items(self):
         config = EncoderConfig(num_items=6, embed_dim=2, max_seq_len=3)

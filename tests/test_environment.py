@@ -309,10 +309,11 @@ class TestFitSequential:
         # one gradient buffer; a plain loop over frozen copies of the
         # single-row forward, backward and SGD step, padding the prefix and
         # allocating a zero gradient at every step, gives every bit: on a
-        # small shape, and on the default world's 30 items with the default
-        # d_rm 8 and max_seq_len 10
+        # small shape, on the default world's 30 items with the default d_rm
+        # 8 and max_seq_len 10, and for one epoch on 300 items at d_rm 16
         for (users, num_items, d_lat, data_seed), d_rm, max_seq_len, epochs, lr, seed in (
-                ((12, 15, 3, 6), 4, 3, 3, 0.05, 2), ((30, 30, 4, 0), 8, 10, 2, 0.01, 0)):
+                ((12, 15, 3, 6), 4, 3, 3, 0.05, 2), ((30, 30, 4, 0), 8, 10, 2, 0.01, 0),
+                ((40, 300, 4, 1), 16, 10, 1, 0.01, 1)):
             _, log, _ = generate_synthetic(users, num_items, 6, d_lat, seed=data_seed,
                                            noise_scale=0.05)
             params, losses = reference_fit_sequential(log, num_items, d_rm, max_seq_len,

@@ -667,6 +667,20 @@ class TestCli:
                                            f">= 0, got {float(value)!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, needs", [("timeout", "> 0"), ("backoff", ">= 0")])
+    def test_an_infinite_judge_timeout_or_backoff_is_one_error_naming_it(self, tmp_path,
+                                                                         capsys, key, needs):
+        # unchecked, inf reached socket.settimeout (timeout) or time.sleep
+        # (backoff) and ended the run in an OverflowError traceback
+        llm = f"[oracle]\nkind = llm\nbase_url = http://127.0.0.1:9\n{key} = inf\n"
+        cfg = tmp_path / "llm.ini"
+        cfg.write_text(TINY_INI.replace("[oracle]\n", llm), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--out", str(out), "pretrain") == 1
+        assert capsys.readouterr().err == f"error: [oracle] {key} must be finite and {needs}, got inf\n"
+        assert not out.exists()
+
     @staticmethod
     def _with_setting(section, key, value):
         text = re.sub(rf"^{key} = .*\n", "", TINY_INI, flags=re.M)
