@@ -27,9 +27,10 @@ def tool():
 
 
 def fixture_run(side, seed, p50, steps, digest="d", ret=1.0, correct=True, workload="w",
-                faults=None, reps=None):
+                faults=None, reps=None, invocation=None):
     return {"workload": workload, "seed": seed, "side": side, "curve_digest": digest,
             "final_test_return": ret,
+            **({} if invocation is None else {"invocation": invocation}),
             **({} if faults is None else {"page_faults": {"minor": faults[0],
                                                           "major": faults[1]}}),
             **({} if reps is None else {"repetitions": reps}),
@@ -113,6 +114,75 @@ def test_workloads_are_summarised_apart(tool):
     assert list(summary) == ["a", "b"]
     assert not summary["a"]["all_correct"] and summary["a"]["failed_ops"]["change"] == 3
     assert summary["a"]["digests_equal"] and not summary["b"]["digests_equal"]
+
+
+def test_two_invocations_pool_their_pairs_and_report_the_spread_between_them(tool):
+    # the same three seeds in both invocations; the second reads every
+    # step_ms_p50 0.4 higher on both sides, so the pooled shift hides a drift
+    # that the spread between the invocations' medians shows
+    parent = {0: [2.0, 2.2, 2.1], 1: [2.4, 2.6, 2.5]}
+    change = {0: [1.8, 2.0, 1.9], 1: [2.3, 2.5, 2.4]}
+    runs = []
+    for invocation in (0, 1):
+        for seed in range(3):
+            runs += [fixture_run(side, seed, values[invocation][seed], 100.0,
+                                 invocation=invocation)
+                     for side, values in (("parent", parent), ("change", change))]
+    runs[-1]["curve_digest"] = "x"              # invocation 1, seed 2 mismatches
+    entry = tool.summarize(runs, METRICS)["w"]
+    assert entry["pairs"] == entry["measured_pairs"] == 6
+    assert entry["digest_mismatches"] == [[1, 2]]
+    p50 = entry["step_ms_p50"]["change"]
+    assert p50["base_median"] == pytest.approx(2.3) and p50["median"] == pytest.approx(2.15)
+    assert (p50["better_pairs"], p50["worse_pairs"]) == (6, 0)
+    first, second = p50["invocations"]
+    assert (first["invocation"], first["pairs"]) == (0, 3)
+    assert (first["base_median"], first["median"]) == (2.1, 1.9)
+    assert first["shift"] == pytest.approx(1.9 / 2.1 - 1.0)
+    assert (second["invocation"], second["base_median"], second["median"]) == (1, 2.5, 2.4)
+    assert p50["base_spread"] == pytest.approx(0.4)
+    assert p50["shift_spread"] == pytest.approx((2.4 / 2.5) - (1.9 / 2.1))
+
+
+def test_one_invocation_adds_no_spread(tool):
+    runs = [fixture_run(side, seed, 2.0 + seed, 100.0, invocation=0)
+            for seed in range(3) for side in ("parent", "change")]
+    entry = tool.summarize(runs, METRICS)["w"]
+    assert entry["digest_mismatches"] == [] and entry["pairs"] == 3
+    assert "invocations" not in entry["step_ms_p50"]["change"]
+
+
+def test_invocations_repeat_the_whole_schedule_and_tag_each_run(tool, tmp_path, monkeypatch):
+    def extract(commit, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "run.py").write_text(STAND_IN, encoding="utf-8")
+        return commit
+
+    monkeypatch.setattr(tool, "extract", extract)
+    for k in (2, 1):
+        out = tmp_path / f"bench{k}.json"
+        assert tool.main(["P", "C", "--workload", "adapt_ap", "--workload", "rollout_pg",
+                          "--pairs", "2", "--invocations", str(k), "--out", str(out),
+                          "--scratch", str(tmp_path / f"trees{k}")]) == 0
+        runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+        assert len(runs) == k * 2 * 2 * 2
+        if k == 1:
+            assert all("invocation" not in run for run in runs)
+            continue
+        schedule = [(run["invocation"], run["workload"], run["seed"]) for run in runs[::2]]
+        assert schedule == [(i, w, s) for i in range(2) for w in ("adapt_ap", "rollout_pg")
+                            for s in range(2)]
+        assert [run["env_pad"] for run in runs[:8]] == [run["env_pad"] for run in runs[8:]]
+
+
+def test_invocations_below_one_are_refused_before_any_run(tool, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as caught:
+        tool.main(["HEAD", "HEAD", "--workload", "adapt_ap", "--invocations", "0",
+                   "--out", str(out), "--scratch", str(tmp_path / "trees")])
+    assert caught.value.code == 2
+    assert "--invocations" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "trees").exists()
 
 
 SPEC = {"workloads": [{"name": "w"}, {"name": "v"}],
@@ -250,7 +320,8 @@ def test_every_side_of_a_pair_shares_the_pad_its_benchmark_sees(tool, tmp_path, 
     assert len(set(pads)) > 1 and all(0 <= pad < 4096 for pad in pads)
 
 
-@pytest.mark.parametrize("name", ["BENCH_22.json", "BENCH_23.json", "BENCH_29.json"])
+@pytest.mark.parametrize("name", ["BENCH_22.json", "BENCH_23.json", "BENCH_29.json",
+                                  "BENCH_31.json"])
 def test_a_committed_summary_rebuilds_from_its_runs(tool, name):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     doc = json.loads((ROOT / name).read_text(encoding="utf-8"))

@@ -34,7 +34,12 @@ the sign-test p, for the change and for the control if run; without
 ``--claim`` it is null.  ``--cpu N`` pins every benchmark run to CPU N
 (``os.sched_setaffinity`` in the child before it starts, so only the tool's
 own children are pinned), and each run records it as ``cpu`` (null
-unpinned).
+unpinned).  ``--invocations K`` runs the whole schedule (every workload's
+pairs, in order) K times, one invocation after another, and tags each run
+with its ``invocation``; the summary then compares the pooled pairs and, next
+to the parent's quartiles, gives each invocation's medians and the spread
+between invocations, which one invocation's control does not bound.  With K =
+1, the default, no run is tagged and the file is as without the option.
 """
 from __future__ import annotations
 
@@ -106,24 +111,50 @@ def repetition_count(run: dict) -> int | None:
     return len(reps) if isinstance(reps, list) else len(next(iter(reps.values())))
 
 
+def between_invocations(base: list[float], other: list[float], invocations: list[int]) -> dict:
+    """Per invocation (in order), the medians of ``base`` and ``other`` over
+    its pairs and their relative shift, and the spread between invocations:
+    the range of the base's medians (``base_spread``, in the metric's unit,
+    next to the base's interquartile range) and of the shifts
+    (``shift_spread``)."""
+    rows = []
+    for invocation in dict.fromkeys(invocations):
+        pick = [i for i, inv in enumerate(invocations) if inv == invocation]
+        base_median = statistics.median(base[i] for i in pick)
+        median = statistics.median(other[i] for i in pick)
+        rows.append({"invocation": invocation, "pairs": len(pick), "base_median": base_median,
+                     "median": median,
+                     "shift": (median - base_median) / base_median if base_median else 0.0})
+    spread = {key: max(row[key] for row in rows) - min(row[key] for row in rows)
+              for key in ("base_median", "shift")}
+    return {"invocations": rows, "base_spread": spread["base_median"],
+            "shift_spread": spread["shift"]}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: the pairs whose every side ran, whether every pair had
     equal digests and final returns and every run was correct, the failed
     operations per side, each side's median minor and major page faults
     over the pairs whose every run counted them and its median
     :func:`repetition_count` over the pairs whose every run reported
-    repetitions (each None without such a pair), and per metric the change (and the control, if run) compared with the
-    parent by :func:`compare`, over the pairs whose every run reported its
-    metrics."""
+    repetitions (each None without such a pair), and per metric the change
+    (and the control, if run) compared with the parent by :func:`compare`,
+    over the pairs whose every run reported its metrics.  A pair is its
+    runs of one seed in one invocation (a run without an ``invocation`` tag
+    is in invocation 0), and a mismatched pair is named by its seed, or by
+    ``[invocation, seed]`` for tagged runs.  With pairs of two or more
+    invocations each comparison also holds :func:`between_invocations`."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
-        by_pair: dict[int, dict[str, dict]] = {}
+        by_pair: dict[tuple[int, int], dict[str, dict]] = {}
         for run in runs:
             if run["workload"] == workload:
-                by_pair.setdefault(run["seed"], {})[run["side"]] = run
+                key = (run.get("invocation", 0), run["seed"])
+                by_pair.setdefault(key, {})[run["side"]] = run
         sides = [side for side in SIDES if any(side in p for p in by_pair.values())]
         pairs = [p for _, p in sorted(by_pair.items()) if len(p) == len(sides)]
-        mismatched = [p["parent"]["seed"] for p in pairs
+        mismatched = [[p["parent"]["invocation"], p["parent"]["seed"]]
+                      if "invocation" in p["parent"] else p["parent"]["seed"] for p in pairs
                       if len({(r["curve_digest"], r["final_test_return"])
                               for r in p.values()}) != 1]
         measured = [p for p in pairs if all(r["result"].get("metrics") for r in p.values())]
@@ -143,6 +174,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                                                          for p in repeated)
                                  for side in sides} if repeated else None,
                  "measured_pairs": len(measured)}
+        invocations = [p["parent"].get("invocation", 0) for p in measured]
         if measured:
             for metric in metrics:
                 name = metric["name"]
@@ -152,6 +184,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
                 entry[name] = {other: compare(values("parent"), values(other), metric["better"])
                                for other in sides if other != "parent"}
+                if len(set(invocations)) > 1:
+                    for other, block in entry[name].items():
+                        block.update(between_invocations(values("parent"), values(other),
+                                                         invocations))
         summary[workload] = entry
     return summary
 
@@ -247,6 +283,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="a BENCHMARK.json workload; repeat for more")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--invocations", type=int, default=1, metavar="K",
+                        help="run the whole pair schedule K times, tagging each run")
     parser.add_argument("--control", action="store_true",
                         help="also run a second copy of the parent")
     parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
@@ -262,6 +300,8 @@ def main(argv=None) -> int:
     unknown = set(args.workload) - {w["name"] for w in spec["workloads"]}
     if unknown or args.pairs < 1:
         parser.error(f"unknown workloads {sorted(unknown)}" if unknown else "--pairs must be >= 1")
+    if args.invocations < 1:
+        parser.error("--invocations must be >= 1")
     if args.cpu is not None and args.cpu not in os.sched_getaffinity(0):
         parser.error(f"--cpu {args.cpu} is not one of the CPUs this tool may run on "
                      f"({sorted(os.sched_getaffinity(0))})")
@@ -271,6 +311,7 @@ def main(argv=None) -> int:
             claimed = parse_claim(args.claim, args.workload, spec)
         except ValueError as exc:
             parser.error(str(exc))
+    tagged = args.invocations > 1
     scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     sides = SIDES if args.control else SIDES[:2]
     commits = {side: args.parent if side != "change" else args.change for side in sides}
@@ -283,24 +324,27 @@ def main(argv=None) -> int:
            "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {spec['run_seconds']:g} --trace 0",
            "order": "pair i runs at seed i, its sides in an order rotated by i and with "
-                    f"{PAD_VAR} of the pair's env_pad bytes in their environment",
+                    f"{PAD_VAR} of the pair's env_pad bytes in their environment"
+                    + (f"; the whole schedule runs {args.invocations} times, each run tagged "
+                       "with its invocation" if tagged else ""),
            **{side: {"git_commit": ids[side]} for side in sides},
            "runs": [], "summary": {}}
+    schedule = [(invocation, workload, pair) for invocation in range(args.invocations)
+                for workload in args.workload for pair in range(args.pairs)]
     try:
-        for workload in args.workload:
-            for pair in range(args.pairs):
-                for position, side in enumerate(run_order(pair, sides)):
-                    run = {"workload": workload, "seed": pair, "side": side,
-                           "runs_first": position == 0, "git_commit": ids[side],
-                           **bench(trees[side], workload, pair, spec["run_seconds"],
-                                   args.cpu)}
-                    doc["runs"].append(run)
-                    doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
-                    if claimed:
-                        doc["claim"] = claim_block(doc["summary"], *claimed)
-                    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-                    print(f"{workload} pair {pair} {side}: exit {run['exit_code']}, "
-                          f"{run['elapsed_s']} s", file=sys.stderr)
+        for invocation, workload, pair in schedule:
+            for position, side in enumerate(run_order(pair, sides)):
+                run = {"workload": workload, **({"invocation": invocation} if tagged else {}),
+                       "seed": pair, "side": side,
+                       "runs_first": position == 0, "git_commit": ids[side],
+                       **bench(trees[side], workload, pair, spec["run_seconds"], args.cpu)}
+                doc["runs"].append(run)
+                doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
+                if claimed:
+                    doc["claim"] = claim_block(doc["summary"], *claimed)
+                args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+                print(f"{f'invocation {invocation} ' if tagged else ''}{workload} pair {pair} "
+                      f"{side}: exit {run['exit_code']}, {run['elapsed_s']} s", file=sys.stderr)
     finally:
         if args.scratch is None:
             shutil.rmtree(scratch, ignore_errors=True)
