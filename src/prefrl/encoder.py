@@ -12,8 +12,8 @@ row is computed: there is no causal mask and no output for the other slots.
 
 Every entry point runs one forward over the ``(B, max_seq_len)`` id array of
 the sequences' windows, :func:`window_ids`; :func:`encode_windows` encodes
-such an array directly, so a caller that keeps its windows (the replay
-buffer pads each transition once, when it is stored) never pads again.
+such an array directly, so a caller that keeps its windows (the rollout
+loop and evaluation pad each episode's start once) never pads again.
 :func:`encode_batch` is ``encode_windows(window_ids(...))`` and
 :func:`encode` its B=1 case.  A batch runs over a ``(B, max_seq_len, d)``
 tensor, each row computed by its own small matrix products, so a state has

@@ -8,7 +8,7 @@ global step), ``summary.tsv``, and ``*.ckpt`` agent checkpoints, written and
 checked by :mod:`prefrl.checkpoint`.  Each command builds its reward model
 afresh from the world; none is written to disk.  A command builds its judge
 and strategies before it writes anything, so a refused command leaves its
-output directory as it was.
+output directory as it was, and closes its judge when it returns or fails.
 
 Every online run is one :func:`training.online_phase` call (``_run_method``),
 from the pre-trained agent for ft/ap and from the scratch agent for the
@@ -26,6 +26,7 @@ import json
 import logging
 import time
 import zipfile
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -352,13 +353,13 @@ def cmd_gen_data(cfg: AppConfig, out) -> int:
 
 def cmd_pretrain(cfg: AppConfig, out, resume: bool = False) -> int:
     world, model = _world_and_model(cfg)
-    oracle = build_oracle(cfg, world)
-    seed = cfg["training"]["seed"]
-    directory = run_dir(out, cfg["harness"]["run_id"], seed)
-    # the snapshot is written only once a resumed checkpoint has passed its
-    # checks, so a refused command leaves the directory's run as it was
-    agent = pretrain_with_checkpoints(cfg, world, oracle, seed, directory, resume,
-                                      on_start=lambda: _write_config_snapshot(cfg, directory))
+    with closing(build_oracle(cfg, world)) as oracle:
+        seed = cfg["training"]["seed"]
+        directory = run_dir(out, cfg["harness"]["run_id"], seed)
+        # the snapshot is written only once a resumed checkpoint has passed its
+        # checks, so a refused command leaves the directory's run as it was
+        agent = pretrain_with_checkpoints(cfg, world, oracle, seed, directory, resume,
+                                          on_start=lambda: _write_config_snapshot(cfg, directory))
     means = _test_means(cfg, model, world, seed, agent)
     print(f"pretrained agent: test return {means.episode_return:.3f}, "
           f"len {means.length:.2f}, avg {means.avg_reward:.3f}")
@@ -386,7 +387,7 @@ def cmd_online(cfg: AppConfig, out, kind: str | None = None, agent_path=None) ->
         raise ConfigError(f"unknown scheme {method!r} ({'|'.join(SCHEMES)})")
     world, model = _world_and_model(cfg)
     strategy = strategy_from(cfg, "epsilon_greedy" if method == "dqn" else None)
-    oracle = build_oracle(cfg, world) if method == "llm_online" else None
+    judge = closing(build_oracle(cfg, world)) if method == "llm_online" else nullcontext()
     seed = cfg["training"]["seed"]
     directory = run_dir(out, cfg["harness"]["run_id"], seed)
     if method in SCHEMES:
@@ -396,8 +397,9 @@ def cmd_online(cfg: AppConfig, out, kind: str | None = None, agent_path=None) ->
         start = scratch_agent(train_config_from(cfg, seed),
                               encoder_config_from(cfg, world.catalog.num_items))
     _write_config_snapshot(cfg, directory)
-    result, wall = _run_method(cfg, world, model, seed, directory, method, start, strategy,
-                               oracle)
+    with judge as oracle:
+        result, wall = _run_method(cfg, world, model, seed, directory, method, start, strategy,
+                                   oracle)
     write_summary(directory / f"summary_{method}.tsv",
                   _summary_rows(method, seed, result.snapshots, wall))
     final = result.snapshots["final"]
@@ -463,37 +465,37 @@ def _run_preset(cfg: AppConfig, out, methods, strategies=(None,), online=True) -
     metrics of the agent it starts from.  The judge and the strategies are
     built before anything is written."""
     world, model = _world_and_model(cfg)
-    oracle = build_oracle(cfg, world)
-    runs = {name: strategy_from(cfg, name) for name in strategies} if online else {None: None}
-    epochs = ("0", "final") if online else ("0",)
-    enc = encoder_config_from(cfg, world.catalog.num_items)
-    rows = []
-    for seed in cfg["harness"]["seeds"]:
-        directory = run_dir(out, cfg["harness"]["run_id"], seed)
-        _write_config_snapshot(cfg, directory)
-        started = time.perf_counter()
-        pretrained = pretrain_with_checkpoints(cfg, world, oracle, seed, directory)
-        pretrain_wall = time.perf_counter() - started
-        scratch = scratch_agent(train_config_from(cfg, seed), enc)
-        # pg and a2c start from the same actor, so rq1 evaluates it once
-        actor = None if online else _test_means(cfg, model, world, seed, scratch)
-        for name, strategy in runs.items():
-            suffix = f"_{strategy.kind}" if name else ""
-            for method in methods:
-                label = method + suffix
-                if method == "pretrained":
-                    means = _test_means(cfg, model, world, seed, pretrained)
-                    rows += _summary_rows(label, seed, dict.fromkeys(epochs, means),
-                                          pretrain_wall)
-                elif online:
-                    start = pretrained if method in SCHEMES else scratch
-                    result, wall = _run_method(cfg, world, model, seed, directory, method,
-                                               start, strategy, oracle, suffix)
-                    rows += _summary_rows(label, seed, result.snapshots, wall)
-                else:
-                    means = (_test_means(cfg, model, world, seed, QGreedyPolicy(scratch))
-                             if method == "dqn" else actor)
-                    rows += _summary_rows(label, seed, {"0": means}, 0.0)
+    with closing(build_oracle(cfg, world)) as oracle:
+        runs = {name: strategy_from(cfg, name) for name in strategies} if online else {None: None}
+        epochs = ("0", "final") if online else ("0",)
+        enc = encoder_config_from(cfg, world.catalog.num_items)
+        rows = []
+        for seed in cfg["harness"]["seeds"]:
+            directory = run_dir(out, cfg["harness"]["run_id"], seed)
+            _write_config_snapshot(cfg, directory)
+            started = time.perf_counter()
+            pretrained = pretrain_with_checkpoints(cfg, world, oracle, seed, directory)
+            pretrain_wall = time.perf_counter() - started
+            scratch = scratch_agent(train_config_from(cfg, seed), enc)
+            # pg and a2c start from the same actor, so rq1 evaluates it once
+            actor = None if online else _test_means(cfg, model, world, seed, scratch)
+            for name, strategy in runs.items():
+                suffix = f"_{strategy.kind}" if name else ""
+                for method in methods:
+                    label = method + suffix
+                    if method == "pretrained":
+                        means = _test_means(cfg, model, world, seed, pretrained)
+                        rows += _summary_rows(label, seed, dict.fromkeys(epochs, means),
+                                              pretrain_wall)
+                    elif online:
+                        start = pretrained if method in SCHEMES else scratch
+                        result, wall = _run_method(cfg, world, model, seed, directory, method,
+                                                   start, strategy, oracle, suffix)
+                        rows += _summary_rows(label, seed, result.snapshots, wall)
+                    else:
+                        means = (_test_means(cfg, model, world, seed, QGreedyPolicy(scratch))
+                                 if method == "dqn" else actor)
+                        rows += _summary_rows(label, seed, {"0": means}, 0.0)
     rows += _aggregate(rows)
     _write_config_snapshot(cfg, out)
     write_summary(Path(out) / "summary.tsv", rows)

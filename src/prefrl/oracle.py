@@ -414,6 +414,9 @@ class SyntheticOracle:
     def choose(self, history: list[int], candidates: list[int]) -> OracleChoice:
         return synthetic_choice(history, candidates, self.truth, self.threshold)
 
+    def close(self) -> None:
+        """Nothing to release: the synthetic judge holds no connection."""
+
 
 class LLMOracle:
     """Judge backed by a remote endpoint (or a replay fixture for offline runs).

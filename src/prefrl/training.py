@@ -14,7 +14,7 @@ run against the same environments for comparison.
 Pre-training, both schemes and all four baselines run one loop,
 :func:`_rollout` (reset, act, step, learn, track), which only steps and
 returns the curve; they differ only in the environment, in how an action is
-picked (``act(history)``) and in the learner object a transition is handed
+picked (``act(history, ids)``) and in the learner a transition is handed
 to: ``_ReplayTD`` (a replay-buffer TD step) or ``_Reinforce`` (an episodic
 REINFORCE step).  Its hook ``on_episode`` gets each finished episode's record
 and losses (pre-training's per-epoch record is built there); ``on_step``
@@ -38,12 +38,13 @@ learning or a hook (a snapshot), stops it with one :class:`DivergenceError`;
 the loop is handed the run's method and names it, the step, ``lr`` and
 ``target_update`` in the message.
 
-``_ReplayTD``'s :class:`ReplayBuffer` holds columns only: one
-:class:`agent.TransitionBatch` of ``buffer_capacity`` rows, allocated up
-front, to which each push writes a transition's row, its state padded to an
-encoder window (its next state's window is that window shifted in by the
-action).  A sample hands ``update`` its rows, so a transition is padded once
-however often it is sampled, and the transition object is not kept.
+One window per live episode: :func:`_rollout` and :func:`_play` pad each
+start to its encoder window once (:func:`encoder.window_ids`) and shift it
+in by the item each step appends (:func:`encoder.shift_windows`); the acts
+read it, and only the environment and the judge read histories.
+``_ReplayTD``'s :class:`ReplayBuffer` holds that window and a transition's
+row in one :class:`agent.TransitionBatch` of ``buffer_capacity`` rows,
+allocated up front; the transition object is not kept.
 
 With ``target_update = N > 0`` the TD bootstrap ``max_a' Q(s', a')`` comes
 from a critic snapshot frozen for N learner steps, so within a period it is
@@ -150,15 +151,11 @@ class ReplayBuffer:
     held as columns only: one :class:`TransitionBatch` of ``capacity`` rows,
     allocated up front, and a count of pushes.
 
-    :meth:`push` pads the transition's state to its encoder window once
-    (:func:`encoder.window_ids`, for ``encoder_config``) and writes its row
-    (:meth:`TransitionBatch.put`, which validates it); once full, a push
-    overwrites the oldest row.  Within an episode a state is the previous
-    transition's next state (``state_items is`` the last push's
-    ``next_state_items``), whose window is the last row's shifted in by its
-    action, so that push pads nothing.  :meth:`sample` draws
-    ``rng.choice(len(self), batch_size, replace=False)``, indices counted from
-    the oldest row, and returns those rows."""
+    :meth:`push` writes a transition's row and its state's ``(max_seq_len,)``
+    encoder window (:meth:`TransitionBatch.put`, which validates the
+    transition); once full, a push overwrites the oldest row.
+    :meth:`sample` draws ``rng.choice(len(self), batch_size, replace=False)``,
+    indices counted from the oldest row, and returns those rows."""
 
     def __init__(self, capacity: int, encoder_config: EncoderConfig):
         if capacity < 1:
@@ -166,21 +163,16 @@ class ReplayBuffer:
         self.capacity = capacity
         self._rows = TransitionBatch.empty(capacity, encoder_config)
         self._pushes = 0
-        self._last_next = None   # the last stored transition's next_state_items
 
     def __len__(self) -> int:
         return min(self._pushes, self.capacity)
 
-    def push(self, transition: Transition) -> None:
-        rows = self._rows
-        if transition.state_items is self._last_next:
-            last = (self._pushes - 1) % self.capacity
-            window = shift_windows(rows.windows[last], rows.actions[last])
-        else:
-            window = window_ids([transition.state_items], rows.encoder_config)[0]
-        rows.put(self._pushes % self.capacity, transition, window)
+    def push(self, transition: Transition, window: np.ndarray) -> None:
+        if window.shape != self._rows.windows.shape[1:]:
+            raise ValueError(f"push needs a window of shape {self._rows.windows.shape[1:]}, "
+                             f"got {window.shape}")
+        self._rows.put(self._pushes % self.capacity, transition, window)
         self._pushes += 1
-        self._last_next = transition.next_state_items
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
         if batch_size > len(self):
@@ -289,9 +281,9 @@ class _ReplayTD:
         self.updates = 0
         self.target, self.memo = (agent.clone(), {}) if config.target_update > 0 else (None, None)
 
-    def learn(self, transition: Transition):
+    def learn(self, transition: Transition, window: np.ndarray):
         config = self.config
-        self.buffer.push(transition)
+        self.buffer.push(transition, window)
         if len(self.buffer) < config.batch_size:
             return None
         mixture = {} if self.mix is None else {"alpha": self.mix.alpha}
@@ -451,8 +443,8 @@ def pretrain(agent: AgentBundle, oracle, config: TrainConfig, log_,
     env = _JudgeEnv(oracle, log_, config.pretrain_horizon, rng)
     policy = ActorPolicy(agent)
 
-    def act(history):
-        return sample_candidates(policy.probs(history), config.k,
+    def act(history, ids):
+        return sample_candidates(policy.probs_windows(ids)[0], config.k,
                                  config.candidate_sampling, rng), None
 
     records = []
@@ -583,25 +575,26 @@ class RunResult:
 
 
 class _Reinforce:
-    """Learner that collects ``episode`` and, when it ends, takes one
-    REINFORCE :func:`update` step on the per-step discounted return-to-go;
-    ``learn`` returns that step's losses, or None mid-episode."""
+    """Learner that collects ``episode``, transitions with their windows, and
+    when it ends takes one REINFORCE :func:`update` step on the per-step
+    discounted return-to-go; ``learn`` returns its losses, or None mid-episode."""
 
     def __init__(self, agent: AgentBundle, config: TrainConfig):
         self.agent, self.config = agent, config
-        self.episode: list[Transition] = []
+        self.episode: list[tuple[Transition, np.ndarray]] = []
 
-    def learn(self, transition: Transition):
+    def learn(self, transition: Transition, window: np.ndarray):
         episode, config = self.episode, self.config
-        episode.append(transition)
+        episode.append((transition, window))
         if not transition.done:
             return None
-        returns = np.zeros(len(episode))
-        g = 0.0
+        batch = TransitionBatch.empty(len(episode), self.agent.encoder_config)
+        returns, g = np.zeros(len(episode)), 0.0
         for i in range(len(episode) - 1, -1, -1):
-            g = episode[i].reward + config.gamma * g
-            returns[i] = g
-        losses = update(episode, self.agent, config.lr, config.momentum, returns=returns)
+            t, window = episode[i]
+            batch.put(i, t, window)
+            returns[i] = g = t.reward + config.gamma * g
+        losses = update(batch, self.agent, config.lr, config.momentum, returns=returns)
         episode.clear()
         return losses
 
@@ -616,21 +609,23 @@ def _rollout(method: str, env, config: TrainConfig, steps: int, act, learner, on
              on_episode=None):
     """The loop of pre-training and of every online scheme and baseline.
 
-    For ``steps`` steps it acts with ``act(history) -> (action,
+    For ``steps`` steps it acts with ``act(history, ids) -> (action,
     frozen_prob)``, steps the environment with ``env.step(state, action)``,
     hands the transition (carrying the item the step appended and
-    ``frozen_prob``) to ``learner.learn`` and closes the episode on done.
-    An episode's start is drawn (``env.reset()``) by its first step, so
-    there is one reset per episode played and none after the last.  An
-    action is whatever the environment steps on: an item for a user
-    environment, the candidates for the judge's.  ``on_step(step)`` runs
-    after the step's start is drawn and before it acts, and once more with
-    ``steps`` after the last step.  ``on_episode(record, losses)`` gets each
-    finished episode's :class:`EpisodeRecord` and the losses ``learn``
-    returned during it (the Nones left out), after its last transition is
-    learned and before the next start is drawn.  Returns the episode curve;
-    a value that overflows or turns NaN, in a hook too, raises
-    DivergenceError naming ``method`` and the step."""
+    ``frozen_prob``) to ``learner.learn(transition, ids[0])`` and closes the
+    episode on done.  ``ids`` is the live episode's ``(1, max_seq_len)``
+    window for ``learner.agent``'s encoder, padded when its start is drawn
+    (``env.reset()``, by its first step, so one reset per episode played and
+    none after the last) and shifted in by each appended item.  An action is
+    whatever the environment steps on: an item for a user environment, the
+    candidates for the judge's.  ``on_step(step)`` runs after the step's
+    start is drawn and before it acts, and once more with ``steps`` after
+    the last step.  ``on_episode(record, losses)`` gets each finished
+    episode's :class:`EpisodeRecord` and the losses ``learn`` returned
+    during it (the Nones left out), after its last transition is learned and
+    before the next start is drawn.  Returns the episode curve; a value that
+    overflows or turns NaN, in a hook too, raises DivergenceError naming
+    ``method`` and the step."""
     episodes: list[EpisodeRecord] = []
     ret, length, losses = 0.0, 0, []
     state = None  # the next episode's start is drawn when a step needs it
@@ -639,13 +634,14 @@ def _rollout(method: str, env, config: TrainConfig, steps: int, act, learner, on
             for step in range(steps):
                 if state is None:
                     state = env.reset()
+                    ids = window_ids([state.history], learner.agent.encoder_config)
                 if on_step is not None:
                     on_step(step)
-                action, frozen_prob = act(state.history)
+                action, frozen_prob = act(state.history, ids)
                 reward, next_state, done = env.step(state, action)
                 step_losses = learner.learn(Transition(state.history, next_state.history[-1],
                                                        reward, next_state.history, done,
-                                                       frozen_prob))
+                                                       frozen_prob), ids[0])
                 if step_losses is not None:
                     losses.append(step_losses)
                 ret += reward
@@ -658,6 +654,7 @@ def _rollout(method: str, env, config: TrainConfig, steps: int, act, learner, on
                     state = None
                 else:
                     state = next_state
+                    ids = shift_windows(ids, np.array(next_state.history[-1:]))
             if on_step is not None:
                 on_step(steps)
         except FloatingPointError as exc:
@@ -717,23 +714,23 @@ def online_phase(method: str, pretrained: AgentBundle, env, config: TrainConfig,
     if method == "ap":
         mix = policy = MixPolicy(pretrained, work, config.alpha_init)
 
-        def act(history):
-            probs, frozen = mix._sides(window_ids([history], mix.encoder_config))
+        def act(history, ids):
+            probs, frozen = mix._sides(ids)
             action = choose_action(probs[0], strategy, rng)
             return action, float(frozen[0, action])
     elif method == "llm_online":
         policy = ActorPolicy(work)
 
-        def act(history):
-            candidates = sample_candidates(policy.probs(history), config.k,
+        def act(history, ids):
+            candidates = sample_candidates(policy.probs_windows(ids)[0], config.k,
                                            config.candidate_sampling, rng)
             action, _ = distill(history, candidates, oracle, rng)
             return action, None
     else:
         policy = QGreedyPolicy(work) if method == "dqn" else ActorPolicy(work)
 
-        def act(history):
-            return choose_action(policy.probs(history), strategy, rng), None
+        def act(history, ids):
+            return choose_action(policy.probs_windows(ids)[0], strategy, rng), None
     learner = (_Reinforce(work, config) if method == "pg"
                else _ReplayTD(work, config, rng, actor=method != "dqn", mix=mix))
     points, starts = {}, None

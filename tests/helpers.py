@@ -19,7 +19,8 @@ from prefrl.agent import (LOG_PROB_FLOOR, AgentBundle, Transition, action_distri
                           backprop_heads, policy_for, q_values, update)
 from prefrl.data import (InteractionLog, ItemCatalog, ItemRecord, SyntheticGroundTruth,
                          UserSequence)
-from prefrl.encoder import EncoderConfig, encode, encode_with_cache, init_encoder_params
+from prefrl.encoder import (EncoderConfig, encode, encode_with_cache, init_encoder_params,
+                            window_ids)
 from prefrl.metrics import EpisodeRecord, compute_metrics
 from prefrl.oracle import LABELS, distill
 from prefrl.training import (CATEGORICAL, KEY_EVAL, KEY_ONLINE, KEY_PRETRAIN, ActorPolicy,
@@ -29,6 +30,12 @@ from prefrl.training import (CATEGORICAL, KEY_EVAL, KEY_ONLINE, KEY_PRETRAIN, Ac
 
 # The learner's losses one transition at a time, written from the definitions
 # rather than from ``update``: the tests check the batched step against them.
+
+def state_window(transition: Transition, config: EncoderConfig) -> np.ndarray:
+    """The ``(max_seq_len,)`` encoder window of a transition's state, the
+    row ``ReplayBuffer.push`` takes with it."""
+    return window_ids([transition.state_items], config)[0]
+
 
 def q_for(bundle: AgentBundle, items) -> np.ndarray:
     return q_values(encode(items, bundle.params, bundle.encoder_config), bundle)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (actor_loss, actor_loss_check, advantage, critic_loss, critic_loss_check,
-                     log_prob, max_rel_err, q_for, selected_q, td_target)
+                     log_prob, max_rel_err, q_for, selected_q, state_window, td_target)
 from prefrl.agent import (Transition, action_distribution, init_agent, policy_for, q_values,
                           update)
 from prefrl import agent as agent_module, encoder
@@ -69,9 +69,9 @@ class TestHeads:
     @pytest.mark.parametrize("embed_dim", [8, 64])
     @pytest.mark.parametrize("num_items", [30, 300])
     def test_one_state_head_is_bitwise_its_batched_row(self, embed_dim, num_items):
-        # one (d,) state's head is one ndarray.dot; a batch's rows are
-        # stacked one-row products: every row of a batch of 1, 3 and 64 has
-        # the bits of its state's own head, with nonzero biases
+        # a (d,) state's head and a batch's rows are stacked one-row
+        # products: every row of a batch of 1, 3 and 64 has the bits of its
+        # state's own head, with nonzero biases
         agent = init_agent(num_items, embed_dim=embed_dim, max_seq_len=10, seed=embed_dim)
         rng = np.random.default_rng(num_items)
         for head in ("actor", "critic"):
@@ -336,7 +336,7 @@ class TestUpdate:
             action = int(rng.integers(5))
             t = Transition(items, action, float(rng.normal()), items + (action,), i % 5 == 4)
             pushed.append(self._setting_batch(setting, [t])[0])
-            buffer.push(pushed[-1])
+            buffer.push(pushed[-1], state_window(t, agent.encoder_config))
             items = (int(rng.integers(5)),) if t.done else t.next_state_items
         held = pushed[-16:]   # the buffer's rows, oldest first
         returns = rng.normal(size=12)
@@ -370,7 +370,7 @@ class TestUpdate:
         buffer = ReplayBuffer(64, agent.encoder_config)
         pushed = [random_transition(agent, rng, done=(i % 4 == 0)) for i in range(64)]
         for t in pushed:
-            buffer.push(t)
+            buffer.push(t, state_window(t, agent.encoder_config))
         batch = buffer.sample(32, rng)
         for module in (encoder, agent_module):
             monkeypatch.setattr(module, "window_ids", counted)
@@ -395,8 +395,10 @@ class TestUpdate:
 
     def test_a_batch_padded_for_another_window_is_refused(self):
         agent = toy_agent(seed=50)
-        buffer = ReplayBuffer(4, encoder.EncoderConfig(num_items=5, embed_dim=3, max_seq_len=6))
-        buffer.push(Transition((0,), 1, 1.0, (0, 1), False))
+        config = encoder.EncoderConfig(num_items=5, embed_dim=3, max_seq_len=6)
+        buffer = ReplayBuffer(4, config)
+        t = Transition((0,), 1, 1.0, (0, 1), False)
+        buffer.push(t, state_window(t, config))
         before = agent.params.copy()
         with pytest.raises(ValueError, match="window length"):
             update(buffer.sample(1, np.random.default_rng(0)), agent, 0.01)

@@ -320,6 +320,34 @@ def test_every_side_of_a_pair_shares_the_pad_its_benchmark_sees(tool, tmp_path, 
     assert len(set(pads)) > 1 and all(0 <= pad < 4096 for pad in pads)
 
 
+# a stand-in benchmark that reports the paths it runs from
+WHERE = (
+    "import json, os, sys\n"
+    "reps = [{'file': os.path.abspath(__file__), 'path0': sys.path[0]}]\n"
+    "print(json.dumps({'curve_digest': 'd', 'final_test_return': 1.0, 'repetitions': reps}))\n"
+    "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+
+
+def test_every_side_runs_from_paths_of_one_length(tool, tmp_path, monkeypatch):
+    # a control extracted into a directory with a one-byte longer name than
+    # the parent's had every path one byte longer
+    def extract(commit, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "run.py").write_text(WHERE, encoding="utf-8")
+        return commit
+
+    monkeypatch.setattr(tool, "extract", extract)
+    out = tmp_path / "bench.json"
+    assert tool.main(["P", "C", "--workload", "adapt_ap", "--pairs", "2", "--control",
+                      "--out", str(out), "--scratch", str(tmp_path / "trees")]) == 0
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert sorted(run["side"] for run in runs) == sorted(tool.SIDES * 2)
+    files = {run["side"]: run["repetitions"]["file"][0] for run in runs}
+    assert len(set(files.values())) == len(tool.SIDES)
+    assert len({len(path) for path in files.values()}) == 1
+    assert len({len(run["repetitions"]["path0"][0]) for run in runs}) == 1
+
+
 @pytest.mark.parametrize("name", ["BENCH_22.json", "BENCH_23.json", "BENCH_29.json",
                                   "BENCH_31.json"])
 def test_a_committed_summary_rebuilds_from_its_runs(tool, name):
@@ -357,7 +385,7 @@ def test_cpu_pins_every_run_and_only_the_runs(tool, tmp_path, monkeypatch):
     assert len(runs) == 4
     for run in runs:
         assert run["cpu"] == cpu and run["repetitions"]["cpus"] == [[cpu]]
-    unpinned = tool.bench(tmp_path / "trees" / "parent", "adapt_ap", 0, 1.0)
+    unpinned = tool.bench(tmp_path / "trees" / "side0", "adapt_ap", 0, 1.0)
     assert unpinned["cpu"] is None
     assert unpinned["repetitions"]["cpus"] == [sorted(allowed)]
 

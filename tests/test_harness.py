@@ -1,6 +1,8 @@
+import gc
 import inspect
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from prefrl.harness import (build_envs, build_oracle, build_reward_model, build_
                             encoder_config_from, pretrain_with_checkpoints, strategy_from,
                             train_config_from, write_curve)
 from prefrl.metrics import EpisodeRecord, compute_metrics, smooth_curve
-from prefrl.oracle import PromptSpec, RemoteEndpoint, SyntheticOracle
+from helpers import StubChatServer
+from prefrl.oracle import LLMOracle, PromptSpec, RemoteEndpoint, SyntheticOracle
 from prefrl.training import (ExplorationStrategy, TrainConfig, online_phase, run_baseline,
                              scratch_agent)
 from prefrl import cli, environment, harness
@@ -680,6 +683,39 @@ class TestCli:
         assert self.run("--config", str(cfg), "--out", str(out), "pretrain") == 1
         assert capsys.readouterr().err == f"error: [oracle] {key} must be finite and {needs}, got inf\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, status", [
+        (("pretrain",), 200), (("baseline", "llm_online"), 200), (("rq3",), 200),
+        (("pretrain",), 500), (("baseline", "llm_online"), 500)],
+        ids=["pretrain", "llm_online", "rq3", "pretrain_fails", "llm_online_fails"])
+    def test_a_live_judge_is_closed_when_the_command_ends(self, tmp_path, monkeypatch, capsys,
+                                                          command, status):
+        # left open, the judge's kept-alive connection warned "unclosed
+        # <socket.socket ...>" once the command's judge was collected
+        closed = []
+        close = LLMOracle.close
+
+        def counted(judge):
+            closed.append(judge)
+            close(judge)
+
+        monkeypatch.setattr(LLMOracle, "close", counted)
+        with StubChatServer(lambda prompt, n: (status, "the user will select a"),
+                            keep_alive=True) as stub:
+            cfg = tmp_path / "llm.ini"
+            cfg.write_text(TINY_INI.replace("[oracle]\n", f"[oracle]\nkind = llm\nbase_url = "
+                                            f"{stub.base_url}\nmax_retries = 0\n"),
+                           encoding="utf-8")
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                code = self.run("--config", str(cfg), "--out", str(tmp_path / "out"), *command)
+                gc.collect()
+        err = capsys.readouterr().err
+        assert (code, err[:16]) == ((0, "") if status == 200 else (1, "error: HTTP 500:"))
+        assert len(stub.requests) == 1 if status != 200 else len(stub.requests) > 1
+        assert len(closed) == 1
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     @staticmethod
     def _with_setting(section, key, value):

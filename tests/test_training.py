@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import q_for, reference_online, reference_pretrain
+from helpers import q_for, reference_online, reference_pretrain, state_window
 from prefrl.agent import AgentBundle, Transition, init_agent, policy_for, update
 from prefrl.checkpoint import save_checkpoint
 from prefrl.data import InteractionLog, UserSequence, generate_synthetic, split_log
@@ -72,13 +72,15 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=3, encoder_config=WINDOW)
         for i in range(5):
-            buf.push(Transition((i,), 0, 0.0, (i, 0), False))
+            t = Transition((i,), 0, 0.0, (i, 0), False)
+            buf.push(t, state_window(t, WINDOW))
         assert len(buf) == 3
         assert sorted(buf.sample(3, np.random.default_rng(0)).windows[:, -1]) == [2, 3, 4]
 
     def test_sampling_needs_enough_items(self):
         buf = ReplayBuffer(capacity=10, encoder_config=WINDOW)
-        buf.push(Transition((0,), 0, 0.0, (0, 0), False))
+        t = Transition((0,), 0, 0.0, (0, 0), False)
+        buf.push(t, state_window(t, WINDOW))
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
@@ -104,7 +106,7 @@ class TestReplayBuffer:
             frozen_prob = None if step % 3 else float(rng.random())
             t = Transition(history, action, float(rng.normal()), history + (action,), done,
                            frozen_prob)
-            buf.push(t)
+            buf.push(t, state_window(t, WINDOW))
             reference.append(t)
             history = (int(rng.integers(5)),) if done else t.next_state_items
             size = len(reference)
@@ -125,7 +127,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(4, WINDOW)
         t = Transition((0,), 1, 0.0, (0, 1), False)
         kept = weakref.ref(t)
-        buf.push(t)
+        buf.push(t, state_window(t, WINDOW))
         del t
         assert kept() is None
         assert len(buf) == 1
@@ -133,9 +135,10 @@ class TestReplayBuffer:
     @pytest.mark.parametrize("capacity", [1, 4, 9])
     def test_every_stored_window_is_its_states_padding(self, capacity, monkeypatch):
         # episodes of 1 to 6 steps from starts of 1 to 4 items, against a
-        # window of 3, through a buffer that wraps: a state that continues
-        # the last push's episode is not padded again, and every stored
-        # window still equals window_ids of its state
+        # window of 3, through a buffer that wraps: each start is padded
+        # once and each step's window shifted in by its action, as the
+        # rollout loop keeps it; a push pads nothing, and every stored
+        # window equals window_ids of its state
         pads = []
         pad = training.window_ids
 
@@ -151,24 +154,35 @@ class TestReplayBuffer:
         for episode in range(12):
             history = tuple(int(i) for i in rng.integers(5, size=1 + episode % 4))
             starts += 1
+            window = pad([history], WINDOW)[0]
             for step in range(1 + episode % 6):
                 action = int(rng.integers(5))
                 t = Transition(history, action, 0.0, history + (action,), step == episode % 6)
-                buf.push(t)
+                buf.push(t, window)
                 stored.append(t.state_items)
                 history = t.next_state_items
+                window = training.shift_windows(window, np.array(action))
                 rows = buf.sample(len(buf), oldest_first)
-                assert np.array_equal(rows.windows, window_ids(stored[-len(buf):], WINDOW))
-        assert pads == [1] * starts
+                assert np.array_equal(rows.windows, pad(stored[-len(buf):], WINDOW))
+        assert starts == 12 and pads == []
 
     def test_a_push_validates_the_transition(self):
         buf = ReplayBuffer(4, WINDOW)
-        for bad, match in ((Transition((0, 5), 1, 0.0, (0, 5, 1), False), "item id 5"),
-                           (Transition((0,), 5, 0.0, (0, 5), False), "action 5"),
+        for bad, match in ((Transition((0,), 5, 0.0, (0, 5), False), "action 5"),
                            (Transition((0,), 1, 0.0, (0, 2), False), "state plus its action"),
                            (Transition((0,), 1, 0.0, (1,), True), "state plus its action")):
             with pytest.raises(ValueError, match=match):
-                buf.push(bad)
+                buf.push(bad, state_window(bad, WINDOW))
+        assert len(buf) == 0
+
+    def test_a_push_refuses_a_window_of_another_shape_by_name(self):
+        buf = ReplayBuffer(4, WINDOW)
+        t = Transition((0,), 1, 0.0, (0, 1), False)
+        for window in (np.zeros(WINDOW.max_seq_len + 1, np.int64), window_ids([(0,)], WINDOW)):
+            with pytest.raises(ValueError, match=rf"^push needs a window of shape "
+                                                 rf"\({WINDOW.max_seq_len},\), got "
+                                                 rf"{re.escape(str(window.shape))}$"):
+                buf.push(t, window)
         assert len(buf) == 0
 
 
@@ -380,10 +394,10 @@ class TestPretrain:
         class SpyBuffer(ReplayBuffer):
             pushes = 0
 
-            def push(self, transition):
+            def push(self, transition, window):
                 SpyBuffer.pushes += 1
                 assert transition.next_state_items == transition.state_items + (transition.action,)
-                super().push(transition)
+                super().push(transition, window)
 
         orig = tr.ReplayBuffer
         tr.ReplayBuffer = SpyBuffer
@@ -608,9 +622,9 @@ class TestOnlinePhase:
         pushed = []
         push = ReplayBuffer.push
 
-        def spy(buffer, transition):
+        def spy(buffer, transition, window):
             pushed.append(transition)
-            push(buffer, transition)
+            push(buffer, transition, window)
 
         monkeypatch.setattr(ReplayBuffer, "push", spy)
         agent = agent_for(world, seed=12)
@@ -1241,3 +1255,53 @@ class TestReferenceOnline:
         velocity = result.agent.params.velocity
         assert (velocity is None) == (agent.params.velocity is None) == (momentum == 0.0)
         assert velocity is None or np.array_equal(velocity, agent.params.velocity)
+
+
+class TestOneWindowPerEpisode:
+    """The rollout loop pads each episode's start once and shifts that window
+    in by each appended item; the acts and the learners read it, so no step
+    pads a history and no learner pads an episode."""
+
+    @pytest.mark.parametrize("method", ("pretrain",) + training.ONLINE_METHODS)
+    def test_windows_are_padded_per_start_and_snapshot_and_learned_as_padded(
+            self, world, method, monkeypatch):
+        pads, starts, learned = [], [], []
+
+        def counted(calls, fn):
+            def wrapped(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapped
+
+        def refused(*args, **kwargs):
+            raise AssertionError("TransitionBatch.of ran")
+
+        monkeypatch.setattr(training, "window_ids", counted(pads, training.window_ids))
+        monkeypatch.setattr(training._JudgeEnv, "reset", counted(starts, training._JudgeEnv.reset))
+        for learner in (training._ReplayTD, training._Reinforce):
+            monkeypatch.setattr(learner, "learn", counted(learned, learner.learn))
+        monkeypatch.setattr(training.TransitionBatch, "of", refused)
+        # a window of 3, shorter than many of the histories
+        agent = init_agent(world["catalog"].num_items, embed_dim=8, max_seq_len=3, seed=21)
+        oracle = SyntheticOracle(world["truth"], 3.0)
+        if method == "pretrain":
+            cfg = TrainConfig(pretrain_epochs=5, pretrain_horizon=9, batch_size=8,
+                              buffer_capacity=50, k=5)
+            pretrain(agent, oracle, cfg, world["train"])
+            snapshots, steps = 0, cfg.pretrain_epochs * cfg.pretrain_horizon
+        else:
+            cfg = TrainConfig(online_steps=60, batch_size=8, buffer_capacity=200, lr=0.002, k=5)
+            env = make_env(world, seed=7)
+            monkeypatch.setattr(env, "reset", counted(starts, env.reset))
+            result = online_phase(method, agent, env, cfg,
+                                  eval_env=make_env(world, "test", seed=None),
+                                  episodes_per_epoch=2, eval_episodes=3,
+                                  oracle=oracle if method == "llm_online" else None)
+            snapshots, steps = len(result.snapshots), cfg.online_steps
+        assert snapshots in (0, 4) and 1 < len(starts) < steps
+        assert len(pads) == len(starts) + snapshots
+        assert len(learned) == steps
+        assert max(len(t.state_items) for _, t, _ in learned) > agent.encoder_config.max_seq_len
+        for _, t, window in learned:
+            assert np.array_equal(window, encoder.window_ids([t.state_items],
+                                                             agent.encoder_config)[0])

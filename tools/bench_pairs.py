@@ -6,11 +6,14 @@ worse, and a two-sided sign-test p.
     python tools/bench_pairs.py PARENT CHANGE --workload adapt_ap --pairs 10 \\
         --control --claim adapt_ap/step_ms_p50 --out BENCH_17.json
 
-Each commit is extracted with ``git archive`` into its own directory under
-``--scratch``: the benchmark reads only committed files, and an archive
-leaves nothing behind in the repository's git directory.  Pair i runs every
-side once at ``--seed i``, the sides in an order rotated by i, so that each
-side runs first in an equal share of the pairs.  ``--control`` adds a third
+Each side's commit is extracted with ``git archive`` into its own directory
+under ``--scratch``, named by the side's place in ``SIDES`` (``side0``,
+``side1``, ``side2``), so every side's paths (``sys.path``, each module's
+``__file__``) have the same length; the runs keep the side labels.  The
+benchmark reads only committed files, and an archive leaves nothing behind
+in the repository's git directory.  Pair i runs every side once at ``--seed
+i``, the sides in an order rotated by i, so that each side runs first in an
+equal share of the pairs.  ``--control`` adds a third
 side, a second copy of the parent, whose shift against the parent is the
 noise floor of the same file.  A pair is checked for equal ``curve_digest``
 and ``final_test_return`` on every side.  Every run starts with one more
@@ -315,7 +318,7 @@ def main(argv=None) -> int:
     scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     sides = SIDES if args.control else SIDES[:2]
     commits = {side: args.parent if side != "change" else args.change for side in sides}
-    trees = {side: scratch / side for side in sides}
+    trees = {side: scratch / f"side{i}" for i, side in enumerate(sides)}
     ids = {side: extract(commit, trees[side]) for side, commit in commits.items()}
     doc = {"claim": claim_block({}, *claimed) if claimed else None,
            "what": "perfbench runs of parent/change pairs (and, with a control, a second "
